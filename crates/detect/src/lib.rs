@@ -40,6 +40,7 @@
 #![forbid(unsafe_code)]
 
 mod classify;
+mod idhash;
 mod inject;
 mod kinds;
 mod pairing;

@@ -13,7 +13,8 @@
 //!   per-(first-site, second-site, kind) aggregate with saturating counts and
 //!   gains — the seeds of the report layer's Algorithm 2 fusion — keeping
 //!   memory O(code sites) regardless of how many dynamic pairs the scan
-//!   classifies.
+//!   classifies. One pair costs one probe of a hash table keyed by the
+//!   packed site pair; the finished table is sorted once.
 //!
 //! Emission order is engine-specific (the streaming engine emits in delivery
 //! order, the batch engines in canonical order); [`UlcpSink::seal`] runs once
@@ -26,11 +27,12 @@
 //! [`reference_analyze`]: crate::reference_analyze
 //! [`UlcpAnalysis`]: crate::UlcpAnalysis
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 use perfplay_trace::{CodeSiteId, CriticalSection, SectionId, ThreadId, Time};
 use serde::{Deserialize, Serialize};
 
+use crate::idhash::IdBuildHasher;
 use crate::kinds::UlcpKind;
 use crate::pairing::{CausalEdge, Ulcp, UlcpBreakdown};
 
@@ -104,7 +106,10 @@ pub trait UlcpSink {
 
     /// Number of entries the sink currently holds resident — pairs for a
     /// collecting sink, table rows for an aggregating one. The streaming
-    /// engine samples this for its peak-memory accounting.
+    /// engines sample this once per chunk (the parallel one once per lock
+    /// lane) for their peak-memory accounting, so it should be O(1): the
+    /// aggregating sink keeps a running count of the rows it would emit
+    /// instead of walking its table.
     fn resident_entries(&self) -> usize;
 }
 
@@ -312,39 +317,23 @@ impl SiteAggregates {
     /// keeping ascending key order. Saturating add is commutative and
     /// associative, so merging N tables yields the identical result in any
     /// order — the property the multi-trace batch driver relies on to fuse
-    /// concurrently-analyzed traces deterministically.
+    /// concurrently-analyzed traces deterministically. Rows need not be
+    /// sorted or unique (a deserialized table may be neither): rows with
+    /// equal keys sum, and the result is in ascending key order.
     pub fn merge(&mut self, other: &SiteAggregates) {
-        let mut ulcps: BTreeMap<(CodeSiteId, CodeSiteId, UlcpKind), PairCell> = BTreeMap::new();
+        let mut table = SiteTable::default();
         for row in self.ulcps.iter().chain(&other.ulcps) {
-            let cell = ulcps
-                .entry((row.site_first, row.site_second, row.kind))
-                .or_default();
-            cell.pairs = cell.pairs.saturating_add(row.dynamic_pairs);
-            cell.gain_ns = cell.gain_ns.saturating_add(row.gain_ns);
+            table.add_pairs(
+                pack_sites(row.site_first, row.site_second),
+                row.kind,
+                row.dynamic_pairs,
+                row.gain_ns,
+            );
         }
-        let mut edges: BTreeMap<(CodeSiteId, CodeSiteId), u64> = BTreeMap::new();
         for row in self.edges.iter().chain(&other.edges) {
-            let count = edges.entry((row.site_first, row.site_second)).or_default();
-            *count = count.saturating_add(row.edges);
+            table.add_edges(pack_sites(row.site_first, row.site_second), row.edges);
         }
-        self.ulcps = ulcps
-            .into_iter()
-            .map(|((site_first, site_second, kind), cell)| SiteAggregate {
-                site_first,
-                site_second,
-                kind,
-                dynamic_pairs: cell.pairs,
-                gain_ns: cell.gain_ns,
-            })
-            .collect();
-        self.edges = edges
-            .into_iter()
-            .map(|((site_first, site_second), edges)| EdgeAggregate {
-                site_first,
-                site_second,
-                edges,
-            })
-            .collect();
+        *self = table.finish();
     }
 }
 
@@ -354,9 +343,129 @@ struct PairCell {
     gain_ns: u64,
 }
 
+/// Every kind's cell for one `(site, site)` key, indexed by `UlcpKind as
+/// usize` (declaration order, which is also `UlcpKind`'s `Ord`).
+#[derive(Debug, Clone, Copy, Default)]
+struct SiteRow {
+    cells: [PairCell; UlcpKind::ALL.len()],
+    /// Bit `kind as usize` is set once that kind's cell holds a row, so a
+    /// row folded in with zero pairs still counts and is still emitted.
+    present: u8,
+}
+
+impl SiteRow {
+    fn bit(kind: UlcpKind) -> u8 {
+        1 << kind as u8
+    }
+
+    /// The cells that hold a row, in ascending kind order.
+    fn present_cells(self) -> impl Iterator<Item = (UlcpKind, PairCell)> {
+        UlcpKind::ALL
+            .into_iter()
+            .filter(move |&kind| self.present & Self::bit(kind) != 0)
+            .map(move |kind| (kind, self.cells[kind as usize]))
+    }
+}
+
+/// Packs a `(site_first, site_second)` key into one word whose ascending
+/// order is the tuple's ascending order.
+fn pack_sites(first: CodeSiteId, second: CodeSiteId) -> u64 {
+    (u64::from(first.raw()) << 32) | u64::from(second.raw())
+}
+
+fn unpack_sites(key: u64) -> (CodeSiteId, CodeSiteId) {
+    (
+        CodeSiteId::new((key >> 32) as u32),
+        CodeSiteId::new(key as u32),
+    )
+}
+
+/// The accumulator behind [`SiteAggregator`] and [`SiteAggregates::merge`]:
+/// hash tables keyed by the packed site pair, so adding one pair is one hash
+/// probe. Iteration order never leaks — [`finish`](Self::finish) sorts.
+#[derive(Debug, Clone, Default)]
+struct SiteTable {
+    pairs: HashMap<u64, SiteRow, IdBuildHasher>,
+    edges: HashMap<u64, u64, IdBuildHasher>,
+    /// Present kind cells in `pairs` plus rows in `edges`: exactly the
+    /// number of rows [`finish`](Self::finish) will emit.
+    rows: usize,
+}
+
+impl SiteTable {
+    fn add_pairs(&mut self, key: u64, kind: UlcpKind, pairs: u64, gain_ns: u64) {
+        let row = self.pairs.entry(key).or_default();
+        let bit = SiteRow::bit(kind);
+        self.rows += usize::from(row.present & bit == 0);
+        row.present |= bit;
+        let cell = &mut row.cells[kind as usize];
+        cell.pairs = cell.pairs.saturating_add(pairs);
+        cell.gain_ns = cell.gain_ns.saturating_add(gain_ns);
+    }
+
+    fn add_edges(&mut self, key: u64, edges: u64) {
+        let count = self.edges.entry(key).or_insert_with(|| {
+            self.rows += 1;
+            0
+        });
+        *count = count.saturating_add(edges);
+    }
+
+    fn absorb(&mut self, other: SiteTable) {
+        for (key, row) in other.pairs {
+            for (kind, cell) in row.present_cells() {
+                self.add_pairs(key, kind, cell.pairs, cell.gain_ns);
+            }
+        }
+        for (key, edges) in other.edges {
+            self.add_edges(key, edges);
+        }
+    }
+
+    /// Sorts the keys once and emits the present cells in ascending
+    /// `(site_first, site_second, kind)` order.
+    fn finish(self) -> SiteAggregates {
+        let mut pairs: Vec<(u64, SiteRow)> = self.pairs.into_iter().collect();
+        pairs.sort_unstable_by_key(|&(key, _)| key);
+        let mut edges: Vec<(u64, u64)> = self.edges.into_iter().collect();
+        edges.sort_unstable_by_key(|&(key, _)| key);
+        SiteAggregates {
+            ulcps: pairs
+                .into_iter()
+                .flat_map(|(key, row)| {
+                    let (site_first, site_second) = unpack_sites(key);
+                    row.present_cells().map(move |(kind, cell)| SiteAggregate {
+                        site_first,
+                        site_second,
+                        kind,
+                        dynamic_pairs: cell.pairs,
+                        gain_ns: cell.gain_ns,
+                    })
+                })
+                .collect(),
+            edges: edges
+                .into_iter()
+                .map(|(key, edges)| {
+                    let (site_first, site_second) = unpack_sites(key);
+                    EdgeAggregate {
+                        site_first,
+                        site_second,
+                        edges,
+                    }
+                })
+                .collect(),
+        }
+    }
+}
+
 /// The aggregating sink: folds each emitted pair into a per-(first-site,
 /// second-site, kind) row at emission time, keeping memory O(code sites)
 /// instead of O(pairs).
+///
+/// The rows live in a hash table keyed by the site pair packed into one
+/// `u64`, each entry holding one cell per [`UlcpKind`], so a pair costs one
+/// hash probe. [`finish`](Self::finish) sorts the keys once, so the output
+/// is in ascending `(site_first, site_second, kind)` order.
 ///
 /// Counts and gains accumulate with saturating addition, which is commutative
 /// and associative (the result is `min(true sum, u64::MAX)`), so the
@@ -365,18 +474,17 @@ struct PairCell {
 #[derive(Debug, Clone, Default)]
 pub struct SiteAggregator<G: GainSource = NoGain> {
     gain: G,
-    pairs: BTreeMap<(CodeSiteId, CodeSiteId, UlcpKind), PairCell>,
-    edges: BTreeMap<(CodeSiteId, CodeSiteId), u64>,
+    table: SiteTable,
 }
 
 /// Unordered site-pair key, normalized exactly as the report layer's fusion
-/// seeds are.
-fn site_key(ctx: &SectionCtx<'_>) -> (CodeSiteId, CodeSiteId) {
+/// seeds are, then packed.
+fn site_key(ctx: &SectionCtx<'_>) -> u64 {
     let (a, b) = (ctx.first.site, ctx.second.site);
     if a.raw() <= b.raw() {
-        (a, b)
+        pack_sites(a, b)
     } else {
-        (b, a)
+        pack_sites(b, a)
     }
 }
 
@@ -385,54 +493,25 @@ impl<G: GainSource> SiteAggregator<G> {
     pub fn new(gain: G) -> Self {
         SiteAggregator {
             gain,
-            pairs: BTreeMap::new(),
-            edges: BTreeMap::new(),
+            table: SiteTable::default(),
         }
     }
 
-    /// Consumes the aggregator into its finished tables.
+    /// Consumes the aggregator into its finished tables, in ascending key
+    /// order.
     pub fn finish(self) -> SiteAggregates {
-        SiteAggregates {
-            ulcps: self
-                .pairs
-                .into_iter()
-                .map(|((site_first, site_second, kind), cell)| SiteAggregate {
-                    site_first,
-                    site_second,
-                    kind,
-                    dynamic_pairs: cell.pairs,
-                    gain_ns: cell.gain_ns,
-                })
-                .collect(),
-            edges: self
-                .edges
-                .into_iter()
-                .map(|((site_first, site_second), edges)| EdgeAggregate {
-                    site_first,
-                    site_second,
-                    edges,
-                })
-                .collect(),
-        }
+        self.table.finish()
     }
 }
 
 impl<G: GainSource + Clone> UlcpSink for SiteAggregator<G> {
     fn emit(&mut self, ulcp: Ulcp, ctx: &SectionCtx<'_>) {
-        let (site_first, site_second) = site_key(ctx);
         let gain = self.gain.pair_gain_ns(&ulcp, ctx).max(0) as u64;
-        let cell = self
-            .pairs
-            .entry((site_first, site_second, ulcp.kind))
-            .or_default();
-        cell.pairs = cell.pairs.saturating_add(1);
-        cell.gain_ns = cell.gain_ns.saturating_add(gain);
+        self.table.add_pairs(site_key(ctx), ulcp.kind, 1, gain);
     }
 
     fn emit_edge(&mut self, _edge: CausalEdge, ctx: &SectionCtx<'_>) {
-        let key = site_key(ctx);
-        let count = self.edges.entry(key).or_default();
-        *count = count.saturating_add(1);
+        self.table.add_edges(site_key(ctx), 1);
     }
 
     fn fork(&self) -> Self {
@@ -440,19 +519,14 @@ impl<G: GainSource + Clone> UlcpSink for SiteAggregator<G> {
     }
 
     fn absorb(&mut self, shard: Self) {
-        for (key, cell) in shard.pairs {
-            let mine = self.pairs.entry(key).or_default();
-            mine.pairs = mine.pairs.saturating_add(cell.pairs);
-            mine.gain_ns = mine.gain_ns.saturating_add(cell.gain_ns);
-        }
-        for (key, count) in shard.edges {
-            let mine = self.edges.entry(key).or_default();
-            *mine = mine.saturating_add(count);
-        }
+        self.table.absorb(shard.table);
     }
 
+    /// The number of rows [`finish`](SiteAggregator::finish) would emit:
+    /// non-empty `(site, site, kind)` cells plus edge rows, kept as a running
+    /// count.
     fn resident_entries(&self) -> usize {
-        self.pairs.len() + self.edges.len()
+        self.table.rows
     }
 }
 
@@ -473,6 +547,7 @@ pub struct SinkAnalysis<S> {
 mod tests {
     use super::*;
     use perfplay_trace::{Footprint, LockId, ThreadId};
+    use std::collections::BTreeSet;
 
     fn section(id: u32, thread: u32, site: u32, body_ns: u64) -> CriticalSection {
         CriticalSection {
@@ -555,10 +630,149 @@ mod tests {
         let mut agg = SiteAggregator::new(Huge);
         for _ in 0..3 {
             agg.emit(ulcp(0, 1, UlcpKind::Benign), &ctx);
+            agg.emit(ulcp(0, 1, UlcpKind::NullLock), &ctx);
         }
         let out = agg.finish();
-        assert_eq!(out.ulcps[0].gain_ns, u64::MAX);
+        // Each kind cell of the one site-pair row saturates on its own.
+        assert_eq!(out.ulcps.len(), 2);
+        for (row, kind) in out.ulcps.iter().zip([UlcpKind::NullLock, UlcpKind::Benign]) {
+            assert_eq!(row.kind, kind);
+            assert_eq!(row.dynamic_pairs, 3);
+            assert_eq!(row.gain_ns, u64::MAX);
+        }
         assert_eq!(out.total_gain_ns(), u64::MAX);
+    }
+
+    #[test]
+    fn aggregator_keys_sites_at_the_packing_edge() {
+        let max = section(0, 0, u32::MAX, 1);
+        let below = section(1, 1, u32::MAX - 1, 1);
+        let zero = section(2, 0, 0, 1);
+        let mut agg = SiteAggregator::new(NoGain);
+        for (first, second) in [(&max, &max), (&max, &below), (&zero, &max)] {
+            agg.emit(
+                ulcp(0, 1, UlcpKind::ReadRead),
+                &SectionCtx { first, second },
+            );
+        }
+        let keys: Vec<_> = agg
+            .finish()
+            .ulcps
+            .iter()
+            .map(|r| (r.site_first.raw(), r.site_second.raw()))
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                (0, u32::MAX),
+                (u32::MAX - 1, u32::MAX),
+                (u32::MAX, u32::MAX)
+            ]
+        );
+    }
+
+    #[test]
+    fn empty_aggregator_finishes_empty() {
+        let mut agg = SiteAggregator::new(BodyOverlapGain);
+        assert_eq!(agg.resident_entries(), 0);
+        agg.absorb(agg.fork());
+        assert_eq!(agg.resident_entries(), 0);
+        let out = agg.finish();
+        assert!(out.is_empty());
+        assert_eq!(out, SiteAggregates::default());
+        let mut merged = SiteAggregates::default();
+        merged.merge(&out);
+        assert!(merged.is_empty());
+    }
+
+    #[test]
+    fn resident_entries_counts_cells_and_edge_rows_at_every_step() {
+        // Two shards fed alternately; after every emission each shard's
+        // count, and the count of the two absorbed together, must equal the
+        // number of distinct (site, site, kind-or-edge) keys fed so far.
+        let secs: Vec<_> = (0..5).map(|i| section(i, i % 2, i % 3, 1)).collect();
+        let mut shards = [SiteAggregator::new(NoGain), SiteAggregator::new(NoGain)];
+        let mut keys = [BTreeSet::new(), BTreeSet::new()];
+        let pairs = (0..5usize).flat_map(|i| (0..5usize).map(move |j| (i, j)));
+        for (step, (i, j)) in pairs.enumerate() {
+            let ctx = SectionCtx {
+                first: &secs[i],
+                second: &secs[j],
+            };
+            let sites = (
+                secs[i].site.min(secs[j].site),
+                secs[i].site.max(secs[j].site),
+            );
+            let side = step % 2;
+            if step % 3 == 0 {
+                let edge = CausalEdge {
+                    from: secs[i].id,
+                    to: secs[j].id,
+                    lock: LockId::new(0),
+                };
+                shards[side].emit_edge(edge, &ctx);
+                keys[side].insert((sites, None));
+            } else {
+                let kind = UlcpKind::ALL[step % 4];
+                shards[side].emit(ulcp(i as u32, j as u32, kind), &ctx);
+                keys[side].insert((sites, Some(kind)));
+            }
+            for side in 0..2 {
+                assert_eq!(shards[side].resident_entries(), keys[side].len());
+            }
+            let union: BTreeSet<_> = keys[0].union(&keys[1]).collect();
+            let mut both = shards[0].clone();
+            both.absorb(shards[1].clone());
+            assert_eq!(both.resident_entries(), union.len(), "step {step}");
+            assert_eq!(both.finish().len(), union.len(), "step {step}");
+        }
+    }
+
+    #[test]
+    fn merge_tolerates_unsorted_and_duplicate_rows() {
+        let row = |a: u32, b: u32, kind, pairs, gain| SiteAggregate {
+            site_first: CodeSiteId::new(a),
+            site_second: CodeSiteId::new(b),
+            kind,
+            dynamic_pairs: pairs,
+            gain_ns: gain,
+        };
+        let edge = |a: u32, b: u32, edges| EdgeAggregate {
+            site_first: CodeSiteId::new(a),
+            site_second: CodeSiteId::new(b),
+            edges,
+        };
+        let mut table = SiteAggregates {
+            ulcps: vec![
+                row(2, 3, UlcpKind::Benign, 1, 5),
+                row(1, 9, UlcpKind::ReadRead, 0, 0),
+                row(2, 3, UlcpKind::NullLock, 4, 1),
+                row(2, 3, UlcpKind::Benign, u64::MAX, 7),
+            ],
+            edges: vec![edge(5, 6, 2), edge(0, 1, 1), edge(5, 6, 3)],
+        };
+        table.merge(&SiteAggregates {
+            ulcps: vec![row(0, 4, UlcpKind::DisjointWrite, 2, 2)],
+            edges: vec![edge(0, 1, 4)],
+        });
+        assert_eq!(
+            table.ulcps,
+            [
+                row(0, 4, UlcpKind::DisjointWrite, 2, 2),
+                row(1, 9, UlcpKind::ReadRead, 0, 0),
+                row(2, 3, UlcpKind::NullLock, 4, 1),
+                row(2, 3, UlcpKind::Benign, u64::MAX, 12),
+            ]
+        );
+        assert_eq!(table.edges, [edge(0, 1, 5), edge(5, 6, 5)]);
+    }
+
+    #[test]
+    fn kind_index_follows_kind_order() {
+        for (i, kind) in UlcpKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i);
+        }
+        assert!(UlcpKind::ALL.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
