@@ -72,21 +72,34 @@ pub(crate) struct SyncDeps {
     /// Barrier groups: every `BarrierWait` event maps to the group of events
     /// (including itself) that must all arrive before any of them completes.
     pub barrier_groups: BTreeMap<EventRef, Vec<EventRef>>,
+    /// The same crossings once each, as member lists: the form the engine
+    /// indexes by group id.
+    pub barrier_crossings: Vec<Vec<EventRef>>,
 }
 
-/// Builds the cross-thread dependency table for a trace.
+/// Builds the cross-thread dependency table for a trace, in one scan of
+/// its events.
 pub(crate) fn build_sync_deps(trace: &Trace) -> SyncDeps {
     let mut deps = SyncDeps::default();
-
-    // Collect signals per condition variable, sorted by original time.
+    // Signals per condition variable, condvar waits, and barrier arrivals
+    // grouped into crossings: arrivals that share a barrier id and an
+    // original release timestamp belong to the same crossing.
     let mut signals: BTreeMap<u32, Vec<(Time, EventRef)>> = BTreeMap::new();
+    let mut waits = Vec::new();
+    let mut groups: BTreeMap<(u32, Time), Vec<EventRef>> = BTreeMap::new();
     for (ti, tt) in trace.threads.iter().enumerate() {
         for (ei, te) in tt.events.iter().enumerate() {
-            if let Event::CondSignal { cond, .. } = te.event {
-                signals
+            match te.event {
+                Event::CondSignal { cond, .. } => signals
                     .entry(cond.index() as u32)
                     .or_default()
-                    .push((te.at, (ti, ei)));
+                    .push((te.at, (ti, ei))),
+                Event::CondWait { cond, lock } => waits.push((ti, ei, te.at, cond, lock)),
+                Event::BarrierWait { barrier } => groups
+                    .entry((barrier.index() as u32, te.at))
+                    .or_default()
+                    .push((ti, ei)),
+                _ => {}
             }
         }
     }
@@ -96,65 +109,77 @@ pub(crate) fn build_sync_deps(trace: &Trace) -> SyncDeps {
 
     // For every CondWait, the dependency attaches to the *re-acquisition*
     // (the next LockAcquire of the same lock in the same thread), because the
-    // waiter releases the lock before the signaller can possibly run.
-    for (ti, tt) in trace.threads.iter().enumerate() {
-        for (ei, te) in tt.events.iter().enumerate() {
-            if let Event::CondWait { cond, lock } = te.event {
-                let reacquire = tt.events[ei + 1..].iter().position(
-                    |later| matches!(later.event, Event::LockAcquire { lock: l, .. } if l == lock),
-                );
-                let Some(offset) = reacquire else { continue };
-                let reacquire_index = ei + 1 + offset;
-                if let Some(list) = signals.get(&(cond.index() as u32)) {
-                    if let Some((_, sig)) = list.iter().find(|(at, _)| *at >= te.at) {
-                        deps.wake_deps.insert((ti, reacquire_index), *sig);
-                    }
-                }
+    // waiter releases the lock before the signaller can possibly run. It
+    // waits for the first signal on the condvar at or after the wait.
+    for (ti, ei, at, cond, lock) in waits {
+        let events = &trace.threads[ti].events;
+        let reacquire = events[ei + 1..].iter().position(
+            |later| matches!(later.event, Event::LockAcquire { lock: l, .. } if l == lock),
+        );
+        let Some(offset) = reacquire else { continue };
+        if let Some(list) = signals.get(&(cond.index() as u32)) {
+            if let Some((_, sig)) = list.iter().find(|(sig_at, _)| *sig_at >= at) {
+                deps.wake_deps.insert((ti, ei + 1 + offset), *sig);
             }
         }
     }
 
-    // Barrier groups: arrivals that share a barrier id and an original
-    // release timestamp belong to the same crossing.
-    let mut groups: BTreeMap<(u32, Time), Vec<EventRef>> = BTreeMap::new();
-    for (ti, tt) in trace.threads.iter().enumerate() {
-        for (ei, te) in tt.events.iter().enumerate() {
-            if let Event::BarrierWait { barrier } = te.event {
-                groups
-                    .entry((barrier.index() as u32, te.at))
-                    .or_default()
-                    .push((ti, ei));
-            }
-        }
-    }
-    for group in groups.values() {
-        for member in group {
+    for group in groups.into_values() {
+        for member in &group {
             deps.barrier_groups.insert(*member, group.clone());
         }
+        deps.barrier_crossings.push(group);
     }
     deps
 }
 
 /// Lookup from lock acquire / release event positions to the critical
-/// section they delimit.
-#[derive(Debug, Default, Clone)]
+/// section they delimit: one slot per event of each thread, holding the
+/// section's id or [`SectionIndex::NONE`]. An event is either an acquire or
+/// a release, so one table answers both lookups.
+#[derive(Debug)]
 pub(crate) struct SectionIndex {
-    pub by_acquire: BTreeMap<EventRef, SectionId>,
-    pub by_release: BTreeMap<EventRef, SectionId>,
+    by_event: Vec<Vec<u32>>,
 }
 
-/// Builds the event-to-section lookup for a set of extracted sections.
-pub(crate) fn build_section_index(sections: &[CriticalSection]) -> SectionIndex {
-    let mut index = SectionIndex::default();
-    for s in sections {
-        index
-            .by_acquire
-            .insert((s.thread.index(), s.acquire_index), s.id);
-        index
-            .by_release
-            .insert((s.thread.index(), s.release_index), s.id);
+impl SectionIndex {
+    /// Slot value of an event that delimits no section.
+    const NONE: u32 = u32::MAX;
+
+    /// Builds the event-to-section lookup for the sections of a trace.
+    pub fn new(trace: &Trace, sections: &[CriticalSection]) -> Self {
+        let mut by_event: Vec<Vec<u32>> = trace
+            .threads
+            .iter()
+            .map(|t| vec![Self::NONE; t.events.len()])
+            .collect();
+        for s in sections {
+            let row = &mut by_event[s.thread.index()];
+            row[s.acquire_index] = s.id.index() as u32;
+            row[s.release_index] = s.id.index() as u32;
+        }
+        SectionIndex { by_event }
     }
-    index
+
+    /// The section whose acquire or release is event `idx` of thread `ti`.
+    pub fn get(&self, ti: usize, idx: usize) -> Option<SectionId> {
+        match self.by_event[ti][idx] {
+            Self::NONE => None,
+            raw => Some(SectionId::new(raw)),
+        }
+    }
+}
+
+/// One past the largest application lock index a trace names in its events
+/// or recorded grants: the length of every lock-indexed replay table.
+pub(crate) fn lock_table_len(trace: &Trace) -> usize {
+    let events = trace.threads.iter().flat_map(|t| &t.events);
+    let in_events = events.filter_map(|te| match te.event {
+        Event::LockAcquire { lock, .. } | Event::LockRelease { lock } => Some(lock.index() + 1),
+        _ => None,
+    });
+    let in_grants = trace.lock_schedule.iter().map(|g| g.lock.index() + 1);
+    in_events.chain(in_grants).max().unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -254,12 +279,18 @@ mod tests {
             .unwrap()
             .trace;
         let sections = extract_critical_sections(&trace);
-        let index = build_section_index(&sections);
-        assert_eq!(index.by_acquire.len(), 3);
-        assert_eq!(index.by_release.len(), 3);
+        assert_eq!(sections.len(), 3);
+        let index = SectionIndex::new(&trace, &sections);
         for s in &sections {
-            assert_eq!(index.by_acquire[&(s.thread.index(), s.acquire_index)], s.id);
-            assert_eq!(index.by_release[&(s.thread.index(), s.release_index)], s.id);
+            assert_eq!(index.get(s.thread.index(), s.acquire_index), Some(s.id));
+            assert_eq!(index.get(s.thread.index(), s.release_index), Some(s.id));
         }
+        // Every other event maps to no section.
+        let delimiters = 2 * sections.len();
+        let mapped = (0..trace.threads[0].events.len())
+            .filter(|&i| index.get(0, i).is_some())
+            .count();
+        assert_eq!(mapped, delimiters);
+        assert_eq!(lock_table_len(&trace), 1);
     }
 }

@@ -11,7 +11,11 @@
 //! * **targeted wake lists** ([`WaitChannel`]) wake only the threads whose
 //!   blocking condition may actually have changed: waiters of a released
 //!   lock, the next thread in a recorded grant order, members of a completed
-//!   barrier group, watchers of a condition-variable signal.
+//!   barrier group, watchers of a condition-variable signal;
+//! * **dense tables**: wake lists are vectors indexed by the channel's id,
+//!   and the sparse condvar and barrier tables are per-thread rows sorted by
+//!   event index, so no per-event lookup searches an ordered map. The
+//!   policies keep the same discipline for their own state.
 //!
 //! The schedule-specific *admission rules* — who may take a lock, and when —
 //! live in a [`ReplayPolicy`]: `OriginalOrder` (the four `ScheduleKind`
@@ -32,18 +36,20 @@
 //! both paths and asserts equal [`ReplayResult`]s.
 //!
 //! One caveat: `max_steps` counts *productive* scheduler decisions here
-//! (ready-heap pops), while the reference loops also burn iterations on the
-//! blocked retries their wake-all strategy causes. Successful replays and
-//! `Stuck` errors are bit-identical across both paths; a replay that hits
-//! the step limit does so at a different logical point in each (with the
-//! default 100M-step limit this is unreachable for real traces).
+//! (threads picked from the ready set), while the reference loops also burn
+//! iterations on the blocked retries their wake-all strategy causes.
+//! Successful replays and `Stuck` errors are bit-identical across both
+//! paths; a replay that hits the step limit does so at a different logical
+//! point in each (with the default 100M-step limit this is unreachable for
+//! real traces).
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use perfplay_trace::{AuxLockId, Event, LockId, SectionId, Time, Trace};
 
-use crate::common::{build_sync_deps, EventRef, ReplayConfig, SyncDeps};
+use crate::common::{build_sync_deps, EventRef, ReplayConfig};
 use crate::result::{ReplayError, ReplayResult, ThreadCursor, ThreadReplayTiming};
 
 /// Scheduling state of one replayed thread.
@@ -81,7 +87,7 @@ pub(crate) struct ThreadState {
 /// condition changed must always be reachable through a registered channel
 /// or a direct [`EngineCore::wake`] — the engine's equivalence with the
 /// reference loops rests on that completeness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum WaitChannel {
     /// An application lock was released (or its grant order advanced).
     Lock(LockId),
@@ -101,57 +107,138 @@ pub(crate) enum Step {
     Finished,
 }
 
+/// Blocked threads registered on one wake channel, each tagged with the
+/// registration epoch.
+type WaitList = Vec<(usize, u64)>;
+
+/// Wake lists indexed by the channel's dense id, one table per channel
+/// kind. Tables grow on first registration, so no policy has to size them.
+#[derive(Default)]
+struct WaitLists {
+    lock: Vec<WaitList>,
+    aux: Vec<WaitList>,
+    section: Vec<WaitList>,
+}
+
+impl WaitLists {
+    fn table(&mut self, channel: WaitChannel) -> (&mut Vec<WaitList>, usize) {
+        match channel {
+            WaitChannel::Lock(l) => (&mut self.lock, l.index()),
+            WaitChannel::AuxLock(l) => (&mut self.aux, l.index()),
+            WaitChannel::SectionDone(s) => (&mut self.section, s.index()),
+        }
+    }
+
+    fn list_mut(&mut self, channel: WaitChannel) -> &mut WaitList {
+        let (table, i) = self.table(channel);
+        if table.len() <= i {
+            table.resize_with(i + 1, Vec::new);
+        }
+        &mut table[i]
+    }
+
+    fn take(&mut self, channel: WaitChannel) -> WaitList {
+        let (table, i) = self.table(channel);
+        table.get_mut(i).map(std::mem::take).unwrap_or_default()
+    }
+}
+
+/// Sparse per-thread rows of `(event index, value)` entries, each row sorted
+/// by event index: the layout of the condvar and barrier tables, which name
+/// only a few events of a trace.
+type EventRows<T> = Vec<Vec<(usize, T)>>;
+
+/// Positions of the entries keyed by one event index in a sorted row.
+fn entries_at<T>(row: &[(usize, T)], idx: usize) -> Range<usize> {
+    let lo = row.partition_point(|e| e.0 < idx);
+    lo..lo + row[lo..].partition_point(|e| e.0 == idx)
+}
+
+/// The value of the first entry keyed by one event index in a sorted row.
+fn first_at<T>(row: &[(usize, T)], idx: usize) -> Option<&T> {
+    row.get(row.partition_point(|e| e.0 < idx))
+        .filter(|e| e.0 == idx)
+        .map(|e| &e.1)
+}
+
+/// Builds sorted per-thread rows from `(event, value)` pairs.
+fn event_rows<T>(threads: usize, pairs: impl IntoIterator<Item = (EventRef, T)>) -> EventRows<T> {
+    let mut rows: EventRows<T> = (0..threads).map(|_| Vec::new()).collect();
+    for ((ti, idx), value) in pairs {
+        rows[ti].push((idx, value));
+    }
+    for row in &mut rows {
+        row.sort_by_key(|e| e.0);
+    }
+    rows
+}
+
+/// One recorded barrier crossing: its members and who has arrived so far.
+struct BarrierGroup {
+    /// Thread of each member arrival event.
+    threads: Vec<usize>,
+    /// First-arrival virtual time per member slot.
+    arrivals: Vec<Option<Time>>,
+}
+
 /// The state shared by every policy: thread table, event cursors, ready
 /// heap, wake lists, and the cross-thread condvar/barrier dependencies.
 pub(crate) struct EngineCore<'a> {
     pub config: ReplayConfig,
     pub trace: &'a Trace,
-    pub deps: SyncDeps,
     pub threads: Vec<ThreadState>,
     pub event_times: Vec<Vec<Time>>,
     /// Min-heap over `(clock, thread id)` of `Ready` threads. Each ready
-    /// thread appears exactly once; a thread's clock only changes while it
-    /// is popped, so entries never go stale.
+    /// thread appears exactly once, except the one being stepped and the
+    /// one the run loop has already picked to step next; a thread's clock
+    /// only changes while it is out of the heap, so entries never go stale.
     ready: BinaryHeap<Reverse<(Time, usize)>>,
-    /// Blocked threads by wake channel, tagged with the registration epoch.
-    waiters: BTreeMap<WaitChannel, Vec<(usize, u64)>>,
-    /// Reverse index of `deps.wake_deps`: completion of the keyed event
-    /// wakes the listed threads (condvar waiters re-acquiring their lock).
-    dep_watchers: BTreeMap<EventRef, Vec<usize>>,
-    /// Barrier crossings: group id per arrival event, member list per group.
-    barrier_group_ids: BTreeMap<EventRef, usize>,
-    barrier_groups: Vec<Vec<EventRef>>,
-    barrier_arrivals: BTreeMap<EventRef, Time>,
+    /// Blocked threads by wake channel.
+    waiters: WaitLists,
+    /// Recorded condvar partial order: the lock re-acquisition keyed by the
+    /// row must wait for the listed signal event.
+    wake_deps: EventRows<EventRef>,
+    /// Reverse of `wake_deps`: completion of the keyed signal event wakes
+    /// the listed threads (condvar waiters re-acquiring their lock).
+    dep_watchers: EventRows<usize>,
+    /// Barrier crossings: `(group, member slot)` per arrival event.
+    barrier_slots: EventRows<(usize, usize)>,
+    barrier_groups: Vec<BarrierGroup>,
 }
 
 impl<'a> EngineCore<'a> {
     fn new(config: &ReplayConfig, trace: &'a Trace) -> Self {
+        let threads = trace.num_threads();
         let deps = build_sync_deps(trace);
-        let mut dep_watchers: BTreeMap<EventRef, Vec<usize>> = BTreeMap::new();
-        for (waiter, dep) in &deps.wake_deps {
-            dep_watchers.entry(*dep).or_default().push(waiter.0);
-        }
-        // Deduplicate barrier groups (every member maps to the same vector)
-        // into an id-indexed table so group iteration needs no allocation.
-        let mut barrier_group_ids: BTreeMap<EventRef, usize> = BTreeMap::new();
-        let mut barrier_groups: Vec<Vec<EventRef>> = Vec::new();
-        let mut rep_to_id: BTreeMap<EventRef, usize> = BTreeMap::new();
-        for (member, group) in &deps.barrier_groups {
-            let rep = group[0];
-            let id = *rep_to_id.entry(rep).or_insert_with(|| {
-                barrier_groups.push(group.clone());
-                barrier_groups.len() - 1
-            });
-            barrier_group_ids.insert(*member, id);
-        }
-        let mut ready = BinaryHeap::with_capacity(trace.num_threads());
-        for ti in 0..trace.num_threads() {
+        let wake_deps = event_rows(threads, deps.wake_deps.iter().map(|(w, d)| (*w, *d)));
+        let dep_watchers = event_rows(threads, deps.wake_deps.iter().map(|(w, d)| (*d, w.0)));
+        let barrier_slots = event_rows(
+            threads,
+            deps.barrier_crossings
+                .iter()
+                .enumerate()
+                .flat_map(|(gid, members)| {
+                    members
+                        .iter()
+                        .enumerate()
+                        .map(move |(slot, m)| (*m, (gid, slot)))
+                }),
+        );
+        let barrier_groups = deps
+            .barrier_crossings
+            .into_iter()
+            .map(|members| BarrierGroup {
+                arrivals: vec![None; members.len()],
+                threads: members.into_iter().map(|(ti, _)| ti).collect(),
+            })
+            .collect();
+        let mut ready = BinaryHeap::with_capacity(threads);
+        for ti in 0..threads {
             ready.push(Reverse((Time::ZERO, ti)));
         }
         EngineCore {
             config: *config,
             trace,
-            deps,
             threads: trace
                 .threads
                 .iter()
@@ -170,26 +257,26 @@ impl<'a> EngineCore<'a> {
                 .map(|t| vec![Time::ZERO; t.events.len()])
                 .collect(),
             ready,
-            waiters: BTreeMap::new(),
+            waiters: WaitLists::default(),
+            wake_deps,
             dep_watchers,
-            barrier_group_ids,
+            barrier_slots,
             barrier_groups,
-            barrier_arrivals: BTreeMap::new(),
         }
     }
 
     /// Marks an event complete: records its time, advances the cursor, and
     /// wakes any condvar waiter whose recorded dependency this event was.
+    /// Each event completes exactly once, so its watchers fire once.
     pub fn complete(&mut self, ti: usize, idx: usize, completion: Time) {
         self.event_times[ti][idx] = completion;
         let t = &mut self.threads[ti];
         t.clock = completion;
         t.idx = idx + 1;
         t.request_time = None;
-        if let Some(watchers) = self.dep_watchers.remove(&(ti, idx)) {
-            for w in watchers {
-                self.wake(w);
-            }
+        for k in entries_at(&self.dep_watchers[ti], idx) {
+            let watcher = self.dep_watchers[ti][k].1;
+            self.wake(watcher);
         }
     }
 
@@ -212,7 +299,7 @@ impl<'a> EngineCore<'a> {
         t.wait_epoch += 1;
         let epoch = t.wait_epoch;
         for ch in channels {
-            let list = self.waiters.entry(ch).or_default();
+            let list = self.waiters.list_mut(ch);
             // A spuriously woken thread that re-blocks on the same channel
             // leaves a stale (older-epoch) entry behind; refreshing a
             // trailing entry in place keeps repeated wake/re-block cycles
@@ -228,10 +315,7 @@ impl<'a> EngineCore<'a> {
     /// Wakes every thread whose current blocking episode registered on the
     /// channel. Stale registrations (older epochs) are dropped.
     pub fn notify(&mut self, channel: WaitChannel) {
-        let Some(list) = self.waiters.remove(&channel) else {
-            return;
-        };
-        for (ti, epoch) in list {
+        for (ti, epoch) in self.waiters.take(channel) {
             if self.threads[ti].wait_epoch == epoch {
                 self.wake(ti);
             }
@@ -243,7 +327,7 @@ impl<'a> EngineCore<'a> {
     /// dependency has not completed yet (the dep watcher will wake us; the
     /// caller must return [`Step::Blocked`] without registering channels).
     pub fn wake_dep_time(&self, ti: usize, idx: usize) -> Result<Time, ()> {
-        match self.deps.wake_deps.get(&(ti, idx)) {
+        match first_at(&self.wake_deps[ti], idx) {
             Some(&(dti, dei)) => {
                 if self.threads[dti].idx <= dei {
                     Err(())
@@ -259,22 +343,19 @@ impl<'a> EngineCore<'a> {
     /// arrived; the final arriver wakes the other members directly.
     fn barrier_wait(&mut self, ti: usize, idx: usize) -> Step {
         let clock = self.threads[ti].clock;
-        self.barrier_arrivals.entry((ti, idx)).or_insert(clock);
-        let Some(&gid) = self.barrier_group_ids.get(&(ti, idx)) else {
+        let Some(&(gid, slot)) = first_at(&self.barrier_slots[ti], idx) else {
             self.complete(ti, idx, clock + self.config.barrier_release_cost);
             return Step::Completed;
         };
-        let len = self.barrier_groups[gid].len();
+        let group = &mut self.barrier_groups[gid];
+        group.arrivals[slot].get_or_insert(clock);
         let mut arrived = 0usize;
         let mut latest = Time::ZERO;
-        for k in 0..len {
-            let member = self.barrier_groups[gid][k];
-            if let Some(&at) = self.barrier_arrivals.get(&member) {
-                arrived += 1;
-                latest = latest.max(at);
-            }
+        for at in group.arrivals.iter().flatten() {
+            arrived += 1;
+            latest = latest.max(*at);
         }
-        if arrived < len {
+        if arrived < group.threads.len() {
             // Woken directly by the final arriver; no channel registration.
             self.block_on(ti, []);
             return Step::Blocked;
@@ -282,8 +363,8 @@ impl<'a> EngineCore<'a> {
         let release = latest.max(clock) + self.config.barrier_release_cost;
         self.threads[ti].timing.sync_wait += release - clock;
         self.complete(ti, idx, release);
-        for k in 0..len {
-            let member = self.barrier_groups[gid][k].0;
+        for k in 0..self.barrier_groups[gid].threads.len() {
+            let member = self.barrier_groups[gid].threads[k];
             if member != ti {
                 self.wake(member);
             }
@@ -356,8 +437,11 @@ impl<'a, P: ReplayPolicy> Engine<'a, P> {
     /// Runs the replay to completion.
     pub fn run(mut self) -> Result<ReplayResult, ReplayError> {
         let mut steps: u64 = 0;
+        // The thread to step next when the previous step already knows it,
+        // saving the heap a push and a pop.
+        let mut next: Option<Reverse<(Time, usize)>> = None;
         loop {
-            let Some(Reverse((_, ti))) = self.core.ready.pop() else {
+            let Some(Reverse((_, ti))) = next.take().or_else(|| self.core.ready.pop()) else {
                 if self
                     .core
                     .threads
@@ -384,8 +468,14 @@ impl<'a, P: ReplayPolicy> Engine<'a, P> {
             }
             match self.step(ti) {
                 Step::Completed => {
-                    let clock = self.core.threads[ti].clock;
-                    self.core.ready.push(Reverse((clock, ti)));
+                    // A thread that is still the earliest ready one steps
+                    // again; otherwise it takes the heap top's place, and the
+                    // top is next — one sift instead of a push and a pop.
+                    let entry = Reverse((self.core.threads[ti].clock, ti));
+                    next = Some(match self.core.ready.peek_mut() {
+                        Some(mut top) if *top > entry => std::mem::replace(&mut *top, entry),
+                        _ => entry,
+                    });
                 }
                 Step::Blocked => self.core.threads[ti].status = Status::Blocked,
                 Step::Finished => {

@@ -20,12 +20,12 @@
 //! ([`WaitChannel::SectionDone`] — RULE 2 successors, and DLS waiters whose
 //! lockset may have just shrunk).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use perfplay_trace::{AuxLockId, LockId, SectionId, Time};
 use perfplay_transform::{dynamic_lockset, TransformedTrace};
 
-use crate::common::{build_section_index, ReplayConfig, SectionIndex};
+use crate::common::{ReplayConfig, SectionIndex};
 use crate::engine::{Engine, EngineCore, ReplayPolicy, Step, WaitChannel};
 use crate::result::{ReplayError, ReplayResult};
 
@@ -74,41 +74,62 @@ impl UlcpFreeReplayer {
     }
 }
 
-/// RULE 2/3/4 lockset admission over the transformation plan.
+/// RULE 2/3/4 lockset admission over the transformation plan. Every table
+/// is a vector indexed by a dense id: sections by [`SectionId`], auxiliary
+/// locks by [`AuxLockId`], events by `(thread, event index)`.
 pub(crate) struct UlcpFree<'a> {
     tt: &'a TransformedTrace,
     use_dls: bool,
     sections: SectionIndex,
-    constraints: BTreeMap<SectionId, Vec<SectionId>>,
-    aux_holder: BTreeMap<AuxLockId, SectionId>,
-    aux_free_since: BTreeMap<AuxLockId, Time>,
-    section_locks: BTreeMap<SectionId, BTreeSet<AuxLockId>>,
-    finished: BTreeSet<SectionId>,
-    finish_times: BTreeMap<SectionId, Time>,
+    /// RULE 2 predecessors of section `s`:
+    /// `constraint_befores[constraint_start[s]..constraint_start[s + 1]]`,
+    /// in `order_constraints` order.
+    constraint_start: Vec<usize>,
+    constraint_befores: Vec<SectionId>,
+    aux_held: Vec<bool>,
+    aux_free_since: Vec<Time>,
+    /// The lockset each open section took at entry, released at its exit.
+    section_locks: Vec<BTreeSet<AuxLockId>>,
+    /// Exit time per section; `Some` exactly when the section finished.
+    finish_times: Vec<Option<Time>>,
     lockset_ops: u64,
     lockset_overhead: Time,
 }
 
 impl<'a> UlcpFree<'a> {
     pub(crate) fn new(use_dls: bool, tt: &'a TransformedTrace) -> Self {
-        let sections = build_section_index(&tt.sections);
-        let mut constraints: BTreeMap<SectionId, Vec<SectionId>> = BTreeMap::new();
+        let n = tt.sections.len();
+        let mut constraint_start = vec![0usize; n + 1];
         for c in &tt.order_constraints {
-            constraints.entry(c.after).or_default().push(c.before);
+            constraint_start[c.after.index() + 1] += 1;
+        }
+        for i in 0..n {
+            constraint_start[i + 1] += constraint_start[i];
+        }
+        let mut fill = constraint_start.clone();
+        let mut constraint_befores = vec![SectionId::new(0); tt.order_constraints.len()];
+        for c in &tt.order_constraints {
+            let slot = &mut fill[c.after.index()];
+            constraint_befores[*slot] = c.before;
+            *slot += 1;
         }
         UlcpFree {
             tt,
             use_dls,
-            sections,
-            constraints,
-            aux_holder: BTreeMap::new(),
-            aux_free_since: BTreeMap::new(),
-            section_locks: BTreeMap::new(),
-            finished: BTreeSet::new(),
-            finish_times: BTreeMap::new(),
+            sections: SectionIndex::new(&tt.original, &tt.sections),
+            constraint_start,
+            constraint_befores,
+            aux_held: vec![false; tt.num_aux_locks],
+            aux_free_since: vec![Time::ZERO; tt.num_aux_locks],
+            section_locks: vec![BTreeSet::new(); n],
+            finish_times: vec![None; n],
             lockset_ops: 0,
             lockset_overhead: Time::ZERO,
         }
+    }
+
+    fn is_finished(&self, sid: SectionId) -> bool {
+        self.finish_times[sid.index()].is_some()
     }
 }
 
@@ -122,7 +143,7 @@ impl ReplayPolicy for UlcpFree<'_> {
             return Step::Blocked;
         };
 
-        let Some(&sid) = self.sections.by_acquire.get(&(ti, idx)) else {
+        let Some(sid) = self.sections.get(ti, idx) else {
             core.complete(ti, idx, clock.max(dep_time));
             return Step::Completed;
         };
@@ -141,32 +162,30 @@ impl ReplayPolicy for UlcpFree<'_> {
         // first unfinished one is enough — its completion wakes us, and any
         // remaining predecessor blocks the retry the same way.
         let mut order_time = Time::ZERO;
-        if let Some(befores) = self.constraints.get(&sid) {
-            for before in befores {
-                match self.finish_times.get(before) {
-                    Some(t) => order_time = order_time.max(*t),
-                    None => {
-                        core.block_on(ti, [WaitChannel::SectionDone(*before)]);
-                        return Step::Blocked;
-                    }
+        let befores = self.constraint_start[sid.index()]..self.constraint_start[sid.index() + 1];
+        for &before in &self.constraint_befores[befores] {
+            match self.finish_times[before.index()] {
+                Some(t) => order_time = order_time.max(t),
+                None => {
+                    core.block_on(ti, [WaitChannel::SectionDone(before)]);
+                    return Step::Blocked;
                 }
             }
         }
 
         // RULE 3/4: take the (possibly DLS-pruned) lockset atomically.
         let lockset = if self.use_dls {
-            dynamic_lockset(node, &self.tt.plan, &self.finished)
+            dynamic_lockset(node, &self.tt.plan, |s| self.is_finished(s))
         } else {
             node.lockset.clone()
         };
         let mut lockset_free_time = Time::ZERO;
         let mut any_held = false;
         for lock in &lockset {
-            if self.aux_holder.contains_key(lock) {
+            if self.aux_held[lock.index()] {
                 any_held = true;
             } else {
-                lockset_free_time = lockset_free_time
-                    .max(self.aux_free_since.get(lock).copied().unwrap_or(Time::ZERO));
+                lockset_free_time = lockset_free_time.max(self.aux_free_since[lock.index()]);
             }
         }
         if any_held {
@@ -175,12 +194,12 @@ impl ReplayPolicy for UlcpFree<'_> {
             // lockset entirely).
             let held = lockset
                 .iter()
-                .filter(|l| self.aux_holder.contains_key(l))
+                .filter(|l| self.aux_held[l.index()])
                 .map(|l| WaitChannel::AuxLock(*l));
             let prunes = node
                 .sources
                 .iter()
-                .filter(|s| self.use_dls && !self.finished.contains(s))
+                .filter(|s| self.use_dls && !self.is_finished(**s))
                 .map(|s| WaitChannel::SectionDone(*s));
             core.block_on(ti, held.chain(prunes));
             return Step::Blocked;
@@ -202,39 +221,36 @@ impl ReplayPolicy for UlcpFree<'_> {
         self.lockset_overhead += op_cost + dls_cost;
 
         for lock in &lockset {
-            self.aux_holder.insert(*lock, sid);
+            self.aux_held[lock.index()] = true;
         }
-        self.section_locks.insert(sid, lockset);
+        self.section_locks[sid.index()] = lockset;
         core.complete(ti, idx, completion);
         Step::Completed
     }
 
     fn on_release(&mut self, core: &mut EngineCore, ti: usize, idx: usize, _lock: LockId) -> Step {
         let clock = core.threads[ti].clock;
-        let Some(&sid) = self.sections.by_release.get(&(ti, idx)) else {
+        let Some(sid) = self.sections.get(ti, idx) else {
             core.complete(ti, idx, clock);
             return Step::Completed;
         };
-        let node = self.tt.node(sid);
-        if node.strip_lock {
-            self.finished.insert(sid);
-            self.finish_times.insert(sid, clock);
+        if self.tt.node(sid).strip_lock {
+            self.finish_times[sid.index()] = Some(clock);
             core.complete(ti, idx, clock);
             core.notify(WaitChannel::SectionDone(sid));
             return Step::Completed;
         }
-        let held = self.section_locks.remove(&sid).unwrap_or_default();
+        let held = std::mem::take(&mut self.section_locks[sid.index()]);
         let op_cost = core.config.lockset_op_cost * held.len() as u64;
         let completion = clock + core.config.lock_release_cost + op_cost;
         core.threads[ti].timing.busy += core.config.lock_release_cost + op_cost;
         self.lockset_ops += held.len() as u64;
         self.lockset_overhead += op_cost;
         for lock in &held {
-            self.aux_holder.remove(lock);
-            self.aux_free_since.insert(*lock, completion);
+            self.aux_held[lock.index()] = false;
+            self.aux_free_since[lock.index()] = completion;
         }
-        self.finished.insert(sid);
-        self.finish_times.insert(sid, completion);
+        self.finish_times[sid.index()] = Some(completion);
         core.complete(ti, idx, completion);
         for lock in &held {
             core.notify(WaitChannel::AuxLock(*lock));

@@ -18,9 +18,12 @@
 //! ([`engine`]): a clock-keyed ready heap plus targeted per-lock /
 //! per-condvar / per-barrier wake lists make each step `O(log T)` in the
 //! thread count, where the historical loops paid `O(T)` per step and woke
-//! every blocked thread on any progress. Those loops are retained as
-//! executable specifications — [`reference_replay_original`] and
-//! [`reference_replay_free`] — and the optimized engine is proven
+//! every blocked thread on any progress. Every per-event table of the engine
+//! and both policies is indexed by a dense id (lock, auxiliary lock,
+//! section, thread and event index), and each original-trace replay builds
+//! only the schedule tables its [`ScheduleKind`] reads. The historical loops
+//! are retained as executable specifications — [`reference_replay_original`]
+//! and [`reference_replay_free`] — and the optimized engine is proven
 //! bit-identical to them by the property suite and the `replay_scaling`
 //! benchmark.
 //!

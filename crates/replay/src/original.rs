@@ -21,15 +21,13 @@
 //! * **MEM-S** memory ordering: completing access `k` wakes only the owner
 //!   of access `k + 1`.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use perfplay_trace::{Event, LockId, Time, Trace};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::common::{EventRef, ReplayConfig};
+use crate::common::{lock_table_len, EventRef, ReplayConfig};
 use crate::engine::{Engine, EngineCore, ReplayPolicy, Status, Step, WaitChannel};
-use crate::reference::{elsc_order_of, mem_order_of, sync_order_of};
+use crate::reference::mem_order_of;
 use crate::result::{ReplayError, ReplayResult};
 use crate::schedule::{ReplaySchedule, ScheduleKind};
 
@@ -63,28 +61,38 @@ impl Replayer {
 }
 
 /// Admission rules of the four original-trace schedules.
+///
+/// Lock state is indexed by [`LockId`] and the schedule tables by thread,
+/// ordinal or position, so no admission decision searches a map. Only the
+/// active [`ScheduleKind`]'s tables are built: ELSC-S the per-lock grant
+/// order, SYNC-S the ticket tables, MEM-S both the grant order and the
+/// memory-access order, ORIG-S none.
 pub(crate) struct OriginalOrder {
     schedule: ReplaySchedule,
-    // Lock state.
-    holder: BTreeMap<LockId, usize>,
-    last_holder: BTreeMap<LockId, usize>,
-    free_since: BTreeMap<LockId, Time>,
-    // ELSC: per-lock recorded grant order and progress.
-    elsc_order: BTreeMap<LockId, Vec<EventRef>>,
-    elsc_next: BTreeMap<LockId, usize>,
+    // Lock state, by lock index.
+    holder: Vec<Option<usize>>,
+    last_holder: Vec<Option<usize>>,
+    free_since: Vec<Time>,
+    // ELSC-S / MEM-S: per-lock recorded grant order and progress.
+    elsc_order: Vec<Vec<EventRef>>,
+    elsc_next: Vec<usize>,
     // SYNC-S: round-robin admission over (ordinal, thread) tickets.
-    sync_order: BTreeMap<(usize, usize), usize>,
+    /// Ticket position of each thread's acquisition, by ordinal.
+    sync_ticket: Vec<Vec<usize>>,
     /// Ticket position -> thread holding it, for targeted turn wake-ups.
-    sync_owner: BTreeMap<usize, usize>,
+    sync_owner: Vec<usize>,
     sync_next: usize,
-    sync_completed: BTreeSet<usize>,
+    sync_completed: Vec<bool>,
     sync_last_completion: Time,
     /// Thread allowed to bypass SYNC-S admission once, used to break the
     /// circular waits nested locks can create under a rigid ticket order.
     sync_bypass: Option<usize>,
-    // MEM-S: global memory-access order, position per event and owner
-    // thread per position.
-    mem_order: BTreeMap<EventRef, usize>,
+    // MEM-S: global memory-access order.
+    /// Order position of each thread's memory accesses, in event order.
+    mem_pos: Vec<Vec<usize>>,
+    /// Per-thread count of completed memory accesses (index into `mem_pos`).
+    mem_done: Vec<usize>,
+    /// Order position -> thread performing that access.
     mem_owner: Vec<usize>,
     mem_next: usize,
     mem_last_completion: Time,
@@ -93,48 +101,116 @@ pub(crate) struct OriginalOrder {
     rng: ChaCha8Rng,
 }
 
+/// ELSC: projects the recorded total grant order onto each lock.
+fn elsc_order_of(trace: &Trace, locks: usize) -> Vec<Vec<EventRef>> {
+    let mut grants: Vec<_> = trace.lock_schedule.iter().collect();
+    grants.sort_by_key(|g| g.seq);
+    let mut order = vec![Vec::new(); locks];
+    for g in grants {
+        order[g.lock.index()].push((g.thread.index(), g.event_index));
+    }
+    order
+}
+
+/// SYNC-S: deterministic round-robin ticket order over per-thread
+/// acquisition ordinals, derived from the input alone. Returns each
+/// thread's ticket positions by ordinal, and the owner of each position.
+fn sync_tickets_of(trace: &Trace) -> (Vec<Vec<usize>>, Vec<usize>) {
+    let counts: Vec<usize> = trace
+        .threads
+        .iter()
+        .map(|t| t.acquisition_count())
+        .collect();
+    let max = counts.iter().copied().max().unwrap_or(0);
+    let mut tickets: Vec<Vec<usize>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
+    let mut owner = Vec::with_capacity(counts.iter().sum());
+    for ordinal in 0..max {
+        for (ti, &count) in counts.iter().enumerate() {
+            if ordinal < count {
+                tickets[ti].push(owner.len());
+                owner.push(ti);
+            }
+        }
+    }
+    (tickets, owner)
+}
+
+/// MEM-S: the global access order as per-thread positions in event order,
+/// and the owner thread of each position.
+fn mem_positions_of(trace: &Trace) -> (Vec<Vec<usize>>, Vec<usize>) {
+    let order = mem_order_of(trace);
+    let mut rows: Vec<Vec<(usize, usize)>> = vec![Vec::new(); trace.num_threads()];
+    for (pos, &(ti, ei)) in order.iter().enumerate() {
+        rows[ti].push((ei, pos));
+    }
+    let positions = rows
+        .into_iter()
+        .map(|mut row| {
+            row.sort_unstable();
+            row.into_iter().map(|(_, pos)| pos).collect()
+        })
+        .collect();
+    (positions, order.into_iter().map(|(ti, _)| ti).collect())
+}
+
 impl OriginalOrder {
     pub(crate) fn new(schedule: ReplaySchedule, trace: &Trace) -> Self {
-        let sync_order = sync_order_of(trace);
-        let sync_owner = sync_order
-            .iter()
-            .map(|(&(_, ti), &pos)| (pos, ti))
-            .collect();
-        let mem_refs = mem_order_of(trace);
-        let mem_owner: Vec<usize> = mem_refs.iter().map(|r| r.0).collect();
-        let mem_order = mem_refs
-            .into_iter()
-            .enumerate()
-            .map(|(pos, r)| (r, pos))
-            .collect();
+        let locks = lock_table_len(trace);
+        let threads = trace.num_threads();
+        let kind = schedule.kind;
+        let uses_grants = matches!(kind, ScheduleKind::ElscS | ScheduleKind::MemS);
+        let (elsc_order, elsc_next) = if uses_grants {
+            (elsc_order_of(trace, locks), vec![0; locks])
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        let (sync_ticket, sync_owner) = if kind == ScheduleKind::SyncS {
+            sync_tickets_of(trace)
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        let (mem_pos, mem_owner) = if kind == ScheduleKind::MemS {
+            mem_positions_of(trace)
+        } else {
+            (Vec::new(), Vec::new())
+        };
         OriginalOrder {
             schedule,
-            holder: BTreeMap::new(),
-            last_holder: BTreeMap::new(),
-            free_since: BTreeMap::new(),
-            elsc_order: elsc_order_of(trace),
-            elsc_next: BTreeMap::new(),
-            sync_order,
+            holder: vec![None; locks],
+            last_holder: vec![None; locks],
+            free_since: vec![Time::ZERO; locks],
+            elsc_order,
+            elsc_next,
+            sync_completed: vec![false; sync_owner.len()],
+            sync_ticket,
             sync_owner,
             sync_next: 0,
-            sync_completed: BTreeSet::new(),
             sync_last_completion: Time::ZERO,
             sync_bypass: None,
-            mem_order,
+            mem_pos,
+            mem_done: vec![0; threads],
             mem_owner,
             mem_next: 0,
             mem_last_completion: Time::ZERO,
-            acquires_done: vec![0; trace.num_threads()],
+            acquires_done: vec![0; threads],
             rng: ChaCha8Rng::seed_from_u64(schedule.seed),
         }
     }
 
-    /// The thread the ELSC/MEM-S grant order expects next on this lock, if
+    /// The event the ELSC/MEM-S grant order expects next on this lock, if
     /// the recorded order still has entries.
-    fn expected_acquirer(&self, lock: LockId) -> Option<usize> {
-        let order = self.elsc_order.get(&lock)?;
-        let next = self.elsc_next.get(&lock).copied().unwrap_or(0);
-        order.get(next).map(|&(ti, _)| ti)
+    fn expected_grant(&self, lock: LockId) -> Option<EventRef> {
+        let order = &self.elsc_order[lock.index()];
+        order.get(self.elsc_next[lock.index()]).copied()
+    }
+
+    /// The SYNC-S ticket position of the thread's next acquisition.
+    fn sync_ticket(&self, ti: usize) -> Option<usize> {
+        self.sync_ticket[ti].get(self.acquires_done[ti]).copied()
+    }
+
+    fn held_by_other(&self, lock: LockId, ti: usize) -> bool {
+        matches!(self.holder[lock.index()], Some(h) if h != ti)
     }
 }
 
@@ -147,7 +223,9 @@ impl ReplayPolicy for OriginalOrder {
             core.complete(ti, idx, clock + cost);
             return Step::Completed;
         }
-        match self.mem_order.get(&(ti, idx)) {
+        // Memory events complete in program order, so the thread's count
+        // of completed accesses indexes this access's order position.
+        match self.mem_pos[ti].get(self.mem_done[ti]) {
             Some(&pos) if pos != self.mem_next => {
                 // Woken when the order reaches this position: each completed
                 // access wakes the owner of the next one.
@@ -163,6 +241,7 @@ impl ReplayPolicy for OriginalOrder {
         let completion = start + cost;
         self.mem_last_completion = completion;
         self.mem_next += 1;
+        self.mem_done[ti] += 1;
         core.complete(ti, idx, completion);
         if let Some(&owner) = self.mem_owner.get(self.mem_next) {
             core.wake(owner);
@@ -191,26 +270,19 @@ impl ReplayPolicy for OriginalOrder {
         let mut sync_pos = None;
         match self.schedule.kind {
             ScheduleKind::ElscS | ScheduleKind::MemS => {
-                if let Some(order) = self.elsc_order.get(&lock) {
-                    let next = self.elsc_next.get(&lock).copied().unwrap_or(0);
-                    if let Some(&expected) = order.get(next) {
-                        if expected != (ti, idx) {
-                            // Woken when our grant comes up: each release of
-                            // this lock wakes the then-expected acquirer
-                            // directly. The channel registration covers the
-                            // tail case where the recorded order runs out
-                            // before reaching us (hand-built or truncated
-                            // traces): the release that exhausts the order
-                            // notifies the channel instead.
-                            core.block_on(ti, [WaitChannel::Lock(lock)]);
-                            return Step::Blocked;
-                        }
-                    }
+                if matches!(self.expected_grant(lock), Some(expected) if expected != (ti, idx)) {
+                    // Woken when our grant comes up: each release of this
+                    // lock wakes the then-expected acquirer directly. The
+                    // channel registration covers the tail case where the
+                    // recorded order runs out before reaching us (hand-built
+                    // or truncated traces): the release that exhausts the
+                    // order notifies the channel instead.
+                    core.block_on(ti, [WaitChannel::Lock(lock)]);
+                    return Step::Blocked;
                 }
             }
             ScheduleKind::SyncS => {
-                let ticket = (self.acquires_done[ti], ti);
-                if let Some(&pos) = self.sync_order.get(&ticket) {
+                if let Some(pos) = self.sync_ticket(ti) {
                     if pos != self.sync_next && self.sync_bypass != Some(ti) {
                         // Woken when the turn order reaches this ticket.
                         core.block_on(ti, []);
@@ -224,7 +296,7 @@ impl ReplayPolicy for OriginalOrder {
         }
 
         // Lock availability.
-        if matches!(self.holder.get(&lock), Some(h) if *h != ti) {
+        if self.held_by_other(lock, ti) {
             if self.schedule.kind == ScheduleKind::OrigS
                 && !self.schedule.jitter.is_zero()
                 && first_attempt
@@ -239,10 +311,10 @@ impl ReplayPolicy for OriginalOrder {
             return Step::Blocked;
         }
 
-        let free_since = self.free_since.get(&lock).copied().unwrap_or(Time::ZERO);
+        let free_since = self.free_since[lock.index()];
         let start = clock.max(free_since).max(dep_time).max(admission_time);
-        let handoff = match self.last_holder.get(&lock) {
-            Some(last) if *last != ti => core.config.lock_handoff_cost,
+        let handoff = match self.last_holder[lock.index()] {
+            Some(last) if last != ti => core.config.lock_handoff_cost,
             _ => Time::ZERO,
         };
         let noise = if self.schedule.kind == ScheduleKind::OrigS && !self.schedule.jitter.is_zero()
@@ -257,23 +329,23 @@ impl ReplayPolicy for OriginalOrder {
         core.threads[ti].timing.lock_wait += start.saturating_sub(requested);
         core.threads[ti].timing.busy += core.config.lock_acquire_cost;
 
-        self.holder.insert(lock, ti);
-        self.last_holder.insert(lock, ti);
+        self.holder[lock.index()] = Some(ti);
+        self.last_holder[lock.index()] = Some(ti);
         match self.schedule.kind {
             ScheduleKind::ElscS | ScheduleKind::MemS => {
-                *self.elsc_next.entry(lock).or_insert(0) += 1;
+                self.elsc_next[lock.index()] += 1;
             }
             ScheduleKind::SyncS => {
                 if let Some(pos) = sync_pos {
-                    self.sync_completed.insert(pos);
-                    while self.sync_completed.contains(&self.sync_next) {
+                    self.sync_completed[pos] = true;
+                    while self.sync_completed.get(self.sync_next) == Some(&true) {
                         self.sync_next += 1;
                     }
                 }
                 self.sync_bypass = None;
                 self.sync_last_completion = completion;
                 // The turn advanced: wake the thread holding the new ticket.
-                if let Some(&owner) = self.sync_owner.get(&self.sync_next) {
+                if let Some(&owner) = self.sync_owner.get(self.sync_next) {
                     core.wake(owner);
                 }
             }
@@ -289,9 +361,9 @@ impl ReplayPolicy for OriginalOrder {
         let cost = core.config.lock_release_cost;
         let completion = clock + cost;
         core.threads[ti].timing.busy += cost;
-        self.holder.remove(&lock);
-        self.last_holder.insert(lock, ti);
-        self.free_since.insert(lock, completion);
+        self.holder[lock.index()] = None;
+        self.last_holder[lock.index()] = Some(ti);
+        self.free_since[lock.index()] = completion;
         core.complete(ti, idx, completion);
         // The lock is free: under the ordered schedules only the recorded /
         // ticketed next acquirer can take it, so wake exactly that thread;
@@ -303,13 +375,13 @@ impl ReplayPolicy for OriginalOrder {
                 // thread. Once the order is exhausted (or the lock never
                 // appeared in it), admission no longer constrains anyone, so
                 // fall back to waking every channel waiter.
-                match self.expected_acquirer(lock) {
-                    Some(owner) => core.wake(owner),
+                match self.expected_grant(lock) {
+                    Some((owner, _)) => core.wake(owner),
                     None => core.notify(WaitChannel::Lock(lock)),
                 }
             }
             ScheduleKind::SyncS => {
-                if let Some(&owner) = self.sync_owner.get(&self.sync_next) {
+                if let Some(&owner) = self.sync_owner.get(self.sync_next) {
                     core.wake(owner);
                 }
                 core.notify(WaitChannel::Lock(lock));
@@ -335,18 +407,11 @@ impl ReplayPolicy for OriginalOrder {
             .filter(|(ti, t)| {
                 let events = &core.trace.threads[*ti].events;
                 match events.get(t.idx).map(|te| &te.event) {
-                    Some(Event::LockAcquire { lock, .. }) => {
-                        !matches!(self.holder.get(lock), Some(h) if h != ti)
-                    }
+                    Some(Event::LockAcquire { lock, .. }) => !self.held_by_other(*lock, *ti),
                     _ => false,
                 }
             })
-            .min_by_key(|(ti, _)| {
-                self.sync_order
-                    .get(&(self.acquires_done[*ti], *ti))
-                    .copied()
-                    .unwrap_or(usize::MAX)
-            })
+            .min_by_key(|(ti, _)| self.sync_ticket(*ti).unwrap_or(usize::MAX))
             .map(|(ti, _)| ti)?;
         self.sync_bypass = Some(candidate);
         Some(candidate)

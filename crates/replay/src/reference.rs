@@ -30,9 +30,7 @@ use perfplay_transform::{dynamic_lockset, TransformedTrace};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::common::{
-    build_section_index, build_sync_deps, EventRef, ReplayConfig, SectionIndex, SyncDeps,
-};
+use crate::common::{build_sync_deps, EventRef, ReplayConfig, SyncDeps};
 use crate::result::{ReplayError, ReplayResult, ThreadCursor, ThreadReplayTiming};
 use crate::schedule::{ReplaySchedule, ScheduleKind};
 
@@ -118,7 +116,7 @@ struct RefOriginal<'a> {
 }
 
 /// ELSC: projects the recorded total grant order onto each lock.
-pub(crate) fn elsc_order_of(trace: &Trace) -> BTreeMap<LockId, Vec<EventRef>> {
+fn elsc_order_of(trace: &Trace) -> BTreeMap<LockId, Vec<EventRef>> {
     let mut elsc_order: BTreeMap<LockId, Vec<EventRef>> = BTreeMap::new();
     let mut schedule_entries = trace.lock_schedule.clone();
     schedule_entries.sort_by_key(|g| g.seq);
@@ -133,7 +131,7 @@ pub(crate) fn elsc_order_of(trace: &Trace) -> BTreeMap<LockId, Vec<EventRef>> {
 
 /// SYNC-S: deterministic round-robin ticket order over per-thread
 /// acquisition ordinals, derived from the input alone.
-pub(crate) fn sync_order_of(trace: &Trace) -> BTreeMap<(usize, usize), usize> {
+fn sync_order_of(trace: &Trace) -> BTreeMap<(usize, usize), usize> {
     let mut sync_order = BTreeMap::new();
     let acq_counts: Vec<usize> = trace
         .threads
@@ -525,7 +523,9 @@ struct RefFree<'a> {
     use_dls: bool,
     tt: &'a TransformedTrace,
     deps: SyncDeps,
-    sections: SectionIndex,
+    /// Section delimited by each acquire / release event.
+    by_acquire: BTreeMap<EventRef, SectionId>,
+    by_release: BTreeMap<EventRef, SectionId>,
     constraints: BTreeMap<SectionId, Vec<SectionId>>,
     threads: Vec<ThreadState>,
     event_times: Vec<Vec<Time>>,
@@ -542,7 +542,12 @@ struct RefFree<'a> {
 impl<'a> RefFree<'a> {
     fn new(config: &ReplayConfig, use_dls: bool, tt: &'a TransformedTrace) -> Self {
         let deps = build_sync_deps(&tt.original);
-        let sections = build_section_index(&tt.sections);
+        let mut by_acquire = BTreeMap::new();
+        let mut by_release = BTreeMap::new();
+        for s in &tt.sections {
+            by_acquire.insert((s.thread.index(), s.acquire_index), s.id);
+            by_release.insert((s.thread.index(), s.release_index), s.id);
+        }
         let mut constraints: BTreeMap<SectionId, Vec<SectionId>> = BTreeMap::new();
         for c in &tt.order_constraints {
             constraints.entry(c.after).or_default().push(c.before);
@@ -552,7 +557,8 @@ impl<'a> RefFree<'a> {
             use_dls,
             tt,
             deps,
-            sections,
+            by_acquire,
+            by_release,
             constraints,
             threads: tt
                 .original
@@ -719,7 +725,7 @@ impl<'a> RefFree<'a> {
             dep_time = self.event_times[dti][dei];
         }
 
-        let Some(&sid) = self.sections.by_acquire.get(&(ti, idx)) else {
+        let Some(&sid) = self.by_acquire.get(&(ti, idx)) else {
             self.complete(ti, idx, clock.max(dep_time));
             return Outcome::Completed;
         };
@@ -747,7 +753,7 @@ impl<'a> RefFree<'a> {
 
         // RULE 3/4: take the (possibly DLS-pruned) lockset atomically.
         let lockset = if self.use_dls {
-            dynamic_lockset(node, &self.tt.plan, &self.finished)
+            dynamic_lockset(node, &self.tt.plan, |s| self.finished.contains(&s))
         } else {
             node.lockset.clone()
         };
@@ -785,7 +791,7 @@ impl<'a> RefFree<'a> {
 
     fn exit_section(&mut self, ti: usize, idx: usize) -> Outcome {
         let clock = self.threads[ti].clock;
-        let Some(&sid) = self.sections.by_release.get(&(ti, idx)) else {
+        let Some(&sid) = self.by_release.get(&(ti, idx)) else {
             self.complete(ti, idx, clock);
             return Outcome::Completed;
         };

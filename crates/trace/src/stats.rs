@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::event::Event;
-use crate::section::extract_critical_sections;
+use crate::ids::LockId;
 use crate::time::Time;
 use crate::trace::Trace;
 
@@ -44,23 +44,37 @@ impl TraceStats {
             ..TraceStats::default()
         };
         let mut sites = std::collections::BTreeSet::new();
-        for (_, _, te) in trace.iter_events() {
-            stats.events += 1;
-            stats.total_compute += te.event.intrinsic_cost();
-            match &te.event {
-                Event::LockAcquire { site, .. } => {
-                    stats.lock_acquisitions += 1;
-                    sites.insert(*site);
+        // Locks currently held per thread, innermost last: a release closes
+        // the innermost open acquire of its lock, the same matching rule as
+        // `extract_critical_sections`, so the count agrees without building
+        // the sections.
+        let mut open: Vec<LockId> = Vec::new();
+        for tt in &trace.threads {
+            open.clear();
+            for te in &tt.events {
+                stats.events += 1;
+                stats.total_compute += te.event.intrinsic_cost();
+                match &te.event {
+                    Event::LockAcquire { lock, site } => {
+                        stats.lock_acquisitions += 1;
+                        sites.insert(*site);
+                        open.push(*lock);
+                    }
+                    Event::LockRelease { lock } => {
+                        if let Some(pos) = open.iter().rposition(|l| l == lock) {
+                            open.remove(pos);
+                            stats.critical_sections += 1;
+                        }
+                    }
+                    Event::Read { .. } => stats.reads += 1,
+                    Event::Write { .. } => stats.writes += 1,
+                    Event::CondWait { .. } => stats.cond_waits += 1,
+                    Event::BarrierWait { .. } => stats.barrier_waits += 1,
+                    _ => {}
                 }
-                Event::Read { .. } => stats.reads += 1,
-                Event::Write { .. } => stats.writes += 1,
-                Event::CondWait { .. } => stats.cond_waits += 1,
-                Event::BarrierWait { .. } => stats.barrier_waits += 1,
-                _ => {}
             }
         }
         stats.static_sites = sites.len();
-        stats.critical_sections = extract_critical_sections(trace).len();
         stats
     }
 }
@@ -69,7 +83,8 @@ impl TraceStats {
 mod tests {
     use super::*;
     use crate::event::WriteOp;
-    use crate::ids::{CodeSiteId, LockId, ObjectId};
+    use crate::ids::{CodeSiteId, ObjectId};
+    use crate::section::extract_critical_sections;
     use crate::trace::TraceMeta;
 
     #[test]
@@ -146,5 +161,55 @@ mod tests {
     fn stats_of_empty_trace_are_zero() {
         let stats = TraceStats::of(&Trace::new(TraceMeta::default(), 0));
         assert_eq!(stats, TraceStats::default());
+    }
+
+    #[test]
+    fn section_count_matches_extraction_on_unbalanced_traces() {
+        let acquire = |lock: u32| Event::LockAcquire {
+            lock: LockId::new(lock),
+            site: CodeSiteId::new(lock),
+        };
+        let release = |lock: u32| Event::LockRelease {
+            lock: LockId::new(lock),
+        };
+        let mut trace = Trace::new(TraceMeta::default(), 3);
+        // T0: an orphan release, then same-lock reentry (A A) released
+        // twice, then a release of a lock that is no longer held.
+        for (i, ev) in [
+            release(0),
+            acquire(0),
+            acquire(0),
+            release(0),
+            release(0),
+            release(0),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            trace.threads[0].push(Time::from_nanos(i as u64), ev);
+        }
+        // T1: non-LIFO release order (A B, release A first), then an
+        // acquire that is never released.
+        for (i, ev) in [acquire(0), acquire(1), release(0), release(1), acquire(2)]
+            .into_iter()
+            .enumerate()
+        {
+            trace.threads[1].push(Time::from_nanos(i as u64), ev);
+        }
+        // T2: reentry under another lock (A B A), closed innermost-first for
+        // A, leaving the outer A open.
+        for (i, ev) in [acquire(0), acquire(1), acquire(0), release(0), release(1)]
+            .into_iter()
+            .enumerate()
+        {
+            trace.threads[2].push(Time::from_nanos(i as u64), ev);
+        }
+        let stats = TraceStats::of(&trace);
+        assert_eq!(
+            stats.critical_sections,
+            extract_critical_sections(&trace).len()
+        );
+        assert_eq!(stats.critical_sections, 6);
+        assert_eq!(stats.lock_acquisitions, 8);
     }
 }

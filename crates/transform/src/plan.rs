@@ -302,17 +302,22 @@ impl Transformer {
     }
 }
 
-/// The dynamic locking strategy (Figure 9): given the set of sections that
-/// have already finished at the time a node starts, returns the locks the
-/// node still has to take.
+/// The dynamic locking strategy (Figure 9): given which sections have
+/// already finished at the time a node starts, returns the locks the node
+/// still has to take.
+///
+/// `finished` answers the END-flag test for one source section, so callers
+/// keep their own finished table (a dense per-section vector in the replay
+/// engine, an ordered set in the reference loop) and prune through this one
+/// rule.
 pub fn dynamic_lockset(
     node: &NodeSync,
     plan: &[NodeSync],
-    finished: &BTreeSet<SectionId>,
+    finished: impl Fn(SectionId) -> bool,
 ) -> BTreeSet<AuxLockId> {
     let mut lockset = node.lockset.clone();
-    for src in &node.sources {
-        if finished.contains(src) {
+    for &src in &node.sources {
+        if finished(src) {
             if let Some(lock) = plan[src.index()].aux_lock {
                 lockset.remove(&lock);
             }
@@ -526,15 +531,29 @@ mod tests {
         }) else {
             panic!("expected at least one node with a locked source");
         };
-        let full = dynamic_lockset(node, &tt.plan, &BTreeSet::new());
+        let full = dynamic_lockset(node, &tt.plan, |_| false);
         assert_eq!(full, node.lockset);
         let finished: BTreeSet<SectionId> = node.sources.iter().copied().collect();
-        let pruned = dynamic_lockset(node, &tt.plan, &finished);
+        let pruned = dynamic_lockset(node, &tt.plan, |s| finished.contains(&s));
         assert!(pruned.len() < full.len());
         // Its own lock, if any, is never dropped.
         if let Some(own) = node.aux_lock {
             assert!(pruned.contains(&own));
         }
+        // Only finished sources are pruned: with one locked source finished,
+        // exactly that source's lock leaves the lockset.
+        let locked_source = node
+            .sources
+            .iter()
+            .copied()
+            .find(|s| tt.plan[s.index()].aux_lock.is_some())
+            .unwrap();
+        let one = dynamic_lockset(node, &tt.plan, |s| s == locked_source);
+        let dropped = tt.plan[locked_source.index()].aux_lock.unwrap();
+        assert!(!one.contains(&dropped));
+        let mut expected = node.lockset.clone();
+        expected.remove(&dropped);
+        assert_eq!(one, expected);
     }
 
     #[test]

@@ -6,6 +6,24 @@ use perfplay::workloads::cases;
 use perfplay::workloads::{App, InputSize, WorkloadConfig};
 use perfplay::{PerfPlay, PerfPlayConfig};
 
+/// `TraceStats` counts sections with an open-lock stack instead of
+/// extracting them; the count must equal the extraction's on every model.
+#[test]
+fn trace_stats_count_sections_like_extraction_on_app_models() {
+    for app in App::ALL {
+        let program = app.build(&WorkloadConfig::new(4, InputSize::Custom(0.25)));
+        let trace = Recorder::new(SimConfig::default())
+            .record(&program)
+            .unwrap()
+            .trace;
+        assert_eq!(
+            TraceStats::of(&trace).critical_sections,
+            perfplay_trace::extract_critical_sections(&trace).len(),
+            "{app}"
+        );
+    }
+}
+
 #[test]
 fn every_application_model_survives_the_full_pipeline() {
     let perfplay = PerfPlay::new();

@@ -33,6 +33,8 @@ proptest! {
         let sections = perfplay_trace::extract_critical_sections(&recording.trace);
         prop_assert_eq!(sections.len(), recording.trace.num_acquisitions());
         prop_assert_eq!(recording.trace.lock_schedule.len(), sections.len());
+        // TraceStats counts sections without extracting them.
+        prop_assert_eq!(TraceStats::of(&recording.trace).critical_sections, sections.len());
     }
 
     /// ULCP classification is consistent: a pair is never both a ULCP and a

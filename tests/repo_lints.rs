@@ -4,7 +4,10 @@
 //! * every workspace crate keeps `#![forbid(unsafe_code)]`;
 //! * the ingestion paths hardened by the fault-tolerance work stay free of
 //!   `unwrap()`/`expect()` outside test code, so no corrupted input can
-//!   reintroduce a panic path.
+//!   reintroduce a panic path;
+//! * the replay engine and its two policies name no `BTreeMap` outside test
+//!   code: their per-event tables are indexed by dense ids, and an ordered
+//!   map keyed by one must not quietly return to the hot path.
 
 use std::path::{Path, PathBuf};
 
@@ -109,6 +112,35 @@ fn ingestion_paths_stay_panic_free() {
     assert!(
         offenders.is_empty(),
         "panic paths on hardened ingestion code:\n{}",
+        offenders.join("\n")
+    );
+}
+
+/// The replay engine's per-event path. `reference.rs` is exempt: the
+/// reference loops keep their ordered maps as the oracle's specification.
+fn dense_replay_files() -> Vec<PathBuf> {
+    let src = workspace_root().join("crates/replay/src");
+    ["engine.rs", "original.rs", "free.rs"]
+        .iter()
+        .map(|f| src.join(f))
+        .collect()
+}
+
+#[test]
+fn replay_hot_path_names_no_ordered_map() {
+    let mut offenders: Vec<String> = Vec::new();
+    for path in dense_replay_files() {
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        for (line_no, line) in non_test_code(&text) {
+            if !is_comment(line) && line.contains("BTreeMap") {
+                offenders.push(format!("{}:{line_no}: {}", relative(&path), line.trim()));
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "BTreeMap on the replay engine's per-event path (index by the dense id instead):\n{}",
         offenders.join("\n")
     );
 }
