@@ -12,9 +12,7 @@
 //! Set `PERFPLAY_BENCH_FAST=1` for a CI-sized smoke run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use perfplay::prelude::{
-    BodyOverlapGain, Detector, ParallelStreamingDetector, SiteAggregator, StreamingDetector,
-};
+use perfplay::prelude::{BodyOverlapGain, Detector, ParallelStreamingDetector, SiteAggregator};
 use perfplay_bench::{detect_bench_config, stream_trace, StreamWorkload};
 
 fn bench_stream_scaling(c: &mut Criterion) {
@@ -64,7 +62,7 @@ fn bench_stream_scaling(c: &mut Criterion) {
                 &trace,
                 |b, t| {
                     b.iter(|| {
-                        StreamingDetector::new(config)
+                        ParallelStreamingDetector::with_workers(config, 1)
                             .analyze_trace(t, chunk_events)
                             .expect("in-memory chunk stream never fails")
                             .analysis
@@ -73,9 +71,8 @@ fn bench_stream_scaling(c: &mut Criterion) {
                 },
             );
         }
-        // The parallel engine at a fixed small worker count: tracks the
-        // sharded-worker pipeline's overhead against sequential streaming
-        // (`stream_256k`) on the same chunk size.
+        // A fixed small worker count: tracks the sharded fan-out's overhead
+        // against one worker (`stream_256k`) on the same chunk size.
         group.bench_with_input(
             BenchmarkId::new("parallel_256k_w2", &label),
             &trace,
@@ -94,7 +91,7 @@ fn bench_stream_scaling(c: &mut Criterion) {
             &trace,
             |b, t| {
                 b.iter(|| {
-                    StreamingDetector::new(config)
+                    ParallelStreamingDetector::with_workers(config, 1)
                         .analyze_trace_with(t, 262_144, SiteAggregator::new(BodyOverlapGain))
                         .expect("in-memory chunk stream never fails")
                         .sink

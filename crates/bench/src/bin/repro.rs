@@ -8,10 +8,10 @@
 //!   `BENCH_detect.json`.
 //! * `repro detect --stream [--quick] [--out PATH]` runs the streaming
 //!   ingestion comparison: the in-memory engine vs the chunk-by-chunk
-//!   `StreamingDetector` on a >=10M-event synthetic trace (CI-sized with
-//!   `--quick`), verifies bit-identical results plus the chunked-file
-//!   spill/re-ingest roundtrip — one row per on-disk format (`jsonl` and
-//!   `pbin`) — reports the peak resident state, and writes
+//!   `ParallelStreamingDetector` at one worker on a >=10M-event synthetic
+//!   trace (CI-sized with `--quick`), verifies bit-identical results plus
+//!   the chunked-file spill/re-ingest roundtrip — one row per on-disk format
+//!   (`jsonl` and `pbin`) — reports the peak resident state, and writes
 //!   `BENCH_stream.json`.
 //! * `repro ingest [--quick] [--out PATH]` runs the on-disk ingestion
 //!   benchmark: the >=10M-event workload is spilled through `ChunkedWriter`
@@ -33,9 +33,11 @@
 //!   size against the materialized pair count, and writes
 //!   `BENCH_aggregate.json`. Exits non-zero on any divergence.
 //! * `repro detect --stream --chunk-file PATH [--out PATH]` streams the
-//!   detector off an on-disk chunked trace file (`ChunkFileReader`), the
-//!   format `perfplay-record`'s `ChunkedWriter` spills — detection of traces
-//!   that never existed in memory.
+//!   detector off an on-disk chunked trace file (`ChunkFileReader`, one
+//!   detection worker; `--parallel` pairs `PipelinedChunkReader` with one
+//!   worker per core, at least 8), the format `perfplay-record`'s
+//!   `ChunkedWriter` spills — detection of traces that never existed in
+//!   memory.
 //! * `repro replay [--quick] [--out PATH]` runs the replay scaling
 //!   comparison: the naive scan-and-wake-all reference loop vs the unified
 //!   indexed-ready-set engine on 64/128/256-thread synthetic workloads,
@@ -94,8 +96,8 @@ use perfplay::prelude::{
     spill_trace, spill_trace_with_format, BatchAnalysis, BodyOverlapGain, ChunkFileReader,
     ChunkFormat, Detector, DetectorConfig, EventSource, FaultInjector, FaultKind, FaultPlan,
     GainSource, ParallelStreamingDetector, PerfReport, PipelineConfig, PipelinedChunkReader,
-    Recommendation, RecoveryPolicy, SectionCtx, SiteAggregator, StreamingDetector, StreamingStats,
-    Trace, Transformer, UlcpGain,
+    Recommendation, RecoveryPolicy, SectionCtx, SiteAggregator, StreamingStats, Trace, Transformer,
+    UlcpGain,
 };
 use perfplay::prelude::{codes_for_fault, lint_chunk_file, lint_source, lint_trace, LintConfig};
 use perfplay::prelude::{ReplayConfig, ReplayResult, ReplaySchedule, Replayer, UlcpFreeReplayer};
@@ -427,7 +429,7 @@ fn roundtrip_row(
     );
     let (result, stream_from_file_ms) = time_ms(|| {
         let mut reader = ChunkFileReader::open(path).expect("chunk file opens");
-        StreamingDetector::new(config)
+        ParallelStreamingDetector::with_workers(config, 1)
             .analyze(&mut reader)
             .expect("file stream analyzes")
     });
@@ -461,15 +463,15 @@ fn roundtrip_row(
 }
 
 /// The sharded-worker streaming run (`--parallel`), reported next to the
-/// sequential streaming baseline it must match bit-for-bit.
+/// one-worker streaming baseline it must match bit-for-bit.
 #[derive(Debug, Serialize)]
 struct ParallelStreamReport {
     workers: usize,
     stream_ms: f64,
-    /// Sequential streaming wall-clock over parallel streaming wall-clock.
-    speedup_vs_sequential: f64,
+    /// One-worker streaming wall-clock over N-worker streaming wall-clock.
+    speedup_vs_one_worker: f64,
     /// Content digest (breakdown + every pair/edge) AND ranked-report digest
-    /// both equal to the sequential streaming run's.
+    /// both equal to the one-worker streaming run's.
     results_identical: bool,
     report_digest: String,
     /// Peak resident state summed across the decoder and all worker shards.
@@ -486,6 +488,8 @@ struct StreamReport {
     available_parallelism: usize,
     record_ms: f64,
     batch_ms: f64,
+    /// `ParallelStreamingDetector` at one worker over the in-memory chunk
+    /// stream.
     stream_ms: f64,
     results_identical: bool,
     /// The sharded per-lock worker pipeline, when run with `--parallel`.
@@ -539,11 +543,11 @@ fn ranked_digest(analysis: &UlcpAnalysis) -> u64 {
 
 /// `repro detect --stream`: the streaming ingestion path. Records a
 /// synthetic workload (>=10M events unless `--quick`), analyzes it with the
-/// in-memory engine and the chunk-by-chunk [`StreamingDetector`], verifies
-/// the results are bit-identical, exercises the chunked-file spill/re-ingest
-/// roundtrip, and writes `BENCH_stream.json`. With `--parallel`, the same
-/// workload additionally runs through the sharded-per-lock-worker
-/// [`ParallelStreamingDetector`] and the artifact gains a `parallel` block
+/// in-memory engine and the chunk-by-chunk [`ParallelStreamingDetector`] at
+/// one worker, verifies the results are bit-identical, exercises the
+/// chunked-file spill/re-ingest roundtrip, and writes `BENCH_stream.json`.
+/// With `--parallel`, the same workload additionally runs with one worker
+/// per core (at least 8) and the artifact gains a `parallel` block
 /// pinning bit-identical results (content + ranked-report digests) and the
 /// wall-clock ratio. With `--spill PATH`, the roundtrip row whose format
 /// matches `PATH`'s extension (`.pbin` for binary, anything else JSON-lines)
@@ -575,15 +579,15 @@ fn run_stream(quick: bool, out: &str, spill: Option<&str>, parallel: bool) {
     let (batch_digest, batch_ms) = measure("in-memory batch", runs, || {
         Detector::new(config).analyze(&trace)
     });
-    // Sequential streaming is timed explicitly (not through `measure`) so
+    // One-worker streaming is timed explicitly (not through `measure`) so
     // the analysis survives long enough for a ranked-report digest — the
     // second half of the parallel equivalence check.
     let (streamed, stream_ms) = time_ms(|| {
-        StreamingDetector::new(config)
+        ParallelStreamingDetector::with_workers(config, 1)
             .analyze_trace(&trace, chunk_events)
             .expect("in-memory chunk stream never fails")
     });
-    eprintln!("streaming       run 1/1: {stream_ms:.0}ms");
+    eprintln!("streaming x1    run 1/1: {stream_ms:.0}ms");
     let stats = streamed.stats;
     let stream_digest = digest(&streamed.analysis);
     let stream_ranked = ranked_digest(&streamed.analysis);
@@ -592,7 +596,7 @@ fn run_stream(quick: bool, out: &str, spill: Option<&str>, parallel: bool) {
     let total_sections = stats.sections;
 
     // The sharded per-lock worker pipeline: decoder -> bounded channel ->
-    // N workers -> in-order shard absorption. Timed against the sequential
+    // N workers -> in-order shard absorption. Timed against the one-worker
     // streaming run it must reproduce bit-for-bit.
     let parallel = parallel.then(|| {
         let workers = parallel_workers();
@@ -607,7 +611,7 @@ fn run_stream(quick: bool, out: &str, spill: Option<&str>, parallel: bool) {
         ParallelStreamReport {
             workers,
             stream_ms: par_ms,
-            speedup_vs_sequential: stream_ms / par_ms,
+            speedup_vs_one_worker: stream_ms / par_ms,
             results_identical: par_digest == stream_digest && par_ranked == stream_ranked,
             report_digest: format!("{par_ranked:016x}"),
             memory: MemoryReport::from_streaming(&par.stats),
@@ -688,13 +692,13 @@ fn run_stream(quick: bool, out: &str, spill: Option<&str>, parallel: bool) {
     if let Some(par) = &report.parallel {
         assert!(
             par.results_identical,
-            "parallel streaming detector diverged from sequential streaming \
+            "parallel streaming detector diverged from one-worker streaming \
              (workers {}, digest {})",
             par.workers, par.report_digest
         );
         eprintln!(
-            "parallel streaming x{}: {:.0}ms ({:.2}x vs sequential streaming), identical",
-            par.workers, par.stream_ms, par.speedup_vs_sequential
+            "parallel streaming x{}: {:.0}ms ({:.2}x vs one worker), identical",
+            par.workers, par.stream_ms, par.speedup_vs_one_worker
         );
     }
     eprintln!(
@@ -825,7 +829,7 @@ fn run_ingest(quick: bool, out: &str) {
             (format, path)
         })
         .collect();
-    // Keep the spilled files alive past the sequential rows — the pipelined
+    // Keep the spilled files alive past the one-worker rows — the pipelined
     // legs below re-read them.
     let rows: Vec<FormatRoundtripReport> = files
         .iter()
@@ -1160,7 +1164,7 @@ fn run_aggregate(quick: bool, out: &str) {
     // per-site table the moment it is classified; nothing pair-shaped
     // survives the scan.
     let (aggregated, aggregate_ms) = time_ms(|| {
-        StreamingDetector::new(config)
+        ParallelStreamingDetector::with_workers(config, 1)
             .analyze_trace_with(&trace, chunk_events, SiteAggregator::new(gain))
             .expect("in-memory chunk stream never fails")
     });
@@ -2010,7 +2014,8 @@ fn run_inject(spec: &str, out: Option<&str>) {
             for policy in policies {
                 let (outcome, detail) = inject_outcome(|| {
                     let mut reader = ChunkFileReader::with_policy(&corrupted, policy)?;
-                    let streamed = StreamingDetector::new(config).analyze(&mut reader)?;
+                    let streamed =
+                        ParallelStreamingDetector::with_workers(config, 1).analyze(&mut reader)?;
                     Ok(streamed.stats)
                 });
                 trials.push(InjectTrial {
@@ -2022,10 +2027,9 @@ fn run_inject(spec: &str, out: Option<&str>) {
                     detail,
                 });
             }
-            // Parallel streaming over the same corrupted artifact: the
-            // sharded engine inherits the no-panic invariant and must end
-            // the trial — report, gap-report or structured error — like the
-            // sequential one.
+            // Two workers over the same corrupted artifact: the sharded
+            // fan-out inherits the no-panic invariant and must end the trial
+            // — report, gap-report or structured error — like one worker.
             let (outcome, detail) = inject_outcome(|| {
                 let mut reader =
                     ChunkFileReader::with_policy(&corrupted, RecoveryPolicy::SkipChunk)?;
@@ -2049,7 +2053,8 @@ fn run_inject(spec: &str, out: Option<&str>) {
             let (outcome, detail) = inject_outcome(|| {
                 let reader = ChunkFileReader::open(&clean_json)?;
                 let mut source = FaultInjector::new(reader, plan);
-                let streamed = StreamingDetector::new(config).analyze(&mut source)?;
+                let streamed =
+                    ParallelStreamingDetector::with_workers(config, 1).analyze(&mut source)?;
                 Ok(streamed.stats)
             });
             trials.push(InjectTrial {
@@ -2213,16 +2218,16 @@ fn run_batch_chunk_dir(dir: &str, quick: bool, out: &str) {
 #[derive(Debug, Serialize)]
 struct ChunkFileReport {
     path: String,
-    /// Worker count of the sharded engine; `None` for the sequential one.
-    workers: Option<usize>,
+    /// Worker count of the sharded streaming detector.
+    workers: usize,
     /// Decode-worker pool of the pipelined reader; `None` when the
-    /// sequential reader ran.
+    /// single-threaded reader ran.
     decode_workers: Option<usize>,
     analyze_ms: f64,
     events: usize,
     sections: usize,
     /// Ranked-report digest — the cross-path identity check between the
-    /// sequential and pipelined runs over the same file.
+    /// one-worker and pipelined runs over the same file.
     report_digest: String,
     streaming: StreamingStats,
     memory: MemoryReport,
@@ -2232,39 +2237,35 @@ struct ChunkFileReport {
 /// `repro detect --stream --chunk-file PATH`: streams the detector off an
 /// on-disk chunked trace file — the `ChunkedWriter` format — so traces
 /// spilled at record time are analyzed without ever materializing the event
-/// log. With `--parallel`, the sharded [`ParallelStreamingDetector`] decodes
-/// and classifies instead of the sequential engine. Exits non-zero with the
-/// structured `StreamError` on a malformed or truncated file.
+/// log. [`ParallelStreamingDetector`] runs at one worker behind the
+/// single-threaded reader, or with `--parallel` at one worker per core (at
+/// least 8) behind the pipelined reader. Exits non-zero with the structured
+/// `StreamError` on a malformed or truncated file.
 fn run_stream_file(path: &str, out: Option<&str>, parallel: bool) {
     let config = detect_bench_config();
-    let workers = parallel.then(parallel_workers);
+    let workers = if parallel { parallel_workers() } else { 1 };
     let decode_workers = parallel.then(default_decode_workers);
-    // The parallel run pairs the pipelined reader with the sharded
-    // detector; the sequential run keeps the single-threaded reader. Both
-    // yield bit-identical streams, reports, and error diagnostics.
-    let (result, analyze_ms) = match workers {
-        Some(workers) => {
-            let mut reader = match PipelinedChunkReader::open(path) {
-                Ok(reader) => reader,
-                Err(e) => {
-                    eprintln!("cannot open chunk file {path}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            time_ms(|| {
-                ParallelStreamingDetector::with_workers(config, workers).analyze(&mut reader)
-            })
-        }
-        None => {
-            let mut reader = match ChunkFileReader::open(path) {
-                Ok(reader) => reader,
-                Err(e) => {
-                    eprintln!("cannot open chunk file {path}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            time_ms(|| StreamingDetector::new(config).analyze(&mut reader))
-        }
+    // Both reader pairings yield bit-identical streams, reports, and error
+    // diagnostics.
+    let detector = ParallelStreamingDetector::with_workers(config, workers);
+    let (result, analyze_ms) = if parallel {
+        let mut reader = match PipelinedChunkReader::open(path) {
+            Ok(reader) => reader,
+            Err(e) => {
+                eprintln!("cannot open chunk file {path}: {e}");
+                std::process::exit(1);
+            }
+        };
+        time_ms(|| detector.analyze(&mut reader))
+    } else {
+        let mut reader = match ChunkFileReader::open(path) {
+            Ok(reader) => reader,
+            Err(e) => {
+                eprintln!("cannot open chunk file {path}: {e}");
+                std::process::exit(1);
+            }
+        };
+        time_ms(|| detector.analyze(&mut reader))
     };
     let streamed = match result {
         Ok(streamed) => streamed,

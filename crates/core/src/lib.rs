@@ -51,8 +51,8 @@ pub mod prelude {
         corrupt_chunk_file, BodyOverlapGain, CollectPairs, DetectionPlan, Detector, DetectorConfig,
         FaultInjector, FaultKind, FaultPlan, GainSource, NoGain, ParallelStreamingDetector,
         PlanAggregator, PlanError, SectionCtx, SinkAnalysis, SiteAggregates, SiteAggregator,
-        StreamingAnalysis, StreamingDetector, StreamingSinkAnalysis, StreamingStats, Ulcp,
-        UlcpAnalysis, UlcpBreakdown, UlcpKind, UlcpSink,
+        StreamingAnalysis, StreamingSinkAnalysis, StreamingStats, Ulcp, UlcpAnalysis,
+        UlcpBreakdown, UlcpKind, UlcpSink,
     };
     pub use perfplay_lint::{
         analyze_schedule, codes_for_fault, lint_chunk_file, lint_chunk_file_pipelined, lint_source,
@@ -238,8 +238,8 @@ impl PerfPlayConfig {
     /// The analysis-stage slice of this configuration, as consumed by the
     /// single-pass pipeline (`perfplay_report::analyze_plan`) and the
     /// multi-trace batch driver. `chunk_events` selects streaming detection
-    /// when set; `parallel_streams` keeps its default (follow
-    /// [`DetectorConfig::parallel`]).
+    /// when set, with its worker count following
+    /// [`DetectorConfig::parallel`].
     pub fn pipeline(&self, chunk_events: Option<usize>) -> perfplay_report::PipelineConfig {
         perfplay_report::PipelineConfig {
             detector: self.detector,
@@ -248,8 +248,6 @@ impl PerfPlayConfig {
             use_dls: self.use_dls,
             original_schedule: self.original_schedule,
             chunk_events,
-            parallel_streams: 0,
-            decode_workers: 0,
             preflight: self.preflight,
         }
     }

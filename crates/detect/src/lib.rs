@@ -20,10 +20,11 @@
 //!    lock and produces the [`UlcpAnalysis`] (pairs, causal edges, and the
 //!    per-category [`UlcpBreakdown`] that reproduces a row of Table 1).
 //!
-//! For traces too large to hold in memory, [`StreamingDetector`] consumes a
-//! chunked event stream (`perfplay_trace::EventSource`) and produces the
-//! same [`UlcpAnalysis`] bit-for-bit while keeping only bounded incremental
-//! state resident.
+//! For traces too large to hold in memory, [`ParallelStreamingDetector`]
+//! consumes a chunked event stream (`perfplay_trace::EventSource`) on sharded
+//! per-lock workers — one worker or many — and produces the same
+//! [`UlcpAnalysis`] bit-for-bit while keeping only bounded incremental state
+//! resident.
 //!
 //! Every engine emits its classified pairs through a [`UlcpSink`]. The
 //! default [`CollectPairs`] sink materializes the historical pair list;
@@ -63,4 +64,4 @@ pub use sink::{
     BodyOverlapGain, CollectPairs, EdgeAggregate, GainSource, NoGain, SectionCtx, SinkAnalysis,
     SiteAggregate, SiteAggregates, SiteAggregator, UlcpSink,
 };
-pub use streaming::{StreamingAnalysis, StreamingDetector, StreamingSinkAnalysis, StreamingStats};
+pub use streaming::{StreamingAnalysis, StreamingSinkAnalysis, StreamingStats};

@@ -142,9 +142,7 @@ pub struct DetectorConfig {
     /// | entry point | `parallel: false` | `parallel: true` |
     /// |---|---|---|
     /// | [`Detector::analyze`] / `analyze_with` | sequential per-lock loop | per-lock work-queue fan-out |
-    /// | [`StreamingDetector::analyze`](crate::StreamingDetector::analyze) (+ `analyze_trace`) | sequential engine | delegates to [`ParallelStreamingDetector`](crate::ParallelStreamingDetector) (one worker per core) |
-    /// | [`StreamingDetector::analyze_with`](crate::StreamingDetector::analyze_with) (+ `analyze_trace_with`) | sequential engine | [`StreamError::Config`](perfplay_trace::StreamError::Config) — the sink is not required to be `Send`; call the parallel detector directly |
-    /// | [`ParallelStreamingDetector`](crate::ParallelStreamingDetector) | ignored — always parallel; worker count from the constructor | ignored |
+    /// | [`ParallelStreamingDetector`](crate::ParallelStreamingDetector) | ignored — worker count from the constructor | ignored |
     pub parallel: bool,
 }
 

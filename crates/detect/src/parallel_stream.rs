@@ -1,9 +1,9 @@
-//! Parallel streaming detection: sharded per-lock workers over a decoded
-//! chunk pipeline.
+//! Streaming detection: sharded per-lock workers over a decoded chunk
+//! pipeline.
 //!
-//! [`StreamingDetector`](crate::StreamingDetector) consumes the stream on one
-//! thread; [`ParallelStreamingDetector`] splits the same incremental
-//! Algorithm 1 state machine into a pipeline:
+//! [`ParallelStreamingDetector`] runs Algorithm 1 incrementally over an
+//! [`EventSource`], chunk by chunk, as a pipeline of one decoder and `N ≥ 1`
+//! workers:
 //!
 //! ```text
 //!   EventSource ──> decoder (calling thread)
@@ -19,7 +19,7 @@
 //!                     │
 //!                     ▼
 //!   merge: shards absorbed in ascending-lock order, sections assembled
-//!   by id, compaction remap, seal — bit-identical to sequential streaming
+//!   by id, compaction remap, seal — bit-identical to the batch engine
 //! ```
 //!
 //! Locks are independent (no pair ever spans two locks), so routing whole
@@ -37,7 +37,7 @@
 //! Gap handling lives entirely in the decoder: a [`StreamGap`] only relaxes
 //! the per-thread contiguity check for the next span, so workers never see
 //! it — detection over the surviving chunks is exactly detection over the
-//! trace with the lost events removed, as in the sequential engine.
+//! trace with the lost events removed.
 //!
 //! Beyond the thread fan-out, workers classify through a two-word fast path:
 //! every closed section carries a [`PairKey`] (its read/write
@@ -46,7 +46,6 @@
 //! so the overwhelming majority of pairs never touch the section bodies.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::num::NonZeroUsize;
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 
@@ -140,9 +139,12 @@ struct SlotLog {
     first_read: Option<(Time, i64)>,
 }
 
-/// Same pruning contract as the sequential engine's `StreamingHistory`, but
-/// slot-indexed: the decoder maps every `ObjectId` to a dense `u32` once,
-/// so the replay and every prune walk are vector operations.
+/// Pruned per-object shadow-memory history: semantically a
+/// [`LastWriteIndex`](crate::LastWriteIndex) whose write logs are truncated
+/// below the *horizon* — the earliest virtual time any live pairing search
+/// can still query — so answers are identical to the unpruned index. Slot
+/// indexed: the decoder maps every `ObjectId` to a dense `u32` once, so the
+/// replay and every prune walk are vector operations.
 #[derive(Debug, Default)]
 struct SlotHistory {
     logs: Vec<SlotLog>,
@@ -264,10 +266,9 @@ fn fast_classify(a: PairKey, b: PairKey) -> Option<PairClass> {
 // Worker-side pairing state.
 // ---------------------------------------------------------------------------
 
-/// One `(current, other-thread)` sequential search. The dense-array
-/// equivalent of the sequential engine's per-thread `Search` map entries: a
-/// thread with no candidates yet has the default state (`pos == len == 0`,
-/// not done), exactly like a missing map entry.
+/// One `(current, other-thread)` sequential search, stored densely per
+/// thread: a thread with no candidates yet has the default state
+/// (`pos == len == 0`, not done).
 #[derive(Debug, Default, Clone, Copy)]
 struct SearchV {
     /// Classifications performed so far (the unit the scan cap counts).
@@ -605,7 +606,7 @@ impl<S: UlcpSink> Worker<S> {
     /// delivery. Each search consumes its candidate list strictly in
     /// delivery order from its own cursor, so the per-search classification
     /// sequence — and with it every cap cutoff, TLCP termination, retirement
-    /// and the breakdown — is exactly the sequential engine's. Only the
+    /// and the breakdown — is exactly the batch engine's. Only the
     /// interleaving of emissions *between* searches differs, which
     /// [`UlcpSink::seal`] canonicalizes.
     fn sweep(&mut self) {
@@ -798,8 +799,8 @@ impl<S: UlcpSink> Worker<S> {
         self.ending = true;
         // Flush sections still awaiting delivery: their same-(lock, thread)
         // predecessors never closed, so those blockers will never deliver.
-        // Deliver the closed remainder in id order (local index order), as
-        // the sequential engine does; never-closed placeholders are dropped.
+        // Deliver the closed remainder in id order (local index order);
+        // never-closed placeholders are dropped.
         let mut leftovers: Vec<(LockId, usize, u32)> = Vec::new();
         for (&lock, lane) in &mut self.locks {
             for (ti, queue) in lane.delivery.iter_mut().enumerate() {
@@ -850,8 +851,8 @@ struct PairSink<'a, S: UlcpSink> {
 }
 
 impl<S: UlcpSink> PairSink<'_, S> {
-    /// Classifies one `(first, second)` local-index pair exactly as the
-    /// sequential engine does — through the summary-word fast path when it
+    /// Classifies one `(first, second)` local-index pair exactly as
+    /// [`classify_pair`] does — through the summary-word fast path when it
     /// is decisive — then emits the outcome and updates the search state.
     /// `fm` must be `self.meta[first]` — hoisted by the caller, which holds
     /// it fixed across a whole candidate scan.
@@ -966,8 +967,8 @@ struct DecThread {
     resync: bool,
 }
 
-/// The reader/decoder stage: validates exactly what the sequential engine
-/// validates (same error messages), extracts sections, assigns ids in the
+/// The reader/decoder stage: validates the chunk contract and per-thread
+/// timestamp monotonicity, extracts sections, assigns ids in the
 /// global `(enter_time, thread, acquire_index)` order, slot-maps the memory
 /// log, and routes placeholders/closures to workers by `lock.index() % N`.
 struct Decoder {
@@ -1024,9 +1025,9 @@ impl Decoder {
         self.stats.chunks += 1;
         self.stats.peak_chunk_events = self.stats.peak_chunk_events.max(chunk.num_events());
 
-        // Phase A: per-thread extraction, identical to the sequential
-        // engine. Memory events are collected in thread-major order so the
-        // stable time sort below reproduces the global tie order.
+        // Phase A: per-thread extraction. Memory events are collected in
+        // thread-major order so the stable time sort below reproduces the
+        // global tie order.
         let mut chunk_mem: Vec<(Time, ObjectId, i64, bool)> = Vec::new();
         let mut new_acquires: Vec<(Time, ThreadId, usize)> = Vec::new();
         // Sections that closed this chunk live in one arena; every later
@@ -1249,7 +1250,7 @@ impl Decoder {
         }
 
         // Phase B.3: route closed sections in id order. Within one lock the
-        // worker sees exactly the sequence the sequential engine would.
+        // worker sees the sections in ascending id order.
         closed_now.sort_unstable();
         for (id, slot) in closed_now {
             self.closed_global[id.index()] = true;
@@ -1735,16 +1736,15 @@ impl UlcpSink for OrderedPairs {
 /// out across sharded per-lock worker threads.
 ///
 /// The reader/decoder stage runs on the calling thread; `workers` OS threads
-/// each own the locks with `lock.index() % workers == worker` and run the
-/// same incremental Algorithm 1 state machine as
-/// [`StreamingDetector`](crate::StreamingDetector) over their shard. Output
-/// is **bit-identical** to sequential streaming (and therefore to
-/// [`Detector::analyze`](crate::Detector::analyze)): ids, pair order after
-/// sealing, breakdown and section table all match exactly.
+/// (one or more) each own the locks with `lock.index() % workers == worker`
+/// and run the incremental Algorithm 1 state machine over their shard.
+/// Output is **bit-identical** to [`Detector::analyze`](crate::Detector::analyze)
+/// for every worker count: ids, pair order after sealing, breakdown and
+/// section table all match exactly.
 ///
 /// Peak-state accounting ([`StreamingStats`]) reports worker peaks *summed*,
 /// an upper bound on the true simultaneous peak; it remains bounded by the
-/// chunk size exactly as the sequential engine's is.
+/// chunk size.
 #[derive(Debug, Clone)]
 pub struct ParallelStreamingDetector {
     config: DetectorConfig,
@@ -1752,18 +1752,9 @@ pub struct ParallelStreamingDetector {
 }
 
 impl ParallelStreamingDetector {
-    /// Creates a parallel streaming detector with one worker per available
-    /// core. `config.parallel` is irrelevant here — this *is* the parallel
-    /// path.
-    pub fn new(config: DetectorConfig) -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1);
-        ParallelStreamingDetector { config, workers }
-    }
-
-    /// Creates a parallel streaming detector with an explicit worker count
-    /// (clamped to at least 1).
+    /// Creates a streaming detector with an explicit worker count (clamped
+    /// to at least 1). `config.parallel` is irrelevant here — the worker
+    /// count comes from this constructor.
     pub fn with_workers(config: DetectorConfig, workers: usize) -> Self {
         ParallelStreamingDetector {
             config,
@@ -1777,16 +1768,14 @@ impl ParallelStreamingDetector {
     }
 
     /// Consumes the source to exhaustion and returns the analysis,
-    /// bit-identical to [`StreamingDetector::analyze`] and
-    /// [`Detector::analyze`] over the same events.
+    /// bit-identical to [`Detector::analyze`] over the same events.
     ///
     /// # Errors
     ///
     /// Propagates source errors and rejects streams that violate the chunk
-    /// contract or per-thread timestamp monotonicity — the same conditions,
-    /// with the same error values, as the sequential streaming engine.
+    /// contract or per-thread timestamp monotonicity, with the same error
+    /// values for every worker count.
     ///
-    /// [`StreamingDetector::analyze`]: crate::StreamingDetector::analyze
     /// [`Detector::analyze`]: crate::Detector::analyze
     pub fn analyze<Src: EventSource>(
         &self,
@@ -1807,17 +1796,16 @@ impl ParallelStreamingDetector {
     /// Consumes the source to exhaustion, emitting every classified pair
     /// through per-lock forked shards of the caller's sink. Shards are
     /// absorbed back in ascending lock order and sealed once, so an
-    /// order-preserving sink ends up with the exact sequential output.
+    /// order-preserving sink ends up with the exact batch-engine output.
     ///
     /// The sink must be `Send` because its forked shards live on the worker
-    /// threads; sinks that cannot be sent should use the sequential
-    /// [`StreamingDetector::analyze_with`].
+    /// threads. With an aggregating sink the resident state — pairing
+    /// cursors, pruned history *and* output — stays bounded by the chunk size
+    /// and the code-site count, never by the pair count.
     ///
     /// # Errors
     ///
     /// Same conditions as [`analyze`](Self::analyze).
-    ///
-    /// [`StreamingDetector::analyze_with`]: crate::StreamingDetector::analyze_with
     pub fn analyze_with<Src: EventSource, S: UlcpSink + Send>(
         &self,
         source: &mut Src,
@@ -1961,8 +1949,7 @@ impl ParallelStreamingDetector {
         }
         stats.peak_live_pairs = stats.peak_live_pairs.max(root.resident_entries());
 
-        // Drop sections that never closed and renumber densely, exactly as
-        // the sequential engine's compaction does.
+        // Drop sections that never closed and renumber densely.
         if decoder.closed_global.iter().any(|&c| !c) {
             let mut remap: Vec<Option<SectionId>> = Vec::with_capacity(total);
             let mut kept = 0u32;
@@ -2024,7 +2011,7 @@ impl ParallelStreamingDetector {
 mod tests {
     use super::*;
     use crate::sink::{BodyOverlapGain, SiteAggregator};
-    use crate::{Detector, StreamingDetector};
+    use crate::Detector;
     use perfplay_program::ProgramBuilder;
     use perfplay_record::Recorder;
     use perfplay_sim::SimConfig;
@@ -2046,9 +2033,6 @@ mod tests {
         workers: usize,
     ) {
         let batch = Detector::new(config).analyze(trace);
-        let sequential = StreamingDetector::new(config)
-            .analyze_trace(trace, chunk_events)
-            .unwrap();
         let parallel = ParallelStreamingDetector::with_workers(config, workers)
             .analyze_trace(trace, chunk_events)
             .unwrap();
@@ -2057,19 +2041,23 @@ mod tests {
         assert_eq!(batch.ulcps, parallel.analysis.ulcps, "{label}");
         assert_eq!(batch.edges, parallel.analysis.edges, "{label}");
         assert_eq!(batch.breakdown, parallel.analysis.breakdown, "{label}");
-        // The stream-level accounting matches the sequential engine exactly
-        // (peaks are engine-specific, but what was consumed is not).
-        assert_eq!(sequential.stats.chunks, parallel.stats.chunks, "{label}");
-        assert_eq!(sequential.stats.events, parallel.stats.events, "{label}");
+        // The stream-level accounting is the decoder's, so it does not
+        // depend on the worker count (peaks are summed per worker, but what
+        // was consumed is not).
+        let mut source = TraceChunks::new(trace, chunk_events);
+        let (mut chunks, mut peak_chunk_events) = (0, 0);
+        while let Some(chunk) = source.next_chunk().unwrap() {
+            chunks += 1;
+            peak_chunk_events = peak_chunk_events.max(chunk.num_events());
+        }
+        assert_eq!(parallel.stats.chunks, chunks, "{label}");
         assert_eq!(
-            sequential.stats.sections, parallel.stats.sections,
+            parallel.stats.peak_chunk_events, peak_chunk_events,
             "{label}"
         );
-        assert_eq!(
-            sequential.stats.peak_chunk_events, parallel.stats.peak_chunk_events,
-            "{label}"
-        );
-        assert_eq!(sequential.stats.gaps, parallel.stats.gaps, "{label}");
+        assert_eq!(parallel.stats.events, trace.num_events(), "{label}");
+        assert_eq!(parallel.stats.sections, batch.sections.len(), "{label}");
+        assert_eq!(parallel.stats.gaps, 0, "{label}");
     }
 
     fn mixed_trace() -> Trace {
@@ -2177,15 +2165,17 @@ mod tests {
         // prototypes that were themselves forked from the root.
         let trace = mixed_trace();
         let config = DetectorConfig::default();
-        let sequential = StreamingDetector::new(config)
-            .analyze_trace_with(&trace, 16, SiteAggregator::new(BodyOverlapGain))
-            .unwrap();
-        let parallel = ParallelStreamingDetector::with_workers(config, 3)
-            .analyze_trace_with(&trace, 16, SiteAggregator::new(BodyOverlapGain))
-            .unwrap();
-        assert_eq!(sequential.sink.finish(), parallel.sink.finish());
-        assert_eq!(sequential.breakdown, parallel.breakdown);
-        assert_eq!(sequential.sections, parallel.sections);
+        let batch =
+            Detector::new(config).analyze_with(&trace, SiteAggregator::new(BodyOverlapGain));
+        let table = batch.sink.finish();
+        for workers in [1, 3] {
+            let parallel = ParallelStreamingDetector::with_workers(config, workers)
+                .analyze_trace_with(&trace, 16, SiteAggregator::new(BodyOverlapGain))
+                .unwrap();
+            assert_eq!(table, parallel.sink.finish());
+            assert_eq!(batch.breakdown, parallel.breakdown);
+            assert_eq!(batch.sections, parallel.sections);
+        }
     }
 
     #[test]
@@ -2233,7 +2223,7 @@ mod tests {
             let x = b.shared("x", 0);
             let site = b.site("w.c", "writer", 1);
             b.thread("t0", |t| {
-                t.loop_n(20, |l| {
+                t.loop_n(50, |l| {
                     l.locked(lock, site, |cs| {
                         cs.write_add(x, 1);
                     });
@@ -2246,12 +2236,19 @@ mod tests {
             .analyze_trace(&trace, 8)
             .unwrap();
         assert!(parallel.analysis.ulcps.is_empty());
-        assert_eq!(parallel.analysis.sections.len(), 20);
+        assert_eq!(parallel.analysis.sections.len(), 50);
+        // Sections retire immediately, so the pruned write log never
+        // accumulates the full 50-write history.
+        assert!(
+            parallel.stats.peak_history_entries < 20,
+            "peak history {}",
+            parallel.stats.peak_history_entries
+        );
     }
 
     /// Source adapter yielding the first chunk twice: base indices no longer
-    /// line up, which must be rejected exactly as the sequential engine
-    /// rejects it.
+    /// line up, which must be rejected with the same error at every worker
+    /// count.
     struct DupFirst<'a> {
         inner: TraceChunks<'a>,
         dup: Option<TraceChunk>,
@@ -2297,13 +2294,13 @@ mod tests {
     #[test]
     fn malformed_stream_is_rejected() {
         let trace = mixed_trace();
-        let sequential = StreamingDetector::default()
+        let one = ParallelStreamingDetector::with_workers(DetectorConfig::default(), 1)
             .analyze(&mut DupFirst::new(&trace, 8))
             .unwrap_err();
         let parallel = ParallelStreamingDetector::with_workers(DetectorConfig::default(), 2)
             .analyze(&mut DupFirst::new(&trace, 8))
             .unwrap_err();
-        assert_eq!(sequential, parallel);
+        assert_eq!(one, parallel);
         assert!(matches!(parallel, StreamError::Format(_)));
     }
 

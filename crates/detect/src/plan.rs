@@ -262,7 +262,7 @@ impl<G: GainSource + Clone> UlcpSink for PlanAggregator<G> {
 mod tests {
     use super::*;
     use crate::sink::{BodyOverlapGain, CollectPairs, NoGain};
-    use crate::{DetectorConfig, StreamingDetector};
+    use crate::{DetectorConfig, ParallelStreamingDetector};
     use perfplay_program::ProgramBuilder;
     use perfplay_record::Recorder;
     use perfplay_sim::SimConfig;
@@ -348,12 +348,17 @@ mod tests {
         let config = DetectorConfig::default();
         let batch = Detector::new(config).plan(&trace, BodyOverlapGain);
         for chunk_events in [1usize, 7, 1024] {
-            let streamed = StreamingDetector::new(config)
-                .analyze_trace_with(&trace, chunk_events, PlanAggregator::new(BodyOverlapGain))
-                .unwrap();
-            let (plan, stats) = DetectionPlan::from_streaming(streamed);
-            assert_eq!(plan, batch, "chunk_events = {chunk_events}");
-            assert!(stats.sections > 0);
+            for workers in [1, 2] {
+                let streamed = ParallelStreamingDetector::with_workers(config, workers)
+                    .analyze_trace_with(&trace, chunk_events, PlanAggregator::new(BodyOverlapGain))
+                    .unwrap();
+                let (plan, stats) = DetectionPlan::from_streaming(streamed);
+                assert_eq!(
+                    plan, batch,
+                    "chunk_events = {chunk_events} workers = {workers}"
+                );
+                assert!(stats.sections > 0);
+            }
         }
     }
 

@@ -1,8 +1,8 @@
 //! Sink-based pair emission: where detection output goes.
 //!
 //! Every detection engine in this crate — the batch [`Detector`] (sequential
-//! and `DetectorConfig::parallel`), the [`StreamingDetector`] and the naive
-//! [`reference_analyze`] — emits each classified pair through a [`UlcpSink`]
+//! and `DetectorConfig::parallel`), the [`ParallelStreamingDetector`] and the
+//! naive [`reference_analyze`] — emits each classified pair through a [`UlcpSink`]
 //! instead of pushing into a hard-wired `Vec`. The sink decides what to keep:
 //!
 //! * [`CollectPairs`] materializes every [`Ulcp`] and [`CausalEdge`],
@@ -23,7 +23,7 @@
 //! sinks (saturating-add folds are commutative and associative) ignore it.
 //!
 //! [`Detector`]: crate::Detector
-//! [`StreamingDetector`]: crate::StreamingDetector
+//! [`ParallelStreamingDetector`]: crate::ParallelStreamingDetector
 //! [`reference_analyze`]: crate::reference_analyze
 //! [`UlcpAnalysis`]: crate::UlcpAnalysis
 

@@ -1,51 +1,15 @@
-//! Incremental ULCP identification over a chunked event stream.
+//! Result types of streaming detection.
 //!
-//! [`Detector::analyze`](crate::Detector::analyze) needs the whole [`Trace`]
-//! resident before it can start. [`StreamingDetector`] consumes an
-//! [`EventSource`] chunk by chunk instead, keeping only bounded incremental
-//! state:
-//!
-//! * per-thread extraction state (the stack of open critical sections);
-//! * a [`StreamingHistory`] — the pruned equivalent of
-//!   [`LastWriteIndex`](crate::LastWriteIndex): per shared object, the write
-//!   log *since the earliest point any live pairing search can still query*
-//!   (the horizon), plus the first-read anchor. Everything older is dropped;
-//! * per-lock pairing queues with one cursor per `(section, other-thread)`
-//!   sequential search. A section **retires** — its search state is dropped —
-//!   as soon as no later section can change its outcome: every per-thread
-//!   search has hit a TLCP or the configured scan cap, or the thread can
-//!   produce no further candidates.
-//!
-//! The result is **bit-identical** to [`Detector::analyze`] and
-//! [`reference_analyze`](crate::reference_analyze): section ids are assigned
-//! in the same `(enter_time, thread, acquire_index)` order (the chunk
-//! contract makes this possible without global sorting — equal timestamps
-//! never straddle chunk boundaries), every pair is classified from exactly
-//! the same starting state, and the output is ordered identically. The
-//! equivalence is property-tested in `tests/streaming_equivalence.rs`.
-//!
-//! With `DetectorConfig::parallel` set, [`StreamingDetector::analyze`]
-//! routes to [`ParallelStreamingDetector`](crate::ParallelStreamingDetector)
-//! (sharded per-lock workers, same bit-identical output); the sink-generic
-//! entry points require `S: Send` for that and therefore return a
-//! [`StreamError::Config`] instead — call the parallel detector directly to
-//! supply a sendable sink. Without a `max_scan_per_thread` cap, read-heavy
-//! workloads can keep sections pairing-live for a long time, so the
-//! resident-state bound is strongest with a cap configured (the bench
-//! harness always sets one).
+//! [`ParallelStreamingDetector`](crate::ParallelStreamingDetector) consumes
+//! an `EventSource` chunk by chunk and returns a [`StreamingAnalysis`] (or,
+//! with a caller-supplied sink, a [`StreamingSinkAnalysis`]). Both carry
+//! [`StreamingStats`]: what the stream delivered, what a recovering source
+//! lost, and the peak resident state that shows memory stayed bounded by the
+//! chunk size instead of growing with the event count.
 
-use std::collections::{BTreeMap, VecDeque};
+use perfplay_trace::CriticalSection;
 
-use perfplay_trace::{
-    CriticalSection, Event, EventSource, Footprint, LockId, MemAccess, ObjectId, SectionId,
-    StreamError, StreamGap, StreamItem, ThreadId, Time, Trace, TraceChunk, TraceChunks, TraceError,
-};
-
-use crate::classify::classify_pair;
-use crate::kinds::PairClass;
-use crate::pairing::{CausalEdge, DetectorConfig, Ulcp, UlcpAnalysis, UlcpBreakdown};
-use crate::shadow::StartState;
-use crate::sink::{CollectPairs, SectionCtx, UlcpSink};
+use crate::pairing::{UlcpAnalysis, UlcpBreakdown};
 
 /// Peak-resident-state accounting of one streaming run: the evidence that
 /// memory stayed bounded instead of growing with the event count.
@@ -107,1174 +71,4 @@ pub struct StreamingSinkAnalysis<S> {
     pub sink: S,
     /// Resident-state statistics of the run.
     pub stats: StreamingStats,
-}
-
-/// Pruned per-object shadow-memory history.
-///
-/// Semantically a [`LastWriteIndex`](crate::LastWriteIndex) whose write logs
-/// are truncated below the *horizon* — the earliest virtual time any live
-/// pairing search can still query. Queries always come from live sections'
-/// enter times, so answers are identical to the unpruned index.
-#[derive(Debug, Default)]
-struct StreamingHistory {
-    objects: BTreeMap<ObjectId, ObjectLog>,
-    entries: usize,
-}
-
-#[derive(Debug, Default)]
-struct ObjectLog {
-    /// `(completion time, resulting value)` of retained writes, time order.
-    writes: VecDeque<(Time, i64)>,
-    /// First read ever observed (initial-value anchor); never pruned.
-    first_read: Option<(Time, i64)>,
-}
-
-impl StreamingHistory {
-    fn record_write(&mut self, obj: ObjectId, at: Time, value: i64) {
-        self.objects
-            .entry(obj)
-            .or_default()
-            .writes
-            .push_back((at, value));
-        self.entries += 1;
-    }
-
-    fn record_read(&mut self, obj: ObjectId, at: Time, value: i64) {
-        let log = self.objects.entry(obj).or_default();
-        if log.first_read.is_none() {
-            log.first_read = Some((at, value));
-        }
-    }
-
-    /// Same contract as `LastWriteIndex::value_before`: the last write
-    /// completing strictly before `at`, else the first read strictly before
-    /// `at`, else `None`.
-    fn value_before(&self, obj: ObjectId, at: Time) -> Option<i64> {
-        let log = self.objects.get(&obj)?;
-        let idx = log.writes.partition_point(|&(t, _)| t < at);
-        if idx > 0 {
-            return Some(log.writes[idx - 1].1);
-        }
-        match log.first_read {
-            Some((t, v)) if t < at => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Drops every write that can no longer be an answer: a write is dead
-    /// once a *later* write also precedes the horizon, because all future
-    /// queries happen at `at >= horizon`.
-    fn prune(&mut self, horizon: Time) {
-        for log in self.objects.values_mut() {
-            while log.writes.len() >= 2 && log.writes[1].0 < horizon {
-                log.writes.pop_front();
-                self.entries -= 1;
-            }
-        }
-    }
-}
-
-/// Lazy [`StartState`] view over the pruned history at one virtual time.
-struct StreamStateBefore<'a> {
-    history: &'a StreamingHistory,
-    at: Time,
-}
-
-impl StartState for StreamStateBefore<'_> {
-    fn value(&self, obj: ObjectId) -> i64 {
-        self.history.value_before(obj, self.at).unwrap_or(0)
-    }
-}
-
-/// A critical section currently open on some thread.
-#[derive(Debug)]
-struct OpenSection {
-    lock: LockId,
-    site: perfplay_trace::CodeSiteId,
-    acquire_index: usize,
-    enter_time: Time,
-    depth: usize,
-    reads: Vec<ObjectId>,
-    writes: Vec<ObjectId>,
-    accesses: Vec<MemAccess>,
-    body_cost: Time,
-    /// Assigned at the end of the chunk the acquire arrived in.
-    id: Option<SectionId>,
-}
-
-/// Per-thread extraction state.
-#[derive(Debug, Default)]
-struct ThreadState {
-    next_index: usize,
-    last_time: Time,
-    open: Vec<OpenSection>,
-    exited: bool,
-    /// Set after a stream gap: the next span may jump forward (events were
-    /// lost), after which normal contiguity checking resumes.
-    resync: bool,
-}
-
-/// One `(current, other-thread)` sequential search.
-#[derive(Debug, Default, Clone, Copy)]
-struct Search {
-    /// Classifications performed so far (the unit the scan cap counts).
-    scanned: usize,
-    /// Index into the candidate list of the next candidate to consider.
-    pos: usize,
-    /// True once a TLCP ended the search or the cap was reached.
-    done: bool,
-}
-
-/// A section still acting as the *first* element of future pairs.
-#[derive(Debug)]
-struct Current {
-    thread: ThreadId,
-    enter_time: Time,
-    searches: BTreeMap<ThreadId, Search>,
-}
-
-/// Pairing state of one lock.
-#[derive(Debug, Default)]
-struct LockState {
-    /// Delivered sections per thread, ascending id order — the candidate
-    /// lists the sequential searches walk.
-    candidates: BTreeMap<ThreadId, Vec<SectionId>>,
-    /// Per `(lock, thread)`: ids of sections in creation (= id) order that
-    /// have not been delivered yet, and the subset already closed. Sections
-    /// are delivered strictly in id order so every search sees candidates in
-    /// the order the batch engine would.
-    delivery: BTreeMap<ThreadId, DeliveryQueue>,
-    /// Live currents, by id.
-    currents: BTreeMap<SectionId, Current>,
-    /// Per thread `T`: currents whose search on `T` is still open — exactly
-    /// the set a new candidate from `T` must be offered to. Keeping this
-    /// per-thread (and dropping finished searches from it) makes delivery
-    /// cost proportional to the classifications actually performed instead
-    /// of the number of live currents.
-    subscribers: BTreeMap<ThreadId, Vec<SectionId>>,
-}
-
-#[derive(Debug, Default)]
-struct DeliveryQueue {
-    order: VecDeque<SectionId>,
-    closed: std::collections::BTreeSet<SectionId>,
-}
-
-/// PerfPlay's ULCP identification stage over a chunked event stream.
-#[derive(Debug, Clone, Default)]
-pub struct StreamingDetector {
-    config: DetectorConfig,
-}
-
-struct Engine<S: UlcpSink> {
-    config: DetectorConfig,
-    num_threads: usize,
-    threads: Vec<ThreadState>,
-    sections: Vec<CriticalSection>,
-    /// Whether `sections[i]` has been closed (filled in) yet.
-    closed: Vec<bool>,
-    history: StreamingHistory,
-    locks: BTreeMap<LockId, LockState>,
-    sink: S,
-    breakdown: UlcpBreakdown,
-    stats: StreamingStats,
-    prev_window_end: Option<Time>,
-    live_sections: usize,
-    /// True during the end-of-stream drain (retires there are not counted
-    /// as early).
-    ending: bool,
-}
-
-impl StreamingDetector {
-    /// Creates a streaming detector with the given configuration. With
-    /// `config.parallel` set, [`analyze`](Self::analyze) (and the
-    /// `analyze_trace` wrapper) delegate to
-    /// [`ParallelStreamingDetector`](crate::ParallelStreamingDetector); the
-    /// sink-generic entry points return [`StreamError::Config`] instead
-    /// because they cannot require `S: Send`.
-    pub fn new(config: DetectorConfig) -> Self {
-        StreamingDetector { config }
-    }
-
-    /// Consumes the source to exhaustion and returns the analysis, which is
-    /// bit-identical to [`Detector::analyze`](crate::Detector::analyze) over
-    /// the same events.
-    ///
-    /// With `DetectorConfig::parallel` set this delegates to
-    /// [`ParallelStreamingDetector`](crate::ParallelStreamingDetector) with
-    /// one worker per available core — same output, bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates source errors and rejects streams that violate the chunk
-    /// contract or per-thread timestamp monotonicity.
-    pub fn analyze<Src: EventSource>(
-        &self,
-        source: &mut Src,
-    ) -> Result<StreamingAnalysis, StreamError> {
-        if self.config.parallel {
-            return crate::ParallelStreamingDetector::new(self.config).analyze(source);
-        }
-        let result = self.analyze_with(source, CollectPairs::default())?;
-        Ok(StreamingAnalysis {
-            analysis: UlcpAnalysis {
-                sections: result.sections,
-                ulcps: result.sink.ulcps,
-                edges: result.sink.edges,
-                breakdown: result.breakdown,
-            },
-            stats: result.stats,
-        })
-    }
-
-    /// Consumes the source to exhaustion, emitting every classified pair
-    /// through the caller's sink. With an aggregating sink the resident
-    /// state — pairing cursors, pruned history *and* output — stays bounded
-    /// by the chunk size and the code-site count, never by the pair count.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`analyze`](Self::analyze). Additionally returns
-    /// [`StreamError::Config`] when `DetectorConfig::parallel` is set: this
-    /// entry point cannot require `S: Send`, so a parallel run with a custom
-    /// sink must go through
-    /// [`ParallelStreamingDetector::analyze_with`](crate::ParallelStreamingDetector::analyze_with).
-    pub fn analyze_with<Src: EventSource, S: UlcpSink>(
-        &self,
-        source: &mut Src,
-        sink: S,
-    ) -> Result<StreamingSinkAnalysis<S>, StreamError> {
-        if self.config.parallel {
-            return Err(StreamError::Config(
-                "DetectorConfig::parallel requires a Send sink; use \
-                 ParallelStreamingDetector::analyze_with (or clear `parallel` \
-                 for the sequential engine)"
-                    .into(),
-            ));
-        }
-        let mut engine = Engine::new(self.config, source.num_threads(), sink);
-        while let Some(item) = source.next_item()? {
-            match item {
-                StreamItem::Chunk(chunk) => engine.ingest(chunk)?,
-                StreamItem::Gap(gap) => engine.note_gap(&gap),
-            }
-        }
-        engine.finish()
-    }
-
-    /// Convenience wrapper: streams an in-memory trace through a
-    /// [`TraceChunks`] adapter with the given chunk size.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`analyze`](Self::analyze).
-    pub fn analyze_trace(
-        &self,
-        trace: &Trace,
-        chunk_events: usize,
-    ) -> Result<StreamingAnalysis, StreamError> {
-        self.analyze(&mut TraceChunks::new(trace, chunk_events))
-    }
-
-    /// Convenience wrapper: [`analyze_with`](Self::analyze_with) over a
-    /// [`TraceChunks`] adapter with the given chunk size.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`analyze`](Self::analyze).
-    pub fn analyze_trace_with<S: UlcpSink>(
-        &self,
-        trace: &Trace,
-        chunk_events: usize,
-        sink: S,
-    ) -> Result<StreamingSinkAnalysis<S>, StreamError> {
-        self.analyze_with(&mut TraceChunks::new(trace, chunk_events), sink)
-    }
-}
-
-impl<S: UlcpSink> Engine<S> {
-    fn new(config: DetectorConfig, num_threads: usize, sink: S) -> Self {
-        Engine {
-            config,
-            num_threads,
-            threads: (0..num_threads).map(|_| ThreadState::default()).collect(),
-            sections: Vec::new(),
-            closed: Vec::new(),
-            history: StreamingHistory::default(),
-            locks: BTreeMap::new(),
-            sink,
-            breakdown: UlcpBreakdown::default(),
-            stats: StreamingStats::default(),
-            prev_window_end: None,
-            live_sections: 0,
-            ending: false,
-        }
-    }
-
-    fn ingest(&mut self, chunk: TraceChunk) -> Result<(), StreamError> {
-        if let Some(prev) = self.prev_window_end {
-            if chunk.window_end <= prev && chunk.num_events() > 0 {
-                return Err(StreamError::Format(format!(
-                    "chunk {} window {} does not advance past {}",
-                    chunk.seq, chunk.window_end, prev
-                )));
-            }
-        }
-        self.stats.chunks += 1;
-        self.stats.peak_chunk_events = self.stats.peak_chunk_events.max(chunk.num_events());
-
-        // Phase A: per-thread extraction. Memory events are collected in
-        // thread-major order so the stable time sort below reproduces the
-        // global order `LastWriteIndex::build` uses for ties.
-        let mut chunk_mem: Vec<(Time, ObjectId, i64, bool)> = Vec::new();
-        let mut new_acquires: Vec<(Time, ThreadId, usize)> = Vec::new();
-        let mut closed_now: Vec<(SectionId, ClosedSection)> = Vec::new();
-        let mut closed_unassigned: Vec<(ThreadId, usize, ClosedSection)> = Vec::new();
-
-        let mut prev_thread: Option<ThreadId> = None;
-        for span in &chunk.spans {
-            if prev_thread.is_some_and(|p| span.thread <= p) {
-                return Err(StreamError::Format(format!(
-                    "chunk {} spans not in ascending thread order",
-                    chunk.seq
-                )));
-            }
-            prev_thread = Some(span.thread);
-            let ti = span.thread.index();
-            if ti >= self.num_threads {
-                return Err(StreamError::Format(format!(
-                    "span for out-of-range thread {}",
-                    span.thread
-                )));
-            }
-            if self.threads[ti].resync {
-                // Events of this thread may have been lost in a gap; accept a
-                // forward jump once and resume strict checking after it.
-                if span.base_index < self.threads[ti].next_index {
-                    return Err(StreamError::Format(format!(
-                        "span for {} rewinds across a gap: base {} but {} events seen",
-                        span.thread, span.base_index, self.threads[ti].next_index
-                    )));
-                }
-                self.threads[ti].next_index = span.base_index;
-                self.threads[ti].resync = false;
-            } else if span.base_index != self.threads[ti].next_index {
-                return Err(StreamError::Format(format!(
-                    "non-contiguous span for {}: base {} but {} events seen",
-                    span.thread, span.base_index, self.threads[ti].next_index
-                )));
-            }
-            for (offset, te) in span.events.iter().enumerate() {
-                let idx = span.base_index + offset;
-                let state = &mut self.threads[ti];
-                if te.at < state.last_time {
-                    return Err(StreamError::Trace(TraceError::NonMonotonicTime {
-                        thread: span.thread,
-                        event_index: idx,
-                    }));
-                }
-                if te.at > chunk.window_end || self.prev_window_end.is_some_and(|p| te.at <= p) {
-                    return Err(StreamError::Format(format!(
-                        "event {idx} of {} at {} is outside chunk {}'s window",
-                        span.thread, te.at, chunk.seq
-                    )));
-                }
-                state.last_time = te.at;
-                self.stats.events += 1;
-                match &te.event {
-                    Event::LockAcquire { lock, site } => {
-                        self.breakdown.lock_acquisitions += 1;
-                        state.open.push(OpenSection {
-                            lock: *lock,
-                            site: *site,
-                            acquire_index: idx,
-                            enter_time: te.at,
-                            depth: state.open.len(),
-                            reads: Vec::new(),
-                            writes: Vec::new(),
-                            accesses: Vec::new(),
-                            body_cost: Time::ZERO,
-                            id: None,
-                        });
-                        self.live_sections += 1;
-                        new_acquires.push((te.at, span.thread, idx));
-                    }
-                    Event::LockRelease { lock } => {
-                        if let Some(pos) = state.open.iter().rposition(|o| o.lock == *lock) {
-                            let open = state.open.remove(pos);
-                            let closed = ClosedSection {
-                                thread: span.thread,
-                                release_index: idx,
-                                exit_time: te.at,
-                                open,
-                            };
-                            match closed.open.id {
-                                Some(id) => closed_now.push((id, closed)),
-                                None => closed_unassigned.push((
-                                    span.thread,
-                                    closed.open.acquire_index,
-                                    closed,
-                                )),
-                            }
-                        }
-                    }
-                    Event::Read { obj, value } => {
-                        for o in &mut state.open {
-                            o.reads.push(*obj);
-                            o.accesses.push(MemAccess::Read(*obj));
-                        }
-                        if self.config.use_reversed_replay {
-                            chunk_mem.push((te.at, *obj, *value, false));
-                        }
-                    }
-                    Event::Write { obj, op, value } => {
-                        for o in &mut state.open {
-                            o.writes.push(*obj);
-                            o.accesses.push(MemAccess::Write(*obj, *op));
-                        }
-                        if self.config.use_reversed_replay {
-                            chunk_mem.push((te.at, *obj, *value, true));
-                        }
-                    }
-                    Event::Compute { cost } => {
-                        for o in &mut state.open {
-                            o.body_cost += *cost;
-                        }
-                    }
-                    Event::SkipRegion { saved_cost, .. } => {
-                        for o in &mut state.open {
-                            o.body_cost += *saved_cost;
-                        }
-                    }
-                    Event::ThreadExit => state.exited = true,
-                    _ => {}
-                }
-            }
-            self.threads[ti].next_index += span.events.len();
-        }
-
-        // Phase B.1: extend the shadow-memory history. Sorting only within
-        // the chunk is sound because ties never straddle chunk boundaries.
-        chunk_mem.sort_by_key(|&(at, ..)| at);
-        for (at, obj, value, is_write) in chunk_mem {
-            if is_write {
-                self.history.record_write(obj, at, value);
-            } else {
-                self.history.record_read(obj, at, value);
-            }
-        }
-
-        // Phase B.2: assign section ids. All acquires with `at <=
-        // window_end` have arrived, and later chunks' acquires are strictly
-        // later, so sorting this chunk's acquires by `(at, thread,
-        // acquire_index)` extends the exact global id order
-        // `extract_critical_sections` produces.
-        new_acquires.sort_unstable();
-        let mut closed_lookup: BTreeMap<(ThreadId, usize), ClosedSection> = closed_unassigned
-            .into_iter()
-            .map(|(thread, acq, closed)| ((thread, acq), closed))
-            .collect();
-        for (at, thread, acquire_index) in new_acquires {
-            let id = SectionId::new(self.sections.len() as u32);
-            if let Some(mut closed) = closed_lookup.remove(&(thread, acquire_index)) {
-                closed.open.id = Some(id);
-                self.push_placeholder(&closed.open, thread);
-                closed_now.push((id, closed));
-            } else {
-                let state = &mut self.threads[thread.index()];
-                let open = state
-                    .open
-                    .iter_mut()
-                    .find(|o| o.acquire_index == acquire_index)
-                    .expect("acquire recorded this chunk is open or closed this chunk");
-                open.id = Some(id);
-                let placeholder = OpenSection {
-                    lock: open.lock,
-                    site: open.site,
-                    acquire_index,
-                    enter_time: at,
-                    depth: open.depth,
-                    reads: Vec::new(),
-                    writes: Vec::new(),
-                    accesses: Vec::new(),
-                    body_cost: Time::ZERO,
-                    id: Some(id),
-                };
-                self.push_placeholder(&placeholder, thread);
-            }
-        }
-
-        // Phase B.3: deliver closed sections in id order and run the pairing.
-        closed_now.sort_unstable_by_key(|(id, _)| *id);
-        for (id, closed) in closed_now {
-            self.close_section(id, closed);
-        }
-
-        // Phase B.4: retire currents no later section can change, advance
-        // the history horizon, and prune.
-        self.retire_and_prune(chunk.window_end, false);
-
-        self.stats.peak_live_sections = self.stats.peak_live_sections.max(self.live_sections);
-        self.stats.peak_history_entries = self.stats.peak_history_entries.max(self.history.entries);
-        self.stats.peak_live_pairs = self.stats.peak_live_pairs.max(self.sink.resident_entries());
-        self.prev_window_end = Some(chunk.window_end);
-        Ok(())
-    }
-
-    /// Notes a gap a recovering source reported: the analysis stays sound on
-    /// the events actually seen — detection over the surviving chunks is
-    /// exactly detection over the trace with the lost events removed — but
-    /// per-thread contiguity must tolerate one forward jump per thread.
-    fn note_gap(&mut self, gap: &StreamGap) {
-        self.stats.gaps += 1;
-        self.stats.events_lost += gap.events_lost;
-        for state in &mut self.threads {
-            state.resync = true;
-        }
-    }
-
-    fn push_placeholder(&mut self, open: &OpenSection, thread: ThreadId) {
-        let id = open.id.expect("placeholder has an id");
-        debug_assert_eq!(id.index(), self.sections.len());
-        self.sections.push(CriticalSection {
-            id,
-            thread,
-            lock: open.lock,
-            site: open.site,
-            acquire_index: open.acquire_index,
-            release_index: 0,
-            enter_time: open.enter_time,
-            exit_time: open.enter_time,
-            reads: Footprint::new(),
-            writes: Footprint::new(),
-            accesses: Vec::new(),
-            body_cost: Time::ZERO,
-            depth: open.depth,
-        });
-        self.closed.push(false);
-        self.locks
-            .entry(open.lock)
-            .or_default()
-            .delivery
-            .entry(thread)
-            .or_default()
-            .order
-            .push_back(id);
-    }
-
-    /// Fills the output section and queues it for in-id-order delivery to
-    /// the pairing stage.
-    fn close_section(&mut self, id: SectionId, closed: ClosedSection) {
-        let section = &mut self.sections[id.index()];
-        section.release_index = closed.release_index;
-        section.exit_time = closed.exit_time;
-        section.reads = Footprint::from_unsorted(closed.open.reads);
-        section.writes = Footprint::from_unsorted(closed.open.writes);
-        section.accesses = closed.open.accesses;
-        section.body_cost = closed.open.body_cost;
-        self.closed[id.index()] = true;
-        self.stats.sections += 1;
-
-        let lock = section.lock;
-        let thread = closed.thread;
-        let queue = self
-            .locks
-            .entry(lock)
-            .or_default()
-            .delivery
-            .entry(thread)
-            .or_default();
-        queue.closed.insert(id);
-        // Deliver the head of the creation-order queue while it is closed,
-        // so candidates reach the searches strictly in id order even when
-        // re-entrant nesting closes sections out of order.
-        let mut deliverable = Vec::new();
-        while let Some(&front) = queue.order.front() {
-            if queue.closed.remove(&front) {
-                queue.order.pop_front();
-                deliverable.push(front);
-            } else {
-                break;
-            }
-        }
-        for sid in deliverable {
-            self.deliver(lock, thread, sid);
-        }
-    }
-
-    /// Runs the pairing for one newly delivered section: first as a fresh
-    /// *current* scanning already-delivered later candidates, then as a
-    /// candidate offered to every live earlier current.
-    ///
-    /// Per `(current, other-thread)` search the candidates are consumed in
-    /// id order with the invariant that an unfinished search has always
-    /// consumed the whole candidate list (`pos == list.len()`), so each new
-    /// delivery is exactly the next candidate the batch engine would
-    /// classify.
-    fn deliver(&mut self, lock: LockId, thread: ThreadId, id: SectionId) {
-        self.stats.peak_live_sections = self.stats.peak_live_sections.max(self.live_sections);
-        // Split the engine into disjoint field borrows so the hot pairing
-        // loops resolve the lock state and result sinks once, not per pair.
-        let Engine {
-            config,
-            num_threads,
-            sections,
-            history,
-            locks,
-            sink: out,
-            breakdown,
-            stats,
-            live_sections,
-            ending,
-            ..
-        } = self;
-        let num_threads = *num_threads;
-        let sections: &[CriticalSection] = sections;
-        let history: &StreamingHistory = history;
-        let mut sink = PairEmitter {
-            config: *config,
-            lock,
-            sections,
-            history,
-            out,
-            breakdown,
-        };
-        let lock_state = locks.get_mut(&lock).expect("lock state exists");
-        let enter_time = sections[id.index()].enter_time;
-
-        // The new current scans candidates already delivered. (Under lock
-        // mutual exclusion every already-delivered same-lock section has a
-        // smaller id, so this classifies nothing — but ties and re-entrant
-        // nesting can produce larger-id candidates, and the batch engine
-        // scans those too.)
-        let mut current = Current {
-            thread,
-            enter_time,
-            searches: BTreeMap::new(),
-        };
-        for (&other, list) in &lock_state.candidates {
-            if other == thread {
-                continue;
-            }
-            // The search consumes the whole existing list; only ids past
-            // `id` are classified (the batch filter `candidate.id >
-            // current.id`).
-            let mut search = Search {
-                scanned: 0,
-                pos: list.len(),
-                done: false,
-            };
-            let start = list.partition_point(|&c| c <= id);
-            for &candidate in &list[start..] {
-                if search.done {
-                    break;
-                }
-                if config
-                    .max_scan_per_thread
-                    .is_some_and(|cap| search.scanned >= cap)
-                {
-                    search.done = true;
-                    break;
-                }
-                sink.classify(id, candidate, &mut search);
-            }
-            current.searches.insert(other, search);
-        }
-
-        // Keep the current live only while some search can still advance;
-        // otherwise retire it on the spot. Live currents subscribe to every
-        // thread whose search is still open, so future candidates reach
-        // exactly the searches that want them.
-        let complete = current.searches.len() == num_threads.saturating_sub(1)
-            && current.searches.values().all(|s| s.done);
-        if complete {
-            *live_sections -= 1;
-            if !*ending {
-                stats.retired_before_end += 1;
-            }
-        } else {
-            for u in (0..num_threads as u32).map(ThreadId::new) {
-                if u != thread && current.searches.get(&u).is_none_or(|s| !s.done) {
-                    lock_state.subscribers.entry(u).or_default().push(id);
-                }
-            }
-            lock_state.currents.insert(id, current);
-        }
-
-        // Become a candidate: every current subscribed to this thread
-        // classifies the new section next. Finished searches drop out of
-        // the subscriber list, so delivery costs what the classifications
-        // cost — not the number of live currents.
-        lock_state.candidates.entry(thread).or_default().push(id);
-        let pos = lock_state.candidates[&thread].len() - 1;
-        let subs = std::mem::take(lock_state.subscribers.entry(thread).or_default());
-        let mut keep = Vec::with_capacity(subs.len());
-        for first in subs {
-            let Some(current) = lock_state.currents.get_mut(&first) else {
-                continue; // retired by the exited-thread sweep; stale entry
-            };
-            let search = current.searches.entry(thread).or_default();
-            if search.done {
-                continue; // finished elsewhere; drop the subscription
-            }
-            debug_assert_eq!(search.pos, pos, "unfinished search lags the candidate list");
-            search.pos += 1;
-            if id <= first {
-                // Not a candidate for this current (the batch engine's
-                // `candidate.id > current.id` filter); consumed unclassified.
-                keep.push(first);
-                continue;
-            }
-            if config
-                .max_scan_per_thread
-                .is_some_and(|cap| search.scanned >= cap)
-            {
-                search.done = true;
-            } else {
-                sink.classify(first, id, search);
-            }
-            if !search.done {
-                keep.push(first);
-                continue;
-            }
-            // This search just finished; retire the current if it was the
-            // last one still open.
-            let retire = current.searches.len() == num_threads.saturating_sub(1)
-                && current.searches.values().all(|s| s.done);
-            if retire {
-                lock_state.currents.remove(&first);
-                *live_sections -= 1;
-                if !*ending {
-                    stats.retired_before_end += 1;
-                }
-            }
-        }
-        let slot = lock_state.subscribers.entry(thread).or_default();
-        debug_assert!(slot.is_empty(), "no subscriptions can appear mid-delivery");
-        *slot = keep;
-    }
-
-    /// Retires currents whose outcome no later section can change, then
-    /// advances the history horizon to the earliest time any surviving
-    /// pairing state can still query and prunes the write logs.
-    fn retire_and_prune(&mut self, window_end: Time, at_end: bool) {
-        let exited: Vec<bool> = self.threads.iter().map(|t| t.exited || at_end).collect();
-        for lock_state in self.locks.values_mut() {
-            let delivery = &lock_state.delivery;
-            lock_state.currents.retain(|_, current| {
-                let retire = (0..exited.len()).all(|u| {
-                    let uid = ThreadId::new(u as u32);
-                    if uid == current.thread {
-                        return true;
-                    }
-                    if current.searches.get(&uid).is_some_and(|s| s.done) {
-                        return true;
-                    }
-                    // The thread can produce no further candidates on this
-                    // lock: it has exited and nothing awaits delivery.
-                    exited[u] && delivery.get(&uid).is_none_or(|q| q.order.is_empty())
-                });
-                if retire {
-                    self.live_sections -= 1;
-                    if !at_end {
-                        self.stats.retired_before_end += 1;
-                    }
-                }
-                !retire
-            });
-        }
-
-        // Horizon: the earliest enter time a future classification can query
-        // — any live current, any open section, or any section awaiting
-        // delivery (a future current).
-        let mut horizon: Option<Time> = None;
-        let mut consider = |t: Time| {
-            horizon = Some(horizon.map_or(t, |h: Time| h.min(t)));
-        };
-        for lock_state in self.locks.values() {
-            for current in lock_state.currents.values() {
-                consider(current.enter_time);
-            }
-            for queue in lock_state.delivery.values() {
-                for &id in &queue.order {
-                    consider(self.sections[id.index()].enter_time);
-                }
-            }
-        }
-        for thread in &self.threads {
-            for open in &thread.open {
-                consider(open.enter_time);
-            }
-        }
-        let horizon =
-            horizon.unwrap_or_else(|| Time::from_nanos(window_end.as_nanos().saturating_add(1)));
-        self.history.prune(horizon);
-    }
-
-    fn finish(mut self) -> Result<StreamingSinkAnalysis<S>, StreamError> {
-        self.ending = true;
-        // Flush sections still awaiting delivery: their same-(lock, thread)
-        // predecessors in the creation queues never closed, so those
-        // blockers will never deliver. Deliver the closed remainder in id
-        // order, exactly as the batch engine pairs them.
-        let mut leftovers: Vec<(LockId, ThreadId, SectionId)> = Vec::new();
-        for (&lock, lock_state) in &mut self.locks {
-            for (&thread, queue) in &mut lock_state.delivery {
-                queue.order.retain(|id| {
-                    if queue.closed.remove(id) {
-                        leftovers.push((lock, thread, *id));
-                        false
-                    } else {
-                        false // never closed: drop from the queue too
-                    }
-                });
-            }
-        }
-        leftovers.sort_unstable_by_key(|&(_, _, id)| id);
-        for (lock, thread, id) in leftovers {
-            self.deliver(lock, thread, id);
-        }
-        self.retire_and_prune(Time::MAX, true);
-        self.stats.peak_live_sections = self.stats.peak_live_sections.max(self.live_sections);
-        self.stats.peak_live_pairs = self.stats.peak_live_pairs.max(self.sink.resident_entries());
-
-        // Drop sections that never closed: the batch extractor only emits
-        // completed sections, so ids must be compacted to match (the sink's
-        // remap hook renumbers whatever pair ids it retained).
-        if self.closed.iter().any(|c| !c) {
-            self.compact_unclosed();
-        }
-
-        // The batch engines emit pairs grouped by ascending lock, then by
-        // the first section's timing index, then by the candidate thread,
-        // then by the candidate's timing index; this engine emits in
-        // delivery order. Sealing lets order-preserving sinks reproduce the
-        // canonical order.
-        let sections = std::mem::take(&mut self.sections);
-        self.sink.seal(&sections);
-
-        Ok(StreamingSinkAnalysis {
-            sections,
-            breakdown: self.breakdown,
-            sink: self.sink,
-            stats: self.stats,
-        })
-    }
-
-    /// Removes placeholder sections whose release never arrived and renumbers
-    /// the survivors densely. Relative order is preserved, so every recorded
-    /// pair stays valid under the monotone remapping.
-    fn compact_unclosed(&mut self) {
-        let mut remap: Vec<Option<SectionId>> = Vec::with_capacity(self.sections.len());
-        let mut kept = 0u32;
-        for &closed in &self.closed {
-            if closed {
-                remap.push(Some(SectionId::new(kept)));
-                kept += 1;
-            } else {
-                remap.push(None);
-            }
-        }
-        self.sections.retain(|s| remap[s.id.index()].is_some());
-        for s in &mut self.sections {
-            s.id = remap[s.id.index()].expect("kept section has a mapping");
-        }
-        self.sink.remap_sections(&remap);
-        self.closed.retain(|&c| c);
-    }
-}
-
-/// The classification context of one delivery: borrows the immutable inputs
-/// (sections, pruned history) and the output sink once, so each pair costs
-/// one `classify_pair` plus one sink emission.
-struct PairEmitter<'a, S: UlcpSink> {
-    config: DetectorConfig,
-    lock: LockId,
-    sections: &'a [CriticalSection],
-    history: &'a StreamingHistory,
-    out: &'a mut S,
-    breakdown: &'a mut UlcpBreakdown,
-}
-
-impl<S: UlcpSink> PairEmitter<'_, S> {
-    /// Classifies one `(first, second)` pair exactly as the batch engine
-    /// does, emits the outcome, and updates the search's cap/TLCP state.
-    fn classify(&mut self, first: SectionId, second: SectionId, search: &mut Search) {
-        let state = StreamStateBefore {
-            history: self.history,
-            at: self.sections[first.index()].enter_time,
-        };
-        let ctx = SectionCtx {
-            first: &self.sections[first.index()],
-            second: &self.sections[second.index()],
-        };
-        let class = classify_pair(
-            ctx.first,
-            ctx.second,
-            &state,
-            self.config.use_reversed_replay,
-        );
-        search.scanned += 1;
-        if self
-            .config
-            .max_scan_per_thread
-            .is_some_and(|cap| search.scanned >= cap)
-        {
-            search.done = true;
-        }
-        match class {
-            PairClass::Tlcp => {
-                search.done = true;
-                self.out.emit_edge(
-                    CausalEdge {
-                        from: first,
-                        to: second,
-                        lock: self.lock,
-                    },
-                    &ctx,
-                );
-                self.breakdown.tlcp_edges += 1;
-            }
-            PairClass::Ulcp(kind) => {
-                self.breakdown.add(kind);
-                self.out.emit(
-                    Ulcp {
-                        first,
-                        second,
-                        lock: self.lock,
-                        kind,
-                    },
-                    &ctx,
-                );
-            }
-        }
-    }
-}
-
-/// A section whose release event has arrived.
-#[derive(Debug)]
-struct ClosedSection {
-    thread: ThreadId,
-    release_index: usize,
-    exit_time: Time,
-    open: OpenSection,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::Detector;
-    use perfplay_program::ProgramBuilder;
-    use perfplay_record::Recorder;
-    use perfplay_sim::SimConfig;
-
-    fn record(build: impl FnOnce(&mut ProgramBuilder)) -> Trace {
-        let mut b = ProgramBuilder::new("stream-test");
-        build(&mut b);
-        Recorder::new(SimConfig::default())
-            .record(&b.build())
-            .unwrap()
-            .trace
-    }
-
-    fn assert_identical(trace: &Trace, config: DetectorConfig, chunk_events: usize) {
-        let batch = Detector::new(config).analyze(trace);
-        let streamed = StreamingDetector::new(config)
-            .analyze_trace(trace, chunk_events)
-            .unwrap();
-        assert_eq!(batch.sections, streamed.analysis.sections);
-        assert_eq!(batch.ulcps, streamed.analysis.ulcps);
-        assert_eq!(batch.edges, streamed.analysis.edges);
-        assert_eq!(batch.breakdown, streamed.analysis.breakdown);
-    }
-
-    fn mixed_trace() -> Trace {
-        record(|b| {
-            let locks: Vec<_> = (0..3).map(|i| b.lock(format!("l{i}"))).collect();
-            let objs: Vec<_> = (0..5)
-                .map(|i| b.shared(format!("o{i}"), i as i64))
-                .collect();
-            let site = b.site("s.c", "f", 1);
-            for t in 0..3 {
-                let locks = locks.clone();
-                let objs = objs.clone();
-                b.thread(format!("t{t}"), |tb| {
-                    for k in 0..6usize {
-                        let lock = locks[k % locks.len()];
-                        let obj = objs[(t + k) % objs.len()];
-                        tb.locked(lock, site, |cs| match k % 4 {
-                            0 => {
-                                cs.read(obj);
-                            }
-                            1 => {
-                                cs.write_set(obj, 1);
-                            }
-                            2 => {
-                                cs.write_add(obj, 1);
-                            }
-                            _ => {
-                                cs.compute_ns(10);
-                            }
-                        });
-                        tb.compute_ns(25);
-                    }
-                });
-            }
-        })
-    }
-
-    #[test]
-    fn streaming_matches_batch_across_chunk_sizes() {
-        let trace = mixed_trace();
-        for chunk_events in [1, 2, 3, 7, 16, 64, 100_000] {
-            assert_identical(&trace, DetectorConfig::default(), chunk_events);
-        }
-    }
-
-    #[test]
-    fn streaming_matches_batch_with_scan_cap_and_ablation() {
-        let trace = mixed_trace();
-        for config in [
-            DetectorConfig {
-                max_scan_per_thread: Some(2),
-                ..DetectorConfig::default()
-            },
-            DetectorConfig {
-                use_reversed_replay: false,
-                ..DetectorConfig::default()
-            },
-            DetectorConfig {
-                max_scan_per_thread: Some(1),
-                use_reversed_replay: false,
-                ..DetectorConfig::default()
-            },
-        ] {
-            for chunk_events in [1, 5, 33] {
-                assert_identical(&trace, config, chunk_events);
-            }
-        }
-    }
-
-    #[test]
-    fn benign_pairs_survive_streaming_state_reconstruction() {
-        // The benign check queries shadow memory at the first section's
-        // enter time — long before the pair is classified. This exercises
-        // the pruned history answering a strictly-in-the-past query.
-        let trace = record(|b| {
-            let lock = b.lock("m");
-            let flag = b.shared("done", 0);
-            let site = b.site("bw.c", "set_done", 1);
-            for i in 0..2 {
-                b.thread(format!("t{i}"), |t| {
-                    t.compute_ns(10 + i as u64 * 500);
-                    t.locked(lock, site, |cs| {
-                        cs.write_set(flag, 1);
-                    });
-                    t.compute_ns(300);
-                });
-            }
-        });
-        for chunk_events in [1, 2, 8] {
-            assert_identical(&trace, DetectorConfig::default(), chunk_events);
-        }
-        let streamed = StreamingDetector::default()
-            .analyze_trace(&trace, 2)
-            .unwrap();
-        assert_eq!(streamed.analysis.breakdown.benign, 1);
-    }
-
-    #[test]
-    fn resident_state_is_bounded_with_a_scan_cap() {
-        let trace = record(|b| {
-            let lock = b.lock("m");
-            let x = b.shared("x", 0);
-            let site = b.site("rr.c", "reader", 1);
-            for i in 0..2 {
-                b.thread(format!("t{i}"), |t| {
-                    t.loop_n(60, |l| {
-                        l.locked(lock, site, |cs| {
-                            cs.read(x);
-                            cs.compute_ns(100);
-                        });
-                        l.compute_ns(50);
-                    });
-                });
-            }
-        });
-        let config = DetectorConfig {
-            max_scan_per_thread: Some(2),
-            ..DetectorConfig::default()
-        };
-        let streamed = StreamingDetector::new(config)
-            .analyze_trace(&trace, 16)
-            .unwrap();
-        let total = streamed.analysis.sections.len();
-        assert_eq!(total, 120);
-        assert!(
-            streamed.stats.peak_live_sections < total / 2,
-            "peak live {} should be far below {total}",
-            streamed.stats.peak_live_sections
-        );
-        assert!(streamed.stats.retired_before_end > 0);
-        assert_eq!(streamed.stats.events, trace.num_events());
-        assert_eq!(streamed.stats.sections, total);
-        // And the result still matches the batch engine exactly.
-        assert_identical(&trace, config, 16);
-    }
-
-    #[test]
-    fn history_prunes_old_writes() {
-        let trace = record(|b| {
-            let lock = b.lock("m");
-            let x = b.shared("x", 0);
-            let site = b.site("w.c", "writer", 1);
-            b.thread("t0", |t| {
-                t.loop_n(50, |l| {
-                    l.locked(lock, site, |cs| {
-                        cs.write_add(x, 1);
-                    });
-                    l.compute_ns(40);
-                });
-            });
-        });
-        let streamed = StreamingDetector::default()
-            .analyze_trace(&trace, 8)
-            .unwrap();
-        // Single thread: no pairs, sections retire immediately, and the
-        // write log never accumulates the full 50-write history.
-        assert!(streamed.stats.peak_history_entries < 20);
-        assert!(streamed.analysis.ulcps.is_empty());
-    }
-
-    #[test]
-    fn malformed_stream_is_rejected() {
-        let trace = mixed_trace();
-        // Duplicate the first chunk: base indices no longer line up.
-        let mut source = TraceChunks::new(&trace, 8);
-        let first = source.next_chunk().unwrap().unwrap();
-        let mut engine = Engine::new(
-            DetectorConfig::default(),
-            trace.num_threads(),
-            CollectPairs::default(),
-        );
-        engine.ingest(first.clone()).unwrap();
-        let err = engine.ingest(first).unwrap_err();
-        assert!(matches!(err, StreamError::Format(_)));
-    }
-
-    #[test]
-    fn non_monotonic_thread_times_are_reported() {
-        let mut trace = mixed_trace();
-        let n = trace.threads[1].events.len();
-        trace.threads[1].events[n - 2].at = Time::ZERO;
-        let err = StreamingDetector::default()
-            .analyze_trace(&trace, 1_000_000)
-            .unwrap_err();
-        match err {
-            StreamError::Trace(TraceError::NonMonotonicTime { thread, .. }) => {
-                assert_eq!(thread, ThreadId::new(1));
-            }
-            other => panic!("expected NonMonotonicTime, got {other:?}"),
-        }
-    }
 }

@@ -561,7 +561,6 @@ fn stream_error_code(e: &StreamError) -> DiagnosticCode {
         StreamError::Trace(TraceError::NonMonotonicTime { .. }) => DiagnosticCode::NonMonotonicTime,
         StreamError::Trace(_) => DiagnosticCode::NonContiguousSpan,
         StreamError::Format(_) => DiagnosticCode::WindowNotAdvancing,
-        StreamError::Config(_) => DiagnosticCode::Io,
         StreamError::At { .. } => DiagnosticCode::Io, // unreachable: root_cause unwraps
     }
 }

@@ -24,8 +24,7 @@ use std::sync::Mutex;
 
 use perfplay_detect::{
     BodyOverlapGain, DetectionPlan, Detector, DetectorConfig, GainSource,
-    ParallelStreamingDetector, PlanAggregator, SiteAggregates, StreamingDetector, StreamingStats,
-    UlcpBreakdown,
+    ParallelStreamingDetector, PlanAggregator, SiteAggregates, StreamingStats, UlcpBreakdown,
 };
 use perfplay_lint::{
     analyze_schedule, lint_chunk_file, lint_chunk_file_pipelined, lint_trace, Diagnostic,
@@ -143,22 +142,10 @@ pub struct PipelineConfig {
     /// Schedule of the original-trace replay (the paper uses ELSC).
     pub original_schedule: ScheduleKind,
     /// When set, detection streams the trace chunk-by-chunk with this chunk
-    /// size (bounded pairing state); when `None`, the batch engine runs
-    /// (honouring [`DetectorConfig::parallel`]).
+    /// size (bounded pairing state) through [`ParallelStreamingDetector`],
+    /// sized by [`stream_workers`](Self::stream_workers); when `None`, the
+    /// batch engine runs (honouring [`DetectorConfig::parallel`]).
     pub chunk_events: Option<usize>,
-    /// Worker count for streaming detection (only meaningful with
-    /// `chunk_events` set): `0` follows [`DetectorConfig::parallel`] (one
-    /// worker per available core when set, the sequential engine otherwise);
-    /// `1` forces the sequential engine; `n > 1` runs
-    /// [`ParallelStreamingDetector`] with `n` sharded per-lock workers.
-    /// Output is bit-identical either way.
-    pub parallel_streams: usize,
-    /// Decode-worker pool size for the pipelined chunk-file reader used
-    /// when [`stream_workers`](Self::stream_workers) resolves to parallel
-    /// detection: `0` sizes the pool from
-    /// [`perfplay_trace::default_decode_workers`]; output is bit-identical
-    /// for every value.
-    pub decode_workers: usize,
     /// Opt-in static preflight: lint the input trace (or chunk file) before
     /// detection and the transformed schedule before the ULCP-free replay.
     /// Error-severity findings abort the run with
@@ -176,8 +163,6 @@ impl Default for PipelineConfig {
             use_dls: true,
             original_schedule: ScheduleKind::ElscS,
             chunk_events: None,
-            parallel_streams: 0,
-            decode_workers: 0,
             preflight: false,
         }
     }
@@ -203,19 +188,16 @@ fn preflight_errors(report: perfplay_lint::LintReport) -> Option<Vec<Diagnostic>
 }
 
 impl PipelineConfig {
-    /// The resolved streaming worker count: `Some(n)` means parallel
-    /// streaming detection with `n` workers, `None` means the sequential
-    /// streaming engine.
+    /// The resolved streaming worker count: with
+    /// [`DetectorConfig::parallel`] set, `Some(n)` with one worker per
+    /// available core; otherwise `None`, which means one worker. Output is
+    /// bit-identical either way.
     pub fn stream_workers(&self) -> Option<usize> {
-        match self.parallel_streams {
-            0 => self.detector.parallel.then(|| {
-                std::thread::available_parallelism()
-                    .map(NonZeroUsize::get)
-                    .unwrap_or(1)
-            }),
-            1 => None,
-            n => Some(n),
-        }
+        self.detector.parallel.then(|| {
+            std::thread::available_parallelism()
+                .map(NonZeroUsize::get)
+                .unwrap_or(1)
+        })
     }
 }
 
@@ -257,16 +239,9 @@ pub fn analyze_plan_with<G: GainSource + Clone + Send + Sync>(
     }
     let (plan, streaming) = match config.chunk_events {
         Some(chunk_events) => {
-            let sink = PlanAggregator::new(gain);
-            let streamed = match config.stream_workers() {
-                Some(workers) => ParallelStreamingDetector::with_workers(config.detector, workers)
-                    .analyze_trace_with(trace, chunk_events, sink)?,
-                None => StreamingDetector::new(DetectorConfig {
-                    parallel: false,
-                    ..config.detector
-                })
-                .analyze_trace_with(trace, chunk_events, sink)?,
-            };
+            let workers = config.stream_workers().unwrap_or(1);
+            let streamed = ParallelStreamingDetector::with_workers(config.detector, workers)
+                .analyze_trace_with(trace, chunk_events, PlanAggregator::new(gain))?;
             let (plan, stats) = DetectionPlan::from_streaming(streamed);
             (plan, Some(stats))
         }
@@ -484,11 +459,10 @@ impl ChunkBatchAnalysis {
 /// Runs detection-only analysis over on-disk chunk files and fuses the
 /// per-file aggregate tables into one ranked report — the batch sweep for
 /// traces that were spilled at record time and never loaded back into
-/// memory. Each file streams through [`StreamingDetector`] — or, with
-/// [`PipelineConfig::parallel_streams`] resolving to more than one worker,
-/// through [`ParallelStreamingDetector`] — under the given
-/// [`RecoveryPolicy`]; a file that still fails (or panics a detector stage)
-/// becomes one [`BatchItemError`] while the other files complete and fuse.
+/// memory. Each file streams through [`ParallelStreamingDetector`], sized by
+/// [`PipelineConfig::stream_workers`], under the given [`RecoveryPolicy`]; a
+/// file that still fails (or panics a detector stage) becomes one
+/// [`BatchItemError`] while the other files complete and fuse.
 pub fn analyze_chunk_files<P: AsRef<Path>>(
     paths: &[P],
     config: &PipelineConfig,
@@ -502,9 +476,7 @@ pub fn analyze_chunk_files<P: AsRef<Path>>(
             // The preflight scan uses the same reader family as the
             // detection run that follows: pipelined when parallel.
             let report = match config.stream_workers() {
-                Some(_) => {
-                    lint_chunk_file_pipelined(&path, &LintConfig::default(), config.decode_workers)
-                }
+                Some(_) => lint_chunk_file_pipelined(&path, &LintConfig::default(), 0),
                 None => lint_chunk_file(&path, &LintConfig::default()),
             };
             if let Some(errors) = preflight_errors(report) {
@@ -517,28 +489,21 @@ pub fn analyze_chunk_files<P: AsRef<Path>>(
         }
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let sink = PlanAggregator::new(BodyOverlapGain);
-            // The parallel detector gets the pipelined reader so framing,
-            // decode, and detection overlap; the sequential engine keeps the
-            // single-threaded reader (pipeline hand-off buys nothing there).
-            // Both pairings yield bit-identical streams and reports.
+            // Parallel detection gets the pipelined reader (decode pool
+            // sized from `default_decode_workers`) so framing, decode, and
+            // detection overlap; one worker keeps the single-threaded reader
+            // (pipeline hand-off buys nothing there). Both pairings yield
+            // bit-identical streams and reports.
             let streamed = match config.stream_workers() {
                 Some(workers) => {
-                    let mut reader = PipelinedChunkReader::with_options(
-                        &path,
-                        policy,
-                        None,
-                        config.decode_workers,
-                    )?;
+                    let mut reader = PipelinedChunkReader::with_options(&path, policy, None, 0)?;
                     ParallelStreamingDetector::with_workers(config.detector, workers)
                         .analyze_with(&mut reader, sink)?
                 }
                 None => {
                     let mut reader = ChunkFileReader::with_policy(&path, policy)?;
-                    StreamingDetector::new(DetectorConfig {
-                        parallel: false,
-                        ..config.detector
-                    })
-                    .analyze_with(&mut reader, sink)?
+                    ParallelStreamingDetector::with_workers(config.detector, 1)
+                        .analyze_with(&mut reader, sink)?
                 }
             };
             let (plan, stats) = DetectionPlan::from_streaming(streamed);
@@ -643,10 +608,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_streaming_pipeline_matches_sequential_streaming_and_batch() {
+    fn parallel_streaming_pipeline_matches_one_worker_and_batch() {
         let trace = record(7);
         let batch = analyze_plan(&trace, &PipelineConfig::default()).unwrap();
-        let sequential = analyze_plan(
+        let one_worker = analyze_plan(
             &trace,
             &PipelineConfig {
                 chunk_events: Some(17),
@@ -654,40 +619,26 @@ mod tests {
             },
         )
         .unwrap();
-        for parallel_streams in [2, 3] {
-            let parallel = analyze_plan(
-                &trace,
-                &PipelineConfig {
-                    chunk_events: Some(17),
-                    parallel_streams,
-                    ..PipelineConfig::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(parallel.plan, batch.plan);
-            assert_eq!(parallel.report, sequential.report);
-            let stats = parallel.streaming.unwrap();
-            let seq_stats = sequential.streaming.unwrap();
-            assert_eq!(stats.chunks, seq_stats.chunks);
-            assert_eq!(stats.events, seq_stats.events);
-            assert_eq!(stats.sections, seq_stats.sections);
-        }
-        // `detector.parallel` with the default knob resolves to the parallel
-        // path too (one worker per core), same output.
-        let flagged = analyze_plan(
-            &trace,
-            &PipelineConfig {
-                chunk_events: Some(17),
-                detector: DetectorConfig {
-                    parallel: true,
-                    ..DetectorConfig::default()
-                },
-                ..PipelineConfig::default()
+        assert_eq!(one_worker.plan, batch.plan);
+        // `detector.parallel` resolves to one worker per core, same output.
+        let config = PipelineConfig {
+            chunk_events: Some(17),
+            detector: DetectorConfig {
+                parallel: true,
+                ..DetectorConfig::default()
             },
-        )
-        .unwrap();
-        assert_eq!(flagged.plan, batch.plan);
-        assert_eq!(flagged.report, sequential.report);
+            ..PipelineConfig::default()
+        };
+        assert!(config.stream_workers().is_some());
+        let parallel = analyze_plan(&trace, &config).unwrap();
+        assert_eq!(parallel.plan, batch.plan);
+        assert_eq!(parallel.report, one_worker.report);
+        let stats = parallel.streaming.unwrap();
+        let one_stats = one_worker.streaming.unwrap();
+        assert_eq!(stats.chunks, one_stats.chunks);
+        assert_eq!(stats.events, one_stats.events);
+        assert_eq!(stats.sections, one_stats.sections);
+        assert_eq!(PipelineConfig::default().stream_workers(), None);
     }
 
     #[test]
@@ -708,7 +659,10 @@ mod tests {
         let parallel = analyze_chunk_files(
             &paths,
             &PipelineConfig {
-                parallel_streams: 2,
+                detector: DetectorConfig {
+                    parallel: true,
+                    ..DetectorConfig::default()
+                },
                 ..PipelineConfig::default()
             },
             RecoveryPolicy::Fail,

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use perfplay_detect::{
     BodyOverlapGain, Detector, DetectorConfig, GainSource, NoGain, ParallelStreamingDetector,
-    SectionCtx, SiteAggregates, SiteAggregator, StreamingDetector, Ulcp, UlcpAnalysis, UlcpKind,
+    SectionCtx, SiteAggregates, SiteAggregator, Ulcp, UlcpAnalysis, UlcpKind,
 };
 use perfplay_record::Recorder;
 use perfplay_replay::{ReplaySchedule, Replayer, UlcpFreeReplayer};
@@ -119,27 +119,17 @@ fn assert_aggregates_match<G: GainSource + Clone + Send + Sync>(
     let edge_total: u64 = aggregates.edges.iter().map(|row| row.edges).sum();
     prop_assert_eq!(edge_total as usize, analysis.breakdown.tlcp_edges);
 
-    // The streaming engines fold into the identical table, regardless of
-    // chunking (their emission order differs; saturating folds commute).
-    // The sink-generic sequential entry point requires `parallel` cleared
-    // (it returns `StreamError::Config` otherwise); the parallel engine is
-    // exercised regardless of the flag, which it ignores.
-    let sequential = DetectorConfig {
-        parallel: false,
-        ..config
-    };
-    let streamed = StreamingDetector::new(sequential)
-        .analyze_trace_with(trace, 7, SiteAggregator::new(gain.clone()))
-        .unwrap();
-    prop_assert_eq!(streamed.breakdown, analysis.breakdown);
-    let streamed_table = streamed.sink.finish();
-    prop_assert_eq!(&streamed_table, &aggregates);
-    let parallel = ParallelStreamingDetector::with_workers(config, 3)
-        .analyze_trace_with(trace, 7, SiteAggregator::new(gain))
-        .unwrap();
-    prop_assert_eq!(parallel.breakdown, analysis.breakdown);
-    let parallel_table = parallel.sink.finish();
-    prop_assert_eq!(&parallel_table, &aggregates);
+    // The streaming engine folds into the identical table at every worker
+    // count, regardless of chunking (its emission order differs; saturating
+    // folds commute). It ignores `parallel`.
+    for workers in [1, 3] {
+        let streamed = ParallelStreamingDetector::with_workers(config, workers)
+            .analyze_trace_with(trace, 7, SiteAggregator::new(gain.clone()))
+            .unwrap();
+        prop_assert_eq!(streamed.breakdown, analysis.breakdown);
+        let streamed_table = streamed.sink.finish();
+        prop_assert_eq!(&streamed_table, &aggregates);
+    }
     Ok(())
 }
 

@@ -102,11 +102,6 @@ pub enum StreamError {
     Format(String),
     /// The streamed events violated a trace invariant.
     Trace(TraceError),
-    /// The consumer was configured in a way it cannot honour (e.g. a
-    /// parallel flag on an entry point that cannot satisfy it). The message
-    /// names the unsupported combination and the entry point that supports
-    /// it.
-    Config(String),
     /// An error located in a specific file: the path and byte offset make
     /// failures attributable when a daemon ingests many streams at once.
     At {
@@ -141,7 +136,6 @@ impl std::fmt::Display for StreamError {
             }
             StreamError::Format(msg) => write!(f, "malformed event stream: {msg}"),
             StreamError::Trace(e) => write!(f, "streamed trace is invalid: {e}"),
-            StreamError::Config(msg) => write!(f, "unsupported configuration: {msg}"),
             StreamError::At {
                 path,
                 line,

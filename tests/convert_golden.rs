@@ -112,7 +112,7 @@ fn converted_golden_fixture_is_event_identical() {
     // Detection parity: streaming either artifact yields the same analysis.
     let analyze = |path: &std::path::Path| {
         let mut reader = ChunkFileReader::open(path).expect("open for analysis");
-        StreamingDetector::new(DetectorConfig::default())
+        ParallelStreamingDetector::with_workers(DetectorConfig::default(), 1)
             .analyze(&mut reader)
             .expect("clean artifact streams")
     };

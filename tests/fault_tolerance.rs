@@ -6,6 +6,7 @@
 //! gap-annotated report, or a structured [`StreamError`], and identical
 //! inputs end identically (the fault layer is fully seeded).
 
+use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -110,16 +111,13 @@ fn corpus() -> &'static Corpus {
 
 /// Ingests one chunk file under `catch_unwind` and reduces the ending to a
 /// comparable string: `report …` / `gap-report …` / `error …` / `panic`.
-/// Equal strings mean bit-identical analysis content. `workers == 0` runs
-/// the sequential streaming engine; otherwise the sharded-parallel one.
+/// Equal strings mean bit-identical analysis content. `workers` is the
+/// streaming detector's worker count.
 fn run_file(path: &Path, policy: RecoveryPolicy, workers: usize) -> String {
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<_, StreamError> {
         let mut reader = ChunkFileReader::with_policy(path, policy)?;
-        let streamed = if workers == 0 {
-            StreamingDetector::new(config()).analyze(&mut reader)?
-        } else {
-            ParallelStreamingDetector::with_workers(config(), workers).analyze(&mut reader)?
-        };
+        let streamed =
+            ParallelStreamingDetector::with_workers(config(), workers).analyze(&mut reader)?;
         Ok(format!(
             "events={} gaps={} lost={} ulcps={} edges={} {:?}",
             streamed.stats.events,
@@ -138,19 +136,39 @@ fn run_file(path: &Path, policy: RecoveryPolicy, workers: usize) -> String {
     }
 }
 
+/// The expected outcome of every chaos-matrix cell, keyed
+/// `"<format> <fault> <seed> <policy>"`. The fixture was recorded from the
+/// sequential streaming engine before it was retired, so it keeps the
+/// matrix checkable cell for cell against an independent engine's outcomes.
+fn chaos_golden() -> BTreeMap<String, String> {
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/chaos-matrix-outcomes.txt");
+    std::fs::read_to_string(path)
+        .unwrap()
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .map(|line| {
+            let (cell, outcome) = line.split_once('\t').expect("cell<TAB>outcome");
+            (cell.to_string(), outcome.to_string())
+        })
+        .collect()
+}
+
 /// The full chaos matrix: every fault kind realized on disk **in both
-/// formats**, ingested under every recovery policy by both streaming
-/// engines, twice. Nothing panics, reruns are identical, and the
-/// sharded-parallel engine ends every cell — report, gap-report or
-/// structured error — exactly like the sequential one.
+/// formats**, ingested under every recovery policy at one and at two
+/// workers. Nothing panics, reruns are identical, and every cell — report,
+/// gap-report or structured error — ends exactly as the checked-in golden
+/// file records it.
 ///
 /// Outcomes are *not* asserted equal across formats: a bit flip lands on
 /// different bytes in different encodings, so its detectability legitimately
-/// differs. The invariants (no panic, determinism, engine parity) hold for
+/// differs. The invariants (no panic, determinism, golden parity) hold for
 /// each format independently.
 #[test]
 fn chaos_matrix_never_panics_and_is_deterministic() {
     let corpus = corpus();
+    let golden = chaos_golden();
+    assert_eq!(golden.len(), 2 * FaultKind::ALL.len() * 3 * POLICIES.len());
     for (ext, clean) in [("jsonl", &corpus.path), ("pbin", &corpus.pbin_path)] {
         for kind in FaultKind::ALL {
             for seed in [1u64, 7, 42] {
@@ -160,23 +178,22 @@ fn chaos_matrix_never_panics_and_is_deterministic() {
                     std::process::id()
                 ));
                 let fault = corrupt_chunk_file(clean, &dst, kind, seed).unwrap();
+                // The fixture names the corrupted file `<path>`.
+                let shown = dst.display().to_string();
+                let run =
+                    |policy, workers| run_file(&dst, policy, workers).replace(&shown, "<path>");
                 for policy in POLICIES {
-                    let first = run_file(&dst, policy, 0);
-                    assert!(
-                        first != "panic",
-                        "{ext} {kind} seed {seed} under {policy:?} panicked ({fault})"
-                    );
-                    let second = run_file(&dst, policy, 0);
+                    let cell = format!("{ext} {} {seed} {policy:?}", kind.name());
+                    let expected = &golden[&cell];
+                    let first = run(policy, 1);
+                    assert!(first != "panic", "{cell} panicked ({fault})");
                     assert_eq!(
-                        first, second,
-                        "{ext} {kind} seed {seed} under {policy:?} is nondeterministic ({fault})"
+                        first,
+                        run(policy, 1),
+                        "{cell} is nondeterministic ({fault})"
                     );
-                    let parallel = run_file(&dst, policy, 2);
-                    assert_eq!(
-                        first, parallel,
-                        "{ext} {kind} seed {seed} under {policy:?}: parallel streaming \
-                         diverged from sequential ({fault})"
-                    );
+                    assert_eq!(&first, expected, "{cell} at one worker ({fault})");
+                    assert_eq!(&run(policy, 2), expected, "{cell} at two workers ({fault})");
                 }
                 std::fs::remove_file(&dst).ok();
             }
@@ -197,7 +214,8 @@ fn in_flight_faults_never_panic_and_are_deterministic() {
                     std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<_, StreamError> {
                         let reader = ChunkFileReader::open(&corpus.path)?;
                         let mut source = FaultInjector::new(reader, plan);
-                        let streamed = StreamingDetector::new(config()).analyze(&mut source)?;
+                        let streamed = ParallelStreamingDetector::with_workers(config(), 1)
+                            .analyze(&mut source)?;
                         Ok((streamed.analysis.breakdown, streamed.stats.events))
                     }));
                 match outcome {
@@ -240,7 +258,7 @@ fn skip_chunk_recovery_matches_detection_with_the_chunk_removed() {
     std::fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
 
     let mut reader = ChunkFileReader::with_policy(&path, RecoveryPolicy::SkipChunk).unwrap();
-    let streamed = StreamingDetector::new(config())
+    let streamed = ParallelStreamingDetector::with_workers(config(), 1)
         .analyze(&mut reader)
         .unwrap();
     std::fs::remove_file(&path).ok();
@@ -316,7 +334,7 @@ fn pbin_skip_chunk_recovery_accounts_for_the_exact_loss() {
     std::fs::write(&path, &bytes).unwrap();
 
     let mut reader = ChunkFileReader::with_policy(&path, RecoveryPolicy::SkipChunk).unwrap();
-    let streamed = StreamingDetector::new(config())
+    let streamed = ParallelStreamingDetector::with_workers(config(), 1)
         .analyze(&mut reader)
         .unwrap();
     std::fs::remove_file(&path).ok();
@@ -388,7 +406,7 @@ fn truncation_at_every_boundary_is_contained() {
                 .sum();
 
             for policy in POLICIES {
-                let out = run_file(&dst, policy, 0);
+                let out = run_file(&dst, policy, 1);
                 assert!(
                     out != "panic",
                     "keep {keep} cut {cut:?} under {policy:?} panicked"
@@ -504,7 +522,7 @@ fn pbin_truncation_at_every_byte_offset_is_contained() {
             .map(TraceChunk::num_events)
             .sum();
         for policy in POLICIES {
-            let out = run_file(&dst, policy, 0);
+            let out = run_file(&dst, policy, 1);
             assert!(out != "panic", "cut {cut} under {policy:?} panicked");
             if complete {
                 assert!(
@@ -557,14 +575,14 @@ fn pbin_single_bit_flips_are_contained_at_every_byte_offset() {
         let mut bytes = sweep.bytes.clone();
         bytes[pos] ^= 1 << (pos % 8);
         std::fs::write(&dst, &bytes).unwrap();
-        let skip = run_file(&dst, RecoveryPolicy::SkipChunk, 0);
+        let skip = run_file(&dst, RecoveryPolicy::SkipChunk, 1);
         assert!(skip != "panic", "flip at {pos} panicked under SkipChunk");
         assert_eq!(
             skip,
-            run_file(&dst, RecoveryPolicy::SkipChunk, 0),
+            run_file(&dst, RecoveryPolicy::SkipChunk, 1),
             "flip at {pos} is nondeterministic"
         );
-        let fail = run_file(&dst, RecoveryPolicy::Fail, 0);
+        let fail = run_file(&dst, RecoveryPolicy::Fail, 1);
         assert!(fail != "panic", "flip at {pos} panicked under Fail");
         if pos >= header_end {
             assert!(
@@ -621,7 +639,7 @@ proptest! {
         seed in 0u64..10_000,
         kind_index in 0usize..FaultKind::ALL.len(),
         policy_index in 0usize..3,
-        workers in prop_oneof![Just(0usize), Just(2)],
+        workers in prop_oneof![Just(1usize), Just(2)],
         use_pbin in prop_oneof![Just(false), Just(true)],
     ) {
         let corpus = corpus();

@@ -101,7 +101,7 @@ fn describe(streamed: &StreamingAnalysis, gaps: &[perfplay_trace::StreamGap], lo
 fn run_sequential(path: &Path, policy: RecoveryPolicy) -> String {
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<_, StreamError> {
         let mut reader = ChunkFileReader::with_policy(path, policy)?;
-        let streamed = StreamingDetector::new(config()).analyze(&mut reader)?;
+        let streamed = ParallelStreamingDetector::with_workers(config(), 1).analyze(&mut reader)?;
         Ok(describe(&streamed, reader.gaps(), reader.events_lost()))
     }));
     match outcome {
@@ -112,8 +112,8 @@ fn run_sequential(path: &Path, policy: RecoveryPolicy) -> String {
 }
 
 /// Drives the **pipelined** file path: `decode_workers` sizes the decode
-/// pool, `detect_workers == 0` keeps the sequential detector (isolating the
-/// reader comparison), otherwise the sharded-parallel detector runs too.
+/// pool and `detect_workers` the streaming detector (`1` matches the
+/// sequential path's detector, isolating the reader comparison).
 fn run_pipelined(
     path: &Path,
     policy: RecoveryPolicy,
@@ -122,12 +122,8 @@ fn run_pipelined(
 ) -> String {
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<_, StreamError> {
         let mut reader = PipelinedChunkReader::with_options(path, policy, None, decode_workers)?;
-        let streamed = if detect_workers == 0 {
-            StreamingDetector::new(config()).analyze(&mut reader)?
-        } else {
-            ParallelStreamingDetector::with_workers(config(), detect_workers)
-                .analyze(&mut reader)?
-        };
+        let streamed = ParallelStreamingDetector::with_workers(config(), detect_workers)
+            .analyze(&mut reader)?;
         Ok(describe(&streamed, reader.gaps(), reader.events_lost()))
     }));
     match outcome {
@@ -138,7 +134,8 @@ fn run_pipelined(
 }
 
 /// Clean corpus, both formats: the pipelined reader (every decode-pool
-/// size, with both detectors) ends exactly like the sequential path, and
+/// size, at one and two detection workers) ends exactly like the sequential
+/// path, and
 /// both reproduce the in-memory parallel analysis.
 #[test]
 fn pipelined_equals_sequential_equals_in_memory_on_clean_corpus() {
@@ -160,7 +157,7 @@ fn pipelined_equals_sequential_equals_in_memory_on_clean_corpus() {
         for workers in DECODE_WORKERS {
             assert_eq!(
                 sequential,
-                run_pipelined(path, RecoveryPolicy::Fail, workers, 0),
+                run_pipelined(path, RecoveryPolicy::Fail, workers, 1),
                 "{ext}: pipelined reader ({workers} decode workers) diverged"
             );
             assert_eq!(
@@ -192,7 +189,7 @@ fn chaos_matrix_pipelined_matches_sequential_cell_for_cell() {
                     );
                     assert_eq!(
                         sequential,
-                        run_pipelined(&dst, policy, 2, 0),
+                        run_pipelined(&dst, policy, 2, 1),
                         "{ext} {kind} seed {seed} under {policy:?}: pipelined reader \
                          diverged from sequential ({fault})"
                     );
@@ -224,12 +221,13 @@ fn gap_accounting_is_identical_between_readers() {
             let dst = temp_path(&format!("gaps-{frac}"), ext);
             std::fs::write(&dst, &bad).unwrap();
 
+            let detector = ParallelStreamingDetector::with_workers(config(), 1);
             let mut seq = ChunkFileReader::with_policy(&dst, RecoveryPolicy::SkipChunk).unwrap();
-            let seq_run = StreamingDetector::new(config()).analyze(&mut seq);
+            let seq_run = detector.analyze(&mut seq);
             let mut pip =
                 PipelinedChunkReader::with_options(&dst, RecoveryPolicy::SkipChunk, None, 2)
                     .unwrap();
-            let pip_run = StreamingDetector::new(config()).analyze(&mut pip);
+            let pip_run = detector.analyze(&mut pip);
 
             assert_eq!(
                 seq_run.is_ok(),
@@ -297,9 +295,9 @@ fn truncation_at_every_byte_matches_sequential_framing() {
     }
 }
 
-/// `analyze_chunk_files` with pipelined parallel streaming fuses exactly
-/// like the default sequential sweep, and quarantines a corrupt file with
-/// the identical per-file error.
+/// `analyze_chunk_files` with `detector.parallel` set (pipelined reader, one
+/// detection worker per core) fuses exactly like the default one-worker
+/// sweep, and quarantines a corrupt file with the identical per-file error.
 #[test]
 fn chunk_file_batch_is_identical_with_pipelined_streams() {
     let dir = std::env::temp_dir().join(format!("perfplay-pingest-batch-{}", std::process::id()));
@@ -317,8 +315,10 @@ fn chunk_file_batch_is_identical_with_pipelined_streams() {
         paths.push(path);
     }
     let pipelined_config = PipelineConfig {
-        parallel_streams: 2,
-        decode_workers: 2,
+        detector: DetectorConfig {
+            parallel: true,
+            ..DetectorConfig::default()
+        },
         ..PipelineConfig::default()
     };
     let sequential = analyze_chunk_files(&paths, &PipelineConfig::default(), RecoveryPolicy::Fail);

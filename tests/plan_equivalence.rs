@@ -92,17 +92,19 @@ proptest! {
         .plan(&trace, BodyOverlapGain);
         prop_assert_eq!(&parallel, &plan);
 
-        // Streaming engine at an arbitrary chunk size produces the
-        // identical plan.
-        let streamed = StreamingDetector::new(config)
-            .analyze_trace_with(&trace, chunk_events, PlanAggregator::new(BodyOverlapGain))
-            .unwrap();
-        let (stream_plan, _) = DetectionPlan::from_streaming(streamed);
-        prop_assert_eq!(&stream_plan, &plan);
-        assert_transforms_identical(
-            &transformer.transform_from_plan(&trace, &stream_plan),
-            &expected,
-        )?;
+        // Streaming engine at an arbitrary chunk size, at one worker and
+        // at two, produces the identical plan.
+        for workers in [1, 2] {
+            let streamed = ParallelStreamingDetector::with_workers(config, workers)
+                .analyze_trace_with(&trace, chunk_events, PlanAggregator::new(BodyOverlapGain))
+                .unwrap();
+            let (stream_plan, _) = DetectionPlan::from_streaming(streamed);
+            prop_assert_eq!(&stream_plan, &plan);
+            assert_transforms_identical(
+                &transformer.transform_from_plan(&trace, &stream_plan),
+                &expected,
+            )?;
+        }
     }
 
     /// The single-pass pipeline report equals the two-pass flow (materialize

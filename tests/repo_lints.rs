@@ -7,7 +7,10 @@
 //!   reintroduce a panic path;
 //! * the replay engine and its two policies name no `BTreeMap` outside test
 //!   code: their per-event tables are indexed by dense ids, and an ordered
-//!   map keyed by one must not quietly return to the hot path.
+//!   map keyed by one must not quietly return to the hot path;
+//! * the retired sequential streaming engine stays retired: no source file,
+//!   test, example or README names it (`ParallelStreamingDetector` at one
+//!   worker replaced it).
 
 use std::path::{Path, PathBuf};
 
@@ -141,6 +144,53 @@ fn replay_hot_path_names_no_ordered_map() {
     assert!(
         offenders.is_empty(),
         "BTreeMap on the replay engine's per-event path (index by the dense id instead):\n{}",
+        offenders.join("\n")
+    );
+}
+
+/// The retired sequential streaming engine's type name, assembled so that
+/// this file does not name it either.
+const RETIRED_ENGINE: &str = concat!("Streaming", "Detector");
+
+fn files_under(dir: &Path, out: &mut Vec<PathBuf>) {
+    let entries =
+        std::fs::read_dir(dir).unwrap_or_else(|e| panic!("cannot list {}: {e}", dir.display()));
+    for entry in entries.filter_map(Result::ok) {
+        let path = entry.path();
+        if path.is_dir() {
+            files_under(&path, out);
+        } else {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn retired_streaming_engine_is_named_nowhere() {
+    let root = workspace_root();
+    let mut files = vec![root.join("README.md")];
+    for dir in ["crates", "tests", "src", "examples"] {
+        files_under(&root.join(dir), &mut files);
+    }
+    let mut offenders: Vec<String> = Vec::new();
+    for path in files {
+        // Binary files cannot name a type.
+        let Ok(text) = std::fs::read_to_string(&path) else {
+            continue;
+        };
+        for (i, line) in text.lines().enumerate() {
+            let named = line
+                .match_indices(RETIRED_ENGINE)
+                .any(|(at, _)| !line[..at].ends_with("Parallel"));
+            if named {
+                offenders.push(format!("{}:{}: {}", relative(&path), i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "the retired sequential streaming engine is named (use \
+         ParallelStreamingDetector::with_workers(config, 1)):\n{}",
         offenders.join("\n")
     );
 }

@@ -1,6 +1,7 @@
 //! Property tests: all detection engines agree through both sinks when the
 //! `max_scan_per_thread` cap truncates sequential searches — including
-//! truncations landing exactly on a chunk boundary of the streaming engine —
+//! truncations landing exactly on a chunk boundary of the streaming engine at
+//! one worker and at two —
 //! and that the aggregating sink's table equals an independent ordered-map
 //! fold of the materialized pairs.
 
@@ -23,8 +24,8 @@ fn record(seed: u64, config: &GeneratorConfig) -> Trace {
 
 /// Runs every engine with a `CollectPairs` and a `SiteAggregator` sink and
 /// asserts full agreement: identical pair lists across the batch
-/// (sequential and parallel), reference and streaming engines, and one
-/// identical aggregate table from all of them.
+/// (sequential and parallel), reference and streaming (one and two workers)
+/// engines, and one identical aggregate table from all of them.
 fn assert_all_engines_agree(
     trace: &Trace,
     config: DetectorConfig,
@@ -37,11 +38,15 @@ fn assert_all_engines_agree(
     })
     .analyze(trace);
     let reference = reference_analyze(trace, config);
-    let streamed = StreamingDetector::new(config)
-        .analyze_trace(trace, chunk_events)
-        .unwrap();
+    let streamed = |workers| {
+        ParallelStreamingDetector::with_workers(config, workers)
+            .analyze_trace(trace, chunk_events)
+            .unwrap()
+            .analysis
+    };
+    let (one, two) = (streamed(1), streamed(2));
 
-    for other in [&parallel, &reference, &streamed.analysis] {
+    for other in [&parallel, &reference, &one, &two] {
         prop_assert_eq!(&sequential.ulcps, &other.ulcps);
         prop_assert_eq!(&sequential.edges, &other.edges);
         prop_assert_eq!(&sequential.breakdown, &other.breakdown);
@@ -60,13 +65,15 @@ fn assert_all_engines_agree(
     .analyze_with(trace, SiteAggregator::new(gain))
     .sink
     .finish();
-    let streamed_agg = StreamingDetector::new(config)
-        .analyze_trace_with(trace, chunk_events, SiteAggregator::new(gain))
-        .unwrap()
-        .sink
-        .finish();
     prop_assert_eq!(&batch_agg, &parallel_agg);
-    prop_assert_eq!(&batch_agg, &streamed_agg);
+    for workers in [1, 2] {
+        let streamed_agg = ParallelStreamingDetector::with_workers(config, workers)
+            .analyze_trace_with(trace, chunk_events, SiteAggregator::new(gain))
+            .unwrap()
+            .sink
+            .finish();
+        prop_assert_eq!(&batch_agg, &streamed_agg);
+    }
     prop_assert_eq!(batch_agg.total_pairs() as usize, sequential.ulcps.len());
     Ok(())
 }
@@ -165,27 +172,19 @@ fn scan_cap_truncation_is_exact_at_every_chunk_boundary() {
         };
         let batch = Detector::new(config).analyze(&trace);
         for chunk_events in 1..=trace.num_events() {
-            let streamed = StreamingDetector::new(config)
-                .analyze_trace(&trace, chunk_events)
-                .unwrap();
-            assert_eq!(
-                batch.ulcps, streamed.analysis.ulcps,
-                "cap {cap}, chunk {chunk_events}"
-            );
-            assert_eq!(
-                batch.edges, streamed.analysis.edges,
-                "cap {cap}, chunk {chunk_events}"
-            );
-            let agg = StreamingDetector::new(config)
-                .analyze_trace_with(&trace, chunk_events, SiteAggregator::new(NoGain))
-                .unwrap()
-                .sink
-                .finish();
-            assert_eq!(
-                agg.total_pairs() as usize,
-                batch.ulcps.len(),
-                "cap {cap}, chunk {chunk_events}"
-            );
+            for workers in [1, 2] {
+                let label = format!("cap {cap}, chunk {chunk_events}, workers {workers}");
+                let detector = ParallelStreamingDetector::with_workers(config, workers);
+                let streamed = detector.analyze_trace(&trace, chunk_events).unwrap();
+                assert_eq!(batch.ulcps, streamed.analysis.ulcps, "{label}");
+                assert_eq!(batch.edges, streamed.analysis.edges, "{label}");
+                let agg = detector
+                    .analyze_trace_with(&trace, chunk_events, SiteAggregator::new(NoGain))
+                    .unwrap()
+                    .sink
+                    .finish();
+                assert_eq!(agg.total_pairs() as usize, batch.ulcps.len(), "{label}");
+            }
         }
     }
 }
@@ -273,13 +272,6 @@ fn assert_aggregator_matches_oracle(
             "parallel",
             Detector::new(parallel).analyze_with(trace, sink()).sink,
         ),
-        (
-            "streaming",
-            StreamingDetector::new(config)
-                .analyze_trace_with(trace, chunk_events, sink())
-                .unwrap()
-                .sink,
-        ),
         ("pstream w=1", pstream(1)),
         ("pstream w=2", pstream(2)),
     ];
@@ -325,8 +317,8 @@ proptest! {
 /// `StreamingStats::peak_live_pairs` of a plan run counts aggregate cells,
 /// edge rows and the retained edge and benign pairs at every per-chunk (and
 /// per-worker-lane) sample; a bare aggregator run counts cells and edge rows
-/// only. The values are pinned from the ordered-map implementation of the
-/// aggregator, so a resident count that drifts from "one per non-empty
+/// only. The plan values are pinned from the ordered-map implementation of
+/// the aggregator, so a resident count that drifts from "one per non-empty
 /// `(site, site, kind)` cell plus one per edge row" fails here.
 #[test]
 fn plan_peak_live_pairs_is_pinned() {
@@ -344,11 +336,6 @@ fn plan_peak_live_pairs_is_pinned() {
         ..DetectorConfig::default()
     };
     let sink = || PlanAggregator::new(BodyOverlapGain);
-    let streaming = StreamingDetector::new(config)
-        .analyze_trace_with(&trace, 64, sink())
-        .unwrap()
-        .stats
-        .peak_live_pairs;
     let pstream = |workers| {
         ParallelStreamingDetector::with_workers(config, workers)
             .analyze_trace_with(&trace, 64, sink())
@@ -356,13 +343,10 @@ fn plan_peak_live_pairs_is_pinned() {
             .stats
             .peak_live_pairs
     };
-    let aggregator_only = StreamingDetector::new(config)
+    let aggregator_only = ParallelStreamingDetector::with_workers(config, 1)
         .analyze_trace_with(&trace, 64, SiteAggregator::new(NoGain))
         .unwrap()
         .stats
         .peak_live_pairs;
-    assert_eq!(
-        (streaming, pstream(1), pstream(2), aggregator_only),
-        (449, 738, 738, 203)
-    );
+    assert_eq!((pstream(1), pstream(2), aggregator_only), (738, 738, 492));
 }

@@ -1,7 +1,7 @@
-//! Property tests: the streaming detector — sequential and sharded-parallel
-//! — is bit-identical to both in-memory engines on arbitrary generated
-//! workloads, across arbitrary chunk sizes and worker counts, and through
-//! the chunked-file spill/re-ingest roundtrip, gaps included.
+//! Property tests: the streaming detector — at one worker and sharded across
+//! several — is bit-identical to both in-memory engines on arbitrary
+//! generated workloads, across arbitrary chunk sizes and worker counts, and
+//! through the chunked-file spill/re-ingest roundtrip, gaps included.
 
 use proptest::prelude::*;
 
@@ -64,7 +64,7 @@ fn report_pipeline_accepts_streaming_output_unchanged() {
         },
     );
     let batch = Detector::default().analyze(&trace);
-    let streamed = StreamingDetector::default()
+    let streamed = ParallelStreamingDetector::with_workers(DetectorConfig::default(), 1)
         .analyze_trace(&trace, 64)
         .unwrap()
         .analysis;
@@ -88,8 +88,8 @@ fn report_pipeline_accepts_streaming_output_unchanged() {
     assert_eq!(from_batch.recommendations, from_stream.recommendations);
     assert_eq!(from_batch.impact, from_stream.impact);
     assert_eq!(from_batch.render(&trace), from_stream.render(&trace));
-    // PerfReport parity extends through the sharded parallel engine: same
-    // pairs in, same report out.
+    // PerfReport parity extends through the sharded fan-out: same pairs in,
+    // same report out.
     let from_parallel = build_report(&parallel);
     assert_eq!(from_batch, from_parallel);
 }
@@ -97,35 +97,34 @@ fn report_pipeline_accepts_streaming_output_unchanged() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// The streaming detectors — sequential and sharded-parallel at any
-    /// worker count — reproduce the in-memory engine (and, through the
-    /// existing equivalence, the naive snapshot-cloning reference)
-    /// bit-for-bit regardless of chunking.
+    /// The streaming detector — at one worker and sharded across several —
+    /// reproduces the in-memory engine and the naive snapshot-cloning
+    /// reference bit-for-bit regardless of chunking.
     #[test]
     fn streaming_is_bit_identical_to_both_engines(
         seed in 0u64..5_000,
         gen in generator_config(),
         config in detector_configs(),
         chunk_events in 1usize..400,
-        workers in prop_oneof![Just(1usize), Just(2), Just(4)],
+        workers in prop_oneof![Just(2usize), Just(3), Just(4)],
     ) {
         let trace = record(seed, &gen);
         let batch = Detector::new(config).analyze(&trace);
         let naive = reference_analyze(&trace, config);
         assert_analyses_equal("naive vs batch", &naive, &batch)?;
 
-        let streamed = StreamingDetector::new(config)
+        let streamed = ParallelStreamingDetector::with_workers(config, 1)
             .analyze_trace(&trace, chunk_events)
             .unwrap();
-        assert_analyses_equal("stream vs batch", &streamed.analysis, &batch)?;
+        assert_analyses_equal("one worker vs batch", &streamed.analysis, &batch)?;
 
         // The resident-state accounting covers the whole stream.
         prop_assert_eq!(streamed.stats.events, trace.num_events());
         prop_assert_eq!(streamed.stats.sections, batch.sections.len());
         prop_assert!(streamed.stats.peak_chunk_events <= trace.num_events());
 
-        // The sharded-parallel engine agrees with everything above, at one
-        // worker (pure pipeline), a middle shard count, and beyond #locks.
+        // The sharded fan-out agrees with everything above, at a shard count
+        // below, at and beyond #locks.
         let parallel = ParallelStreamingDetector::with_workers(config, workers)
             .analyze_trace(&trace, chunk_events)
             .unwrap();
@@ -169,7 +168,9 @@ proptest! {
         };
         let batch = Detector::new(config).analyze(&trace);
         let mut reader = ChunkFileReader::open(&path).unwrap();
-        let streamed = StreamingDetector::new(config).analyze(&mut reader).unwrap();
+        let streamed = ParallelStreamingDetector::with_workers(config, 1)
+            .analyze(&mut reader)
+            .unwrap();
         std::fs::remove_file(&path).ok();
         assert_analyses_equal("file stream vs batch", &streamed.analysis, &batch)?;
     }
@@ -179,7 +180,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The binary spill roundtrip: `Trace -> ChunkedWriter(pbin) ->
-    /// ChunkFileReader -> StreamingDetector` is bit-identical to the
+    /// ChunkFileReader -> ParallelStreamingDetector` is bit-identical to the
     /// in-memory batch engine, the reassembled trace is exactly the
     /// original, the JSON spill of the same trace streams to the identical
     /// analysis, and the full report pipeline (transform, both replays,
@@ -212,12 +213,13 @@ proptest! {
         let batch = Detector::new(config).analyze(&trace);
         let mut reader = ChunkFileReader::open(&pbin).unwrap();
         prop_assert_eq!(reader.format(), ChunkFormat::Pbin);
-        let streamed = StreamingDetector::new(config).analyze(&mut reader).unwrap();
+        let detector = ParallelStreamingDetector::with_workers(config, 1);
+        let streamed = detector.analyze(&mut reader).unwrap();
         assert_analyses_equal("pbin stream vs batch", &streamed.analysis, &batch)?;
 
         // The JSON twin of the same trace streams to the identical analysis.
         let mut reader = ChunkFileReader::open(&json).unwrap();
-        let json_streamed = StreamingDetector::new(config).analyze(&mut reader).unwrap();
+        let json_streamed = detector.analyze(&mut reader).unwrap();
         std::fs::remove_file(&pbin).ok();
         std::fs::remove_file(&json).ok();
         assert_analyses_equal(
@@ -240,9 +242,9 @@ proptest! {
 }
 
 /// Gap equivalence: over the *same* corrupted chunk file recovered under
-/// `SkipChunk`, the sharded-parallel engine reproduces the sequential
-/// streaming engine bit-for-bit — analysis content, gap count and loss
-/// accounting all agree, per fault kind and worker count.
+/// `SkipChunk`, the sharded fan-out reproduces the sequential (one-worker)
+/// run bit-for-bit — analysis content, gap count and loss accounting all
+/// agree, per fault kind and worker count.
 #[test]
 fn parallel_streaming_matches_sequential_over_gapped_streams() {
     let trace = record(
@@ -274,13 +276,15 @@ fn parallel_streaming_matches_sequential_over_gapped_streams() {
             corrupt_chunk_file(&clean, &dst, kind, seed).unwrap();
 
             let mut reader = ChunkFileReader::with_policy(&dst, RecoveryPolicy::SkipChunk).unwrap();
-            let sequential = StreamingDetector::new(config).analyze(&mut reader).unwrap();
+            let sequential = ParallelStreamingDetector::with_workers(config, 1)
+                .analyze(&mut reader)
+                .unwrap();
             assert!(
                 sequential.stats.is_gapped(),
                 "{kind} seed {seed} must actually lose events"
             );
 
-            for workers in [1usize, 2, 4] {
+            for workers in [2usize, 3, 4] {
                 let mut reader =
                     ChunkFileReader::with_policy(&dst, RecoveryPolicy::SkipChunk).unwrap();
                 let parallel = ParallelStreamingDetector::with_workers(config, workers)
@@ -298,46 +302,6 @@ fn parallel_streaming_matches_sequential_over_gapped_streams() {
         }
     }
     std::fs::remove_file(&clean).ok();
-}
-
-/// The documented `DetectorConfig::parallel` × streaming matrix: the plain
-/// entry points route the flag to the sharded engine (identical output), and
-/// the sink-generic sequential entry points reject it with a structured
-/// [`StreamError::Config`] instead of silently ignoring it.
-#[test]
-fn parallel_flag_routes_or_errors_per_the_documented_matrix() {
-    let trace = record(
-        31,
-        &GeneratorConfig {
-            threads: 3,
-            locks: 2,
-            objects: 4,
-            sections_per_thread: 8,
-        },
-    );
-    let flagged = DetectorConfig {
-        parallel: true,
-        ..DetectorConfig::default()
-    };
-
-    // `analyze` delegates to the sharded engine: same result as unflagged.
-    let routed = StreamingDetector::new(flagged)
-        .analyze_trace(&trace, 32)
-        .unwrap();
-    let sequential = StreamingDetector::new(DetectorConfig::default())
-        .analyze_trace(&trace, 32)
-        .unwrap();
-    assert_eq!(routed.analysis, sequential.analysis);
-
-    // The sink-generic path cannot promise `Send`, so the flag is a
-    // structured config error there — not a silent sequential run.
-    let err = StreamingDetector::new(flagged)
-        .analyze_trace_with(&trace, 32, perfplay_detect::CollectPairs::default())
-        .expect_err("parallel + analyze_with must be rejected");
-    assert!(
-        matches!(err, StreamError::Config(_)),
-        "expected StreamError::Config, got {err:?}"
-    );
 }
 
 /// Spills a small trace to a chunk file and returns its path and lines.
