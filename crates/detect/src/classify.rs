@@ -1,6 +1,11 @@
 //! Algorithm 1 (ULCP identification) and the reversed-replay benign check.
-
-use std::collections::BTreeMap;
+//!
+//! The reversed replay allocates nothing for the footprints real sections
+//! have. It keeps the pair's union footprint and three value arrays (the
+//! starting state and the memory of each order) in stack storage, and
+//! reads a value by binary search over the sorted union. A larger union
+//! runs the same code on heap buffers. The two orders run in lockstep,
+//! so each read is compared when it happens and no read log is kept.
 
 use perfplay_trace::{CriticalSection, Footprint, MemAccess, ObjectId};
 
@@ -36,52 +41,9 @@ pub fn classify_by_sets(c1: &CriticalSection, c2: &CriticalSection) -> PairClass
     PairClass::Tlcp
 }
 
-/// The observable outcome of executing two critical sections in a given
-/// order: the values each section read, plus the final memory over the
-/// touched footprint.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct PairOutcome {
-    reads_first_section: Vec<i64>,
-    reads_second_section: Vec<i64>,
-    final_memory: Vec<i64>,
-}
-
-fn execute_accesses(
-    accesses: &[MemAccess],
-    memory: &mut BTreeMap<ObjectId, i64>,
-    reads: &mut Vec<i64>,
-) {
-    for access in accesses {
-        match access {
-            MemAccess::Read(obj) => reads.push(memory.get(obj).copied().unwrap_or(0)),
-            MemAccess::Write(obj, op) => {
-                let slot = memory.entry(*obj).or_insert(0);
-                *slot = op.apply(*slot);
-            }
-        }
-    }
-}
-
-fn run_order(
-    a: &CriticalSection,
-    b: &CriticalSection,
-    start: &BTreeMap<ObjectId, i64>,
-    footprint: &[ObjectId],
-) -> PairOutcome {
-    let mut memory = start.clone();
-    let mut reads_a = Vec::new();
-    let mut reads_b = Vec::new();
-    execute_accesses(&a.accesses, &mut memory, &mut reads_a);
-    execute_accesses(&b.accesses, &mut memory, &mut reads_b);
-    PairOutcome {
-        reads_first_section: reads_a,
-        reads_second_section: reads_b,
-        final_memory: footprint
-            .iter()
-            .map(|obj| memory.get(obj).copied().unwrap_or(0))
-            .collect(),
-    }
-}
+/// Union footprints up to this many objects (counted with repeats across
+/// the four sets) replay in stack storage; larger ones on the heap.
+const INLINE_OBJECTS: usize = 32;
 
 /// The reversed-replay check of Section 3.1: replays the two conflicting
 /// critical sections in both orders from the memory state the original
@@ -92,33 +54,112 @@ fn run_order(
 /// a benign ULCP; otherwise it is a true lock contention pair.
 ///
 /// Only the values of the pair's combined footprint are fetched from
-/// `state_before` — with a lazy [`StateBefore`](crate::StateBefore) view that
-/// is O(F log E) for a footprint of F objects, instead of materializing the
-/// whole shadow memory.
+/// `state_before` — one lookup per object of the footprint, instead of
+/// materializing the whole shadow memory. Every access must name an object of
+/// its section's `reads` or `writes`, as extracted sections do; a pair with an
+/// access outside the footprints cannot be proven benign and is a TLCP.
 pub fn refine_conflicting_pair<S: StartState>(
     c1: &CriticalSection,
     c2: &CriticalSection,
     state_before: &S,
 ) -> PairClass {
-    let footprint = Footprint::union_of(&[&c1.reads, &c1.writes, &c2.reads, &c2.writes]);
-    let start: BTreeMap<ObjectId, i64> = footprint
-        .iter()
-        .map(|&obj| (obj, state_before.value(obj)))
-        .collect();
-
-    let forward = run_order(c1, c2, &start, &footprint);
-    let reversed = run_order(c2, c1, &start, &footprint);
-
-    let same_memory = forward.final_memory == reversed.final_memory;
-    // In the reversed order the roles swap: c1 runs second, c2 runs first.
-    let same_reads_c1 = forward.reads_first_section == reversed.reads_second_section;
-    let same_reads_c2 = forward.reads_second_section == reversed.reads_first_section;
-
-    if same_memory && same_reads_c1 && same_reads_c2 {
+    let parts = [&c1.reads, &c1.writes, &c2.reads, &c2.writes];
+    let total: usize = parts.iter().map(|p| p.len()).sum();
+    let benign = if total <= INLINE_OBJECTS {
+        let mut objs = [ObjectId::new(0); INLINE_OBJECTS];
+        let mut values = [0i64; 3 * INLINE_OBJECTS];
+        orders_agree(c1, c2, state_before, parts, &mut objs[..total], &mut values)
+    } else {
+        let mut objs = vec![ObjectId::new(0); total];
+        let mut values = vec![0i64; 3 * total];
+        orders_agree(c1, c2, state_before, parts, &mut objs, &mut values)
+    };
+    if benign.is_some() {
         PairClass::Ulcp(UlcpKind::Benign)
     } else {
         PairClass::Tlcp
     }
+}
+
+/// Runs `c1; c2` and `c2; c1` from `state_before` over the union of `parts`.
+/// `Some` when every read of each section sees the same value in both
+/// orders and the final memory is the same. `objs` holds exactly the
+/// concatenated parts; `values` holds at least three times as many slots.
+fn orders_agree<S: StartState>(
+    c1: &CriticalSection,
+    c2: &CriticalSection,
+    state_before: &S,
+    parts: [&Footprint; 4],
+    objs: &mut [ObjectId],
+    values: &mut [i64],
+) -> Option<()> {
+    let mut n = 0;
+    for obj in parts.into_iter().flat_map(Footprint::iter) {
+        objs[n] = obj;
+        n += 1;
+    }
+    objs.sort_unstable();
+    let mut len = 0;
+    for i in 0..n {
+        if len == 0 || objs[i] != objs[len - 1] {
+            objs[len] = objs[i];
+            len += 1;
+        }
+    }
+    let objs = &objs[..len];
+    let (start, rest) = values.split_at_mut(len);
+    let (fwd, rest) = rest.split_at_mut(len);
+    let rev = &mut rest[..len];
+    for (value, &obj) in start.iter_mut().zip(objs) {
+        *value = state_before.value(obj);
+    }
+
+    // The reversed order runs c2 first.
+    rev.copy_from_slice(start);
+    for access in &c2.accesses {
+        if let MemAccess::Write(obj, op) = *access {
+            let i = slot(objs, obj)?;
+            rev[i] = op.apply(rev[i]);
+        }
+    }
+    // c1 runs first in the forward order and second in the reversed one.
+    fwd.copy_from_slice(start);
+    run_lockstep(&c1.accesses, objs, fwd, rev)?;
+    // c2 runs second in the forward order. Its reads in the reversed order
+    // saw the starting state, which `start` still holds.
+    run_lockstep(&c2.accesses, objs, fwd, start)?;
+    (fwd == rev).then_some(())
+}
+
+/// Index of `obj` in the sorted union footprint.
+fn slot(objs: &[ObjectId], obj: ObjectId) -> Option<usize> {
+    objs.binary_search(&obj).ok()
+}
+
+/// Runs one section's accesses on two memories at once; `None` at the first
+/// read that sees different values in them.
+fn run_lockstep(
+    accesses: &[MemAccess],
+    objs: &[ObjectId],
+    a: &mut [i64],
+    b: &mut [i64],
+) -> Option<()> {
+    for access in accesses {
+        match *access {
+            MemAccess::Read(obj) => {
+                let i = slot(objs, obj)?;
+                if a[i] != b[i] {
+                    return None;
+                }
+            }
+            MemAccess::Write(obj, op) => {
+                let i = slot(objs, obj)?;
+                a[i] = op.apply(a[i]);
+                b[i] = op.apply(b[i]);
+            }
+        }
+    }
+    Some(())
 }
 
 /// Full pair classification: Algorithm 1 followed by the reversed-replay
@@ -142,22 +183,34 @@ pub fn classify_pair<S: StartState>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::refine_naive;
     use crate::shadow::MemorySnapshot;
     use perfplay_trace::{CodeSiteId, LockId, SectionId, ThreadId, Time, WriteOp};
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng, SmallRng};
 
     fn section(id: u32, thread: u32, reads: &[u64], writes: &[(u64, WriteOp)]) -> CriticalSection {
-        let mut accesses = Vec::new();
-        let mut read_objs = Vec::new();
-        let mut write_objs = Vec::new();
-        for &r in reads {
-            let obj = ObjectId::new(r);
-            read_objs.push(obj);
-            accesses.push(MemAccess::Read(obj));
-        }
-        for &(w, op) in writes {
-            let obj = ObjectId::new(w);
-            write_objs.push(obj);
-            accesses.push(MemAccess::Write(obj, op));
+        let accesses = reads
+            .iter()
+            .map(|&r| MemAccess::Read(ObjectId::new(r)))
+            .chain(
+                writes
+                    .iter()
+                    .map(|&(w, op)| MemAccess::Write(ObjectId::new(w), op)),
+            )
+            .collect();
+        section_of(id, thread, accesses)
+    }
+
+    /// A section performing `accesses`, with `reads` and `writes` exactly
+    /// the objects they read and write, as extraction builds them.
+    fn section_of(id: u32, thread: u32, accesses: Vec<MemAccess>) -> CriticalSection {
+        let (mut read_objs, mut write_objs) = (Vec::new(), Vec::new());
+        for access in &accesses {
+            match *access {
+                MemAccess::Read(obj) => read_objs.push(obj),
+                MemAccess::Write(obj, _) => write_objs.push(obj),
+            }
         }
         CriticalSection {
             id: SectionId::new(id),
@@ -174,6 +227,42 @@ mod tests {
             body_cost: Time::from_nanos(5),
             depth: 0,
         }
+    }
+
+    /// Operands for the random pairs: equal `Set`s commute, and `Add`s at
+    /// the extremes wrap.
+    const VALUES: [i64; 6] = [0, 1, 7, -3, i64::MAX, i64::MIN];
+
+    /// A section touching `objects` distinct objects of `0..universe`, one
+    /// to three accesses each, in random order, so reads also follow the
+    /// section's own writes. A `commuting` section only adds.
+    fn random_section(
+        rng: &mut SmallRng,
+        id: u32,
+        universe: u64,
+        objects: usize,
+        commuting: bool,
+    ) -> CriticalSection {
+        let mut pool: Vec<u64> = (0..universe).collect();
+        let mut accesses = Vec::new();
+        for k in 0..objects {
+            let pick = rng.gen_range(k..pool.len());
+            pool.swap(k, pick);
+            let obj = ObjectId::new(pool[k]);
+            for _ in 0..rng.gen_range(1..4usize) {
+                let value = VALUES[rng.gen_range(0..VALUES.len())];
+                accesses.push(match rng.gen_range(0..3u32) {
+                    _ if commuting => MemAccess::Write(obj, WriteOp::Add(value)),
+                    0 => MemAccess::Read(obj),
+                    1 => MemAccess::Write(obj, WriteOp::Set(value)),
+                    _ => MemAccess::Write(obj, WriteOp::Add(value)),
+                });
+            }
+        }
+        for k in (1..accesses.len()).rev() {
+            accesses.swap(k, rng.gen_range(0..=k));
+        }
+        section_of(id, id, accesses)
     }
 
     fn empty_state() -> MemorySnapshot {
@@ -293,5 +382,35 @@ mod tests {
         );
         let state0 = MemorySnapshot::default();
         assert_eq!(refine_conflicting_pair(&a, &b, &state0), PairClass::Tlcp);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The lockstep replay decides every pair as the naive replay over
+        /// two snapshot clones does, for footprints from empty to well past
+        /// the inline bound.
+        #[test]
+        fn refine_matches_naive_replay(
+            seed in 0u64..u64::MAX,
+            sizes in (0usize..81, 0usize..81),
+            small in 0u32..2,
+            commuting in 0u32..2,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            // Half the cases fit the inline storage whatever the access mix.
+            let (na, nb) = if small == 1 { (sizes.0 % 9, sizes.1 % 9) } else { sizes };
+            let universe = na.max(nb) as u64 + rng.gen_range(0..8u64);
+            let a = random_section(&mut rng, 0, universe, na, commuting == 1);
+            let b = random_section(&mut rng, 1, universe, nb, commuting == 1);
+            let mut start = MemorySnapshot::default();
+            for raw in 0..universe {
+                if rng.gen_bool(0.5) {
+                    start.set(ObjectId::new(raw), VALUES[rng.gen_range(0..VALUES.len())]);
+                }
+            }
+            prop_assert_eq!(refine_conflicting_pair(&a, &b, &start), refine_naive(&a, &b, &start));
+            prop_assert_eq!(refine_conflicting_pair(&b, &a, &start), refine_naive(&b, &a, &start));
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! The crate's one hash function for integer-keyed tables.
 //!
-//! The parallel engine's object→slot maps are hit once per shared-memory
-//! event, and the site aggregator's packed `(site, site)` tables once per
-//! classified pair. SipHash's flooding resistance buys little there — the
+//! The parallel engine's object→slot maps and the batch engine's last-write
+//! index are hit once per shared-memory event, and the site aggregator's
+//! packed `(site, site)` tables once per classified pair. SipHash's flooding resistance buys little there — the
 //! keys are object and code-site ids of a recorded program, and a trace or
 //! aggregate file crafted to collide can only slow a run, never change its
 //! result. One odd-constant multiply with a high-bit fold spreads the dense

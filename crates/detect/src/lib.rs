@@ -24,7 +24,8 @@
 //! consumes a chunked event stream (`perfplay_trace::EventSource`) on sharded
 //! per-lock workers — one worker or many — and produces the same
 //! [`UlcpAnalysis`] bit-for-bit while keeping only bounded incremental state
-//! resident.
+//! resident. Both engines classify and emit every pair through one shared
+//! pairing kernel; they differ only in how candidates reach it.
 //!
 //! Every engine emits its classified pairs through a [`UlcpSink`]. The
 //! default [`CollectPairs`] sink materializes the historical pair list;
@@ -43,6 +44,7 @@
 mod classify;
 mod idhash;
 mod inject;
+mod kernel;
 mod kinds;
 mod pairing;
 mod parallel_stream;

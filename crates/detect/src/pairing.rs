@@ -7,27 +7,35 @@
 //! contention found per thread ends the search and yields the causal edge
 //! RULE 1 keeps in the ULCP-free topology.
 //!
+//! The batch engine walks each lock once. It packs every section into a
+//! 24-byte row (footprint summary words, id, thread) and groups the lock's
+//! sections by thread. Because a lock's sections are visited in ascending
+//! id, each thread's later candidates start at a forward-only cursor: the
+//! cursor of a thread moves by one each time one of its own sections has
+//! been searched from. Each run of candidates goes to the pairing kernel
+//! shared with the streaming engine, which reads the full section rows only
+//! when two summary words collide.
+//!
 //! The engine is *snapshot-free*: instead of cloning a full shadow-memory
 //! snapshot per critical section (O(sections x objects) memory), one
 //! [`LastWriteIndex`] is built per trace and the reversed-replay benign check
-//! fetches the footprint values it needs lazily in O(log E) each. Locks are
-//! independent, so [`DetectorConfig::parallel`] fans the per-lock searches
-//! out across OS threads; per-lock results are merged back in ascending lock
-//! order, keeping the output bit-identical to the sequential path.
+//! fetches the footprint values it needs lazily: one hash probe per object,
+//! then a binary search over that object's writes. Locks are independent,
+//! so [`DetectorConfig::parallel`] fans the per-lock walks out across OS
+//! threads; per-lock results are merged back in ascending lock order,
+//! keeping the output bit-identical to the sequential path.
 
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use perfplay_trace::{
-    extract_critical_sections, sections_by_lock, CriticalSection, LockId, SectionId, Trace,
-};
+use perfplay_trace::{extract_critical_sections, CriticalSection, LockId, SectionId, Trace};
 use serde::{Deserialize, Serialize};
 
-use crate::classify::classify_pair;
-use crate::kinds::{PairClass, UlcpKind};
+use crate::kernel::{PairKernel, Search, SecMeta};
+use crate::kinds::UlcpKind;
 use crate::shadow::LastWriteIndex;
-use crate::sink::{CollectPairs, SectionCtx, SinkAnalysis, UlcpSink};
+use crate::sink::{CollectPairs, SinkAnalysis, UlcpSink};
 
 /// One unnecessary lock contention pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -237,8 +245,21 @@ impl Detector {
         } else {
             LastWriteIndex::default()
         };
-        let by_lock = sections_by_lock(&sections);
-        let locks: Vec<(LockId, Vec<&CriticalSection>)> = by_lock.into_iter().collect();
+        let table = SectionTable {
+            meta: sections.iter().map(SecMeta::of).collect(),
+            num_threads: sections
+                .iter()
+                .map(|s| s.thread.index() + 1)
+                .max()
+                .unwrap_or(0),
+            sections: &sections,
+            index: &index,
+        };
+        let mut by_lock: BTreeMap<LockId, Vec<u32>> = BTreeMap::new();
+        for (i, s) in sections.iter().enumerate() {
+            by_lock.entry(s.lock).or_default().push(i as u32);
+        }
+        let locks: Vec<(LockId, Vec<u32>)> = by_lock.into_iter().collect();
 
         let mut breakdown = UlcpBreakdown {
             lock_acquisitions: trace.num_acquisitions(),
@@ -248,20 +269,13 @@ impl Detector {
             // Ascending lock order (BTreeMap order preserved in `locks`);
             // within a lock the search order itself is deterministic, so the
             // absorbed output matches the sequential path exactly.
-            for (shard, shard_breakdown) in self.analyze_locks_parallel(&locks, &index, &sink) {
+            for (shard, shard_breakdown) in self.analyze_locks_parallel(&locks, &table, &sink) {
                 sink.absorb(shard);
                 breakdown.merge_pair_counts(&shard_breakdown);
             }
         } else {
-            for (lock, lock_sections) in &locks {
-                analyze_lock_into(
-                    *lock,
-                    lock_sections,
-                    &index,
-                    self.config,
-                    &mut sink,
-                    &mut breakdown,
-                );
+            for (lock, members) in &locks {
+                table.analyze_lock_into(*lock, members, self.config, &mut sink, &mut breakdown);
             }
         }
         sink.seal(&sections);
@@ -273,7 +287,7 @@ impl Detector {
         }
     }
 
-    /// Fans the per-lock searches out over a shared work queue of lock
+    /// Fans the per-lock walks out over a shared work queue of lock
     /// indices. Per-lock cost is wildly skewed on real workloads (one guard
     /// mutex often dominates), so workers pop the next lock instead of being
     /// handed a fixed chunk — a hot lock occupies one worker while the rest
@@ -282,8 +296,8 @@ impl Detector {
     /// ascending-lock order.
     fn analyze_locks_parallel<S: UlcpSink + Send + Sync>(
         &self,
-        locks: &[(LockId, Vec<&CriticalSection>)],
-        index: &LastWriteIndex,
+        locks: &[(LockId, Vec<u32>)],
+        table: &SectionTable<'_>,
         sink: &S,
     ) -> Vec<(S, UlcpBreakdown)> {
         let workers = std::thread::available_parallelism()
@@ -299,15 +313,14 @@ impl Detector {
                         let mut local = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some((lock, lock_sections)) = locks.get(i) else {
+                            let Some((lock, members)) = locks.get(i) else {
                                 break;
                             };
                             let mut shard = sink.fork();
                             let mut shard_breakdown = UlcpBreakdown::default();
-                            analyze_lock_into(
+                            table.analyze_lock_into(
                                 *lock,
-                                lock_sections,
-                                index,
+                                members,
                                 config,
                                 &mut shard,
                                 &mut shard_breakdown,
@@ -331,83 +344,76 @@ impl Detector {
     }
 }
 
-/// Runs the sequential-search pairing for one lock's critical sections,
-/// emitting every classified pair into the sink.
-fn analyze_lock_into<S: UlcpSink>(
-    lock: LockId,
-    lock_sections: &[&CriticalSection],
-    index: &LastWriteIndex,
-    config: DetectorConfig,
-    sink: &mut S,
-    breakdown: &mut UlcpBreakdown,
-) {
-    // Per-thread lists, preserving timing order.
-    let mut per_thread: BTreeMap<_, Vec<&CriticalSection>> = BTreeMap::new();
-    for s in lock_sections {
-        per_thread.entry(s.thread).or_default().push(s);
-    }
-    for current in lock_sections {
-        let state_before = index.state_before(current.enter_time);
-        for (other_thread, others) in &per_thread {
-            if *other_thread == current.thread {
-                continue;
-            }
-            // `scanned` counts classifications performed; the cap stops the
-            // search *before* classifying candidate `cap + 1`, never after a
-            // classification whose result is still pending — so a TLCP found
-            // exactly at the cap is recorded, not dropped. The counter stays
-            // explicit (not `enumerate`) because "classifications performed"
-            // is the unit the cap is defined in.
-            //
-            // Per-thread lists are in timing-index (id) order, so the later
-            // candidates start at a binary-searchable boundary; a linear
-            // `filter` re-scan here is O(list) per (section, thread) pair
-            // and dominated whole-trace analysis on few-lock workloads.
-            let start = others.partition_point(|s| s.id <= current.id);
-            let mut scanned = 0usize;
-            #[allow(clippy::explicit_counter_loop)]
-            for candidate in &others[start..] {
-                if config.max_scan_per_thread.is_some_and(|cap| scanned >= cap) {
-                    break;
-                }
-                let class = classify_pair(
-                    current,
-                    candidate,
-                    &state_before,
-                    config.use_reversed_replay,
-                );
-                scanned += 1;
-                let ctx = SectionCtx {
-                    first: current,
-                    second: candidate,
-                };
-                match class {
-                    PairClass::Tlcp => {
-                        sink.emit_edge(
-                            CausalEdge {
-                                from: current.id,
-                                to: candidate.id,
-                                lock,
-                            },
-                            &ctx,
-                        );
-                        breakdown.tlcp_edges += 1;
-                        break;
-                    }
-                    PairClass::Ulcp(kind) => {
-                        breakdown.add(kind);
-                        sink.emit(
-                            Ulcp {
-                                first: current.id,
-                                second: candidate.id,
-                                lock,
-                                kind,
-                            },
-                            &ctx,
-                        );
-                    }
+/// Everything the per-lock walks share: the section table, its packed rows
+/// and the last-write index.
+struct SectionTable<'a> {
+    sections: &'a [CriticalSection],
+    /// `meta[i]` is the packed row of `sections[i]`.
+    meta: Vec<SecMeta>,
+    /// One more than the largest thread index of any section.
+    num_threads: usize,
+    index: &'a LastWriteIndex,
+}
+
+impl SectionTable<'_> {
+    /// Runs the sequential search from every section of one lock, emitting
+    /// every classified pair into the sink. `members` holds the lock's
+    /// section indices in ascending id order.
+    fn analyze_lock_into<S: UlcpSink>(
+        &self,
+        lock: LockId,
+        members: &[u32],
+        config: DetectorConfig,
+        sink: &mut S,
+        breakdown: &mut UlcpBreakdown,
+    ) {
+        let meta = &self.meta[..];
+        // The lock's sections grouped by thread in one flat array (a
+        // counting sort): thread `t`'s run is `order[next[t]..end[t]]`, in
+        // ascending id.
+        let mut end = vec![0u32; self.num_threads];
+        for &i in members {
+            end[meta[i as usize].thread.index()] += 1;
+        }
+        let mut next = Vec::with_capacity(self.num_threads);
+        let mut total = 0u32;
+        for e in &mut end {
+            next.push(total);
+            total += *e;
+            *e = total;
+        }
+        let mut order = vec![0u32; members.len()];
+        let mut fill = next.clone();
+        for &i in members {
+            let slot = &mut fill[meta[i as usize].thread.index()];
+            order[*slot as usize] = i;
+            *slot += 1;
+        }
+        let threads: Vec<usize> = (0..self.num_threads)
+            .filter(|&t| next[t] < end[t])
+            .collect();
+
+        let mut kernel = PairKernel::new(
+            config,
+            lock,
+            self.sections,
+            meta,
+            self.index,
+            sink,
+            breakdown,
+        );
+        for &first in members {
+            let ti = meta[first as usize].thread.index();
+            for &u in &threads {
+                if u != ti {
+                    let candidates = &order[next[u] as usize..end[u] as usize];
+                    kernel.scan(first as usize, candidates, &mut Search::default());
                 }
             }
+            // `first` heads its thread's run, and every later section of
+            // the lock has a larger id: the cursor moves past it for good.
+            debug_assert_eq!(order[next[ti] as usize], first);
+            next[ti] += 1;
         }
     }
 }
@@ -415,9 +421,11 @@ fn analyze_lock_into<S: UlcpSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{reference_analyze, ParallelStreamingDetector};
     use perfplay_program::ProgramBuilder;
     use perfplay_record::Recorder;
     use perfplay_sim::SimConfig;
+    use perfplay_trace::{CodeSiteId, Event, ObjectId, Time, TraceMeta, WriteOp};
 
     fn record(build: impl FnOnce(&mut ProgramBuilder)) -> Trace {
         let mut b = ProgramBuilder::new("detect-test");
@@ -826,5 +834,87 @@ mod tests {
         let grouped = analysis.ulcps_by_lock();
         assert_eq!(grouped.len(), 2);
         assert!(grouped.values().all(|v| v.len() == 1));
+    }
+
+    /// A trace the recorder never produces: three threads enter lock 0 at
+    /// the same instant (twice), thread 1 re-enters lock 0 while holding
+    /// it, and thread 2 nests lock 1 inside lock 0.
+    fn tied_and_reentrant_trace() -> Trace {
+        let (l0, l1) = (LockId::new(0), LockId::new(1));
+        let (x, y) = (ObjectId::new(0), ObjectId::new(1));
+        let site = CodeSiteId::new(0);
+        let acq = |lock| Event::LockAcquire { lock, site };
+        let rel = |lock| Event::LockRelease { lock };
+        let read = |obj, value| Event::Read { obj, value };
+        let set = |obj, v| Event::Write {
+            obj,
+            op: WriteOp::Set(v),
+            value: v,
+        };
+        let add = |obj, d, value| Event::Write {
+            obj,
+            op: WriteOp::Add(d),
+            value,
+        };
+        let mut trace = Trace::new(TraceMeta::default(), 3);
+        // Acquire `lock` at `at`, run `body` one event per nanosecond, and
+        // release it.
+        let mut section = |t: usize, at: u64, lock: LockId, body: &[Event]| {
+            let events = std::iter::once(acq(lock))
+                .chain(body.iter().cloned())
+                .chain(std::iter::once(rel(lock)));
+            for (k, event) in (at..).zip(events) {
+                trace.threads[t].push(Time::from_nanos(k), event);
+            }
+        };
+        section(0, 10, l0, &[set(x, 1)]);
+        section(1, 10, l0, &[read(x, 0)]);
+        section(2, 10, l0, &[add(y, 1, 1)]);
+        section(0, 30, l0, &[read(x, 1)]);
+        section(1, 30, l0, &[acq(l0), add(y, 3, 4), rel(l0), read(x, 1)]);
+        section(2, 30, l0, &[read(y, 1), add(y, 1, 2)]);
+        section(0, 50, l0, &[add(y, 2, 3)]);
+        section(1, 50, l0, &[]);
+        section(2, 50, l0, &[acq(l1), read(x, 1), rel(l1)]);
+        section(0, 70, l1, &[read(y, 3)]);
+        section(1, 70, l1, &[set(y, 4)]);
+        section(0, 90, l0, &[set(x, 1)]);
+        section(1, 90, l0, &[set(x, 1)]);
+        section(2, 90, l0, &[read(x, 1)]);
+        trace
+    }
+
+    #[test]
+    fn ties_and_reentrant_nesting_match_the_reference_at_every_cap() {
+        let trace = tied_and_reentrant_trace();
+        let sections = extract_critical_sections(&trace);
+        let l0 = LockId::new(0);
+        let tied = sections
+            .iter()
+            .filter(|s| s.lock == l0 && s.enter_time == Time::from_nanos(10))
+            .count();
+        assert_eq!(tied, 3);
+        assert!(sections.iter().any(|s| s.lock == l0 && s.depth == 1));
+        let full = reference_analyze(&trace, DetectorConfig::default());
+        assert!(full.breakdown.benign > 0 && full.breakdown.tlcp_edges > 0);
+
+        for cap in [None, Some(0), Some(1), Some(3)] {
+            let config = DetectorConfig {
+                max_scan_per_thread: cap,
+                ..DetectorConfig::default()
+            };
+            let reference = reference_analyze(&trace, config);
+            for parallel in [false, true] {
+                let batch = Detector::new(DetectorConfig { parallel, ..config }).analyze(&trace);
+                assert_eq!(batch, reference, "cap {cap:?}, parallel {parallel}");
+            }
+            for (workers, chunk_events) in [(1, 1), (2, 5), (1, 1000)] {
+                let streamed = ParallelStreamingDetector::with_workers(config, workers)
+                    .analyze_trace(&trace, chunk_events)
+                    .unwrap()
+                    .analysis;
+                assert_eq!(streamed, reference, "cap {cap:?}, workers {workers}");
+            }
+        }
     }
 }

@@ -39,11 +39,12 @@
 //! it — detection over the surviving chunks is exactly detection over the
 //! trace with the lost events removed.
 //!
-//! Beyond the thread fan-out, workers classify through a two-word fast path:
-//! every closed section carries a [`PairKey`] (its read/write
-//! [`Footprint::summary`] words), and the null-lock / read-read tests are
-//! *exact* on summaries while a zero summary-AND proves disjoint writes —
-//! so the overwhelming majority of pairs never touch the section bodies.
+//! Workers classify and emit through the crate's pairing kernel
+//! (`kernel.rs`), the same code the batch engine runs: every closed section
+//! carries a packed row with its read/write [`Footprint::summary`] words,
+//! and the null-lock / read-read tests are *exact* on summaries while a zero
+//! summary-AND proves disjoint writes — so the overwhelming majority of
+//! pairs never touch the section bodies.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::mpsc::{sync_channel, Receiver};
@@ -55,11 +56,10 @@ use perfplay_trace::{
     TraceError,
 };
 
-use crate::classify::classify_pair;
 use crate::idhash::IdBuildHasher;
-use crate::kinds::{PairClass, UlcpKind};
+use crate::kernel::{PairKernel, PairKey, Search, SecMeta, ShadowHistory};
+use crate::kinds::UlcpKind;
 use crate::pairing::{CausalEdge, DetectorConfig, Ulcp, UlcpAnalysis, UlcpBreakdown};
-use crate::shadow::StartState;
 use crate::sink::{SectionCtx, UlcpSink};
 use crate::streaming::{StreamingAnalysis, StreamingSinkAnalysis, StreamingStats};
 
@@ -172,6 +172,19 @@ impl SlotHistory {
         }
     }
 
+    /// Drops every write that can no longer be an answer: a write is dead
+    /// once a *later* write also precedes the horizon.
+    fn prune(&mut self, horizon: Time) {
+        for log in &mut self.logs {
+            while log.writes.len() >= 2 && log.writes[1].0 < horizon {
+                log.writes.pop_front();
+                self.entries -= 1;
+            }
+        }
+    }
+}
+
+impl ShadowHistory for SlotHistory {
     /// Same contract as `LastWriteIndex::value_before`: the last write
     /// completing strictly before `at`, else the first read strictly before
     /// `at`, else `None`.
@@ -187,79 +200,6 @@ impl SlotHistory {
             _ => None,
         }
     }
-
-    /// Drops every write that can no longer be an answer: a write is dead
-    /// once a *later* write also precedes the horizon.
-    fn prune(&mut self, horizon: Time) {
-        for log in &mut self.logs {
-            while log.writes.len() >= 2 && log.writes[1].0 < horizon {
-                log.writes.pop_front();
-                self.entries -= 1;
-            }
-        }
-    }
-}
-
-/// Lazy [`StartState`] view over the pruned history at one virtual time.
-struct SlotStateBefore<'a> {
-    history: &'a SlotHistory,
-    at: Time,
-}
-
-impl StartState for SlotStateBefore<'_> {
-    fn value(&self, obj: ObjectId) -> i64 {
-        self.history.value_before(obj, self.at).unwrap_or(0)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The summary-word fast path.
-// ---------------------------------------------------------------------------
-
-/// The two [`Footprint::summary`] words of a closed section. An empty
-/// footprint has summary `0` and every non-empty footprint has a non-zero
-/// summary, so the null-lock and read-read tests below are *exact*; the
-/// disjoint-write test is sound (zero AND proves disjointness) and falls
-/// back to the full classifier on collisions.
-#[derive(Debug, Clone, Copy, Default)]
-struct PairKey {
-    reads: u64,
-    writes: u64,
-}
-
-/// Dense per-section hot-path metadata, parallel to the worker's section
-/// table: the summary words plus the global id and thread — everything pair
-/// emission needs, in 24 bytes. The sweep classifies and emits hundreds of
-/// millions of pairs; reading these packed rows instead of the ~200-byte
-/// [`CriticalSection`] rows keeps the per-pair path out of DRAM.
-#[derive(Debug, Clone, Copy)]
-struct SecMeta {
-    key: PairKey,
-    id: SectionId,
-    thread: ThreadId,
-}
-
-/// Classifies a pair from the summary words alone when possible. Checks run
-/// in the same order as `classify_by_sets`, so a `Some` answer is exactly
-/// the answer the full classifier would give.
-#[inline]
-fn fast_classify(a: PairKey, b: PairKey) -> Option<PairClass> {
-    // Evaluated as straight-line selects rather than an early-return chain:
-    // which test fires is data-dependent and effectively random across the
-    // pair stream, so branching on each would mispredict constantly on the
-    // hottest path in the engine.
-    let null = ((a.reads | a.writes) == 0) | ((b.reads | b.writes) == 0);
-    let read_read = (a.writes | b.writes) == 0;
-    let disjoint = (a.reads & b.writes) | (a.writes & b.reads) | (a.writes & b.writes) == 0;
-    if null {
-        Some(PairClass::Ulcp(UlcpKind::NullLock))
-    } else if read_read {
-        Some(PairClass::Ulcp(UlcpKind::ReadRead))
-    } else if disjoint {
-        Some(PairClass::Ulcp(UlcpKind::DisjointWrite))
-    } else {
-        None
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -271,12 +211,9 @@ fn fast_classify(a: PairKey, b: PairKey) -> Option<PairClass> {
 /// (`pos == len == 0`, not done).
 #[derive(Debug, Default, Clone, Copy)]
 struct SearchV {
-    /// Classifications performed so far (the unit the scan cap counts).
-    scanned: u32,
+    search: Search,
     /// Index into the candidate list of the next candidate to consider.
     pos: u32,
-    /// True once a TLCP ended the search or the cap was reached.
-    done: bool,
 }
 
 /// A section still acting as the *first* element of future pairs.
@@ -473,10 +410,7 @@ impl<S: UlcpSink> Worker<S> {
         section.writes = Footprint::from_unsorted(wire.writes);
         section.accesses = wire.accesses;
         section.body_cost = wire.body_cost;
-        self.meta[idx].key = PairKey {
-            reads: section.reads.summary(),
-            writes: section.writes.summary(),
-        };
+        self.meta[idx].key = PairKey::of(section);
         self.closed[idx] = true;
 
         let lock = wire.lock;
@@ -529,20 +463,8 @@ impl<S: UlcpSink> Worker<S> {
             live_list,
             ..
         } = lane;
-        let mut out = PairSink {
-            config: *config,
-            cap: config
-                .max_scan_per_thread
-                .map_or(u32::MAX, |c| u32::try_from(c).unwrap_or(u32::MAX)),
-            lock,
-            sections,
-            meta,
-            history,
-            out: sink,
-            breakdown,
-        };
+        let mut out = PairKernel::new(*config, lock, sections, meta, history, sink, breakdown);
         let enter_time = sections[idx].enter_time;
-        let fmeta = meta[idx];
 
         // The new current scans candidates already delivered. (Under lock
         // mutual exclusion every already-delivered same-lock section has a
@@ -554,8 +476,8 @@ impl<S: UlcpSink> Worker<S> {
             if u == ti {
                 continue;
             }
-            let search = &mut searches[u];
-            search.pos = list.len() as u32;
+            let sv = &mut searches[u];
+            sv.pos = list.len() as u32;
             // Under lock mutual exclusion every already-delivered candidate
             // has a smaller local index, so one tail compare short-circuits
             // the prefix search in the overwhelmingly common case.
@@ -564,21 +486,9 @@ impl<S: UlcpSink> Worker<S> {
             } else {
                 list.partition_point(|&c| (c as usize) <= idx)
             };
-            for &cand in &list[start..] {
-                if search.done {
-                    break;
-                }
-                if config
-                    .max_scan_per_thread
-                    .is_some_and(|cap| search.scanned as usize >= cap)
-                {
-                    search.done = true;
-                    break;
-                }
-                out.classify(idx, fmeta, cand as usize, search);
-            }
+            out.scan(idx, &list[start..], &mut sv.search);
         }
-        let done_count = searches.iter().filter(|s| s.done).count() as u32;
+        let done_count = searches.iter().filter(|s| s.search.done).count() as u32;
         let complete = done_count as usize == num_threads.saturating_sub(1);
         if complete {
             *live -= 1;
@@ -635,19 +545,7 @@ impl<S: UlcpSink> Worker<S> {
                 live_list,
                 ..
             } = lane;
-            let mut out = PairSink {
-                config: *config,
-                cap: config
-                    .max_scan_per_thread
-                    .map_or(u32::MAX, |c| u32::try_from(c).unwrap_or(u32::MAX)),
-                lock,
-                sections,
-                meta,
-                history,
-                out: sink,
-                breakdown,
-            };
-            let cap = config.max_scan_per_thread.unwrap_or(usize::MAX);
+            let mut out = PairKernel::new(*config, lock, sections, meta, history, sink, breakdown);
             for &fi32 in live_list.iter() {
                 let fi = fi32 as usize;
                 let mut retired = false;
@@ -656,13 +554,12 @@ impl<S: UlcpSink> Worker<S> {
                         continue; // retired in an earlier sweep; removed lazily
                     };
                     let ti = current.thread as usize;
-                    let fmeta = meta[fi];
                     for (u, list) in candidates.iter().enumerate() {
                         if u == ti {
                             continue;
                         }
-                        let search = &mut current.searches[u];
-                        if search.done {
+                        let sv = &mut current.searches[u];
+                        if sv.search.done {
                             continue;
                         }
                         let list: &[u32] = list;
@@ -673,36 +570,12 @@ impl<S: UlcpSink> Worker<S> {
                         // that prefix is contiguous — jump it in one binary
                         // search instead of walking it element by element
                         // (the walk is quadratic in the lane population).
-                        if (search.pos as usize) < list.len() && list[search.pos as usize] <= fi32 {
-                            search.pos = list.partition_point(|&c| c <= fi32) as u32;
+                        if (sv.pos as usize) < list.len() && list[sv.pos as usize] <= fi32 {
+                            sv.pos = list.partition_point(|&c| c <= fi32) as u32;
                         }
-                        // The cap bounds the visit up front, so the hot loop
-                        // walks a borrowed slice with no per-candidate
-                        // cursor or cap bookkeeping; `classify` still sets
-                        // `done` at the cap or on a TLCP.
-                        let lo = search.pos as usize;
-                        let room = cap.saturating_sub(search.scanned as usize);
-                        if room == 0 {
-                            // A zero cap consumes one candidate unclassified
-                            // and ends the search, as the batch engine does.
-                            if lo < list.len() {
-                                search.pos += 1;
-                                search.done = true;
-                            }
-                        } else {
-                            let visit = room.min(list.len() - lo);
-                            let mut taken = 0;
-                            for &cand in &list[lo..lo + visit] {
-                                taken += 1;
-                                debug_assert!(cand > fi32, "candidate lists ascend");
-                                out.classify(fi, fmeta, cand as usize, search);
-                                if search.done {
-                                    break;
-                                }
-                            }
-                            search.pos += taken;
-                        }
-                        if search.done {
+                        let taken = out.scan(fi, &list[sv.pos as usize..], &mut sv.search);
+                        sv.pos += taken as u32;
+                        if sv.search.done {
                             current.done_count += 1;
                             if current.done_count as usize == num_threads.saturating_sub(1) {
                                 retired = true;
@@ -749,7 +622,7 @@ impl<S: UlcpSink> Worker<S> {
                     None => return false, // retired in the candidate phase
                     Some(current) => (0..exited.len()).all(|u| {
                         u == current.thread as usize
-                            || current.searches[u].done
+                            || current.searches[u].search.done
                             || ((exited[u] || at_end) && delivery[u].is_empty())
                     }),
                 };
@@ -830,85 +703,6 @@ impl<S: UlcpSink> Worker<S> {
             peak_history: self.peak_history,
             peak_pairs: self.peak_pairs,
             retired_before_end: self.retired_before_end,
-        }
-    }
-}
-
-/// The classification context of one delivery: borrows the immutable inputs
-/// and the lock's sink shard once, so each pair costs one classification
-/// plus one emission.
-struct PairSink<'a, S: UlcpSink> {
-    config: DetectorConfig,
-    /// `config.max_scan_per_thread` with `None` hoisted to "unlimited", so
-    /// the per-pair cap check is one integer compare.
-    cap: u32,
-    lock: LockId,
-    sections: &'a [CriticalSection],
-    meta: &'a [SecMeta],
-    history: &'a SlotHistory,
-    out: &'a mut S,
-    breakdown: &'a mut UlcpBreakdown,
-}
-
-impl<S: UlcpSink> PairSink<'_, S> {
-    /// Classifies one `(first, second)` local-index pair exactly as
-    /// [`classify_pair`] does — through the summary-word fast path when it
-    /// is decisive — then emits the outcome and updates the search state.
-    /// `fm` must be `self.meta[first]` — hoisted by the caller, which holds
-    /// it fixed across a whole candidate scan.
-    fn classify(&mut self, first: usize, fm: SecMeta, second: usize, search: &mut SearchV) {
-        let sm = self.meta[second];
-        let class = match fast_classify(fm.key, sm.key) {
-            Some(class) => class,
-            None => {
-                let state = SlotStateBefore {
-                    history: self.history,
-                    at: self.sections[first].enter_time,
-                };
-                classify_pair(
-                    &self.sections[first],
-                    &self.sections[second],
-                    &state,
-                    self.config.use_reversed_replay,
-                )
-            }
-        };
-        search.scanned += 1;
-        if search.scanned >= self.cap {
-            search.done = true;
-        }
-        // Constructing the refs is free; on the fast path no sink that
-        // overrides `emit_threaded` ever dereferences them.
-        let ctx = SectionCtx {
-            first: &self.sections[first],
-            second: &self.sections[second],
-        };
-        match class {
-            PairClass::Tlcp => {
-                search.done = true;
-                self.out.emit_edge(
-                    CausalEdge {
-                        from: fm.id,
-                        to: sm.id,
-                        lock: self.lock,
-                    },
-                    &ctx,
-                );
-                self.breakdown.tlcp_edges += 1;
-            }
-            PairClass::Ulcp(kind) => {
-                self.breakdown.add(kind);
-                self.out.emit_threaded(
-                    Ulcp {
-                        first: fm.id,
-                        second: sm.id,
-                        lock: self.lock,
-                        kind,
-                    },
-                    sm.thread,
-                    &ctx,
-                );
-            }
         }
     }
 }
@@ -2010,6 +1804,7 @@ impl ParallelStreamingDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::fast_classify;
     use crate::sink::{BodyOverlapGain, SiteAggregator};
     use crate::Detector;
     use perfplay_program::ProgramBuilder;
@@ -2329,15 +2124,7 @@ mod tests {
         let mut checked = 0usize;
         for (i, a) in analysis.sections.iter().enumerate() {
             for b in analysis.sections.iter().skip(i + 1) {
-                let ka = PairKey {
-                    reads: a.reads.summary(),
-                    writes: a.writes.summary(),
-                };
-                let kb = PairKey {
-                    reads: b.reads.summary(),
-                    writes: b.writes.summary(),
-                };
-                if let Some(fast) = fast_classify(ka, kb) {
+                if let Some(fast) = fast_classify(PairKey::of(a), PairKey::of(b)) {
                     assert_eq!(fast, crate::classify::classify_by_sets(a, b));
                     checked += 1;
                 }

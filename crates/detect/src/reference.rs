@@ -165,7 +165,10 @@ fn naive_intersects(a: &[ObjectId], b: &[ObjectId]) -> bool {
     false
 }
 
-fn refine_naive(
+/// The historical reversed replay: clones the whole starting snapshot for
+/// each order and compares full read logs. The oracle of
+/// [`refine_conflicting_pair`](crate::refine_conflicting_pair).
+pub(crate) fn refine_naive(
     c1: &CriticalSection,
     c2: &CriticalSection,
     state_before: &MemorySnapshot,

@@ -10,15 +10,19 @@
 //! The detector used to materialize one full [`MemorySnapshot`] clone per
 //! critical section (O(sections x objects) memory churn). The
 //! [`LastWriteIndex`] replaces that: one O(E log E) sweep builds, per object,
-//! the time-ordered log of its writes plus its first observed read, and any
-//! "value just before virtual time `t`" query is then an O(log E) binary
-//! search. [`StateBefore`] wraps the index as a lazy starting-state view, so
-//! the reversed-replay check fetches exactly the footprint values it touches
-//! and nothing else.
+//! the time-ordered log of its writes plus its first observed read. The logs
+//! sit in a hash table keyed by object id, so finding an object's log is one
+//! probe, and a "value just before virtual time `t`" query is then a binary
+//! search over that object's writes. [`StateBefore`] wraps the index as a
+//! lazy starting-state view, so the reversed-replay check fetches exactly the
+//! footprint values it touches and nothing else. [`MemorySnapshot`] keeps an
+//! ordered map: it is the eager state the reference detector clones.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use perfplay_trace::{Event, ObjectId, Time, Trace};
+
+use crate::idhash::IdBuildHasher;
 
 /// A value source usable as the starting memory state of a reversed replay.
 ///
@@ -49,12 +53,12 @@ struct ObjectHistory {
 /// Per-object history of one recorded execution, indexed for point lookups.
 #[derive(Debug, Clone, Default)]
 pub struct LastWriteIndex {
-    objects: BTreeMap<ObjectId, ObjectHistory>,
+    objects: HashMap<ObjectId, ObjectHistory, IdBuildHasher>,
 }
 
 impl LastWriteIndex {
     /// Builds the index in one sweep over the trace's memory events — a
-    /// single map probe per event.
+    /// single hash probe per event.
     pub fn build(trace: &Trace) -> Self {
         // Stable sort by completion time; ties keep `iter_events` order
         // (thread-major, then event index), matching the order in which a
@@ -140,8 +144,9 @@ impl LastWriteIndex {
 
 /// Lazy view of shared memory just before a point in virtual time.
 ///
-/// Cheap to construct (two words); every [`StartState::value`] call is an
-/// O(log E) probe into the backing [`LastWriteIndex`].
+/// Cheap to construct (two words); every [`StartState::value`] call is one
+/// hash probe plus a binary search over the object's writes in the backing
+/// [`LastWriteIndex`].
 #[derive(Debug, Clone, Copy)]
 pub struct StateBefore<'a> {
     index: &'a LastWriteIndex,

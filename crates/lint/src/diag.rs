@@ -394,7 +394,9 @@ pub struct LintStats {
     /// Stream gaps reported by the source (always 0 for the raw file
     /// linter, which never skips).
     pub gaps: u64,
-    /// Diagnostics dropped after [`LintConfig::max_diagnostics`] was hit.
+    /// Diagnostics dropped after
+    /// [`LintConfig::max_diagnostics`](crate::LintConfig::max_diagnostics)
+    /// was hit.
     pub suppressed: u64,
 }
 

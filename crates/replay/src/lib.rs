@@ -14,11 +14,11 @@
 //! * [`measure_fidelity`] quantifies performance stability and precision
 //!   across repeated replays (Figure 13).
 //!
-//! Both replayers run on one shared event-driven scheduler core
-//! ([`engine`]): a clock-keyed ready heap plus targeted per-lock /
-//! per-condvar / per-barrier wake lists make each step `O(log T)` in the
-//! thread count, where the historical loops paid `O(T)` per step and woke
-//! every blocked thread on any progress. Every per-event table of the engine
+//! Both replayers run on one shared event-driven scheduler core (the
+//! private `engine` module): a clock-keyed ready heap plus targeted
+//! per-lock / per-condvar / per-barrier wake lists make each step `O(log T)`
+//! in the thread count, where the historical loops paid `O(T)` per step and
+//! woke every blocked thread on any progress. Every per-event table of the engine
 //! and both policies is indexed by a dense id (lock, auxiliary lock,
 //! section, thread and event index), and each original-trace replay builds
 //! only the schedule tables its [`ScheduleKind`] reads. The historical loops

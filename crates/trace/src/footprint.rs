@@ -139,18 +139,6 @@ impl Footprint {
         }
         false
     }
-
-    /// Merges any number of footprints into one sorted, deduplicated object
-    /// list (the union footprint a reversed replay executes over).
-    pub fn union_of(parts: &[&Footprint]) -> Vec<ObjectId> {
-        let mut out: Vec<ObjectId> = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
-        for part in parts {
-            out.extend(part.iter());
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
 }
 
 impl FromIterator<ObjectId> for Footprint {
@@ -237,17 +225,6 @@ mod tests {
         // `miss` may collide in the summary word; the list walk must still
         // reject it.
         assert!(!large.intersects(&miss));
-    }
-
-    #[test]
-    fn union_of_merges_sorted() {
-        let a = fp(&[1, 5]);
-        let b = fp(&[2, 5]);
-        let union = Footprint::union_of(&[&a, &b, &a]);
-        assert_eq!(
-            union,
-            vec![ObjectId::new(1), ObjectId::new(2), ObjectId::new(5)]
-        );
     }
 
     #[test]

@@ -998,8 +998,8 @@ impl PbinScanner {
     }
 
     /// Pulls the next record, or `None` at a clean end of file: the framing
-    /// walk ([`next_frame`](Self::next_frame)) plus the CRC check and
-    /// payload decode, out of one reused buffer.
+    /// walk (`next_frame`) plus the CRC check and payload decode, out of one
+    /// reused buffer.
     pub fn next_record(&mut self) -> Option<RawRecord> {
         let mut payload = std::mem::take(&mut self.scratch);
         let frame = self.next_frame(&mut payload);

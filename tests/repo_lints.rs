@@ -8,6 +8,8 @@
 //! * the replay engine and its two policies name no `BTreeMap` outside test
 //!   code: their per-event tables are indexed by dense ids, and an ordered
 //!   map keyed by one must not quietly return to the hot path;
+//! * neither does the detection kernel or the pair classifier, whose
+//!   reversed replay runs on stack arrays (or one heap buffer) per pair;
 //! * the retired sequential streaming engine stays retired: no source file,
 //!   test, example or README names it (`ParallelStreamingDetector` at one
 //!   worker replaced it).
@@ -129,21 +131,49 @@ fn dense_replay_files() -> Vec<PathBuf> {
         .collect()
 }
 
-#[test]
-fn replay_hot_path_names_no_ordered_map() {
+/// Every non-test, non-comment line of `files` that names `BTreeMap`.
+fn ordered_map_lines(files: &[PathBuf]) -> Vec<String> {
     let mut offenders: Vec<String> = Vec::new();
-    for path in dense_replay_files() {
-        let text = std::fs::read_to_string(&path)
+    for path in files {
+        let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
         for (line_no, line) in non_test_code(&text) {
             if !is_comment(line) && line.contains("BTreeMap") {
-                offenders.push(format!("{}:{line_no}: {}", relative(&path), line.trim()));
+                offenders.push(format!("{}:{line_no}: {}", relative(path), line.trim()));
             }
         }
     }
+    offenders
+}
+
+#[test]
+fn replay_hot_path_names_no_ordered_map() {
+    let offenders = ordered_map_lines(&dense_replay_files());
     assert!(
         offenders.is_empty(),
         "BTreeMap on the replay engine's per-event path (index by the dense id instead):\n{}",
+        offenders.join("\n")
+    );
+}
+
+/// The per-pair path both detection engines share. `reference.rs` and
+/// `shadow.rs`'s `MemorySnapshot` are exempt: the oracle keeps its ordered
+/// maps.
+fn detect_hot_path_files() -> Vec<PathBuf> {
+    let src = workspace_root().join("crates/detect/src");
+    ["kernel.rs", "classify.rs"]
+        .iter()
+        .map(|f| src.join(f))
+        .collect()
+}
+
+#[test]
+fn detect_hot_path_names_no_ordered_map() {
+    let offenders = ordered_map_lines(&detect_hot_path_files());
+    assert!(
+        offenders.is_empty(),
+        "BTreeMap on the detection engines' per-pair path (use the packed rows or \
+         stack arrays instead):\n{}",
         offenders.join("\n")
     );
 }
