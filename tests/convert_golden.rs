@@ -1,6 +1,7 @@
 //! Golden-fixture conversion test: a checked-in JSON-lines chunk file is
 //! converted to the binary format and back, and every hop must carry the
-//! identical record stream.
+//! identical record stream. The binary twin must also take at most a third
+//! of the bytes.
 //!
 //! The fixture (`tests/fixtures/golden-chunks.jsonl`) is spilled from a
 //! seeded recording, so it also pins the recorder and the JSON encoding:
@@ -94,6 +95,16 @@ fn converted_golden_fixture_is_event_identical() {
         golden_records,
         records_of(&pbin),
         "binary conversion altered the record stream"
+    );
+    // The density target: PBIN bytes per event at most a third of
+    // JSON-lines'. Both files carry the same events, so it is the ratio of
+    // the file sizes.
+    let density_ratio = summary.bytes_out as f64 / summary.bytes_in as f64;
+    assert!(
+        density_ratio <= 1.0 / 3.0,
+        "pbin density ratio {density_ratio:.3} ({} / {} bytes) exceeds 1/3",
+        summary.bytes_out,
+        summary.bytes_in
     );
 
     // pbin -> jsonl round trip: byte-identical to the fixture (the JSON

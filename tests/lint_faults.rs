@@ -1,9 +1,10 @@
 //! Static-lint fault suite: every injected fault kind must surface as the
 //! documented diagnostic codes ([`codes_for_fault`]) at a usable location,
-//! and clean generated traces must lint clean across workload shapes and
-//! chunkings.
+//! in both chunk-file formats, and clean generated traces must lint clean
+//! across workload shapes and chunkings.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
@@ -20,10 +21,15 @@ fn record(seed: u64, gen: &GeneratorConfig) -> Trace {
         .trace
 }
 
-/// Shared clean corpus: one recorded trace spilled to a chunk file.
+/// Shared clean corpus: one recorded trace spilled to a chunk file in each
+/// format.
 struct Corpus {
     trace: Trace,
     path: PathBuf,
+    /// The same trace as PBIN. It is spilled once, here: `check_fault` runs
+    /// concurrently from several tests, and a spill per call would race on
+    /// the temp path.
+    pbin: PathBuf,
     chunks: u64,
     lines: usize,
 }
@@ -45,13 +51,38 @@ fn corpus() -> &'static Corpus {
         let summary = spill_trace(&trace, &path, 24).unwrap();
         let lines = std::fs::read_to_string(&path).unwrap().lines().count();
         assert!(summary.chunks >= 4, "corpus needs several chunks");
+        let pbin = path.with_extension("pbin");
+        spill_trace(&trace, &pbin, 24).unwrap();
+        assert_eq!(ChunkFormat::detect(&pbin), Ok(ChunkFormat::Pbin));
         Corpus {
             trace,
             path,
+            pbin,
             chunks: summary.chunks,
             lines,
         }
     })
+}
+
+/// The two clean spills with the layer name each one's reports go under.
+fn clean_files(corpus: &Corpus) -> [(&'static str, &Path); 2] {
+    [("file", &corpus.path), ("pbin file", &corpus.pbin)]
+}
+
+/// A temp path that no other call in this process gets, with `clean`'s
+/// extension. The fixed-seed test and the proptest run concurrently and can
+/// draw the same `(kind, seed)`.
+fn unique_faulty_path(kind: FaultKind, seed: u64, clean: &Path) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let ext = clean.extension().expect("corpus files have an extension");
+    std::env::temp_dir()
+        .join(format!(
+            "perfplay-lint-{}-{seed}-{}-{n}",
+            kind.name(),
+            std::process::id()
+        ))
+        .with_extension(ext)
 }
 
 fn stream_expectations(trace: &Trace) -> LintConfig {
@@ -109,22 +140,20 @@ fn assert_contract(
 fn check_fault(kind: FaultKind, seed: u64) {
     let corpus = corpus();
     let expectation = codes_for_fault(kind);
-    let faulty = std::env::temp_dir().join(format!(
-        "perfplay-lint-{}-{seed}-{}.jsonl",
-        kind.name(),
-        std::process::id()
-    ));
-    corrupt_chunk_file(&corpus.path, &faulty, kind, seed).unwrap();
-    let report = lint_chunk_file(&faulty, &LintConfig::default());
-    assert_contract(
-        kind,
-        seed,
-        "file",
-        expectation.file_must,
-        expectation.file_may_be_clean,
-        &report,
-    );
-    let _ = std::fs::remove_file(&faulty);
+    for (layer, clean) in clean_files(corpus) {
+        let faulty = unique_faulty_path(kind, seed, clean);
+        corrupt_chunk_file(clean, &faulty, kind, seed).unwrap();
+        let report = lint_chunk_file(&faulty, &LintConfig::default());
+        assert_contract(
+            kind,
+            seed,
+            layer,
+            expectation.file_must,
+            expectation.file_may_be_clean,
+            &report,
+        );
+        let _ = std::fs::remove_file(&faulty);
+    }
 
     if kind.stream_applicable() {
         let plan = FaultPlan::seeded(seed, kind, corpus.chunks);
@@ -145,11 +174,35 @@ fn check_fault(kind: FaultKind, seed: u64) {
 #[test]
 fn clean_chunk_file_lints_clean() {
     let corpus = corpus();
-    let report = lint_chunk_file(&corpus.path, &LintConfig::default());
-    assert!(report.is_clean(), "{}", report.render_human());
-    assert_eq!(report.stats.chunks, corpus.chunks);
-    assert_eq!(report.stats.events, corpus.trace.num_events() as u64);
-    assert!(report.stats.bytes > 0);
+    for (layer, clean) in clean_files(corpus) {
+        let report = lint_chunk_file(clean, &LintConfig::default());
+        assert!(report.is_clean(), "{layer}: {}", report.render_human());
+        assert_eq!(report.stats.chunks, corpus.chunks, "{layer}");
+        assert_eq!(
+            report.stats.events,
+            corpus.trace.num_events() as u64,
+            "{layer}"
+        );
+        assert!(report.stats.bytes > 0, "{layer}");
+    }
+}
+
+/// Two lints of one file print the same JSON, for a clean file and for a
+/// bit-flipped one, whose report carries diagnostics.
+#[test]
+fn file_lint_is_deterministic() {
+    let corpus = corpus();
+    for (layer, clean) in clean_files(corpus) {
+        let faulty = unique_faulty_path(FaultKind::BitFlip, 42, clean);
+        corrupt_chunk_file(clean, &faulty, FaultKind::BitFlip, 42).unwrap();
+        for path in [clean, faulty.as_path()] {
+            let first = lint_chunk_file(path, &LintConfig::default()).to_json();
+            let second = lint_chunk_file(path, &LintConfig::default()).to_json();
+            assert_eq!(first, second, "{layer}: two lints of one file disagree");
+        }
+        assert!(!lint_chunk_file(&faulty, &LintConfig::default()).is_clean());
+        let _ = std::fs::remove_file(&faulty);
+    }
 }
 
 #[test]

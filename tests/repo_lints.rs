@@ -1,7 +1,8 @@
 //! Repository-invariant lints, enforced as tests so they fail with the
 //! offending file and line:
 //!
-//! * every workspace crate keeps `#![forbid(unsafe_code)]`;
+//! * every library and binary root keeps `#![forbid(unsafe_code)]`: each
+//!   crate's, and the root package's `src/suite.rs` and `src/bin/*.rs`;
 //! * the ingestion paths hardened by the fault-tolerance work stay free of
 //!   `unwrap()`/`expect()` outside test code, so no corrupted input can
 //!   reintroduce a panic path;
@@ -10,9 +11,10 @@
 //!   map keyed by one must not quietly return to the hot path;
 //! * neither does the detection kernel or the pair classifier, whose
 //!   reversed replay runs on stack arrays (or one heap buffer) per pair;
-//! * the retired sequential streaming engine stays retired: no source file,
-//!   test, example or README names it (`ParallelStreamingDetector` at one
-//!   worker replaced it).
+//! * retired names stay retired: no source file, test, example, README, CI
+//!   workflow or verification note names the sequential streaming engine
+//!   (`ParallelStreamingDetector` at one worker replaced it) or the second
+//!   measurement mechanism (perfbench and the `perfplay` CLI replaced it).
 
 use std::path::{Path, PathBuf};
 
@@ -36,19 +38,48 @@ fn crate_roots() -> Vec<PathBuf> {
     roots
 }
 
+/// The `.rs` files directly inside `dir`, sorted; none if it does not exist.
+fn rs_files_in(dir: &Path) -> Vec<PathBuf> {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Vec::new();
+    };
+    let mut files: Vec<PathBuf> = entries
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|ext| ext == "rs"))
+        .collect();
+    files.sort();
+    files
+}
+
+/// The root file of every library and binary target: each crate's
+/// `src/lib.rs`, and the root package's library `src/suite.rs` and its
+/// binaries `src/bin/*.rs`.
+fn target_roots() -> Vec<PathBuf> {
+    let root = workspace_root();
+    let mut roots: Vec<PathBuf> = crate_roots().iter().map(|c| c.join("src/lib.rs")).collect();
+    roots.push(root.join("src/suite.rs"));
+    roots.extend(rs_files_in(&root.join("src/bin")));
+    assert!(
+        roots.contains(&root.join("src/bin/perfplay.rs")),
+        "the CLI's root is missing from {roots:?}"
+    );
+    roots
+}
+
 #[test]
 fn every_crate_forbids_unsafe_code() {
     let mut missing = Vec::new();
-    for root in crate_roots() {
-        let lib = root.join("src/lib.rs");
-        let text = std::fs::read_to_string(&lib).expect("lib.rs is readable");
+    for file in target_roots() {
+        let text = std::fs::read_to_string(&file)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", file.display()));
         if !text.contains("#![forbid(unsafe_code)]") {
-            missing.push(lib);
+            missing.push(relative(&file));
         }
     }
     assert!(
         missing.is_empty(),
-        "crates without #![forbid(unsafe_code)]: {missing:?}"
+        "target roots without #![forbid(unsafe_code)]: {missing:?}"
     );
 }
 
@@ -75,14 +106,7 @@ fn hardened_files() -> Vec<PathBuf> {
         root.join("crates/detect/src/inject.rs"),
         root.join("crates/record/src/chunked.rs"),
     ];
-    let lint_src = root.join("crates/lint/src");
-    let mut lint_files: Vec<PathBuf> = std::fs::read_dir(&lint_src)
-        .expect("lint crate sources exist")
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|ext| ext == "rs"))
-        .collect();
-    lint_files.sort();
+    let lint_files = rs_files_in(&root.join("crates/lint/src"));
     assert!(lint_files.len() >= 4, "lint crate has its modules");
     files.extend(lint_files);
     files
@@ -178,9 +202,72 @@ fn detect_hot_path_names_no_ordered_map() {
     );
 }
 
-/// The retired sequential streaming engine's type name, assembled so that
+/// A name the repository retired. Each is assembled with `concat!`, so that
 /// this file does not name it either.
-const RETIRED_ENGINE: &str = concat!("Streaming", "Detector");
+struct Retired {
+    name: &'static str,
+    /// Match only where no letter, digit or `_` touches either end, so
+    /// `ParallelStreamingDetector` does not name the sequential engine.
+    whole_word: bool,
+    /// What replaced it.
+    replaced_by: &'static str,
+}
+
+const RETIRED_ENGINE: &[Retired] = &[Retired {
+    name: concat!("Streaming", "Detector"),
+    whole_word: true,
+    replaced_by: "ParallelStreamingDetector::with_workers(config, 1)",
+}];
+
+/// The second measurement mechanism: the harness crate, its binary, its
+/// benchmark stub and the single-run JSON artifacts.
+const RETIRED_MEASUREMENT: &[Retired] = &[
+    Retired {
+        name: concat!("perfplay", "-bench"),
+        whole_word: true,
+        replaced_by: "perfbench and the perfplay CLI",
+    },
+    Retired {
+        name: concat!("perfplay", "_bench"),
+        whole_word: true,
+        replaced_by: "perfbench and the perfplay CLI",
+    },
+    Retired {
+        name: concat!("re", "pro"),
+        whole_word: true,
+        replaced_by: "the perfplay CLI, an integration test, or tests/acceptance.rs",
+    },
+    Retired {
+        name: concat!("BENCH", "_"),
+        whole_word: false,
+        replaced_by: "perfbench's workloads (perfbench/README.md maps each)",
+    },
+    Retired {
+        name: concat!("PERFPLAY_", "BENCH", "_FAST"),
+        whole_word: false,
+        replaced_by: "perfbench --quick",
+    },
+    Retired {
+        name: concat!("vendor/", "criterion"),
+        whole_word: false,
+        replaced_by: "perfbench",
+    },
+];
+
+fn is_word_char(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+impl Retired {
+    fn named_in(&self, line: &str) -> bool {
+        line.match_indices(self.name).any(|(at, _)| {
+            let before = line[..at].chars().next_back();
+            let after = line[at + self.name.len()..].chars().next();
+            !self.whole_word
+                || (!before.is_some_and(is_word_char) && !after.is_some_and(is_word_char))
+        })
+    }
+}
 
 fn files_under(dir: &Path, out: &mut Vec<PathBuf>) {
     let entries =
@@ -195,32 +282,54 @@ fn files_under(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-#[test]
-fn retired_streaming_engine_is_named_nowhere() {
+/// Every line of the scanned files that names one of `retired`. The scan
+/// covers the code, tests, examples, README, CI workflow and verification
+/// notes. `perfbench/` belongs to the benchmark, and `CHANGES.md` and
+/// `ROADMAP.md` are history, so they may name what was retired.
+fn retired_name_lines(retired: &[Retired]) -> Vec<String> {
     let root = workspace_root();
     let mut files = vec![root.join("README.md")];
-    for dir in ["crates", "tests", "src", "examples"] {
+    for dir in ["crates", "tests", "src", "examples", ".github", ".claude"] {
         files_under(&root.join(dir), &mut files);
     }
     let mut offenders: Vec<String> = Vec::new();
     for path in files {
-        // Binary files cannot name a type.
+        // Binary files cannot name anything.
         let Ok(text) = std::fs::read_to_string(&path) else {
             continue;
         };
         for (i, line) in text.lines().enumerate() {
-            let named = line
-                .match_indices(RETIRED_ENGINE)
-                .any(|(at, _)| !line[..at].ends_with("Parallel"));
-            if named {
-                offenders.push(format!("{}:{}: {}", relative(&path), i + 1, line.trim()));
+            for name in retired.iter().filter(|r| r.named_in(line)) {
+                offenders.push(format!(
+                    "{}:{}: `{}` was replaced by {}: {}",
+                    relative(&path),
+                    i + 1,
+                    name.name,
+                    name.replaced_by,
+                    line.trim()
+                ));
             }
         }
     }
+    offenders
+}
+
+#[test]
+fn retired_streaming_engine_is_named_nowhere() {
+    let offenders = retired_name_lines(RETIRED_ENGINE);
     assert!(
         offenders.is_empty(),
-        "the retired sequential streaming engine is named (use \
-         ParallelStreamingDetector::with_workers(config, 1)):\n{}",
+        "the retired sequential streaming engine is named:\n{}",
+        offenders.join("\n")
+    );
+}
+
+#[test]
+fn retired_measurement_mechanism_is_named_nowhere() {
+    let offenders = retired_name_lines(RETIRED_MEASUREMENT);
+    assert!(
+        offenders.is_empty(),
+        "the retired measurement mechanism is named:\n{}",
         offenders.join("\n")
     );
 }
