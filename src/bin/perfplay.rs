@@ -12,8 +12,9 @@
 //! `*.pbin` file inside it, sorted. `lint --json` prints each file's report
 //! as one JSON document, in path order.
 //!
-//! Exit status: 0 on success, 1 when a file fails (or lints with errors),
-//! 2 on a usage error.
+//! Exit status: 0 on success, 1 when an input fails (a file cannot be read,
+//! converted or analyzed, lints with errors, or a directory holds no chunk
+//! file), 2 on a usage error: a malformed command line.
 
 #![forbid(unsafe_code)]
 
@@ -35,7 +36,7 @@ const TOP_RECOMMENDATIONS: usize = 10;
 /// Why a command did not succeed; each variant is one exit status.
 enum Stop {
     /// A file could not be read, converted or analyzed, or linted with
-    /// errors: exit 1.
+    /// errors, or a directory held no chunk file: exit 1.
     Failed(String),
     /// The command line is wrong: exit 2.
     Usage(String),
@@ -100,7 +101,7 @@ fn chunk_files(paths: &[&str]) -> Result<Vec<PathBuf>, Stop> {
             .filter(|p| p.is_file() && p.extension().is_some_and(|e| e == "jsonl" || e == "pbin"))
             .collect();
         if found.is_empty() {
-            return Err(Stop::Usage(format!(
+            return Err(Stop::Failed(format!(
                 "no *.jsonl or *.pbin chunk files in {}",
                 path.display()
             )));

@@ -169,6 +169,23 @@ fn a_flipped_pbin_byte_fails_lint_with_record_parse_and_fails_analyze() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A well-formed command line whose input is wrong is a failure, not a
+/// usage error.
+#[test]
+fn a_directory_without_chunk_files_fails() {
+    let dir = fixture_dir("empty-dir");
+    let empty = dir.join("empty");
+    std::fs::create_dir(&empty).unwrap();
+    std::fs::write(empty.join("notes.txt"), "not a chunk file").unwrap();
+    for command in ["lint", "analyze"] {
+        let out = perfplay(&[command.as_ref(), &empty]);
+        assert_eq!(status(&out), 1, "{command}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("no *.jsonl or *.pbin"), "{stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn usage_errors_exit_2() {
     let dir = fixture_dir("usage");

@@ -206,16 +206,28 @@ fn detect_hot_path_names_no_ordered_map() {
 /// this file does not name it either.
 struct Retired {
     name: &'static str,
-    /// Match only where no letter, digit or `_` touches either end, so
-    /// `ParallelStreamingDetector` does not name the sequential engine.
-    whole_word: bool,
+    /// Which occurrences of `name` count.
+    counts: Counts,
     /// What replaced it.
     replaced_by: &'static str,
 }
 
+/// Which occurrences of a retired name count as naming it.
+enum Counts {
+    /// Every occurrence.
+    Anywhere,
+    /// Only where no letter, digit or `_` touches either end, so
+    /// `reproduce` does not name the binary.
+    WholeWord,
+    /// Every occurrence not directly preceded by this prefix, so the
+    /// parallel engine's name does not name the sequential engine, but a
+    /// plural, a suffixed type or another prefix does.
+    ExceptAfter(&'static str),
+}
+
 const RETIRED_ENGINE: &[Retired] = &[Retired {
     name: concat!("Streaming", "Detector"),
-    whole_word: true,
+    counts: Counts::ExceptAfter("Parallel"),
     replaced_by: "ParallelStreamingDetector::with_workers(config, 1)",
 }];
 
@@ -224,32 +236,32 @@ const RETIRED_ENGINE: &[Retired] = &[Retired {
 const RETIRED_MEASUREMENT: &[Retired] = &[
     Retired {
         name: concat!("perfplay", "-bench"),
-        whole_word: true,
+        counts: Counts::WholeWord,
         replaced_by: "perfbench and the perfplay CLI",
     },
     Retired {
         name: concat!("perfplay", "_bench"),
-        whole_word: true,
+        counts: Counts::WholeWord,
         replaced_by: "perfbench and the perfplay CLI",
     },
     Retired {
         name: concat!("re", "pro"),
-        whole_word: true,
+        counts: Counts::WholeWord,
         replaced_by: "the perfplay CLI, an integration test, or tests/acceptance.rs",
     },
     Retired {
         name: concat!("BENCH", "_"),
-        whole_word: false,
+        counts: Counts::Anywhere,
         replaced_by: "perfbench's workloads (perfbench/README.md maps each)",
     },
     Retired {
         name: concat!("PERFPLAY_", "BENCH", "_FAST"),
-        whole_word: false,
+        counts: Counts::Anywhere,
         replaced_by: "perfbench --quick",
     },
     Retired {
         name: concat!("vendor/", "criterion"),
-        whole_word: false,
+        counts: Counts::Anywhere,
         replaced_by: "perfbench",
     },
 ];
@@ -261,10 +273,15 @@ fn is_word_char(c: char) -> bool {
 impl Retired {
     fn named_in(&self, line: &str) -> bool {
         line.match_indices(self.name).any(|(at, _)| {
-            let before = line[..at].chars().next_back();
-            let after = line[at + self.name.len()..].chars().next();
-            !self.whole_word
-                || (!before.is_some_and(is_word_char) && !after.is_some_and(is_word_char))
+            let (before, after) = (&line[..at], &line[at + self.name.len()..]);
+            match self.counts {
+                Counts::Anywhere => true,
+                Counts::WholeWord => {
+                    !before.chars().next_back().is_some_and(is_word_char)
+                        && !after.chars().next().is_some_and(is_word_char)
+                }
+                Counts::ExceptAfter(prefix) => !before.ends_with(prefix),
+            }
         })
     }
 }
