@@ -228,8 +228,8 @@ impl<'a, S: UlcpSink, H: ShadowHistory> PairKernel<'a, S, H> {
         if search.scanned >= self.cap {
             search.done = true;
         }
-        // Constructing the refs is free; on the fast path a sink that
-        // overrides `emit_threaded` never dereferences them.
+        // Constructing the refs is free; a sink that ignores the context
+        // (`CollectPairs`) never dereferences them.
         let ctx = SectionCtx {
             first: &self.sections[first],
             second: &self.sections[second],
@@ -249,14 +249,13 @@ impl<'a, S: UlcpSink, H: ShadowHistory> PairKernel<'a, S, H> {
             }
             PairClass::Ulcp(kind) => {
                 self.breakdown.add(kind);
-                self.out.emit_threaded(
+                self.out.emit(
                     Ulcp {
                         first: fm.id,
                         second: sm.id,
                         lock: self.lock,
                         kind,
                     },
-                    sm.thread,
                     &ctx,
                 );
             }

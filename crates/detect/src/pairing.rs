@@ -129,8 +129,8 @@ impl UlcpBreakdown {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetectorConfig {
     /// Refine conflicting pairs with the reversed-replay benign check
-    /// (Section 3.1). Disabling this is the ablation the bench harness
-    /// exposes: every conflict becomes a TLCP.
+    /// (Section 3.1). Disabling it is an ablation: every conflict becomes a
+    /// TLCP.
     pub use_reversed_replay: bool,
     /// Optional cap on how many candidate pairs are *classified* per
     /// (section, other-thread) search before the search gives up. `None`

@@ -58,9 +58,8 @@ use perfplay_trace::{
 
 use crate::idhash::IdBuildHasher;
 use crate::kernel::{PairKernel, PairKey, Search, SecMeta, ShadowHistory};
-use crate::kinds::UlcpKind;
-use crate::pairing::{CausalEdge, DetectorConfig, Ulcp, UlcpAnalysis, UlcpBreakdown};
-use crate::sink::{SectionCtx, UlcpSink};
+use crate::pairing::{DetectorConfig, UlcpAnalysis, UlcpBreakdown};
+use crate::sink::{CollectPairs, UlcpSink};
 use crate::streaming::{StreamingAnalysis, StreamingSinkAnalysis, StreamingStats};
 
 /// How many decoded chunk windows may sit in each worker's channel before
@@ -1075,457 +1074,6 @@ impl Decoder {
 // The public detector: coordinator over decoder + workers.
 // ---------------------------------------------------------------------------
 
-/// The canonical `(lock, first, second-thread, second)` sort key of one
-/// emitted pair, packed into one integer. All four components are `u32`
-/// indices, so the packing is order-preserving and comparisons are two
-/// word compares instead of a tuple walk with a section-table lookup.
-#[inline]
-fn pair_key(lock: LockId, first: SectionId, thread: ThreadId, second: SectionId) -> u128 {
-    ((lock.index() as u128) << 96)
-        | ((first.index() as u128) << 64)
-        | ((thread.index() as u128) << 32)
-        | second.index() as u128
-}
-
-/// Sorts one shard's emissions canonically and appends them to `out`,
-/// stripping the captured thread. Each per-chunk sweep emits a lock's pairs
-/// in ascending `(first, thread, second)` order, so a shard is a
-/// concatenation of roughly one sorted run per chunk; the run-detecting
-/// stable sort merges those in `O(log runs)` levels, and because one shard
-/// is a fraction of the total pair list, the merge levels run over
-/// cache-sized data instead of the whole concatenated output.
-///
-/// A cheap pre-scan decides the key width: when the shard holds a single
-/// lock (structurally true — shards are forked per lock) and every id fits,
-/// the key packs `(first, thread, second)` into 64 bits — the lock
-/// contributes nothing to the order within one shard — halving the
-/// per-comparison cost of the merge. Any shard that fails the check falls
-/// back to the full 128-bit `(lock, first, thread, second)` key; both keys
-/// order such a shard identically.
-fn sort_shard<T: Copy, O>(
-    seg: &mut [(T, ThreadId)],
-    parts: impl Fn(&T) -> (LockId, SectionId, SectionId),
-    strip: impl Fn(&T) -> O,
-    out: &mut Vec<O>,
-) {
-    let Some(&(head, _)) = seg.first() else {
-        return;
-    };
-    let (head_lock, ..) = parts(&head);
-    let (mut max_sec, mut max_thread, mut one_lock) = (0usize, 0usize, true);
-    for (v, t) in seg.iter() {
-        let (lock, first, second) = parts(v);
-        max_sec = max_sec.max(first.index()).max(second.index());
-        max_thread = max_thread.max(t.index());
-        one_lock &= lock == head_lock;
-    }
-    if one_lock && max_sec < (1 << 24) && max_thread < (1 << 16) {
-        seg.sort_by_key(|(v, t)| {
-            let (_, first, second) = parts(v);
-            ((first.index() as u64) << 40) | ((t.index() as u64) << 24) | second.index() as u64
-        });
-    } else {
-        seg.sort_by_key(|(v, t)| {
-            let (lock, first, second) = parts(v);
-            pair_key(lock, first, *t, second)
-        });
-    }
-    out.extend(seg.iter().map(|(v, _)| strip(v)));
-}
-
-/// Merges the maximal ascending runs of one segment in a single output
-/// pass, via a classic loser tree over the run heads. The per-chunk sweep
-/// emits each lane's pairs in ascending canonical order, so a segment is a
-/// concatenation of roughly one sorted run per chunk; merging the recorded
-/// runs directly replaces the seal-time comparison sort — `log₂(runs)`
-/// comparisons and **one** move per pair instead of a multi-level merge
-/// sort that re-copies the whole segment at every level.
-///
-/// Generic over the key width so the packed (`u64`) and wide (`u128`)
-/// segment representations share the tree. `starts` holds the begin offset
-/// of every run (`starts[0] == 0`); `key_at`/`take` index the segment's
-/// `n` entries. Keys are unique (a pair is classified exactly once), so
-/// tie-breaking never arises on real entries.
-fn merge_runs_by<K: Copy + Ord>(
-    n: usize,
-    starts: &[u32],
-    max_key: K,
-    key_at: impl Fn(usize) -> K,
-    mut take: impl FnMut(usize),
-) {
-    let nruns = starts.len();
-    debug_assert!(nruns >= 2 && starts[0] == 0);
-    let k = nruns.next_power_of_two();
-    let mut cur = vec![0usize; k];
-    let mut end = vec![0usize; k];
-    let mut keys = vec![max_key; k];
-    for i in 0..nruns {
-        cur[i] = starts[i] as usize;
-        end[i] = starts.get(i + 1).map_or(n, |&s| s as usize);
-        if cur[i] < end[i] {
-            keys[i] = key_at(cur[i]);
-        }
-    }
-    // Build the tree: `winner_of` is scaffolding, `loser[node]` survives.
-    let mut loser = vec![0usize; k];
-    let mut winner_of = vec![0usize; 2 * k];
-    for (i, slot) in winner_of[k..].iter_mut().enumerate() {
-        *slot = i;
-    }
-    for node in (1..k).rev() {
-        let (a, b) = (winner_of[2 * node], winner_of[2 * node + 1]);
-        let (w, l) = if keys[a] <= keys[b] { (a, b) } else { (b, a) };
-        winner_of[node] = w;
-        loser[node] = l;
-    }
-    // Termination is by count, not by sentinel, so a real key equal to
-    // `max_key` can never truncate the output.
-    //
-    // The pop loop also tracks `rival`, the runner-up head: by the
-    // tournament invariant the second-smallest head lost a match directly
-    // against the winner's chain, so it is the minimum of the recorded
-    // losers on the **winner's** leaf-to-root path — recomputed after every
-    // replay, because the new winner may emerge from a stored loser whose
-    // path diverges from the replayed leaf's. While the winner run's next
-    // key stays below `rival`, that run keeps winning and the replay is
-    // skipped — consecutive keys cluster within one run (a run is one
-    // chunk's ascending sweep), so most pops take this one-compare path
-    // instead of the `log₂(runs)` replay.
-    let path_min = |w: usize, keys: &[K], loser: &[usize]| {
-        let mut node = (k + w) / 2;
-        let mut m = max_key;
-        while node >= 1 {
-            let key = keys[loser[node]];
-            if key < m {
-                m = key;
-            }
-            node /= 2;
-        }
-        m
-    };
-    let mut w = winner_of[1];
-    let mut rival = path_min(w, &keys, &loser);
-    let mut produced = 0usize;
-    while produced < n {
-        loop {
-            debug_assert!(cur[w] < end[w], "the winner run is non-empty");
-            take(cur[w]);
-            produced += 1;
-            cur[w] += 1;
-            keys[w] = if cur[w] < end[w] {
-                key_at(cur[w])
-            } else {
-                max_key
-            };
-            if keys[w] >= rival {
-                break;
-            }
-        }
-        if produced >= n {
-            break;
-        }
-        // Replay the leaf-to-root path: the new head competes against the
-        // recorded losers; whoever survives is the next overall winner.
-        let mut node = (k + w) / 2;
-        let mut cand = w;
-        while node >= 1 {
-            if keys[loser[node]] < keys[cand] {
-                std::mem::swap(&mut loser[node], &mut cand);
-            }
-            node /= 2;
-        }
-        w = cand;
-        rival = path_min(w, &keys, &loser);
-    }
-}
-
-/// Largest section index (exclusive) a packed entry can hold. One below the
-/// 24-bit field capacity so a packed key can never equal `u64::MAX` (which
-/// [`merge_runs_by`] uses as its exhausted-run filler).
-const PACK_MAX_SECTION: usize = (1 << 24) - 1;
-/// Largest second-thread index (exclusive) a packed entry can hold.
-const PACK_MAX_THREAD: usize = 1 << 16;
-
-/// Packs `(first, second-thread, second)` into the 24/16/24-bit fields of a
-/// `u64`. Within a single-lock lane this orders identically to [`pair_key`]
-/// whenever all three components fit their fields.
-#[inline]
-fn pack64(first: SectionId, thread: ThreadId, second: SectionId) -> u64 {
-    ((first.index() as u64) << 40) | ((thread.index() as u64) << 24) | second.index() as u64
-}
-
-#[inline]
-fn unpack64(key: u64) -> (SectionId, ThreadId, SectionId) {
-    (
-        SectionId::new((key >> 40) as u32),
-        ThreadId::new(((key >> 24) & 0xFFFF) as u32),
-        SectionId::new((key & 0xFF_FFFF) as u32),
-    )
-}
-
-/// One absorbed lane's emissions plus the start offsets of its maximal
-/// ascending runs (by canonical key). Runs are detected at emission time —
-/// one key comparison per pair — so [`seal`](UlcpSink::seal) can merge
-/// instead of sort.
-///
-/// Storage is packed while it can be: a lane is forked per lock, and ids in
-/// any realistic stream fit the [`pack64`] fields, so a pair is stored as a
-/// `u64` key plus a one-byte kind (9 bytes, split across two dense arrays)
-/// instead of a 20-byte `(Ulcp, ThreadId)` tuple. Emission is the hottest
-/// memory path in the engine — the pair population is ~60× the section
-/// population on contended traces — so halving its footprint pays for
-/// itself, and seal-time merge comparisons shrink from `u128` to `u64`.
-/// The first pair that cannot pack (a second lock in the lane, or an
-/// oversized id) demotes the whole lane to the wide tuple form; packing is
-/// an encoding choice only, the pair order is identical in both modes.
-#[derive(Debug)]
-struct RunSegment {
-    /// The lane's lock; meaningful once the first packed entry exists.
-    lock: LockId,
-    /// Packed entries ([`pack64`]); exclusive with `wide`.
-    keys: Vec<u64>,
-    /// `kinds[i]` belongs to `keys[i]`.
-    kinds: Vec<UlcpKind>,
-    /// Fallback entries; non-empty only after demotion.
-    wide: Vec<(Ulcp, ThreadId)>,
-    /// Begin offset of every ascending run; `[0]` once non-empty.
-    runs: Vec<u32>,
-    last_key: u128,
-}
-
-impl Default for RunSegment {
-    fn default() -> Self {
-        RunSegment {
-            lock: LockId::new(0),
-            keys: Vec::new(),
-            kinds: Vec::new(),
-            wide: Vec::new(),
-            runs: Vec::new(),
-            last_key: 0,
-        }
-    }
-}
-
-impl RunSegment {
-    fn len(&self) -> usize {
-        self.keys.len() + self.wide.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.keys.is_empty() && self.wide.is_empty()
-    }
-
-    fn push(&mut self, ulcp: Ulcp, second_thread: ThreadId) {
-        if self.wide.is_empty() {
-            if (self.keys.is_empty() || ulcp.lock == self.lock)
-                && ulcp.first.index() < PACK_MAX_SECTION
-                && ulcp.second.index() < PACK_MAX_SECTION
-                && second_thread.index() < PACK_MAX_THREAD
-            {
-                // Packed path: within one lock the u64 key orders exactly
-                // like the canonical key, so run detection compares it
-                // directly and never forms the 128-bit key at all.
-                let key = pack64(ulcp.first, second_thread, ulcp.second);
-                if self.runs.is_empty() || key < self.last_key as u64 {
-                    self.runs.push(self.keys.len() as u32);
-                }
-                self.last_key = u128::from(key);
-                self.lock = ulcp.lock;
-                self.keys.push(key);
-                self.kinds.push(ulcp.kind);
-                return;
-            }
-            self.demote();
-        }
-        let key = pair_key(ulcp.lock, ulcp.first, second_thread, ulcp.second);
-        if self.runs.is_empty() || key < self.last_key {
-            self.runs.push(self.len() as u32);
-        }
-        self.last_key = key;
-        self.wide.push((ulcp, second_thread));
-    }
-
-    /// Converts every packed entry to the wide form, preserving order.
-    fn demote(&mut self) {
-        self.wide.reserve(self.keys.len());
-        let lock = self.lock;
-        for (&key, &kind) in self.keys.iter().zip(&self.kinds) {
-            let (first, thread, second) = unpack64(key);
-            self.wide.push((
-                Ulcp {
-                    first,
-                    second,
-                    lock,
-                    kind,
-                },
-                thread,
-            ));
-        }
-        // The stored key was the packed form; re-express it canonically so
-        // the next (wide) comparison detects run boundaries correctly.
-        if let Some(&last) = self.keys.last() {
-            let (first, thread, second) = unpack64(last);
-            self.last_key = pair_key(self.lock, first, thread, second);
-        }
-        self.keys = Vec::new();
-        self.kinds = Vec::new();
-    }
-
-    /// Appends this lane's pairs to `out` in canonical order, merging the
-    /// recorded runs when there is more than one.
-    fn seal_into(self, out: &mut Vec<Ulcp>) {
-        let RunSegment {
-            lock,
-            keys,
-            kinds,
-            wide,
-            runs,
-            ..
-        } = self;
-        if wide.is_empty() {
-            let rebuild = |i: usize| {
-                let (first, _, second) = unpack64(keys[i]);
-                Ulcp {
-                    first,
-                    second,
-                    lock,
-                    kind: kinds[i],
-                }
-            };
-            if runs.len() <= 1 {
-                out.extend((0..keys.len()).map(rebuild));
-            } else {
-                merge_runs_by(
-                    keys.len(),
-                    &runs,
-                    u64::MAX,
-                    |i| keys[i],
-                    |i| out.push(rebuild(i)),
-                );
-            }
-        } else if runs.len() <= 1 {
-            out.extend(wide.into_iter().map(|(u, _)| u));
-        } else {
-            merge_runs_by(
-                wide.len(),
-                &runs,
-                u128::MAX,
-                |i| {
-                    let (u, t) = wide[i];
-                    pair_key(u.lock, u.first, t, u.second)
-                },
-                |i| out.push(wide[i].0),
-            );
-        }
-    }
-}
-
-/// [`CollectPairs`](crate::CollectPairs) specialized for the parallel
-/// engine's shard structure. Each forked shard records its own emissions
-/// with the second section's thread captured inline (the canonical sort key
-/// needs it, and capturing it at emission avoids a section-table lookup per
-/// key computation later) and tracks its ascending-run boundaries. The root
-/// sink keeps absorbed shards segmented instead of concatenating them;
-/// because shards arrive one per lock in ascending lock order, their key
-/// ranges are disjoint and ascending, so [`seal`](UlcpSink::seal) merges
-/// each shard's recorded runs independently ([`merge_runs`]) and writes the
-/// final canonical `Vec<Ulcp>` in a single output pass.
-#[derive(Debug, Default)]
-struct OrderedPairs {
-    /// This shard's own emissions, in emission order, with run boundaries.
-    local: RunSegment,
-    local_edges: Vec<(CausalEdge, ThreadId)>,
-    /// Absorbed shards, one per lock, in ascending lock order.
-    segments: Vec<RunSegment>,
-    edge_segments: Vec<Vec<(CausalEdge, ThreadId)>>,
-    /// The canonical outputs, populated by [`seal`](UlcpSink::seal).
-    ulcps: Vec<Ulcp>,
-    edges: Vec<CausalEdge>,
-}
-
-impl UlcpSink for OrderedPairs {
-    fn emit(&mut self, ulcp: Ulcp, ctx: &SectionCtx<'_>) {
-        self.local.push(ulcp, ctx.second.thread);
-    }
-
-    fn emit_threaded(&mut self, ulcp: Ulcp, second_thread: ThreadId, _ctx: &SectionCtx<'_>) {
-        self.local.push(ulcp, second_thread);
-    }
-
-    fn emit_edge(&mut self, edge: CausalEdge, ctx: &SectionCtx<'_>) {
-        self.local_edges.push((edge, ctx.second.thread));
-    }
-
-    fn fork(&self) -> Self {
-        OrderedPairs::default()
-    }
-
-    fn absorb(&mut self, mut shard: Self) {
-        self.segments.append(&mut shard.segments);
-        if !shard.local.is_empty() {
-            self.segments.push(shard.local);
-        }
-        self.edge_segments.append(&mut shard.edge_segments);
-        if !shard.local_edges.is_empty() {
-            self.edge_segments.push(shard.local_edges);
-        }
-    }
-
-    fn remap_sections(&mut self, remap: &[Option<SectionId>]) {
-        // Compaction renumbers ids monotonically (and only ever downward),
-        // so every recorded run stays ascending under the remap and every
-        // packed entry stays packable; only the ids change.
-        let map = |id: SectionId| remap[id.index()].expect("paired section survives compaction");
-        for seg in self.segments.iter_mut().chain([&mut self.local]) {
-            for key in &mut seg.keys {
-                let (first, thread, second) = unpack64(*key);
-                *key = pack64(map(first), thread, map(second));
-            }
-            for (u, _) in &mut seg.wide {
-                u.first = map(u.first);
-                u.second = map(u.second);
-            }
-        }
-        for (e, _) in self
-            .edge_segments
-            .iter_mut()
-            .flatten()
-            .chain(&mut self.local_edges)
-        {
-            e.from = map(e.from);
-            e.to = map(e.to);
-        }
-    }
-
-    fn seal(&mut self, _sections: &[CriticalSection]) {
-        let segments = std::mem::take(&mut self.segments);
-        let local = std::mem::take(&mut self.local);
-        let total = segments.iter().map(RunSegment::len).sum::<usize>() + local.len();
-        let mut ulcps = Vec::with_capacity(total);
-        for seg in segments.into_iter().chain([local]) {
-            seg.seal_into(&mut ulcps);
-        }
-        self.ulcps = ulcps;
-        let edge_segments = std::mem::take(&mut self.edge_segments);
-        let local_edges = std::mem::take(&mut self.local_edges);
-        let total = edge_segments.iter().map(Vec::len).sum::<usize>() + local_edges.len();
-        let mut edges = Vec::with_capacity(total);
-        for mut seg in edge_segments.into_iter().chain([local_edges]) {
-            sort_shard(&mut seg, |e| (e.lock, e.from, e.to), |e| *e, &mut edges);
-        }
-        self.edges = edges;
-    }
-
-    fn resident_entries(&self) -> usize {
-        self.segments.iter().map(RunSegment::len).sum::<usize>()
-            + self.edge_segments.iter().map(Vec::len).sum::<usize>()
-            + self.local.len()
-            + self.local_edges.len()
-            + self.ulcps.len()
-            + self.edges.len()
-    }
-}
-
 /// PerfPlay's ULCP identification stage over a chunked event stream, fanned
 /// out across sharded per-lock worker threads.
 ///
@@ -1562,7 +1110,9 @@ impl ParallelStreamingDetector {
     }
 
     /// Consumes the source to exhaustion and returns the analysis,
-    /// bit-identical to [`Detector::analyze`] over the same events.
+    /// bit-identical to [`Detector::analyze`] over the same events. The
+    /// pairs are collected through [`CollectPairs`], whose
+    /// [`seal`](UlcpSink::seal) restores the canonical order.
     ///
     /// # Errors
     ///
@@ -1575,7 +1125,7 @@ impl ParallelStreamingDetector {
         &self,
         source: &mut Src,
     ) -> Result<StreamingAnalysis, StreamError> {
-        let result = self.analyze_with(source, OrderedPairs::default())?;
+        let result = self.analyze_with(source, CollectPairs::default())?;
         Ok(StreamingAnalysis {
             analysis: UlcpAnalysis {
                 sections: result.sections,

@@ -141,8 +141,8 @@ impl DetectionPlan {
     }
 
     /// Entries the plan holds beyond the section table: aggregate rows plus
-    /// the retained edge and benign pairs. The number every BENCH artifact
-    /// reports as `peak_live_pairs` for the single-pass pipeline.
+    /// the retained edge and benign pairs. perfbench reports it as
+    /// `detect.plan_entries`.
     pub fn resident_entries(&self) -> usize {
         self.aggregates.len() + self.edges.len() + self.benign.len()
     }

@@ -29,7 +29,7 @@
 
 use std::collections::HashMap;
 
-use perfplay_trace::{CodeSiteId, CriticalSection, SectionId, ThreadId, Time};
+use perfplay_trace::{CodeSiteId, CriticalSection, SectionId, Time};
 use serde::{Deserialize, Serialize};
 
 use crate::idhash::IdBuildHasher;
@@ -58,18 +58,6 @@ pub struct SectionCtx<'a> {
 pub trait UlcpSink {
     /// Receives one unnecessary lock contention pair.
     fn emit(&mut self, ulcp: Ulcp, ctx: &SectionCtx<'_>);
-
-    /// Receives one pair together with the second section's thread, which
-    /// the caller already knows without a section-table access. The default
-    /// forwards to [`emit`](Self::emit) and ignores the thread; sinks that
-    /// capture it at emission time (to build the canonical sort key later)
-    /// override this so the per-pair hot path never touches the section
-    /// rows. Implementations must behave exactly like `emit` — the thread
-    /// is `ctx.second.thread`, passed separately purely as an optimization.
-    fn emit_threaded(&mut self, ulcp: Ulcp, second_thread: ThreadId, ctx: &SectionCtx<'_>) {
-        let _ = second_thread;
-        self.emit(ulcp, ctx);
-    }
 
     /// Receives one causal edge (true lock contention pair).
     fn emit_edge(&mut self, edge: CausalEdge, ctx: &SectionCtx<'_>);
@@ -106,8 +94,8 @@ pub trait UlcpSink {
 
     /// Number of entries the sink currently holds resident — pairs for a
     /// collecting sink, table rows for an aggregating one. The streaming
-    /// engines sample this once per chunk (the parallel one once per lock
-    /// lane) for their peak-memory accounting, so it should be O(1): the
+    /// engine samples this once per chunk and lock lane for its peak-memory
+    /// accounting, so it should be O(1): the
     /// aggregating sink keeps a running count of the rows it would emit
     /// instead of walking its table.
     fn resident_entries(&self) -> usize;
@@ -118,11 +106,6 @@ impl<A: UlcpSink, B: UlcpSink> UlcpSink for (A, B) {
     fn emit(&mut self, ulcp: Ulcp, ctx: &SectionCtx<'_>) {
         self.0.emit(ulcp, ctx);
         self.1.emit(ulcp, ctx);
-    }
-
-    fn emit_threaded(&mut self, ulcp: Ulcp, second_thread: ThreadId, ctx: &SectionCtx<'_>) {
-        self.0.emit_threaded(ulcp, second_thread, ctx);
-        self.1.emit_threaded(ulcp, second_thread, ctx);
     }
 
     fn emit_edge(&mut self, edge: CausalEdge, ctx: &SectionCtx<'_>) {

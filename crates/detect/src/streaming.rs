@@ -30,7 +30,7 @@ pub struct StreamingStats {
     pub peak_history_entries: usize,
     /// Peak number of entries the output sink held resident — individual
     /// pairs for a collecting sink, aggregate-table rows for an aggregating
-    /// one. The field all BENCH artifacts report peak pair memory under.
+    /// one.
     pub peak_live_pairs: usize,
     /// Sections whose pairing state was retired before the stream ended.
     pub retired_before_end: usize,

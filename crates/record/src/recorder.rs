@@ -102,28 +102,6 @@ impl Recorder {
             final_memory,
         })
     }
-
-    /// Records the program and spills the trace to `path` as a chunked
-    /// trace file (see [`ChunkedWriter`](crate::ChunkedWriter)), so the
-    /// detection pass can stream it instead of holding the whole event log.
-    ///
-    /// Returns the recording together with the spill summary.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation errors; panics on I/O failure (the callers are
-    /// benches and tooling, where a missing artifact must be loud).
-    pub fn record_chunked(
-        &self,
-        program: &Program,
-        path: impl AsRef<std::path::Path>,
-        chunk_events: usize,
-    ) -> Result<(RecordedExecution, crate::ChunkedWriteSummary), SimError> {
-        let recording = self.record(program)?;
-        let summary = crate::spill_trace(&recording.trace, path, chunk_events)
-            .expect("chunked trace spill succeeds");
-        Ok((recording, summary))
-    }
 }
 
 /// Compresses runs of `Compute` events that occur outside any critical

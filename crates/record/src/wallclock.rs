@@ -156,27 +156,6 @@ impl WallClockRecorder {
         self.assemble(per_thread_events)
     }
 
-    /// Like [`run`](Self::run), but additionally spills the recorded trace
-    /// to `path` as a chunked trace file so it can be re-ingested by the
-    /// streaming detector without re-assembly.
-    ///
-    /// Returns the trace together with the spill summary.
-    pub fn run_chunked<F>(
-        &self,
-        num_threads: usize,
-        path: impl AsRef<std::path::Path>,
-        chunk_events: usize,
-        body: F,
-    ) -> (Trace, crate::ChunkedWriteSummary)
-    where
-        F: Fn(&RecWorker) + Send + Sync,
-    {
-        let trace = self.run(num_threads, body);
-        let summary =
-            crate::spill_trace(&trace, path, chunk_events).expect("chunked trace spill succeeds");
-        (trace, summary)
-    }
-
     fn assemble(&self, per_thread_events: Vec<Vec<(Time, Event)>>) -> Trace {
         let num_threads = per_thread_events.len();
         let mut trace = Trace::new(

@@ -235,10 +235,16 @@ fn in_flight_faults_never_panic_and_are_deterministic() {
     }
 }
 
+/// The worker counts the recovery-soundness tests run the streaming
+/// detector at. The dropped chunk leaves sections that never close, so at
+/// every count the engine compacts the section table and renumbers the
+/// collected pairs (`remap_sections`).
+const RECOVERY_WORKERS: [usize; 3] = [1, 2, 4];
+
 /// Recovery soundness: `SkipChunk` detection over a stream with one
 /// corrupted chunk record equals batch detection over the same trace with
 /// that chunk's events removed, and the gap annotation accounts for exactly
-/// the lost events.
+/// the lost events, at every worker count.
 #[test]
 fn skip_chunk_recovery_matches_detection_with_the_chunk_removed() {
     let corpus = corpus();
@@ -257,22 +263,6 @@ fn skip_chunk_recovery_matches_detection_with_the_chunk_removed() {
     ));
     std::fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
 
-    let mut reader = ChunkFileReader::with_policy(&path, RecoveryPolicy::SkipChunk).unwrap();
-    let streamed = ParallelStreamingDetector::with_workers(config(), 1)
-        .analyze(&mut reader)
-        .unwrap();
-    std::fs::remove_file(&path).ok();
-
-    // The gap annotation counts the loss: one unparseable-record gap (size
-    // unknown at that point) plus the trailer reconciliation gap carrying
-    // the residual — exactly the victim's events.
-    assert_eq!(streamed.stats.gaps, 2, "parse gap + trailer reconciliation");
-    assert_eq!(streamed.stats.events_lost, victim_events as u64);
-    assert_eq!(
-        streamed.stats.events,
-        corpus.trace.num_events() - victim_events
-    );
-
     // The executable spec: the same trace with the victim chunk's events
     // spliced out, analyzed by the in-memory batch engine.
     let mut expected = corpus.trace.clone();
@@ -283,30 +273,62 @@ fn skip_chunk_recovery_matches_detection_with_the_chunk_removed() {
     }
     let batch = Detector::new(config()).analyze(&expected);
 
-    assert_eq!(streamed.analysis.breakdown, batch.breakdown);
-    assert_eq!(streamed.analysis.ulcps, batch.ulcps);
-    assert_eq!(streamed.analysis.edges, batch.edges);
-    // Sections match in everything but the per-thread event indexes (the
-    // gapped stream keeps the original numbering; the spliced trace
-    // renumbers).
-    assert_eq!(streamed.analysis.sections.len(), batch.sections.len());
-    for (s, b) in streamed.analysis.sections.iter().zip(&batch.sections) {
-        assert_eq!(s.id, b.id);
-        assert_eq!(s.thread, b.thread);
-        assert_eq!(s.lock, b.lock);
-        assert_eq!(s.site, b.site);
-        assert_eq!(s.enter_time, b.enter_time);
-        assert_eq!(s.exit_time, b.exit_time);
-        assert_eq!(s.reads, b.reads);
-        assert_eq!(s.writes, b.writes);
-        assert_eq!(s.body_cost, b.body_cost);
+    for workers in RECOVERY_WORKERS {
+        let mut reader = ChunkFileReader::with_policy(&path, RecoveryPolicy::SkipChunk).unwrap();
+        let streamed = ParallelStreamingDetector::with_workers(config(), workers)
+            .analyze(&mut reader)
+            .unwrap();
+
+        // The gap annotation counts the loss: one unparseable-record gap
+        // (size unknown at that point) plus the trailer reconciliation gap
+        // carrying the residual — exactly the victim's events.
+        assert_eq!(
+            streamed.stats.gaps, 2,
+            "parse gap + trailer reconciliation, workers={workers}"
+        );
+        assert_eq!(
+            streamed.stats.events_lost, victim_events as u64,
+            "workers={workers}"
+        );
+        assert_eq!(
+            streamed.stats.events,
+            corpus.trace.num_events() - victim_events,
+            "workers={workers}"
+        );
+
+        assert_eq!(
+            streamed.analysis.breakdown, batch.breakdown,
+            "workers={workers}"
+        );
+        assert_eq!(streamed.analysis.ulcps, batch.ulcps, "workers={workers}");
+        assert_eq!(streamed.analysis.edges, batch.edges, "workers={workers}");
+        // Sections match in everything but the per-thread event indexes (the
+        // gapped stream keeps the original numbering; the spliced trace
+        // renumbers).
+        assert_eq!(
+            streamed.analysis.sections.len(),
+            batch.sections.len(),
+            "workers={workers}"
+        );
+        for (s, b) in streamed.analysis.sections.iter().zip(&batch.sections) {
+            assert_eq!(s.id, b.id, "workers={workers}");
+            assert_eq!(s.thread, b.thread, "workers={workers}");
+            assert_eq!(s.lock, b.lock, "workers={workers}");
+            assert_eq!(s.site, b.site, "workers={workers}");
+            assert_eq!(s.enter_time, b.enter_time, "workers={workers}");
+            assert_eq!(s.exit_time, b.exit_time, "workers={workers}");
+            assert_eq!(s.reads, b.reads, "workers={workers}");
+            assert_eq!(s.writes, b.writes, "workers={workers}");
+            assert_eq!(s.body_cost, b.body_cost, "workers={workers}");
+        }
     }
+    std::fs::remove_file(&path).ok();
 }
 
 /// The binary twin of the recovery-soundness test: a payload byte flipped
 /// deep inside one chunk frame is rejected by the frame CRC, and `SkipChunk`
 /// accounts for exactly that chunk — same gap count, same residual loss,
-/// same analysis as the spliced batch run.
+/// same analysis as the spliced batch run, at every worker count.
 #[test]
 fn pbin_skip_chunk_recovery_accounts_for_the_exact_loss() {
     let corpus = corpus();
@@ -333,19 +355,6 @@ fn pbin_skip_chunk_recovery_accounts_for_the_exact_loss() {
     ));
     std::fs::write(&path, &bytes).unwrap();
 
-    let mut reader = ChunkFileReader::with_policy(&path, RecoveryPolicy::SkipChunk).unwrap();
-    let streamed = ParallelStreamingDetector::with_workers(config(), 1)
-        .analyze(&mut reader)
-        .unwrap();
-    std::fs::remove_file(&path).ok();
-
-    assert_eq!(streamed.stats.gaps, 2, "CRC gap + trailer reconciliation");
-    assert_eq!(streamed.stats.events_lost, victim_events as u64);
-    assert_eq!(
-        streamed.stats.events,
-        corpus.trace.num_events() - victim_events
-    );
-
     let mut expected = corpus.trace.clone();
     for span in &victim_chunk.spans {
         expected.threads[span.thread.index()]
@@ -353,9 +362,34 @@ fn pbin_skip_chunk_recovery_accounts_for_the_exact_loss() {
             .drain(span.base_index..span.base_index + span.events.len());
     }
     let batch = Detector::new(config()).analyze(&expected);
-    assert_eq!(streamed.analysis.breakdown, batch.breakdown);
-    assert_eq!(streamed.analysis.ulcps, batch.ulcps);
-    assert_eq!(streamed.analysis.edges, batch.edges);
+
+    for workers in RECOVERY_WORKERS {
+        let mut reader = ChunkFileReader::with_policy(&path, RecoveryPolicy::SkipChunk).unwrap();
+        let streamed = ParallelStreamingDetector::with_workers(config(), workers)
+            .analyze(&mut reader)
+            .unwrap();
+
+        assert_eq!(
+            streamed.stats.gaps, 2,
+            "CRC gap + trailer reconciliation, workers={workers}"
+        );
+        assert_eq!(
+            streamed.stats.events_lost, victim_events as u64,
+            "workers={workers}"
+        );
+        assert_eq!(
+            streamed.stats.events,
+            corpus.trace.num_events() - victim_events,
+            "workers={workers}"
+        );
+        assert_eq!(
+            streamed.analysis.breakdown, batch.breakdown,
+            "workers={workers}"
+        );
+        assert_eq!(streamed.analysis.ulcps, batch.ulcps, "workers={workers}");
+        assert_eq!(streamed.analysis.edges, batch.edges, "workers={workers}");
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 /// Truncation sweep: the file cut at every record boundary and at several

@@ -11,6 +11,10 @@
 //!   map keyed by one must not quietly return to the hot path;
 //! * neither does the detection kernel or the pair classifier, whose
 //!   reversed replay runs on stack arrays (or one heap buffer) per pair;
+//! * only the sink modules (`crates/detect/src/sink.rs` and `plan.rs`)
+//!   implement `UlcpSink` outside test code, so every engine collects and
+//!   aggregates through the same sinks and the canonical pair order is
+//!   restored in their `seal`s alone;
 //! * retired names stay retired: no source file, test, example, README, CI
 //!   workflow or verification note names the sequential streaming engine
 //!   (`ParallelStreamingDetector` at one worker replaced it) or the second
@@ -198,6 +202,35 @@ fn detect_hot_path_names_no_ordered_map() {
         offenders.is_empty(),
         "BTreeMap on the detection engines' per-pair path (use the packed rows or \
          stack arrays instead):\n{}",
+        offenders.join("\n")
+    );
+}
+
+/// The only library files allowed to implement `UlcpSink`.
+const SINK_MODULES: [&str; 2] = ["crates/detect/src/sink.rs", "crates/detect/src/plan.rs"];
+
+#[test]
+fn sinks_live_in_the_sink_modules() {
+    let root = workspace_root();
+    let mut offenders: Vec<String> = Vec::new();
+    for krate in crate_roots() {
+        for path in rs_files_in(&krate.join("src")) {
+            if SINK_MODULES.iter().any(|m| path == root.join(m)) {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+            for (line_no, line) in non_test_code(&text) {
+                if !is_comment(line) && line.contains("UlcpSink for") {
+                    offenders.push(format!("{}:{line_no}: {}", relative(&path), line.trim()));
+                }
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "UlcpSink implemented outside {SINK_MODULES:?} (collect through CollectPairs or \
+         aggregate through SiteAggregator/PlanAggregator instead):\n{}",
         offenders.join("\n")
     );
 }
