@@ -19,6 +19,13 @@
 //! 5. **debug** — evaluate Equation 1 per pair, fuse per code region, rank by
 //!    Equation 2, and report (`perfplay-report`).
 //!
+//! [`PerfPlay::analyze_trace`] runs stages 2–5 as
+//! [`perfplay_report::analyze_plan`], the single-pass pipeline whose
+//! detection output is a compact per-site plan, then re-ranks that report by
+//! exact Equation 1 gains: one more detection pass folds each pair's
+//! replay-derived gain into per-site rows ([`ReplayGains`]). No stage reads
+//! a pair list.
+//!
 //! ```
 //! use perfplay::PerfPlay;
 //! use perfplay::workloads::{App, InputSize, WorkloadConfig};
@@ -33,17 +40,17 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use perfplay_detect::{Detector, DetectorConfig, UlcpAnalysis};
+use perfplay_detect::{DetectionPlan, Detector, DetectorConfig, SiteAggregator};
 use perfplay_program::Program;
 use perfplay_record::{RecordedExecution, Recorder, RecordingMode};
 use perfplay_replay::{
-    measure_fidelity, FidelityReport, ReplayConfig, ReplayError, ReplayResult, ReplaySchedule,
-    Replayer, ScheduleKind, UlcpFreeReplayer,
+    measure_fidelity, FidelityReport, ReplayConfig, ReplayError, ReplayResult, Replayer,
+    ScheduleKind,
 };
-use perfplay_report::PerfReport;
+use perfplay_report::{analyze_plan, PerfReport, PlanAnalysis, ReplayGains};
 use perfplay_sim::{ExecutionTiming, SimConfig, SimError};
 use perfplay_trace::Trace;
-use perfplay_transform::{TransformConfig, TransformedTrace, Transformer};
+use perfplay_transform::TransformConfig;
 
 /// Convenience re-exports of the building-block crates.
 pub mod prelude {
@@ -70,10 +77,9 @@ pub mod prelude {
     };
     pub use perfplay_report::{
         analyze_batch, analyze_batch_sequential, analyze_chunk_files, analyze_plan,
-        analyze_plan_with, fuse_aggregates, fuse_ulcp_gains, fuse_ulcps, rank_groups,
-        BatchAnalysis, BatchItemError, ChunkBatchAnalysis, ChunkStreamAnalysis, GroupedUlcp,
-        PerfReport, PipelineConfig, PipelineError, PlanAnalysis, Recommendation, ReplayGains,
-        UlcpGain,
+        fuse_aggregates, rank_groups, BatchAnalysis, BatchItemError, ChunkBatchAnalysis,
+        ChunkStreamAnalysis, GroupedUlcp, ImpactSplit, PerfReport, PipelineConfig, PipelineError,
+        PlanAnalysis, Recommendation, ReplayGains,
     };
     pub use perfplay_sim::{ExecutionResult, Executor, SimConfig};
     pub use perfplay_trace::{
@@ -212,10 +218,11 @@ pub struct PerfPlayConfig {
     pub use_dls: bool,
     /// Schedule used for the original-trace replay (the paper uses ELSC).
     pub original_schedule: ScheduleKind,
-    /// Opt-in static preflight: lint inputs and the transformed schedule
-    /// before the expensive stages; error-severity findings abort with
-    /// [`PerfPlayError::Preflight`]. Only honoured by the pipeline entry
-    /// points that go through [`PerfPlayConfig::pipeline`].
+    /// Opt-in static preflight: lint the input trace before detection and
+    /// the transformed schedule before the ULCP-free replay; error-severity
+    /// findings abort with [`PerfPlayError::Preflight`]. Honoured by
+    /// [`PerfPlay::analyze_trace`] and [`PerfPlay::analyze_program`], and by
+    /// every pipeline entry point given [`PerfPlayConfig::pipeline`].
     pub preflight: bool,
 }
 
@@ -236,18 +243,18 @@ impl Default for PerfPlayConfig {
 
 impl PerfPlayConfig {
     /// The analysis-stage slice of this configuration, as consumed by the
-    /// single-pass pipeline (`perfplay_report::analyze_plan`) and the
-    /// multi-trace batch driver. `chunk_events` selects streaming detection
-    /// when set, with its worker count following
-    /// [`DetectorConfig::parallel`].
-    pub fn pipeline(&self, chunk_events: Option<usize>) -> perfplay_report::PipelineConfig {
+    /// single-pass pipeline ([`analyze_plan`]) and the multi-trace batch
+    /// driver, with batch (in-memory) detection. Set
+    /// [`chunk_events`](perfplay_report::PipelineConfig::chunk_events) on the
+    /// result to stream detection instead.
+    pub fn pipeline(&self) -> perfplay_report::PipelineConfig {
         perfplay_report::PipelineConfig {
             detector: self.detector,
             replay: self.replay,
             transform: self.transform,
             use_dls: self.use_dls,
             original_schedule: self.original_schedule,
-            chunk_events,
+            chunk_events: None,
             preflight: self.preflight,
         }
     }
@@ -261,15 +268,15 @@ pub struct Analysis {
     /// Timing of the recording run (absent when analysing a pre-existing
     /// trace).
     pub recording_timing: Option<ExecutionTiming>,
-    /// ULCP identification results.
-    pub ulcps: UlcpAnalysis,
-    /// The ULCP-free transformed trace.
-    pub transformed: TransformedTrace,
+    /// The compact detection output (sections, breakdown, causal edges,
+    /// benign pairs and per-site rows) that drove the transformation and
+    /// both replays.
+    pub plan: DetectionPlan,
     /// Replay of the original trace (ELSC by default).
     pub original_replay: ReplayResult,
     /// Replay of the ULCP-free trace.
     pub ulcp_free_replay: ReplayResult,
-    /// The programmer-facing report.
+    /// The programmer-facing report, ranked by exact Equation 1 gains.
     pub report: PerfReport,
 }
 
@@ -300,74 +307,60 @@ impl PerfPlay {
     ///
     /// # Errors
     ///
-    /// Returns [`PerfPlayError`] if the program cannot be executed or a
-    /// replay fails.
+    /// Returns [`PerfPlayError::Record`] if the program cannot be executed,
+    /// and otherwise the errors of [`analyze_trace`](Self::analyze_trace).
     pub fn analyze_program(&self, program: &Program) -> Result<Analysis, PerfPlayError> {
         let RecordedExecution { trace, timing, .. } = Recorder::new(self.config.sim)
             .mode(self.config.recording_mode)
             .record(program)?;
-        let mut analysis = self.analyze_trace(&trace)?;
+        let mut analysis = self.analyze_owned(trace)?;
         analysis.recording_timing = Some(timing);
         Ok(analysis)
     }
 
     /// Runs the analysis pipeline (identify → transform → replay → debug) on
-    /// an already-recorded trace.
+    /// an already-recorded trace: [`analyze_plan`] under
+    /// [`PerfPlayConfig::pipeline`], with its report re-ranked by exact
+    /// Equation 1 gains.
     ///
     /// # Errors
     ///
-    /// Returns [`PerfPlayError::Replay`] if either replay fails.
+    /// Returns [`PerfPlayError::Preflight`] when
+    /// [`PerfPlayConfig::preflight`] is set and the trace or the transformed
+    /// schedule has error-severity lint findings, and
+    /// [`PerfPlayError::Replay`] if either replay fails.
     pub fn analyze_trace(&self, trace: &Trace) -> Result<Analysis, PerfPlayError> {
-        let ulcps = Detector::new(self.config.detector).analyze(trace);
-        let transformed = Transformer::new(self.config.transform).transform(trace, &ulcps);
+        self.analyze_owned(trace.clone())
+    }
 
-        let schedule = ReplaySchedule::for_kind(self.config.original_schedule);
-        let original_replay = Replayer::new(self.config.replay).replay(trace, schedule)?;
-        let ulcp_free_replay = UlcpFreeReplayer::new(self.config.replay)
-            .with_dls(self.config.use_dls)
-            .replay(&transformed)?;
-
-        let report = PerfReport::build(
-            trace,
-            &ulcps,
-            &transformed,
-            &original_replay,
-            &ulcp_free_replay,
-        );
+    /// [`analyze_trace`](Self::analyze_trace) on a trace the analysis keeps.
+    ///
+    /// The plan's rows rank by a detection-time proxy, because Equation 1
+    /// needs both replays. One more detection pass with the same detector
+    /// configuration therefore folds each pair's exact gain into per-site
+    /// rows, and the report is re-ranked by them.
+    fn analyze_owned(&self, trace: Trace) -> Result<Analysis, PerfPlayError> {
+        let PlanAnalysis {
+            plan,
+            original_replay,
+            ulcp_free_replay,
+            report,
+            ..
+        } = analyze_plan(&trace, &self.config.pipeline())?;
+        let gains = ReplayGains::new(&trace, &original_replay, &ulcp_free_replay);
+        let exact = Detector::new(self.config.detector)
+            .analyze_with(&trace, SiteAggregator::new(gains))
+            .sink
+            .finish();
+        let report = report.with_gains(&exact, &original_replay, &ulcp_free_replay);
         Ok(Analysis {
-            trace: trace.clone(),
+            trace,
             recording_timing: None,
-            ulcps,
-            transformed,
+            plan,
             original_replay,
             ulcp_free_replay,
             report,
         })
-    }
-
-    /// Runs the single-pass analysis pipeline on an already-recorded trace:
-    /// one detection pass through a
-    /// [`PlanAggregator`](perfplay_detect::PlanAggregator) sink whose
-    /// compact [`DetectionPlan`](perfplay_detect::DetectionPlan) drives the
-    /// transformation, both replays and the report — O(code sites) detection
-    /// output, no materialized pair list.
-    ///
-    /// The report ranks regions by the detection-time
-    /// [`BodyOverlapGain`](perfplay_detect::BodyOverlapGain) proxy;
-    /// [`analyze_trace`](Self::analyze_trace) remains the exact Equation 1
-    /// path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PerfPlayError::Replay`] if either replay fails.
-    pub fn analyze_trace_single_pass(
-        &self,
-        trace: &Trace,
-    ) -> Result<perfplay_report::PlanAnalysis, PerfPlayError> {
-        Ok(perfplay_report::analyze_plan(
-            trace,
-            &self.config.pipeline(None),
-        )?)
     }
 
     /// Measures replay fidelity (stability and precision) of a trace under a
@@ -440,9 +433,13 @@ mod tests {
     fn single_pass_pipeline_matches_the_materializing_breakdown() {
         let perfplay = PerfPlay::new();
         let full = perfplay.analyze_program(&small_program()).unwrap();
-        let single = perfplay.analyze_trace_single_pass(&full.trace).unwrap();
-        // Same detection (breakdown), same replays (impact times), no pair
-        // list: the plan holds aggregate rows + edges + benign pairs only.
+        // The facade's detection, transformation and replays are
+        // `analyze_plan`'s; only the ranking differs (exact Equation 1
+        // gains instead of the detection-time proxy).
+        let single = analyze_plan(&full.trace, &perfplay.config().pipeline()).unwrap();
+        assert_eq!(single.plan, full.plan);
+        assert_eq!(single.original_replay, full.original_replay);
+        assert_eq!(single.ulcp_free_replay, full.ulcp_free_replay);
         assert_eq!(single.report.breakdown, full.report.breakdown);
         assert_eq!(
             single.report.impact.original_time,
@@ -453,7 +450,11 @@ mod tests {
             full.report.impact.ulcp_free_time
         );
         assert_eq!(single.report.transform_stats, full.report.transform_stats);
-        assert!(single.plan.resident_entries() < full.ulcps.ulcps.len());
+        // Same breakdown as materializing every pair, which the plan never
+        // holds: it keeps aggregate rows, edges and benign pairs only.
+        let pairs = Detector::default().analyze(&full.trace);
+        assert_eq!(full.report.breakdown, pairs.breakdown);
+        assert!(full.plan.resident_entries() < pairs.ulcps.len());
     }
 
     #[test]

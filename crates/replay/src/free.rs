@@ -269,7 +269,7 @@ mod tests {
     use super::*;
     use crate::original::Replayer;
     use crate::schedule::ReplaySchedule;
-    use perfplay_detect::Detector;
+    use perfplay_detect::{Detector, NoGain};
     use perfplay_program::ProgramBuilder;
     use perfplay_record::Recorder;
     use perfplay_sim::SimConfig;
@@ -284,8 +284,8 @@ mod tests {
             .record(&b.build())
             .unwrap()
             .trace;
-        let analysis = Detector::default().analyze(&trace);
-        let tt = Transformer::default().transform(&trace, &analysis);
+        let plan = Detector::default().plan(&trace, NoGain);
+        let tt = Transformer::default().transform_from_plan(&trace, &plan);
         (trace, tt)
     }
 

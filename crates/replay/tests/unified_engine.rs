@@ -35,8 +35,8 @@ fn assert_engine_matches_reference(trace: &Trace) {
             schedule.kind
         );
     }
-    let analysis = perfplay_detect::Detector::default().analyze(trace);
-    let transformed = perfplay_transform::Transformer::default().transform(trace, &analysis);
+    let plan = perfplay_detect::Detector::default().plan(trace, perfplay_detect::NoGain);
+    let transformed = perfplay_transform::Transformer::default().transform_from_plan(trace, &plan);
     for use_dls in [true, false] {
         let reference = reference_replay_free(&config, use_dls, &transformed);
         let engine = UlcpFreeReplayer::new(config)

@@ -7,11 +7,9 @@
 //! the report can point the programmer at the *code region* with the highest
 //! optimization opportunity.
 
-use perfplay_detect::{SiteAggregates, UlcpAnalysis};
+use perfplay_detect::SiteAggregates;
 use perfplay_trace::CodeRegion;
 use serde::{Deserialize, Serialize};
-
-use crate::metrics::UlcpGain;
 
 /// A group of fused ULCPs attributed to one pair of code regions.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -71,54 +69,20 @@ pub struct Recommendation {
     pub opportunity: f64,
 }
 
-/// Fuses per-ULCP gains into unique code-region groups (Algorithm 2).
+/// Fuses per-site gains into unique code-region groups (Algorithm 2).
 ///
-/// Gains are clamped at zero before accumulation, matching the paper's use of
-/// the metric as an optimization opportunity.
-pub fn fuse_ulcps(analysis: &UlcpAnalysis, gains: &[UlcpGain]) -> Vec<GroupedUlcp> {
-    fuse_ulcp_gains(analysis, gains.iter().copied())
-}
-
-/// [`fuse_ulcps`] over a streamed gain sequence, so huge pair lists can be
-/// fused without ever materializing a `Vec<UlcpGain>` next to them.
-pub fn fuse_ulcp_gains(
-    analysis: &UlcpAnalysis,
-    gains: impl IntoIterator<Item = UlcpGain>,
-) -> Vec<GroupedUlcp> {
-    // Seed one group per dynamic ULCP, keyed by its two code sites. Grouping
-    // identical site pairs first keeps the fixpoint loop small.
-    let mut seeds: std::collections::BTreeMap<(u32, u32), GroupedUlcp> =
-        std::collections::BTreeMap::new();
-    for gain in gains {
-        let first_site = analysis.section(gain.ulcp.first).site;
-        let second_site = analysis.section(gain.ulcp.second).site;
-        let key = if first_site.raw() <= second_site.raw() {
-            (first_site.raw(), second_site.raw())
-        } else {
-            (second_site.raw(), first_site.raw())
-        };
-        let entry = seeds.entry(key).or_insert_with(|| seed_group(key));
-        entry.dynamic_pairs = entry.dynamic_pairs.saturating_add(1);
-        // Saturating: the clamped gains are non-negative, so a saturating
-        // sum is order-independent — and overflow on huge traces degrades to
-        // "maximal opportunity" instead of a panic or a wrapped small gain.
-        entry.gain_ns = entry.gain_ns.saturating_add(gain.clamped());
-    }
-    fixpoint_fuse(seeds.into_values().collect())
-}
-
-/// Builds the Algorithm 2 groups straight from scan-time
-/// [`SiteAggregates`] — the aggregating sink's rows *are* the fusion seeds
-/// (same unordered site-pair key, same saturating accumulation), so this
-/// skips the per-pair re-grouping pass entirely and produces the identical
-/// groups the pair-list path would.
+/// The aggregating sink's rows *are* the fusion seeds: each row already
+/// holds the pair count and the clamped, saturating gain sum of one
+/// unordered site pair and kind, so no pass over the dynamic pairs is
+/// needed. Clamping negative gains at zero matches the paper's use of the
+/// metric as an optimization opportunity.
 pub fn fuse_aggregates(aggregates: &SiteAggregates) -> Vec<GroupedUlcp> {
     let mut seeds: std::collections::BTreeMap<(u32, u32), GroupedUlcp> =
         std::collections::BTreeMap::new();
     for row in &aggregates.ulcps {
         // Rows are already site-normalized (`site_first <= site_second`);
-        // collapsing the per-kind rows of one site pair reproduces the
-        // pair-path seed because saturating addition is associative.
+        // the per-kind rows of one site pair collapse into one seed, and
+        // saturating addition is associative, so the fold order is free.
         let key = (row.site_first.raw(), row.site_second.raw());
         let entry = seeds.entry(key).or_insert_with(|| seed_group(key));
         entry.dynamic_pairs = entry
@@ -140,8 +104,8 @@ fn seed_group(key: (u32, u32)) -> GroupedUlcp {
 }
 
 /// Fixpoint fusion over seeded groups (Algorithm 2's outer loop). The seeds
-/// arrive in ascending site-pair key order from both seeding paths, so the
-/// fused output is identical whichever path produced them.
+/// arrive in ascending site-pair key order, so the fused output does not
+/// depend on the order the rows were accumulated in.
 fn fixpoint_fuse(mut groups: Vec<GroupedUlcp>) -> Vec<GroupedUlcp> {
     loop {
         let mut fused_any = false;
@@ -196,7 +160,7 @@ pub fn rank_groups(groups: Vec<GroupedUlcp>) -> Vec<Recommendation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perfplay_detect::{Detector, UlcpKind};
+    use perfplay_detect::{Detector, GainSource, SectionCtx, SiteAggregator, Ulcp, UlcpBreakdown};
     use perfplay_program::ProgramBuilder;
     use perfplay_record::Recorder;
     use perfplay_sim::SimConfig;
@@ -209,6 +173,46 @@ mod tests {
             dynamic_pairs: 1,
             gain_ns: gain,
         }
+    }
+
+    /// Attributes the same gain to every pair.
+    #[derive(Clone, Copy)]
+    struct Fixed(i64);
+
+    impl GainSource for Fixed {
+        fn pair_gain_ns(&self, _: &Ulcp, _: &SectionCtx<'_>) -> i64 {
+            self.0
+        }
+    }
+
+    /// Records the program and folds its pairs, each worth `gain`, into
+    /// per-site rows.
+    fn fold(b: ProgramBuilder, gain: i64) -> (UlcpBreakdown, SiteAggregates) {
+        let trace = Recorder::new(SimConfig::default())
+            .record(&b.build())
+            .unwrap()
+            .trace;
+        let run = Detector::default().analyze_with(&trace, SiteAggregator::new(Fixed(gain)));
+        (run.breakdown, run.sink.finish())
+    }
+
+    /// Two threads running one read-only section on one lock `iters` times.
+    fn same_site_readers(name: &str, iters: u32) -> ProgramBuilder {
+        let mut b = ProgramBuilder::new(name);
+        let lock = b.lock("m");
+        let x = b.shared("x", 0);
+        let site = b.site("f.c", "reader", 1);
+        for i in 0..2 {
+            b.thread(format!("t{i}"), |t| {
+                t.loop_n(iters, |l| {
+                    l.locked(lock, site, |cs| {
+                        cs.read(x);
+                    });
+                    l.compute_ns(50);
+                });
+            });
+        }
+        b
     }
 
     #[test]
@@ -232,41 +236,16 @@ mod tests {
     }
 
     #[test]
-    fn fuse_ulcps_groups_by_code_site_pair() {
+    fn fusion_groups_by_code_site_pair() {
         // Two threads running the same code: all dynamic ULCPs share one
         // site pair and must collapse into a single group.
-        let mut b = ProgramBuilder::new("fusion-test");
-        let lock = b.lock("m");
-        let x = b.shared("x", 0);
-        let site = b.site("f.c", "reader", 1);
-        for i in 0..2 {
-            b.thread(format!("t{i}"), |t| {
-                t.loop_n(4, |l| {
-                    l.locked(lock, site, |cs| {
-                        cs.read(x);
-                    });
-                    l.compute_ns(50);
-                });
-            });
-        }
-        let trace = Recorder::new(SimConfig::default())
-            .record(&b.build())
-            .unwrap()
-            .trace;
-        let analysis = Detector::default().analyze(&trace);
-        assert!(analysis.ulcps.len() > 1);
-        let gains: Vec<UlcpGain> = analysis
-            .ulcps
-            .iter()
-            .map(|u| UlcpGain {
-                ulcp: *u,
-                gain_ns: 100,
-            })
-            .collect();
-        let groups = fuse_ulcps(&analysis, &gains);
+        let (breakdown, aggregates) = fold(same_site_readers("fusion-test", 4), 100);
+        let pairs = breakdown.total_ulcps();
+        assert!(pairs > 1);
+        let groups = fuse_aggregates(&aggregates);
         assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].dynamic_pairs, analysis.ulcps.len());
-        assert_eq!(groups[0].gain_ns, 100 * analysis.ulcps.len() as u64);
+        assert_eq!(groups[0].dynamic_pairs, pairs);
+        assert_eq!(groups[0].gain_ns, 100 * pairs as u64);
     }
 
     #[test]
@@ -288,21 +267,8 @@ mod tests {
                 });
             });
         }
-        let trace = Recorder::new(SimConfig::default())
-            .record(&b.build())
-            .unwrap()
-            .trace;
-        let analysis = Detector::default().analyze(&trace);
-        let gains: Vec<UlcpGain> = analysis
-            .ulcps
-            .iter()
-            .map(|u| UlcpGain {
-                ulcp: *u,
-                gain_ns: 10,
-            })
-            .collect();
-        let groups = fuse_ulcps(&analysis, &gains);
-        assert_eq!(groups.len(), 2);
+        let (_, aggregates) = fold(b, 10);
+        assert_eq!(fuse_aggregates(&aggregates).len(), 2);
     }
 
     #[test]
@@ -343,37 +309,11 @@ mod tests {
 
     #[test]
     fn accumulating_huge_clamped_gains_saturates() {
-        // Three i64::MAX gains exceed u64::MAX: the seed accumulation in
-        // fuse_ulcps must saturate, not overflow.
-        let mut b = ProgramBuilder::new("fusion-overflow");
-        let lock = b.lock("m");
-        let x = b.shared("x", 0);
-        let site = b.site("o.c", "reader", 1);
-        for i in 0..2 {
-            b.thread(format!("t{i}"), |t| {
-                t.loop_n(2, |l| {
-                    l.locked(lock, site, |cs| {
-                        cs.read(x);
-                    });
-                    l.compute_ns(50);
-                });
-            });
-        }
-        let trace = Recorder::new(SimConfig::default())
-            .record(&b.build())
-            .unwrap()
-            .trace;
-        let analysis = Detector::default().analyze(&trace);
-        assert!(analysis.ulcps.len() >= 3, "need >= 3 pairs to overflow");
-        let gains: Vec<UlcpGain> = analysis
-            .ulcps
-            .iter()
-            .map(|u| UlcpGain {
-                ulcp: *u,
-                gain_ns: i64::MAX,
-            })
-            .collect();
-        let groups = fuse_ulcps(&analysis, &gains);
+        // Three i64::MAX gains exceed u64::MAX: the per-site accumulation
+        // and the seeds fused from it must saturate, not overflow.
+        let (breakdown, aggregates) = fold(same_site_readers("fusion-overflow", 2), i64::MAX);
+        assert!(breakdown.total_ulcps() >= 3, "need >= 3 pairs to overflow");
+        let groups = fuse_aggregates(&aggregates);
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].gain_ns, u64::MAX);
     }
@@ -402,32 +342,10 @@ mod tests {
 
     #[test]
     fn negative_gains_do_not_contribute() {
-        let mut b = ProgramBuilder::new("fusion-negative");
-        let lock = b.lock("m");
-        let x = b.shared("x", 0);
-        let site = b.site("n.c", "reader", 1);
-        for i in 0..2 {
-            b.thread(format!("t{i}"), |t| {
-                t.locked(lock, site, |cs| {
-                    cs.read(x);
-                });
-            });
-        }
-        let trace = Recorder::new(SimConfig::default())
-            .record(&b.build())
-            .unwrap()
-            .trace;
-        let analysis = Detector::default().analyze(&trace);
-        assert_eq!(analysis.breakdown.count(UlcpKind::ReadRead), 1);
-        let gains: Vec<UlcpGain> = analysis
-            .ulcps
-            .iter()
-            .map(|u| UlcpGain {
-                ulcp: *u,
-                gain_ns: -500,
-            })
-            .collect();
-        let groups = fuse_ulcps(&analysis, &gains);
+        let (breakdown, aggregates) = fold(same_site_readers("fusion-negative", 1), -500);
+        assert_eq!(breakdown.read_read, 1);
+        let groups = fuse_aggregates(&aggregates);
+        assert_eq!(groups[0].dynamic_pairs, 1);
         assert_eq!(groups[0].gain_ns, 0);
     }
 }

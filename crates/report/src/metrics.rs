@@ -10,7 +10,7 @@
 //!
 //! where `Δ` is "original minus ULCP-free".
 
-use perfplay_detect::{GainSource, SectionCtx, Ulcp, UlcpAnalysis};
+use perfplay_detect::{GainSource, SectionCtx, Ulcp};
 use perfplay_replay::ReplayResult;
 use perfplay_trace::{CriticalSection, Time, Trace};
 use serde::{Deserialize, Serialize};
@@ -72,23 +72,6 @@ fn anchor_times(anchors: &SegmentAnchors, result: &ReplayResult) -> (Time, Time)
     (time1, time2)
 }
 
-/// The evaluated performance improvement of one ULCP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct UlcpGain {
-    /// The pair this gain belongs to.
-    pub ulcp: Ulcp,
-    /// `ΔT_ULCP` in nanoseconds; may be negative when the transformation did
-    /// not help this particular pair.
-    pub gain_ns: i64,
-}
-
-impl UlcpGain {
-    /// The gain clamped at zero, as used for accumulation and ranking.
-    pub fn clamped(&self) -> u64 {
-        self.gain_ns.max(0) as u64
-    }
-}
-
 /// Evaluates Equation 1 for one pair of critical sections, given the replay
 /// of the original trace and the replay of the ULCP-free trace.
 pub fn pair_gain_ns(
@@ -113,35 +96,11 @@ pub fn pair_gain_ns(
     delta_max - delta_t1
 }
 
-/// Evaluates Equation 1 for every ULCP, given the replay of the original
-/// trace and the replay of the ULCP-free trace.
-pub fn ulcp_gains(
-    trace: &Trace,
-    analysis: &UlcpAnalysis,
-    original: &ReplayResult,
-    ulcp_free: &ReplayResult,
-) -> Vec<UlcpGain> {
-    analysis
-        .ulcps
-        .iter()
-        .map(|u| UlcpGain {
-            ulcp: *u,
-            gain_ns: pair_gain_ns(
-                trace,
-                analysis.section(u.first),
-                analysis.section(u.second),
-                original,
-                ulcp_free,
-            ),
-        })
-        .collect()
-}
-
 /// A [`GainSource`] evaluating Equation 1 at pair-emission time from the two
-/// replays — the bridge that lets an aggregating detection pass (a
-/// [`SiteAggregator`](perfplay_detect::SiteAggregator) sink) accumulate the
-/// exact per-pair gains the materializing pipeline computes, without a pair
-/// list ever existing.
+/// replays, so an aggregating detection pass (a
+/// [`SiteAggregator`](perfplay_detect::SiteAggregator) sink) folds the exact
+/// per-pair gains into per-site rows without a pair list ever existing. The
+/// `PerfPlay` facade re-ranks its report by one such pass after both replays.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplayGains<'a> {
     trace: &'a Trace,
@@ -180,8 +139,8 @@ impl GainSource for ReplayGains<'_> {
 /// The paper derives `T_rw` as `Σ ΔT_ULCP − T_pd`; summing Equation 1 over
 /// all pairs double-counts heavily when thousands of dynamic ULCPs share the
 /// same segments, so this reproduction measures the waste directly from the
-/// two replays' per-thread lock-wait accounts instead. The per-pair Equation 1
-/// gains are still what fusion and ranking (Algorithm 2, Equation 2) consume.
+/// two replays' per-thread lock-wait accounts instead. Per-pair gains are
+/// still what fusion and ranking (Algorithm 2, Equation 2) consume.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ImpactSplit {
     /// Total time of the original replay (`T_ut`).
@@ -192,25 +151,17 @@ pub struct ImpactSplit {
     pub degradation: Time,
     /// Resource (CPU) waste `T_rw`.
     pub resource_waste: Time,
-    /// Sum of the clamped per-pair Equation 1 gains (reported for
-    /// completeness; not used for the normalized metrics).
+    /// Sum of the clamped per-pair gains the report is ranked by: exact
+    /// Equation 1 gains ([`ReplayGains`]) in the `PerfPlay` facade's report,
+    /// the detection-time `BodyOverlapGain` proxy in `analyze_plan` and
+    /// `analyze_batch` reports. Reported for completeness; not used for the
+    /// normalized metrics.
     pub total_pair_gain: Time,
 }
 
 impl ImpactSplit {
-    /// Computes the split from the two replays and the per-ULCP gains.
-    pub fn compute(original: &ReplayResult, ulcp_free: &ReplayResult, gains: &[UlcpGain]) -> Self {
-        // Saturating fold: equal to the saturating per-site accumulation an
-        // aggregating detection pass performs, so both report paths agree
-        // even when the summed gain overflows.
-        let total_gain = gains
-            .iter()
-            .fold(0u64, |acc, g| acc.saturating_add(g.clamped()));
-        Self::with_total_gain(original, ulcp_free, total_gain)
-    }
-
-    /// Computes the split from the two replays and a pre-accumulated total
-    /// gain (the aggregate-table path, where per-pair gains never exist).
+    /// Computes the split from the two replays and the total gain of a
+    /// per-site aggregate table.
     pub fn with_total_gain(
         original: &ReplayResult,
         ulcp_free: &ReplayResult,
@@ -247,7 +198,7 @@ impl ImpactSplit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perfplay_detect::Detector;
+    use perfplay_detect::{DetectionPlan, Detector, NoGain, SiteAggregates, SiteAggregator};
     use perfplay_program::ProgramBuilder;
     use perfplay_record::Recorder;
     use perfplay_replay::{ReplaySchedule, Replayer, UlcpFreeReplayer};
@@ -256,9 +207,24 @@ mod tests {
 
     struct Fixture {
         trace: Trace,
-        analysis: UlcpAnalysis,
+        plan: DetectionPlan,
         original: ReplayResult,
         free: ReplayResult,
+    }
+
+    impl Fixture {
+        /// One aggregating detection pass folding `gain` into site rows.
+        fn fold<G: GainSource + Clone + Send + Sync>(&self, gain: G) -> SiteAggregates {
+            Detector::default()
+                .analyze_with(&self.trace, SiteAggregator::new(gain))
+                .sink
+                .finish()
+        }
+
+        /// The exact Equation 1 table of the fixture's two replays.
+        fn exact_gains(&self) -> SiteAggregates {
+            self.fold(ReplayGains::new(&self.trace, &self.original, &self.free))
+        }
     }
 
     fn fixture(threads: usize, iters: u32) -> Fixture {
@@ -282,15 +248,15 @@ mod tests {
             .record(&b.build())
             .unwrap()
             .trace;
-        let analysis = Detector::default().analyze(&trace);
-        let transformed = Transformer::default().transform(&trace, &analysis);
+        let plan = Detector::default().plan(&trace, NoGain);
+        let transformed = Transformer::default().transform_from_plan(&trace, &plan);
         let original = Replayer::default()
             .replay(&trace, ReplaySchedule::elsc())
             .unwrap();
         let free = UlcpFreeReplayer::default().replay(&transformed).unwrap();
         Fixture {
             trace,
-            analysis,
+            plan,
             original,
             free,
         }
@@ -299,7 +265,7 @@ mod tests {
     #[test]
     fn anchors_bracket_the_critical_section() {
         let f = fixture(2, 3);
-        for s in &f.analysis.sections {
+        for s in &f.plan.sections {
             let anchors = segment_anchors(&f.trace, s);
             assert_eq!(anchors.thread, s.thread.index());
             if let Some(t1) = anchors.time1_index {
@@ -314,7 +280,7 @@ mod tests {
     fn first_section_of_a_thread_anchors_time1_at_thread_start() {
         let f = fixture(2, 1);
         let first = f
-            .analysis
+            .plan
             .sections
             .iter()
             .find(|s| s.thread.index() == 0)
@@ -326,20 +292,23 @@ mod tests {
     #[test]
     fn read_read_contention_yields_positive_total_gain() {
         let f = fixture(2, 4);
-        assert!(!f.analysis.ulcps.is_empty());
-        let gains = ulcp_gains(&f.trace, &f.analysis, &f.original, &f.free);
-        assert_eq!(gains.len(), f.analysis.ulcps.len());
-        let total: u64 = gains.iter().map(UlcpGain::clamped).sum();
-        assert!(total > 0, "removing read-read ULCPs should help");
+        assert!(f.plan.breakdown.total_ulcps() > 0);
+        let gains = f.exact_gains();
+        assert_eq!(gains.total_pairs() as usize, f.plan.breakdown.total_ulcps());
+        assert!(
+            gains.total_gain_ns() > 0,
+            "removing read-read ULCPs should help"
+        );
     }
 
     #[test]
     fn impact_split_is_consistent() {
         let f = fixture(2, 4);
-        let gains = ulcp_gains(&f.trace, &f.analysis, &f.original, &f.free);
-        let split = ImpactSplit::compute(&f.original, &f.free, &gains);
+        let total = f.exact_gains().total_gain_ns();
+        let split = ImpactSplit::with_total_gain(&f.original, &f.free, total);
         assert_eq!(split.original_time, f.original.total_time);
         assert_eq!(split.ulcp_free_time, f.free.total_time);
+        assert_eq!(split.total_pair_gain, Time::from_nanos(total));
         assert!(split.degradation > Time::ZERO);
         assert!(split.normalized_degradation() > 0.0);
         assert!(split.normalized_degradation() < 1.0);
@@ -349,25 +318,28 @@ mod tests {
 
     #[test]
     fn gain_clamping_ignores_negative_gains() {
-        let g = UlcpGain {
-            ulcp: Ulcp {
-                first: perfplay_trace::SectionId::new(0),
-                second: perfplay_trace::SectionId::new(1),
-                lock: perfplay_trace::LockId::new(0),
-                kind: perfplay_detect::UlcpKind::ReadRead,
-            },
-            gain_ns: -50,
-        };
-        assert_eq!(g.clamped(), 0);
+        #[derive(Clone, Copy)]
+        struct Negative;
+        impl GainSource for Negative {
+            fn pair_gain_ns(&self, _: &Ulcp, _: &SectionCtx<'_>) -> i64 {
+                -50
+            }
+        }
+        let f = fixture(2, 4);
+        let table = f.fold(Negative);
+        assert!(table.total_pairs() > 0);
+        assert_eq!(table.total_gain_ns(), 0);
+        let split = ImpactSplit::with_total_gain(&f.original, &f.free, table.total_gain_ns());
+        assert_eq!(split.total_pair_gain, Time::ZERO);
     }
 
     #[test]
     fn uncontended_program_has_negligible_degradation() {
         // One thread: there can be no inter-thread contention to remove.
         let f = fixture(1, 4);
-        assert!(f.analysis.ulcps.is_empty());
-        let gains = ulcp_gains(&f.trace, &f.analysis, &f.original, &f.free);
-        let split = ImpactSplit::compute(&f.original, &f.free, &gains);
+        assert_eq!(f.plan.breakdown.total_ulcps(), 0);
+        let split =
+            ImpactSplit::with_total_gain(&f.original, &f.free, f.exact_gains().total_gain_ns());
         // The only difference is the stripped lock overhead of the single
         // thread's own sections, a tiny fraction of the runtime.
         assert!(split.normalized_degradation() < 0.2);

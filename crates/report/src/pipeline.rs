@@ -23,8 +23,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use perfplay_detect::{
-    BodyOverlapGain, DetectionPlan, Detector, DetectorConfig, GainSource,
-    ParallelStreamingDetector, PlanAggregator, SiteAggregates, StreamingStats, UlcpBreakdown,
+    BodyOverlapGain, DetectionPlan, Detector, DetectorConfig, ParallelStreamingDetector,
+    PlanAggregator, SiteAggregates, StreamingStats, UlcpBreakdown,
 };
 use perfplay_lint::{
     analyze_schedule, lint_chunk_file, lint_chunk_file_pipelined, lint_trace, Diagnostic,
@@ -219,18 +219,19 @@ pub struct PlanAnalysis {
     pub streaming: Option<StreamingStats>,
 }
 
-/// Runs the single-pass pipeline with an explicit detection-time gain
-/// source.
+/// Runs the single-pass pipeline: one detection pass into a
+/// [`PlanAggregator`] whose [`DetectionPlan`] drives the transformation, both
+/// replays and a report ranked by the detection-time [`BodyOverlapGain`]
+/// proxy.
 ///
 /// # Errors
 ///
-/// Returns [`PipelineError`] if a replay fails or the chunked stream is
-/// malformed (the in-memory adapter never is).
-pub fn analyze_plan_with<G: GainSource + Clone + Send + Sync>(
-    trace: &Trace,
-    config: &PipelineConfig,
-    gain: G,
-) -> Result<PlanAnalysis, PipelineError> {
+/// Returns [`PipelineError::Preflight`] when [`PipelineConfig::preflight`]
+/// is set and the trace or the transformed schedule has error-severity
+/// findings, [`PipelineError::Replay`] if a replay fails, and
+/// [`PipelineError::Stream`] if the chunked stream is malformed (the
+/// in-memory adapter never is).
+pub fn analyze_plan(trace: &Trace, config: &PipelineConfig) -> Result<PlanAnalysis, PipelineError> {
     if config.preflight {
         let chunk_events = config.chunk_events.unwrap_or(PREFLIGHT_CHUNK_EVENTS);
         if let Some(errors) = preflight_errors(lint_trace(trace, chunk_events)) {
@@ -241,11 +242,14 @@ pub fn analyze_plan_with<G: GainSource + Clone + Send + Sync>(
         Some(chunk_events) => {
             let workers = config.stream_workers().unwrap_or(1);
             let streamed = ParallelStreamingDetector::with_workers(config.detector, workers)
-                .analyze_trace_with(trace, chunk_events, PlanAggregator::new(gain))?;
+                .analyze_trace_with(trace, chunk_events, PlanAggregator::new(BodyOverlapGain))?;
             let (plan, stats) = DetectionPlan::from_streaming(streamed);
             (plan, Some(stats))
         }
-        None => (Detector::new(config.detector).plan(trace, gain), None),
+        None => (
+            Detector::new(config.detector).plan(trace, BodyOverlapGain),
+            None,
+        ),
     };
 
     let transformed = Transformer::new(config.transform).transform_from_plan(trace, &plan);
@@ -279,16 +283,6 @@ pub fn analyze_plan_with<G: GainSource + Clone + Send + Sync>(
         report,
         streaming,
     })
-}
-
-/// Runs the single-pass pipeline with the default detection-time gain proxy
-/// ([`BodyOverlapGain`]).
-///
-/// # Errors
-///
-/// Same conditions as [`analyze_plan_with`].
-pub fn analyze_plan(trace: &Trace, config: &PipelineConfig) -> Result<PlanAnalysis, PipelineError> {
-    analyze_plan_with(trace, config, BodyOverlapGain)
 }
 
 /// The fused output of a multi-trace batch run. Failed traces are quarantined
@@ -556,16 +550,16 @@ mod tests {
 
     #[test]
     fn single_pass_report_matches_two_pass_aggregate_report() {
-        use perfplay_detect::SiteAggregator;
+        use perfplay_detect::{NoGain, SiteAggregator};
         let trace = record(11);
         let config = PipelineConfig::default();
         let single = analyze_plan(&trace, &config).unwrap();
 
-        // Two-pass flow: materialize the analysis for transform + replays,
-        // then a second detection pass folds the same gain proxy into the
-        // aggregate table.
-        let analysis = Detector::new(config.detector).analyze(&trace);
-        let transformed = Transformer::new(config.transform).transform(&trace, &analysis);
+        // Two-pass flow: a gain-free plan drives transform + replays, then a
+        // second detection pass folds the same gain proxy into the table the
+        // report is ranked by.
+        let plan = Detector::new(config.detector).plan(&trace, NoGain);
+        let transformed = Transformer::new(config.transform).transform_from_plan(&trace, &plan);
         let original = Replayer::new(config.replay)
             .replay(&trace, ReplaySchedule::elsc())
             .unwrap();
@@ -575,14 +569,8 @@ mod tests {
             .unwrap();
         let aggregated = Detector::new(config.detector)
             .analyze_with(&trace, SiteAggregator::new(BodyOverlapGain));
-        let two_pass = PerfReport::from_aggregates(
-            &trace,
-            aggregated.breakdown,
-            &aggregated.sink.finish(),
-            &transformed,
-            &original,
-            &free,
-        );
+        let two_pass = PerfReport::from_plan(&trace, &plan, &transformed, &original, &free)
+            .with_gains(&aggregated.sink.finish(), &original, &free);
 
         assert_eq!(single.report, two_pass);
         assert_eq!(single.original_replay, original);

@@ -1,13 +1,13 @@
 //! The final performance-debugging report PerfPlay hands to the programmer.
 
-use perfplay_detect::{DetectionPlan, SiteAggregates, UlcpAnalysis, UlcpBreakdown};
+use perfplay_detect::{DetectionPlan, SiteAggregates, UlcpBreakdown};
 use perfplay_replay::ReplayResult;
 use perfplay_trace::{Trace, TraceStats};
 use perfplay_transform::{TransformStats, TransformedTrace};
 use serde::{Deserialize, Serialize};
 
-use crate::fusion::{fuse_aggregates, fuse_ulcps, rank_groups, Recommendation};
-use crate::metrics::{ulcp_gains, ImpactSplit};
+use crate::fusion::{fuse_aggregates, rank_groups, Recommendation};
+use crate::metrics::ImpactSplit;
 
 /// The complete output of one PerfPlay analysis: ULCP breakdown, whole-program
 /// impact, and the ranked list of code regions worth fixing.
@@ -45,87 +45,17 @@ pub struct PerfReport {
 }
 
 impl PerfReport {
-    /// Assembles the report from the analysis pipeline's intermediate
-    /// results.
-    pub fn build(
-        trace: &Trace,
-        analysis: &UlcpAnalysis,
-        transformed: &TransformedTrace,
-        original_replay: &ReplayResult,
-        ulcp_free_replay: &ReplayResult,
-    ) -> Self {
-        let gains = ulcp_gains(trace, analysis, original_replay, ulcp_free_replay);
-        let impact = ImpactSplit::compute(original_replay, ulcp_free_replay, &gains);
-        let recommendations = rank_groups(fuse_ulcps(analysis, &gains));
-        PerfReport {
-            program: trace.meta.program.clone(),
-            input: trace.meta.input.clone(),
-            threads: trace.num_threads(),
-            trace_stats: TraceStats::of(trace),
-            breakdown: analysis.breakdown,
-            impact,
-            recommendations,
-            race_warnings: transformed.race_warnings.len(),
-            transform_stats: transformed.stats(),
-            lockset_overhead_fraction: ulcp_free_replay.lockset_overhead_fraction(),
-            stream_gaps: 0,
-            stream_events_lost: 0,
-        }
-    }
-
-    /// Assembles the report from scan-time per-site aggregates instead of a
-    /// materialized pair list.
+    /// Assembles the report from a single-pass [`DetectionPlan`] and the two
+    /// replays it drove. The breakdown comes from the plan, the race warnings
+    /// and transform statistics from the transformation, and the ranking from
+    /// the plan's aggregate rows (see [`with_gains`](Self::with_gains)), so
+    /// no stage reads a pair list.
     ///
-    /// This is the O(code sites) counterpart of [`build`](Self::build): the
-    /// detection pass ran with a
-    /// [`SiteAggregator`](perfplay_detect::SiteAggregator) sink, so per-pair
-    /// gains were folded into the aggregate rows at emission time and the
-    /// fusion seeds come straight from the table
-    /// ([`fuse_aggregates`](crate::fuse_aggregates)), skipping
-    /// [`fuse_ulcps`](crate::fuse_ulcps)' re-grouping over every dynamic
-    /// pair. When the aggregates were accumulated with
-    /// [`ReplayGains`](crate::ReplayGains), the resulting report is
-    /// identical to [`build`](Self::build)'s.
-    pub fn from_aggregates(
-        trace: &Trace,
-        breakdown: UlcpBreakdown,
-        aggregates: &SiteAggregates,
-        transformed: &TransformedTrace,
-        original_replay: &ReplayResult,
-        ulcp_free_replay: &ReplayResult,
-    ) -> Self {
-        let impact = ImpactSplit::with_total_gain(
-            original_replay,
-            ulcp_free_replay,
-            aggregates.total_gain_ns(),
-        );
-        let recommendations = rank_groups(fuse_aggregates(aggregates));
-        PerfReport {
-            program: trace.meta.program.clone(),
-            input: trace.meta.input.clone(),
-            threads: trace.num_threads(),
-            trace_stats: TraceStats::of(trace),
-            breakdown,
-            impact,
-            recommendations,
-            race_warnings: transformed.race_warnings.len(),
-            transform_stats: transformed.stats(),
-            lockset_overhead_fraction: ulcp_free_replay.lockset_overhead_fraction(),
-            stream_gaps: 0,
-            stream_events_lost: 0,
-        }
-    }
-
-    /// Assembles the report from a single-pass [`DetectionPlan`]: the
-    /// breakdown and fusion seeds come straight out of the one detection
-    /// pass that also fed the transformation, so the whole pipeline runs
-    /// with O(code sites) detection output and no pair list.
-    ///
-    /// Equivalent to [`from_aggregates`](Self::from_aggregates) over the
-    /// plan's parts; the accumulated gains are whatever detection-time
+    /// The rows carry whatever detection-time
     /// [`GainSource`](perfplay_detect::GainSource) the plan's sink used
-    /// (typically [`BodyOverlapGain`](perfplay_detect::BodyOverlapGain),
-    /// since Equation 1 replay gains do not exist before the replays run).
+    /// ([`BodyOverlapGain`](perfplay_detect::BodyOverlapGain) in
+    /// [`analyze_plan`](crate::analyze_plan), since Equation 1 gains do not
+    /// exist before the replays run).
     pub fn from_plan(
         trace: &Trace,
         plan: &DetectionPlan,
@@ -133,14 +63,47 @@ impl PerfReport {
         original_replay: &ReplayResult,
         ulcp_free_replay: &ReplayResult,
     ) -> Self {
-        Self::from_aggregates(
-            trace,
-            plan.breakdown,
-            &plan.aggregates,
-            transformed,
-            original_replay,
-            ulcp_free_replay,
-        )
+        PerfReport {
+            program: trace.meta.program.clone(),
+            input: trace.meta.input.clone(),
+            threads: trace.num_threads(),
+            trace_stats: TraceStats::of(trace),
+            breakdown: plan.breakdown,
+            // Both ranked fields are set by `with_gains` below.
+            impact: ImpactSplit::default(),
+            recommendations: Vec::new(),
+            race_warnings: transformed.race_warnings.len(),
+            transform_stats: transformed.stats(),
+            lockset_overhead_fraction: ulcp_free_replay.lockset_overhead_fraction(),
+            stream_gaps: 0,
+            stream_events_lost: 0,
+        }
+        .with_gains(&plan.aggregates, original_replay, ulcp_free_replay)
+    }
+
+    /// Ranks the report by a per-site gain table: Algorithm 2 fusion seeded
+    /// from its rows, Equation 2 ranking, and the impact split with the
+    /// table's total gain. Every other field is kept.
+    ///
+    /// [`from_plan`](Self::from_plan) ranks by the plan's own rows; the
+    /// `PerfPlay` facade re-ranks by the exact Equation 1 table that a
+    /// [`ReplayGains`](crate::ReplayGains) pass over the same detection
+    /// folds after both replays.
+    pub fn with_gains(
+        self,
+        aggregates: &SiteAggregates,
+        original_replay: &ReplayResult,
+        ulcp_free_replay: &ReplayResult,
+    ) -> Self {
+        PerfReport {
+            impact: ImpactSplit::with_total_gain(
+                original_replay,
+                ulcp_free_replay,
+                aggregates.total_gain_ns(),
+            ),
+            recommendations: rank_groups(fuse_aggregates(aggregates)),
+            ..self
+        }
     }
 
     /// Annotates the report with the stream gaps the ingestion layer
@@ -263,14 +226,18 @@ impl PerfReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perfplay_detect::Detector;
+    use perfplay_detect::{Detector, NoGain, SiteAggregator};
     use perfplay_program::ProgramBuilder;
     use perfplay_record::Recorder;
     use perfplay_replay::{ReplaySchedule, Replayer, UlcpFreeReplayer};
     use perfplay_sim::SimConfig;
     use perfplay_transform::Transformer;
 
-    fn full_pipeline() -> (Trace, PerfReport) {
+    use crate::ReplayGains;
+
+    /// The report of a gain-free plan, and the same report re-ranked by the
+    /// exact Equation 1 table.
+    fn reports() -> (Trace, PerfReport, PerfReport) {
         let mut b = ProgramBuilder::new("report-test");
         b.input("unit");
         let lock = b.lock("cache_lock");
@@ -297,13 +264,26 @@ mod tests {
             .record(&b.build())
             .unwrap()
             .trace;
-        let analysis = Detector::default().analyze(&trace);
-        let transformed = Transformer::default().transform(&trace, &analysis);
+        let plan = Detector::default().plan(&trace, NoGain);
+        let transformed = Transformer::default().transform_from_plan(&trace, &plan);
         let original = Replayer::default()
             .replay(&trace, ReplaySchedule::elsc())
             .unwrap();
         let free = UlcpFreeReplayer::default().replay(&transformed).unwrap();
-        let report = PerfReport::build(&trace, &analysis, &transformed, &original, &free);
+        let unranked = PerfReport::from_plan(&trace, &plan, &transformed, &original, &free);
+        let exact = Detector::default()
+            .analyze_with(
+                &trace,
+                SiteAggregator::new(ReplayGains::new(&trace, &original, &free)),
+            )
+            .sink
+            .finish();
+        let report = unranked.clone().with_gains(&exact, &original, &free);
+        (trace, unranked, report)
+    }
+
+    fn full_pipeline() -> (Trace, PerfReport) {
+        let (trace, _, report) = reports();
         (trace, report)
     }
 
@@ -318,6 +298,33 @@ mod tests {
         assert!(report.normalized_degradation() > 0.0);
         assert!(report.top_opportunity() > 0.0);
         assert!(report.top_opportunity() <= 1.0);
+    }
+
+    #[test]
+    fn with_gains_reranks_and_keeps_everything_else() {
+        let (_, unranked, report) = reports();
+        // The gain-free plan ranks every group at zero opportunity.
+        assert!(unranked
+            .recommendations
+            .iter()
+            .all(|r| r.opportunity == 0.0));
+        assert_eq!(unranked.impact.total_pair_gain, perfplay_trace::Time::ZERO);
+        assert!(report.impact.total_pair_gain > perfplay_trace::Time::ZERO);
+        assert_ne!(unranked.recommendations, report.recommendations);
+        // Same groups by pair count, same detection and replay figures.
+        let pairs = |r: &PerfReport| -> usize {
+            r.recommendations
+                .iter()
+                .map(|r| r.group.dynamic_pairs)
+                .sum()
+        };
+        assert_eq!(pairs(&unranked), pairs(&report));
+        let reset = PerfReport {
+            impact: unranked.impact,
+            recommendations: unranked.recommendations.clone(),
+            ..report
+        };
+        assert_eq!(reset, unranked);
     }
 
     #[test]

@@ -1,18 +1,21 @@
 //! Property test: ULCP fusion (Algorithm 2) is independent of the order the
 //! per-pair gains arrive in.
 //!
-//! `fuse_ulcps` seeds its groups from a map keyed by code-site pair and
-//! accumulates clamped gains with saturating addition, so both the group
-//! contents and the fixpoint fusion order must be invariant under any
-//! permutation of the `gains` input — including the straight-vs-crosswise
+//! `SiteAggregator` folds each emitted pair into a per-site row with
+//! saturating addition, and `fuse_aggregates` seeds its groups from a map
+//! keyed by code-site pair, so both the group contents and the fixpoint
+//! fusion order must be invariant under any permutation of the pair stream
+//! and of the finished table's rows — including the straight-vs-crosswise
 //! preference taken inside `GroupedUlcp::fuse`, which was previously only
 //! exercised on hand-built cases.
 
 use proptest::prelude::*;
 
-use perfplay_detect::Detector;
+use perfplay_detect::{
+    Detector, GainSource, SectionCtx, SiteAggregates, SiteAggregator, Ulcp, UlcpAnalysis, UlcpSink,
+};
 use perfplay_record::Recorder;
-use perfplay_report::{fuse_ulcps, rank_groups, UlcpGain};
+use perfplay_report::{fuse_aggregates, rank_groups};
 use perfplay_sim::SimConfig;
 use perfplay_workloads::{random_workload, GeneratorConfig};
 
@@ -42,6 +45,31 @@ fn generator_config() -> impl Strategy<Value = GeneratorConfig> {
     )
 }
 
+/// Signed synthetic gains (including negatives, which clamp to zero)
+/// varying per pair, so a permutation actually moves distinct values.
+#[derive(Clone, Copy)]
+struct SyntheticGain(i64);
+
+impl GainSource for SyntheticGain {
+    fn pair_gain_ns(&self, ulcp: &Ulcp, _: &SectionCtx<'_>) -> i64 {
+        let mix = (ulcp.first.index() + 3 * ulcp.second.index()) as i64;
+        (mix % 7 - 2) * self.0
+    }
+}
+
+/// Emits `pairs` into a fresh aggregator in the given order.
+fn fold(analysis: &UlcpAnalysis, pairs: &[Ulcp], gain: SyntheticGain) -> SiteAggregates {
+    let mut sink = SiteAggregator::new(gain);
+    for u in pairs {
+        let ctx = SectionCtx {
+            first: analysis.section(u.first),
+            second: analysis.section(u.second),
+        };
+        sink.emit(*u, &ctx);
+    }
+    sink.finish()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -58,23 +86,23 @@ proptest! {
             .unwrap()
             .trace;
         let analysis = Detector::default().analyze(&trace);
-        // Signed synthetic gains (including negatives, which clamp to zero)
-        // varying per pair, so permutation actually moves distinct values.
-        let gains: Vec<UlcpGain> = analysis
-            .ulcps
-            .iter()
-            .enumerate()
-            .map(|(i, u)| UlcpGain {
-                ulcp: *u,
-                gain_ns: (i as i64 % 7 - 2) * gain_scale,
-            })
-            .collect();
+        let gain = SyntheticGain(gain_scale);
 
-        let baseline = fuse_ulcps(&analysis, &gains);
-        let mut shuffled = gains.clone();
+        let table = fold(&analysis, &analysis.ulcps, gain);
+        let baseline = fuse_aggregates(&table);
+
+        // The pair stream in another order folds into the identical table.
+        let mut shuffled = analysis.ulcps.clone();
         permute(&mut shuffled, shuffle_seed);
-        let permuted = fuse_ulcps(&analysis, &shuffled);
+        let shuffled_table = fold(&analysis, &shuffled, gain);
+        prop_assert_eq!(&shuffled_table.ulcps, &table.ulcps);
+        let permuted = fuse_aggregates(&shuffled_table);
         prop_assert_eq!(&baseline, &permuted);
+
+        // The table's rows in another order fuse into the identical groups.
+        let mut rows = table.clone();
+        permute(&mut rows.ulcps, shuffle_seed.rotate_left(17));
+        prop_assert_eq!(&fuse_aggregates(&rows), &baseline);
 
         // Sanity: every dynamic pair is accounted for exactly once.
         let total_pairs: usize = permuted.iter().map(|g| g.dynamic_pairs).sum();

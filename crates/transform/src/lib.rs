@@ -1,7 +1,7 @@
 //! # perfplay-transform
 //!
 //! ULCP trace transformation (Section 3 of the PerfPlay paper): turns a
-//! recorded trace plus its ULCP analysis into a **ULCP-free trace** whose
+//! recorded trace plus its detection plan into a **ULCP-free trace** whose
 //! synchronization keeps only the causal dependencies of true lock
 //! contention.
 //!
@@ -9,7 +9,7 @@
 //!
 //! 1. [`Topology`] — the causal-order topology of RULE 1 (nodes are critical
 //!    sections, edges are TLCPs found by the detector's sequential search);
-//! 2. [`Transformer::transform`] — applies RULE 2 (partial-order
+//! 2. [`Transformer::transform_from_plan`] — applies RULE 2 (partial-order
 //!    preservation), RULE 3 (auxiliary-lock locksets) and RULE 4
 //!    (lockset-intersection mutual exclusion), strips null-locks and
 //!    standalone nodes, and reports benign pairs as potential data races
@@ -18,12 +18,9 @@
 //!    the replayer to prune locks of already-finished source nodes and keep
 //!    lockset maintenance overhead low (Table 3).
 //!
-//! Both entry points share one RULE 1–4 core:
-//! [`Transformer::transform`] consumes a materialized
-//! `perfplay_detect::UlcpAnalysis`, while
-//! [`Transformer::transform_from_plan`] consumes the compact single-pass
-//! `perfplay_detect::DetectionPlan` (edges + benign pairs, no pair list) and
-//! produces the bit-identical [`TransformedTrace`].
+//! The input is the compact single-pass `perfplay_detect::DetectionPlan`:
+//! the section table, the causal edges and the benign pairs, which are the
+//! only individual pairs the rules read. No pair list is ever consulted.
 //!
 //! The output, [`TransformedTrace`], is what `perfplay-replay` replays to
 //! measure the performance the program would have had without ULCPs.

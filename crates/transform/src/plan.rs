@@ -21,7 +21,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use perfplay_detect::{CausalEdge, DetectionPlan, UlcpAnalysis, UlcpKind};
+use perfplay_detect::DetectionPlan;
 use perfplay_trace::{AuxLockId, CriticalSection, LockId, SectionId, Trace};
 use serde::{Deserialize, Serialize};
 
@@ -175,35 +175,13 @@ impl Transformer {
         Transformer { config }
     }
 
-    /// Transforms the recorded trace into its ULCP-free counterpart.
-    pub fn transform(&self, trace: &Trace, analysis: &UlcpAnalysis) -> TransformedTrace {
+    /// Transforms the recorded trace into its ULCP-free counterpart from a
+    /// [`DetectionPlan`], the O(sections + edges + benign) detection output:
+    /// RULE 1's topology from the plan's causal edges, RULES 2–4 over its
+    /// section table, and one race warning per benign pair (Theorem 1).
+    pub fn transform_from_plan(&self, trace: &Trace, plan: &DetectionPlan) -> TransformedTrace {
         // Theorem 1: benign ULCPs become parallel although they touch the
         // same data; report them as potential races.
-        let race_warnings = analysis
-            .ulcps
-            .iter()
-            .filter(|u| u.kind == UlcpKind::Benign)
-            .map(|u| RaceWarning {
-                first: u.first,
-                second: u.second,
-                lock: u.lock,
-            })
-            .collect();
-        self.transform_parts(
-            trace,
-            analysis.sections.clone(),
-            &analysis.edges,
-            race_warnings,
-        )
-    }
-
-    /// Transforms the recorded trace from a single-pass [`DetectionPlan`] —
-    /// the O(sections + edges + benign) detection output — producing a
-    /// [`TransformedTrace`] bit-identical to
-    /// [`transform`](Self::transform) over the materialized analysis of the
-    /// same trace: the plan retains the causal edges and benign pairs in the
-    /// exact canonical order the analysis lists them.
-    pub fn transform_from_plan(&self, trace: &Trace, plan: &DetectionPlan) -> TransformedTrace {
         let race_warnings = plan
             .benign
             .iter()
@@ -213,18 +191,8 @@ impl Transformer {
                 lock: u.lock,
             })
             .collect();
-        self.transform_parts(trace, plan.sections.clone(), &plan.edges, race_warnings)
-    }
-
-    /// The shared RULE 1–4 core both entry points feed.
-    fn transform_parts(
-        &self,
-        trace: &Trace,
-        sections: Vec<CriticalSection>,
-        edges: &[CausalEdge],
-        race_warnings: Vec<RaceWarning>,
-    ) -> TransformedTrace {
-        let topology = Topology::from_parts(&sections, edges);
+        let sections = plan.sections.clone();
+        let topology = Topology::from_parts(&sections, &plan.edges);
 
         // RULE 3: assign auxiliary locks to nodes with outgoing causal edges.
         let mut aux_locks: BTreeMap<SectionId, AuxLockId> = BTreeMap::new();
@@ -243,7 +211,7 @@ impl Transformer {
             .collect();
         let standalone: BTreeSet<SectionId> = topology.standalone_nodes().into_iter().collect();
 
-        let plan: Vec<NodeSync> = sections
+        let syncs: Vec<NodeSync> = sections
             .iter()
             .map(|s| {
                 let own = aux_locks.get(&s.id).copied();
@@ -294,7 +262,7 @@ impl Transformer {
         TransformedTrace {
             original: trace.clone(),
             sections,
-            plan,
+            plan: syncs,
             order_constraints,
             race_warnings,
             num_aux_locks: aux_locks.len(),
@@ -329,21 +297,21 @@ pub fn dynamic_lockset(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perfplay_detect::Detector;
+    use perfplay_detect::{Detector, NoGain, UlcpKind};
     use perfplay_program::ProgramBuilder;
     use perfplay_record::Recorder;
     use perfplay_sim::SimConfig;
 
-    fn transformed(build: impl FnOnce(&mut ProgramBuilder)) -> (TransformedTrace, UlcpAnalysis) {
+    fn transformed(build: impl FnOnce(&mut ProgramBuilder)) -> (TransformedTrace, DetectionPlan) {
         let mut b = ProgramBuilder::new("plan-test");
         build(&mut b);
         let trace = Recorder::new(SimConfig::default())
             .record(&b.build())
             .unwrap()
             .trace;
-        let analysis = Detector::default().analyze(&trace);
-        let transformed = Transformer::default().transform(&trace, &analysis);
-        (transformed, analysis)
+        let plan = Detector::default().plan(&trace, NoGain);
+        let transformed = Transformer::default().transform_from_plan(&trace, &plan);
+        (transformed, plan)
     }
 
     fn figure7_workload(b: &mut ProgramBuilder) {
@@ -389,8 +357,8 @@ mod tests {
 
     #[test]
     fn rule3_assigns_aux_locks_to_out_degree_nodes() {
-        let (tt, analysis) = transformed(figure7_workload);
-        let topo = Topology::from_analysis(&analysis);
+        let (tt, plan) = transformed(figure7_workload);
+        let topo = Topology::from_parts(&plan.sections, &plan.edges);
         for node in &tt.plan {
             if topo.out_degree(node.section) > 0 {
                 assert!(
@@ -453,7 +421,7 @@ mod tests {
 
     #[test]
     fn null_and_standalone_sections_are_stripped() {
-        let (tt, analysis) = transformed(|b| {
+        let (tt, plan) = transformed(|b| {
             let lock = b.lock("m");
             let x = b.shared("x", 0);
             let site_null = b.site("n.c", "null", 1);
@@ -470,7 +438,7 @@ mod tests {
             }
         });
         // No conflicts at all: every node is standalone, everything stripped.
-        assert!(analysis.edges.is_empty());
+        assert!(plan.edges.is_empty());
         assert!(tt.plan.iter().all(|n| n.strip_lock));
         assert_eq!(tt.stats().stripped_sections, tt.plan.len());
         assert_eq!(tt.num_aux_locks, 0);
@@ -493,17 +461,17 @@ mod tests {
             .record(&b.build())
             .unwrap()
             .trace;
-        let analysis = Detector::default().analyze(&trace);
+        let plan = Detector::default().plan(&trace, NoGain);
         let keep = Transformer::new(TransformConfig {
             strip_unneeded_locks: false,
         })
-        .transform(&trace, &analysis);
+        .transform_from_plan(&trace, &plan);
         assert!(keep.plan.iter().all(|n| !n.strip_lock));
     }
 
     #[test]
     fn benign_pairs_are_reported_as_race_warnings() {
-        let (tt, analysis) = transformed(|b| {
+        let (tt, plan) = transformed(|b| {
             let lock = b.lock("m");
             let flag = b.shared("done", 0);
             let site = b.site("bw.c", "set_done", 1);
@@ -515,7 +483,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(analysis.breakdown.benign, 1);
+        assert_eq!(plan.breakdown.benign, 1);
         assert_eq!(tt.race_warnings.len(), 1);
         assert_eq!(tt.stats().race_warnings, 1);
     }
@@ -564,17 +532,35 @@ mod tests {
             .record(&b.build())
             .unwrap()
             .trace;
+        // The plan keeps exactly the section table, edges and benign pairs
+        // of the materialized pair list, in its order, so the
+        // transformation reads what the pair list would have given it.
         let analysis = Detector::default().analyze(&trace);
-        let from_analysis = Transformer::default().transform(&trace, &analysis);
-
-        let plan = Detector::default().plan(&trace, perfplay_detect::NoGain);
-        let from_plan = Transformer::default().transform_from_plan(&trace, &plan);
-
-        assert_eq!(from_plan.sections, from_analysis.sections);
-        assert_eq!(from_plan.plan, from_analysis.plan);
-        assert_eq!(from_plan.order_constraints, from_analysis.order_constraints);
-        assert_eq!(from_plan.race_warnings, from_analysis.race_warnings);
-        assert_eq!(from_plan.num_aux_locks, from_analysis.num_aux_locks);
+        let plan = Detector::default().plan(&trace, NoGain);
+        assert_eq!(plan.sections, analysis.sections);
+        assert_eq!(plan.edges, analysis.edges);
+        let benign: Vec<_> = analysis
+            .ulcps
+            .iter()
+            .filter(|u| u.kind == UlcpKind::Benign)
+            .map(|u| (u.first, u.second, u.lock))
+            .collect();
+        let tt = Transformer::default().transform_from_plan(&trace, &plan);
+        let warned: Vec<_> = tt
+            .race_warnings
+            .iter()
+            .map(|w| (w.first, w.second, w.lock))
+            .collect();
+        assert_eq!(warned, benign);
+        for node in &tt.plan {
+            let sources: Vec<SectionId> = analysis
+                .edges
+                .iter()
+                .filter(|e| e.to == node.section)
+                .map(|e| e.from)
+                .collect();
+            assert_eq!(node.sources, sources);
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use perfplay_detect::{CausalEdge, UlcpAnalysis};
+use perfplay_detect::CausalEdge;
 use perfplay_trace::SectionId;
 
 /// The ULCP-free causal-order topology built by RULE 1.
@@ -20,17 +20,11 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Builds the topology from a ULCP analysis: every critical section is a
-    /// node, every TLCP found by the sequential search is a causal edge.
-    pub fn from_analysis(analysis: &UlcpAnalysis) -> Self {
-        Self::from_parts(&analysis.sections, &analysis.edges)
-    }
-
-    /// Builds the topology from a section table and an edge list directly —
-    /// the entry point for plan-driven transformation, where no
-    /// [`UlcpAnalysis`] ever exists. Edge order is preserved (it determines
-    /// the adjacency-list order downstream), so callers must pass edges in
-    /// the canonical detection order for bit-identical output.
+    /// Builds the topology from a section table and an edge list: every
+    /// critical section is a node, every TLCP found by the sequential search
+    /// is a causal edge. Edge order is preserved (it determines the
+    /// adjacency-list order downstream), so callers must pass edges in the
+    /// canonical detection order for bit-identical output.
     pub fn from_parts(sections: &[perfplay_trace::CriticalSection], edges: &[CausalEdge]) -> Self {
         let nodes = sections.iter().map(|s| s.id).collect();
         let mut outgoing: BTreeMap<SectionId, Vec<SectionId>> = BTreeMap::new();
@@ -108,19 +102,23 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perfplay_detect::Detector;
+    use perfplay_detect::{DetectionPlan, Detector, NoGain};
     use perfplay_program::ProgramBuilder;
     use perfplay_record::Recorder;
     use perfplay_sim::SimConfig;
 
-    fn analyze(build: impl FnOnce(&mut ProgramBuilder)) -> UlcpAnalysis {
+    fn analyze(build: impl FnOnce(&mut ProgramBuilder)) -> DetectionPlan {
         let mut b = ProgramBuilder::new("topology-test");
         build(&mut b);
         let trace = Recorder::new(SimConfig::default())
             .record(&b.build())
             .unwrap()
             .trace;
-        Detector::default().analyze(&trace)
+        Detector::default().plan(&trace, NoGain)
+    }
+
+    fn topology(plan: &DetectionPlan) -> Topology {
+        Topology::from_parts(&plan.sections, &plan.edges)
     }
 
     fn mixed_workload(b: &mut ProgramBuilder) {
@@ -150,7 +148,7 @@ mod tests {
     #[test]
     fn topology_has_one_node_per_section_and_edges_from_tlcps() {
         let analysis = analyze(mixed_workload);
-        let topo = Topology::from_analysis(&analysis);
+        let topo = topology(&analysis);
         assert_eq!(topo.nodes().len(), analysis.sections.len());
         assert_eq!(topo.edges().len(), analysis.edges.len());
         assert!(topo.is_acyclic());
@@ -160,7 +158,7 @@ mod tests {
     #[test]
     fn degrees_and_sources_match_edges() {
         let analysis = analyze(mixed_workload);
-        let topo = Topology::from_analysis(&analysis);
+        let topo = topology(&analysis);
         for e in topo.edges() {
             assert!(topo.out_degree(e.from) >= 1);
             assert!(topo.in_degree(e.to) >= 1);
@@ -172,7 +170,7 @@ mod tests {
     #[test]
     fn standalone_and_causal_nodes_partition_the_graph() {
         let analysis = analyze(mixed_workload);
-        let topo = Topology::from_analysis(&analysis);
+        let topo = topology(&analysis);
         let standalone: BTreeSet<_> = topo.standalone_nodes().into_iter().collect();
         let causal = topo.causal_nodes();
         assert!(standalone.is_disjoint(&causal));
@@ -193,7 +191,7 @@ mod tests {
                 });
             }
         });
-        let topo = Topology::from_analysis(&analysis);
+        let topo = topology(&analysis);
         assert!(topo.edges().is_empty());
         assert_eq!(topo.standalone_nodes().len(), topo.nodes().len());
         assert!(topo.causal_nodes().is_empty());

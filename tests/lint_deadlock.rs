@@ -27,8 +27,8 @@ fn record(seed: u64) -> Trace {
 }
 
 fn transform(trace: &Trace) -> TransformedTrace {
-    let analysis = Detector::new(DetectorConfig::default()).analyze(trace);
-    Transformer::new(TransformConfig::default()).transform(trace, &analysis)
+    let plan = Detector::new(DetectorConfig::default()).plan(trace, NoGain);
+    Transformer::new(TransformConfig::default()).transform_from_plan(trace, &plan)
 }
 
 fn replay(tt: &TransformedTrace) -> Result<ReplayResult, ReplayError> {

@@ -11,6 +11,7 @@ use proptest::prelude::*;
 
 use perfplay::prelude::*;
 use perfplay::workloads::{random_workload, GeneratorConfig};
+use perfplay::{PerfPlay, PerfPlayConfig, PerfPlayError};
 use perfplay_trace::Trace;
 
 fn record(seed: u64, gen: &GeneratorConfig) -> Trace {
@@ -335,9 +336,28 @@ fn preflight_passes_clean_traces_and_rejects_poisoned_ones() {
         }
         other => panic!("expected a preflight rejection, got {other:?}"),
     }
+    // The facade runs the same pipeline and honours the same flag.
+    let facade = PerfPlay::with_config(PerfPlayConfig {
+        preflight: true,
+        ..PerfPlayConfig::default()
+    });
+    facade
+        .analyze_trace(&trace)
+        .expect("clean trace passes the facade's preflight");
+    match facade.analyze_trace(&poisoned) {
+        Err(PerfPlayError::Preflight(diagnostics)) => {
+            assert!(diagnostics
+                .iter()
+                .any(|d| d.code == DiagnosticCode::NonMonotonicTime));
+        }
+        other => panic!("expected the facade's preflight rejection, got {other:?}"),
+    }
     // Without preflight the same input is taken at face value (the lint is
     // strictly opt-in).
     analyze_plan(&poisoned, &PipelineConfig::default()).expect("non-preflight path unchanged");
+    PerfPlay::new()
+        .analyze_trace(&poisoned)
+        .expect("non-preflight facade unchanged");
 }
 
 #[test]

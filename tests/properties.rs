@@ -69,8 +69,8 @@ proptest! {
     fn transform_and_replay_invariants(seed in 0u64..5_000, config in generator_config()) {
         let program = random_workload(seed, &config);
         let trace = Recorder::new(SimConfig::default()).record(&program).unwrap().trace;
-        let analysis = Detector::default().analyze(&trace);
-        let transformed = Transformer::default().transform(&trace, &analysis);
+        let plan = Detector::default().plan(&trace, NoGain);
+        let transformed = Transformer::default().transform_from_plan(&trace, &plan);
 
         for node in &transformed.plan {
             // A node's own auxiliary lock is always in its lockset.

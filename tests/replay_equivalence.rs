@@ -114,8 +114,8 @@ fn unified_engine_matches_reference_on_app_models() {
                 schedule.kind
             );
         }
-        let analysis = Detector::default().analyze(&trace);
-        let transformed = Transformer::default().transform(&trace, &analysis);
+        let plan = Detector::default().plan(&trace, NoGain);
+        let transformed = Transformer::default().transform_from_plan(&trace, &plan);
         for use_dls in [true, false] {
             let reference = reference_replay_free(&replay_config, use_dls, &transformed);
             let engine = UlcpFreeReplayer::new(replay_config)
@@ -187,8 +187,8 @@ proptest! {
     ) {
         let program = random_workload(seed, &config);
         let trace = Recorder::new(SimConfig::default()).record(&program).unwrap().trace;
-        let analysis = Detector::default().analyze(&trace);
-        let transformed = Transformer::default().transform(&trace, &analysis);
+        let plan = Detector::default().plan(&trace, NoGain);
+        let transformed = Transformer::default().transform_from_plan(&trace, &plan);
         let replay_config = ReplayConfig::default();
         for use_dls in [true, false] {
             let reference = reference_replay_free(&replay_config, use_dls, &transformed);

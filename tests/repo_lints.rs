@@ -15,10 +15,15 @@
 //!   implement `UlcpSink` outside test code, so every engine collects and
 //!   aggregates through the same sinks and the canonical pair order is
 //!   restored in their `seal`s alone;
+//! * no stage after detection reads a pair list: outside test code, no line
+//!   of the transform crate, the report crate or the root package names the
+//!   materialized pair list (`UlcpAnalysis`) or its sink (`CollectPairs`),
+//!   and the facade crate names them only in its `prelude` re-export;
 //! * retired names stay retired: no source file, test, example, README, CI
 //!   workflow or verification note names the sequential streaming engine
-//!   (`ParallelStreamingDetector` at one worker replaced it) or the second
-//!   measurement mechanism (perfbench and the `perfplay` CLI replaced it).
+//!   (`ParallelStreamingDetector` at one worker replaced it), the second
+//!   measurement mechanism (perfbench and the `perfplay` CLI replaced it) or
+//!   the pair-list report path (the plan and its per-site rows replaced it).
 
 use std::path::{Path, PathBuf};
 
@@ -235,6 +240,70 @@ fn sinks_live_in_the_sink_modules() {
     );
 }
 
+/// Names of the materialized pair list and the sink that collects it.
+const PAIR_LIST_NAMES: [&str; 2] = ["UlcpAnalysis", "CollectPairs"];
+
+/// Every `.rs` file of the stages after detection: the transform and report
+/// crates, and the root package's library and CLI.
+fn post_detection_files() -> Vec<PathBuf> {
+    let root = workspace_root();
+    let mut files = Vec::new();
+    for dir in ["crates/transform/src", "crates/report/src", "src"] {
+        files_under(&root.join(dir), &mut files);
+    }
+    files.retain(|p| p.extension().is_some_and(|ext| ext == "rs"));
+    files.sort();
+    files
+}
+
+/// The non-test lines of `text` that name the pair list, comments included.
+/// With `allow_prelude`, the lines of the `pub mod prelude { ... }` block are
+/// exempt.
+fn pair_list_lines(path: &Path, text: &str, allow_prelude: bool) -> Vec<String> {
+    let mut offenders = Vec::new();
+    let mut in_prelude = false;
+    for (line_no, line) in non_test_code(text) {
+        if allow_prelude && line.starts_with("pub mod prelude {") {
+            in_prelude = true;
+        }
+        if !in_prelude && PAIR_LIST_NAMES.iter().any(|name| line.contains(name)) {
+            offenders.push(format!("{}:{line_no}: {}", relative(path), line.trim()));
+        }
+        if in_prelude && line == "}" {
+            in_prelude = false;
+        }
+    }
+    offenders
+}
+
+#[test]
+fn stages_after_detection_name_no_pair_list() {
+    let files = post_detection_files();
+    assert!(
+        files.len() >= 10,
+        "expected the transform, report and root sources, got {files:?}"
+    );
+    let mut offenders: Vec<String> = Vec::new();
+    for path in &files {
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        offenders.extend(pair_list_lines(path, &text, false));
+    }
+    let core = workspace_root().join("crates/core/src/lib.rs");
+    let text = std::fs::read_to_string(&core).expect("core lib.rs is readable");
+    assert!(
+        text.contains("pub mod prelude {"),
+        "the facade keeps a prelude"
+    );
+    offenders.extend(pair_list_lines(&core, &text, true));
+    assert!(
+        offenders.is_empty(),
+        "a stage after detection names the pair list (read the DetectionPlan and its \
+         per-site rows instead; only the facade's prelude may re-export it):\n{}",
+        offenders.join("\n")
+    );
+}
+
 /// A name the repository retired. Each is assembled with `concat!`, so that
 /// this file does not name it either.
 struct Retired {
@@ -296,6 +365,57 @@ const RETIRED_MEASUREMENT: &[Retired] = &[
         name: concat!("vendor/", "criterion"),
         counts: Counts::Anywhere,
         replaced_by: "perfbench",
+    },
+];
+
+/// The pair-list report path: the per-pair gain list, its fusion, the
+/// report and impact split built from it, and the wrappers that only ever
+/// passed one value.
+const RETIRED_PAIR_LIST_REPORT: &[Retired] = &[
+    Retired {
+        name: concat!("fuse_", "ulcps"),
+        counts: Counts::WholeWord,
+        replaced_by: "fuse_aggregates over a SiteAggregator table",
+    },
+    Retired {
+        name: concat!("fuse_ulcp", "_gains"),
+        counts: Counts::WholeWord,
+        replaced_by: "fuse_aggregates over a SiteAggregator table",
+    },
+    Retired {
+        name: concat!("ulcp_", "gains"),
+        counts: Counts::WholeWord,
+        replaced_by: "ReplayGains folded per site by a SiteAggregator pass",
+    },
+    Retired {
+        name: concat!("Ulcp", "Gain"),
+        counts: Counts::WholeWord,
+        replaced_by: "the per-site rows of SiteAggregates",
+    },
+    Retired {
+        name: concat!("PerfReport::", "build"),
+        counts: Counts::WholeWord,
+        replaced_by: "PerfReport::from_plan, re-ranked with PerfReport::with_gains",
+    },
+    Retired {
+        name: concat!("ImpactSplit::", "compute"),
+        counts: Counts::WholeWord,
+        replaced_by: "ImpactSplit::with_total_gain",
+    },
+    Retired {
+        name: concat!("analyze_plan", "_with"),
+        counts: Counts::WholeWord,
+        replaced_by: "analyze_plan",
+    },
+    Retired {
+        name: concat!("analyze_trace", "_single_pass"),
+        counts: Counts::WholeWord,
+        replaced_by: "analyze_plan, which PerfPlay::analyze_trace runs",
+    },
+    Retired {
+        name: concat!("Topology::", "from_analysis"),
+        counts: Counts::WholeWord,
+        replaced_by: "Topology::from_parts",
     },
 ];
 
@@ -380,6 +500,16 @@ fn retired_measurement_mechanism_is_named_nowhere() {
     assert!(
         offenders.is_empty(),
         "the retired measurement mechanism is named:\n{}",
+        offenders.join("\n")
+    );
+}
+
+#[test]
+fn retired_pair_list_report_path_is_named_nowhere() {
+    let offenders = retired_name_lines(RETIRED_PAIR_LIST_REPORT);
+    assert!(
+        offenders.is_empty(),
+        "the retired pair-list report path is named:\n{}",
         offenders.join("\n")
     );
 }

@@ -1,9 +1,13 @@
 //! Property tests: all detection engines agree through both sinks when the
 //! `max_scan_per_thread` cap truncates sequential searches — including
 //! truncations landing exactly on a chunk boundary of the streaming engine at
-//! one worker and at two —
-//! and that the aggregating sink's table equals an independent ordered-map
-//! fold of the materialized pairs.
+//! one worker and at two — the aggregating sink's table equals an
+//! independent ordered-map fold of the materialized pairs under every gain
+//! source, and the `PerfPlay` facade's exact report equals the report of
+//! that pair-list oracle.
+//!
+//! `oracle_aggregates` is the repository's one materializing report path: it
+//! lives here, in test code, and no library stage reads a pair list.
 
 use std::collections::BTreeMap;
 
@@ -11,6 +15,7 @@ use proptest::prelude::*;
 
 use perfplay::prelude::*;
 use perfplay::workloads::{random_workload, GeneratorConfig};
+use perfplay::{PerfPlay, PerfPlayConfig};
 use perfplay_detect::{reference_analyze, EdgeAggregate, SiteAggregate};
 use perfplay_trace::{CodeSiteId, SectionId, Trace};
 
@@ -189,11 +194,12 @@ fn scan_cap_truncation_is_exact_at_every_chunk_boundary() {
     }
 }
 
-/// The aggregate table `SiteAggregator<BodyOverlapGain>` must produce for a
-/// materialized analysis, computed the obvious way: one ordered-map entry
-/// per `(site, site, kind)` and per `(site, site)`, bumped once per pair and
-/// edge. Kept here, independent of the sink's own table, as the oracle.
-fn oracle_aggregates(analysis: &UlcpAnalysis) -> SiteAggregates {
+/// The aggregate table `SiteAggregator<G>` must produce for a materialized
+/// analysis, computed the obvious way: one ordered-map entry per
+/// `(site, site, kind)` and per `(site, site)`, bumped once per pair and
+/// edge, with each pair's gain clamped at zero. Kept here, independent of the
+/// sink's own table, as the oracle.
+fn oracle_aggregates<G: GainSource>(analysis: &UlcpAnalysis, gain: &G) -> SiteAggregates {
     let sections = &analysis.sections;
     let site_pair = |a: SectionId, b: SectionId| {
         let (x, y) = (sections[a.index()].site, sections[b.index()].site);
@@ -209,7 +215,7 @@ fn oracle_aggregates(analysis: &UlcpAnalysis) -> SiteAggregates {
             first: &sections[u.first.index()],
             second: &sections[u.second.index()],
         };
-        let gain = BodyOverlapGain.pair_gain_ns(u, &ctx).max(0) as u64;
+        let gain = gain.pair_gain_ns(u, &ctx).max(0) as u64;
         let (a, b) = site_pair(u.first, u.second);
         let cell = pairs.entry((a, b, u.kind)).or_default();
         cell.0 = cell.0.saturating_add(1);
@@ -246,13 +252,27 @@ fn oracle_aggregates(analysis: &UlcpAnalysis) -> SiteAggregates {
 
 /// Runs every engine into a `SiteAggregator` and checks each finished table
 /// against the oracle folded from the materialized pair list.
-fn assert_aggregator_matches_oracle(
+fn assert_aggregator_matches_oracle<G: GainSource + Clone + Send + Sync>(
     trace: &Trace,
     config: DetectorConfig,
     chunk_events: usize,
+    gain: G,
 ) -> Result<(), TestCaseError> {
-    let expected = oracle_aggregates(&Detector::new(config).analyze(trace));
-    let sink = || SiteAggregator::new(BodyOverlapGain);
+    let analysis = Detector::new(config).analyze(trace);
+    let expected = oracle_aggregates(&analysis, &gain);
+    // The per-kind row totals are exactly the breakdown counts.
+    for kind in UlcpKind::ALL {
+        let total: u64 = expected
+            .ulcps
+            .iter()
+            .filter(|row| row.kind == kind)
+            .map(|row| row.dynamic_pairs)
+            .sum();
+        prop_assert_eq!(total as usize, analysis.breakdown.count(kind));
+    }
+    let edge_total: u64 = expected.edges.iter().map(|row| row.edges).sum();
+    prop_assert_eq!(edge_total as usize, analysis.breakdown.tlcp_edges);
+    let sink = || SiteAggregator::new(gain.clone());
     let parallel = DetectorConfig {
         parallel: true,
         ..config
@@ -310,7 +330,150 @@ proptest! {
             max_scan_per_thread: (cap > 0).then_some(cap),
             ..DetectorConfig::default()
         };
-        assert_aggregator_matches_oracle(&trace, config, chunk_events)?;
+        assert_aggregator_matches_oracle(&trace, config, chunk_events, BodyOverlapGain)?;
+    }
+
+    /// `SiteAggregator` output equals the oracle's ordered-map fold of the
+    /// collected pair list — rows, counts, kinds and saturated gains, and
+    /// so every fused group — for every engine, workload, detector config
+    /// and gain source.
+    #[test]
+    fn site_aggregator_matches_per_pair_fusion(
+        seed in 0u64..5_000,
+        gen in generator_config(),
+        config in detector_configs(),
+        gain_mode in 0u32..4,
+    ) {
+        let trace = record(seed, &gen);
+        match gain_mode {
+            0 => assert_aggregator_matches_oracle(&trace, config, 7, NoGain)?,
+            1 => assert_aggregator_matches_oracle(&trace, config, 7, BodyOverlapGain)?,
+            2 => assert_aggregator_matches_oracle(&trace, config, 7, HugeGain)?,
+            _ => assert_aggregator_matches_oracle(&trace, config, 7, PairHashGain)?,
+        }
+    }
+}
+
+/// A gain source large enough that a handful of pairs saturates the u64
+/// accumulators — exercising the saturating-sum equivalence.
+#[derive(Clone, Copy)]
+struct HugeGain;
+
+impl GainSource for HugeGain {
+    fn pair_gain_ns(&self, _: &Ulcp, _: &SectionCtx<'_>) -> i64 {
+        i64::MAX
+    }
+}
+
+/// A gain source that varies per pair (and goes negative, exercising the
+/// clamp), so row sums genuinely depend on which pairs fold where.
+#[derive(Clone, Copy)]
+struct PairHashGain;
+
+impl GainSource for PairHashGain {
+    fn pair_gain_ns(&self, ulcp: &Ulcp, _: &SectionCtx<'_>) -> i64 {
+        let mix = (ulcp.first.index() as i64 * 31 + ulcp.second.index() as i64 * 7)
+            .wrapping_mul(2654435761);
+        mix % 10_007 - 1_000
+    }
+}
+
+fn generator_config() -> impl Strategy<Value = GeneratorConfig> {
+    (2usize..5, 1usize..4, 2usize..6, 4u32..14).prop_map(
+        |(threads, locks, objects, sections_per_thread)| GeneratorConfig {
+            threads,
+            locks,
+            objects,
+            sections_per_thread,
+        },
+    )
+}
+
+fn detector_configs() -> impl Strategy<Value = DetectorConfig> {
+    (0u32..2, 0usize..4, 0u32..2).prop_map(|(ablate, cap, parallel)| DetectorConfig {
+        use_reversed_replay: ablate == 0,
+        max_scan_per_thread: if cap == 0 { None } else { Some(cap) },
+        parallel: parallel == 1,
+    })
+}
+
+/// The pair-list report: materialize every pair, transform from the
+/// materialized edges and benign pairs, replay both traces, evaluate
+/// Equation 1 per pair into the oracle's ordered-map fold, then fuse and
+/// rank. Asserts that the facade's replays, breakdown, transformation,
+/// recommendations and impact split equal it.
+fn assert_facade_matches_oracle(
+    trace: &Trace,
+    config: PerfPlayConfig,
+) -> Result<(), TestCaseError> {
+    let facade = PerfPlay::with_config(config).analyze_trace(trace).unwrap();
+
+    let pairs = Detector::new(config.detector).analyze(trace);
+    let materialized = DetectionPlan {
+        sections: pairs.sections.clone(),
+        breakdown: pairs.breakdown,
+        edges: pairs.edges.clone(),
+        benign: pairs
+            .ulcps
+            .iter()
+            .copied()
+            .filter(|u| u.kind == UlcpKind::Benign)
+            .collect(),
+        aggregates: SiteAggregates::default(),
+    };
+    let transformed = Transformer::new(config.transform).transform_from_plan(trace, &materialized);
+    let original = Replayer::new(config.replay)
+        .replay(trace, ReplaySchedule::for_kind(config.original_schedule))
+        .unwrap();
+    let free = UlcpFreeReplayer::new(config.replay)
+        .with_dls(config.use_dls)
+        .replay(&transformed)
+        .unwrap();
+    let table = oracle_aggregates(&pairs, &ReplayGains::new(trace, &original, &free));
+
+    prop_assert_eq!(&facade.original_replay, &original);
+    prop_assert_eq!(&facade.ulcp_free_replay, &free);
+    prop_assert_eq!(facade.report.breakdown, pairs.breakdown);
+    prop_assert_eq!(facade.report.transform_stats, transformed.stats());
+    prop_assert_eq!(facade.report.race_warnings, transformed.race_warnings.len());
+    prop_assert_eq!(
+        &facade.report.recommendations,
+        &rank_groups(fuse_aggregates(&table))
+    );
+    prop_assert_eq!(
+        facade.report.impact,
+        ImpactSplit::with_total_gain(&original, &free, table.total_gain_ns())
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The facade ranks by exact Equation 1 gains without reading a pair
+    /// list; its recommendations and impact equal the pair-list oracle's
+    /// across random workloads, scan caps, reversed replay, the dynamic
+    /// locking strategy and the parallel detector.
+    #[test]
+    fn facade_report_matches_pair_list_oracle(
+        seed in 0u64..5_000,
+        gen in generator_config(),
+        cap in 0usize..4,
+        reversed in 0u32..2,
+        dls in 0u32..2,
+        parallel in 0u32..2,
+    ) {
+        let trace = record(seed, &gen);
+        let config = PerfPlayConfig {
+            detector: DetectorConfig {
+                use_reversed_replay: reversed == 1,
+                max_scan_per_thread: (cap > 0).then_some(cap),
+                parallel: parallel == 1,
+            },
+            use_dls: dls == 1,
+            ..PerfPlayConfig::default()
+        };
+        assert_facade_matches_oracle(&trace, config)?;
     }
 }
 

@@ -37,6 +37,17 @@ fn record(seed: u64, config: &GeneratorConfig) -> Trace {
         .trace
 }
 
+/// The report the single-pass pipeline assembles from a plan: transform,
+/// both replays, and the plan's rows ranked.
+fn plan_report(trace: &Trace, plan: &DetectionPlan) -> PerfReport {
+    let transformed = Transformer::default().transform_from_plan(trace, plan);
+    let original = Replayer::default()
+        .replay(trace, ReplaySchedule::elsc())
+        .unwrap();
+    let free = UlcpFreeReplayer::default().replay(&transformed).unwrap();
+    PerfReport::from_plan(trace, plan, &transformed, &original, &free)
+}
+
 fn assert_analyses_equal(
     label: &str,
     a: &UlcpAnalysis,
@@ -49,9 +60,9 @@ fn assert_analyses_equal(
     Ok(())
 }
 
-/// The report layer accepts the streaming analysis output unchanged: the
-/// whole downstream pipeline (transform, both replays, Equation 1, fusion,
-/// ranking) produces the identical report from either detector.
+/// The report layer accepts the streaming detection output unchanged: the
+/// whole downstream pipeline (transform, both replays, fusion, ranking)
+/// produces the identical report from a plan either detector built.
 #[test]
 fn report_pipeline_accepts_streaming_output_unchanged() {
     let trace = record(
@@ -63,34 +74,23 @@ fn report_pipeline_accepts_streaming_output_unchanged() {
             sections_per_thread: 10,
         },
     );
-    let batch = Detector::default().analyze(&trace);
-    let streamed = ParallelStreamingDetector::with_workers(DetectorConfig::default(), 1)
-        .analyze_trace(&trace, 64)
-        .unwrap()
-        .analysis;
-
-    let parallel = ParallelStreamingDetector::with_workers(DetectorConfig::default(), 3)
-        .analyze_trace(&trace, 64)
-        .unwrap()
-        .analysis;
-
-    let build_report = |analysis: &UlcpAnalysis| {
-        let transformed = Transformer::default().transform(&trace, analysis);
-        let original = Replayer::default()
-            .replay(&trace, ReplaySchedule::elsc())
+    let batch = Detector::default().plan(&trace, BodyOverlapGain);
+    let streamed = |workers| {
+        let run = ParallelStreamingDetector::with_workers(DetectorConfig::default(), workers)
+            .analyze_trace_with(&trace, 64, PlanAggregator::new(BodyOverlapGain))
             .unwrap();
-        let free = UlcpFreeReplayer::default().replay(&transformed).unwrap();
-        PerfReport::build(&trace, analysis, &transformed, &original, &free)
+        DetectionPlan::from_streaming(run).0
     };
-    let from_batch = build_report(&batch);
-    let from_stream = build_report(&streamed);
+
+    let from_batch = plan_report(&trace, &batch);
+    let from_stream = plan_report(&trace, &streamed(1));
     assert_eq!(from_batch.breakdown, from_stream.breakdown);
     assert_eq!(from_batch.recommendations, from_stream.recommendations);
     assert_eq!(from_batch.impact, from_stream.impact);
     assert_eq!(from_batch.render(&trace), from_stream.render(&trace));
     // PerfReport parity extends through the sharded fan-out: same pairs in,
     // same report out.
-    let from_parallel = build_report(&parallel);
+    let from_parallel = plan_report(&trace, &streamed(3));
     assert_eq!(from_batch, from_parallel);
 }
 
@@ -184,8 +184,8 @@ proptest! {
     /// in-memory batch engine, the reassembled trace is exactly the
     /// original, the JSON spill of the same trace streams to the identical
     /// analysis, and the full report pipeline (transform, both replays,
-    /// Equation 1, ranking) produces the identical [`PerfReport`] from
-    /// either side.
+    /// fusion, ranking) produces the identical [`PerfReport`] from either
+    /// side's plan.
     #[test]
     fn pbin_file_roundtrip_is_lossless_and_report_identical(
         seed in 0u64..5_000,
@@ -220,6 +220,13 @@ proptest! {
         // The JSON twin of the same trace streams to the identical analysis.
         let mut reader = ChunkFileReader::open(&json).unwrap();
         let json_streamed = detector.analyze(&mut reader).unwrap();
+        // And the PBIN file streams into the batch engine's plan.
+        let mut reader = ChunkFileReader::open(&pbin).unwrap();
+        let (stream_plan, _) = DetectionPlan::from_streaming(
+            detector
+                .analyze_with(&mut reader, PlanAggregator::new(BodyOverlapGain))
+                .unwrap(),
+        );
         std::fs::remove_file(&pbin).ok();
         std::fs::remove_file(&json).ok();
         assert_analyses_equal(
@@ -229,15 +236,9 @@ proptest! {
         )?;
 
         // Report parity end-to-end.
-        let build = |analysis: &UlcpAnalysis| {
-            let transformed = Transformer::default().transform(&trace, analysis);
-            let original = Replayer::default()
-                .replay(&trace, ReplaySchedule::elsc())
-                .unwrap();
-            let free = UlcpFreeReplayer::default().replay(&transformed).unwrap();
-            PerfReport::build(&trace, analysis, &transformed, &original, &free)
-        };
-        prop_assert_eq!(build(&streamed.analysis), build(&batch));
+        let batch_plan = Detector::new(config).plan(&trace, BodyOverlapGain);
+        prop_assert_eq!(&stream_plan, &batch_plan);
+        prop_assert_eq!(plan_report(&trace, &stream_plan), plan_report(&trace, &batch_plan));
     }
 }
 
