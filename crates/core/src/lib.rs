@@ -62,14 +62,14 @@ pub mod prelude {
         UlcpBreakdown, UlcpKind, UlcpSink,
     };
     pub use perfplay_lint::{
-        analyze_schedule, codes_for_fault, lint_chunk_file, lint_chunk_file_pipelined, lint_source,
-        lint_trace, Diagnostic, DiagnosticCode, FaultExpectation, LintConfig, LintReport,
-        LintStats, Location, Severity, StreamLinter,
+        analyze_schedule, codes_for_fault, lint_chunk_file, lint_source, lint_trace, Diagnostic,
+        DiagnosticCode, FaultExpectation, LintConfig, LintReport, LintStats, Location, Severity,
+        StreamLinter,
     };
     pub use perfplay_program::{Program, ProgramBuilder};
     pub use perfplay_record::{
-        convert_chunk_file, convert_chunk_file_pipelined, spill_trace, spill_trace_with_format,
-        ChunkedWriter, ConvertSummary, Recorder, RecordingMode, WallClockRecorder,
+        convert_chunk_file, spill_trace, spill_trace_with_format, ChunkedWriter, ConvertSummary,
+        Recorder, RecordingMode, WallClockRecorder,
     };
     pub use perfplay_replay::{
         measure_fidelity, FidelityReport, ReplayConfig, ReplayResult, ReplaySchedule, Replayer,

@@ -331,9 +331,11 @@ impl Detector {
                     })
                 })
                 .collect();
+            // Re-raise a worker panic as itself, not as a join error: the
+            // real cause must surface.
             handles
                 .into_iter()
-                .flat_map(|h| h.join().expect("detector worker never panics"))
+                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
         });
         collected.sort_unstable_by_key(|entry| entry.0);
@@ -915,6 +917,80 @@ mod tests {
                     .analysis;
                 assert_eq!(streamed, reference, "cap {cap:?}, workers {workers}");
             }
+        }
+    }
+
+    const SINK_PANIC: &str = "the sink's own panic";
+
+    /// A sink whose `emit` panics with [`SINK_PANIC`], on the caller's
+    /// thread or in any detector worker.
+    struct PanickingSink;
+
+    impl UlcpSink for PanickingSink {
+        fn emit(&mut self, _: Ulcp, _: &crate::sink::SectionCtx<'_>) {
+            std::panic::panic_any(SINK_PANIC);
+        }
+
+        fn emit_edge(&mut self, _: CausalEdge, _: &crate::sink::SectionCtx<'_>) {}
+
+        fn fork(&self) -> Self {
+            PanickingSink
+        }
+
+        fn absorb(&mut self, _: Self) {}
+
+        fn resident_entries(&self) -> usize {
+            0
+        }
+    }
+
+    /// The payload of the panic `run` raises.
+    fn panic_payload(run: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+            .expect_err("the sink panics");
+        match payload.downcast::<&str>() {
+            Ok(message) => message.to_string(),
+            Err(payload) => match payload.downcast::<String>() {
+                Ok(message) => *message,
+                Err(other) => format!("a payload that is not text: {other:?}"),
+            },
+        }
+    }
+
+    #[test]
+    fn a_sink_panic_surfaces_as_itself_from_every_engine() {
+        let trace = record(|b| {
+            let locks: Vec<_> = (0..3).map(|i| b.lock(format!("l{i}"))).collect();
+            let x = b.shared("x", 0);
+            let site = b.site("panic.c", "reader", 1);
+            for i in 0..3 {
+                let locks = locks.clone();
+                b.thread(format!("t{i}"), |t| {
+                    for &lock in &locks {
+                        t.locked(lock, site, |cs| {
+                            cs.read(x);
+                        });
+                        t.compute_ns(10);
+                    }
+                });
+            }
+        });
+        for parallel in [false, true] {
+            let config = DetectorConfig {
+                parallel,
+                ..DetectorConfig::default()
+            };
+            let payload = panic_payload(|| {
+                Detector::new(config).analyze_with(&trace, PanickingSink);
+            });
+            assert_eq!(payload, SINK_PANIC, "batch, parallel: {parallel}");
+        }
+        for workers in [1, 2] {
+            let payload = panic_payload(|| {
+                let _ = ParallelStreamingDetector::with_workers(DetectorConfig::default(), workers)
+                    .analyze_trace_with(&trace, 4, PanickingSink);
+            });
+            assert_eq!(payload, SINK_PANIC, "streaming, {workers} worker(s)");
         }
     }
 }

@@ -16,7 +16,8 @@
 //!   span contiguity, balanced and LIFO lock acquire/release, condvar
 //!   wait/signal pairing, barrier group completeness, and trailer/count
 //!   reconciliation. A 12M-event file lints without materializing a
-//!   `Trace`.
+//!   `Trace`. Chunk files are read through the pipelined scanner, like
+//!   every library entry point's input.
 //! * **Lock-order analysis** ([`LockOrderGraph`], [`analyze_schedule`]) —
 //!   a Goodlock-style acquisition-order graph over the trace (cycles across
 //!   ≥2 threads → `D001`), and a wait-graph over a [`TransformedTrace`]'s
@@ -60,9 +61,7 @@ mod wellformed;
 pub use diag::{Diagnostic, DiagnosticCode, LintReport, LintStats, Location, Severity};
 pub use faults::{codes_for_fault, FaultExpectation};
 pub use lockorder::{analyze_schedule, LockOrderGraph};
-pub use wellformed::{
-    lint_chunk_file, lint_chunk_file_pipelined, lint_source, lint_trace, LintConfig, StreamLinter,
-};
+pub use wellformed::{lint_chunk_file, lint_source, lint_trace, LintConfig, StreamLinter};
 
 // Re-exported so downstream code can name the schedule type the analyses
 // operate on without depending on perfplay-transform directly.

@@ -11,9 +11,10 @@
 //!
 //! Three entry points share the linter:
 //!
-//! * [`lint_chunk_file`] — raw record-by-record scan of a chunk file; parse
-//!   failures become [`DiagnosticCode::RecordParse`] findings with the exact
-//!   line and byte offset, and the scan continues on the next record;
+//! * [`lint_chunk_file`] — raw record-by-record scan of a chunk file through
+//!   the pipelined scanner; parse failures become
+//!   [`DiagnosticCode::RecordParse`] findings with the exact line and byte
+//!   offset, and the scan continues on the next record;
 //! * [`lint_source`] — lints any [`EventSource`] (including a
 //!   `FaultInjector`-wrapped one) with chunk/event-index locations;
 //! * [`lint_trace`] — lints an in-memory [`Trace`] through [`TraceChunks`],
@@ -620,33 +621,17 @@ pub fn lint_trace(trace: &Trace, chunk_events: usize) -> LintReport {
 
 /// Lints a chunk file record by record.
 ///
-/// Every line is read exactly once through [`RawChunkRecords`]; nothing is
-/// materialized beyond one record. Unlike `ChunkFileReader` the scan never
+/// Every record is read exactly once through the pipelined scanner
+/// ([`RawChunkRecords::open_pipelined`], decode pool sized by
+/// [`perfplay_trace::default_decode_workers`]); nothing is materialized
+/// beyond the records in flight. Unlike `ChunkFileReader` the scan never
 /// stops at a bad record — a parse failure is a
 /// [`DiagnosticCode::RecordParse`] finding at its exact line and byte
-/// offset, and linting resumes on the next line, so one pass reports *all*
-/// the file's problems.
+/// offset, and linting resumes on the next record, so one pass reports
+/// *all* the file's problems.
 pub fn lint_chunk_file(path: impl AsRef<Path>, config: &LintConfig) -> LintReport {
     let path_str = path.as_ref().display().to_string();
-    match RawChunkRecords::open(&path) {
-        Ok(records) => lint_records(path_str, records, config),
-        Err(e) => open_failure_report(&path_str, &e),
-    }
-}
-
-/// Lints a chunk file record by record through the pipelined scanner
-/// ([`perfplay_trace::RawChunkRecords::open_pipelined`]): framing and record
-/// decoding overlap across threads, while the diagnostics are identical to
-/// [`lint_chunk_file`]'s because both paths yield the same record sequence.
-/// `decode_workers` of `0` sizes the decode pool from
-/// [`perfplay_trace::default_decode_workers`].
-pub fn lint_chunk_file_pipelined(
-    path: impl AsRef<Path>,
-    config: &LintConfig,
-    decode_workers: usize,
-) -> LintReport {
-    let path_str = path.as_ref().display().to_string();
-    match RawChunkRecords::open_pipelined(&path, None, decode_workers) {
+    match RawChunkRecords::open_pipelined(&path, None, 0) {
         Ok(records) => lint_records(path_str, records, config),
         Err(e) => open_failure_report(&path_str, &e),
     }
@@ -663,8 +648,9 @@ fn open_failure_report(path_str: &str, error: &StreamError) -> LintReport {
     report
 }
 
-/// Shared record-by-record lint loop behind [`lint_chunk_file`] and
-/// [`lint_chunk_file_pipelined`] — the scan logic is scanner-agnostic.
+/// The record-by-record lint loop behind [`lint_chunk_file`]. It does not
+/// care which scanner yields the records: over the inline reference
+/// ([`RawChunkRecords::open`]) it gives the identical report.
 fn lint_records(path_str: String, records: RawChunkRecords, config: &LintConfig) -> LintReport {
     let mut linter: Option<StreamLinter> = None;
     let mut pre_header: Vec<Diagnostic> = Vec::new();
@@ -1072,5 +1058,65 @@ mod tests {
         let report = linter.finish(None, None);
         assert_eq!(report.diagnostics.len(), 3);
         assert!(report.stats.suppressed > 0);
+    }
+
+    /// `lint_chunk_file` scans through the pipelined scanner; over the
+    /// inline reference scanner the same loop must give the same report,
+    /// finding for finding, on clean, bit-flipped and truncated files.
+    #[test]
+    fn file_lint_matches_the_inline_scanner() {
+        use perfplay_record::{spill_trace_with_format, Recorder};
+        use perfplay_sim::SimConfig;
+        use perfplay_trace::ChunkFormat;
+        use perfplay_workloads::{random_workload, GeneratorConfig};
+
+        let program = random_workload(
+            17,
+            &GeneratorConfig {
+                threads: 3,
+                locks: 2,
+                objects: 6,
+                sections_per_thread: 12,
+            },
+        );
+        let trace = Recorder::new(SimConfig::default())
+            .record(&program)
+            .expect("seeded recording succeeds")
+            .trace;
+        let dir = std::env::temp_dir();
+        let config = LintConfig::default();
+        for format in [ChunkFormat::Json, ChunkFormat::Pbin] {
+            let path = dir.join(format!(
+                "perfplay-lint-scanners-{}.{}",
+                std::process::id(),
+                format.name()
+            ));
+            spill_trace_with_format(&trace, &path, 16, format).unwrap();
+            let clean = std::fs::read(&path).unwrap();
+            let mut inputs = vec![("clean", clean.clone())];
+            for at in [clean.len() / 3, clean.len() / 2, 2 * clean.len() / 3] {
+                let mut flipped = clean.clone();
+                flipped[at] ^= 0x04;
+                inputs.push(("flipped", flipped));
+                inputs.push(("truncated", clean[..at].to_vec()));
+            }
+            for (tag, bytes) in inputs {
+                std::fs::write(&path, bytes).unwrap();
+                let pipelined = lint_chunk_file(&path, &config);
+                let records = RawChunkRecords::open(&path).unwrap();
+                let inline = lint_records(path.display().to_string(), records, &config);
+                assert_eq!(
+                    pipelined.to_json(),
+                    inline.to_json(),
+                    "{format:?} {tag} file"
+                );
+                assert_eq!(
+                    pipelined.is_clean(),
+                    tag == "clean",
+                    "{format:?} {tag} file"
+                );
+            }
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 }

@@ -17,7 +17,8 @@
 //! time progress, independent of total trace length.
 //!
 //! [`convert_chunk_file`] translates an existing chunk file between the two
-//! formats record by record, holding only one record in memory.
+//! formats record by record, reading it through the pipelined scanner and
+//! holding only the records in flight in memory.
 
 use std::collections::VecDeque;
 use std::io::Write;
@@ -452,10 +453,13 @@ pub struct ConvertSummary {
     pub bytes_out: u64,
 }
 
-/// Translates a chunk file between formats, record by record: only one
-/// record is resident at a time, so the conversion is chunk-bounded no
-/// matter how large the file. The source format is autodetected by magic
-/// bytes; `to` picks the destination format (`None` → by `dst`'s
+/// Translates a chunk file between formats, record by record, so the
+/// conversion is chunk-bounded no matter how large the file. The source is
+/// read through the pipelined scanner
+/// ([`RawChunkRecords::open_pipelined`], decode pool sized by
+/// [`perfplay_trace::default_decode_workers`]): source framing and decoding
+/// overlap with re-encoding and writing. The source format is autodetected
+/// by magic bytes; `to` picks the destination format (`None` → by `dst`'s
 /// extension). Records pass through verbatim — a converted file carries the
 /// identical record stream.
 ///
@@ -463,45 +467,15 @@ pub struct ConvertSummary {
 ///
 /// Fails on the first unreadable or unparseable source record (conversion
 /// must not silently drop data; recover a corrupt file through
-/// [`ChunkFileReader`](perfplay_trace::ChunkFileReader) first) and on any
-/// write failure.
+/// [`PipelinedChunkReader`](perfplay_trace::PipelinedChunkReader) first), on
+/// any write failure and if a scanner thread cannot be spawned.
 pub fn convert_chunk_file(
     src: impl AsRef<Path>,
     dst: impl AsRef<Path>,
     to: Option<ChunkFormat>,
 ) -> Result<ConvertSummary, StreamError> {
     let src_path = src.as_ref().display().to_string();
-    let records = RawChunkRecords::open(&src)?;
-    convert_records(src_path, records, dst, to)
-}
-
-/// [`convert_chunk_file`] through the pipelined scanner: source framing and
-/// record decoding overlap with re-encoding and writing, which pays off on
-/// multi-core machines for large jsonl sources. `decode_workers` of `0`
-/// sizes the decode pool from [`perfplay_trace::default_decode_workers`].
-/// The converted file is byte-identical to the sequential path's output.
-///
-/// # Errors
-///
-/// Same conditions as [`convert_chunk_file`], plus thread-spawn failures.
-pub fn convert_chunk_file_pipelined(
-    src: impl AsRef<Path>,
-    dst: impl AsRef<Path>,
-    to: Option<ChunkFormat>,
-    decode_workers: usize,
-) -> Result<ConvertSummary, StreamError> {
-    let src_path = src.as_ref().display().to_string();
-    let records = RawChunkRecords::open_pipelined(&src, None, decode_workers)?;
-    convert_records(src_path, records, dst, to)
-}
-
-/// Shared translate-and-write loop behind both convert entry points.
-fn convert_records(
-    src_path: String,
-    records: RawChunkRecords,
-    dst: impl AsRef<Path>,
-    to: Option<ChunkFormat>,
-) -> Result<ConvertSummary, StreamError> {
+    let records = RawChunkRecords::open_pipelined(&src, None, 0)?;
     let from = records.format();
     let to = to.unwrap_or_else(|| ChunkFormat::for_path(&dst));
     let file = std::fs::File::create(&dst).map_err(StreamError::from)?;

@@ -26,15 +26,12 @@ use perfplay_detect::{
     BodyOverlapGain, DetectionPlan, Detector, DetectorConfig, ParallelStreamingDetector,
     PlanAggregator, SiteAggregates, StreamingStats, UlcpBreakdown,
 };
-use perfplay_lint::{
-    analyze_schedule, lint_chunk_file, lint_chunk_file_pipelined, lint_trace, Diagnostic,
-    LintConfig,
-};
+use perfplay_lint::{analyze_schedule, lint_chunk_file, lint_trace, Diagnostic, LintConfig};
 use perfplay_replay::{
     ReplayConfig, ReplayError, ReplayResult, ReplaySchedule, Replayer, ScheduleKind,
     UlcpFreeReplayer,
 };
-use perfplay_trace::{ChunkFileReader, PipelinedChunkReader, RecoveryPolicy, StreamError, Trace};
+use perfplay_trace::{PipelinedChunkReader, RecoveryPolicy, StreamError, Trace};
 use perfplay_transform::{TransformConfig, Transformer};
 
 use crate::fusion::{fuse_aggregates, rank_groups, Recommendation};
@@ -191,7 +188,8 @@ impl PipelineConfig {
     /// The resolved streaming worker count: with
     /// [`DetectorConfig::parallel`] set, `Some(n)` with one worker per
     /// available core; otherwise `None`, which means one worker. Output is
-    /// bit-identical either way.
+    /// bit-identical either way. It sizes detection only: chunk files are
+    /// read through the pipelined scanner whatever it says.
     pub fn stream_workers(&self) -> Option<usize> {
         self.detector.parallel.then(|| {
             std::thread::available_parallelism()
@@ -409,7 +407,9 @@ fn fuse_batch(results: impl Iterator<Item = Result<PlanAnalysis, PipelineError>>
 /// replay runs, so this scales to spill files far larger than memory.
 #[derive(Debug, Clone)]
 pub struct ChunkStreamAnalysis {
-    /// Path of the chunk file this analysis came from.
+    /// Path of the chunk file this analysis came from, for display: bytes
+    /// that are not UTF-8 are replaced. The file itself is opened by the
+    /// path the caller passed.
     pub path: String,
     /// The compact detection output (aggregate rows, edges, breakdown).
     pub plan: DetectionPlan,
@@ -453,10 +453,13 @@ impl ChunkBatchAnalysis {
 /// Runs detection-only analysis over on-disk chunk files and fuses the
 /// per-file aggregate tables into one ranked report — the batch sweep for
 /// traces that were spilled at record time and never loaded back into
-/// memory. Each file streams through [`ParallelStreamingDetector`], sized by
-/// [`PipelineConfig::stream_workers`], under the given [`RecoveryPolicy`]; a
-/// file that still fails (or panics a detector stage) becomes one
-/// [`BatchItemError`] while the other files complete and fuse.
+/// memory. Each file is read through [`PipelinedChunkReader`] (the preflight
+/// lint too) under the given [`RecoveryPolicy`] and streams through
+/// [`ParallelStreamingDetector`], sized by
+/// [`PipelineConfig::stream_workers`]; `parallel` sizes detection only and
+/// never picks the reader. A file that still fails (or panics a detector
+/// stage) becomes one [`BatchItemError`] while the other files complete and
+/// fuse.
 pub fn analyze_chunk_files<P: AsRef<Path>>(
     paths: &[P],
     config: &PipelineConfig,
@@ -465,14 +468,9 @@ pub fn analyze_chunk_files<P: AsRef<Path>>(
     let mut per_stream = Vec::new();
     let mut failures = Vec::new();
     for (trace_index, path) in paths.iter().enumerate() {
-        let path = path.as_ref().display().to_string();
+        let path = path.as_ref();
         if config.preflight {
-            // The preflight scan uses the same reader family as the
-            // detection run that follows: pipelined when parallel.
-            let report = match config.stream_workers() {
-                Some(_) => lint_chunk_file_pipelined(&path, &LintConfig::default(), 0),
-                None => lint_chunk_file(&path, &LintConfig::default()),
-            };
+            let report = lint_chunk_file(path, &LintConfig::default());
             if let Some(errors) = preflight_errors(report) {
                 failures.push(BatchItemError {
                     trace_index,
@@ -482,30 +480,21 @@ pub fn analyze_chunk_files<P: AsRef<Path>>(
             }
         }
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let sink = PlanAggregator::new(BodyOverlapGain);
-            // Parallel detection gets the pipelined reader (decode pool
-            // sized from `default_decode_workers`) so framing, decode, and
-            // detection overlap; one worker keeps the single-threaded reader
-            // (pipeline hand-off buys nothing there). Both pairings yield
-            // bit-identical streams and reports.
-            let streamed = match config.stream_workers() {
-                Some(workers) => {
-                    let mut reader = PipelinedChunkReader::with_options(&path, policy, None, 0)?;
-                    ParallelStreamingDetector::with_workers(config.detector, workers)
-                        .analyze_with(&mut reader, sink)?
-                }
-                None => {
-                    let mut reader = ChunkFileReader::with_policy(&path, policy)?;
-                    ParallelStreamingDetector::with_workers(config.detector, 1)
-                        .analyze_with(&mut reader, sink)?
-                }
-            };
-            let (plan, stats) = DetectionPlan::from_streaming(streamed);
-            Ok((plan, stats))
+            // Framing and decoding overlap with detection whatever the
+            // worker count; `parallel` only sizes the detector.
+            let mut reader = PipelinedChunkReader::with_policy(path, policy)?;
+            let workers = config.stream_workers().unwrap_or(1);
+            let streamed = ParallelStreamingDetector::with_workers(config.detector, workers)
+                .analyze_with(&mut reader, PlanAggregator::new(BodyOverlapGain))?;
+            Ok(DetectionPlan::from_streaming(streamed))
         }))
         .unwrap_or_else(|payload| Err(PipelineError::Panic(panic_message(payload))));
         match outcome {
-            Ok((plan, stats)) => per_stream.push(ChunkStreamAnalysis { path, plan, stats }),
+            Ok((plan, stats)) => per_stream.push(ChunkStreamAnalysis {
+                path: path.display().to_string(),
+                plan,
+                stats,
+            }),
             Err(error) => failures.push(BatchItemError { trace_index, error }),
         }
     }

@@ -46,6 +46,7 @@
 
 mod event;
 mod footprint;
+mod frame;
 mod ids;
 pub mod pbin;
 mod pipelined;

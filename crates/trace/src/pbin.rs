@@ -25,10 +25,11 @@
 //! may regress timestamps, and the codec must round-trip those too), and
 //! events are a one-byte tag plus their fields.
 //!
-//! [`PbinScanner`] is the reading half: it decodes frames out of one reused
-//! buffer (no per-record `String` / `serde_json::Value` allocations) and
-//! reports records with the same `(ordinal, offset, bytes)` coordinates the
-//! JSON scanner reports `(line, offset, bytes)`, so located errors,
+//! The reading half is crate-private: `PbinScanner` walks frames into one
+//! reused buffer and `decode_checked_payload` decodes them (no per-record
+//! `String` / `serde_json::Value` allocations). Records carry the same
+//! `(ordinal, offset, bytes)` coordinates the JSON framer reports as
+//! `(line, offset, bytes)`, so located errors,
 //! [`StreamGap`](crate::StreamGap) accounting and lint diagnostics are
 //! format-agnostic. The file prelude is accounted to the first record: a
 //! clean file's record extents tile the whole file.
@@ -37,11 +38,11 @@ use std::io::{BufReader, Read};
 use std::path::Path;
 
 use crate::event::{Event, LockGrant, TimedEvent, WriteOp};
+use crate::frame::{Frame, FrameBody};
 use crate::ids::{BarrierId, CodeSiteId, CondId, LockId, ObjectId, ThreadId};
 use crate::site::{CodeSite, SiteTable};
 use crate::stream::{
-    ChunkFileHeader, ChunkFileRecord, ChunkFileTrailer, RawRecord, StreamError, ThreadSpan,
-    TraceChunk,
+    ChunkFileHeader, ChunkFileRecord, ChunkFileTrailer, StreamError, ThreadSpan, TraceChunk,
 };
 use crate::time::Time;
 use crate::trace::TraceMeta;
@@ -643,12 +644,10 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<ChunkFileRecord, String> {
     }
 }
 
-/// CRC-checks and decodes one framed payload — the decode half of record
-/// scanning, shared by the sequential scanner and the pipelined decode
-/// workers. The CRC input is rebuilt from `kind` and the payload length,
-/// which is byte-identical to the on-disk `kind | len | payload` region the
-/// writer checksummed, so the verdict (and the error message) matches the
-/// single-threaded scanner exactly.
+/// CRC-checks and decodes one framed payload: the PBIN half of
+/// [`decode_frame`](crate::frame::decode_frame). The CRC input is rebuilt
+/// from `kind` and the payload length, which is byte-identical to the
+/// on-disk `kind | len | payload` region the writer checksummed.
 pub(crate) fn decode_checked_payload(
     kind: u8,
     stored: u32,
@@ -725,51 +724,16 @@ impl ByteReader {
     }
 }
 
-/// One raw frame surfaced by [`PbinScanner::next_frame`]: the framing-stage
-/// view of a record — exact file coordinates plus either an undecoded
-/// payload (CRC not yet checked) or the framing-level failure. This is the
-/// unit of work the pipelined reader hands to its decode workers.
-#[derive(Debug)]
-pub(crate) struct PbinFrame {
-    /// 1-based record ordinal.
-    pub ordinal: usize,
-    /// Byte offset of the record's start (the file prelude is accounted to
-    /// the first record).
-    pub offset: u64,
-    /// Total byte extent of the record.
-    pub bytes: u64,
-    /// What the framing walk found.
-    pub body: PbinFrameBody,
-}
-
-/// Outcome of walking one frame without decoding it.
-#[derive(Debug)]
-pub(crate) enum PbinFrameBody {
-    /// A structurally complete frame: the caller's buffer holds the payload
-    /// bytes; CRC verification and payload decoding are still pending
-    /// ([`decode_checked_payload`]).
-    Payload {
-        /// Record kind byte from the frame header.
-        kind: u8,
-        /// CRC stored in the frame, to be checked against the payload.
-        stored_crc: u32,
-    },
-    /// A framing-level failure (bad prelude, truncation, I/O error, or a
-    /// resynchronization skip), already shaped as the record error the
-    /// sequential scanner would report.
-    Failed(StreamError),
-}
-
-fn failed_frame(ordinal: usize, offset: u64, bytes: u64, error: StreamError) -> PbinFrame {
-    PbinFrame {
+fn failed_frame(ordinal: usize, offset: u64, bytes: u64, error: StreamError) -> Frame {
+    Frame {
         ordinal,
         offset,
         bytes,
-        body: PbinFrameBody::Failed(error),
+        body: FrameBody::Failed(error),
     }
 }
 
-fn parse_failed(ordinal: usize, offset: u64, bytes: u64, message: String) -> PbinFrame {
+fn parse_failed(ordinal: usize, offset: u64, bytes: u64, message: String) -> Frame {
     failed_frame(
         ordinal,
         offset,
@@ -781,17 +745,15 @@ fn parse_failed(ordinal: usize, offset: u64, bytes: u64, message: String) -> Pbi
     )
 }
 
-/// Frame-by-frame scanner of a PBIN chunk file: the binary counterpart of
-/// the JSON-lines scanner. Decode failures are data, not stream terminators
-/// — the scanner resynchronizes on the next frame marker and keeps going.
-/// Only I/O errors end the scan (the stream position is unknowable past a
-/// failed read), mirroring the JSON behaviour.
+/// Frame-by-frame walk of a PBIN chunk file: the binary counterpart of
+/// JSON-lines line splitting. A corrupt frame is data, not a stream
+/// terminator: the scanner resynchronizes on the next frame marker and keeps
+/// going. I/O errors, truncation and a bad prelude end the walk.
 #[derive(Debug)]
-pub struct PbinScanner {
+pub(crate) struct PbinScanner {
     input: ByteReader,
     ordinal: usize,
     prelude_pending: bool,
-    scratch: Vec<u8>,
     done: bool,
 }
 
@@ -801,8 +763,8 @@ impl PbinScanner {
     /// # Errors
     ///
     /// Fails only if the file cannot be opened; everything else — a bad
-    /// prelude included — is reported through [`next_record`](Self::next_record).
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, StreamError> {
+    /// prelude included — is reported through [`next_frame`](Self::next_frame).
+    pub(crate) fn open(path: impl AsRef<Path>) -> Result<Self, StreamError> {
         let file = std::fs::File::open(&path).map_err(StreamError::from)?;
         Ok(PbinScanner {
             input: ByteReader {
@@ -813,22 +775,14 @@ impl PbinScanner {
             },
             ordinal: 0,
             prelude_pending: true,
-            scratch: Vec::new(),
             done: false,
         })
-    }
-
-    /// Whether the last frame ended the scan (I/O error, truncation, bad
-    /// prelude, or EOF during resynchronization) — the framing-stage view of
-    /// the sequential scanner's stop condition.
-    pub(crate) fn is_done(&self) -> bool {
-        self.done
     }
 
     /// Consumes bytes until the next frame marker (pushed back for the next
     /// call) or EOF, and reports the skipped region as one parse-error
     /// frame.
-    fn resync(&mut self, ordinal: usize, start: u64, reason: String) -> PbinFrame {
+    fn resync(&mut self, ordinal: usize, start: u64, reason: String) -> Frame {
         let mut window = [0u8; 4];
         let mut filled = 0usize;
         loop {
@@ -859,13 +813,10 @@ impl PbinScanner {
     }
 
     /// Walks to the next frame boundary without CRC-checking or decoding the
-    /// payload — the framing stage of the pipelined reader. On a
-    /// [`PbinFrameBody::Payload`] outcome the payload bytes are left in
-    /// `payload` (resized to exactly the payload length); resynchronization,
-    /// truncation and I/O handling are identical to the sequential scanner,
-    /// so frame coordinates and framing errors cannot diverge between the
-    /// two paths. Returns `None` at a clean end of file.
-    pub(crate) fn next_frame(&mut self, payload: &mut Vec<u8>) -> Option<PbinFrame> {
+    /// payload. On a [`FrameBody::Pbin`] outcome the payload bytes are left
+    /// in `payload` (resized to exactly the payload length). Returns `None`
+    /// at a clean end of file and once a failure ended the walk.
+    pub(crate) fn next_frame(&mut self, payload: &mut Vec<u8>) -> Option<Frame> {
         if self.done {
             return None;
         }
@@ -989,33 +940,11 @@ impl PbinScanner {
             payload[len + 3],
         ]);
         payload.truncate(len);
-        Some(PbinFrame {
+        Some(Frame {
             ordinal,
             offset: start,
             bytes: total,
-            body: PbinFrameBody::Payload { kind, stored_crc },
-        })
-    }
-
-    /// Pulls the next record, or `None` at a clean end of file: the framing
-    /// walk (`next_frame`) plus the CRC check and payload decode, out of one
-    /// reused buffer.
-    pub fn next_record(&mut self) -> Option<RawRecord> {
-        let mut payload = std::mem::take(&mut self.scratch);
-        let frame = self.next_frame(&mut payload);
-        self.scratch = payload;
-        let frame = frame?;
-        let record = match frame.body {
-            PbinFrameBody::Failed(e) => Err(e),
-            PbinFrameBody::Payload { kind, stored_crc } => {
-                decode_checked_payload(kind, stored_crc, &self.scratch, frame.ordinal)
-            }
-        };
-        Some(RawRecord {
-            line: frame.ordinal,
-            offset: frame.offset,
-            bytes: frame.bytes,
-            record,
+            body: FrameBody::Pbin { kind, stored_crc },
         })
     }
 }

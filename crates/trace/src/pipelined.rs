@@ -1,38 +1,37 @@
 //! Pipelined chunk-file ingestion: overlapped framing, decode, and delivery.
 //!
-//! The sequential scanners in [`crate::stream`] interleave three kinds of
-//! work on one thread: reading bytes, finding record boundaries, and
-//! deserializing payloads. On large traces the deserialization dominates,
-//! so this module splits the work across threads:
+//! The inline scanner behind [`ChunkFileReader`] interleaves three kinds of
+//! work on the caller's thread: reading bytes, finding record boundaries,
+//! and deserializing payloads. On large traces the deserialization
+//! dominates, so this module splits the work across threads:
 //!
-//! 1. a **framing** thread walks raw record boundaries (frame
-//!    marker/length for PBIN, line splitting for JSON-lines) without
-//!    decoding anything, preserving resynchronization and byte-exact record
-//!    coordinates;
-//! 2. a pool of **decode workers** CRC-checks and deserializes frames out
-//!    of order, recycling payload buffers through an allocation-free
-//!    round-trip channel;
+//! 1. a **framing** thread runs the shared framer
+//!    ([`Framer::next_frame`]): frame marker and length for PBIN, line
+//!    splitting for JSON-lines;
+//! 2. a pool of **decode workers** runs the shared decode step
+//!    ([`decode_frame`]) out of order, recycling payload buffers through an
+//!    allocation-free round-trip channel;
 //! 3. the consumer restores record order by sequence number over bounded
 //!    channels and feeds the shared [`ChunkFileReader`] state machine, so
 //!    gap accounting, recovery policies, and error locations are literally
-//!    the same code as the sequential path.
+//!    the same code as the inline path.
 //!
-//! The public face is [`PipelinedChunkReader`], a drop-in
-//! [`EventSource`] that yields a bit-identical stream to
+//! The public face is [`PipelinedChunkReader`], the reader every library
+//! entry point uses. It yields a bit-identical stream to
 //! [`ChunkFileReader`] on well-formed, gapped, and fault-injected files.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader};
 use std::path::Path;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use crate::pbin::{decode_checked_payload, ChunkFormat, PbinFrameBody, PbinScanner};
+use crate::frame::{decode_frame, ends_scan, Frame, Framer};
+use crate::pbin::ChunkFormat;
 use crate::site::SiteTable;
 use crate::stream::{
-    trim_line, ChunkFileReader, ChunkFileTrailer, EventSource, RawRecord, RecoveryPolicy,
-    StreamError, StreamGap, StreamItem, TraceChunk, UTF8_ERROR,
+    ChunkFileReader, ChunkFileTrailer, EventSource, RawRecord, RecoveryPolicy, StreamError,
+    StreamGap, StreamItem, TraceChunk,
 };
 use crate::trace::TraceMeta;
 
@@ -45,247 +44,71 @@ pub fn default_decode_workers() -> usize {
         .clamp(1, 8)
 }
 
-/// One undecoded record handed from the framing thread to a decode worker.
+/// One framed, undecoded record handed from the framing thread to a decode
+/// worker.
 #[derive(Debug)]
 struct WorkItem {
     /// Dense stream sequence number assigned by the framing thread; the
     /// consumer restores delivery order by it.
     seq: u64,
-    /// 1-based record ordinal (line number for JSON-lines).
-    ordinal: usize,
-    /// Byte offset of the record's start.
-    offset: u64,
-    /// Byte extent of the record.
-    bytes: u64,
-    payload: FramedPayload,
+    frame: Frame,
+    /// The frame's payload, in a buffer the decode worker recycles back to
+    /// the framing thread.
+    buf: Vec<u8>,
 }
 
-/// The raw bytes of one framed record, format-tagged.
-#[derive(Debug)]
-enum FramedPayload {
-    /// A JSON-lines record with its line terminator stripped.
-    JsonLine(Vec<u8>),
-    /// A structurally complete PBIN frame pending CRC check and decode.
-    PbinFrame {
-        kind: u8,
-        stored_crc: u32,
-        payload: Vec<u8>,
-    },
-}
-
-/// One decoded record tagged with its stream position. `terminal` marks the
-/// record after which the sequential scanner would have stopped; the
-/// consumer ends the stream there and discards anything the pipeline read
-/// ahead, keeping the observable record sequence identical.
+/// One decoded record tagged with its stream position.
 #[derive(Debug)]
 struct Decoded {
     seq: u64,
     record: RawRecord,
-    terminal: bool,
 }
 
-/// Framing loop for PBIN files: walks frames with [`PbinScanner::next_frame`]
-/// (identical resynchronization and byte accounting as the sequential
-/// scanner), shipping complete frames to the decode pool and framing-level
-/// failures straight to the results channel in sequence order.
-fn frame_pbin(
-    mut scanner: PbinScanner,
-    work: SyncSender<WorkItem>,
-    results: SyncSender<Decoded>,
-    recycle: Receiver<Vec<u8>>,
-) {
-    let mut seq = 0u64;
-    loop {
-        let mut buf: Vec<u8> = recycle.try_recv().unwrap_or_default();
-        buf.clear();
-        let Some(frame) = scanner.next_frame(&mut buf) else {
+/// Framing loop: walks the file with the shared framer and ships every
+/// frame, framing failures included, to the decode pool in stream order.
+/// Past a record that ends the scan (a JSON line that is not UTF-8 is only
+/// found by a decode worker) the consumer drops whatever this loop read
+/// ahead, so those records are never observable.
+fn run_framer(mut framer: Framer, work: SyncSender<WorkItem>, recycle: Receiver<Vec<u8>>) {
+    for seq in 0.. {
+        let mut buf = recycle.try_recv().unwrap_or_default();
+        let Some(frame) = framer.next_frame(&mut buf) else {
             return;
         };
-        let sent = match frame.body {
-            PbinFrameBody::Payload { kind, stored_crc } => work
-                .send(WorkItem {
-                    seq,
-                    ordinal: frame.ordinal,
-                    offset: frame.offset,
-                    bytes: frame.bytes,
-                    payload: FramedPayload::PbinFrame {
-                        kind,
-                        stored_crc,
-                        payload: buf,
-                    },
-                })
-                .is_ok(),
-            PbinFrameBody::Failed(e) => results
-                .send(Decoded {
-                    seq,
-                    terminal: scanner.is_done(),
-                    record: RawRecord {
-                        line: frame.ordinal,
-                        offset: frame.offset,
-                        bytes: frame.bytes,
-                        record: Err(e),
-                    },
-                })
-                .is_ok(),
-        };
-        if !sent {
+        if work.send(WorkItem { seq, frame, buf }).is_err() {
             return;
         }
-        seq += 1;
-    }
-}
-
-/// Framing loop for JSON-lines files: splits lines with a reused buffer and
-/// the same terminator/byte-accounting rules as the sequential scanner.
-/// UTF-8 validation happens in the decode workers; when a worker flags a bad
-/// line as terminal the consumer truncates the stream there, so lines this
-/// loop reads past the failure are never observable.
-fn frame_json(
-    mut input: BufReader<std::fs::File>,
-    work: SyncSender<WorkItem>,
-    results: SyncSender<Decoded>,
-    recycle: Receiver<Vec<u8>>,
-) {
-    let mut seq = 0u64;
-    let mut line_no = 0usize;
-    let mut offset = 0u64;
-    loop {
-        let mut buf: Vec<u8> = recycle.try_recv().unwrap_or_default();
-        buf.clear();
-        let this_line = line_no + 1;
-        let line_offset = offset;
-        let n = match input.read_until(b'\n', &mut buf) {
-            Ok(n) => n,
-            Err(e) => {
-                let _ = results.send(Decoded {
-                    seq,
-                    terminal: true,
-                    record: RawRecord {
-                        line: this_line,
-                        offset: line_offset,
-                        bytes: 0,
-                        record: Err(StreamError::Io(e.to_string())),
-                    },
-                });
-                return;
-            }
-        };
-        if n == 0 {
-            return;
-        }
-        let stripped = trim_line(&buf).len();
-        buf.truncate(stripped);
-        line_no = this_line;
-        let bytes = stripped as u64 + 1;
-        offset += bytes;
-        if work
-            .send(WorkItem {
-                seq,
-                ordinal: this_line,
-                offset: line_offset,
-                bytes,
-                payload: FramedPayload::JsonLine(buf),
-            })
-            .is_err()
-        {
-            return;
-        }
-        seq += 1;
     }
 }
 
 /// Decode-worker loop: pulls framed records off the shared work channel,
-/// deserializes them (CRC check included for PBIN), recycles the payload
-/// buffer back to the framing thread, and ships the decoded record to the
-/// consumer. Exits when either side of the pipeline disconnects.
+/// runs the shared decode step, recycles the payload buffer back to the
+/// framing thread, and ships the decoded record to the consumer. Exits when
+/// either side of the pipeline disconnects.
 fn run_decoder(
     work: Arc<Mutex<Receiver<WorkItem>>>,
     results: SyncSender<Decoded>,
     recycle: Sender<Vec<u8>>,
 ) {
     loop {
-        let item = {
+        let WorkItem { seq, frame, buf } = {
             let Ok(guard) = work.lock() else { return };
             match guard.recv() {
-                Ok(i) => i,
+                Ok(item) => item,
                 Err(_) => return,
             }
         };
-        let WorkItem {
-            seq,
-            ordinal,
-            offset,
-            bytes,
-            payload,
-        } = item;
-        let (decoded, buf) = match payload {
-            FramedPayload::JsonLine(line) => match std::str::from_utf8(&line) {
-                Ok(text) => {
-                    let record = serde_json::from_str(text).map_err(|e| StreamError::Parse {
-                        line: ordinal,
-                        message: e.0,
-                    });
-                    (
-                        Decoded {
-                            seq,
-                            terminal: false,
-                            record: RawRecord {
-                                line: ordinal,
-                                offset,
-                                bytes,
-                                record,
-                            },
-                        },
-                        line,
-                    )
-                }
-                // `BufRead::lines` surfaces invalid UTF-8 as an I/O error
-                // and the sequential scanner stops there; reproduce both.
-                Err(_) => (
-                    Decoded {
-                        seq,
-                        terminal: true,
-                        record: RawRecord {
-                            line: ordinal,
-                            offset,
-                            bytes: 0,
-                            record: Err(StreamError::Io(UTF8_ERROR.into())),
-                        },
-                    },
-                    line,
-                ),
-            },
-            FramedPayload::PbinFrame {
-                kind,
-                stored_crc,
-                payload,
-            } => {
-                let record = decode_checked_payload(kind, stored_crc, &payload, ordinal);
-                (
-                    Decoded {
-                        seq,
-                        terminal: false,
-                        record: RawRecord {
-                            line: ordinal,
-                            offset,
-                            bytes,
-                            record,
-                        },
-                    },
-                    payload,
-                )
-            }
-        };
+        let record = decode_frame(frame, &buf);
         let _ = recycle.send(buf);
-        if results.send(decoded).is_err() {
+        if results.send(Decoded { seq, record }).is_err() {
             return;
         }
     }
 }
 
 /// Record scanner that overlaps framing and decoding across threads while
-/// presenting the same pull-based interface as the single-threaded
-/// scanners: same records, same order, same errors, same end-of-stream.
+/// presenting the same pull-based interface as the inline scanner: same
+/// records, same order, same errors, same end-of-stream.
 ///
 /// Shutdown is disconnect-driven: dropping the results receiver unblocks
 /// the workers, whose exit drops the work receiver and unblocks the framing
@@ -306,8 +129,8 @@ impl PipelinedScanner {
     /// Opens `path` and spawns the framing thread plus `decode_workers`
     /// decode threads (`0` sizes the pool from [`default_decode_workers`]).
     ///
-    /// File-open failures are reported synchronously, like the sequential
-    /// scanners; thread-spawn failures surface as [`StreamError::Io`].
+    /// File-open failures are reported synchronously, like the inline
+    /// scanner; thread-spawn failures surface as [`StreamError::Io`].
     pub(crate) fn spawn(
         path: &Path,
         format: ChunkFormat,
@@ -322,25 +145,12 @@ impl PipelinedScanner {
         let (res_tx, res_rx) = sync_channel::<Decoded>(workers * 2 + 2);
         let (rec_tx, rec_rx) = channel::<Vec<u8>>();
         let spawn_err = |e: std::io::Error| StreamError::Io(e.to_string());
+        let framer = Framer::open(path, format)?;
         let mut handles = Vec::with_capacity(workers + 1);
-        let framing = std::thread::Builder::new().name("pingest-frame".into());
-        let handle = match format {
-            ChunkFormat::Pbin => {
-                let scanner = PbinScanner::open(path)?;
-                let results = res_tx.clone();
-                framing
-                    .spawn(move || frame_pbin(scanner, work_tx, results, rec_rx))
-                    .map_err(spawn_err)?
-            }
-            ChunkFormat::Json => {
-                let file = std::fs::File::open(path).map_err(StreamError::from)?;
-                let input = BufReader::new(file);
-                let results = res_tx.clone();
-                framing
-                    .spawn(move || frame_json(input, work_tx, results, rec_rx))
-                    .map_err(spawn_err)?
-            }
-        };
+        let handle = std::thread::Builder::new()
+            .name("pingest-frame".into())
+            .spawn(move || run_framer(framer, work_tx, rec_rx))
+            .map_err(spawn_err)?;
         handles.push(handle);
         let work_rx = Arc::new(Mutex::new(work_rx));
         for i in 0..workers {
@@ -365,9 +175,9 @@ impl PipelinedScanner {
     }
 
     /// Pulls the next record in stream order, blocking on the pipeline as
-    /// needed. Mirrors the sequential scanners' contract exactly: yields
-    /// every record (parse failures included) and returns `None` after a
-    /// terminal record or a clean end of file.
+    /// needed. Mirrors the inline scanner's contract exactly: yields every
+    /// record (parse failures included) and returns `None` after a record
+    /// that ends the scan or at a clean end of file.
     pub(crate) fn next_record(&mut self) -> Option<RawRecord> {
         if self.exhausted {
             return None;
@@ -375,8 +185,8 @@ impl PipelinedScanner {
         loop {
             if let Some(d) = self.pending.remove(&self.next_seq) {
                 self.next_seq += 1;
-                if d.terminal {
-                    // The sequential scanner stops here; drop whatever the
+                if ends_scan(&d.record) {
+                    // The inline scanner stops here; drop whatever the
                     // pipeline read ahead so the streams stay identical.
                     self.exhausted = true;
                     self.results = None;
@@ -415,19 +225,14 @@ impl Drop for PipelinedScanner {
 }
 
 /// Pipelined [`EventSource`] over a chunked trace file, in either
-/// [`ChunkFormat`].
+/// [`ChunkFormat`]: the reader every library entry point uses.
 ///
-/// A drop-in replacement for [`ChunkFileReader`] that overlaps file
-/// reading, record decoding, and the caller's detection work across
-/// threads. The chunk/gap stream it yields is bit-identical to the
-/// sequential reader's under every [`RecoveryPolicy`] — it shares the same
-/// validation, gap-accounting, and trailer-reconciliation state machine and
-/// swaps only the record scanner underneath.
-///
-/// Prefer it when ingesting large traces on a multi-core machine,
-/// especially feeding a parallel detector; prefer [`ChunkFileReader`] for
-/// small files or single-core environments, where pipeline hand-off
-/// overhead buys nothing.
+/// It overlaps file reading, record decoding, and the caller's detection
+/// work across threads. The chunk/gap stream it yields is bit-identical to
+/// [`ChunkFileReader`]'s, the zero-thread reference, under every
+/// [`RecoveryPolicy`]: both share the same validation, gap-accounting, and
+/// trailer-reconciliation state machine and differ only in the record
+/// scanner underneath.
 pub struct PipelinedChunkReader {
     inner: ChunkFileReader,
 }
@@ -534,6 +339,7 @@ impl EventSource for PipelinedChunkReader {
 mod tests {
     use super::*;
     use crate::event::{Event, LockGrant};
+    use crate::frame::UTF8_ERROR;
     use crate::ids::{CodeSiteId, LockId, ObjectId, ThreadId};
     use crate::stream::{ChunkFileHeader, ChunkFileRecord, RawChunkRecords, TraceChunks};
     use crate::time::Time;

@@ -27,7 +27,10 @@
 //! [`Trace`] (the executable spec and the bridge for already-recorded
 //! traces), and [`ChunkFileReader`], which streams a chunked trace file
 //! written by `perfplay-record`'s `ChunkedWriter`, so detection never needs
-//! the full log in memory at all.
+//! the full log in memory at all. `ChunkFileReader` scans on the caller's
+//! thread and is the zero-thread reference for
+//! [`PipelinedChunkReader`](crate::PipelinedChunkReader), through which every
+//! library entry point reads.
 //!
 //! Chunk files come in two on-disk formats carrying the identical record
 //! stream — JSON-lines (one [`ChunkFileRecord`] per line) and the compact
@@ -37,14 +40,14 @@
 //! 1-based record ordinal (the line number for JSON) and `offset` the byte
 //! offset of the record's start.
 
-use std::io::{BufRead, BufReader};
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
 use crate::event::{LockGrant, TimedEvent};
+use crate::frame::{decode_frame, ends_scan, Framer};
 use crate::ids::ThreadId;
-use crate::pbin::{ChunkFormat, PbinScanner};
+use crate::pbin::ChunkFormat;
 use crate::pipelined::PipelinedScanner;
 use crate::site::SiteTable;
 use crate::time::Time;
@@ -396,11 +399,15 @@ pub enum ChunkFileRecord {
     Trailer(ChunkFileTrailer),
 }
 
-/// Streaming reader of a chunked trace file, in either [`ChunkFormat`].
+/// Streaming reader of a chunked trace file, in either [`ChunkFormat`],
+/// that frames and decodes on the caller's thread.
 ///
 /// Only one record is resident at a time; the file can be arbitrarily
 /// larger than memory. Binary records are decoded from a reused frame
-/// buffer with no intermediate `String`/JSON value allocations.
+/// buffer with no intermediate `String`/JSON value allocations. This is the
+/// zero-thread reference: library entry points read through
+/// [`PipelinedChunkReader`](crate::PipelinedChunkReader), which shares this
+/// type's state machine and yields the identical stream.
 ///
 /// Every error the reader produces is wrapped in [`StreamError::At`] with
 /// the file path, record ordinal (`line`) and byte offset, so multi-stream
@@ -459,19 +466,6 @@ impl ChunkFileReader {
         Self::with_policy(path, RecoveryPolicy::Fail)
     }
 
-    /// Opens a chunked trace file with an explicit format instead of
-    /// autodetection, under [`RecoveryPolicy::Fail`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`open`](Self::open).
-    pub fn open_with_format(
-        path: impl AsRef<Path>,
-        format: ChunkFormat,
-    ) -> Result<Self, StreamError> {
-        Self::with_policy_and_format(path, RecoveryPolicy::Fail, Some(format))
-    }
-
     /// Opens a chunked trace file with an explicit [`RecoveryPolicy`]
     /// (format autodetected).
     ///
@@ -491,72 +485,46 @@ impl ChunkFileReader {
 
     /// Opens a chunked trace file with an explicit [`RecoveryPolicy`] and an
     /// optional format override (`None` autodetects by magic bytes).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`open`](Self::open).
-    pub fn with_policy_and_format(
+    pub(crate) fn with_policy_and_format(
         path: impl AsRef<Path>,
         policy: RecoveryPolicy,
         format: Option<ChunkFormat>,
     ) -> Result<Self, StreamError> {
-        let path_str = path.as_ref().display().to_string();
-        let (format, scanner) =
-            RecordScanner::open(&path, format).map_err(|e| StreamError::At {
-                path: path_str.clone(),
-                line: 0,
-                offset: 0,
-                source: Box::new(e),
-            })?;
-        Self::from_scanner(path_str, format, scanner, policy)
+        Self::open_scanner(path.as_ref(), policy, format, None)
     }
 
-    /// Opens a chunked trace file through the pipelined scanner
-    /// ([`crate::PipelinedChunkReader`] is the public face): a framing
-    /// thread plus `decode_workers` deserialization workers (`0` sizes the
-    /// pool from `available_parallelism`), delivering the identical record
-    /// stream the sequential scanner would.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`open`](Self::open), plus thread-spawn failures
-    /// reported as [`StreamError::Io`].
-    pub fn open_pipelined(
+    /// Opens a chunked trace file through the pipelined scanner, the state
+    /// machine behind [`crate::PipelinedChunkReader`]: a framing thread plus
+    /// `decode_workers` decode workers (`0` sizes the pool from
+    /// [`crate::default_decode_workers`]). Thread-spawn failures are reported
+    /// as [`StreamError::Io`].
+    pub(crate) fn open_pipelined(
         path: impl AsRef<Path>,
         policy: RecoveryPolicy,
         format: Option<ChunkFormat>,
         decode_workers: usize,
     ) -> Result<Self, StreamError> {
-        let path_str = path.as_ref().display().to_string();
-        let at0 = |source: StreamError| StreamError::At {
-            path: path_str.clone(),
-            line: 0,
-            offset: 0,
-            source: Box::new(source),
-        };
-        let format = match format {
-            Some(f) => f,
-            None => ChunkFormat::detect(&path).map_err(&at0)?,
-        };
-        let scanner =
-            PipelinedScanner::spawn(path.as_ref(), format, decode_workers).map_err(&at0)?;
-        Self::from_scanner(path_str, format, RecordScanner::Pipelined(scanner), policy)
+        Self::open_scanner(path.as_ref(), policy, format, Some(decode_workers))
     }
 
-    /// Shared constructor tail: reads the header record (required under
+    /// Shared constructor: opens the record scanner (see
+    /// [`RecordScanner::open`]), reads the header record (required under
     /// every policy) and seeds the reader state.
-    fn from_scanner(
-        path_str: String,
-        format: ChunkFormat,
-        mut scanner: RecordScanner,
+    fn open_scanner(
+        path: &Path,
         policy: RecoveryPolicy,
+        format: Option<ChunkFormat>,
+        decode_workers: Option<usize>,
     ) -> Result<Self, StreamError> {
+        let path_str = path.display().to_string();
         let at = |line: usize, offset: u64, source: StreamError| StreamError::At {
             path: path_str.clone(),
             line,
             offset,
             source: Box::new(source),
         };
+        let (format, mut scanner) =
+            RecordScanner::open(path, format, decode_workers).map_err(|e| at(0, 0, e))?;
         let first = scanner
             .next_record()
             .ok_or_else(|| at(1, 0, StreamError::Format("empty chunk file".into())))?;
@@ -917,122 +885,64 @@ pub struct RawRecord {
     pub record: Result<ChunkFileRecord, StreamError>,
 }
 
-/// The I/O-error message `BufRead::lines` reports for invalid UTF-8; the
-/// buffer-reusing scanner and the pipelined decode workers reproduce it so
-/// the error surface is independent of the read path.
-pub(crate) const UTF8_ERROR: &str = "stream did not contain valid UTF-8";
-
-/// Strips the line terminator the way `BufRead::lines` does: a trailing
-/// `\n`, then a single `\r` before it (only when the `\n` was present).
-pub(crate) fn trim_line(buf: &[u8]) -> &[u8] {
-    match buf {
-        [head @ .., b'\r', b'\n'] => head,
-        [head @ .., b'\n'] => head,
-        _ => buf,
-    }
-}
-
-/// Format-dispatching record scanner: yields every record of a chunk file,
-/// parse failures included, in either [`ChunkFormat`].
+/// The record scanner behind both readers. Both variants make the same two
+/// calls per record, [`Framer::next_frame`] then [`decode_frame`], and so
+/// yield the identical record stream.
 #[derive(Debug)]
 enum RecordScanner {
-    Json {
-        input: BufReader<std::fs::File>,
-        /// Reused line buffer: one allocation serves every record.
-        buf: Vec<u8>,
-        line_no: usize,
-        offset: u64,
+    /// The zero-thread reference: both calls on the caller's thread, out of
+    /// one reused payload buffer.
+    Inline {
+        framer: Framer,
+        payload: Vec<u8>,
         done: bool,
     },
-    Pbin(PbinScanner),
-    /// Three-stage pipelined scanner (framing thread + decode workers),
-    /// delivering the identical record stream as the two above.
+    /// Framing on a thread of its own and decoding in a pool
+    /// ([`PipelinedScanner`]).
     Pipelined(PipelinedScanner),
 }
 
 impl RecordScanner {
-    /// Opens `path` for record scanning, autodetecting the format by magic
-    /// bytes unless `format` overrides it.
+    /// Opens `path` for record scanning in `format` (`None` autodetects by
+    /// magic bytes): inline when `decode_workers` is `None`, otherwise
+    /// pipelined with that many decode workers (`0` sizes the pool from
+    /// [`crate::default_decode_workers`]).
     fn open(
-        path: impl AsRef<Path>,
+        path: &Path,
         format: Option<ChunkFormat>,
+        decode_workers: Option<usize>,
     ) -> Result<(ChunkFormat, Self), StreamError> {
         let format = match format {
             Some(f) => f,
-            None => ChunkFormat::detect(&path)?,
+            None => ChunkFormat::detect(path)?,
         };
-        let scanner = match format {
-            ChunkFormat::Json => {
-                let file = std::fs::File::open(&path).map_err(StreamError::from)?;
-                RecordScanner::Json {
-                    input: BufReader::new(file),
-                    buf: Vec::new(),
-                    line_no: 0,
-                    offset: 0,
-                    done: false,
-                }
+        let scanner = match decode_workers {
+            None => RecordScanner::Inline {
+                framer: Framer::open(path, format)?,
+                payload: Vec::new(),
+                done: false,
+            },
+            Some(workers) => {
+                RecordScanner::Pipelined(PipelinedScanner::spawn(path, format, workers)?)
             }
-            ChunkFormat::Pbin => RecordScanner::Pbin(PbinScanner::open(path)?),
         };
         Ok((format, scanner))
     }
 
     fn next_record(&mut self) -> Option<RawRecord> {
         match self {
-            RecordScanner::Json {
-                input,
-                buf,
-                line_no,
-                offset,
+            RecordScanner::Inline {
+                framer,
+                payload,
                 done,
             } => {
                 if *done {
                     return None;
                 }
-                let this_line = *line_no + 1;
-                let line_offset = *offset;
-                buf.clear();
-                let n = match input.read_until(b'\n', buf) {
-                    Ok(n) => n,
-                    Err(e) => {
-                        *done = true;
-                        return Some(RawRecord {
-                            line: this_line,
-                            offset: line_offset,
-                            bytes: 0,
-                            record: Err(StreamError::Io(e.to_string())),
-                        });
-                    }
-                };
-                if n == 0 {
-                    *done = true;
-                    return None;
-                }
-                let content = trim_line(buf);
-                let Ok(text) = std::str::from_utf8(content) else {
-                    *done = true;
-                    return Some(RawRecord {
-                        line: this_line,
-                        offset: line_offset,
-                        bytes: 0,
-                        record: Err(StreamError::Io(UTF8_ERROR.into())),
-                    });
-                };
-                *line_no = this_line;
-                let bytes = content.len() as u64 + 1;
-                *offset += bytes;
-                let record = serde_json::from_str(text).map_err(|e| StreamError::Parse {
-                    line: this_line,
-                    message: e.0,
-                });
-                Some(RawRecord {
-                    line: this_line,
-                    offset: line_offset,
-                    bytes,
-                    record,
-                })
+                let record = decode_frame(framer.next_frame(payload)?, payload);
+                *done = ends_scan(&record);
+                Some(record)
             }
-            RecordScanner::Pbin(scanner) => scanner.next_record(),
             RecordScanner::Pipelined(scanner) => scanner.next_record(),
         }
     }
@@ -1051,6 +961,11 @@ impl RecordScanner {
 /// An unreadable record (an I/O error mid-file) is reported as one final
 /// [`RawRecord`] carrying [`StreamError::Io`], after which the scanner ends:
 /// the stream position is unknowable past a failed read.
+///
+/// [`open`](Self::open) scans on the caller's thread and is the zero-thread
+/// reference; library entry points scan through
+/// [`open_pipelined`](Self::open_pipelined), which yields the identical
+/// record sequence.
 #[derive(Debug)]
 pub struct RawChunkRecords {
     scanner: RecordScanner,
@@ -1071,15 +986,11 @@ impl RawChunkRecords {
 
     /// Opens a chunk file for raw scanning with an optional format override
     /// (`None` autodetects by magic bytes).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`open`](Self::open).
-    pub fn open_with_format(
+    pub(crate) fn open_with_format(
         path: impl AsRef<Path>,
         format: Option<ChunkFormat>,
     ) -> Result<Self, StreamError> {
-        let (format, scanner) = RecordScanner::open(path, format)?;
+        let (format, scanner) = RecordScanner::open(path.as_ref(), format, None)?;
         Ok(RawChunkRecords { scanner, format })
     }
 
@@ -1097,15 +1008,8 @@ impl RawChunkRecords {
         format: Option<ChunkFormat>,
         decode_workers: usize,
     ) -> Result<Self, StreamError> {
-        let format = match format {
-            Some(f) => f,
-            None => ChunkFormat::detect(&path)?,
-        };
-        let scanner = PipelinedScanner::spawn(path.as_ref(), format, decode_workers)?;
-        Ok(RawChunkRecords {
-            scanner: RecordScanner::Pipelined(scanner),
-            format,
-        })
+        let (format, scanner) = RecordScanner::open(path.as_ref(), format, Some(decode_workers))?;
+        Ok(RawChunkRecords { scanner, format })
     }
 
     /// The on-disk format being scanned.

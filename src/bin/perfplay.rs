@@ -12,17 +12,21 @@
 //! `*.pbin` file inside it, sorted. `lint --json` prints each file's report
 //! as one JSON document, in path order.
 //!
+//! Commands and flags are UTF-8; SRC, DST and PATH are paths and may be any
+//! bytes the platform allows.
+//!
 //! Exit status: 0 on success, 1 when an input fails (a file cannot be read,
 //! converted or analyzed, lints with errors, or a directory holds no chunk
 //! file), 2 on a usage error: a malformed command line.
 
 #![forbid(unsafe_code)]
 
+use std::ffi::OsString;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use perfplay::prelude::{
-    analyze_chunk_files, convert_chunk_file_pipelined, lint_chunk_file, DetectorConfig, LintConfig,
+    analyze_chunk_files, convert_chunk_file, lint_chunk_file, DetectorConfig, LintConfig,
     PipelineConfig, RecoveryPolicy, Time,
 };
 
@@ -43,7 +47,7 @@ enum Stop {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<OsString> = std::env::args_os().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(Stop::Failed(message)) => {
@@ -57,24 +61,33 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<(), Stop> {
+fn run(args: &[OsString]) -> Result<(), Stop> {
     let Some((command, rest)) = args.split_first() else {
         return Err(Stop::Usage("no command given".into()));
+    };
+    let Some(command) = command.to_str() else {
+        return Err(Stop::Usage(format!(
+            "unknown command `{}`",
+            command.to_string_lossy()
+        )));
     };
     let mut json = false;
     let mut operands = Vec::new();
     for arg in rest {
-        match arg.as_str() {
-            "--json" if command == "lint" => json = true,
-            flag if flag.starts_with("--") => {
-                return Err(Stop::Usage(format!(
-                    "unknown flag `{flag}` for `{command}`"
-                )));
-            }
-            operand => operands.push(operand),
+        // A lossy copy keeps a leading `--`, so a flag that is not UTF-8
+        // is still recognized as a flag, and rejected.
+        let text = arg.to_string_lossy();
+        if !text.starts_with("--") {
+            operands.push(Path::new(arg));
+        } else if text == "--json" && command == "lint" {
+            json = true;
+        } else {
+            return Err(Stop::Usage(format!(
+                "unknown flag `{text}` for `{command}`"
+            )));
         }
     }
-    match (command.as_str(), operands.as_slice()) {
+    match (command, operands.as_slice()) {
         ("convert", [src, dst]) => convert(src, dst),
         ("convert", _) => Err(Stop::Usage("`convert` takes exactly SRC and DST".into())),
         ("lint" | "analyze", []) => Err(Stop::Usage(format!("`{command}` needs a PATH"))),
@@ -86,9 +99,9 @@ fn run(args: &[String]) -> Result<(), Stop> {
 
 /// Expands the PATH operands: a directory stands for every `*.jsonl` and
 /// `*.pbin` file inside it, sorted; anything else is taken as a chunk file.
-fn chunk_files(paths: &[&str]) -> Result<Vec<PathBuf>, Stop> {
+fn chunk_files(paths: &[&Path]) -> Result<Vec<PathBuf>, Stop> {
     let mut files = Vec::new();
-    for path in paths.iter().map(Path::new) {
+    for &path in paths {
         if !path.is_dir() {
             files.push(path.to_path_buf());
             continue;
@@ -112,9 +125,7 @@ fn chunk_files(paths: &[&str]) -> Result<Vec<PathBuf>, Stop> {
     Ok(files)
 }
 
-/// Converts through the pipelined scanner with the decode pool auto-sized:
-/// source framing and decoding overlap with re-encoding and writing.
-fn convert(src: &str, dst: &str) -> Result<(), Stop> {
+fn convert(src: &Path, dst: &Path) -> Result<(), Stop> {
     // Creating DST truncates it: converting a file onto itself would
     // destroy the source before it is read.
     let same_file = match (std::fs::canonicalize(src), std::fs::canonicalize(dst)) {
@@ -122,13 +133,18 @@ fn convert(src: &str, dst: &str) -> Result<(), Stop> {
         _ => false,
     };
     if same_file {
-        return Err(Stop::Usage(format!("SRC and DST are the same file: {src}")));
+        return Err(Stop::Usage(format!(
+            "SRC and DST are the same file: {}",
+            src.display()
+        )));
     }
-    let summary = convert_chunk_file_pipelined(src, dst, None, 0)
-        .map_err(|e| Stop::Failed(format!("converting {src} failed: {e}")))?;
+    let summary = convert_chunk_file(src, dst, None)
+        .map_err(|e| Stop::Failed(format!("converting {} failed: {e}", src.display())))?;
     println!(
-        "{src} ({}) -> {dst} ({}): {} records, {} chunks, {} events, {} -> {} bytes",
+        "{} ({}) -> {} ({}): {} records, {} chunks, {} events, {} -> {} bytes",
+        src.display(),
         summary.from.name(),
+        dst.display(),
         summary.to.name(),
         summary.records,
         summary.chunks,

@@ -206,3 +206,39 @@ fn usage_errors_exit_2() {
     assert_eq!(before, std::fs::read(&file).unwrap(), "a usage error wrote");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A file name need not be UTF-8 on Linux. `lint` and `analyze` open the
+/// file by the path they were given, named directly or found in its
+/// directory.
+#[cfg(target_os = "linux")]
+#[test]
+fn file_names_that_are_not_utf8_lint_and_analyze() {
+    use std::ffi::OsStr;
+    use std::os::unix::ffi::OsStrExt;
+
+    let dir = fixture_dir("not-utf8");
+    let named = dir.join("named");
+    std::fs::create_dir(&named).unwrap();
+    let file = named.join(OsStr::from_bytes(b"bad\xff.pbin"));
+    convert_chunk_file(dir.join("chunks.jsonl"), &file, None).expect("convert to PBIN");
+    for command in ["lint", "analyze"] {
+        for target in [&file, &named] {
+            let out = perfplay(&[command.as_ref(), target]);
+            assert_eq!(
+                status(&out),
+                0,
+                "{command} {}: {}",
+                target.display(),
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+    }
+    // Commands and flags stay UTF-8: anything else is a usage error.
+    let command = Path::new(OsStr::from_bytes(b"lin\xfft"));
+    let flag = Path::new(OsStr::from_bytes(b"--js\xffon"));
+    for args in [vec![command, &file], vec!["lint".as_ref(), &file, flag]] {
+        let out = perfplay(&args);
+        assert_eq!(status(&out), 2, "{args:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

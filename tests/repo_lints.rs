@@ -19,11 +19,17 @@
 //!   of the transform crate, the report crate or the root package names the
 //!   materialized pair list (`UlcpAnalysis`) or its sink (`CollectPairs`),
 //!   and the facade crate names them only in its `prelude` re-export;
+//! * library entry points read chunk files through the pipelined scanner:
+//!   outside test code, no line of the report, lint or record crate or of
+//!   the root package calls an inline-scanner constructor, which stays the
+//!   zero-thread reference for tests;
 //! * retired names stay retired: no source file, test, example, README, CI
 //!   workflow or verification note names the sequential streaming engine
 //!   (`ParallelStreamingDetector` at one worker replaced it), the second
-//!   measurement mechanism (perfbench and the `perfplay` CLI replaced it) or
-//!   the pair-list report path (the plan and its per-site rows replaced it).
+//!   measurement mechanism (perfbench and the `perfplay` CLI replaced it),
+//!   the pair-list report path (the plan and its per-site rows replaced it)
+//!   or the pipelined twins of the chunk-file entry points (the plain entry
+//!   points read through the pipelined scanner).
 
 use std::path::{Path, PathBuf};
 
@@ -110,6 +116,7 @@ fn hardened_files() -> Vec<PathBuf> {
     let root = workspace_root();
     let mut files = vec![
         root.join("crates/trace/src/stream.rs"),
+        root.join("crates/trace/src/frame.rs"),
         root.join("crates/trace/src/pbin.rs"),
         root.join("crates/trace/src/pipelined.rs"),
         root.join("crates/detect/src/inject.rs"),
@@ -243,17 +250,22 @@ fn sinks_live_in_the_sink_modules() {
 /// Names of the materialized pair list and the sink that collects it.
 const PAIR_LIST_NAMES: [&str; 2] = ["UlcpAnalysis", "CollectPairs"];
 
-/// Every `.rs` file of the stages after detection: the transform and report
-/// crates, and the root package's library and CLI.
-fn post_detection_files() -> Vec<PathBuf> {
+/// Every `.rs` file under the given workspace directories, sorted.
+fn rs_files_under(dirs: &[&str]) -> Vec<PathBuf> {
     let root = workspace_root();
     let mut files = Vec::new();
-    for dir in ["crates/transform/src", "crates/report/src", "src"] {
+    for dir in dirs {
         files_under(&root.join(dir), &mut files);
     }
     files.retain(|p| p.extension().is_some_and(|ext| ext == "rs"));
     files.sort();
     files
+}
+
+/// Every `.rs` file of the stages after detection: the transform and report
+/// crates, and the root package's library and CLI.
+fn post_detection_files() -> Vec<PathBuf> {
+    rs_files_under(&["crates/transform/src", "crates/report/src", "src"])
 }
 
 /// The non-test lines of `text` that name the pair list, comments included.
@@ -300,6 +312,47 @@ fn stages_after_detection_name_no_pair_list() {
         offenders.is_empty(),
         "a stage after detection names the pair list (read the DetectionPlan and its \
          per-site rows instead; only the facade's prelude may re-export it):\n{}",
+        offenders.join("\n")
+    );
+}
+
+/// Constructors of the inline chunk-file scanner, the zero-thread reference
+/// the equivalence tests compare the pipelined scanner against.
+const INLINE_SCANNER_CONSTRUCTORS: [&str; 3] = [
+    "ChunkFileReader::open",
+    "ChunkFileReader::with_policy",
+    "RawChunkRecords::open(",
+];
+
+#[test]
+fn entry_points_read_through_the_pipelined_scanner() {
+    // The code that reads chunk files for a user: the report, lint and
+    // record crates, and the root package's library and CLI.
+    let files = rs_files_under(&[
+        "crates/report/src",
+        "crates/lint/src",
+        "crates/record/src",
+        "src",
+    ]);
+    assert!(
+        files.len() >= 15,
+        "expected the report, lint, record and root sources, got {files:?}"
+    );
+    let mut offenders: Vec<String> = Vec::new();
+    for path in &files {
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        for (line_no, line) in non_test_code(&text) {
+            let calls = INLINE_SCANNER_CONSTRUCTORS.iter().any(|c| line.contains(c));
+            if !is_comment(line) && calls {
+                offenders.push(format!("{}:{line_no}: {}", relative(path), line.trim()));
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "an entry point reads a chunk file through the inline scanner (use \
+         PipelinedChunkReader or RawChunkRecords::open_pipelined):\n{}",
         offenders.join("\n")
     );
 }
@@ -419,6 +472,21 @@ const RETIRED_PAIR_LIST_REPORT: &[Retired] = &[
     },
 ];
 
+/// The pipelined twins of the chunk-file entry points: the plain entry
+/// points now read through the pipelined scanner themselves.
+const RETIRED_PIPELINED_TWINS: &[Retired] = &[
+    Retired {
+        name: concat!("lint_chunk_file", "_pipelined"),
+        counts: Counts::WholeWord,
+        replaced_by: "lint_chunk_file, which reads through the pipelined scanner",
+    },
+    Retired {
+        name: concat!("convert_chunk_file", "_pipelined"),
+        counts: Counts::WholeWord,
+        replaced_by: "convert_chunk_file, which reads through the pipelined scanner",
+    },
+];
+
 fn is_word_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
@@ -510,6 +578,16 @@ fn retired_pair_list_report_path_is_named_nowhere() {
     assert!(
         offenders.is_empty(),
         "the retired pair-list report path is named:\n{}",
+        offenders.join("\n")
+    );
+}
+
+#[test]
+fn retired_pipelined_twins_are_named_nowhere() {
+    let offenders = retired_name_lines(RETIRED_PIPELINED_TWINS);
+    assert!(
+        offenders.is_empty(),
+        "a retired pipelined twin is named:\n{}",
         offenders.join("\n")
     );
 }
