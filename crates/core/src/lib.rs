@@ -68,8 +68,8 @@ pub mod prelude {
     };
     pub use perfplay_program::{Program, ProgramBuilder};
     pub use perfplay_record::{
-        convert_chunk_file, spill_trace, spill_trace_with_format, ChunkedWriter, ConvertSummary,
-        Recorder, RecordingMode, WallClockRecorder,
+        convert_chunk_file, spill_trace, spill_trace_with_format, ConvertSummary, Recorder,
+        RecordingMode, WallClockRecorder,
     };
     pub use perfplay_replay::{
         measure_fidelity, FidelityReport, ReplayConfig, ReplayResult, ReplaySchedule, Replayer,

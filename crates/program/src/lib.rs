@@ -6,9 +6,8 @@
 //! The PerfPlay paper instruments real x86 binaries with Intel Pin; this
 //! reproduction instead expresses workloads in this IR and executes them on
 //! the deterministic `perfplay-sim` simulator, recording exactly the event
-//! stream the paper's recorder would capture (see `DESIGN.md` for the
-//! substitution argument). The IR covers the behaviours that give rise to the
-//! paper's four ULCP categories:
+//! stream the paper's recorder would capture. The IR covers the behaviours
+//! that give rise to the paper's four ULCP categories:
 //!
 //! * **null-locks** — critical sections whose shared accesses sit behind a
 //!   data-dependent branch ([`Stmt::If`] on a local, Figure 3 of the paper),

@@ -1,33 +1,29 @@
 //! Chunked trace spilling: writing a recording to disk as time-windowed
-//! chunks while it happens.
+//! chunks.
 //!
-//! [`ChunkedWriter`] is the producing half of the streaming ingestion path:
-//! it accepts events thread by thread (in per-thread program order, the only
-//! order a recorder naturally has) and emits [`TraceChunk`]s to a chunk file
-//! — JSON-lines or binary PBIN, selected per [`ChunkFormat`] — as soon as a
-//! time window is *complete*, i.e. once every still-active thread has
-//! progressed past the window, so no earlier event can arrive. The resulting
-//! file honours the chunk contract documented in `perfplay_trace::stream`
-//! and is consumed by [`ChunkFileReader`](perfplay_trace::ChunkFileReader)
-//! or reassembled with
+//! [`spill_trace`] is the producing half of the streaming ingestion path:
+//! it cuts an in-memory [`Trace`] into [`TraceChunk`]s in one pass and
+//! writes them to a chunk file — JSON-lines or binary PBIN, selected per
+//! [`ChunkFormat`]. Events are visited in time order, and a window closes
+//! once enough of them are unwritten, just before the time every thread
+//! with events left has reached, so equal-timestamp ties never straddle a
+//! boundary ([`spill_trace_with_format`] states the rule exactly). The
+//! resulting file honours the chunk contract documented in
+//! `perfplay_trace::stream` and is consumed by
+//! [`PipelinedChunkReader`](perfplay_trace::PipelinedChunkReader) or
+//! reassembled with
 //! [`read_chunked_trace`](perfplay_trace::read_chunked_trace).
-//!
-//! The writer's resident state is the set of events of the currently
-//! incomplete window — bounded as long as threads make roughly comparable
-//! time progress, independent of total trace length.
 //!
 //! [`convert_chunk_file`] translates an existing chunk file between the two
 //! formats record by record, reading it through the pipelined scanner and
 //! holding only the records in flight in memory.
 
-use std::collections::VecDeque;
 use std::io::Write;
 use std::path::Path;
 
 use perfplay_trace::{
-    ChunkFileHeader, ChunkFileRecord, ChunkFileTrailer, ChunkFormat, Event, LockGrant,
-    RawChunkRecords, SiteTable, StreamError, ThreadId, ThreadSpan, Time, TimedEvent, Trace,
-    TraceChunk, TraceMeta,
+    ChunkFileHeader, ChunkFileRecord, ChunkFileTrailer, ChunkFormat, RawChunkRecords, StreamError,
+    ThreadId, ThreadSpan, Time, Trace, TraceChunk, TraceError,
 };
 
 /// Summary of one finished chunked spill.
@@ -41,324 +37,13 @@ pub struct ChunkedWriteSummary {
     pub bytes: u64,
 }
 
-#[derive(Debug, Default)]
-struct ThreadBuffer {
-    /// Index (in the thread's full stream) of `events.front()`.
-    base_index: usize,
-    events: VecDeque<TimedEvent>,
-    /// Timestamp of the latest pushed event.
-    latest: Option<Time>,
-    finished: bool,
-}
-
-/// Incremental writer of a chunked trace file.
-///
-/// Events must be pushed in per-thread program order (non-decreasing
-/// timestamps); grants in ascending grant time. Call
-/// [`finish`](Self::finish) to flush the final window and write the trailer
-/// — dropping the writer without finishing leaves a truncated file that the
-/// reader will reject.
-#[derive(Debug)]
-pub struct ChunkedWriter<W: Write> {
-    out: W,
-    format: ChunkFormat,
-    /// Reused encode buffer: one record's bytes, whichever the format.
-    scratch: Vec<u8>,
-    chunk_events: usize,
-    threads: Vec<ThreadBuffer>,
-    grants: VecDeque<LockGrant>,
-    buffered: usize,
-    seq: u64,
-    events_written: u64,
-    bytes_written: u64,
-    last_window_end: Option<Time>,
-}
-
-impl ChunkedWriter<std::io::BufWriter<std::fs::File>> {
-    /// Creates a chunked trace file at `path` and writes its header. The
-    /// format is picked by the path's extension (`.pbin` → binary, anything
-    /// else → JSON-lines).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the file cannot be created or the header cannot be written.
-    pub fn create(
-        path: impl AsRef<Path>,
-        meta: TraceMeta,
-        num_threads: usize,
-        sites: SiteTable,
-        chunk_events: usize,
-    ) -> std::io::Result<Self> {
-        let format = ChunkFormat::for_path(&path);
-        Self::create_with_format(path, meta, num_threads, sites, chunk_events, format)
-    }
-
-    /// Creates a chunked trace file at `path` in an explicit [`ChunkFormat`]
-    /// and writes its header.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the file cannot be created or the header cannot be written.
-    pub fn create_with_format(
-        path: impl AsRef<Path>,
-        meta: TraceMeta,
-        num_threads: usize,
-        sites: SiteTable,
-        chunk_events: usize,
-        format: ChunkFormat,
-    ) -> std::io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        ChunkedWriter::with_format(
-            std::io::BufWriter::new(file),
-            meta,
-            num_threads,
-            sites,
-            chunk_events,
-            format,
-        )
-    }
-}
-
-impl<W: Write> ChunkedWriter<W> {
-    /// Wraps an arbitrary writer, emitting the header record immediately in
-    /// JSON-lines (the historical default for raw writers; use
-    /// [`with_format`](Self::with_format) to pick).
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures.
-    pub fn new(
-        out: W,
-        meta: TraceMeta,
-        num_threads: usize,
-        sites: SiteTable,
-        chunk_events: usize,
-    ) -> std::io::Result<Self> {
-        Self::with_format(
-            out,
-            meta,
-            num_threads,
-            sites,
-            chunk_events,
-            ChunkFormat::Json,
-        )
-    }
-
-    /// Wraps an arbitrary writer with an explicit [`ChunkFormat`], emitting
-    /// the file prelude (binary only) and header record immediately.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures.
-    pub fn with_format(
-        out: W,
-        meta: TraceMeta,
-        num_threads: usize,
-        sites: SiteTable,
-        chunk_events: usize,
-        format: ChunkFormat,
-    ) -> std::io::Result<Self> {
-        let mut writer = ChunkedWriter {
-            out,
-            format,
-            scratch: Vec::new(),
-            chunk_events: chunk_events.max(1),
-            threads: (0..num_threads).map(|_| ThreadBuffer::default()).collect(),
-            grants: VecDeque::new(),
-            buffered: 0,
-            seq: 0,
-            events_written: 0,
-            bytes_written: 0,
-            last_window_end: None,
-        };
-        let prelude = format.prelude();
-        if !prelude.is_empty() {
-            writer.bytes_written += prelude.len() as u64;
-            writer.out.write_all(&prelude)?;
-        }
-        writer.write_record(&ChunkFileRecord::Header(ChunkFileHeader {
-            meta,
-            num_threads,
-            sites,
-        }))?;
-        Ok(writer)
-    }
-
-    /// The on-disk format being written.
-    pub fn format(&self) -> ChunkFormat {
-        self.format
-    }
-
-    fn write_record(&mut self, record: &ChunkFileRecord) -> std::io::Result<()> {
-        self.scratch.clear();
-        self.format
-            .encode_record(record, &mut self.scratch)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        self.bytes_written += self.scratch.len() as u64;
-        self.out.write_all(&self.scratch)
-    }
-
-    /// Appends one event of a thread. Timestamps must be non-decreasing per
-    /// thread.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures from window flushes.
-    pub fn push_event(&mut self, thread: ThreadId, at: Time, event: Event) -> std::io::Result<()> {
-        let buffer = &mut self.threads[thread.index()];
-        assert!(
-            buffer.latest.is_none_or(|l| at >= l),
-            "non-monotonic push on {thread}: {at} after {:?}",
-            buffer.latest
-        );
-        assert!(!buffer.finished, "push after finish_thread on {thread}");
-        buffer.latest = Some(at);
-        buffer.events.push_back(TimedEvent::new(at, event));
-        self.buffered += 1;
-        if self.buffered >= self.chunk_events {
-            self.flush_complete_window()?;
-        }
-        Ok(())
-    }
-
-    /// Appends a lock grant (ascending grant-time order).
-    pub fn push_grant(&mut self, grant: LockGrant) {
-        self.grants.push_back(grant);
-    }
-
-    /// Marks a thread as finished: it will push no more events and stops
-    /// constraining window completion.
-    pub fn finish_thread(&mut self, thread: ThreadId) {
-        self.threads[thread.index()].finished = true;
-    }
-
-    /// Flushes the largest window that can no longer receive events: every
-    /// unfinished thread has advanced past it. Returns without writing when
-    /// no such window exists yet.
-    fn flush_complete_window(&mut self) -> std::io::Result<()> {
-        // The window must end strictly before the slowest active thread's
-        // latest timestamp: that thread may still push more events *at* its
-        // latest time (ties are allowed), and ties must never straddle a
-        // chunk boundary.
-        let mut bound: Option<Time> = None;
-        for buffer in &self.threads {
-            if buffer.finished {
-                continue;
-            }
-            let Some(latest) = buffer.latest else {
-                return Ok(()); // an active thread has not started yet
-            };
-            bound = Some(bound.map_or(latest, |b: Time| b.min(latest)));
-        }
-        let window_end = match bound {
-            // All threads finished: flush everything that remains.
-            None => self
-                .threads
-                .iter()
-                .filter_map(|b| b.events.back().map(|e| e.at))
-                .max(),
-            Some(latest) => Some(Time::from_nanos(latest.as_nanos().saturating_sub(1))),
-        };
-        let Some(window_end) = window_end else {
-            return Ok(()); // nothing buffered at all
-        };
-        if self.last_window_end.is_some_and(|prev| window_end <= prev) {
-            return Ok(());
-        }
-        self.emit_window(window_end)
-    }
-
-    fn emit_window(&mut self, window_end: Time) -> std::io::Result<()> {
-        let mut spans = Vec::new();
-        for (ti, buffer) in self.threads.iter_mut().enumerate() {
-            let take = buffer
-                .events
-                .iter()
-                .take_while(|e| e.at <= window_end)
-                .count();
-            if take == 0 {
-                continue;
-            }
-            let events: Vec<TimedEvent> = buffer.events.drain(..take).collect();
-            let base_index = buffer.base_index;
-            buffer.base_index += take;
-            self.buffered -= take;
-            spans.push(ThreadSpan {
-                thread: ThreadId::new(ti as u32),
-                base_index,
-                events,
-            });
-        }
-        let mut grants = Vec::new();
-        while let Some(g) = self.grants.front() {
-            if g.at > window_end {
-                break;
-            }
-            grants.extend(self.grants.pop_front());
-        }
-        if spans.is_empty() && grants.is_empty() {
-            return Ok(());
-        }
-        let chunk = TraceChunk {
-            seq: self.seq,
-            window_end,
-            spans,
-            grants,
-        };
-        self.seq += 1;
-        self.events_written += chunk.num_events() as u64;
-        self.last_window_end = Some(window_end);
-        self.write_record(&ChunkFileRecord::Chunk(chunk))
-    }
-
-    /// Flushes everything still buffered, writes the trailer and returns the
-    /// spill summary.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures.
-    pub fn finish(
-        mut self,
-        total_time: Time,
-        finish_times: Vec<Time>,
-    ) -> std::io::Result<ChunkedWriteSummary> {
-        for buffer in &mut self.threads {
-            buffer.finished = true;
-        }
-        if self.buffered > 0 || !self.grants.is_empty() {
-            let window_end = self
-                .threads
-                .iter()
-                .filter_map(|b| b.events.back().map(|e| e.at))
-                .max()
-                .unwrap_or(Time::MAX)
-                .max(self.grants.back().map(|g| g.at).unwrap_or(Time::ZERO));
-            self.emit_window(window_end)?;
-        }
-        let trailer = ChunkFileTrailer {
-            total_time,
-            finish_times,
-            chunks: self.seq,
-            events: self.events_written,
-        };
-        self.write_record(&ChunkFileRecord::Trailer(trailer))?;
-        self.out.flush()?;
-        Ok(ChunkedWriteSummary {
-            chunks: self.seq,
-            events: self.events_written,
-            bytes: self.bytes_written,
-        })
-    }
-}
-
-/// Spills a complete in-memory trace to `path` as a chunked trace file,
-/// streaming it through the windowing logic (events interleaved across
-/// threads in time order, so windows flush as they complete). The format is
-/// picked by the path's extension.
+/// Spills a complete in-memory trace to `path` as a chunked trace file. The
+/// format is picked by the path's extension; the windows are those of
+/// [`spill_trace_with_format`].
 ///
 /// # Errors
 ///
-/// Propagates write failures.
+/// As [`spill_trace_with_format`].
 pub fn spill_trace(
     trace: &Trace,
     path: impl AsRef<Path>,
@@ -371,67 +56,211 @@ pub fn spill_trace(
 /// [`spill_trace`] with an explicit [`ChunkFormat`] instead of the
 /// extension-based pick.
 ///
+/// Windows are cut in one pass over the trace:
+///
+/// * Events are visited smallest timestamp first, ties to the lower thread
+///   index. Before an event at time `t` is visited, every lock grant at or
+///   before `t` becomes pending.
+/// * Once at least `chunk_events` (minimum 1) visited events are unwritten,
+///   a window may close. It ends 1 ns before the earliest last-visited
+///   timestamp among the threads that still have events to visit, counting
+///   the thread just visited; if one of them has not been visited yet, no
+///   window closes. A window must end after the previous one, and a window
+///   holding no event and no pending grant is skipped.
+/// * Whatever is unwritten at the end forms one last chunk, ending at the
+///   latest unwritten event (`Time::MAX` if none) or at the last unwritten
+///   grant, whichever is later.
+///
 /// # Errors
 ///
-/// Propagates write failures.
+/// Fails with [`std::io::ErrorKind::InvalidData`], before creating the
+/// file, if a thread sits at the wrong index
+/// ([`TraceError::MisnumberedThread`]) or its timestamps go backwards
+/// ([`TraceError::NonMonotonicTime`]); no window could honour the chunk
+/// contract then. Propagates write failures.
 pub fn spill_trace_with_format(
     trace: &Trace,
     path: impl AsRef<Path>,
     chunk_events: usize,
     format: ChunkFormat,
 ) -> std::io::Result<ChunkedWriteSummary> {
-    let mut writer = ChunkedWriter::create_with_format(
-        path,
-        trace.meta.clone(),
-        trace.num_threads(),
-        trace.sites.clone(),
-        chunk_events,
+    check_windowable(trace).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+    let file = std::fs::File::create(path)?;
+    let mut spill = Spill {
+        trace,
+        out: std::io::BufWriter::new(file),
         format,
-    )?;
-    // Threads with no events would otherwise block window completion
-    // forever (their next timestamp is unknowable), degrading the writer to
-    // one trace-sized window at finish().
-    for tt in &trace.threads {
-        if tt.events.is_empty() {
-            writer.finish_thread(tt.thread);
-        }
-    }
-    // Feed events in global time order (k-way merge over the per-thread
-    // streams) so complete windows flush incrementally instead of
-    // accumulating whole threads. Grants are interleaved at their own
-    // timestamps so each lands in the chunk whose window covers it, exactly
-    // like the in-memory `TraceChunks` adapter.
-    let mut cursors = vec![0usize; trace.num_threads()];
-    let mut grant_cursor = 0usize;
-    loop {
-        let mut next: Option<(Time, usize)> = None;
-        for (ti, tt) in trace.threads.iter().enumerate() {
-            if let Some(te) = tt.events.get(cursors[ti]) {
-                if next.is_none_or(|(t, _)| te.at < t) {
-                    next = Some((te.at, ti));
-                }
+        scratch: Vec::new(),
+        visited: vec![0; trace.num_threads()],
+        written: vec![0; trace.num_threads()],
+        unwritten: 0,
+        pending_grants: 0,
+        written_grants: 0,
+        last_window_end: None,
+        summary: ChunkedWriteSummary {
+            chunks: 0,
+            events: 0,
+            bytes: 0,
+        },
+    };
+    let prelude = format.prelude();
+    spill.out.write_all(&prelude)?;
+    spill.summary.bytes += prelude.len() as u64;
+    spill.write_record(&ChunkFileRecord::Header(ChunkFileHeader {
+        meta: trace.meta.clone(),
+        num_threads: trace.num_threads(),
+        sites: trace.sites.clone(),
+    }))?;
+    let chunk_events = chunk_events.max(1);
+    let schedule = &trace.lock_schedule;
+    while let Some((at, ti)) = spill.next_event() {
+        let due = &schedule[spill.pending_grants..];
+        spill.pending_grants += due.iter().take_while(|g| g.at <= at).count();
+        spill.visited[ti] += 1;
+        spill.unwritten += 1;
+        if spill.unwritten >= chunk_events {
+            if let Some(window_end) = spill.complete_window(ti) {
+                spill.write_window(window_end)?;
             }
         }
-        let Some((at, ti)) = next else { break };
-        while grant_cursor < trace.lock_schedule.len() && trace.lock_schedule[grant_cursor].at <= at
-        {
-            writer.push_grant(trace.lock_schedule[grant_cursor]);
-            grant_cursor += 1;
+    }
+    spill.pending_grants = schedule.len();
+    let late_grants = &schedule[spill.written_grants..];
+    if spill.unwritten > 0 || !late_grants.is_empty() {
+        let last_event = trace
+            .threads
+            .iter()
+            .zip(&spill.written)
+            .filter_map(|(t, &written)| t.events[written..].last().map(|e| e.at))
+            .max();
+        let last_grant = late_grants.last().map_or(Time::ZERO, |g| g.at);
+        spill.write_window(last_event.unwrap_or(Time::MAX).max(last_grant))?;
+    }
+    spill.write_record(&ChunkFileRecord::Trailer(ChunkFileTrailer {
+        total_time: trace.total_time,
+        finish_times: trace.threads.iter().map(|t| t.finish_time).collect(),
+        chunks: spill.summary.chunks,
+        events: spill.summary.events,
+    }))?;
+    spill.out.flush()?;
+    Ok(spill.summary)
+}
+
+/// Rejects a trace no window could cut: a thread at the wrong index, or
+/// timestamps going backwards within a thread. Unbalanced locking and
+/// schedule mismatches are left to `perfplay lint`, which reports them as
+/// findings on the spilled file.
+fn check_windowable(trace: &Trace) -> Result<(), TraceError> {
+    for (index, t) in trace.threads.iter().enumerate() {
+        if t.thread.index() != index {
+            return Err(TraceError::MisnumberedThread { index });
         }
-        let te = &trace.threads[ti].events[cursors[ti]];
-        writer.push_event(trace.threads[ti].thread, te.at, te.event.clone())?;
-        cursors[ti] += 1;
-        if cursors[ti] == trace.threads[ti].events.len() {
-            writer.finish_thread(trace.threads[ti].thread);
+        if let Some(i) = t.events.windows(2).position(|w| w[1].at < w[0].at) {
+            return Err(TraceError::NonMonotonicTime {
+                thread: t.thread,
+                event_index: i + 1,
+            });
         }
     }
-    for grant in &trace.lock_schedule[grant_cursor..] {
-        writer.push_grant(*grant);
+    Ok(())
+}
+
+/// One spill in progress: two cursors per thread (events visited, events
+/// written) and two into the lock schedule (grants pending, grants
+/// written).
+struct Spill<'a> {
+    trace: &'a Trace,
+    out: std::io::BufWriter<std::fs::File>,
+    format: ChunkFormat,
+    /// Reused encode buffer: one record's bytes, whichever the format.
+    scratch: Vec<u8>,
+    visited: Vec<usize>,
+    written: Vec<usize>,
+    /// Visited events not yet written.
+    unwritten: usize,
+    pending_grants: usize,
+    written_grants: usize,
+    last_window_end: Option<Time>,
+    summary: ChunkedWriteSummary,
+}
+
+impl Spill<'_> {
+    /// The next event to visit, as its timestamp and thread index: the
+    /// smallest timestamp, ties to the lower thread index (`min_by_key`
+    /// keeps the first of equal keys).
+    fn next_event(&self) -> Option<(Time, usize)> {
+        self.trace
+            .threads
+            .iter()
+            .zip(&self.visited)
+            .enumerate()
+            .filter_map(|(ti, (t, &visited))| t.events.get(visited).map(|e| (e.at, ti)))
+            .min_by_key(|&(at, _)| at)
     }
-    writer.finish(
-        trace.total_time,
-        trace.threads.iter().map(|t| t.finish_time).collect(),
-    )
+
+    /// The end of the window every thread has moved past, right after
+    /// thread `just_visited` was visited: 1 ns before the earliest
+    /// last-visited timestamp among the threads with events still to visit
+    /// (and `just_visited`). `None` while one of them is unvisited, or if
+    /// the window would not end after the last written one.
+    fn complete_window(&self, just_visited: usize) -> Option<Time> {
+        let mut earliest = Time::MAX;
+        for (ti, (t, &visited)) in self.trace.threads.iter().zip(&self.visited).enumerate() {
+            if t.events.is_empty() || (visited == t.events.len() && ti != just_visited) {
+                continue;
+            }
+            earliest = earliest.min(t.events[..visited].last()?.at);
+        }
+        let window_end = Time::from_nanos(earliest.as_nanos().saturating_sub(1));
+        let after_last = self.last_window_end.is_none_or(|prev| window_end > prev);
+        after_last.then_some(window_end)
+    }
+
+    /// Writes every visited event and pending grant at or before
+    /// `window_end` as one chunk; writes nothing if there is none.
+    fn write_window(&mut self, window_end: Time) -> std::io::Result<()> {
+        let mut spans = Vec::new();
+        for (ti, t) in self.trace.threads.iter().enumerate() {
+            let (from, to) = (self.written[ti], self.visited[ti]);
+            let events = &t.events[from..to];
+            let take = events.iter().take_while(|e| e.at <= window_end).count();
+            if take == 0 {
+                continue;
+            }
+            self.written[ti] += take;
+            self.unwritten -= take;
+            spans.push(ThreadSpan {
+                thread: ThreadId::new(ti as u32),
+                base_index: from,
+                events: events[..take].to_vec(),
+            });
+        }
+        let pending = &self.trace.lock_schedule[self.written_grants..self.pending_grants];
+        let take = pending.iter().take_while(|g| g.at <= window_end).count();
+        if spans.is_empty() && take == 0 {
+            return Ok(());
+        }
+        let chunk = TraceChunk {
+            seq: self.summary.chunks,
+            window_end,
+            spans,
+            grants: pending[..take].to_vec(),
+        };
+        self.written_grants += take;
+        self.summary.chunks += 1;
+        self.summary.events += chunk.num_events() as u64;
+        self.last_window_end = Some(window_end);
+        self.write_record(&ChunkFileRecord::Chunk(chunk))
+    }
+
+    fn write_record(&mut self, record: &ChunkFileRecord) -> std::io::Result<()> {
+        self.scratch.clear();
+        self.format
+            .encode_record(record, &mut self.scratch)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        self.summary.bytes += self.scratch.len() as u64;
+        self.out.write_all(&self.scratch)
+    }
 }
 
 /// Summary of one chunk-file format conversion.
@@ -570,8 +399,8 @@ mod tests {
     fn incremental_spill_flushes_before_finish() {
         let trace = demo_trace();
         let path = temp_path("incremental");
-        // Tiny windows: chunks must be written while events are still being
-        // pushed, not hoarded until finish().
+        // Tiny windows: the spill must cut many windows rather than one
+        // trace-sized final chunk, and no tie may straddle a boundary.
         let summary = spill_trace(&trace, &path, 8).unwrap();
         assert!(
             summary.chunks > 3,
@@ -630,9 +459,9 @@ mod tests {
 
     #[test]
     fn empty_threads_do_not_block_window_flushing() {
-        // Regression: a thread with zero events kept `latest == None`
-        // forever, so no window could complete and the writer buffered the
-        // whole trace until finish().
+        // Regression: a thread with zero events has no last-visited
+        // timestamp, and once blocked every window, so the whole trace
+        // landed in the final chunk.
         let mut trace = demo_trace();
         let idle = perfplay_trace::ThreadTrace::new(ThreadId::new(trace.num_threads() as u32));
         trace.threads.push(idle);
@@ -647,6 +476,37 @@ mod tests {
         let back = read_chunked_trace(&path).unwrap();
         assert_eq!(back, trace);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn malformed_traces_are_rejected_without_panicking() {
+        let path = temp_path("malformed");
+        let rejection = |trace: &Trace| {
+            let err = spill_trace(trace, &path, 4).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            err.into_inner()
+                .and_then(|e| e.downcast::<TraceError>().ok())
+                .map(|e| *e)
+        };
+
+        let mut backwards = demo_trace();
+        let events = &mut backwards.threads[0].events;
+        events[3].at = Time::from_nanos(events[2].at.as_nanos() - 1);
+        assert_eq!(
+            rejection(&backwards),
+            Some(TraceError::NonMonotonicTime {
+                thread: ThreadId::new(0),
+                event_index: 3,
+            })
+        );
+
+        let mut misnumbered = demo_trace();
+        misnumbered.threads[1].thread = ThreadId::new(5);
+        assert_eq!(
+            rejection(&misnumbered),
+            Some(TraceError::MisnumberedThread { index: 1 })
+        );
+        assert!(!path.exists(), "a rejected trace creates no file");
     }
 
     #[test]

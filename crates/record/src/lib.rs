@@ -18,10 +18,10 @@
 //! [`checkpoints`] locates checkpoint markers so that replay debugging can be
 //! focused on a smaller region, mirroring Section 5.1 of the paper.
 //!
-//! Recordings can be spilled to chunk files as they happen
-//! ([`ChunkedWriter`], [`spill_trace`]). [`convert_chunk_file`] translates
-//! a chunk file between the JSON-lines and PBIN formats; it reads through
-//! the pipelined scanner, like every library entry point's input.
+//! A recorded trace is spilled to a chunk file by [`spill_trace`], which
+//! cuts its time windows in one pass over the trace. [`convert_chunk_file`]
+//! translates a chunk file between the JSON-lines and PBIN formats; it reads
+//! through the pipelined scanner, like every library entry point's input.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -31,8 +31,7 @@ mod recorder;
 mod wallclock;
 
 pub use chunked::{
-    convert_chunk_file, spill_trace, spill_trace_with_format, ChunkedWriteSummary, ChunkedWriter,
-    ConvertSummary,
+    convert_chunk_file, spill_trace, spill_trace_with_format, ChunkedWriteSummary, ConvertSummary,
 };
 pub use recorder::{
     checkpoints, selective_compress, CheckpointLocation, RecordedExecution, Recorder, RecordingMode,

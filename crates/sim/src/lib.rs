@@ -17,8 +17,9 @@
 //! * [`SimConfig`] — the machine cost model (lock acquire/release/hand-off
 //!   costs, memory access cost, tie-break seed);
 //! * synchronization primitives — [`LockTable`], [`CondTable`],
-//!   [`BarrierTable`] and the [`LockArbiter`] trait, reused by the replay
-//!   engine's schedulers;
+//!   [`BarrierTable`] and the [`LockArbiter`] trait, which the executor
+//!   runs on (the replay engine keeps its own scheduler state and uses this
+//!   crate only in its tests);
 //! * the [`Executor`] — interprets a program, producing an
 //!   [`ExecutionResult`] with the recorded trace, per-thread
 //!   [`ThreadTiming`] accounts and final shared-memory contents.

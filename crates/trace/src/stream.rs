@@ -21,12 +21,14 @@
 //!    order.
 //!
 //! The contract is only satisfiable because [`ThreadTrace`] timestamps are
-//! non-decreasing — the invariant [`ThreadTrace::push`] enforces.
+//! non-decreasing. [`ThreadTrace::push`] only debug-asserts that; in every
+//! build the chunk readers, [`Trace::validate`] and `perfplay-record`'s
+//! spill reject a thread whose timestamps go backwards.
 //!
 //! Two sources are provided: [`TraceChunks`], which adapts an in-memory
 //! [`Trace`] (the executable spec and the bridge for already-recorded
 //! traces), and [`ChunkFileReader`], which streams a chunked trace file
-//! written by `perfplay-record`'s `ChunkedWriter`, so detection never needs
+//! written by `perfplay-record`'s `spill_trace`, so detection never needs
 //! the full log in memory at all. `ChunkFileReader` scans on the caller's
 //! thread and is the zero-thread reference for
 //! [`PipelinedChunkReader`](crate::PipelinedChunkReader), through which every
@@ -1028,9 +1030,9 @@ impl Iterator for RawChunkRecords {
 
 /// Reads a chunked trace file back into a full in-memory [`Trace`].
 ///
-/// This is the inverse of `perfplay-record`'s `ChunkedWriter`: useful for
-/// tests and for feeding chunk-recorded traces to consumers that have not
-/// been converted to streaming yet.
+/// This is the inverse of `perfplay-record`'s `spill_trace`: useful for
+/// tests and for feeding spilled traces to consumers that have not been
+/// converted to streaming yet.
 ///
 /// # Errors
 ///

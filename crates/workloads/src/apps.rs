@@ -5,8 +5,8 @@
 //! Each model is a [`Profile`] whose behaviour mix is derived from the
 //! application's Table 1 row: the proportions of read-read, disjoint-write,
 //! null-lock and benign critical sections follow the paper's measured
-//! breakdown, while the absolute dynamic counts are scaled down (documented
-//! in `DESIGN.md`) so that the full evaluation runs in seconds.
+//! breakdown, while the absolute dynamic counts are scaled down roughly an
+//! order of magnitude so that the full evaluation runs in seconds.
 
 use perfplay_program::Program;
 use perfplay_trace::Time;

@@ -7,8 +7,9 @@
 //! those can be linked into a Rust library, so this crate models each of them
 //! as a `perfplay-program` whose *behaviour mix* (read-read, disjoint-write,
 //! null-lock, benign and truly conflicting critical sections) follows the
-//! application's Table 1 breakdown. See `DESIGN.md` for the substitution
-//! argument and the scaling factors.
+//! application's Table 1 breakdown. The absolute dynamic counts are scaled
+//! down roughly an order of magnitude so the whole evaluation runs in
+//! seconds; the relative mix per application is preserved.
 //!
 //! * [`App`] — the sixteen application models, parameterized by thread count
 //!   and [`InputSize`] (`simsmall` / `simmedium` / `simlarge`).

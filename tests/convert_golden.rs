@@ -6,14 +6,26 @@
 //! The fixture (`tests/fixtures/golden-chunks.jsonl`) is spilled from a
 //! seeded recording, so it also pins the recorder and the JSON encoding:
 //! if either drifts, the fixture comparison fails before any conversion
-//! runs. Regenerate deliberately with
+//! runs.
+//!
+//! A second fixture (`tests/fixtures/spill-digests.txt`) pins where spills
+//! cut their windows: one line per input, format and chunk size, holding the
+//! FNV-1a digest of the spilled file's bytes. The inputs are the Table 1
+//! application models at 4 threads, a few generated workloads and hand-built
+//! traces with idle threads, grants after the last event and equal
+//! timestamps across threads.
+//!
+//! Regenerate both deliberately with
 //! `PERFPLAY_REGEN_GOLDEN=1 cargo test --test convert_golden`.
 
 use std::path::PathBuf;
 
 use perfplay::prelude::*;
-use perfplay::workloads::{random_workload, GeneratorConfig};
-use perfplay_trace::{ChunkFileReader, ChunkFileRecord, ChunkFormat, RawChunkRecords, Trace};
+use perfplay::workloads::{random_workload, App, GeneratorConfig, InputSize, WorkloadConfig};
+use perfplay_trace::{
+    ChunkFileReader, ChunkFileRecord, ChunkFormat, CodeSite, Event, LockGrant, LockId,
+    RawChunkRecords, ThreadId, Time, Trace, TraceMeta,
+};
 
 const GOLDEN_SEED: u64 = 23;
 const GOLDEN_CHUNK_EVENTS: usize = 16;
@@ -136,4 +148,181 @@ fn converted_golden_fixture_is_event_identical() {
     );
     std::fs::remove_file(&pbin).ok();
     std::fs::remove_file(&back).ok();
+}
+
+/// Events per chunk of every digested spill.
+const SPILL_CHUNK_SIZES: [usize; 4] = [1, 7, 64, 4_096];
+
+/// 64-bit FNV-1a over bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A hand-built trace. Thread `i` completes one event at each time of
+/// `times[i]`, alternately acquiring and releasing lock `i % 2`. Every
+/// acquisition is granted at its own time, in time order; `late_grants`
+/// appends one more grant per time, each naming thread 0's first event.
+fn hand_built(name: &str, times: &[&[u64]], late_grants: &[u64]) -> Trace {
+    let meta = TraceMeta {
+        program: name.to_string(),
+        num_threads: times.len(),
+        num_locks: 2,
+        ..TraceMeta::default()
+    };
+    let mut trace = Trace::new(meta, times.len());
+    let site = trace.sites.intern(CodeSite::new("hand.c", "section", 1));
+    let mut grants = Vec::new();
+    for (i, thread_times) in times.iter().enumerate() {
+        let lock = LockId::new((i % 2) as u32);
+        for (k, &at) in thread_times.iter().enumerate() {
+            let at = Time::from_nanos(at);
+            if k % 2 == 0 {
+                trace.threads[i].push(at, Event::LockAcquire { lock, site });
+                grants.push((at, ThreadId::new(i as u32), k, lock));
+            } else {
+                trace.threads[i].push(at, Event::LockRelease { lock });
+            }
+        }
+    }
+    grants.sort_by_key(|&(at, thread, _, _)| (at, thread));
+    let late = late_grants
+        .iter()
+        .map(|&at| (Time::from_nanos(at), ThreadId::new(0), 0, LockId::new(0)));
+    trace.lock_schedule = grants
+        .into_iter()
+        .chain(late)
+        .enumerate()
+        .map(|(seq, (at, thread, event_index, lock))| LockGrant {
+            seq: seq as u64,
+            lock,
+            thread,
+            event_index,
+            at,
+        })
+        .collect();
+    trace.total_time = trace
+        .threads
+        .iter()
+        .map(|t| t.finish_time)
+        .max()
+        .unwrap_or(Time::ZERO);
+    trace
+}
+
+/// Every digested input, named: `App::ALL` at 4 threads, generated
+/// workloads of several shapes, then the hand-built edge cases.
+fn spill_inputs() -> Vec<(String, Trace)> {
+    let record = |program: &Program| {
+        Recorder::new(SimConfig::default())
+            .record(program)
+            .expect("seeded recording succeeds")
+            .trace
+    };
+    let config = WorkloadConfig::new(4, InputSize::SimSmall);
+    let mut inputs: Vec<(String, Trace)> = App::ALL
+        .iter()
+        .map(|app| (app.name().to_string(), record(&app.build(&config))))
+        .collect();
+    let shapes = [
+        (5, GeneratorConfig::default()),
+        (
+            11,
+            GeneratorConfig {
+                threads: 8,
+                locks: 1,
+                objects: 2,
+                sections_per_thread: 12,
+            },
+        ),
+        (
+            29,
+            GeneratorConfig {
+                threads: 2,
+                locks: 4,
+                objects: 6,
+                sections_per_thread: 20,
+            },
+        ),
+    ];
+    for (seed, gen) in shapes {
+        let name = format!("random-{seed}-t{}-l{}", gen.threads, gen.locks);
+        inputs.push((name, record(&random_workload(seed, &gen))));
+    }
+    let hand = [
+        hand_built(
+            "idle-threads",
+            &[
+                &[5, 15, 25, 35, 45, 55, 65, 75],
+                &[],
+                &[10, 20, 30, 40, 50, 60],
+                &[],
+            ],
+            &[],
+        ),
+        hand_built(
+            "late-grants",
+            &[&[1, 2, 3, 4, 5, 6], &[2, 4, 6, 8]],
+            &[20, 30, 40],
+        ),
+        hand_built(
+            "equal-times",
+            &[
+                &[0, 0, 10, 20, 20, 30],
+                &[0, 10, 10, 20, 30, 30],
+                &[0, 0, 0, 20, 40, 40],
+            ],
+            &[],
+        ),
+        hand_built("grants-only", &[&[], &[]], &[7, 9]),
+        hand_built("empty", &[&[], &[]], &[]),
+    ];
+    inputs.extend(hand.into_iter().map(|t| (t.meta.program.clone(), t)));
+    inputs
+}
+
+/// One `<input>\t<format>\t<chunk events>\t<digest>` line per spill.
+fn spill_digest_lines() -> Vec<String> {
+    let path = temp_path("digest");
+    let mut lines = Vec::new();
+    for (name, trace) in spill_inputs() {
+        for format in [ChunkFormat::Json, ChunkFormat::Pbin] {
+            for chunk_events in SPILL_CHUNK_SIZES {
+                spill_trace_with_format(&trace, &path, chunk_events, format)
+                    .unwrap_or_else(|e| panic!("{name} {format} {chunk_events}: {e}"));
+                let bytes = std::fs::read(&path).expect("read spilled file");
+                lines.push(format!(
+                    "{name}\t{format}\t{chunk_events}\t{:016x}",
+                    fnv1a(&bytes)
+                ));
+            }
+        }
+    }
+    std::fs::remove_file(&path).ok();
+    lines
+}
+
+#[test]
+fn spills_reproduce_the_recorded_digests() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/spill-digests.txt");
+    let actual = spill_digest_lines();
+    if std::env::var_os("PERFPLAY_REGEN_GOLDEN").is_some() {
+        let header =
+            "# Spilled chunk files: input, format, events per chunk, FNV-1a of the bytes.\n";
+        std::fs::write(&path, header.to_string() + &actual.join("\n") + "\n")
+            .expect("regen spill digests");
+        eprintln!("regenerated {}: {} spills", path.display(), actual.len());
+    }
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    let golden: Vec<&str> = text.lines().filter(|l| !l.starts_with('#')).collect();
+    assert_eq!(
+        golden.len(),
+        (App::ALL.len() + 8) * 2 * SPILL_CHUNK_SIZES.len()
+    );
+    assert_eq!(actual.len(), golden.len());
+    for (line, expected) in actual.iter().zip(&golden) {
+        assert_eq!(line, expected);
+    }
 }

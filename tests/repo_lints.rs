@@ -4,8 +4,8 @@
 //! * every library and binary root keeps `#![forbid(unsafe_code)]`: each
 //!   crate's, and the root package's `src/suite.rs` and `src/bin/*.rs`;
 //! * the ingestion paths hardened by the fault-tolerance work stay free of
-//!   `unwrap()`/`expect()` outside test code, so no corrupted input can
-//!   reintroduce a panic path;
+//!   `unwrap()`/`expect()` and of the assert and panic macros outside test
+//!   code, so no corrupted input can reintroduce a panic path;
 //! * the replay engine and its two policies name no `BTreeMap` outside test
 //!   code: their per-event tables are indexed by dense ids, and an ordered
 //!   map keyed by one must not quietly return to the hot path;
@@ -27,9 +27,10 @@
 //!   workflow or verification note names the sequential streaming engine
 //!   (`ParallelStreamingDetector` at one worker replaced it), the second
 //!   measurement mechanism (perfbench and the `perfplay` CLI replaced it),
-//!   the pair-list report path (the plan and its per-site rows replaced it)
-//!   or the pipelined twins of the chunk-file entry points (the plain entry
-//!   points read through the pipelined scanner).
+//!   the pair-list report path (the plan and its per-site rows replaced it),
+//!   the pipelined twins of the chunk-file entry points (the plain entry
+//!   points read through the pipelined scanner) or the incremental chunk
+//!   writer (the one-pass spill replaced it).
 
 use std::path::{Path, PathBuf};
 
@@ -133,6 +134,21 @@ fn is_comment(line: &str) -> bool {
     trimmed.starts_with("//") || trimmed.starts_with("//!") || trimmed.starts_with("///")
 }
 
+/// What panics on bad input: the two unwrapping calls, and the assert and
+/// panic macros. `assert!(` also matches `debug_assert!(`, and
+/// `assert_eq!(` matches `debug_assert_eq!(`.
+const PANIC_PATHS: [&str; 9] = [
+    ".unwrap()",
+    ".expect(",
+    "assert!(",
+    "assert_eq!(",
+    "assert_ne!(",
+    "panic!(",
+    "unreachable!(",
+    "todo!(",
+    "unimplemented!(",
+];
+
 #[test]
 fn ingestion_paths_stay_panic_free() {
     let mut offenders: Vec<String> = Vec::new();
@@ -143,7 +159,7 @@ fn ingestion_paths_stay_panic_free() {
             if is_comment(line) {
                 continue;
             }
-            for needle in [".unwrap()", ".expect("] {
+            for needle in PANIC_PATHS {
                 if line.contains(needle) {
                     offenders.push(format!(
                         "{}:{line_no}: {needle} in non-test code: {}",
@@ -487,6 +503,14 @@ const RETIRED_PIPELINED_TWINS: &[Retired] = &[
     },
 ];
 
+/// The incremental chunk writer: the spill cuts its windows straight from
+/// the trace, and nothing else wrote chunk files.
+const RETIRED_CHUNKED_WRITER: &[Retired] = &[Retired {
+    name: concat!("Chunked", "Writer"),
+    counts: Counts::WholeWord,
+    replaced_by: "spill_trace_with_format",
+}];
+
 fn is_word_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
@@ -588,6 +612,16 @@ fn retired_pipelined_twins_are_named_nowhere() {
     assert!(
         offenders.is_empty(),
         "a retired pipelined twin is named:\n{}",
+        offenders.join("\n")
+    );
+}
+
+#[test]
+fn retired_chunked_writer_is_named_nowhere() {
+    let offenders = retired_name_lines(RETIRED_CHUNKED_WRITER);
+    assert!(
+        offenders.is_empty(),
+        "the retired incremental chunk writer is named:\n{}",
         offenders.join("\n")
     );
 }

@@ -179,7 +179,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The binary spill roundtrip: `Trace -> ChunkedWriter(pbin) ->
+    /// The binary spill roundtrip: `Trace -> spill_trace_with_format(pbin) ->
     /// ChunkFileReader -> ParallelStreamingDetector` is bit-identical to the
     /// in-memory batch engine, the reassembled trace is exactly the
     /// original, the JSON spill of the same trace streams to the identical
