@@ -21,15 +21,17 @@
 //! [`LastWriteIndex`] is built per trace and the reversed-replay benign check
 //! fetches the footprint values it needs lazily: one hash probe per object,
 //! then a binary search over that object's writes. Locks are independent,
-//! so [`DetectorConfig::parallel`] fans the per-lock walks out across OS
-//! threads; per-lock results are merged back in ascending lock order,
-//! keeping the output bit-identical to the sequential path.
+//! so the engine fans the per-lock walks out across OS threads (see
+//! [`DetectorConfig::parallel`] and [`Detector::with_workers`]); per-lock
+//! results are merged back in ascending lock order, keeping the output
+//! bit-identical to the sequential path.
 
 use std::collections::BTreeMap;
-use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use perfplay_trace::{extract_critical_sections, CriticalSection, LockId, SectionId, Trace};
+use perfplay_trace::{
+    available_threads, extract_critical_sections, CriticalSection, LockId, SectionId, Trace,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::kernel::{PairKernel, Search, SecMeta};
@@ -140,17 +142,24 @@ pub struct DetectorConfig {
     /// by the cap-th classification is still recorded (the search would have
     /// stopped there anyway); only candidates *beyond* the cap go unseen.
     pub max_scan_per_thread: Option<usize>,
-    /// Fan the independent per-lock searches out across OS threads. Results
+    /// Spend the machine's cores ([`perfplay_trace::available_threads`]):
+    /// fan the independent per-lock searches out across OS threads. Results
     /// are merged deterministically (ascending lock order, original search
     /// order within each lock), so output is bit-identical to the
-    /// sequential path.
+    /// sequential path. On by default; `false` keeps every stage on the
+    /// calling thread, apart from the streaming engine's one worker.
     ///
     /// How each engine composes with this flag:
     ///
-    /// | entry point | `parallel: false` | `parallel: true` |
+    /// | entry point | `parallel: false` | `parallel: true` (default) |
     /// |---|---|---|
-    /// | [`Detector::analyze`] / `analyze_with` | sequential per-lock loop | per-lock work-queue fan-out |
+    /// | [`Detector::new`], then `analyze` / `analyze_with` / `plan` | sequential per-lock loop | per-lock work-queue fan-out, one worker per core |
+    /// | [`Detector::with_workers`] | ignored — fan-out width from the constructor | ignored |
     /// | [`ParallelStreamingDetector`](crate::ParallelStreamingDetector) | ignored — worker count from the constructor | ignored |
+    ///
+    /// The pipeline drivers in `perfplay-report` read it as the thread
+    /// budget of a whole run: one thread when `false`, one per core when
+    /// `true`.
     pub parallel: bool,
 }
 
@@ -159,7 +168,7 @@ impl Default for DetectorConfig {
         DetectorConfig {
             use_reversed_replay: true,
             max_scan_per_thread: None,
-            parallel: false,
+            parallel: true,
         }
     }
 }
@@ -194,15 +203,45 @@ impl UlcpAnalysis {
 }
 
 /// PerfPlay's ULCP identification stage.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Detector {
     config: DetectorConfig,
+    /// Most threads the per-lock fan-out may use; 1 walks every lock on the
+    /// calling thread.
+    workers: usize,
+}
+
+impl Default for Detector {
+    fn default() -> Self {
+        Detector::new(DetectorConfig::default())
+    }
 }
 
 impl Detector {
-    /// Creates a detector with the given configuration.
+    /// Creates a detector with the given configuration. With
+    /// [`DetectorConfig::parallel`] set, the per-lock fan-out may use one
+    /// thread per core ([`perfplay_trace::available_threads`]); otherwise
+    /// every lock is walked on the calling thread.
     pub fn new(config: DetectorConfig) -> Self {
-        Detector { config }
+        let workers = if config.parallel {
+            available_threads()
+        } else {
+            1
+        };
+        Detector::with_workers(config, workers)
+    }
+
+    /// Creates a detector whose per-lock fan-out uses at most `workers`
+    /// threads (clamped to at least 1), whatever `config.parallel` says.
+    /// The batch counterpart of
+    /// [`ParallelStreamingDetector::with_workers`](crate::ParallelStreamingDetector::with_workers);
+    /// the pipeline drivers use it to hand detection its share of a thread
+    /// budget.
+    pub fn with_workers(config: DetectorConfig, workers: usize) -> Self {
+        Detector {
+            config,
+            workers: workers.max(1),
+        }
     }
 
     /// Identifies all ULCPs and causal edges in a recorded trace,
@@ -226,8 +265,8 @@ impl Detector {
     /// Identifies all ULCPs and causal edges in a recorded trace, emitting
     /// every pair through the caller's sink.
     ///
-    /// The sink must be `Send + Sync` because `DetectorConfig::parallel`
-    /// forks one shard per lock across worker threads; shards are absorbed
+    /// The sink must be `Send + Sync` because the per-lock fan-out forks
+    /// one shard per lock across worker threads; shards are absorbed
     /// back in ascending lock order, so an order-preserving sink sees the
     /// exact sequential emission order and the output is bit-identical to
     /// the sequential path.
@@ -265,7 +304,7 @@ impl Detector {
             lock_acquisitions: trace.num_acquisitions(),
             ..UlcpBreakdown::default()
         };
-        if self.config.parallel && locks.len() > 1 {
+        if self.workers > 1 && locks.len() > 1 {
             // Ascending lock order (BTreeMap order preserved in `locks`);
             // within a lock the search order itself is deterministic, so the
             // absorbed output matches the sequential path exactly.
@@ -288,22 +327,20 @@ impl Detector {
     }
 
     /// Fans the per-lock walks out over a shared work queue of lock
-    /// indices. Per-lock cost is wildly skewed on real workloads (one guard
-    /// mutex often dominates), so workers pop the next lock instead of being
-    /// handed a fixed chunk — a hot lock occupies one worker while the rest
-    /// drain the remainder. Each index is processed exactly once, so sorting
-    /// the collected `(index, shard)` pairs restores the deterministic
-    /// ascending-lock order.
+    /// indices, on min(workers, locks) threads. Per-lock cost is wildly
+    /// skewed on real workloads (one guard mutex often dominates), so
+    /// workers pop the next lock instead of being handed a fixed chunk — a
+    /// hot lock occupies one worker while the rest drain the remainder.
+    /// Each index is processed exactly once, so sorting the collected
+    /// `(index, shard)` pairs restores the deterministic ascending-lock
+    /// order.
     fn analyze_locks_parallel<S: UlcpSink + Send + Sync>(
         &self,
         locks: &[(LockId, Vec<u32>)],
         table: &SectionTable<'_>,
         sink: &S,
     ) -> Vec<(S, UlcpBreakdown)> {
-        let workers = std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(locks.len());
+        let workers = self.workers.min(locks.len());
         let next = AtomicUsize::new(0);
         let config = self.config;
         let mut collected: Vec<(usize, S, UlcpBreakdown)> = std::thread::scope(|scope| {
@@ -762,7 +799,11 @@ mod tests {
                 });
             }
         });
-        let sequential = Detector::default().analyze(&trace);
+        let sequential = Detector::new(DetectorConfig {
+            parallel: false,
+            ..DetectorConfig::default()
+        })
+        .analyze(&trace);
         let parallel = Detector::new(DetectorConfig {
             parallel: true,
             ..DetectorConfig::default()
@@ -772,6 +813,12 @@ mod tests {
         assert_eq!(sequential.ulcps, parallel.ulcps);
         assert_eq!(sequential.edges, parallel.edges);
         assert_eq!(sequential.sections, parallel.sections);
+        // Explicit fan-out widths, below, at and beyond the lock count,
+        // whatever the machine's core count.
+        for workers in [1, 2, 3, 4, 8] {
+            let fanned = Detector::with_workers(DetectorConfig::default(), workers).analyze(&trace);
+            assert_eq!(fanned, sequential, "{workers} worker(s)");
+        }
     }
 
     #[test]
@@ -801,7 +848,11 @@ mod tests {
                 });
             }
         });
-        let sequential = Detector::default().analyze(&trace);
+        let sequential = Detector::new(DetectorConfig {
+            parallel: false,
+            ..DetectorConfig::default()
+        })
+        .analyze(&trace);
         let parallel = Detector::new(DetectorConfig {
             parallel: true,
             ..DetectorConfig::default()
@@ -810,6 +861,8 @@ mod tests {
         assert_eq!(sequential.breakdown, parallel.breakdown);
         assert_eq!(sequential.ulcps, parallel.ulcps);
         assert_eq!(sequential.edges, parallel.edges);
+        let two = Detector::with_workers(DetectorConfig::default(), 2).analyze(&trace);
+        assert_eq!(two, sequential);
     }
 
     #[test]

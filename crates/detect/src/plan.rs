@@ -333,7 +333,11 @@ mod tests {
     #[test]
     fn parallel_plan_is_bit_identical_to_sequential() {
         let trace = mixed_trace();
-        let sequential = Detector::default().plan(&trace, NoGain);
+        let sequential = Detector::new(DetectorConfig {
+            parallel: false,
+            ..DetectorConfig::default()
+        })
+        .plan(&trace, NoGain);
         let parallel = Detector::new(DetectorConfig {
             parallel: true,
             ..DetectorConfig::default()

@@ -15,9 +15,12 @@
 //! ([`SiteAggregates::merge`]) and emits one fused ranked report. Because
 //! the merge is commutative and associative, the fused output is identical
 //! to sequential per-trace analysis followed by an in-order merge.
+//!
+//! Each entry point resolves one thread budget when it is called
+//! ([`PipelineConfig::stream_workers`]) and splits it between its stages, so
+//! thread pools never nest and no output depends on the budget.
 
-use std::num::NonZeroUsize;
-use std::panic::AssertUnwindSafe;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -31,11 +34,11 @@ use perfplay_replay::{
     ReplayConfig, ReplayError, ReplayResult, ReplaySchedule, Replayer, ScheduleKind,
     UlcpFreeReplayer,
 };
-use perfplay_trace::{PipelinedChunkReader, RecoveryPolicy, StreamError, Trace};
+use perfplay_trace::{available_threads, PipelinedChunkReader, RecoveryPolicy, StreamError, Trace};
 use perfplay_transform::{TransformConfig, Transformer};
 
 use crate::fusion::{fuse_aggregates, rank_groups, Recommendation};
-use crate::report::PerfReport;
+use crate::report::{PerfReport, ReportParts};
 
 /// Errors produced by the single-pass pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,13 +118,15 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs one trace through the pipeline with panic isolation: a panicking
-/// stage yields [`PipelineError::Panic`] instead of unwinding the caller.
+/// Runs one trace through the pipeline on `threads` threads with panic
+/// isolation: a panicking stage yields [`PipelineError::Panic`] instead of
+/// unwinding the caller.
 fn analyze_plan_caught(
     trace: &Trace,
     config: &PipelineConfig,
+    threads: usize,
 ) -> Result<PlanAnalysis, PipelineError> {
-    std::panic::catch_unwind(AssertUnwindSafe(|| analyze_plan(trace, config)))
+    catch_unwind(AssertUnwindSafe(|| analyze_plan_on(trace, config, threads)))
         .unwrap_or_else(|payload| Err(PipelineError::Panic(panic_message(payload))))
 }
 
@@ -141,7 +146,7 @@ pub struct PipelineConfig {
     /// When set, detection streams the trace chunk-by-chunk with this chunk
     /// size (bounded pairing state) through [`ParallelStreamingDetector`],
     /// sized by [`stream_workers`](Self::stream_workers); when `None`, the
-    /// batch engine runs (honouring [`DetectorConfig::parallel`]).
+    /// batch engine runs, fanning out per lock on the same budget.
     pub chunk_events: Option<usize>,
     /// Opt-in static preflight: lint the input trace (or chunk file) before
     /// detection and the transformed schedule before the ULCP-free replay.
@@ -185,23 +190,31 @@ fn preflight_errors(report: perfplay_lint::LintReport) -> Option<Vec<Diagnostic>
 }
 
 impl PipelineConfig {
-    /// The resolved streaming worker count: with
-    /// [`DetectorConfig::parallel`] set, `Some(n)` with one worker per
-    /// available core; otherwise `None`, which means one worker. Output is
-    /// bit-identical either way. It sizes detection only: chunk files are
-    /// read through the pipelined scanner whatever it says.
+    /// The resolved thread budget: with [`DetectorConfig::parallel`] set
+    /// (the default), `Some(n)` with one thread per available core
+    /// ([`available_threads`]); otherwise `None`, which means one thread.
+    ///
+    /// Each entry point reads it once per call. [`analyze_plan`] spends it
+    /// on the per-lock fan-out (or the streaming workers) and on its two
+    /// lanes after detection; [`analyze_batch`] splits it between its trace
+    /// queue and each trace; [`analyze_chunk_files`] gives it to the
+    /// streaming engine. Output is bit-identical whatever it says. It sizes
+    /// detection only: chunk files are read through the pipelined scanner,
+    /// whose decode pool is sized apart, whatever it says.
     pub fn stream_workers(&self) -> Option<usize> {
-        self.detector.parallel.then(|| {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
-        })
+        self.detector.parallel.then(available_threads)
+    }
+
+    /// The thread budget as a count: [`stream_workers`](Self::stream_workers),
+    /// or 1.
+    fn threads(&self) -> usize {
+        self.stream_workers().unwrap_or(1)
     }
 }
 
 /// Everything one single-pass pipeline run produced. The transformed trace
-/// (which clones the original event log) is dropped as soon as the ULCP-free
-/// replay finishes; its statistics live on in `report.transform_stats`.
+/// (which clones the original event log) is dropped as soon as the report
+/// is assembled; its statistics live on in `report.transform_stats`.
 #[derive(Debug, Clone)]
 pub struct PlanAnalysis {
     /// The compact detection output that drove transform, replay and report.
@@ -222,6 +235,26 @@ pub struct PlanAnalysis {
 /// replays and a report ranked by the detection-time [`BodyOverlapGain`]
 /// proxy.
 ///
+/// # Threads
+///
+/// The run spends the budget [`PipelineConfig::stream_workers`] resolves,
+/// n threads, twice. Detection fans out per lock on min(n, locks) threads
+/// (batch, when the trace has more than one lock) or runs n streaming
+/// workers (`chunk_events` set). After detection, two lanes run side by
+/// side when n > 1:
+///
+/// 1. on the calling thread: the transformation, the schedule preflight
+///    when [`PipelineConfig::preflight`] is set, and the ULCP-free replay;
+/// 2. on one scoped thread: the original replay, Algorithm 2 fusion and
+///    Equation 2 ranking of the plan's rows, and the trace statistics.
+///
+/// With n = 1 (`parallel: false`) every stage runs on the calling thread,
+/// except that streaming detection keeps its one worker thread.
+/// The outcome does not depend on n: it is the first failure in the
+/// sequential order — trace preflight, detection, transformation, schedule
+/// preflight, original replay, ULCP-free replay, report — and a panic in
+/// either lane is re-raised with its own payload.
+///
 /// # Errors
 ///
 /// Returns [`PipelineError::Preflight`] when [`PipelineConfig::preflight`]
@@ -230,6 +263,15 @@ pub struct PlanAnalysis {
 /// [`PipelineError::Stream`] if the chunked stream is malformed (the
 /// in-memory adapter never is).
 pub fn analyze_plan(trace: &Trace, config: &PipelineConfig) -> Result<PlanAnalysis, PipelineError> {
+    analyze_plan_on(trace, config, config.threads())
+}
+
+/// [`analyze_plan`] on a budget of `threads` threads (at least one).
+fn analyze_plan_on(
+    trace: &Trace,
+    config: &PipelineConfig,
+    threads: usize,
+) -> Result<PlanAnalysis, PipelineError> {
     if config.preflight {
         let chunk_events = config.chunk_events.unwrap_or(PREFLIGHT_CHUNK_EVENTS);
         if let Some(errors) = preflight_errors(lint_trace(trace, chunk_events)) {
@@ -238,39 +280,18 @@ pub fn analyze_plan(trace: &Trace, config: &PipelineConfig) -> Result<PlanAnalys
     }
     let (plan, streaming) = match config.chunk_events {
         Some(chunk_events) => {
-            let workers = config.stream_workers().unwrap_or(1);
-            let streamed = ParallelStreamingDetector::with_workers(config.detector, workers)
+            let streamed = ParallelStreamingDetector::with_workers(config.detector, threads)
                 .analyze_trace_with(trace, chunk_events, PlanAggregator::new(BodyOverlapGain))?;
             let (plan, stats) = DetectionPlan::from_streaming(streamed);
             (plan, Some(stats))
         }
         None => (
-            Detector::new(config.detector).plan(trace, BodyOverlapGain),
+            Detector::with_workers(config.detector, threads).plan(trace, BodyOverlapGain),
             None,
         ),
     };
-
-    let transformed = Transformer::new(config.transform).transform_from_plan(trace, &plan);
-    if config.preflight {
-        // A transform-introduced lock-order inversion (RULEs 2–4) is caught
-        // here as a wait-graph cycle instead of as a stuck ULCP-free replay.
-        let schedule_errors: Vec<Diagnostic> = analyze_schedule(&transformed);
-        if !schedule_errors.is_empty() {
-            return Err(PipelineError::Preflight(schedule_errors));
-        }
-    }
-    let original_replay = Replayer::new(config.replay)
-        .replay(trace, ReplaySchedule::for_kind(config.original_schedule))?;
-    let ulcp_free_replay = UlcpFreeReplayer::new(config.replay)
-        .with_dls(config.use_dls)
-        .replay(&transformed)?;
-    let mut report = PerfReport::from_plan(
-        trace,
-        &plan,
-        &transformed,
-        &original_replay,
-        &ulcp_free_replay,
-    );
+    let (original_replay, ulcp_free_replay, mut report) =
+        replay_and_report(trace, config, &plan, threads)?;
     if let Some(stats) = &streaming {
         report = report.with_stream_gaps(stats.gaps, stats.events_lost);
     }
@@ -280,6 +301,67 @@ pub fn analyze_plan(trace: &Trace, config: &PipelineConfig) -> Result<PlanAnalys
         ulcp_free_replay,
         report,
         streaming,
+    })
+}
+
+/// The stages after detection, in the two lanes of [`analyze_plan`]'s
+/// `# Threads` section; with one thread, lane 2 runs on the calling thread
+/// where the lanes join. Each lane's failure is held until every stage
+/// before it in the sequential order has succeeded, so the outcome does not
+/// depend on which lane finishes first.
+fn replay_and_report(
+    trace: &Trace,
+    config: &PipelineConfig,
+    plan: &DetectionPlan,
+    threads: usize,
+) -> Result<(ReplayResult, ReplayResult, PerfReport), PipelineError> {
+    // Lane 2 reads only the trace and the plan.
+    let lane2 = || {
+        let original = Replayer::new(config.replay)
+            .replay(trace, ReplaySchedule::for_kind(config.original_schedule));
+        // The report comes after both replays in the sequential order, so
+        // a panic here waits until the ULCP-free replay has settled.
+        let parts = catch_unwind(AssertUnwindSafe(|| ReportParts::of(trace, plan)));
+        (original, parts)
+    };
+    std::thread::scope(|scope| {
+        let spawned = (threads > 1).then(|| scope.spawn(lane2));
+        let transformed = Transformer::new(config.transform).transform_from_plan(trace, plan);
+        if config.preflight {
+            // A transform-introduced lock-order inversion (RULEs 2–4) is
+            // caught here as a wait-graph cycle instead of as a stuck
+            // ULCP-free replay.
+            let schedule_errors: Vec<Diagnostic> = analyze_schedule(&transformed);
+            if !schedule_errors.is_empty() {
+                // No later stage runs in the sequential order: lane 2's
+                // outcome, a panic included, is dropped.
+                if let Some(lane) = spawned {
+                    let _ = lane.join();
+                }
+                return Err(PipelineError::Preflight(schedule_errors));
+            }
+        }
+        let free = catch_unwind(AssertUnwindSafe(|| {
+            UlcpFreeReplayer::new(config.replay)
+                .with_dls(config.use_dls)
+                .replay(&transformed)
+        }));
+        let (original, parts) = match spawned {
+            Some(lane) => lane.join().unwrap_or_else(|payload| resume_unwind(payload)),
+            None => lane2(),
+        };
+        let original_replay = original?;
+        let ulcp_free_replay = free.unwrap_or_else(|payload| resume_unwind(payload))?;
+        let parts = parts.unwrap_or_else(|payload| resume_unwind(payload));
+        let report = PerfReport::assemble(
+            trace,
+            plan,
+            parts,
+            &transformed,
+            &original_replay,
+            &ulcp_free_replay,
+        );
+        Ok((original_replay, ulcp_free_replay, report))
     })
 }
 
@@ -328,21 +410,40 @@ impl BatchAnalysis {
 
 /// Analyzes N recorded traces and fuses their results into one ranked
 /// report, running the per-trace pipelines concurrently over a work queue
-/// (the same pop-the-next-unit discipline `DetectorConfig::parallel` uses
-/// across locks, lifted to whole traces). Results are re-ordered by input
-/// index and the aggregate merge is order-independent, so the output is
-/// bit-identical to analyzing the traces sequentially and merging in order —
-/// which [`analyze_batch_sequential`] does, as the executable spec.
+/// (the same pop-the-next-unit discipline the detector's per-lock fan-out
+/// uses, lifted to whole traces). Results are re-ordered by input index and
+/// the aggregate merge is order-independent, so the output is bit-identical
+/// to analyzing the traces sequentially and merging in order — which
+/// [`analyze_batch_sequential`] does, as the executable spec.
+///
+/// The thread budget n ([`PipelineConfig::stream_workers`]) is split once:
+/// w = min(n, traces) queue workers, and ⌊n / w⌋ threads for each trace's
+/// [`analyze_plan`]. So no more than n threads ever analyze at once, and
+/// pools never nest. With w = 1 the traces run on the calling thread.
 ///
 /// A failing trace — replay error, malformed stream, or a panic anywhere in
 /// its pipeline (isolated with `catch_unwind`) — becomes one
 /// [`BatchItemError`] in [`BatchAnalysis::failures`] while the other N-1
 /// traces complete and fuse normally.
 pub fn analyze_batch(traces: &[Trace], config: &PipelineConfig) -> BatchAnalysis {
-    let workers = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(traces.len().max(1));
+    analyze_batch_on(traces, config, config.threads())
+}
+
+/// How [`analyze_batch`] splits a budget of `threads` threads over
+/// `traces` traces: (queue workers, threads per trace). Their product never
+/// exceeds the budget, and each is at least one.
+fn batch_split(threads: usize, traces: usize) -> (usize, usize) {
+    let threads = threads.max(1);
+    let workers = threads.min(traces.max(1));
+    (workers, threads / workers)
+}
+
+/// [`analyze_batch`] on a budget of `threads` threads.
+fn analyze_batch_on(traces: &[Trace], config: &PipelineConfig, threads: usize) -> BatchAnalysis {
+    let (workers, per_trace) = batch_split(threads, traces.len());
+    if workers == 1 {
+        return analyze_in_order(traces, config, per_trace);
+    }
     let next = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<Result<PlanAnalysis, PipelineError>>>> =
         Mutex::new((0..traces.len()).map(|_| None).collect());
@@ -353,7 +454,7 @@ pub fn analyze_batch(traces: &[Trace], config: &PipelineConfig) -> BatchAnalysis
                 let Some(trace) = traces.get(i) else {
                     break;
                 };
-                let result = analyze_plan_caught(trace, config);
+                let result = analyze_plan_caught(trace, config, per_trace);
                 slots.lock().expect("batch slots lock")[i] = Some(result);
             });
         }
@@ -367,10 +468,21 @@ pub fn analyze_batch(traces: &[Trace], config: &PipelineConfig) -> BatchAnalysis
 }
 
 /// The sequential executable spec of [`analyze_batch`]: per-trace analysis
-/// in input order, aggregate merge in input order, and the same per-trace
-/// panic isolation (panic-for-panic equivalent with the concurrent path).
+/// in input order, each on the whole thread budget, aggregate merge in
+/// input order, and the same per-trace panic isolation (panic-for-panic
+/// equivalent with the concurrent path).
 pub fn analyze_batch_sequential(traces: &[Trace], config: &PipelineConfig) -> BatchAnalysis {
-    fuse_batch(traces.iter().map(|t| analyze_plan_caught(t, config)))
+    analyze_in_order(traces, config, config.threads())
+}
+
+/// Analyzes the traces one after another on the calling thread, each on
+/// `threads` threads, and fuses them.
+fn analyze_in_order(traces: &[Trace], config: &PipelineConfig, threads: usize) -> BatchAnalysis {
+    fuse_batch(
+        traces
+            .iter()
+            .map(|trace| analyze_plan_caught(trace, config, threads)),
+    )
 }
 
 /// Splits per-trace outcomes into survivors and failures, then fuses the
@@ -456,15 +568,17 @@ impl ChunkBatchAnalysis {
 /// memory. Each file is read through [`PipelinedChunkReader`] (the preflight
 /// lint too) under the given [`RecoveryPolicy`] and streams through
 /// [`ParallelStreamingDetector`], sized by
-/// [`PipelineConfig::stream_workers`]; `parallel` sizes detection only and
-/// never picks the reader. A file that still fails (or panics a detector
-/// stage) becomes one [`BatchItemError`] while the other files complete and
-/// fuse.
+/// [`PipelineConfig::stream_workers`] (resolved once per call); `parallel`
+/// sizes detection only and never picks the reader, whose decode pool is
+/// [`default_decode_workers`](perfplay_trace::default_decode_workers). A
+/// file that still fails (or panics a detector stage) becomes one
+/// [`BatchItemError`] while the other files complete and fuse.
 pub fn analyze_chunk_files<P: AsRef<Path>>(
     paths: &[P],
     config: &PipelineConfig,
     policy: RecoveryPolicy,
 ) -> ChunkBatchAnalysis {
+    let workers = config.threads();
     let mut per_stream = Vec::new();
     let mut failures = Vec::new();
     for (trace_index, path) in paths.iter().enumerate() {
@@ -479,11 +593,10 @@ pub fn analyze_chunk_files<P: AsRef<Path>>(
                 continue;
             }
         }
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
             // Framing and decoding overlap with detection whatever the
             // worker count; `parallel` only sizes the detector.
             let mut reader = PipelinedChunkReader::with_policy(path, policy)?;
-            let workers = config.stream_workers().unwrap_or(1);
             let streamed = ParallelStreamingDetector::with_workers(config.detector, workers)
                 .analyze_with(&mut reader, PlanAggregator::new(BodyOverlapGain))?;
             Ok(DetectionPlan::from_streaming(streamed))
@@ -584,18 +697,27 @@ mod tests {
         assert!(batch.streaming.is_none());
     }
 
+    /// The default config with `parallel: false`: one thread for the run.
+    fn one_thread() -> PipelineConfig {
+        PipelineConfig {
+            detector: DetectorConfig {
+                parallel: false,
+                ..DetectorConfig::default()
+            },
+            ..PipelineConfig::default()
+        }
+    }
+
     #[test]
     fn parallel_streaming_pipeline_matches_one_worker_and_batch() {
         let trace = record(7);
         let batch = analyze_plan(&trace, &PipelineConfig::default()).unwrap();
-        let one_worker = analyze_plan(
-            &trace,
-            &PipelineConfig {
-                chunk_events: Some(17),
-                ..PipelineConfig::default()
-            },
-        )
-        .unwrap();
+        let one_worker_config = PipelineConfig {
+            chunk_events: Some(17),
+            ..one_thread()
+        };
+        assert_eq!(one_worker_config.stream_workers(), None);
+        let one_worker = analyze_plan(&trace, &one_worker_config).unwrap();
         assert_eq!(one_worker.plan, batch.plan);
         // `detector.parallel` resolves to one worker per core, same output.
         let config = PipelineConfig {
@@ -615,7 +737,11 @@ mod tests {
         assert_eq!(stats.chunks, one_stats.chunks);
         assert_eq!(stats.events, one_stats.events);
         assert_eq!(stats.sections, one_stats.sections);
-        assert_eq!(PipelineConfig::default().stream_workers(), None);
+        assert_eq!(one_thread().stream_workers(), None);
+        assert_eq!(
+            PipelineConfig::default().stream_workers(),
+            Some(available_threads())
+        );
     }
 
     #[test]
@@ -631,8 +757,7 @@ mod tests {
             spill_trace(&trace, path.to_str().unwrap(), 16).unwrap();
             paths.push(path);
         }
-        let sequential =
-            analyze_chunk_files(&paths, &PipelineConfig::default(), RecoveryPolicy::Fail);
+        let sequential = analyze_chunk_files(&paths, &one_thread(), RecoveryPolicy::Fail);
         let parallel = analyze_chunk_files(
             &paths,
             &PipelineConfig {
@@ -837,5 +962,145 @@ mod tests {
         for p in &paths {
             let _ = std::fs::remove_file(p);
         }
+    }
+
+    /// A recorded `random_workload` trace of the given shape.
+    fn record_shape(seed: u64, threads: usize, locks: usize) -> Trace {
+        let program = random_workload(
+            seed,
+            &GeneratorConfig {
+                threads,
+                locks,
+                objects: 4,
+                sections_per_thread: 10,
+            },
+        );
+        Recorder::new(SimConfig::default())
+            .record(&program)
+            .unwrap()
+            .trace
+    }
+
+    /// Asserts that two analyses agree field for field. Of the streaming
+    /// statistics, the live-section and history peaks are left out: the
+    /// streaming engine sums them over its workers, so they bound the true
+    /// peak from above by a margin that depends on the worker count.
+    fn assert_same_analysis(a: &PlanAnalysis, b: &PlanAnalysis, label: &str) {
+        assert_eq!(a.plan, b.plan, "{label}: plan");
+        assert_eq!(
+            a.original_replay, b.original_replay,
+            "{label}: original replay"
+        );
+        assert_eq!(
+            a.ulcp_free_replay, b.ulcp_free_replay,
+            "{label}: ULCP-free replay"
+        );
+        assert_eq!(a.report, b.report, "{label}: report");
+        let counts = |stats: Option<StreamingStats>| {
+            stats.map(|s| StreamingStats {
+                peak_live_sections: 0,
+                peak_history_entries: 0,
+                ..s
+            })
+        };
+        assert_eq!(
+            counts(a.streaming),
+            counts(b.streaming),
+            "{label}: streaming stats"
+        );
+    }
+
+    #[test]
+    fn analyze_plan_is_identical_at_every_thread_count() {
+        let traces = [
+            ("multi-lock", record_shape(61, 4, 3)),
+            ("single-lock", record_shape(62, 3, 1)),
+        ];
+        for (shape, trace) in &traces {
+            for cap in [None, Some(2)] {
+                for chunk_events in [None, Some(13)] {
+                    let config = PipelineConfig {
+                        detector: DetectorConfig {
+                            max_scan_per_thread: cap,
+                            ..DetectorConfig::default()
+                        },
+                        chunk_events,
+                        ..PipelineConfig::default()
+                    };
+                    let one = analyze_plan_on(trace, &config, 1).unwrap();
+                    assert!(one.report.breakdown.total_ulcps() > 0, "{shape}");
+                    for threads in [2, 3, 8] {
+                        let label =
+                            format!("{shape}, cap {cap:?}, chunks {chunk_events:?}, n = {threads}");
+                        let many = analyze_plan_on(trace, &config, threads).unwrap();
+                        assert_same_analysis(&many, &one, &label);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn analyze_batch_is_identical_at_every_thread_count() {
+        let traces: Vec<Trace> = (0..16)
+            .map(|i| record_shape(400 + i, 2 + i as usize % 3, 1 + i as usize % 3))
+            .collect();
+        let config = PipelineConfig::default();
+        let sequential = analyze_batch_sequential(&traces, &config);
+        assert!(sequential.is_complete());
+        for threads in [1, 2, 8] {
+            let batch = analyze_batch_on(&traces, &config, threads);
+            assert_eq!(batch.failures, sequential.failures, "n = {threads}");
+            assert_eq!(batch.fused_aggregates, sequential.fused_aggregates);
+            assert_eq!(batch.fused_breakdown, sequential.fused_breakdown);
+            assert_eq!(batch.recommendations, sequential.recommendations);
+            assert_eq!(batch.per_trace.len(), sequential.per_trace.len());
+            for (b, s) in batch.per_trace.iter().zip(&sequential.per_trace) {
+                assert_same_analysis(b, s, &format!("n = {threads}"));
+            }
+        }
+    }
+
+    /// The batch split never runs more analysis threads than the budget:
+    /// every queue worker runs one trace at a time on its share.
+    #[test]
+    fn batch_split_stays_within_the_budget() {
+        for threads in 1..=64 {
+            for traces in 0..=40 {
+                let (workers, per_trace) = batch_split(threads, traces);
+                assert!(
+                    workers * per_trace <= threads,
+                    "n = {threads}, {traces} traces: {workers} x {per_trace}"
+                );
+                assert!(workers >= 1 && per_trace >= 1);
+                assert!(workers <= traces.max(1));
+            }
+        }
+        // Two cores over the 16 Table 1 traces: one thread per trace.
+        assert_eq!(batch_split(2, 16), (2, 1));
+        assert_eq!(batch_split(8, 3), (3, 2));
+        assert_eq!(batch_split(4, 1), (1, 4));
+    }
+
+    /// A panic in the original-replay lane reaches the caller with its own
+    /// payload, exactly as on one thread.
+    #[test]
+    fn a_lane_panic_keeps_its_payload() {
+        let trace = poisoned(220);
+        let config = PipelineConfig::default();
+        let (one, two) = with_quiet_panics(|| {
+            (
+                analyze_plan_caught(&trace, &config, 1),
+                analyze_plan_caught(&trace, &config, 2),
+            )
+        });
+        let (Err(one), Err(two)) = (one, two) else {
+            panic!("the poisoned trace must fail on one thread and on two");
+        };
+        let PipelineError::Panic(message) = &one else {
+            panic!("the poisoned trace must panic, got {one:?}");
+        };
+        assert!(message.contains("index out of bounds"), "{message}");
+        assert_eq!(two, one);
     }
 }

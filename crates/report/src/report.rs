@@ -44,6 +44,25 @@ pub struct PerfReport {
     pub stream_events_lost: u64,
 }
 
+/// The report fields that read only the trace and the plan, not the
+/// transformation or a replay: the pipeline computes them beside the
+/// ULCP-free replay.
+#[derive(Debug)]
+pub(crate) struct ReportParts {
+    trace_stats: TraceStats,
+    /// The plan's rows fused by Algorithm 2 and ranked by Equation 2.
+    recommendations: Vec<Recommendation>,
+}
+
+impl ReportParts {
+    pub(crate) fn of(trace: &Trace, plan: &DetectionPlan) -> Self {
+        ReportParts {
+            trace_stats: TraceStats::of(trace),
+            recommendations: rank_groups(fuse_aggregates(&plan.aggregates)),
+        }
+    }
+}
+
 impl PerfReport {
     /// Assembles the report from a single-pass [`DetectionPlan`] and the two
     /// replays it drove. The breakdown comes from the plan, the race warnings
@@ -63,22 +82,44 @@ impl PerfReport {
         original_replay: &ReplayResult,
         ulcp_free_replay: &ReplayResult,
     ) -> Self {
+        Self::assemble(
+            trace,
+            plan,
+            ReportParts::of(trace, plan),
+            transformed,
+            original_replay,
+            ulcp_free_replay,
+        )
+    }
+
+    /// [`from_plan`](Self::from_plan) with its [`ReportParts`] already
+    /// computed: the one place a report's fields are listed.
+    pub(crate) fn assemble(
+        trace: &Trace,
+        plan: &DetectionPlan,
+        parts: ReportParts,
+        transformed: &TransformedTrace,
+        original_replay: &ReplayResult,
+        ulcp_free_replay: &ReplayResult,
+    ) -> Self {
         PerfReport {
             program: trace.meta.program.clone(),
             input: trace.meta.input.clone(),
             threads: trace.num_threads(),
-            trace_stats: TraceStats::of(trace),
+            trace_stats: parts.trace_stats,
             breakdown: plan.breakdown,
-            // Both ranked fields are set by `with_gains` below.
-            impact: ImpactSplit::default(),
-            recommendations: Vec::new(),
+            impact: ImpactSplit::with_total_gain(
+                original_replay,
+                ulcp_free_replay,
+                plan.aggregates.total_gain_ns(),
+            ),
+            recommendations: parts.recommendations,
             race_warnings: transformed.race_warnings.len(),
             transform_stats: transformed.stats(),
             lockset_overhead_fraction: ulcp_free_replay.lockset_overhead_fraction(),
             stream_gaps: 0,
             stream_events_lost: 0,
         }
-        .with_gains(&plan.aggregates, original_replay, ulcp_free_replay)
     }
 
     /// Ranks the report by a per-site gain table: Algorithm 2 fusion seeded

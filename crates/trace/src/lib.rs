@@ -72,3 +72,11 @@ pub use stream::{
 };
 pub use time::Time;
 pub use trace::{ThreadTrace, Trace, TraceError, TraceMeta};
+
+/// How many threads this machine runs at once, or 1 where that is unknown.
+/// It is the library's one reading of the core count
+/// ([`std::thread::available_parallelism`]): every thread budget in the
+/// pipeline starts here.
+pub fn available_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}

@@ -26,6 +26,7 @@ use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
+use crate::available_threads;
 use crate::frame::{decode_frame, ends_scan, Frame, Framer};
 use crate::pbin::ChunkFormat;
 use crate::site::SiteTable;
@@ -35,13 +36,11 @@ use crate::stream::{
 };
 use crate::trace::TraceMeta;
 
-/// Default size of the decode-worker pool: the machine's available
-/// parallelism, clamped to `1..=8` — past that the workers contend on the
-/// ordered hand-off instead of decoding.
+/// Default size of the decode-worker pool: [`available_threads`], clamped
+/// to `1..=8` — past that the workers contend on the ordered hand-off
+/// instead of decoding.
 pub fn default_decode_workers() -> usize {
-    std::thread::available_parallelism()
-        .map_or(1, std::num::NonZeroUsize::get)
-        .clamp(1, 8)
+    available_threads().clamp(1, 8)
 }
 
 /// One framed, undecoded record handed from the framing thread to a decode

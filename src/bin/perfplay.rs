@@ -26,8 +26,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use perfplay::prelude::{
-    analyze_chunk_files, convert_chunk_file, lint_chunk_file, DetectorConfig, LintConfig,
-    PipelineConfig, RecoveryPolicy, Time,
+    analyze_chunk_files, convert_chunk_file, lint_chunk_file, LintConfig, PipelineConfig,
+    RecoveryPolicy, Time,
 };
 
 const USAGE: &str = "usage: perfplay convert SRC DST
@@ -178,17 +178,10 @@ fn lint(files: &[PathBuf], json: bool) -> Result<(), Stop> {
 }
 
 /// Detection only, fused over every file: the sweep streams each file
-/// through the sharded detector, one worker per core, under the library's
-/// default recovery policy.
+/// through the sharded detector, one worker per core (the default
+/// `parallel`), under the library's default recovery policy.
 fn analyze(files: &[PathBuf]) -> Result<(), Stop> {
-    let config = PipelineConfig {
-        detector: DetectorConfig {
-            parallel: true,
-            ..DetectorConfig::default()
-        },
-        ..PipelineConfig::default()
-    };
-    let sweep = analyze_chunk_files(files, &config, RecoveryPolicy::default());
+    let sweep = analyze_chunk_files(files, &PipelineConfig::default(), RecoveryPolicy::default());
     for stream in &sweep.per_stream {
         let stats = &stream.stats;
         println!(

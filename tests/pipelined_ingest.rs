@@ -296,8 +296,9 @@ fn truncation_at_every_byte_matches_sequential_framing() {
 }
 
 /// `analyze_chunk_files` with `detector.parallel` set (pipelined reader, one
-/// detection worker per core) fuses exactly like the default one-worker
-/// sweep, and quarantines a corrupt file with the identical per-file error.
+/// detection worker per core) fuses exactly like the one-worker sweep
+/// (`parallel: false`), and quarantines a corrupt file with the identical
+/// per-file error.
 #[test]
 fn chunk_file_batch_is_identical_with_pipelined_streams() {
     let dir = std::env::temp_dir().join(format!("perfplay-pingest-batch-{}", std::process::id()));
@@ -321,7 +322,14 @@ fn chunk_file_batch_is_identical_with_pipelined_streams() {
         },
         ..PipelineConfig::default()
     };
-    let sequential = analyze_chunk_files(&paths, &PipelineConfig::default(), RecoveryPolicy::Fail);
+    let sequential_config = PipelineConfig {
+        detector: DetectorConfig {
+            parallel: false,
+            ..DetectorConfig::default()
+        },
+        ..PipelineConfig::default()
+    };
+    let sequential = analyze_chunk_files(&paths, &sequential_config, RecoveryPolicy::Fail);
     let pipelined = analyze_chunk_files(&paths, &pipelined_config, RecoveryPolicy::Fail);
     assert!(sequential.failures.is_empty() && pipelined.failures.is_empty());
     assert_eq!(sequential.fused_aggregates, pipelined.fused_aggregates);
@@ -334,7 +342,7 @@ fn chunk_file_batch_is_identical_with_pipelined_streams() {
 
     // Quarantine parity: wreck the second file beyond recovery.
     std::fs::write(&paths[1], b"PBIN\x01garbage that is not a frame").unwrap();
-    let sequential = analyze_chunk_files(&paths, &PipelineConfig::default(), RecoveryPolicy::Fail);
+    let sequential = analyze_chunk_files(&paths, &sequential_config, RecoveryPolicy::Fail);
     let pipelined = analyze_chunk_files(&paths, &pipelined_config, RecoveryPolicy::Fail);
     assert_eq!(sequential.failures.len(), 1);
     assert_eq!(pipelined.failures.len(), 1);

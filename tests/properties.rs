@@ -99,10 +99,11 @@ proptest! {
     fn optimized_detector_matches_naive_reference(seed in 0u64..5_000, config in generator_config()) {
         let program = random_workload(seed, &config);
         let trace = Recorder::new(SimConfig::default()).record(&program).unwrap().trace;
+        let sequential_config = DetectorConfig { parallel: false, ..DetectorConfig::default() };
         for det_config in [
-            DetectorConfig::default(),
-            DetectorConfig { use_reversed_replay: false, ..DetectorConfig::default() },
-            DetectorConfig { max_scan_per_thread: Some(3), ..DetectorConfig::default() },
+            sequential_config,
+            DetectorConfig { use_reversed_replay: false, ..sequential_config },
+            DetectorConfig { max_scan_per_thread: Some(3), ..sequential_config },
         ] {
             let reference = perfplay_detect::reference_analyze(&trace, det_config);
             let sequential = Detector::new(det_config).analyze(&trace);

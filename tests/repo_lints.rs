@@ -23,6 +23,10 @@
 //!   outside test code, no line of the report, lint or record crate or of
 //!   the root package calls an inline-scanner constructor, which stays the
 //!   zero-thread reference for tests;
+//! * the core count is read in one place: outside test code, exactly one
+//!   line under `crates/` and `src/` calls `available_parallelism`, in
+//!   `perfplay_trace::available_threads`, so every thread budget starts
+//!   from the same reading;
 //! * retired names stay retired: no source file, test, example, README, CI
 //!   workflow or verification note names the sequential streaming engine
 //!   (`ParallelStreamingDetector` at one worker replaced it), the second
@@ -370,6 +374,39 @@ fn entry_points_read_through_the_pipelined_scanner() {
         "an entry point reads a chunk file through the inline scanner (use \
          PipelinedChunkReader or RawChunkRecords::open_pipelined):\n{}",
         offenders.join("\n")
+    );
+}
+
+/// The one file allowed to read the core count: `available_threads` lives
+/// there.
+const CORE_COUNT_READER: &str = "crates/trace/src/lib.rs";
+
+#[test]
+fn the_core_count_is_read_in_one_place() {
+    // Library and binary sources; integration tests may read it freely.
+    let files: Vec<PathBuf> = rs_files_under(&["crates", "src"])
+        .into_iter()
+        .filter(|p| !relative(p).split('/').any(|part| part == "tests"))
+        .collect();
+    assert!(
+        files.len() >= 50,
+        "expected every crate's and the root package's sources, got {files:?}"
+    );
+    let mut calls: Vec<String> = Vec::new();
+    for path in &files {
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        for (line_no, line) in non_test_code(&text) {
+            if !is_comment(line) && line.contains("available_parallelism(") {
+                calls.push(format!("{}:{line_no}: {}", relative(path), line.trim()));
+            }
+        }
+    }
+    assert!(
+        calls.len() == 1 && calls[0].starts_with(&format!("{CORE_COUNT_READER}:")),
+        "library code must read the core count exactly once, in {CORE_COUNT_READER} \
+         (call perfplay_trace::available_threads instead); found:\n{}",
+        calls.join("\n")
     );
 }
 

@@ -129,6 +129,7 @@ proptest! {
         });
         let config = DetectorConfig {
             max_scan_per_thread: Some(cap),
+            parallel: false,
             ..DetectorConfig::default()
         };
         assert_all_engines_agree(&trace, config, chunk_events)?;
@@ -328,6 +329,7 @@ proptest! {
         });
         let config = DetectorConfig {
             max_scan_per_thread: (cap > 0).then_some(cap),
+            parallel: false,
             ..DetectorConfig::default()
         };
         assert_aggregator_matches_oracle(&trace, config, chunk_events, BodyOverlapGain)?;
