@@ -7,7 +7,7 @@
 //!
 //! ```text
 //!   EventSource ──> decoder (calling thread)
-//!                     │  validates the chunk contract, extracts sections,
+//!                     │  checks the chunk contract, extracts sections,
 //!                     │  assigns ids, slot-maps the shadow-memory log
 //!                     ▼
 //!        bounded channel per worker (backpressure: peak state stays
@@ -34,10 +34,10 @@
 //! [`UlcpSink::seal`]. The equivalence is property-tested in
 //! `tests/streaming_equivalence.rs` and unit-tested below.
 //!
-//! Gap handling lives entirely in the decoder: a [`StreamGap`] only relaxes
-//! the per-thread contiguity check for the next span, so workers never see
-//! it — detection over the surviving chunks is exactly detection over the
-//! trace with the lost events removed.
+//! The decoder checks chunks with the readers' [`ChunkContract`]. A
+//! [`StreamGap`] only lets it accept a forward jump in each thread's next
+//! span, so workers never see it — detection over the surviving chunks is
+//! exactly detection over the trace with the lost events removed.
 //!
 //! Workers classify and emit through the crate's pairing kernel
 //! (`kernel.rs`), the same code the batch engine runs: every closed section
@@ -51,9 +51,9 @@ use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 
 use perfplay_trace::{
-    CodeSiteId, CriticalSection, Event, EventSource, Footprint, LockId, MemAccess, ObjectId,
-    SectionId, StreamError, StreamGap, StreamItem, ThreadId, Time, Trace, TraceChunk, TraceChunks,
-    TraceError,
+    ChunkContract, CodeSiteId, CriticalSection, Event, EventSource, Footprint, LockId, MemAccess,
+    ObjectId, SectionId, StreamError, StreamGap, StreamItem, ThreadId, Time, Trace, TraceChunk,
+    TraceChunks,
 };
 
 use crate::idhash::IdBuildHasher;
@@ -752,69 +752,55 @@ struct DecClosed {
 /// Per-thread extraction state.
 #[derive(Default)]
 struct DecThread {
-    next_index: usize,
-    last_time: Time,
     open: Vec<DecOpen>,
     exited: bool,
-    /// Set after a stream gap: the next span may jump forward once.
-    resync: bool,
 }
 
-/// The reader/decoder stage: validates the chunk contract and per-thread
-/// timestamp monotonicity, extracts sections, assigns ids in the
-/// global `(enter_time, thread, acquire_index)` order, slot-maps the memory
-/// log, and routes placeholders/closures to workers by `lock.index() % N`.
+/// The reader/decoder stage: checks each chunk against the chunk contract,
+/// extracts sections, assigns ids in the global
+/// `(enter_time, thread, acquire_index)` order, slot-maps the memory log,
+/// and routes placeholders/closures to workers by `lock.index() % N`.
 struct Decoder {
     use_history: bool,
-    num_threads: usize,
     workers: usize,
+    contract: ChunkContract,
     threads: Vec<DecThread>,
     next_id: u32,
     closed_global: Vec<bool>,
     slot_of: HashMap<ObjectId, u32, IdBuildHasher>,
     lock_acquisitions: usize,
     stats: StreamingStats,
-    prev_window_end: Option<Time>,
 }
 
 impl Decoder {
     fn new(config: DetectorConfig, num_threads: usize, workers: usize) -> Self {
         Decoder {
             use_history: config.use_reversed_replay,
-            num_threads,
             workers,
+            contract: ChunkContract::new(Some(num_threads)),
             threads: (0..num_threads).map(|_| DecThread::default()).collect(),
             next_id: 0,
             closed_global: Vec::new(),
             slot_of: HashMap::default(),
             lock_acquisitions: 0,
             stats: StreamingStats::default(),
-            prev_window_end: None,
         }
     }
 
     /// Notes a gap a recovering source reported. Workers never see gaps:
-    /// losing events only relaxes the decoder's per-thread contiguity check,
-    /// and detection over the surviving chunks equals detection over the
-    /// trace with the lost events removed.
+    /// losing events only lets the contract accept a forward jump in each
+    /// thread's next span, and detection over the surviving chunks equals
+    /// detection over the trace with the lost events removed.
     fn note_gap(&mut self, gap: &StreamGap) {
         self.stats.gaps += 1;
         self.stats.events_lost += gap.events_lost;
-        for state in &mut self.threads {
-            state.resync = true;
-        }
+        self.contract.note_gap();
     }
 
     /// Decodes one chunk into per-worker packets (same length as `workers`).
     fn ingest(&mut self, chunk: TraceChunk) -> Result<Vec<Packet>, StreamError> {
-        if let Some(prev) = self.prev_window_end {
-            if chunk.window_end <= prev && chunk.num_events() > 0 {
-                return Err(StreamError::Format(format!(
-                    "chunk {} window {} does not advance past {}",
-                    chunk.seq, chunk.window_end, prev
-                )));
-            }
-        }
+        self.contract.check(&chunk)?;
+        self.contract.admit(&chunk);
         self.stats.chunks += 1;
         self.stats.peak_chunk_events = self.stats.peak_chunk_events.max(chunk.num_events());
 
@@ -831,53 +817,10 @@ impl Decoder {
         let mut closed_unassigned: Vec<(ThreadId, usize, u32)> = Vec::new();
         let mut newly_exited: Vec<ThreadId> = Vec::new();
 
-        let mut prev_thread: Option<ThreadId> = None;
         for span in &chunk.spans {
-            if prev_thread.is_some_and(|p| span.thread <= p) {
-                return Err(StreamError::Format(format!(
-                    "chunk {} spans not in ascending thread order",
-                    chunk.seq
-                )));
-            }
-            prev_thread = Some(span.thread);
-            let ti = span.thread.index();
-            if ti >= self.num_threads {
-                return Err(StreamError::Format(format!(
-                    "span for out-of-range thread {}",
-                    span.thread
-                )));
-            }
-            if self.threads[ti].resync {
-                if span.base_index < self.threads[ti].next_index {
-                    return Err(StreamError::Format(format!(
-                        "span for {} rewinds across a gap: base {} but {} events seen",
-                        span.thread, span.base_index, self.threads[ti].next_index
-                    )));
-                }
-                self.threads[ti].next_index = span.base_index;
-                self.threads[ti].resync = false;
-            } else if span.base_index != self.threads[ti].next_index {
-                return Err(StreamError::Format(format!(
-                    "non-contiguous span for {}: base {} but {} events seen",
-                    span.thread, span.base_index, self.threads[ti].next_index
-                )));
-            }
+            let state = &mut self.threads[span.thread.index()];
             for (offset, te) in span.events.iter().enumerate() {
-                let idx = span.base_index + offset;
-                let state = &mut self.threads[ti];
-                if te.at < state.last_time {
-                    return Err(StreamError::Trace(TraceError::NonMonotonicTime {
-                        thread: span.thread,
-                        event_index: idx,
-                    }));
-                }
-                if te.at > chunk.window_end || self.prev_window_end.is_some_and(|p| te.at <= p) {
-                    return Err(StreamError::Format(format!(
-                        "event {idx} of {} at {} is outside chunk {}'s window",
-                        span.thread, te.at, chunk.seq
-                    )));
-                }
-                state.last_time = te.at;
+                let idx = span.base_index.saturating_add(offset);
                 self.stats.events += 1;
                 match &te.event {
                     Event::LockAcquire { lock, site } => {
@@ -951,7 +894,6 @@ impl Decoder {
                     _ => {}
                 }
             }
-            self.threads[ti].next_index += span.events.len();
         }
 
         // Phase B.1: slot-map the memory log. Sorting only within the chunk
@@ -1065,7 +1007,6 @@ impl Decoder {
             });
         }
 
-        self.prev_window_end = Some(chunk.window_end);
         Ok(packets)
     }
 }
@@ -1360,7 +1301,7 @@ mod tests {
     use perfplay_program::ProgramBuilder;
     use perfplay_record::Recorder;
     use perfplay_sim::SimConfig;
-    use perfplay_trace::TraceMeta;
+    use perfplay_trace::{TraceError, TraceMeta};
 
     fn record(build: impl FnOnce(&mut ProgramBuilder)) -> Trace {
         let mut b = ProgramBuilder::new("pstream-test");

@@ -1,10 +1,10 @@
 //! Streaming well-formedness lint over traces and chunk files.
 //!
-//! [`StreamLinter`] consumes a chunk stream and validates **everything**
-//! itself — it deliberately does not lean on `ChunkFileReader`'s contract
-//! validation, so it can lint raw files record by record (via
-//! [`perfplay_trace::RawChunkRecords`]) and report *every* finding with
-//! exact coordinates instead of stopping at the first failure. Memory stays
+//! [`StreamLinter`] lints raw files record by record (via
+//! [`perfplay_trace::RawChunkRecords`]) and reports *every* finding with
+//! exact coordinates instead of stopping at the first failure: it asks the
+//! readers' [`ChunkContract`] for every violation, and adds its own checks
+//! of sequence numbers, lock discipline, condvars and barriers. Memory stays
 //! chunk-bounded: per-thread cursors, held-lock stacks, the condvar/barrier
 //! pairing state and the lock-order graph are all O(threads + locks), never
 //! O(events), so a 12M-event file lints without materializing a `Trace`.
@@ -24,9 +24,9 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use perfplay_trace::{
-    BarrierId, ChunkFileRecord, ChunkFileTrailer, CondId, Event, EventSource, LockId,
-    RawChunkRecords, SiteTable, StreamError, StreamItem, ThreadId, Time, Trace, TraceChunk,
-    TraceChunks, TraceError,
+    BarrierId, ChunkContract, ChunkFileRecord, ChunkFileTrailer, CondId, ContractViolation, Event,
+    EventSource, LockId, RawChunkRecords, SiteTable, StreamError, StreamItem, ThreadId, Time,
+    Trace, TraceChunk, TraceChunks, TraceError,
 };
 
 use crate::diag::{Diagnostic, DiagnosticCode, LintReport, LintStats, Location};
@@ -85,12 +85,10 @@ pub struct StreamLinter {
     path: Option<String>,
     diagnostics: Vec<Diagnostic>,
     stats: LintStats,
+    /// The chunk contract's state; its violations are findings here.
+    contract: ChunkContract,
     last_seq: Option<u64>,
     seq_resync: bool,
-    last_window_end: Option<Time>,
-    next_index: Vec<u64>,
-    resync: Vec<bool>,
-    last_time: Vec<Option<Time>>,
     held: Vec<Vec<HeldLock>>,
     last_grant_seq: Option<u64>,
     gap_seen: bool,
@@ -119,12 +117,9 @@ impl StreamLinter {
                 threads: num_threads.map_or(0, |n| n as u32),
                 ..LintStats::default()
             },
+            contract: ChunkContract::new(num_threads),
             last_seq: None,
             seq_resync: false,
-            last_window_end: None,
-            next_index: vec![0; n],
-            resync: vec![false; n],
-            last_time: vec![None; n],
             held: vec![Vec::new(); n],
             last_grant_seq: None,
             gap_seen: false,
@@ -166,11 +161,8 @@ impl StreamLinter {
     }
 
     fn ensure_thread(&mut self, ti: usize) {
-        while self.next_index.len() <= ti {
-            self.next_index.push(0);
-            self.resync.push(false);
-            self.last_time.push(None);
-            self.held.push(Vec::new());
+        if self.held.len() <= ti {
+            self.held.resize_with(ti + 1, Vec::new);
         }
         if self.num_threads.is_none() {
             self.stats.threads = self.stats.threads.max(ti as u32 + 1);
@@ -184,9 +176,7 @@ impl StreamLinter {
         self.stats.gaps += 1;
         self.gap_seen = true;
         self.seq_resync = true;
-        for flag in &mut self.resync {
-            *flag = true;
-        }
+        self.contract.note_gap();
         for stack in &mut self.held {
             stack.clear();
         }
@@ -197,7 +187,6 @@ impl StreamLinter {
     /// record when linting a file.
     pub fn check_chunk(&mut self, chunk: &TraceChunk, file: Option<(usize, u64)>) {
         self.stats.chunks += 1;
-        let window_lower = self.last_window_end;
 
         // Chunk sequence numbers are dense: a jump means a lost chunk, a
         // repeat means a duplicated one.
@@ -215,117 +204,23 @@ impl StreamLinter {
         self.seq_resync = false;
         self.last_seq = Some(chunk.seq);
 
-        if let Some(prev) = window_lower {
-            if chunk.window_end <= prev && chunk.num_events() > 0 {
-                self.emit(Diagnostic::new(
-                    DiagnosticCode::WindowNotAdvancing,
-                    self.locate(Location::stream(chunk.seq), file),
-                    format!(
-                        "chunk {} window {} does not advance past {}",
-                        chunk.seq, chunk.window_end, prev
-                    ),
-                ));
-            }
+        for violation in self.contract.violations(chunk) {
+            let diagnostic = self.contract_diagnostic(chunk.seq, violation, file);
+            self.emit(diagnostic);
         }
+        self.contract.admit(chunk);
 
-        let mut prev_thread: Option<ThreadId> = None;
         let mut barrier_groups: BTreeMap<(BarrierId, Time), (usize, Location)> = BTreeMap::new();
         for span in &chunk.spans {
-            if prev_thread.is_some_and(|p| span.thread <= p) {
-                self.emit(Diagnostic::new(
-                    DiagnosticCode::NonContiguousSpan,
-                    self.locate(Location::stream(chunk.seq), file),
-                    format!(
-                        "chunk {} spans are not in ascending thread order at {}",
-                        chunk.seq, span.thread
-                    ),
-                ));
-            }
-            prev_thread = Some(span.thread);
             let ti = span.thread.index();
             if self.num_threads.is_some_and(|n| ti >= n) {
-                self.emit(Diagnostic::new(
-                    DiagnosticCode::SpanOutOfRange,
-                    self.locate(Location::stream(chunk.seq), file),
-                    format!(
-                        "span for {} but the header declares {} threads",
-                        span.thread,
-                        self.num_threads.unwrap_or(0)
-                    ),
-                ));
                 continue;
             }
             self.ensure_thread(ti);
-
-            // Per-thread contiguity: `base_index` must continue exactly where
-            // the previous span of this thread left off (forward jumps are
-            // allowed right after a gap).
-            let expected = self.next_index[ti];
-            let base = span.base_index as u64;
-            let contiguous = if self.resync[ti] {
-                base >= expected
-            } else {
-                base == expected
-            };
-            if !contiguous {
-                self.emit(Diagnostic::new(
-                    DiagnosticCode::NonContiguousSpan,
-                    self.locate(Location::event(chunk.seq, span.thread.raw(), base), file),
-                    format!(
-                        "non-contiguous span for {}: base {} but {} events seen",
-                        span.thread, base, expected
-                    ),
-                ));
-            }
-            self.resync[ti] = false;
-            self.next_index[ti] = base + span.events.len() as u64;
-
             for (k, te) in span.events.iter().enumerate() {
-                let index = base + k as u64;
+                let index = span.base_index.saturating_add(k) as u64;
                 let loc = || Location::event(chunk.seq, span.thread.raw(), index);
                 self.stats.events += 1;
-                if te.at > chunk.window_end {
-                    self.emit(Diagnostic::new(
-                        DiagnosticCode::NonMonotonicTime,
-                        self.locate(loc(), file),
-                        format!(
-                            "event at {} is outside chunk {}'s window (ends {})",
-                            te.at, chunk.seq, chunk.window_end
-                        ),
-                    ));
-                }
-                if let Some(prev) = window_lower {
-                    if te.at <= prev {
-                        self.emit(Diagnostic::new(
-                            DiagnosticCode::NonMonotonicTime,
-                            self.locate(loc(), file),
-                            format!(
-                                "event at {} belongs to an earlier window (<= {})",
-                                te.at, prev
-                            ),
-                        ));
-                    }
-                }
-                if let Some(prev) = self.last_time[ti] {
-                    if te.at < prev {
-                        self.emit(
-                            Diagnostic::new(
-                                DiagnosticCode::NonMonotonicTime,
-                                self.locate(loc(), file),
-                                format!(
-                                    "{}'s clock regresses: {} after {}",
-                                    span.thread, te.at, prev
-                                ),
-                            )
-                            .with_witness(vec![format!("previous event completed at {prev}")]),
-                        );
-                    } else {
-                        self.last_time[ti] = Some(te.at);
-                    }
-                } else {
-                    self.last_time[ti] = Some(te.at);
-                }
-
                 match &te.event {
                     Event::LockAcquire { lock, site } => {
                         if self.held[ti].iter().any(|h| h.lock == *lock) {
@@ -426,7 +321,7 @@ impl StreamLinter {
                     self.emit(Diagnostic::new(
                         DiagnosticCode::WindowNotAdvancing,
                         self.locate(Location::stream(chunk.seq), file),
-                        format!("grant seq {} does not advance past {}", g.seq, prev),
+                        format!("grant seq {} does not exceed {}", g.seq, prev),
                     ));
                     continue; // keep the high-water mark
                 }
@@ -459,8 +354,32 @@ impl StreamLinter {
         let signals = &self.max_signal;
         self.pending_waits
             .retain(|w| signals.get(&w.cond).is_none_or(|&s| s < w.at));
+    }
 
-        self.last_window_end = Some(chunk.window_end);
+    /// The finding for one violation of the chunk contract, with the
+    /// violation's own text.
+    fn contract_diagnostic(
+        &self,
+        seq: u64,
+        violation: ContractViolation,
+        file: Option<(usize, u64)>,
+    ) -> Diagnostic {
+        use ContractViolation as V;
+        use DiagnosticCode as C;
+        let event =
+            |thread: &ThreadId, index: &usize| Location::event(seq, thread.raw(), *index as u64);
+        let (code, location) = match &violation {
+            V::WindowNotAdvancing { .. } => (C::WindowNotAdvancing, Location::stream(seq)),
+            V::SpanOrder { .. } => (C::NonContiguousSpan, Location::stream(seq)),
+            V::ThreadOutOfRange { .. } => (C::SpanOutOfRange, Location::stream(seq)),
+            V::RewindAcrossGap { thread, base, .. } | V::NonContiguousSpan { thread, base, .. } => {
+                (C::NonContiguousSpan, event(thread, base))
+            }
+            V::OutsideWindow { thread, index, .. } | V::NonMonotonicTime { thread, index } => {
+                (C::NonMonotonicTime, event(thread, index))
+            }
+        };
+        Diagnostic::new(code, self.locate(location, file), violation.to_string())
     }
 
     /// Ends the pass: reconciles totals, reports still-held locks and
@@ -570,24 +489,8 @@ fn stream_error_code(e: &StreamError) -> DiagnosticCode {
 /// the loss-explainable warnings suppressed); a hard source error ends the
 /// pass with a corresponding diagnostic.
 pub fn lint_source<S: EventSource>(source: &mut S, config: &LintConfig) -> LintReport {
-    let mut linter = StreamLinter::new(config.clone(), Some(source.num_threads()), None);
-    loop {
-        match source.next_item() {
-            Ok(Some(StreamItem::Chunk(chunk))) => linter.check_chunk(&chunk, None),
-            Ok(Some(StreamItem::Gap(_))) => linter.note_gap(),
-            Ok(None) => break,
-            Err(e) => {
-                let code = stream_error_code(&e);
-                linter.emit(Diagnostic::new(
-                    code,
-                    Location::default(),
-                    format!("stream failed: {e}"),
-                ));
-                break;
-            }
-        }
-    }
-    linter.finish(None, None)
+    let linter = StreamLinter::new(config.clone(), Some(source.num_threads()), None);
+    lint_items(source, linter)
 }
 
 /// Lints an in-memory trace by streaming it through [`TraceChunks`], with
@@ -598,12 +501,18 @@ pub fn lint_trace(trace: &Trace, chunk_events: usize) -> LintReport {
         expected_grants: Some(trace.lock_schedule.len() as u64),
         ..LintConfig::default()
     };
-    let mut source = TraceChunks::new(trace, chunk_events.max(1));
-    let mut linter =
+    let linter =
         StreamLinter::new(config, Some(trace.num_threads()), None).with_sites(trace.sites.clone());
+    lint_items(&mut TraceChunks::new(trace, chunk_events.max(1)), linter)
+}
+
+/// The one source loop: feeds every item of `source` to `linter` and
+/// finishes the pass.
+fn lint_items<S: EventSource>(source: &mut S, mut linter: StreamLinter) -> LintReport {
     loop {
-        match source.next_chunk() {
-            Ok(Some(chunk)) => linter.check_chunk(&chunk, None),
+        match source.next_item() {
+            Ok(Some(StreamItem::Chunk(chunk))) => linter.check_chunk(&chunk, None),
+            Ok(Some(StreamItem::Gap(_))) => linter.note_gap(),
             Ok(None) => break,
             Err(e) => {
                 let code = stream_error_code(&e);

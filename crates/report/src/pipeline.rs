@@ -497,13 +497,8 @@ fn fuse_batch(results: impl Iterator<Item = Result<PlanAnalysis, PipelineError>>
             Err(error) => failures.push(BatchItemError { trace_index, error }),
         }
     }
-    let mut fused_aggregates = SiteAggregates::default();
-    let mut fused_breakdown = UlcpBreakdown::default();
-    for analysis in &per_trace {
-        fused_aggregates.merge(&analysis.plan.aggregates);
-        fused_breakdown.merge_totals(&analysis.plan.breakdown);
-    }
-    let recommendations = rank_groups(fuse_aggregates(&fused_aggregates));
+    let (fused_aggregates, fused_breakdown, recommendations) =
+        fuse_plans(per_trace.iter().map(|analysis| &analysis.plan));
     BatchAnalysis {
         per_trace,
         failures,
@@ -511,6 +506,21 @@ fn fuse_batch(results: impl Iterator<Item = Result<PlanAnalysis, PipelineError>>
         fused_breakdown,
         recommendations,
     }
+}
+
+/// The merged aggregate table, summed breakdown and ranked recommendations
+/// of per-item plans.
+fn fuse_plans<'a>(
+    plans: impl Iterator<Item = &'a DetectionPlan>,
+) -> (SiteAggregates, UlcpBreakdown, Vec<Recommendation>) {
+    let mut aggregates = SiteAggregates::default();
+    let mut breakdown = UlcpBreakdown::default();
+    for plan in plans {
+        aggregates.merge(&plan.aggregates);
+        breakdown.merge_totals(&plan.breakdown);
+    }
+    let recommendations = rank_groups(fuse_aggregates(&aggregates));
+    (aggregates, breakdown, recommendations)
 }
 
 /// The detection-only analysis of one on-disk chunk stream: the plan's
@@ -611,13 +621,8 @@ pub fn analyze_chunk_files<P: AsRef<Path>>(
             Err(error) => failures.push(BatchItemError { trace_index, error }),
         }
     }
-    let mut fused_aggregates = SiteAggregates::default();
-    let mut fused_breakdown = UlcpBreakdown::default();
-    for analysis in &per_stream {
-        fused_aggregates.merge(&analysis.plan.aggregates);
-        fused_breakdown.merge_totals(&analysis.plan.breakdown);
-    }
-    let recommendations = rank_groups(fuse_aggregates(&fused_aggregates));
+    let (fused_aggregates, fused_breakdown, recommendations) =
+        fuse_plans(per_stream.iter().map(|analysis| &analysis.plan));
     ChunkBatchAnalysis {
         per_stream,
         failures,

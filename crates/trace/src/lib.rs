@@ -44,6 +44,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod contract;
 mod event;
 mod footprint;
 mod frame;
@@ -57,6 +58,7 @@ mod stream;
 mod time;
 mod trace;
 
+pub use contract::{ChunkContract, ContractViolation};
 pub use event::{Event, LockGrant, TimedEvent, WriteOp};
 pub use footprint::Footprint;
 pub use ids::{AuxLockId, BarrierId, CodeSiteId, CondId, LockId, ObjectId, SectionId, ThreadId};

@@ -11,14 +11,20 @@
 //! The chunk contract, which every source must honour and consumers may rely
 //! on:
 //!
-//! 1. chunks arrive in ascending `window_end` order;
+//! 1. chunks arrive in ascending `window_end` order (a chunk with events
+//!    ends strictly past every earlier window; an empty one lowers nothing);
 //! 2. chunk `k` contains **every** event with `prev_window_end < at <=
 //!    window_end`, for every thread — equal-timestamp ties never straddle a
 //!    chunk boundary;
 //! 3. within a chunk, each thread's events are a contiguous run of that
 //!    thread's stream (the [`ThreadSpan::base_index`] makes the absolute
 //!    event indices recoverable), and spans are listed in ascending thread
-//!    order.
+//!    order;
+//! 4. each thread's timestamps never decrease, across chunks too.
+//!
+//! One checker, [`ChunkContract`], serves the chunk-file readers, the
+//! streaming detector and `perfplay-lint`, so every chunk a reader admits,
+//! the detector accepts.
 //!
 //! The contract is only satisfiable because [`ThreadTrace`] timestamps are
 //! non-decreasing. [`ThreadTrace::push`] only debug-asserts that; in every
@@ -46,6 +52,7 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
+use crate::contract::ChunkContract;
 use crate::event::{LockGrant, TimedEvent};
 use crate::frame::{decode_frame, ends_scan, Framer};
 use crate::ids::ThreadId;
@@ -413,9 +420,9 @@ pub enum ChunkFileRecord {
 ///
 /// Every error the reader produces is wrapped in [`StreamError::At`] with
 /// the file path, record ordinal (`line`) and byte offset, so multi-stream
-/// logs are attributable. Under a non-[`Fail`](RecoveryPolicy::Fail) policy
-/// the reader converts failures into [`StreamGap`]s instead: it validates
-/// each chunk against the chunk contract before delivering it, skips bad
+/// logs are attributable. Each chunk is checked by a [`ChunkContract`]
+/// before it is delivered. Under a non-[`Fail`](RecoveryPolicy::Fail) policy
+/// the reader converts failures into [`StreamGap`]s instead: it skips bad
 /// records, resynchronizes on the next record boundary (the next line, or
 /// the next binary frame marker), and reconciles the total event loss
 /// against the trailer when one is present.
@@ -431,12 +438,8 @@ pub struct ChunkFileReader {
     offset: u64,
     chunks_seen: u64,
     events_seen: u64,
-    /// Per-thread count of events delivered, for contiguity validation.
-    next_index: Vec<usize>,
-    /// Threads whose next span may jump forward (set after a gap).
-    resync: Vec<bool>,
-    /// Window of the last delivered non-empty chunk.
-    last_window_end: Option<Time>,
+    /// What the delivered chunks and gaps admit next.
+    contract: ChunkContract,
     gaps: Vec<StreamGap>,
     done: bool,
 }
@@ -550,9 +553,7 @@ impl ChunkFileReader {
             offset: first.offset + first.bytes,
             chunks_seen: 0,
             events_seen: 0,
-            next_index: vec![0; num_threads],
-            resync: vec![false; num_threads],
-            last_window_end: None,
+            contract: ChunkContract::new(Some(num_threads)),
             gaps: Vec::new(),
             done: false,
         })
@@ -603,8 +604,8 @@ impl ChunkFileReader {
         }
     }
 
-    /// Records a gap at the given location and marks every thread for
-    /// forward resynchronization.
+    /// Records a gap at the given location; the contract lets every
+    /// thread's next span jump forward.
     fn record_gap(
         &mut self,
         line: usize,
@@ -620,92 +621,8 @@ impl ChunkFileReader {
             cause: Box::new(cause),
         };
         self.gaps.push(gap.clone());
-        for flag in &mut self.resync {
-            *flag = true;
-        }
+        self.contract.note_gap();
         gap
-    }
-
-    /// Checks one parsed chunk against the chunk contract: advancing window,
-    /// ascending in-range spans, per-thread contiguity (allowing a forward
-    /// jump right after a gap), and every event inside the window in
-    /// non-decreasing order. Read-only; [`admit_chunk`](Self::admit_chunk)
-    /// commits the state updates once the chunk is accepted.
-    fn validate_chunk(&self, chunk: &TraceChunk) -> Result<(), StreamError> {
-        if let Some(prev) = self.last_window_end {
-            if chunk.window_end <= prev && chunk.num_events() > 0 {
-                return Err(StreamError::Format(format!(
-                    "chunk {} window {} does not advance past {}",
-                    chunk.seq, chunk.window_end, prev
-                )));
-            }
-        }
-        let mut prev_thread: Option<ThreadId> = None;
-        for span in &chunk.spans {
-            if prev_thread.is_some_and(|p| span.thread <= p) {
-                return Err(StreamError::Format(format!(
-                    "chunk {} spans not in ascending thread order",
-                    chunk.seq
-                )));
-            }
-            prev_thread = Some(span.thread);
-            let ti = span.thread.index();
-            if ti >= self.header.num_threads {
-                return Err(StreamError::Format(format!(
-                    "span for out-of-range thread {}",
-                    span.thread
-                )));
-            }
-            if self.resync[ti] {
-                if span.base_index < self.next_index[ti] {
-                    return Err(StreamError::Format(format!(
-                        "span for {} rewinds across a gap: base {} but {} events seen",
-                        span.thread, span.base_index, self.next_index[ti]
-                    )));
-                }
-            } else if span.base_index != self.next_index[ti] {
-                return Err(StreamError::Format(format!(
-                    "non-contiguous span for {}: base {} but {} events seen",
-                    span.thread, span.base_index, self.next_index[ti]
-                )));
-            }
-            let mut last = self.last_window_end;
-            for (offset, te) in span.events.iter().enumerate() {
-                if te.at > chunk.window_end {
-                    return Err(StreamError::Format(format!(
-                        "event {} of {} at {} is outside chunk {}'s window",
-                        span.base_index + offset,
-                        span.thread,
-                        te.at,
-                        chunk.seq
-                    )));
-                }
-                if last.is_some_and(|p| te.at < p) {
-                    return Err(StreamError::Trace(TraceError::NonMonotonicTime {
-                        thread: span.thread,
-                        event_index: span.base_index + offset,
-                    }));
-                }
-                // Events of the first span position must additionally clear
-                // the previous window: `last` starts at the window boundary
-                // (inclusive is fine — the strict check lives in the
-                // detector, which knows the exact previous window).
-                last = Some(te.at);
-            }
-        }
-        Ok(())
-    }
-
-    /// Commits the reader-side bookkeeping for an accepted chunk.
-    fn admit_chunk(&mut self, chunk: &TraceChunk) {
-        for span in &chunk.spans {
-            let ti = span.thread.index();
-            self.next_index[ti] = span.base_index + span.events.len();
-            self.resync[ti] = false;
-        }
-        self.last_window_end = Some(chunk.window_end);
-        self.chunks_seen += 1;
-        self.events_seen += chunk.num_events() as u64;
     }
 
     /// Reads one record, applying the recovery policy. Returns `Ok(None)`
@@ -714,93 +631,63 @@ impl ChunkFileReader {
         if self.done {
             return Ok(None);
         }
-        {
-            let Some(raw) = self.scanner.next_record() else {
-                let line_no = self.line_no + 1;
-                let line_offset = self.offset;
-                let cause = StreamError::Format("chunk file ended without a trailer record".into());
-                return match self.policy {
-                    RecoveryPolicy::Fail => Err(self.locate(line_no, line_offset, cause)),
-                    _ => {
-                        self.done = true;
-                        Ok(Some(StreamItem::Gap(self.record_gap(
-                            line_no,
-                            line_offset,
-                            0,
-                            cause,
-                        ))))
-                    }
-                };
-            };
-            let line_no = raw.line;
-            let line_offset = raw.offset;
-            self.line_no = raw.line;
-            self.offset = raw.offset + raw.bytes;
-            let record = match raw.record {
-                Ok(r) => r,
-                Err(cause) => {
-                    // The stream position is unknowable after a read error,
-                    // so even recovering policies end the stream on I/O
-                    // failures; parse failures resynchronize on the next
-                    // record boundary under SkipChunk.
-                    let ends_stream = matches!(cause.root_cause(), StreamError::Io(_))
-                        || !matches!(self.policy, RecoveryPolicy::SkipChunk);
-                    match self.policy {
-                        RecoveryPolicy::Fail => {
-                            return Err(self.locate(line_no, line_offset, cause));
-                        }
-                        RecoveryPolicy::SkipChunk | RecoveryPolicy::SkipStream => {
-                            if ends_stream {
-                                self.done = true;
-                            }
-                            return Ok(Some(StreamItem::Gap(self.record_gap(
-                                line_no,
-                                line_offset,
-                                0,
-                                cause,
-                            ))));
-                        }
-                    }
-                }
-            };
-            let (cause, events_lost) = match record {
-                ChunkFileRecord::Header(_) => (
-                    StreamError::Format(format!("unexpected second header at line {line_no}")),
-                    0u64,
-                ),
-                ChunkFileRecord::Chunk(chunk) => match self.validate_chunk(&chunk) {
-                    Ok(()) => {
-                        self.admit_chunk(&chunk);
-                        return Ok(Some(StreamItem::Chunk(chunk)));
-                    }
-                    Err(cause) => {
-                        let lost = chunk.num_events() as u64;
-                        (cause, lost)
-                    }
-                },
-                ChunkFileRecord::Trailer(trailer) => {
-                    return self.finish_at_trailer(trailer, line_no, line_offset);
-                }
-            };
-            match self.policy {
-                RecoveryPolicy::Fail => Err(self.locate(line_no, line_offset, cause)),
-                RecoveryPolicy::SkipChunk => Ok(Some(StreamItem::Gap(self.record_gap(
-                    line_no,
-                    line_offset,
-                    events_lost,
-                    cause,
-                )))),
-                RecoveryPolicy::SkipStream => {
-                    self.done = true;
-                    Ok(Some(StreamItem::Gap(self.record_gap(
-                        line_no,
-                        line_offset,
-                        events_lost,
-                        cause,
-                    ))))
-                }
+        let Some(raw) = self.scanner.next_record() else {
+            let cause = StreamError::Format("chunk file ended without a trailer record".into());
+            return self.refuse(self.line_no + 1, self.offset, 0, cause, true);
+        };
+        let line_no = raw.line;
+        let line_offset = raw.offset;
+        self.line_no = raw.line;
+        self.offset = raw.offset + raw.bytes;
+        let (cause, events_lost) = match raw.record {
+            // The stream position is unknowable after a read error, so even
+            // recovering policies end the stream on I/O failures; parse
+            // failures resynchronize on the next record boundary.
+            Err(cause) => {
+                let io = matches!(cause.root_cause(), StreamError::Io(_));
+                return self.refuse(line_no, line_offset, 0, cause, io);
             }
+            Ok(ChunkFileRecord::Header(_)) => (
+                StreamError::Format(format!("unexpected second header at line {line_no}")),
+                0u64,
+            ),
+            Ok(ChunkFileRecord::Chunk(chunk)) => match self.contract.check(&chunk) {
+                Ok(()) => {
+                    self.contract.admit(&chunk);
+                    self.chunks_seen += 1;
+                    self.events_seen += chunk.num_events() as u64;
+                    return Ok(Some(StreamItem::Chunk(chunk)));
+                }
+                Err(violation) => (violation.into(), chunk.num_events() as u64),
+            },
+            Ok(ChunkFileRecord::Trailer(trailer)) => {
+                return self.finish_at_trailer(trailer, line_no, line_offset);
+            }
+        };
+        self.refuse(line_no, line_offset, events_lost, cause, false)
+    }
+
+    /// Applies the recovery policy to a record the reader cannot deliver:
+    /// `Fail` returns the located error; the other policies record a gap,
+    /// and end the stream under `SkipStream` or when `ends_stream`.
+    fn refuse(
+        &mut self,
+        line: usize,
+        offset: u64,
+        events_lost: u64,
+        cause: StreamError,
+        ends_stream: bool,
+    ) -> Result<Option<StreamItem>, StreamError> {
+        if self.policy == RecoveryPolicy::Fail {
+            return Err(self.locate(line, offset, cause));
         }
+        self.done = ends_stream || self.policy == RecoveryPolicy::SkipStream;
+        Ok(Some(StreamItem::Gap(self.record_gap(
+            line,
+            offset,
+            events_lost,
+            cause,
+        ))))
     }
 
     /// Handles the trailer record: verifies the integrity counts, and under
@@ -1036,37 +923,18 @@ impl Iterator for RawChunkRecords {
 ///
 /// # Errors
 ///
-/// Propagates reader errors and reports spans that are not contiguous.
+/// Propagates reader errors, the first chunk that breaks the chunk contract
+/// ([`ChunkContract`]) included, located at its record.
 pub fn read_chunked_trace(path: impl AsRef<Path>) -> Result<Trace, StreamError> {
     let mut reader = ChunkFileReader::open(path)?;
     let mut trace = Trace::new(reader.meta().clone(), reader.num_threads());
     trace.sites = reader.sites().clone();
     while let Some(chunk) = reader.next_chunk()? {
+        // The reader admits only chunks that meet the contract: each span
+        // continues a thread of the trace, in time order.
         for span in chunk.spans {
-            let Some(tt) = trace.threads.get_mut(span.thread.index()) else {
-                return Err(StreamError::Format(format!(
-                    "span for out-of-range thread {}",
-                    span.thread
-                )));
-            };
-            if span.base_index != tt.events.len() {
-                return Err(StreamError::Format(format!(
-                    "non-contiguous span for {}: base {} but {} events seen",
-                    span.thread,
-                    span.base_index,
-                    tt.events.len()
-                )));
-            }
+            let tt = &mut trace.threads[span.thread.index()];
             for te in span.events {
-                // Pre-check monotonicity: `ThreadTrace::push` debug-asserts
-                // it, and an untrusted file must yield a typed error in every
-                // build profile, not a panic.
-                if tt.events.last().is_some_and(|prev| te.at < prev.at) {
-                    return Err(StreamError::Trace(TraceError::NonMonotonicTime {
-                        thread: span.thread,
-                        event_index: tt.events.len(),
-                    }));
-                }
                 tt.push(te.at, te.event);
             }
         }

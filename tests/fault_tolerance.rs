@@ -16,8 +16,8 @@ use proptest::prelude::*;
 use perfplay::prelude::*;
 use perfplay::workloads::{random_workload, GeneratorConfig};
 use perfplay_trace::{
-    ChunkFileReader, ChunkFileRecord, ChunkFormat, RawChunkRecords, RecoveryPolicy, StreamError,
-    Trace, TraceChunk,
+    read_chunked_trace, ChunkFileReader, ChunkFileRecord, ChunkFormat, RawChunkRecords,
+    RecoveryPolicy, StreamError, Trace, TraceChunk,
 };
 
 const POLICIES: [RecoveryPolicy; 3] = [
@@ -661,6 +661,194 @@ fn chunk_file_batch_isolates_a_corrupted_member() {
     assert_eq!(recovered.per_stream.len(), 2);
     assert!(recovered.total_gaps() > 0);
     std::fs::remove_file(&bad).ok();
+}
+
+/// A chunk file with one record that breaks the chunk contract, made from
+/// `tests/fixtures/golden-chunks.jsonl` by text edits.
+struct ContractProbe {
+    path: PathBuf,
+    /// 1-based line of the record that breaks the contract.
+    line: usize,
+    /// Events that record carries.
+    events: u64,
+}
+
+impl ContractProbe {
+    /// Writes the golden file with `edit` applied to its lines; `edit`
+    /// returns the 1-based line of the defective record.
+    fn new(tag: &str, edit: impl FnOnce(&mut Vec<String>) -> usize) -> Self {
+        let golden =
+            PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden-chunks.jsonl");
+        let mut lines: Vec<String> = std::fs::read_to_string(golden)
+            .unwrap()
+            .lines()
+            .map(str::to_string)
+            .collect();
+        let line = edit(&mut lines);
+        let path = std::env::temp_dir().join(format!(
+            "perfplay-contract-{tag}-{}.jsonl",
+            std::process::id()
+        ));
+        std::fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
+        let events = RawChunkRecords::open(&path)
+            .unwrap()
+            .find(|raw| raw.line == line)
+            .and_then(|raw| match raw.record {
+                Ok(ChunkFileRecord::Chunk(chunk)) => Some(chunk.num_events() as u64),
+                _ => None,
+            })
+            .expect("the defective record is a chunk");
+        assert!(events > 0, "the defective chunk carries events");
+        ContractProbe { path, line, events }
+    }
+
+    fn is_located(&self, error: &StreamError) -> bool {
+        matches!(error, StreamError::At { line, .. } if *line == self.line)
+    }
+}
+
+/// Replaces the one occurrence of `from` in `line`.
+fn edit_once(line: &mut String, from: &str, to: &str) {
+    assert_eq!(line.matches(from).count(), 1, "{from} occurs once");
+    *line = line.replacen(from, to, 1);
+}
+
+fn drain(source: &mut impl EventSource) -> Result<Vec<StreamItem>, StreamError> {
+    let mut items = Vec::new();
+    while let Some(item) = source.next_item()? {
+        items.push(item);
+    }
+    Ok(items)
+}
+
+/// Every consumer acts on the probe's record alone: the readers refuse it
+/// at its line (`Fail`) or turn it into one gap that loses exactly its
+/// events (`SkipChunk`), the detector keeps the file under `SkipChunk` at
+/// every worker count, the linter flags L001 on that line, and reading the
+/// file back into memory gives a located error instead of a panic.
+fn assert_refused_at_its_record(probe: &ContractProbe) {
+    for policy in [RecoveryPolicy::Fail, RecoveryPolicy::SkipChunk] {
+        let inline = drain(&mut ChunkFileReader::with_policy(&probe.path, policy).unwrap());
+        for workers in [1, 2] {
+            let mut reader =
+                PipelinedChunkReader::with_options(&probe.path, policy, None, workers).unwrap();
+            assert_eq!(
+                drain(&mut reader),
+                inline,
+                "{policy:?}, {workers} decode workers"
+            );
+        }
+        match (policy, &inline) {
+            (RecoveryPolicy::Fail, Err(error)) => {
+                assert!(probe.is_located(error), "{error}");
+            }
+            (RecoveryPolicy::SkipChunk, Ok(items)) => {
+                let gaps: Vec<&StreamGap> = items
+                    .iter()
+                    .filter_map(|item| match item {
+                        StreamItem::Gap(gap) => Some(gap),
+                        StreamItem::Chunk(_) => None,
+                    })
+                    .collect();
+                assert_eq!(gaps.len(), 1, "{gaps:?}");
+                assert_eq!(
+                    (gaps[0].line, gaps[0].events_lost),
+                    (probe.line, probe.events)
+                );
+            }
+            (_, other) => panic!(
+                "{policy:?} did not act on the record: {:?}",
+                other.as_ref().map(Vec::len)
+            ),
+        }
+    }
+
+    for workers in [1, 2] {
+        let mut reader =
+            PipelinedChunkReader::with_policy(&probe.path, RecoveryPolicy::SkipChunk).unwrap();
+        let streamed = ParallelStreamingDetector::with_workers(config(), workers)
+            .analyze(&mut reader)
+            .unwrap();
+        assert_eq!(
+            (streamed.stats.gaps, streamed.stats.events_lost),
+            (1, probe.events),
+            "{workers} workers"
+        );
+    }
+    for parallel in [false, true] {
+        let config = PipelineConfig {
+            detector: DetectorConfig {
+                parallel,
+                ..DetectorConfig::default()
+            },
+            ..PipelineConfig::default()
+        };
+        let paths = [&probe.path];
+        let kept = analyze_chunk_files(&paths, &config, RecoveryPolicy::SkipChunk);
+        assert!(
+            kept.failures.is_empty(),
+            "parallel {parallel}: {:?}",
+            kept.failures
+        );
+        assert_eq!(
+            (kept.total_gaps(), kept.total_events_lost()),
+            (1, probe.events),
+            "parallel {parallel}"
+        );
+        let failed = analyze_chunk_files(&paths, &config, RecoveryPolicy::Fail);
+        match &failed.failures[..] {
+            [BatchItemError {
+                error: PipelineError::Stream(error),
+                ..
+            }] => assert!(probe.is_located(error), "{error}"),
+            other => panic!("parallel {parallel}: expected one stream error, got {other:?}"),
+        }
+    }
+
+    let report = lint_chunk_file(&probe.path, &LintConfig::default());
+    assert!(
+        report.diagnostics.iter().any(|d| {
+            d.code == DiagnosticCode::NonMonotonicTime && d.location.line == Some(probe.line)
+        }),
+        "{}",
+        report.render_human()
+    );
+
+    match std::panic::catch_unwind(AssertUnwindSafe(|| read_chunked_trace(&probe.path))) {
+        Ok(Err(error)) => assert!(probe.is_located(&error), "{error}"),
+        Ok(Ok(_)) => panic!("read a trace whose chunk breaks the contract"),
+        Err(_) => panic!("read_chunked_trace panicked"),
+    }
+    std::fs::remove_file(&probe.path).ok();
+}
+
+/// Chunk 1's first event of T0 moved to exactly chunk 0's window end: the
+/// window's lower bound is strict, so the event belongs to no chunk.
+#[test]
+fn an_event_on_the_previous_window_end_is_refused_at_its_record() {
+    let probe = ContractProbe::new("boundary", |lines| {
+        edit_once(&mut lines[2], r#"{"at":550,"#, r#"{"at":549,"#);
+        3
+    });
+    assert_refused_at_its_record(&probe);
+}
+
+/// An empty chunk that ends its window early, then T0 going back in time
+/// behind chunk 0's window: the empty chunk cannot lower the bound, so the
+/// regression is caught where it happens.
+#[test]
+fn a_regression_behind_a_lowered_window_is_refused_at_its_record() {
+    let probe = ContractProbe::new("lowered-window", |lines| {
+        lines.insert(
+            2,
+            r#"{"Chunk":{"seq":1,"window_end":10,"spans":[],"grants":[]}}"#.to_string(),
+        );
+        edit_once(&mut lines[3], r#"{"at":550,"#, r#"{"at":530,"#);
+        let trailer = lines.len() - 1;
+        edit_once(&mut lines[trailer], r#""chunks":4"#, r#""chunks":5"#);
+        4
+    });
+    assert_refused_at_its_record(&probe);
 }
 
 proptest! {

@@ -27,6 +27,10 @@
 //!   line under `crates/` and `src/` calls `available_parallelism`, in
 //!   `perfplay_trace::available_threads`, so every thread budget starts
 //!   from the same reading;
+//! * the chunk contract is checked in one place: outside test code and
+//!   comments, the texts of its violations appear under `crates/` and
+//!   `src/` only in its checker, `crates/trace/src/contract.rs`, so the
+//!   readers, the streaming detector and the linter cannot drift apart;
 //! * retired names stay retired: no source file, test, example, README, CI
 //!   workflow or verification note names the sequential streaming engine
 //!   (`ParallelStreamingDetector` at one worker replaced it), the second
@@ -120,6 +124,7 @@ fn non_test_code(text: &str) -> impl Iterator<Item = (usize, &str)> {
 fn hardened_files() -> Vec<PathBuf> {
     let root = workspace_root();
     let mut files = vec![
+        root.join("crates/trace/src/contract.rs"),
         root.join("crates/trace/src/stream.rs"),
         root.join("crates/trace/src/frame.rs"),
         root.join("crates/trace/src/pbin.rs"),
@@ -408,6 +413,58 @@ fn the_core_count_is_read_in_one_place() {
          (call perfplay_trace::available_threads instead); found:\n{}",
         calls.join("\n")
     );
+}
+
+/// The texts of the chunk contract's violations: a second copy of a rule
+/// words its violation again.
+const CONTRACT_MESSAGES: [&str; 4] = [
+    "does not advance past",
+    "non-contiguous span",
+    "rewinds across a gap",
+    "outside chunk",
+];
+
+/// The one file that checks the chunk contract.
+const CONTRACT_CHECKER: &str = "crates/trace/src/contract.rs";
+
+#[test]
+fn the_chunk_contract_is_checked_in_one_place() {
+    // Library and binary sources; integration tests may word them freely.
+    let files: Vec<PathBuf> = rs_files_under(&["crates", "src"])
+        .into_iter()
+        .filter(|p| !relative(p).split('/').any(|part| part == "tests"))
+        .collect();
+    let mut offenders: Vec<String> = Vec::new();
+    let mut worded: Vec<&str> = Vec::new();
+    for path in &files {
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        let in_checker = relative(path) == CONTRACT_CHECKER;
+        for (line_no, line) in non_test_code(&text) {
+            if is_comment(line) {
+                continue;
+            }
+            for message in CONTRACT_MESSAGES.into_iter().filter(|m| line.contains(m)) {
+                if in_checker {
+                    worded.push(message);
+                } else {
+                    offenders.push(format!("{}:{line_no}: {}", relative(path), line.trim()));
+                }
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "a chunk-contract rule is checked outside {CONTRACT_CHECKER} (call \
+         perfplay_trace::ChunkContract instead):\n{}",
+        offenders.join("\n")
+    );
+    for message in CONTRACT_MESSAGES {
+        assert!(
+            worded.contains(&message),
+            "{CONTRACT_CHECKER} no longer words `{message}`; update CONTRACT_MESSAGES"
+        );
+    }
 }
 
 /// A name the repository retired. Each is assembled with `concat!`, so that
