@@ -1592,17 +1592,28 @@ mod tests {
 
     #[test]
     fn non_monotonic_thread_times_are_reported() {
-        let mut trace = mixed_trace();
-        let n = trace.threads[1].events.len();
-        trace.threads[1].events[n - 2].at = Time::ZERO;
-        let err = ParallelStreamingDetector::with_workers(DetectorConfig::default(), 2)
-            .analyze_trace(&trace, 1_000_000)
-            .unwrap_err();
-        match err {
-            StreamError::Trace(TraceError::NonMonotonicTime { thread, .. }) => {
-                assert_eq!(thread, ThreadId::new(1));
+        // T1's second-to-last timestamp regressed, streamed in one chunk;
+        // and T0's last zeroed, which once held every 64-event window at 0.
+        let zeroed = |thread: usize, from_end: usize| {
+            let mut trace = mixed_trace();
+            let n = trace.threads[thread].events.len();
+            trace.threads[thread].events[n - from_end].at = Time::ZERO;
+            trace
+        };
+        let cases = [(zeroed(1, 2), 1, 1_000_000), (zeroed(0, 1), 0, 64)];
+        for (trace, thread, chunk_events) in &cases {
+            for workers in [1, 2] {
+                let err =
+                    ParallelStreamingDetector::with_workers(DetectorConfig::default(), workers)
+                        .analyze_trace(trace, *chunk_events)
+                        .unwrap_err();
+                match err {
+                    StreamError::Trace(TraceError::NonMonotonicTime { thread: t, .. }) => {
+                        assert_eq!(t, ThreadId::new(*thread as u32));
+                    }
+                    other => panic!("expected NonMonotonicTime, got {other:?}"),
+                }
             }
-            other => panic!("expected NonMonotonicTime, got {other:?}"),
         }
     }
 

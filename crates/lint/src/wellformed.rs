@@ -189,11 +189,11 @@ impl StreamLinter {
         self.stats.chunks += 1;
 
         // Chunk sequence numbers are dense: a jump means a lost chunk, a
-        // repeat means a duplicated one.
+        // repeat means a duplicated one. No seq follows `u64::MAX`.
         if let Some(prev) = self.last_seq {
-            let expected = prev + 1;
+            let follows = prev.checked_add(1) == Some(chunk.seq);
             let jump_ok = self.seq_resync && chunk.seq > prev;
-            if chunk.seq != expected && !jump_ok {
+            if !follows && !jump_ok {
                 self.emit(Diagnostic::new(
                     DiagnosticCode::WindowNotAdvancing,
                     self.locate(Location::stream(chunk.seq), file),
@@ -967,6 +967,33 @@ mod tests {
         let report = linter.finish(None, None);
         assert_eq!(report.diagnostics.len(), 3);
         assert!(report.stats.suppressed > 0);
+    }
+
+    #[test]
+    fn no_seq_follows_the_largest() {
+        let mut linter = StreamLinter::new(LintConfig::default(), Some(1), None);
+        for seq in [u64::MAX, 0] {
+            linter.check_chunk(
+                &TraceChunk {
+                    seq,
+                    window_end: Time::from_nanos(1),
+                    spans: Vec::new(),
+                    grants: Vec::new(),
+                },
+                None,
+            );
+        }
+        let report = linter.finish(None, None);
+        let d = report
+            .diagnostics
+            .iter()
+            .find(|d| d.code == DiagnosticCode::WindowNotAdvancing)
+            .expect("L005 fires");
+        assert_eq!(d.code.code_str(), "L005");
+        assert_eq!(
+            d.message,
+            format!("chunk seq 0 does not follow {}", u64::MAX)
+        );
     }
 
     /// `lint_chunk_file` scans through the pipelined scanner; over the

@@ -2,14 +2,11 @@
 //! chunks.
 //!
 //! [`spill_trace`] is the producing half of the streaming ingestion path:
-//! it cuts an in-memory [`Trace`] into [`TraceChunk`]s in one pass and
-//! writes them to a chunk file — JSON-lines or binary PBIN, selected per
-//! [`ChunkFormat`]. Events are visited in time order, and a window closes
-//! once enough of them are unwritten, just before the time every thread
-//! with events left has reached, so equal-timestamp ties never straddle a
-//! boundary ([`spill_trace_with_format`] states the rule exactly). The
-//! resulting file honours the chunk contract documented in
-//! `perfplay_trace::stream` and is consumed by
+//! it writes the chunks [`TraceChunks`] cuts from an in-memory [`Trace`]
+//! to a chunk file — JSON-lines or binary PBIN, selected per
+//! [`ChunkFormat`] — so a file carries the same chunk sequence as the
+//! in-memory stream of its trace. The resulting file honours the chunk
+//! contract documented in `perfplay_trace::stream` and is consumed by
 //! [`PipelinedChunkReader`](perfplay_trace::PipelinedChunkReader) or
 //! reassembled with
 //! [`read_chunked_trace`](perfplay_trace::read_chunked_trace).
@@ -22,8 +19,8 @@ use std::io::Write;
 use std::path::Path;
 
 use perfplay_trace::{
-    ChunkFileHeader, ChunkFileRecord, ChunkFileTrailer, ChunkFormat, RawChunkRecords, StreamError,
-    ThreadId, ThreadSpan, Time, Trace, TraceChunk, TraceError,
+    ChunkFileHeader, ChunkFileRecord, ChunkFileTrailer, ChunkFormat, EventSource, RawChunkRecords,
+    StreamError, Trace, TraceChunks,
 };
 
 /// Summary of one finished chunked spill.
@@ -38,8 +35,8 @@ pub struct ChunkedWriteSummary {
 }
 
 /// Spills a complete in-memory trace to `path` as a chunked trace file. The
-/// format is picked by the path's extension; the windows are those of
-/// [`spill_trace_with_format`].
+/// format is picked by the path's extension; the chunks are those of
+/// [`TraceChunks`], as in [`spill_trace_with_format`].
 ///
 /// # Errors
 ///
@@ -56,211 +53,66 @@ pub fn spill_trace(
 /// [`spill_trace`] with an explicit [`ChunkFormat`] instead of the
 /// extension-based pick.
 ///
-/// Windows are cut in one pass over the trace:
-///
-/// * Events are visited smallest timestamp first, ties to the lower thread
-///   index. Before an event at time `t` is visited, every lock grant at or
-///   before `t` becomes pending.
-/// * Once at least `chunk_events` (minimum 1) visited events are unwritten,
-///   a window may close. It ends 1 ns before the earliest last-visited
-///   timestamp among the threads that still have events to visit, counting
-///   the thread just visited; if one of them has not been visited yet, no
-///   window closes. A window must end after the previous one, and a window
-///   holding no event and no pending grant is skipped.
-/// * Whatever is unwritten at the end forms one last chunk, ending at the
-///   latest unwritten event (`Time::MAX` if none) or at the last unwritten
-///   grant, whichever is later.
+/// The file holds the format's prelude, the header, the chunks of
+/// [`TraceChunks::new(trace, chunk_events)`](TraceChunks::new) (whose
+/// documentation states where windows end) and the trailer.
 ///
 /// # Errors
 ///
 /// Fails with [`std::io::ErrorKind::InvalidData`], before creating the
-/// file, if a thread sits at the wrong index
-/// ([`TraceError::MisnumberedThread`]) or its timestamps go backwards
-/// ([`TraceError::NonMonotonicTime`]); no window could honour the chunk
-/// contract then. Propagates write failures.
+/// file, if [`Trace::check_order`] rejects the trace (a thread at the wrong
+/// index, or timestamps going backwards): no window could honour the chunk
+/// contract then. Unbalanced locking and schedule mismatches are left to
+/// `perfplay lint`, which reports them on the spilled file. Propagates
+/// write failures.
 pub fn spill_trace_with_format(
     trace: &Trace,
     path: impl AsRef<Path>,
     chunk_events: usize,
     format: ChunkFormat,
 ) -> std::io::Result<ChunkedWriteSummary> {
-    check_windowable(trace).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    let file = std::fs::File::create(path)?;
-    let mut spill = Spill {
-        trace,
-        out: std::io::BufWriter::new(file),
-        format,
-        scratch: Vec::new(),
-        visited: vec![0; trace.num_threads()],
-        written: vec![0; trace.num_threads()],
-        unwritten: 0,
-        pending_grants: 0,
-        written_grants: 0,
-        last_window_end: None,
-        summary: ChunkedWriteSummary {
-            chunks: 0,
-            events: 0,
-            bytes: 0,
-        },
+    trace.check_order().map_err(invalid_data)?;
+    let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
+    // One record's bytes at a time; the prelude goes out with the header.
+    let mut scratch = format.prelude();
+    let mut bytes = 0;
+    let mut write = |record: &ChunkFileRecord| -> std::io::Result<()> {
+        format
+            .encode_record(record, &mut scratch)
+            .map_err(invalid_data)?;
+        out.write_all(&scratch)?;
+        bytes += scratch.len() as u64;
+        scratch.clear();
+        Ok(())
     };
-    let prelude = format.prelude();
-    spill.out.write_all(&prelude)?;
-    spill.summary.bytes += prelude.len() as u64;
-    spill.write_record(&ChunkFileRecord::Header(ChunkFileHeader {
+    write(&ChunkFileRecord::Header(ChunkFileHeader {
         meta: trace.meta.clone(),
         num_threads: trace.num_threads(),
         sites: trace.sites.clone(),
     }))?;
-    let chunk_events = chunk_events.max(1);
-    let schedule = &trace.lock_schedule;
-    while let Some((at, ti)) = spill.next_event() {
-        let due = &schedule[spill.pending_grants..];
-        spill.pending_grants += due.iter().take_while(|g| g.at <= at).count();
-        spill.visited[ti] += 1;
-        spill.unwritten += 1;
-        if spill.unwritten >= chunk_events {
-            if let Some(window_end) = spill.complete_window(ti) {
-                spill.write_window(window_end)?;
-            }
-        }
+    let (mut chunks, mut events) = (0, 0);
+    let mut source = TraceChunks::new(trace, chunk_events);
+    while let Some(chunk) = source.next_chunk().map_err(invalid_data)? {
+        chunks += 1;
+        events += chunk.num_events() as u64;
+        write(&ChunkFileRecord::Chunk(chunk))?;
     }
-    spill.pending_grants = schedule.len();
-    let late_grants = &schedule[spill.written_grants..];
-    if spill.unwritten > 0 || !late_grants.is_empty() {
-        let last_event = trace
-            .threads
-            .iter()
-            .zip(&spill.written)
-            .filter_map(|(t, &written)| t.events[written..].last().map(|e| e.at))
-            .max();
-        let last_grant = late_grants.last().map_or(Time::ZERO, |g| g.at);
-        spill.write_window(last_event.unwrap_or(Time::MAX).max(last_grant))?;
-    }
-    spill.write_record(&ChunkFileRecord::Trailer(ChunkFileTrailer {
+    write(&ChunkFileRecord::Trailer(ChunkFileTrailer {
         total_time: trace.total_time,
         finish_times: trace.threads.iter().map(|t| t.finish_time).collect(),
-        chunks: spill.summary.chunks,
-        events: spill.summary.events,
+        chunks,
+        events,
     }))?;
-    spill.out.flush()?;
-    Ok(spill.summary)
+    out.flush()?;
+    Ok(ChunkedWriteSummary {
+        chunks,
+        events,
+        bytes,
+    })
 }
 
-/// Rejects a trace no window could cut: a thread at the wrong index, or
-/// timestamps going backwards within a thread. Unbalanced locking and
-/// schedule mismatches are left to `perfplay lint`, which reports them as
-/// findings on the spilled file.
-fn check_windowable(trace: &Trace) -> Result<(), TraceError> {
-    for (index, t) in trace.threads.iter().enumerate() {
-        if t.thread.index() != index {
-            return Err(TraceError::MisnumberedThread { index });
-        }
-        if let Some(i) = t.events.windows(2).position(|w| w[1].at < w[0].at) {
-            return Err(TraceError::NonMonotonicTime {
-                thread: t.thread,
-                event_index: i + 1,
-            });
-        }
-    }
-    Ok(())
-}
-
-/// One spill in progress: two cursors per thread (events visited, events
-/// written) and two into the lock schedule (grants pending, grants
-/// written).
-struct Spill<'a> {
-    trace: &'a Trace,
-    out: std::io::BufWriter<std::fs::File>,
-    format: ChunkFormat,
-    /// Reused encode buffer: one record's bytes, whichever the format.
-    scratch: Vec<u8>,
-    visited: Vec<usize>,
-    written: Vec<usize>,
-    /// Visited events not yet written.
-    unwritten: usize,
-    pending_grants: usize,
-    written_grants: usize,
-    last_window_end: Option<Time>,
-    summary: ChunkedWriteSummary,
-}
-
-impl Spill<'_> {
-    /// The next event to visit, as its timestamp and thread index: the
-    /// smallest timestamp, ties to the lower thread index (`min_by_key`
-    /// keeps the first of equal keys).
-    fn next_event(&self) -> Option<(Time, usize)> {
-        self.trace
-            .threads
-            .iter()
-            .zip(&self.visited)
-            .enumerate()
-            .filter_map(|(ti, (t, &visited))| t.events.get(visited).map(|e| (e.at, ti)))
-            .min_by_key(|&(at, _)| at)
-    }
-
-    /// The end of the window every thread has moved past, right after
-    /// thread `just_visited` was visited: 1 ns before the earliest
-    /// last-visited timestamp among the threads with events still to visit
-    /// (and `just_visited`). `None` while one of them is unvisited, or if
-    /// the window would not end after the last written one.
-    fn complete_window(&self, just_visited: usize) -> Option<Time> {
-        let mut earliest = Time::MAX;
-        for (ti, (t, &visited)) in self.trace.threads.iter().zip(&self.visited).enumerate() {
-            if t.events.is_empty() || (visited == t.events.len() && ti != just_visited) {
-                continue;
-            }
-            earliest = earliest.min(t.events[..visited].last()?.at);
-        }
-        let window_end = Time::from_nanos(earliest.as_nanos().saturating_sub(1));
-        let after_last = self.last_window_end.is_none_or(|prev| window_end > prev);
-        after_last.then_some(window_end)
-    }
-
-    /// Writes every visited event and pending grant at or before
-    /// `window_end` as one chunk; writes nothing if there is none.
-    fn write_window(&mut self, window_end: Time) -> std::io::Result<()> {
-        let mut spans = Vec::new();
-        for (ti, t) in self.trace.threads.iter().enumerate() {
-            let (from, to) = (self.written[ti], self.visited[ti]);
-            let events = &t.events[from..to];
-            let take = events.iter().take_while(|e| e.at <= window_end).count();
-            if take == 0 {
-                continue;
-            }
-            self.written[ti] += take;
-            self.unwritten -= take;
-            spans.push(ThreadSpan {
-                thread: ThreadId::new(ti as u32),
-                base_index: from,
-                events: events[..take].to_vec(),
-            });
-        }
-        let pending = &self.trace.lock_schedule[self.written_grants..self.pending_grants];
-        let take = pending.iter().take_while(|g| g.at <= window_end).count();
-        if spans.is_empty() && take == 0 {
-            return Ok(());
-        }
-        let chunk = TraceChunk {
-            seq: self.summary.chunks,
-            window_end,
-            spans,
-            grants: pending[..take].to_vec(),
-        };
-        self.written_grants += take;
-        self.summary.chunks += 1;
-        self.summary.events += chunk.num_events() as u64;
-        self.last_window_end = Some(window_end);
-        self.write_record(&ChunkFileRecord::Chunk(chunk))
-    }
-
-    fn write_record(&mut self, record: &ChunkFileRecord) -> std::io::Result<()> {
-        self.scratch.clear();
-        self.format
-            .encode_record(record, &mut self.scratch)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        self.summary.bytes += self.scratch.len() as u64;
-        self.out.write_all(&self.scratch)
-    }
+fn invalid_data(e: impl std::error::Error + Send + Sync + 'static) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, e)
 }
 
 /// Summary of one chunk-file format conversion.
@@ -350,7 +202,7 @@ mod tests {
     use crate::Recorder;
     use perfplay_program::ProgramBuilder;
     use perfplay_sim::SimConfig;
-    use perfplay_trace::{read_chunked_trace, ChunkFileReader, EventSource};
+    use perfplay_trace::{read_chunked_trace, ChunkFileReader, ThreadId, Time, TraceError};
 
     fn demo_trace() -> Trace {
         let mut b = ProgramBuilder::new("chunked-demo");

@@ -260,8 +260,7 @@ pub struct PlanAnalysis {
 /// Returns [`PipelineError::Preflight`] when [`PipelineConfig::preflight`]
 /// is set and the trace or the transformed schedule has error-severity
 /// findings, [`PipelineError::Replay`] if a replay fails, and
-/// [`PipelineError::Stream`] if the chunked stream is malformed (the
-/// in-memory adapter never is).
+/// [`PipelineError::Stream`] if the chunked stream is malformed.
 pub fn analyze_plan(trace: &Trace, config: &PipelineConfig) -> Result<PlanAnalysis, PipelineError> {
     analyze_plan_on(trace, config, config.threads())
 }

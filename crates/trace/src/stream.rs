@@ -28,15 +28,17 @@
 //!
 //! The contract is only satisfiable because [`ThreadTrace`] timestamps are
 //! non-decreasing. [`ThreadTrace::push`] only debug-asserts that; in every
-//! build the chunk readers, [`Trace::validate`] and `perfplay-record`'s
-//! spill reject a thread whose timestamps go backwards.
+//! build the chunk readers, [`Trace::validate`], [`TraceChunks`] and
+//! `perfplay-record`'s spill reject a thread whose timestamps go backwards
+//! (the last three through [`Trace::check_order`]).
 //!
 //! Two sources are provided: [`TraceChunks`], which adapts an in-memory
 //! [`Trace`] (the executable spec and the bridge for already-recorded
-//! traces), and [`ChunkFileReader`], which streams a chunked trace file
-//! written by `perfplay-record`'s `spill_trace`, so detection never needs
-//! the full log in memory at all. `ChunkFileReader` scans on the caller's
-//! thread and is the zero-thread reference for
+//! traces) and is the one place windows are cut, and [`ChunkFileReader`],
+//! which streams a chunked trace file written by `perfplay-record`'s
+//! `spill_trace` (the chunks of [`TraceChunks`], framed), so detection
+//! never needs the full log in memory at all. `ChunkFileReader` scans on
+//! the caller's thread and is the zero-thread reference for
 //! [`PipelinedChunkReader`](crate::PipelinedChunkReader), through which every
 //! library entry point reads.
 //!
@@ -257,17 +259,54 @@ pub trait EventSource {
     }
 }
 
-/// [`EventSource`] adapter over an in-memory [`Trace`].
+/// [`EventSource`] adapter over an in-memory [`Trace`]: the one place
+/// where a trace is cut into time windows. `perfplay-record`'s
+/// `spill_trace` writes exactly these chunks, so a stream and its spill
+/// file carry the same chunk sequence.
 ///
-/// Windows are chosen so each chunk carries roughly `chunk_events` events
-/// (exactly honouring the chunk contract: a window always closes on a
-/// timestamp boundary, so dense windows may exceed the target).
+/// Windows are cut in one pass over the trace:
+///
+/// * Events are visited smallest timestamp first, ties to the lower thread
+///   index.
+/// * Once at least `chunk_events` (minimum 1) visited events are unwritten,
+///   a window may close. It ends 1 ns before the earliest last-visited
+///   timestamp among the threads that still have events to visit, counting
+///   the thread just visited; when that timestamp is 0, it ends at 0 once
+///   no event at 0 is left to visit. If one of those threads has not been
+///   visited yet, no window closes. A window must end after the previous
+///   one, and a window holding no event and no grant is skipped.
+/// * A window carries every unwritten event up to its end, and the
+///   unwritten lock grants in schedule order up to the first one past it.
+/// * Whatever is unwritten at the end forms one last chunk, ending at the
+///   latest unwritten event (`Time::MAX` if none) or grant, whichever is
+///   later.
+///
+/// A window never ends on a timestamp some thread has yet to reach, so
+/// equal-timestamp ties never straddle a boundary, and a thread that has
+/// not started holds every window back.
+///
+/// The windows need each thread at its own index and its timestamps never
+/// decreasing ([`Trace::check_order`]); on a trace without that order,
+/// [`next_chunk`](EventSource::next_chunk) returns the
+/// [`StreamError::Trace`] error instead of a chunk.
 #[derive(Debug)]
 pub struct TraceChunks<'a> {
     trace: &'a Trace,
     chunk_events: usize,
-    cursors: Vec<usize>,
-    grant_cursor: usize,
+    /// [`Trace::check_order`]'s verdict; an error is every `next_chunk`'s
+    /// answer.
+    order: Result<(), TraceError>,
+    /// Events visited, per thread.
+    visited: Vec<usize>,
+    /// Events written into chunks, per thread.
+    written: Vec<usize>,
+    /// Visited events not yet written.
+    unwritten: usize,
+    /// Lock grants written into chunks.
+    written_grants: usize,
+    /// End of the last window cut.
+    last_window_end: Option<Time>,
+    /// Sequence number of the next chunk.
     seq: u64,
 }
 
@@ -278,10 +317,84 @@ impl<'a> TraceChunks<'a> {
         TraceChunks {
             trace,
             chunk_events: chunk_events.max(1),
-            cursors: vec![0; trace.threads.len()],
-            grant_cursor: 0,
+            order: trace.check_order(),
+            visited: vec![0; trace.num_threads()],
+            written: vec![0; trace.num_threads()],
+            unwritten: 0,
+            written_grants: 0,
+            last_window_end: None,
             seq: 0,
         }
+    }
+
+    /// The next event to visit, as its timestamp and thread index: the
+    /// smallest timestamp, ties to the lower thread index (`min_by_key`
+    /// keeps the first of equal keys).
+    fn next_event(&self) -> Option<(Time, usize)> {
+        self.trace
+            .threads
+            .iter()
+            .zip(&self.visited)
+            .enumerate()
+            .filter_map(|(ti, (t, &visited))| t.events.get(visited).map(|e| (e.at, ti)))
+            .min_by_key(|&(at, _)| at)
+    }
+
+    /// The end of the window every thread has moved past, right after
+    /// thread `just_visited` was visited, or `None` if no window may close.
+    fn complete_window(&self, just_visited: usize) -> Option<Time> {
+        let mut earliest = Time::MAX;
+        for (ti, (t, &visited)) in self.trace.threads.iter().zip(&self.visited).enumerate() {
+            if t.events.is_empty() || (visited == t.events.len() && ti != just_visited) {
+                continue;
+            }
+            earliest = earliest.min(t.events[..visited].last()?.at);
+        }
+        let window_end = match earliest.as_nanos().checked_sub(1) {
+            Some(end) => Time::from_nanos(end),
+            // No time precedes 0: an event at 0 still to visit would land
+            // behind the window.
+            None if self.next_event().is_some_and(|(at, _)| at == Time::ZERO) => return None,
+            None => Time::ZERO,
+        };
+        let after_last = self.last_window_end.is_none_or(|prev| window_end > prev);
+        after_last.then_some(window_end)
+    }
+
+    /// Cuts every unwritten event and grant up to `window_end` into the
+    /// next chunk; `None` if there is none.
+    fn cut(&mut self, window_end: Time) -> Option<TraceChunk> {
+        let mut spans = Vec::new();
+        for (ti, t) in self.trace.threads.iter().enumerate() {
+            let from = self.written[ti];
+            let events = &t.events[from..self.visited[ti]];
+            let take = events.iter().take_while(|e| e.at <= window_end).count();
+            if take == 0 {
+                continue;
+            }
+            self.written[ti] += take;
+            self.unwritten -= take;
+            spans.push(ThreadSpan {
+                thread: t.thread,
+                base_index: from,
+                events: events[..take].to_vec(),
+            });
+        }
+        let late = &self.trace.lock_schedule[self.written_grants..];
+        let take = late.iter().take_while(|g| g.at <= window_end).count();
+        if spans.is_empty() && take == 0 {
+            return None;
+        }
+        let chunk = TraceChunk {
+            seq: self.seq,
+            window_end,
+            spans,
+            grants: late[..take].to_vec(),
+        };
+        self.written_grants += take;
+        self.seq += 1;
+        self.last_window_end = Some(window_end);
+        Some(chunk)
     }
 }
 
@@ -295,79 +408,32 @@ impl EventSource for TraceChunks<'_> {
     }
 
     fn next_chunk(&mut self) -> Result<Option<TraceChunk>, StreamError> {
-        let active: Vec<usize> = self
+        self.order.clone()?;
+        while let Some((_, ti)) = self.next_event() {
+            self.visited[ti] += 1;
+            self.unwritten += 1;
+            if self.unwritten >= self.chunk_events {
+                if let Some(chunk) = self.complete_window(ti).and_then(|end| self.cut(end)) {
+                    return Ok(Some(chunk));
+                }
+            }
+        }
+        let last_event = self
             .trace
             .threads
             .iter()
-            .enumerate()
-            .filter(|(i, t)| self.cursors[*i] < t.events.len())
-            .map(|(i, _)| i)
-            .collect();
-        if active.is_empty() {
-            // All events emitted; flush any stray grants in a final empty
-            // chunk so a reassembled trace is complete.
-            if self.grant_cursor < self.trace.lock_schedule.len() {
-                let grants = self.trace.lock_schedule[self.grant_cursor..].to_vec();
-                self.grant_cursor = self.trace.lock_schedule.len();
-                let chunk = TraceChunk {
-                    seq: self.seq,
-                    window_end: Time::MAX,
-                    spans: Vec::new(),
-                    grants,
-                };
-                self.seq += 1;
-                return Ok(Some(chunk));
-            }
+            .zip(&self.written)
+            .filter_map(|(t, &written)| t.events[written..].last().map(|e| e.at))
+            .max();
+        let late_grants = &self.trace.lock_schedule[self.written_grants..];
+        let last_grant = late_grants.iter().map(|g| g.at).max();
+        if last_event.is_none() && last_grant.is_none() {
             return Ok(None);
         }
-
-        // Aim the window so each active thread contributes about its share of
-        // the per-chunk budget: the boundary is the earliest of the threads'
-        // budget-th upcoming timestamps, which guarantees at least one
-        // thread's whole budget fits while every thread stays within the
-        // same time window.
-        let budget = (self.chunk_events / active.len()).max(1);
-        let mut window_end = Time::MAX;
-        for &i in &active {
-            let events = &self.trace.threads[i].events;
-            let probe = (self.cursors[i] + budget - 1).min(events.len() - 1);
-            window_end = window_end.min(events[probe].at);
-        }
-
-        let mut spans = Vec::new();
-        for &i in &active {
-            let events = &self.trace.threads[i].events;
-            let start = self.cursors[i];
-            let mut end = start;
-            while end < events.len() && events[end].at <= window_end {
-                end += 1;
-            }
-            self.cursors[i] = end;
-            if end > start {
-                spans.push(ThreadSpan {
-                    thread: self.trace.threads[i].thread,
-                    base_index: start,
-                    events: events[start..end].to_vec(),
-                });
-            }
-        }
-
-        let grant_start = self.grant_cursor;
-        while self.grant_cursor < self.trace.lock_schedule.len()
-            && self.trace.lock_schedule[self.grant_cursor].at <= window_end
-        {
-            self.grant_cursor += 1;
-        }
-        let grants = self.trace.lock_schedule[grant_start..self.grant_cursor].to_vec();
-
-        let chunk = TraceChunk {
-            seq: self.seq,
-            window_end,
-            spans,
-            grants,
-        };
-        self.seq += 1;
-        Ok(Some(chunk))
+        let window_end = last_event
+            .unwrap_or(Time::MAX)
+            .max(last_grant.unwrap_or(Time::ZERO));
+        Ok(self.cut(window_end))
     }
 }
 
@@ -1068,6 +1134,28 @@ mod tests {
         let trace = Trace::new(TraceMeta::default(), 2);
         let mut source = TraceChunks::new(&trace, 4);
         assert_eq!(source.next_chunk().unwrap(), None);
+    }
+
+    #[test]
+    fn trace_chunks_refuse_time_running_backwards() {
+        let mut trace = Trace::new(TraceMeta::default(), 1);
+        for at in [5, 3] {
+            let read = Event::Read {
+                obj: ObjectId::new(0),
+                value: 0,
+            };
+            trace.threads[0]
+                .events
+                .push(TimedEvent::new(Time::from_nanos(at), read));
+        }
+        let mut source = TraceChunks::new(&trace, 2);
+        assert!(matches!(
+            source.next_chunk(),
+            Err(StreamError::Trace(TraceError::NonMonotonicTime {
+                event_index: 1,
+                ..
+            }))
+        ));
     }
 
     #[test]

@@ -217,28 +217,47 @@ impl Trace {
         })
     }
 
-    /// Checks structural well-formedness: dense thread ids, monotone
-    /// timestamps, balanced lock/unlock pairs, and a lock schedule whose
-    /// entries point at real acquisitions.
+    /// Checks the order every time window relies on: each thread sits at
+    /// its own index and its timestamps never decrease. [`validate`],
+    /// [`TraceChunks`](crate::TraceChunks) and `perfplay-record`'s spill all
+    /// start here.
+    ///
+    /// [`validate`]: Self::validate
     ///
     /// # Errors
     ///
-    /// Returns the first violation found.
-    pub fn validate(&self) -> Result<(), TraceError> {
-        for (i, t) in self.threads.iter().enumerate() {
-            if t.thread.index() != i {
-                return Err(TraceError::MisnumberedThread { index: i });
+    /// [`TraceError::MisnumberedThread`] or
+    /// [`TraceError::NonMonotonicTime`] for the first thread that breaks
+    /// the order.
+    pub fn check_order(&self) -> Result<(), TraceError> {
+        for (index, t) in self.threads.iter().enumerate() {
+            if t.thread.index() != index {
+                return Err(TraceError::MisnumberedThread { index });
             }
-            let mut last = Time::ZERO;
+            if let Some(i) = t.events.windows(2).position(|w| w[1].at < w[0].at) {
+                return Err(TraceError::NonMonotonicTime {
+                    thread: t.thread,
+                    event_index: i + 1,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks structural well-formedness: the order of [`check_order`],
+    /// balanced lock/unlock pairs, and a lock schedule whose entries point
+    /// at real acquisitions.
+    ///
+    /// [`check_order`]: Self::check_order
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violation found, checking the order first.
+    pub fn validate(&self) -> Result<(), TraceError> {
+        self.check_order()?;
+        for t in &self.threads {
             let mut held: Vec<LockId> = Vec::new();
-            for (idx, te) in t.events.iter().enumerate() {
-                if te.at < last {
-                    return Err(TraceError::NonMonotonicTime {
-                        thread: t.thread,
-                        event_index: idx,
-                    });
-                }
-                last = te.at;
+            for te in &t.events {
                 match &te.event {
                     Event::LockAcquire { lock, .. } => held.push(*lock),
                     Event::LockRelease { lock } => match held.iter().rposition(|l| l == lock) {

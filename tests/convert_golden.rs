@@ -13,7 +13,8 @@
 //! FNV-1a digest of the spilled file's bytes. The inputs are the Table 1
 //! application models at 4 threads, a few generated workloads and hand-built
 //! traces with idle threads, grants after the last event and equal
-//! timestamps across threads.
+//! timestamps across threads. Every digested spill must also carry the
+//! in-memory stream's chunks, and they must honour the chunk contract.
 //!
 //! Regenerate both deliberately with
 //! `PERFPLAY_REGEN_GOLDEN=1 cargo test --test convert_golden`.
@@ -23,8 +24,8 @@ use std::path::PathBuf;
 use perfplay::prelude::*;
 use perfplay::workloads::{random_workload, App, GeneratorConfig, InputSize, WorkloadConfig};
 use perfplay_trace::{
-    ChunkFileReader, ChunkFileRecord, ChunkFormat, CodeSite, Event, LockGrant, LockId,
-    RawChunkRecords, ThreadId, Time, Trace, TraceMeta,
+    ChunkContract, ChunkFileReader, ChunkFileRecord, ChunkFormat, CodeSite, Event, EventSource,
+    LockGrant, LockId, RawChunkRecords, ThreadId, Time, Trace, TraceChunk, TraceChunks, TraceMeta,
 };
 
 const GOLDEN_SEED: u64 = 23;
@@ -148,6 +149,12 @@ fn converted_golden_fixture_is_event_identical() {
     );
     std::fs::remove_file(&pbin).ok();
     std::fs::remove_file(&back).ok();
+}
+
+/// Every chunk of the in-memory stream over `trace`.
+fn stream_chunks(trace: &Trace, chunk_events: usize) -> Vec<TraceChunk> {
+    let mut source = TraceChunks::new(trace, chunk_events);
+    std::iter::from_fn(|| source.next_chunk().expect("an ordered trace streams")).collect()
 }
 
 /// Events per chunk of every digested spill.
@@ -282,15 +289,37 @@ fn spill_inputs() -> Vec<(String, Trace)> {
     inputs
 }
 
-/// One `<input>\t<format>\t<chunk events>\t<digest>` line per spill.
+/// One `<input>\t<format>\t<chunk events>\t<digest>` line per spill. Each
+/// spill must also carry exactly the chunks of the in-memory stream at the
+/// same chunk size, and they must honour the chunk contract.
 fn spill_digest_lines() -> Vec<String> {
     let path = temp_path("digest");
     let mut lines = Vec::new();
     for (name, trace) in spill_inputs() {
         for format in [ChunkFormat::Json, ChunkFormat::Pbin] {
             for chunk_events in SPILL_CHUNK_SIZES {
+                let label = format!("{name} {format} {chunk_events}");
                 spill_trace_with_format(&trace, &path, chunk_events, format)
-                    .unwrap_or_else(|e| panic!("{name} {format} {chunk_events}: {e}"));
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                let spilled: Vec<TraceChunk> = records_of(&path)
+                    .into_iter()
+                    .filter_map(|record| match record {
+                        ChunkFileRecord::Chunk(chunk) => Some(chunk),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(
+                    spilled,
+                    stream_chunks(&trace, chunk_events),
+                    "{label}: the spill's chunks differ from the in-memory stream's"
+                );
+                let mut contract = ChunkContract::new(Some(trace.num_threads()));
+                for chunk in &spilled {
+                    if let Err(violation) = contract.check(chunk) {
+                        panic!("{label}: the spill breaks the chunk contract: {violation}");
+                    }
+                    contract.admit(chunk);
+                }
                 let bytes = std::fs::read(&path).expect("read spilled file");
                 lines.push(format!(
                     "{name}\t{format}\t{chunk_events}\t{:016x}",

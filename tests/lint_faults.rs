@@ -322,20 +322,6 @@ fn preflight_passes_clean_traces_and_rejects_poisoned_ones() {
         ..PipelineConfig::default()
     };
     analyze_plan(&trace, &config).expect("clean trace passes preflight");
-
-    // Regress one timestamp far enough to break per-thread monotonicity.
-    let mut poisoned = trace.clone();
-    let events = &mut poisoned.threads[0].events;
-    assert!(events.len() > 2);
-    events[2].at = perfplay_trace::Time::ZERO;
-    match analyze_plan(&poisoned, &config) {
-        Err(PipelineError::Preflight(diagnostics)) => {
-            assert!(diagnostics
-                .iter()
-                .any(|d| d.code == DiagnosticCode::NonMonotonicTime));
-        }
-        other => panic!("expected a preflight rejection, got {other:?}"),
-    }
     // The facade runs the same pipeline and honours the same flag.
     let facade = PerfPlay::with_config(PerfPlayConfig {
         preflight: true,
@@ -344,20 +330,41 @@ fn preflight_passes_clean_traces_and_rejects_poisoned_ones() {
     facade
         .analyze_trace(&trace)
         .expect("clean trace passes the facade's preflight");
-    match facade.analyze_trace(&poisoned) {
-        Err(PerfPlayError::Preflight(diagnostics)) => {
-            assert!(diagnostics
-                .iter()
-                .any(|d| d.code == DiagnosticCode::NonMonotonicTime));
+
+    // Regress one timestamp far enough to break per-thread monotonicity:
+    // a middle one, and the thread's last, which once held every window
+    // of the preflight's stream at time 0.
+    assert!(trace.threads[0].events.len() > 2);
+    for poisoned_index in [2, trace.threads[0].events.len() - 1] {
+        let mut poisoned = trace.clone();
+        poisoned.threads[0].events[poisoned_index].at = perfplay_trace::Time::ZERO;
+        match analyze_plan(&poisoned, &config) {
+            Err(PipelineError::Preflight(diagnostics)) => {
+                assert!(diagnostics
+                    .iter()
+                    .any(|d| d.code == DiagnosticCode::NonMonotonicTime));
+            }
+            other => {
+                panic!("event {poisoned_index}: expected a preflight rejection, got {other:?}")
+            }
         }
-        other => panic!("expected the facade's preflight rejection, got {other:?}"),
+        match facade.analyze_trace(&poisoned) {
+            Err(PerfPlayError::Preflight(diagnostics)) => {
+                assert!(diagnostics
+                    .iter()
+                    .any(|d| d.code == DiagnosticCode::NonMonotonicTime));
+            }
+            other => panic!(
+                "event {poisoned_index}: expected the facade's preflight rejection, got {other:?}"
+            ),
+        }
+        // Without preflight the same input is taken at face value (the lint
+        // is strictly opt-in).
+        analyze_plan(&poisoned, &PipelineConfig::default()).expect("non-preflight path unchanged");
+        PerfPlay::new()
+            .analyze_trace(&poisoned)
+            .expect("non-preflight facade unchanged");
     }
-    // Without preflight the same input is taken at face value (the lint is
-    // strictly opt-in).
-    analyze_plan(&poisoned, &PipelineConfig::default()).expect("non-preflight path unchanged");
-    PerfPlay::new()
-        .analyze_trace(&poisoned)
-        .expect("non-preflight facade unchanged");
 }
 
 #[test]

@@ -31,6 +31,11 @@
 //!   comments, the texts of its violations appear under `crates/` and
 //!   `src/` only in its checker, `crates/trace/src/contract.rs`, so the
 //!   readers, the streaming detector and the linter cannot drift apart;
+//! * chunk windows are cut in one place: outside test code and comments, a
+//!   `TraceChunk` struct literal appears under `crates/` and `src/` only in
+//!   `crates/trace/src/stream.rs`, where `TraceChunks` cuts every window the
+//!   library streams or spills, and in the PBIN decoder
+//!   (`crates/trace/src/pbin.rs`), which rebuilds the chunks a file carries;
 //! * retired names stay retired: no source file, test, example, README, CI
 //!   workflow or verification note names the sequential streaming engine
 //!   (`ParallelStreamingDetector` at one worker replaced it), the second
@@ -467,6 +472,39 @@ fn the_chunk_contract_is_checked_in_one_place() {
     }
 }
 
+/// The files allowed to build a `TraceChunk` literal: the one window cutter,
+/// `TraceChunks`, and the PBIN decoder, which rebuilds the chunks a file
+/// carries.
+const CHUNK_BUILDERS: [&str; 2] = ["crates/trace/src/stream.rs", "crates/trace/src/pbin.rs"];
+
+#[test]
+fn chunk_windows_are_cut_in_one_place() {
+    // Library and binary sources; integration tests may build chunks freely.
+    let files: Vec<PathBuf> = rs_files_under(&["crates", "src"])
+        .into_iter()
+        .filter(|p| !relative(p).split('/').any(|part| part == "tests"))
+        .collect();
+    let mut offenders: Vec<String> = Vec::new();
+    for path in &files {
+        if CHUNK_BUILDERS.contains(&relative(path).as_str()) {
+            continue;
+        }
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        for (line_no, line) in non_test_code(&text) {
+            if !is_comment(line) && line.contains("TraceChunk {") {
+                offenders.push(format!("{}:{line_no}: {}", relative(path), line.trim()));
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "a chunk is built outside {CHUNK_BUILDERS:?} (cut windows with \
+         perfplay_trace::TraceChunks instead):\n{}",
+        offenders.join("\n")
+    );
+}
+
 /// A name the repository retired. Each is assembled with `concat!`, so that
 /// this file does not name it either.
 struct Retired {
@@ -597,8 +635,8 @@ const RETIRED_PIPELINED_TWINS: &[Retired] = &[
     },
 ];
 
-/// The incremental chunk writer: the spill cuts its windows straight from
-/// the trace, and nothing else wrote chunk files.
+/// The incremental chunk writer: the spill writes the chunks `TraceChunks`
+/// cuts from the trace, and nothing else wrote chunk files.
 const RETIRED_CHUNKED_WRITER: &[Retired] = &[Retired {
     name: concat!("Chunked", "Writer"),
     counts: Counts::WholeWord,

@@ -8,7 +8,10 @@ use proptest::prelude::*;
 use perfplay::prelude::*;
 use perfplay::workloads::{random_workload, GeneratorConfig};
 use perfplay_detect::reference_analyze;
-use perfplay_trace::{read_chunked_trace, ChunkFileReader, RecoveryPolicy, StreamError, Trace};
+use perfplay_trace::{
+    read_chunked_trace, ChunkFileReader, ChunkFileRecord, EventSource, RawChunkRecords,
+    RecoveryPolicy, StreamError, Trace, TraceChunk, TraceChunks,
+};
 
 fn generator_config() -> impl Strategy<Value = GeneratorConfig> {
     (2usize..5, 1usize..4, 2usize..6, 4u32..14).prop_map(
@@ -35,6 +38,17 @@ fn record(seed: u64, config: &GeneratorConfig) -> Trace {
         .record(&program)
         .unwrap()
         .trace
+}
+
+/// The chunk records of a spilled file, read without the contract check.
+fn spilled_chunks(path: &std::path::Path) -> Vec<TraceChunk> {
+    RawChunkRecords::open(path)
+        .unwrap()
+        .filter_map(|raw| match raw.record.unwrap() {
+            ChunkFileRecord::Chunk(chunk) => Some(chunk),
+            _ => None,
+        })
+        .collect()
 }
 
 /// The report the single-pass pipeline assembles from a plan: transform,
@@ -185,7 +199,8 @@ proptest! {
     /// original, the JSON spill of the same trace streams to the identical
     /// analysis, and the full report pipeline (transform, both replays,
     /// fusion, ranking) produces the identical [`PerfReport`] from either
-    /// side's plan.
+    /// side's plan. Both spills carry exactly the chunks of the in-memory
+    /// stream at the same chunk size.
     #[test]
     fn pbin_file_roundtrip_is_lossless_and_report_identical(
         seed in 0u64..5_000,
@@ -201,6 +216,13 @@ proptest! {
             spill_trace_with_format(&trace, &pbin, chunk_events, ChunkFormat::Pbin).unwrap();
         prop_assert_eq!(summary.events as usize, trace.num_events());
         spill_trace(&trace, &json, chunk_events).unwrap();
+
+        // Both files carry exactly the in-memory stream's chunks.
+        let mut source = TraceChunks::new(&trace, chunk_events);
+        let stream: Vec<TraceChunk> =
+            std::iter::from_fn(|| source.next_chunk().unwrap()).collect();
+        prop_assert_eq!(&spilled_chunks(&pbin), &stream);
+        prop_assert_eq!(&spilled_chunks(&json), &stream);
 
         // Reassembly is exact.
         let back = read_chunked_trace(&pbin).unwrap();
