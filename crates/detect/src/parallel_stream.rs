@@ -7,8 +7,9 @@
 //!
 //! ```text
 //!   EventSource ──> decoder (calling thread)
-//!                     │  checks the chunk contract, extracts sections,
-//!                     │  assigns ids, slot-maps the shadow-memory log
+//!                     │  checks the chunk contract, builds sections
+//!                     │  (one `SectionBuilder` per thread), assigns ids,
+//!                     │  slot-maps the shadow-memory log
 //!                     ▼
 //!        bounded channel per worker (backpressure: peak state stays
 //!                     │            bounded by chunk size)
@@ -19,7 +20,7 @@
 //!                     │
 //!                     ▼
 //!   merge: shards absorbed in ascending-lock order, sections assembled
-//!   by id, compaction remap, seal — bit-identical to the batch engine
+//!   by route, compaction remap, seal — bit-identical to the batch engine
 //! ```
 //!
 //! Locks are independent (no pair ever spans two locks), so routing whole
@@ -41,7 +42,8 @@
 //!
 //! Workers classify and emit through the crate's pairing kernel
 //! (`kernel.rs`), the same code the batch engine runs: every closed section
-//! carries a packed row with its read/write [`Footprint::summary`] words,
+//! carries a packed row with its read/write
+//! [`Footprint::summary`](perfplay_trace::Footprint::summary) words,
 //! and the null-lock / read-read tests are *exact* on summaries while a zero
 //! summary-AND proves disjoint writes — so the overwhelming majority of
 //! pairs never touch the section bodies.
@@ -51,9 +53,8 @@ use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 
 use perfplay_trace::{
-    ChunkContract, CodeSiteId, CriticalSection, Event, EventSource, Footprint, LockId, MemAccess,
-    ObjectId, SectionId, StreamError, StreamGap, StreamItem, ThreadId, Time, Trace, TraceChunk,
-    TraceChunks,
+    ChunkContract, CriticalSection, Event, EventSource, LockId, ObjectId, SectionBuilder,
+    SectionId, StreamError, StreamGap, StreamItem, ThreadId, Time, Trace, TraceChunk, TraceChunks,
 };
 
 use crate::idhash::IdBuildHasher;
@@ -80,43 +81,21 @@ fn worker_died() -> StreamError {
 /// log with dense-vector indexing instead of map lookups.
 type MemEntry = (Time, u32, i64, bool);
 
-/// A section announced at id-assignment time, before its release arrived.
-struct Placeholder {
-    id: SectionId,
-    thread: ThreadId,
-    lock: LockId,
-    site: CodeSiteId,
-    acquire_index: usize,
-    enter_time: Time,
-    depth: usize,
-}
-
-/// A section whose release arrived: everything needed to fill the output
-/// row. The access vectors are moved, never cloned — the decoder gives up
-/// ownership and the worker builds the footprints in place.
-struct ClosedWire {
-    id: SectionId,
-    thread: ThreadId,
-    lock: LockId,
-    release_index: usize,
-    exit_time: Time,
-    reads: Vec<ObjectId>,
-    writes: Vec<ObjectId>,
-    accesses: Vec<MemAccess>,
-    body_cost: Time,
-}
-
 /// One decoded chunk window, as seen by one worker: the shared (`Arc`ed)
-/// memory log plus the placeholders and closures routed to this worker's
-/// lock shard.
+/// memory log plus the placeholders and closed sections routed to this
+/// worker's lock shard.
 struct Packet {
     window_end: Time,
     mem: Arc<Vec<MemEntry>>,
     new_objects: Arc<Vec<ObjectId>>,
     /// Threads that exited in this window (first transition only).
     exited: Vec<ThreadId>,
-    placeholders: Vec<Placeholder>,
-    closed: Vec<ClosedWire>,
+    /// Sections announced at id assignment: the builder's row so far, or
+    /// the whole section if it closed in the same window.
+    placeholders: Vec<CriticalSection>,
+    /// Sections whose release arrived, ascending id, each with its row in
+    /// the worker's shard and the section, unless its placeholder is it.
+    closed: Vec<(u32, Option<CriticalSection>)>,
 }
 
 enum Msg {
@@ -276,10 +255,6 @@ struct Worker<S: UlcpSink> {
     /// Hot-path metadata, parallel to `sections`; the summary words are set
     /// when a section closes.
     meta: Vec<SecMeta>,
-    /// `ids[i] == sections[i].id`: the dense search column for close-time
-    /// id lookup, so the probes walk a 4-byte-stride array instead of the
-    /// 160-byte section rows.
-    ids: Vec<SectionId>,
     /// Whether `sections[i]` has been closed (filled in) yet.
     closed: Vec<bool>,
     /// Live pairing state, parallel to `sections`; `None` = not (or no
@@ -307,7 +282,6 @@ impl<S: UlcpSink> Worker<S> {
             num_threads,
             sections: Vec::new(),
             meta: Vec::new(),
-            ids: Vec::new(),
             closed: Vec::new(),
             pairing: Vec::new(),
             locks: BTreeMap::new(),
@@ -335,85 +309,55 @@ impl<S: UlcpSink> Worker<S> {
                 self.history.record(entry);
             }
         }
-        for ph in packet.placeholders {
-            self.push_placeholder(ph);
+        for placeholder in packet.placeholders {
+            self.push_placeholder(placeholder);
         }
-        for wire in packet.closed {
-            self.close_section(wire);
+        for (row, section) in packet.closed {
+            self.close_section(row as usize, section);
         }
         self.sweep();
         self.retire_and_prune(packet.window_end, false);
         self.sample_peaks();
     }
 
-    fn push_placeholder(&mut self, ph: Placeholder) {
+    fn push_placeholder(&mut self, ph: CriticalSection) {
         debug_assert!(self.sections.last().is_none_or(|s| s.id < ph.id));
         let idx = self.sections.len() as u32;
-        self.sections.push(CriticalSection {
-            id: ph.id,
-            thread: ph.thread,
-            lock: ph.lock,
-            site: ph.site,
-            acquire_index: ph.acquire_index,
-            release_index: 0,
-            enter_time: ph.enter_time,
-            exit_time: ph.enter_time,
-            reads: Footprint::new(),
-            writes: Footprint::new(),
-            accesses: Vec::new(),
-            body_cost: Time::ZERO,
-            depth: ph.depth,
-        });
         self.meta.push(SecMeta {
             key: PairKey::default(),
             id: ph.id,
             thread: ph.thread,
         });
-        self.ids.push(ph.id);
         self.closed.push(false);
         self.pairing.push(None);
         self.live += 1;
-        if !self.locks.contains_key(&ph.lock) {
+        let (lock, ti) = (ph.lock, ph.thread.index());
+        self.sections.push(ph);
+        if !self.locks.contains_key(&lock) {
             let lane = LockLane::new(self.proto.fork(), self.num_threads);
-            self.locks.insert(ph.lock, lane);
+            self.locks.insert(lock, lane);
         }
         self.locks
-            .get_mut(&ph.lock)
+            .get_mut(&lock)
             .expect("lane just ensured")
-            .delivery[ph.thread.index()]
-        .push_back(idx);
+            .delivery[ti]
+            .push_back(idx);
     }
 
-    /// Fills the output section and delivers the head run of the creation
-    /// queue, so candidates reach the searches strictly in id order even
-    /// when re-entrant nesting closes sections out of order.
-    fn close_section(&mut self, wire: ClosedWire) {
-        // Gallop from the tail before the binary search: most sections
-        // close within the chunk window that opened them, so the target is
-        // almost always within the last few thousand rows.
-        let ids: &[SectionId] = &self.ids;
-        let n = ids.len();
-        let mut width = 1usize;
-        while width < n && ids[n - width] > wire.id {
-            width = (width * 2).min(n);
+    /// Replaces the section's placeholder row with the closed section and
+    /// delivers the head run of the creation queue, so candidates reach the
+    /// searches strictly in id order even when re-entrant nesting closes
+    /// sections out of order.
+    fn close_section(&mut self, idx: usize, section: Option<CriticalSection>) {
+        if let Some(section) = section {
+            debug_assert_eq!(self.sections[idx].id, section.id);
+            self.sections[idx] = section;
         }
-        let lo = n - width;
-        let idx = lo
-            + ids[lo..]
-                .binary_search(&wire.id)
-                .expect("closed section was announced as a placeholder");
-        let section = &mut self.sections[idx];
-        section.release_index = wire.release_index;
-        section.exit_time = wire.exit_time;
-        section.reads = Footprint::from_unsorted(wire.reads);
-        section.writes = Footprint::from_unsorted(wire.writes);
-        section.accesses = wire.accesses;
-        section.body_cost = wire.body_cost;
+        let section = &self.sections[idx];
+        let (lock, ti) = (section.lock, section.thread.index());
         self.meta[idx].key = PairKey::of(section);
         self.closed[idx] = true;
 
-        let lock = wire.lock;
-        let ti = wire.thread.index();
         loop {
             let lane = self
                 .locks
@@ -728,34 +672,6 @@ fn run_worker<S: UlcpSink>(
 // Decoder: chunk-contract validation, extraction, id assignment, routing.
 // ---------------------------------------------------------------------------
 
-/// A critical section currently open on some thread.
-struct DecOpen {
-    lock: LockId,
-    site: CodeSiteId,
-    acquire_index: usize,
-    depth: usize,
-    reads: Vec<ObjectId>,
-    writes: Vec<ObjectId>,
-    accesses: Vec<MemAccess>,
-    body_cost: Time,
-    id: Option<SectionId>,
-}
-
-/// A section whose release event has arrived.
-struct DecClosed {
-    thread: ThreadId,
-    release_index: usize,
-    exit_time: Time,
-    open: DecOpen,
-}
-
-/// Per-thread extraction state.
-#[derive(Default)]
-struct DecThread {
-    open: Vec<DecOpen>,
-    exited: bool,
-}
-
 /// The reader/decoder stage: checks each chunk against the chunk contract,
 /// extracts sections, assigns ids in the global
 /// `(enter_time, thread, acquire_index)` order, slot-maps the memory log,
@@ -764,9 +680,15 @@ struct Decoder {
     use_history: bool,
     workers: usize,
     contract: ChunkContract,
-    threads: Vec<DecThread>,
+    /// Per thread, its open sections, each tagged with its id once
+    /// assigned, and whether it has exited.
+    threads: Vec<(SectionBuilder<Option<SectionId>>, bool)>,
     next_id: u32,
     closed_global: Vec<bool>,
+    /// By id: the worker its section was routed to, and its row there.
+    routes: Vec<(u32, u32)>,
+    /// Per worker, the rows routed to it so far.
+    rows: Vec<u32>,
     slot_of: HashMap<ObjectId, u32, IdBuildHasher>,
     lock_acquisitions: usize,
     stats: StreamingStats,
@@ -778,9 +700,13 @@ impl Decoder {
             use_history: config.use_reversed_replay,
             workers,
             contract: ChunkContract::new(Some(num_threads)),
-            threads: (0..num_threads).map(|_| DecThread::default()).collect(),
+            threads: (0..num_threads)
+                .map(|t| (SectionBuilder::new(ThreadId::new(t as u32)), false))
+                .collect(),
             next_id: 0,
             closed_global: Vec::new(),
+            routes: Vec::new(),
+            rows: vec![0; workers],
             slot_of: HashMap::default(),
             lock_acquisitions: 0,
             stats: StreamingStats::default(),
@@ -804,91 +730,48 @@ impl Decoder {
         self.stats.chunks += 1;
         self.stats.peak_chunk_events = self.stats.peak_chunk_events.max(chunk.num_events());
 
-        // Phase A: per-thread extraction. Memory events are collected in
-        // thread-major order so the stable time sort below reproduces the
-        // global tie order.
+        // Phase A: per-thread extraction through each thread's section
+        // builder. Memory events are collected in thread-major order so the
+        // stable time sort below reproduces the global tie order.
         let mut chunk_mem: Vec<(Time, ObjectId, i64, bool)> = Vec::new();
-        let mut new_acquires: Vec<(Time, ThreadId, usize)> = Vec::new();
+        // This chunk's acquires, by `(enter_time, thread, acquire_index)`,
+        // announced once their ids are assigned.
+        let mut announced: Vec<(Time, ThreadId, usize)> = Vec::new();
         // Sections that closed this chunk live in one arena; every later
-        // phase routes 8-byte `(key, arena index)` tuples instead of moving
-        // the ~140-byte records through sorts and maps.
-        let mut closed_arena: Vec<Option<DecClosed>> = Vec::new();
-        let mut closed_now: Vec<(SectionId, u32)> = Vec::new();
-        let mut closed_unassigned: Vec<(ThreadId, usize, u32)> = Vec::new();
+        // phase sorts `(key, arena index)` tuples instead of moving the
+        // section rows.
+        let mut closed_arena: Vec<Option<CriticalSection>> = Vec::new();
+        let mut closed_now: Vec<(SectionId, Option<u32>)> = Vec::new();
+        let key = |s: &CriticalSection| (s.enter_time, s.thread, s.acquire_index);
+        let mut closed_unassigned: Vec<((Time, ThreadId, usize), u32)> = Vec::new();
         let mut newly_exited: Vec<ThreadId> = Vec::new();
 
         for span in &chunk.spans {
-            let state = &mut self.threads[span.thread.index()];
+            let (sections, exited) = &mut self.threads[span.thread.index()];
             for (offset, te) in span.events.iter().enumerate() {
                 let idx = span.base_index.saturating_add(offset);
                 self.stats.events += 1;
+                if let Some((section, id)) = sections.step(idx, te) {
+                    let slot = closed_arena.len() as u32;
+                    match id {
+                        Some(id) => closed_now.push((id, Some(slot))),
+                        None => closed_unassigned.push((key(&section), slot)),
+                    }
+                    closed_arena.push(Some(section));
+                }
                 match &te.event {
-                    Event::LockAcquire { lock, site } => {
+                    Event::LockAcquire { .. } => {
                         self.lock_acquisitions += 1;
-                        state.open.push(DecOpen {
-                            lock: *lock,
-                            site: *site,
-                            acquire_index: idx,
-                            depth: state.open.len(),
-                            reads: Vec::new(),
-                            writes: Vec::new(),
-                            accesses: Vec::new(),
-                            body_cost: Time::ZERO,
-                            id: None,
-                        });
-                        new_acquires.push((te.at, span.thread, idx));
+                        announced.push((te.at, span.thread, idx));
                     }
-                    Event::LockRelease { lock } => {
-                        if let Some(pos) = state.open.iter().rposition(|o| o.lock == *lock) {
-                            let open = state.open.remove(pos);
-                            let closed = DecClosed {
-                                thread: span.thread,
-                                release_index: idx,
-                                exit_time: te.at,
-                                open,
-                            };
-                            let slot = closed_arena.len() as u32;
-                            match closed.open.id {
-                                Some(id) => closed_now.push((id, slot)),
-                                None => closed_unassigned.push((
-                                    span.thread,
-                                    closed.open.acquire_index,
-                                    slot,
-                                )),
-                            }
-                            closed_arena.push(Some(closed));
-                        }
+                    Event::Read { obj, value } if self.use_history => {
+                        chunk_mem.push((te.at, *obj, *value, false));
                     }
-                    Event::Read { obj, value } => {
-                        for o in &mut state.open {
-                            o.reads.push(*obj);
-                            o.accesses.push(MemAccess::Read(*obj));
-                        }
-                        if self.use_history {
-                            chunk_mem.push((te.at, *obj, *value, false));
-                        }
+                    Event::Write { obj, value, .. } if self.use_history => {
+                        chunk_mem.push((te.at, *obj, *value, true));
                     }
-                    Event::Write { obj, op, value } => {
-                        for o in &mut state.open {
-                            o.writes.push(*obj);
-                            o.accesses.push(MemAccess::Write(*obj, *op));
-                        }
-                        if self.use_history {
-                            chunk_mem.push((te.at, *obj, *value, true));
-                        }
-                    }
-                    Event::Compute { cost } => {
-                        for o in &mut state.open {
-                            o.body_cost += *cost;
-                        }
-                    }
-                    Event::SkipRegion { saved_cost, .. } => {
-                        for o in &mut state.open {
-                            o.body_cost += *saved_cost;
-                        }
-                    }
-                    Event::ThreadExit if !state.exited => {
-                        state.exited = true;
+                    Event::ThreadExit if !*exited => {
+                        *exited = true;
                         newly_exited.push(span.thread);
                     }
                     _ => {}
@@ -930,58 +813,34 @@ impl Decoder {
 
         // Phase B.2: assign section ids in the exact global order
         // `extract_critical_sections` produces, and route each placeholder
-        // to its lock's worker.
-        new_acquires.sort_unstable();
-        // Index the closed-before-assignment sections by `(thread, acquire)`
-        // without moving them: a sorted key list over arena slots. (A keyed
-        // map would shuffle the ~140-byte records through its nodes;
-        // sections close once, so lookup-by-index is all that is needed.)
+        // to its lock's worker. A walk alongside finds the sections that
+        // closed before their ids were assigned: each is its own placeholder.
+        announced.sort_unstable();
         closed_unassigned.sort_unstable();
-        let find_closed = |thread: ThreadId, acq: usize| -> Option<u32> {
-            let at = closed_unassigned
-                .binary_search_by_key(&(thread, acq), |&(t, a, _)| (t, a))
-                .ok()?;
-            Some(closed_unassigned[at].2)
-        };
-        for (at, thread, acquire_index) in new_acquires {
+        let mut closed_unassigned = closed_unassigned.into_iter().peekable();
+        for k @ (_, thread, acquire_index) in announced {
             let id = SectionId::new(self.next_id);
             self.next_id += 1;
             self.closed_global.push(false);
-            if let Some(slot) = find_closed(thread, acquire_index) {
-                let closed = closed_arena[slot as usize]
-                    .as_mut()
-                    .expect("closed sections are taken once, in phase B.3");
-                closed.open.id = Some(id);
-                let route = closed.open.lock.index() % self.workers;
-                packets[route].placeholders.push(Placeholder {
-                    id,
-                    thread,
-                    lock: closed.open.lock,
-                    site: closed.open.site,
-                    acquire_index,
-                    enter_time: at,
-                    depth: closed.open.depth,
-                });
-                closed_now.push((id, slot));
-            } else {
-                let state = &mut self.threads[thread.index()];
-                let open = state
-                    .open
-                    .iter_mut()
-                    .find(|o| o.acquire_index == acquire_index)
-                    .expect("acquire recorded this chunk is open or closed this chunk");
-                open.id = Some(id);
-                let route = open.lock.index() % self.workers;
-                packets[route].placeholders.push(Placeholder {
-                    id,
-                    thread,
-                    lock: open.lock,
-                    site: open.site,
-                    acquire_index,
-                    enter_time: at,
-                    depth: open.depth,
-                });
-            }
+            let row = match closed_unassigned.next_if(|&(closed, _)| closed == k) {
+                Some((_, slot)) => {
+                    closed_now.push((id, None));
+                    let closed = closed_arena[slot as usize].take();
+                    closed.expect("each closed section is routed exactly once")
+                }
+                None => {
+                    let open = self.threads[thread.index()].0.open_mut(acquire_index);
+                    let (row, tag) = open.expect("an acquire of this chunk is open or closed");
+                    *tag = Some(id);
+                    row.clone()
+                }
+            };
+            let route = row.lock.index() % self.workers;
+            self.routes.push((route as u32, self.rows[route]));
+            self.rows[route] += 1;
+            packets[route]
+                .placeholders
+                .push(CriticalSection { id, ..row });
         }
 
         // Phase B.3: route closed sections in id order. Within one lock the
@@ -990,21 +849,13 @@ impl Decoder {
         for (id, slot) in closed_now {
             self.closed_global[id.index()] = true;
             self.stats.sections += 1;
-            let closed = closed_arena[slot as usize]
-                .take()
-                .expect("each closed section is routed exactly once");
-            let route = closed.open.lock.index() % self.workers;
-            packets[route].closed.push(ClosedWire {
-                id,
-                thread: closed.thread,
-                lock: closed.open.lock,
-                release_index: closed.release_index,
-                exit_time: closed.exit_time,
-                reads: closed.open.reads,
-                writes: closed.open.writes,
-                accesses: closed.open.accesses,
-                body_cost: closed.open.body_cost,
+            let section = slot.map(|slot| {
+                let closed = closed_arena[slot as usize].take();
+                let closed = closed.expect("each closed section is routed exactly once");
+                CriticalSection { id, ..closed }
             });
+            let (route, row) = self.routes[id.index()];
+            packets[route as usize].closed.push((row, section));
         }
 
         Ok(packets)
@@ -1172,84 +1023,30 @@ impl ParallelStreamingDetector {
             stats.retired_before_end += result.retired_before_end;
             all_sinks.extend(result.sinks);
         }
-        // Assemble the global section table by merging the shards on id:
-        // each shard is ascending (delivery order), every id lives in exactly
-        // one shard, so an id-order merge moves each section once — no
-        // scatter through a `Vec<Option<_>>` twice its size.
+        // Assemble the global section table by route: each shard holds its
+        // ids in ascending order, so id `i` is the next section of the shard
+        // it was routed to, and every section moves once. Sections that
+        // never closed are dropped and the rest renumbered densely.
+        let routed = "every assigned id was routed to exactly one worker";
+        let mut shards: Vec<_> = shard_sections.into_iter().map(Vec::into_iter).collect();
         let mut sections: Vec<CriticalSection> = Vec::with_capacity(total);
-        {
-            // Cursor merge over the shards' `IntoIter`s: `as_slice` peeks by
-            // reference (no buffered move) and each round takes the winner's
-            // whole run — every section strictly below the runner-up's front
-            // id — in one `extend`, so a section moves exactly once.
-            let mut heads: Vec<std::vec::IntoIter<CriticalSection>> =
-                shard_sections.into_iter().map(Vec::into_iter).collect();
-            loop {
-                let mut best: Option<(usize, SectionId)> = None;
-                let mut runner_up: Option<SectionId> = None;
-                for (w, head) in heads.iter().enumerate() {
-                    let Some(s) = head.as_slice().first() else {
-                        continue;
-                    };
-                    match best {
-                        Some((_, b)) if s.id > b => {
-                            if runner_up.is_none_or(|r| s.id < r) {
-                                runner_up = Some(s.id);
-                            }
-                        }
-                        Some((_, b)) => {
-                            runner_up = Some(b);
-                            best = Some((w, s.id));
-                        }
-                        None => best = Some((w, s.id)),
-                    }
-                }
-                let Some((w, id)) = best else { break };
-                debug_assert!(
-                    sections.last().is_none_or(|p| p.id < id),
-                    "each id is owned by one worker"
-                );
-                let run = match runner_up {
-                    None => heads[w].as_slice().len(),
-                    Some(r) => {
-                        let pending = heads[w].as_slice();
-                        let mut n = 1;
-                        while n < pending.len() && pending[n].id < r {
-                            n += 1;
-                        }
-                        n
-                    }
-                };
-                sections.extend(heads[w].by_ref().take(run));
+        let mut remap: Vec<Option<SectionId>> = Vec::with_capacity(total);
+        for (&(route, _), &closed) in decoder.routes.iter().zip(&decoder.closed_global) {
+            let section = shards[route as usize].next().expect(routed);
+            assert_eq!(section.id.index(), remap.len(), "{routed}");
+            let kept = closed.then(|| SectionId::new(sections.len() as u32));
+            remap.push(kept);
+            if let Some(id) = kept {
+                sections.push(CriticalSection { id, ..section });
             }
         }
-        assert_eq!(
-            sections.len(),
-            total,
-            "every assigned id was routed to exactly one worker"
-        );
+        assert!(shards.iter().all(|shard| shard.len() == 0), "{routed}");
         all_sinks.sort_unstable_by_key(|&(lock, _)| lock);
         for (_, shard) in all_sinks {
             root.absorb(shard);
         }
         stats.peak_live_pairs = stats.peak_live_pairs.max(root.resident_entries());
-
-        // Drop sections that never closed and renumber densely.
-        if decoder.closed_global.iter().any(|&c| !c) {
-            let mut remap: Vec<Option<SectionId>> = Vec::with_capacity(total);
-            let mut kept = 0u32;
-            for &closed in &decoder.closed_global {
-                if closed {
-                    remap.push(Some(SectionId::new(kept)));
-                    kept += 1;
-                } else {
-                    remap.push(None);
-                }
-            }
-            sections.retain(|s| remap[s.id.index()].is_some());
-            for s in &mut sections {
-                s.id = remap[s.id.index()].expect("kept section has a mapping");
-            }
+        if sections.len() < total {
             root.remap_sections(&remap);
         }
         root.seal(&sections);
@@ -1301,7 +1098,10 @@ mod tests {
     use perfplay_program::ProgramBuilder;
     use perfplay_record::Recorder;
     use perfplay_sim::SimConfig;
-    use perfplay_trace::{TraceError, TraceMeta};
+    use perfplay_trace::{
+        extract_critical_sections, CodeSiteId, Footprint, MemAccess, TraceError, TraceMeta,
+        TraceStats,
+    };
 
     fn record(build: impl FnOnce(&mut ProgramBuilder)) -> Trace {
         let mut b = ProgramBuilder::new("pstream-test");
@@ -1615,6 +1415,173 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Hand-built threads that exercise every branch of the section rule:
+    /// an orphan release, a never-released acquire, a same-lock re-entry, a
+    /// non-LIFO release, and reads, writes, compute and skipped regions
+    /// inside nested sections.
+    fn section_rule_trace() -> Trace {
+        use perfplay_trace::WriteOp;
+        let acquire = |lock: u32, site: u32| Event::LockAcquire {
+            lock: LockId::new(lock),
+            site: CodeSiteId::new(site),
+        };
+        let release = |lock: u32| Event::LockRelease {
+            lock: LockId::new(lock),
+        };
+        let read = |obj: u64| Event::Read {
+            obj: ObjectId::new(obj),
+            value: 0,
+        };
+        let write = |obj: u64, op: WriteOp| Event::Write {
+            obj: ObjectId::new(obj),
+            op,
+            value: 1,
+        };
+        let compute = |ns: u64| Event::Compute {
+            cost: Time::from_nanos(ns),
+        };
+        let skip = |ns: u64| Event::SkipRegion {
+            site: CodeSiteId::new(9),
+            saved_cost: Time::from_nanos(ns),
+        };
+        let threads: [Vec<(u64, Event)>; 3] = [
+            // T0: an orphan release, then L0 re-entered under itself.
+            vec![
+                (1, release(1)),
+                (2, acquire(0, 0)),
+                (3, read(0)),
+                (4, acquire(0, 1)),
+                (5, write(1, WriteOp::Set(5))),
+                (6, release(0)),
+                (13, compute(7)),
+                (14, release(0)),
+            ],
+            // T1: L0 released before the L1 nested in it, and L2 opened
+            // under L1 alone.
+            vec![
+                (3, acquire(0, 2)),
+                (4, acquire(1, 3)),
+                (5, read(1)),
+                (6, release(0)),
+                (7, write(0, WriteOp::Add(2))),
+                (10, skip(3)),
+                (11, acquire(2, 4)),
+                (12, read(2)),
+                (13, release(1)),
+                (14, release(2)),
+            ],
+            // T2: L1 is never released; L2 nests in it and closes.
+            vec![
+                (2, acquire(1, 5)),
+                (3, read(0)),
+                (7, compute(4)),
+                (8, acquire(2, 6)),
+                (9, write(2, WriteOp::Set(1))),
+                (10, release(2)),
+                (11, Event::ThreadExit),
+            ],
+        ];
+        let mut trace = Trace::new(TraceMeta::default(), threads.len());
+        for (tt, events) in trace.threads.iter_mut().zip(threads) {
+            for (at, event) in events {
+                tt.push(Time::from_nanos(at), event);
+            }
+        }
+        trace.total_time = Time::from_nanos(14);
+        trace
+    }
+
+    /// One section as a table row, every field spelled out.
+    fn section_row(s: &CriticalSection) -> String {
+        let objects = |f: &Footprint| {
+            let names: Vec<String> = f.iter().map(|o| o.to_string()).collect();
+            names.join(",")
+        };
+        let accesses: Vec<String> = s
+            .accesses
+            .iter()
+            .map(|a| match a {
+                MemAccess::Read(o) => format!("R {o}"),
+                MemAccess::Write(o, op) => format!("W {o} {op:?}"),
+            })
+            .collect();
+        format!(
+            "{} {} {} {} acq {} rel {} at {}..{} depth {} reads [{}] writes [{}] \
+             accesses [{}] body {}",
+            s.id,
+            s.thread,
+            s.lock,
+            s.site,
+            s.acquire_index,
+            s.release_index,
+            s.enter_time.as_nanos(),
+            s.exit_time.as_nanos(),
+            s.depth,
+            objects(&s.reads),
+            objects(&s.writes),
+            accesses.join(", "),
+            s.body_cost.as_nanos(),
+        )
+    }
+
+    /// The section rule, pinned by a table recorded before extraction and
+    /// the streaming decoder shared one builder: batch extraction, the
+    /// streaming detector at every worker count and chunk size, the trace
+    /// statistics and validation all agree with it.
+    #[test]
+    fn the_section_rule_is_pinned() {
+        let trace = section_rule_trace();
+        let rows: Vec<String> = extract_critical_sections(&trace)
+            .iter()
+            .map(section_row)
+            .collect();
+        let expected = [
+            "CS0 T0 L0 site0 acq 1 rel 7 at 2..14 depth 0 reads [obj0] writes [obj1] accesses [R obj0, W obj1 Set(5)] body 7",
+            "CS1 T1 L0 site2 acq 0 rel 3 at 3..6 depth 0 reads [obj1] writes [] accesses [R obj1] body 0",
+            "CS2 T0 L0 site1 acq 3 rel 5 at 4..6 depth 1 reads [] writes [obj1] accesses [W obj1 Set(5)] body 0",
+            "CS3 T1 L1 site3 acq 1 rel 8 at 4..13 depth 1 reads [obj1,obj2] writes [obj0] accesses [R obj1, W obj0 Add(2), R obj2] body 3",
+            "CS4 T2 L2 site6 acq 3 rel 5 at 8..10 depth 1 reads [] writes [obj2] accesses [W obj2 Set(1)] body 0",
+            "CS5 T1 L2 site4 acq 6 rel 9 at 11..14 depth 1 reads [obj2] writes [] accesses [R obj2] body 0",
+        ];
+        assert_eq!(rows, expected);
+        for chunk_events in [1, 3] {
+            for workers in [1, 2] {
+                let streamed =
+                    ParallelStreamingDetector::with_workers(DetectorConfig::default(), workers)
+                        .analyze_trace(&trace, chunk_events)
+                        .unwrap();
+                let streamed: Vec<String> =
+                    streamed.analysis.sections.iter().map(section_row).collect();
+                assert_eq!(streamed, expected, "chunk={chunk_events} workers={workers}");
+            }
+        }
+        // Six sections close, from six sites: T2's site 5 never closes.
+        let stats = TraceStats::of(&trace);
+        assert_eq!(
+            stats,
+            TraceStats {
+                threads: 3,
+                events: 25,
+                lock_acquisitions: 7,
+                critical_sections: 6,
+                reads: 4,
+                writes: 3,
+                cond_waits: 0,
+                barrier_waits: 0,
+                static_sites: 6,
+                total_time: Time::from_nanos(14),
+                total_compute: Time::from_nanos(14),
+            }
+        );
+        assert_eq!(
+            trace.validate(),
+            Err(TraceError::UnbalancedLocking {
+                thread: ThreadId::new(0),
+                lock: LockId::new(1),
+            })
+        );
     }
 
     #[test]

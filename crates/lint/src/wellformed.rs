@@ -4,7 +4,10 @@
 //! [`perfplay_trace::RawChunkRecords`]) and reports *every* finding with
 //! exact coordinates instead of stopping at the first failure: it asks the
 //! readers' [`ChunkContract`] for every violation, and adds its own checks
-//! of sequence numbers, lock discipline, condvars and barriers. Memory stays
+//! of sequence numbers, lock discipline, condvars and barriers. Releases
+//! pair through [`OpenLocks`], detection's rule: a re-entrant acquire is
+//! [`DiagnosticCode::ReentrantAcquire`] but stays open, so the held locks
+//! are exactly the sections detection has open. Memory stays
 //! chunk-bounded: per-thread cursors, held-lock stacks, the condvar/barrier
 //! pairing state and the lock-order graph are all O(threads + locks), never
 //! O(events), so a 12M-event file lints without materializing a `Trace`.
@@ -25,7 +28,7 @@ use std::path::Path;
 
 use perfplay_trace::{
     BarrierId, ChunkContract, ChunkFileRecord, ChunkFileTrailer, CondId, ContractViolation, Event,
-    EventSource, LockId, RawChunkRecords, SiteTable, StreamError, StreamItem, ThreadId, Time,
+    EventSource, OpenLocks, RawChunkRecords, SiteTable, StreamError, StreamItem, ThreadId, Time,
     Trace, TraceChunk, TraceChunks, TraceError,
 };
 
@@ -58,13 +61,6 @@ impl Default for LintConfig {
     }
 }
 
-/// One lock a thread currently holds, with where it was acquired.
-#[derive(Debug, Clone)]
-struct HeldLock {
-    lock: LockId,
-    detail: String,
-}
-
 #[derive(Debug, Clone)]
 struct PendingWait {
     cond: CondId,
@@ -89,7 +85,9 @@ pub struct StreamLinter {
     contract: ChunkContract,
     last_seq: Option<u64>,
     seq_resync: bool,
-    held: Vec<Vec<HeldLock>>,
+    /// Per thread, the acquires still open with where each was made:
+    /// exactly the sections detection has open.
+    held: Vec<OpenLocks<String>>,
     last_grant_seq: Option<u64>,
     gap_seen: bool,
     pending_waits: Vec<PendingWait>,
@@ -120,7 +118,7 @@ impl StreamLinter {
             contract: ChunkContract::new(num_threads),
             last_seq: None,
             seq_resync: false,
-            held: vec![Vec::new(); n],
+            held: vec![OpenLocks::default(); n],
             last_grant_seq: None,
             gap_seen: false,
             pending_waits: Vec::new(),
@@ -162,7 +160,7 @@ impl StreamLinter {
 
     fn ensure_thread(&mut self, ti: usize) {
         if self.held.len() <= ti {
-            self.held.resize_with(ti + 1, Vec::new);
+            self.held.resize_with(ti + 1, OpenLocks::default);
         }
         if self.num_threads.is_none() {
             self.stats.threads = self.stats.threads.max(ti as u32 + 1);
@@ -177,9 +175,7 @@ impl StreamLinter {
         self.gap_seen = true;
         self.seq_resync = true;
         self.contract.note_gap();
-        for stack in &mut self.held {
-            stack.clear();
-        }
+        self.held.fill(OpenLocks::default());
         self.pending_waits.clear();
     }
 
@@ -223,9 +219,19 @@ impl StreamLinter {
                 self.stats.events += 1;
                 match &te.event {
                     Event::LockAcquire { lock, site } => {
-                        if self.held[ti].iter().any(|h| h.lock == *lock) {
+                        let detail = format!(
+                            "{} acquired {} at {} (chunk {}, event {})",
+                            span.thread,
+                            lock,
+                            self.site_name(*site),
+                            chunk.seq,
+                            index
+                        );
+                        // A re-entrant acquire opens a section as any other
+                        // does, but orders nothing against the locks held.
+                        if self.held[ti].holds(*lock) {
                             let witness: Vec<String> =
-                                self.held[ti].iter().map(|h| h.detail.clone()).collect();
+                                self.held[ti].iter().map(|(_, d)| d.clone()).collect();
                             self.emit(
                                 Diagnostic::new(
                                     DiagnosticCode::ReentrantAcquire,
@@ -238,52 +244,46 @@ impl StreamLinter {
                                 .with_witness(witness),
                             );
                         } else {
-                            let detail = format!(
-                                "{} acquired {} at {} (chunk {}, event {})",
-                                span.thread,
-                                lock,
-                                self.site_name(*site),
-                                chunk.seq,
-                                index
-                            );
-                            for h in &self.held[ti] {
-                                self.graph.record(h.lock, *lock, span.thread, &detail);
+                            for (held, _) in self.held[ti].iter() {
+                                self.graph.record(held, *lock, span.thread, &detail);
                             }
-                            self.held[ti].push(HeldLock {
-                                lock: *lock,
-                                detail,
-                            });
                         }
+                        self.held[ti].acquire(*lock, detail);
                     }
-                    Event::LockRelease { lock } => {
-                        let stack = &mut self.held[ti];
-                        if stack.last().is_some_and(|h| h.lock == *lock) {
-                            stack.pop();
-                        } else if let Some(pos) = stack.iter().rposition(|h| h.lock == *lock) {
-                            let over: Vec<String> =
-                                stack[pos + 1..].iter().map(|h| h.detail.clone()).collect();
-                            stack.remove(pos);
-                            self.emit(
-                                Diagnostic::new(
-                                    DiagnosticCode::NonLifoRelease,
-                                    self.locate(loc(), file),
-                                    format!(
-                                        "{} releases {} before locks acquired after it",
-                                        span.thread, lock
-                                    ),
-                                )
-                                .with_witness(over),
-                            );
-                        } else if !self.gap_seen {
+                    Event::LockRelease { lock } => match self.held[ti].release(*lock) {
+                        // The acquires still open from its position on were
+                        // made after it.
+                        Some((pos, _)) => {
+                            let over: Vec<String> = self.held[ti]
+                                .iter()
+                                .skip(pos)
+                                .map(|(_, d)| d.clone())
+                                .collect();
+                            if !over.is_empty() {
+                                self.emit(
+                                    Diagnostic::new(
+                                        DiagnosticCode::NonLifoRelease,
+                                        self.locate(loc(), file),
+                                        format!(
+                                            "{} releases {} before locks acquired after it",
+                                            span.thread, lock
+                                        ),
+                                    )
+                                    .with_witness(over),
+                                );
+                            }
+                        }
+                        None if !self.gap_seen => {
                             self.emit(Diagnostic::new(
                                 DiagnosticCode::UnbalancedRelease,
                                 self.locate(loc(), file),
                                 format!("{} releases {} without holding it", span.thread, lock),
                             ));
                         }
-                    }
+                        None => {}
+                    },
                     Event::CondWait { cond, lock } => {
-                        if !self.held[ti].iter().any(|h| h.lock == *lock) && !self.gap_seen {
+                        if !self.held[ti].holds(*lock) && !self.gap_seen {
                             self.emit(Diagnostic::new(
                                 DiagnosticCode::UnbalancedRelease,
                                 self.locate(loc(), file),
@@ -428,11 +428,11 @@ impl StreamLinter {
         }
         if !self.gap_seen {
             for ti in 0..self.held.len() {
-                if self.held[ti].is_empty() {
+                let locks: Vec<String> = self.held[ti].iter().map(|(l, _)| l.to_string()).collect();
+                if locks.is_empty() {
                     continue;
                 }
-                let locks: Vec<String> = self.held[ti].iter().map(|h| h.lock.to_string()).collect();
-                let witness: Vec<String> = self.held[ti].iter().map(|h| h.detail.clone()).collect();
+                let witness: Vec<String> = self.held[ti].iter().map(|(_, d)| d.clone()).collect();
                 self.emit(
                     Diagnostic::new(
                         DiagnosticCode::UnreleasedLock,
@@ -686,7 +686,9 @@ fn lint_records(path_str: String, records: RawChunkRecords, config: &LintConfig)
 mod tests {
     use super::*;
     use crate::diag::Severity;
-    use perfplay_trace::{CodeSiteId, LockGrant, ObjectId, ThreadSpan, TimedEvent, TraceMeta};
+    use perfplay_trace::{
+        CodeSiteId, LockGrant, LockId, ObjectId, ThreadSpan, TimedEvent, TraceMeta,
+    };
 
     fn clean_trace() -> Trace {
         let mut trace = Trace::new(TraceMeta::default(), 2);
@@ -776,6 +778,49 @@ mod tests {
             .diagnostics
             .iter()
             .any(|d| d.code == DiagnosticCode::ReentrantAcquire));
+    }
+
+    /// A re-entrant acquire stays open, as it does for detection: released
+    /// twice it leaves nothing held, released once it leaves one acquire.
+    #[test]
+    fn reentrant_acquire_stays_open_until_released() {
+        let acquire = Event::LockAcquire {
+            lock: LockId::new(0),
+            site: CodeSiteId::new(0),
+        };
+        let release = Event::LockRelease {
+            lock: LockId::new(0),
+        };
+        let cases = [
+            (
+                vec![
+                    acquire.clone(),
+                    acquire.clone(),
+                    release.clone(),
+                    release.clone(),
+                ],
+                vec![DiagnosticCode::ReentrantAcquire],
+            ),
+            (
+                vec![acquire.clone(), acquire, release],
+                vec![
+                    DiagnosticCode::ReentrantAcquire,
+                    DiagnosticCode::UnreleasedLock,
+                ],
+            ),
+        ];
+        for (events, expected) in cases {
+            let mut trace = Trace::new(TraceMeta::default(), 1);
+            for (i, event) in events.into_iter().enumerate() {
+                trace.threads[0].push(Time::from_nanos(i as u64 + 1), event);
+            }
+            for chunk_events in 1..=4 {
+                let report = lint_trace(&trace, chunk_events);
+                let codes: Vec<DiagnosticCode> =
+                    report.diagnostics.iter().map(|d| d.code).collect();
+                assert_eq!(codes, expected, "{}", report.render_human());
+            }
+        }
     }
 
     #[test]

@@ -64,7 +64,10 @@ pub use footprint::Footprint;
 pub use ids::{AuxLockId, BarrierId, CodeSiteId, CondId, LockId, ObjectId, SectionId, ThreadId};
 pub use pbin::ChunkFormat;
 pub use pipelined::{default_decode_workers, PipelinedChunkReader};
-pub use section::{extract_critical_sections, sections_by_lock, CriticalSection, MemAccess};
+pub use section::{
+    extract_critical_sections, sections_by_lock, CriticalSection, MemAccess, OpenLocks,
+    SectionBuilder,
+};
 pub use site::{CodeRegion, CodeSite, SiteTable};
 pub use stats::TraceStats;
 pub use stream::{

@@ -3,13 +3,17 @@
 //! A *critical section* is one dynamic execution of a lock/unlock pair. The
 //! ULCP analysis works on critical sections: their shared read/write sets (the
 //! paper's shadow-memory state `C.Srd` / `C.Swr`), the code site that produced
-//! them, and their position in the recorded timing order.
+//! them, and their position in the recorded timing order. Which acquire a
+//! release closes, and what a section collects, is decided here alone:
+//! batch extraction and the streaming decoder build through
+//! [`SectionBuilder`], and the trace statistics, validation and the linter
+//! pair releases through its lock-only core, [`OpenLocks`].
 
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::event::{Event, WriteOp};
+use crate::event::{Event, TimedEvent, WriteOp};
 use crate::footprint::Footprint;
 use crate::ids::{CodeSiteId, LockId, ObjectId, SectionId, ThreadId};
 use crate::time::Time;
@@ -103,91 +107,171 @@ impl CriticalSection {
     }
 }
 
-/// Extracts every dynamic critical section from a trace.
-///
-/// Nested critical sections are all reported; a shared access performed while
-/// several locks are held is attributed to every open section, matching how
-/// the paper's shadow memory records "all shared reads/writes in the critical
-/// section".
+/// One thread's open acquires, innermost last, each with a value of the
+/// caller's: the lock-only core of [`SectionBuilder`]. A release closes the
+/// innermost open acquire of its lock, innermost overall or not, and
+/// nothing if none is open; a re-entrant acquire opens a second entry.
+#[derive(Debug, Clone)]
+pub struct OpenLocks<T> {
+    held: Vec<(LockId, T)>,
+}
+
+impl<T> Default for OpenLocks<T> {
+    fn default() -> Self {
+        OpenLocks { held: Vec::new() }
+    }
+}
+
+impl<T> OpenLocks<T> {
+    /// Opens an acquire of `lock` carrying `value`, innermost.
+    #[inline]
+    pub fn acquire(&mut self, lock: LockId, value: T) {
+        self.held.push((lock, value));
+    }
+
+    /// Closes the innermost open acquire of `lock`, returning its position
+    /// in the stack and its value, or `None` if no acquire of `lock` is
+    /// open. The acquires still open from that position on were made after
+    /// it: the release is out of LIFO order if there are any.
+    pub fn release(&mut self, lock: LockId) -> Option<(usize, T)> {
+        let pos = self.held.iter().rposition(|(l, _)| *l == lock)?;
+        Some((pos, self.held.remove(pos).1))
+    }
+
+    /// Whether an acquire of `lock` is open.
+    pub fn holds(&self, lock: LockId) -> bool {
+        self.held.iter().any(|(l, _)| *l == lock)
+    }
+
+    /// The open acquires, outermost first.
+    pub fn iter(&self) -> impl Iterator<Item = (LockId, &T)> + '_ {
+        self.held.iter().map(|(lock, value)| (*lock, value))
+    }
+}
+
+/// A section [`SectionBuilder`] has open: the row so far, and the objects
+/// read and written (raw, interned into `Footprint`s when it closes).
+#[derive(Debug, Clone)]
+struct OpenSection<T> {
+    section: CriticalSection,
+    reads: Vec<ObjectId>,
+    writes: Vec<ObjectId>,
+    tag: T,
+}
+
+/// Builds one thread's critical sections from its events in program order.
+/// An acquire opens a section at the current depth, a release closes one
+/// by [`OpenLocks`]' rule, and reads, writes, compute and skipped regions
+/// accrue to *every* open section (the paper's shadow memory records "all
+/// shared reads/writes in the critical section"). Each open section
+/// carries a tag of the caller's, `T::default()` at the acquire.
+#[derive(Debug, Clone)]
+pub struct SectionBuilder<T = ()> {
+    thread: ThreadId,
+    open: OpenLocks<OpenSection<T>>,
+}
+
+impl<T: Default> SectionBuilder<T> {
+    /// A builder for `thread`'s sections, none open.
+    pub fn new(thread: ThreadId) -> Self {
+        SectionBuilder {
+            thread,
+            open: OpenLocks::default(),
+        }
+    }
+
+    /// The number of open sections: the depth the next acquire opens at.
+    pub fn depth(&self) -> usize {
+        self.open.held.len()
+    }
+
+    /// Feeds the thread's event at `index` (its position in the thread's
+    /// whole stream). A release that closes a section returns it with its
+    /// tag; the section's `id` is left at 0 for the caller to assign.
+    #[inline]
+    pub fn step(&mut self, index: usize, event: &TimedEvent) -> Option<(CriticalSection, T)> {
+        let open = self.open.held.iter_mut().map(|(_, o)| o);
+        match &event.event {
+            Event::LockAcquire { lock, site } => {
+                let section = CriticalSection {
+                    id: SectionId::new(0),
+                    thread: self.thread,
+                    lock: *lock,
+                    site: *site,
+                    acquire_index: index,
+                    release_index: index,
+                    enter_time: event.at,
+                    exit_time: event.at,
+                    reads: Footprint::new(),
+                    writes: Footprint::new(),
+                    accesses: Vec::new(),
+                    body_cost: Time::ZERO,
+                    depth: self.depth(),
+                };
+                let opened = OpenSection {
+                    section,
+                    reads: Vec::new(),
+                    writes: Vec::new(),
+                    tag: T::default(),
+                };
+                self.open.acquire(*lock, opened);
+            }
+            Event::LockRelease { lock } => return self.close(*lock, index, event.at),
+            Event::Read { obj, .. } => {
+                for o in open {
+                    o.reads.push(*obj);
+                    o.section.accesses.push(MemAccess::Read(*obj));
+                }
+            }
+            Event::Write { obj, op, .. } => {
+                for o in open {
+                    o.writes.push(*obj);
+                    o.section.accesses.push(MemAccess::Write(*obj, *op));
+                }
+            }
+            Event::Compute { cost: spent }
+            | Event::SkipRegion {
+                saved_cost: spent, ..
+            } => {
+                for o in open {
+                    o.section.body_cost += *spent;
+                }
+            }
+            _ => {}
+        }
+        None
+    }
+
+    /// The open section acquired at `acquire_index`, if it is still open:
+    /// its row so far, and its tag.
+    pub fn open_mut(&mut self, acquire_index: usize) -> Option<(&CriticalSection, &mut T)> {
+        let mut open = self.open.held.iter_mut().map(|(_, o)| o);
+        let o = open.find(|o| o.section.acquire_index == acquire_index)?;
+        Some((&o.section, &mut o.tag))
+    }
+
+    fn close(&mut self, lock: LockId, index: usize, at: Time) -> Option<(CriticalSection, T)> {
+        let (_, mut o) = self.open.release(lock)?;
+        o.section.release_index = index;
+        o.section.exit_time = at;
+        o.section.reads = Footprint::from_unsorted(o.reads);
+        o.section.writes = Footprint::from_unsorted(o.writes);
+        Some((o.section, o.tag))
+    }
+}
+
+/// Extracts every dynamic critical section from a trace, each thread's
+/// through a [`SectionBuilder`].
 ///
 /// The returned vector is sorted by original entry time (ties broken by thread
 /// id), and [`SectionId`]s are assigned in that order.
 pub fn extract_critical_sections(trace: &Trace) -> Vec<CriticalSection> {
-    struct Open {
-        lock: LockId,
-        site: CodeSiteId,
-        acquire_index: usize,
-        enter_time: Time,
-        // Raw (possibly duplicated) access lists; interned into sorted
-        // `Footprint`s once, when the section closes.
-        reads: Vec<ObjectId>,
-        writes: Vec<ObjectId>,
-        accesses: Vec<MemAccess>,
-        body_cost: Time,
-        depth: usize,
-    }
-
     let mut sections = Vec::new();
     for tt in &trace.threads {
-        let mut open: Vec<Open> = Vec::new();
+        let mut builder = SectionBuilder::<()>::new(tt.thread);
         for (idx, te) in tt.events.iter().enumerate() {
-            match &te.event {
-                Event::LockAcquire { lock, site } => {
-                    open.push(Open {
-                        lock: *lock,
-                        site: *site,
-                        acquire_index: idx,
-                        enter_time: te.at,
-                        reads: Vec::new(),
-                        writes: Vec::new(),
-                        accesses: Vec::new(),
-                        body_cost: Time::ZERO,
-                        depth: open.len(),
-                    });
-                }
-                Event::LockRelease { lock } => {
-                    if let Some(pos) = open.iter().rposition(|o| o.lock == *lock) {
-                        let o = open.remove(pos);
-                        sections.push(CriticalSection {
-                            id: SectionId::new(0), // renumbered below
-                            thread: tt.thread,
-                            lock: o.lock,
-                            site: o.site,
-                            acquire_index: o.acquire_index,
-                            release_index: idx,
-                            enter_time: o.enter_time,
-                            exit_time: te.at,
-                            reads: Footprint::from_unsorted(o.reads),
-                            writes: Footprint::from_unsorted(o.writes),
-                            accesses: o.accesses,
-                            body_cost: o.body_cost,
-                            depth: o.depth,
-                        });
-                    }
-                }
-                Event::Read { obj, .. } => {
-                    for o in &mut open {
-                        o.reads.push(*obj);
-                        o.accesses.push(MemAccess::Read(*obj));
-                    }
-                }
-                Event::Write { obj, op, .. } => {
-                    for o in &mut open {
-                        o.writes.push(*obj);
-                        o.accesses.push(MemAccess::Write(*obj, *op));
-                    }
-                }
-                Event::Compute { cost } => {
-                    for o in &mut open {
-                        o.body_cost += *cost;
-                    }
-                }
-                Event::SkipRegion { saved_cost, .. } => {
-                    for o in &mut open {
-                        o.body_cost += *saved_cost;
-                    }
-                }
-                _ => {}
+            if let Some((section, ())) = builder.step(idx, te) {
+                sections.push(section);
             }
         }
     }

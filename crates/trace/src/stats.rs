@@ -3,7 +3,8 @@
 use serde::{Deserialize, Serialize};
 
 use crate::event::Event;
-use crate::ids::LockId;
+use crate::ids::CodeSiteId;
+use crate::section::OpenLocks;
 use crate::time::Time;
 use crate::trace::Trace;
 
@@ -27,7 +28,8 @@ pub struct TraceStats {
     pub cond_waits: usize,
     /// Barrier waits.
     pub barrier_waits: usize,
-    /// Distinct static code sites that produced critical sections.
+    /// Distinct static code sites that produced critical sections: a site
+    /// counts once one of its sections closes.
     pub static_sites: usize,
     /// Makespan of the original execution.
     pub total_time: Time,
@@ -44,26 +46,22 @@ impl TraceStats {
             ..TraceStats::default()
         };
         let mut sites = std::collections::BTreeSet::new();
-        // Locks currently held per thread, innermost last: a release closes
-        // the innermost open acquire of its lock, the same matching rule as
-        // `extract_critical_sections`, so the count agrees without building
-        // the sections.
-        let mut open: Vec<LockId> = Vec::new();
+        // Each thread's open acquires with their sites: sections close by
+        // extraction's rule, without being built.
         for tt in &trace.threads {
-            open.clear();
+            let mut open: OpenLocks<CodeSiteId> = OpenLocks::default();
             for te in &tt.events {
                 stats.events += 1;
                 stats.total_compute += te.event.intrinsic_cost();
                 match &te.event {
                     Event::LockAcquire { lock, site } => {
                         stats.lock_acquisitions += 1;
-                        sites.insert(*site);
-                        open.push(*lock);
+                        open.acquire(*lock, *site);
                     }
                     Event::LockRelease { lock } => {
-                        if let Some(pos) = open.iter().rposition(|l| l == lock) {
-                            open.remove(pos);
+                        if let Some((_, site)) = open.release(*lock) {
                             stats.critical_sections += 1;
+                            sites.insert(site);
                         }
                     }
                     Event::Read { .. } => stats.reads += 1,
@@ -83,7 +81,7 @@ impl TraceStats {
 mod tests {
     use super::*;
     use crate::event::WriteOp;
-    use crate::ids::{CodeSiteId, ObjectId};
+    use crate::ids::{LockId, ObjectId};
     use crate::section::extract_critical_sections;
     use crate::trace::TraceMeta;
 

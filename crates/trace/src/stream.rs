@@ -259,6 +259,17 @@ pub trait EventSource {
     }
 }
 
+/// `events.partition_point(pred)`, searched from the front in doubling
+/// steps: cheap when the answer is near the start.
+fn gallop(events: &[TimedEvent], pred: impl Fn(&TimedEvent) -> bool) -> usize {
+    let mut end = 1;
+    while end <= events.len() && pred(&events[end - 1]) {
+        end *= 2;
+    }
+    let start = end / 2;
+    start + events[start..(end - 1).min(events.len())].partition_point(pred)
+}
+
 /// [`EventSource`] adapter over an in-memory [`Trace`]: the one place
 /// where a trace is cut into time windows. `perfplay-record`'s
 /// `spill_trace` writes exactly these chunks, so a stream and its spill
@@ -285,6 +296,10 @@ pub trait EventSource {
 /// equal-timestamp ties never straddle a boundary, and a thread that has
 /// not started holds every window back.
 ///
+/// Each window's closing visit is found without visiting events one by
+/// one: it is the latest of the budget's visit and, per thread, the visit
+/// of its first event that can end a window, each a binary search.
+///
 /// The windows need each thread at its own index and its timestamps never
 /// decreasing ([`Trace::check_order`]); on a trace without that order,
 /// [`next_chunk`](EventSource::next_chunk) returns the
@@ -296,9 +311,10 @@ pub struct TraceChunks<'a> {
     /// [`Trace::check_order`]'s verdict; an error is every `next_chunk`'s
     /// answer.
     order: Result<(), TraceError>,
-    /// Events visited, per thread.
+    /// Events visited, per thread, once the last window's closing visit is.
     visited: Vec<usize>,
-    /// Events written into chunks, per thread.
+    /// Events written into chunks, per thread: exactly those up to the last
+    /// window's end.
     written: Vec<usize>,
     /// Visited events not yet written.
     unwritten: usize,
@@ -309,6 +325,10 @@ pub struct TraceChunks<'a> {
     /// Sequence number of the next chunk.
     seq: u64,
 }
+
+/// A visit of thread `.1`'s event `.2`, at `.0`: events are visited in
+/// this tuple's order.
+type Visit = (Time, usize, usize);
 
 impl<'a> TraceChunks<'a> {
     /// Creates a chunked view over `trace` targeting `chunk_events` events
@@ -327,38 +347,112 @@ impl<'a> TraceChunks<'a> {
         }
     }
 
-    /// The next event to visit, as its timestamp and thread index: the
-    /// smallest timestamp, ties to the lower thread index (`min_by_key`
-    /// keeps the first of equal keys).
-    fn next_event(&self) -> Option<(Time, usize)> {
-        self.trace
-            .threads
-            .iter()
-            .zip(&self.visited)
-            .enumerate()
-            .filter_map(|(ti, (t, &visited))| t.events.get(visited).map(|e| (e.at, ti)))
-            .min_by_key(|&(at, _)| at)
+    /// The index past thread `ti`'s events from `from` on that come before
+    /// `at`, or at it too if `inclusive`.
+    fn count(&self, ti: usize, from: usize, at: Time, inclusive: bool) -> usize {
+        let events = &self.trace.threads[ti].events[from..];
+        from + gallop(events, |e| e.at < at || (inclusive && e.at == at))
     }
 
-    /// The end of the window every thread has moved past, right after
-    /// thread `just_visited` was visited, or `None` if no window may close.
-    fn complete_window(&self, just_visited: usize) -> Option<Time> {
-        let mut earliest = Time::MAX;
-        for (ti, (t, &visited)) in self.trace.threads.iter().zip(&self.visited).enumerate() {
-            if t.events.is_empty() || (visited == t.events.len() && ti != just_visited) {
-                continue;
-            }
-            earliest = earliest.min(t.events[..visited].last()?.at);
+    /// How many of thread `ti`'s events are visited once `visit`, no
+    /// earlier than the last closing visit, is.
+    fn visited(&self, ti: usize, (at, thread, index): Visit) -> usize {
+        if ti == thread {
+            index + 1
+        } else {
+            self.count(ti, self.visited[ti], at, ti < thread)
         }
-        let window_end = match earliest.as_nanos().checked_sub(1) {
-            Some(end) => Time::from_nanos(end),
-            // No time precedes 0: an event at 0 still to visit would land
-            // behind the window.
-            None if self.next_event().is_some_and(|(at, _)| at == Time::ZERO) => return None,
-            None => Time::ZERO,
+    }
+
+    /// The first visit after `visit` (after the last closing visit for
+    /// `None`), if an event is left.
+    fn next_visit(&self, visit: Option<Visit>) -> Option<Visit> {
+        let threads = self.trace.threads.iter().enumerate();
+        let next = threads.filter_map(|(ti, t)| {
+            let i = visit.map_or(self.visited[ti], |v| self.visited(ti, v));
+            t.events.get(i).map(|e| (e.at, ti, i))
+        });
+        next.min()
+    }
+
+    /// The visit of the `k`-th unwritten event, if there are `k`.
+    fn kth_unwritten(&self, k: usize) -> Option<Visit> {
+        let threads = || self.trace.threads.iter().zip(&self.written).enumerate();
+        let through = |at: Time, inclusive: bool| -> usize {
+            let counts = threads().map(|(ti, (_, &w))| self.count(ti, w, at, inclusive) - w);
+            counts.sum()
         };
-        let after_last = self.last_window_end.is_none_or(|prev| window_end > prev);
-        after_last.then_some(window_end)
+        // It is at the earliest time by which `k` are: no earlier than the
+        // first unwritten event, no later than any one thread's k-th.
+        let first = threads().filter_map(|(_, (t, &w))| t.events.get(w));
+        let mut lo = first.map(|e| e.at).min()?;
+        let kth = threads().filter_map(|(_, (t, &w))| t.events.get(w + k - 1));
+        let mut hi = kth.map(|e| e.at).min().unwrap_or(Time::MAX);
+        if through(hi, true) < k {
+            return None;
+        }
+        while lo < hi {
+            let mid = Time::from_nanos(lo.as_nanos() + (hi.as_nanos() - lo.as_nanos()) / 2);
+            if through(mid, true) >= k {
+                hi = mid;
+            } else {
+                lo = Time::from_nanos(mid.as_nanos() + 1);
+            }
+        }
+        // Among the events at `lo`, in thread order, the one of this rank.
+        let mut rank = k - through(lo, false);
+        for (ti, (_, &w)) in threads() {
+            let (before, through) = (self.count(ti, w, lo, false), self.count(ti, w, lo, true));
+            if rank <= through - before {
+                return Some((lo, ti, before + rank - 1));
+            }
+            rank -= through - before;
+        }
+        None
+    }
+
+    /// The first visit from `from` at which a window can close: each
+    /// thread with events left, or just visited, has visited an event that
+    /// ends a window after the last one.
+    fn closing_visit(&self, from: Visit) -> Option<Visit> {
+        let mut close = from;
+        for (ti, (t, &w)) in self.trace.threads.iter().zip(&self.written).enumerate() {
+            let i = match self.last_window_end {
+                // No time precedes 0: the first window also waits for the
+                // last event at 0.
+                None => self.count(ti, 0, Time::ZERO, true).saturating_sub(1),
+                Some(end) => match end.as_nanos().checked_add(2) {
+                    Some(reach) => self.count(ti, w, Time::from_nanos(reach), false),
+                    None => t.events.len(),
+                },
+            };
+            match (t.events.get(i), t.events.len().checked_sub(1)) {
+                (Some(e), _) => close = close.max((e.at, ti, i)),
+                // Without one, the thread holds the window until it is done.
+                (None, Some(last)) if (t.events[last].at, ti, last) >= close => {
+                    close = self.next_visit(Some((t.events[last].at, ti, last)))?;
+                }
+                (None, _) => {}
+            }
+        }
+        Some(close)
+    }
+
+    /// Visits every event up to `close` and returns the end of the window
+    /// that closes there: 1 ns before the earliest last-visited timestamp
+    /// among the threads with events left and the one just visited, or 0.
+    fn close_at(&mut self, close: Visit) -> Time {
+        let mut earliest = Time::MAX;
+        for ti in 0..self.visited.len() {
+            let v = self.visited(ti, close);
+            self.unwritten += v - self.visited[ti];
+            self.visited[ti] = v;
+            let events = &self.trace.threads[ti].events;
+            if v > 0 && (v < events.len() || ti == close.1) {
+                earliest = earliest.min(events[v - 1].at);
+            }
+        }
+        Time::from_nanos(earliest.as_nanos().saturating_sub(1))
     }
 
     /// Cuts every unwritten event and grant up to `window_end` into the
@@ -367,13 +461,13 @@ impl<'a> TraceChunks<'a> {
         let mut spans = Vec::new();
         for (ti, t) in self.trace.threads.iter().enumerate() {
             let from = self.written[ti];
-            let events = &t.events[from..self.visited[ti]];
-            let take = events.iter().take_while(|e| e.at <= window_end).count();
+            let events = &t.events[from..];
+            let take = gallop(events, |e| e.at <= window_end);
             if take == 0 {
                 continue;
             }
             self.written[ti] += take;
-            self.unwritten -= take;
+            self.unwritten = self.unwritten.saturating_sub(take);
             spans.push(ThreadSpan {
                 thread: t.thread,
                 base_index: from,
@@ -409,13 +503,20 @@ impl EventSource for TraceChunks<'_> {
 
     fn next_chunk(&mut self) -> Result<Option<TraceChunk>, StreamError> {
         self.order.clone()?;
-        while let Some((_, ti)) = self.next_event() {
-            self.visited[ti] += 1;
-            self.unwritten += 1;
-            if self.unwritten >= self.chunk_events {
-                if let Some(chunk) = self.complete_window(ti).and_then(|end| self.cut(end)) {
-                    return Ok(Some(chunk));
-                }
+        // The budget fills at the `chunk_events`-th unwritten visit, or at
+        // the next visit if enough are visited already.
+        loop {
+            let budget = if self.unwritten >= self.chunk_events {
+                self.next_visit(None)
+            } else {
+                self.kth_unwritten(self.chunk_events)
+            };
+            let Some(close) = budget.and_then(|budget| self.closing_visit(budget)) else {
+                break;
+            };
+            let window_end = self.close_at(close);
+            if let Some(chunk) = self.cut(window_end) {
+                return Ok(Some(chunk));
             }
         }
         let last_event = self
@@ -698,6 +799,10 @@ impl ChunkFileReader {
             return Ok(None);
         }
         let Some(raw) = self.scanner.next_record() else {
+            if self.trailer.is_some() {
+                self.done = true;
+                return Ok(None);
+            }
             let cause = StreamError::Format("chunk file ended without a trailer record".into());
             return self.refuse(self.line_no + 1, self.offset, 0, cause, true);
         };
@@ -713,6 +818,14 @@ impl ChunkFileReader {
                 let io = matches!(cause.root_cause(), StreamError::Io(_));
                 return self.refuse(line_no, line_offset, 0, cause, io);
             }
+            // Nothing may follow the trailer: a chunk there loses its events.
+            Ok(record) if self.trailer.is_some() => (
+                StreamError::Format(format!("record after the trailer at line {line_no}")),
+                match record {
+                    ChunkFileRecord::Chunk(chunk) => chunk.num_events() as u64,
+                    _ => 0,
+                },
+            ),
             Ok(ChunkFileRecord::Header(_)) => (
                 StreamError::Format(format!("unexpected second header at line {line_no}")),
                 0u64,
@@ -758,7 +871,8 @@ impl ChunkFileReader {
 
     /// Handles the trailer record: verifies the integrity counts, and under
     /// a recovering policy reconciles the true event loss (the trailer is
-    /// the writer's ground truth) into one final accounting gap.
+    /// the writer's ground truth) into one accounting gap. Reading goes on
+    /// to the end of the file, refusing any record after the trailer.
     fn finish_at_trailer(
         &mut self,
         trailer: ChunkFileTrailer,
@@ -768,8 +882,7 @@ impl ChunkFileReader {
         let counts_match = trailer.chunks == self.chunks_seen && trailer.events == self.events_seen;
         if counts_match {
             self.trailer = Some(trailer);
-            self.done = true;
-            return Ok(None);
+            return self.read_item();
         }
         let cause = StreamError::Format(format!(
             "trailer claims {} chunks / {} events but {} / {} were read",
@@ -784,7 +897,6 @@ impl ChunkFileReader {
             .saturating_sub(self.events_seen)
             .saturating_sub(counted);
         self.trailer = Some(trailer);
-        self.done = true;
         if residual > 0 || self.gaps.is_empty() {
             return Ok(Some(StreamItem::Gap(self.record_gap(
                 line_no,
@@ -793,7 +905,7 @@ impl ChunkFileReader {
                 cause,
             ))));
         }
-        Ok(None)
+        self.read_item()
     }
 }
 

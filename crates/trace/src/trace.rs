@@ -5,6 +5,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::event::{Event, LockGrant, TimedEvent};
 use crate::ids::{LockId, ThreadId};
+use crate::section::OpenLocks;
 use crate::site::SiteTable;
 use crate::time::Time;
 
@@ -256,28 +257,25 @@ impl Trace {
     pub fn validate(&self) -> Result<(), TraceError> {
         self.check_order()?;
         for t in &self.threads {
-            let mut held: Vec<LockId> = Vec::new();
+            let mut held = OpenLocks::default();
             for te in &t.events {
                 match &te.event {
-                    Event::LockAcquire { lock, .. } => held.push(*lock),
-                    Event::LockRelease { lock } => match held.iter().rposition(|l| l == lock) {
-                        Some(pos) => {
-                            held.remove(pos);
-                        }
-                        None => {
-                            return Err(TraceError::UnbalancedLocking {
-                                thread: t.thread,
-                                lock: *lock,
-                            })
-                        }
-                    },
+                    Event::LockAcquire { lock, .. } => held.acquire(*lock, ()),
+                    // The guard closes an open acquire, or finds none.
+                    Event::LockRelease { lock } if held.release(*lock).is_none() => {
+                        return Err(TraceError::UnbalancedLocking {
+                            thread: t.thread,
+                            lock: *lock,
+                        });
+                    }
                     _ => {}
                 }
             }
-            if let Some(lock) = held.first() {
+            let outermost = held.iter().next().map(|(lock, ())| lock);
+            if let Some(lock) = outermost {
                 return Err(TraceError::UnbalancedLocking {
                     thread: t.thread,
-                    lock: *lock,
+                    lock,
                 });
             }
         }

@@ -169,6 +169,24 @@ fn a_flipped_pbin_byte_fails_lint_with_record_parse_and_fails_analyze() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A chunk after the trailer fails `analyze`, as it fails `lint`.
+#[test]
+fn a_chunk_after_the_trailer_fails_analyze() {
+    let dir = fixture_dir("after-trailer");
+    let text = std::fs::read_to_string(dir.join("chunks.jsonl")).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    let appended = dir.join("appended.jsonl");
+    std::fs::write(&appended, format!("{text}{}\n", lines[1])).unwrap();
+    for command in ["analyze", "lint"] {
+        let out = perfplay(&[command.as_ref(), &appended]);
+        assert_eq!(status(&out), 1, "{command}: {}", stdout(&out));
+    }
+    let out = perfplay(&["analyze".as_ref(), &appended]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("record after the trailer"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A well-formed command line whose input is wrong is a failure, not a
 /// usage error.
 #[test]

@@ -851,6 +851,90 @@ fn a_regression_behind_a_lowered_window_is_refused_at_its_record() {
     assert_refused_at_its_record(&probe);
 }
 
+/// The corpus file in `ext`'s format with its first chunk record appended
+/// after the trailer; returns the path, the appended record's 1-based
+/// ordinal and the events it carries.
+fn with_a_chunk_after_the_trailer(ext: &str, clean: &Path) -> (PathBuf, usize, u64) {
+    let records: Vec<_> = RawChunkRecords::open(clean).unwrap().collect();
+    // Record 2 is the first chunk; in PBIN, record 1 absorbs the prelude, so
+    // record 2's extent is one whole frame.
+    let first_chunk = &records[1];
+    let Ok(ChunkFileRecord::Chunk(chunk)) = &first_chunk.record else {
+        panic!("record 2 is a chunk");
+    };
+    let mut bytes = std::fs::read(clean).unwrap();
+    let start = first_chunk.offset as usize;
+    let copy = bytes[start..start + first_chunk.bytes as usize].to_vec();
+    bytes.extend_from_slice(&copy);
+    let path = std::env::temp_dir().join(format!(
+        "perfplay-after-trailer-{}.{ext}",
+        std::process::id()
+    ));
+    std::fs::write(&path, bytes).unwrap();
+    (path, records.len() + 1, chunk.num_events() as u64)
+}
+
+/// A chunk record after the trailer is refused like any other bad record,
+/// in both formats and through both readers: `Fail` returns an error
+/// located at it, and `SkipChunk`/`SkipStream` deliver every chunk before
+/// the trailer, then one gap that loses the record's events. Detection
+/// keeps the clean file's analysis and accounts for the gap.
+#[test]
+fn a_record_after_the_trailer_is_refused() {
+    let corpus = corpus();
+    let clean = Detector::new(config()).analyze(&corpus.trace);
+    for (ext, clean_path) in [("jsonl", &corpus.path), ("pbin", &corpus.pbin_path)] {
+        let (path, line, events) = with_a_chunk_after_the_trailer(ext, clean_path);
+        for policy in POLICIES {
+            let inline = drain(&mut ChunkFileReader::with_policy(&path, policy).unwrap());
+            for workers in [1, 2] {
+                let mut reader =
+                    PipelinedChunkReader::with_options(&path, policy, None, workers).unwrap();
+                assert_eq!(drain(&mut reader), inline, "{ext} {policy:?} {workers}");
+            }
+            match (policy, inline) {
+                (RecoveryPolicy::Fail, Err(error)) => assert!(
+                    matches!(error, StreamError::At { line: at, .. } if at == line),
+                    "{ext}: {error}"
+                ),
+                (RecoveryPolicy::SkipChunk | RecoveryPolicy::SkipStream, Ok(mut items)) => {
+                    let Some(StreamItem::Gap(gap)) = items.pop() else {
+                        panic!("{ext} {policy:?}: the stream does not end in a gap");
+                    };
+                    assert_eq!((gap.line, gap.events_lost), (line, events), "{ext}");
+                    let chunks: Vec<TraceChunk> = items
+                        .into_iter()
+                        .map(|item| match item {
+                            StreamItem::Chunk(chunk) => chunk,
+                            StreamItem::Gap(gap) => panic!("{ext}: a second gap {gap}"),
+                        })
+                        .collect();
+                    assert_eq!(chunks, corpus.chunks, "{ext} {policy:?}");
+                }
+                (_, other) => panic!(
+                    "{ext} {policy:?} let the record through: {:?} items",
+                    other.as_ref().map(Vec::len)
+                ),
+            }
+        }
+        for workers in [1, 2] {
+            let mut reader =
+                ChunkFileReader::with_policy(&path, RecoveryPolicy::SkipChunk).unwrap();
+            let streamed = ParallelStreamingDetector::with_workers(config(), workers)
+                .analyze(&mut reader)
+                .unwrap();
+            assert_eq!(
+                (streamed.stats.gaps, streamed.stats.events_lost),
+                (1, events),
+                "{ext}, {workers} workers"
+            );
+            assert_eq!(streamed.analysis.ulcps, clean.ulcps, "{ext}");
+            assert_eq!(streamed.analysis.breakdown, clean.breakdown, "{ext}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -36,6 +36,13 @@
 //!   `crates/trace/src/stream.rs`, where `TraceChunks` cuts every window the
 //!   library streams or spills, and in the PBIN decoder
 //!   (`crates/trace/src/pbin.rs`), which rebuilds the chunks a file carries;
+//! * sections are built in one place: outside test code and comments, no
+//!   line of the trace, detect, lint or report crate but
+//!   `crates/trace/src/section.rs`, home of `SectionBuilder` and
+//!   `OpenLocks`, builds a `MemAccess` or searches a lock stack with
+//!   `rposition`, so batch extraction, the streaming decoder, the trace
+//!   statistics, validation and the linter pair acquires with releases by
+//!   one rule;
 //! * retired names stay retired: no source file, test, example, README, CI
 //!   workflow or verification note names the sequential streaming engine
 //!   (`ParallelStreamingDetector` at one worker replaced it), the second
@@ -502,6 +509,69 @@ fn chunk_windows_are_cut_in_one_place() {
         "a chunk is built outside {CHUNK_BUILDERS:?} (cut windows with \
          perfplay_trace::TraceChunks instead):\n{}",
         offenders.join("\n")
+    );
+}
+
+/// The one file that pairs acquires with releases and collects what a
+/// section accessed.
+const SECTION_BUILDER: &str = "crates/trace/src/section.rs";
+
+/// Whether `line` builds a `MemAccess` (rather than matching one: a
+/// pattern sits before a `=>`, after a `let` or inside `matches!`), or
+/// searches a lock stack: an `rposition` whose predicate names a lock.
+fn builds_a_section(line: &str) -> bool {
+    let builds_access = ["MemAccess::Read(", "MemAccess::Write("]
+        .iter()
+        .any(|access| {
+            line.match_indices(access).any(|(at, _)| {
+                let (before, rest) = line.split_at(at);
+                !rest.contains("=>")
+                    && !before.trim_end().ends_with("let")
+                    && !before.contains("matches!(")
+            })
+        });
+    let searches_locks = line
+        .split_once("rposition(")
+        .is_some_and(|(_, predicate)| predicate.contains("lock"));
+    builds_access || searches_locks
+}
+
+#[test]
+fn sections_are_built_in_one_place() {
+    let files: Vec<PathBuf> = rs_files_under(&[
+        "crates/trace",
+        "crates/detect",
+        "crates/lint",
+        "crates/report",
+    ])
+    .into_iter()
+    .filter(|p| !relative(p).split('/').any(|part| part == "tests"))
+    .collect();
+    let mut offenders: Vec<String> = Vec::new();
+    let mut built_in_builder = false;
+    for path in &files {
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        for (line_no, line) in non_test_code(&text) {
+            if is_comment(line) || !builds_a_section(line) {
+                continue;
+            }
+            if relative(path) == SECTION_BUILDER {
+                built_in_builder = true;
+            } else {
+                offenders.push(format!("{}:{line_no}: {}", relative(path), line.trim()));
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "sections are built outside {SECTION_BUILDER} (step a \
+         perfplay_trace::SectionBuilder, or match releases with OpenLocks):\n{}",
+        offenders.join("\n")
+    );
+    assert!(
+        built_in_builder,
+        "{SECTION_BUILDER} no longer builds a MemAccess; update builds_a_section"
     );
 }
 
