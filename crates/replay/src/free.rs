@@ -70,7 +70,7 @@ impl UlcpFreeReplayer {
     /// is exceeded.
     pub fn replay(&self, transformed: &TransformedTrace) -> Result<ReplayResult, ReplayError> {
         let policy = UlcpFree::new(self.use_dls, transformed);
-        Engine::new(&self.config, &transformed.original, policy).run()
+        Engine::new(&self.config, transformed.original, policy).run()
     }
 }
 
@@ -78,7 +78,7 @@ impl UlcpFreeReplayer {
 /// is a vector indexed by a dense id: sections by [`SectionId`], auxiliary
 /// locks by [`AuxLockId`], events by `(thread, event index)`.
 pub(crate) struct UlcpFree<'a> {
-    tt: &'a TransformedTrace,
+    tt: &'a TransformedTrace<'a>,
     use_dls: bool,
     sections: SectionIndex,
     /// RULE 2 predecessors of section `s`:
@@ -97,7 +97,7 @@ pub(crate) struct UlcpFree<'a> {
 }
 
 impl<'a> UlcpFree<'a> {
-    pub(crate) fn new(use_dls: bool, tt: &'a TransformedTrace) -> Self {
+    pub(crate) fn new(use_dls: bool, tt: &'a TransformedTrace<'a>) -> Self {
         let n = tt.sections.len();
         let mut constraint_start = vec![0usize; n + 1];
         for c in &tt.order_constraints {
@@ -116,7 +116,7 @@ impl<'a> UlcpFree<'a> {
         UlcpFree {
             tt,
             use_dls,
-            sections: SectionIndex::new(&tt.original, &tt.sections),
+            sections: SectionIndex::new(tt.original, tt.sections),
             constraint_start,
             constraint_befores,
             aux_held: vec![false; tt.num_aux_locks],
@@ -275,9 +275,11 @@ mod tests {
     use perfplay_sim::SimConfig;
     use perfplay_transform::Transformer;
 
+    /// Records the program and detects its plan; tests transform it with
+    /// `Transformer::default()`.
     fn pipeline(
         build: impl FnOnce(&mut ProgramBuilder),
-    ) -> (perfplay_trace::Trace, TransformedTrace) {
+    ) -> (perfplay_trace::Trace, perfplay_detect::DetectionPlan) {
         let mut b = ProgramBuilder::new("free-replay-test");
         build(&mut b);
         let trace = Recorder::new(SimConfig::default())
@@ -285,8 +287,7 @@ mod tests {
             .unwrap()
             .trace;
         let plan = Detector::default().plan(&trace, NoGain);
-        let tt = Transformer::default().transform_from_plan(&trace, &plan);
-        (trace, tt)
+        (trace, plan)
     }
 
     fn read_heavy(threads: usize, iters: u32) -> impl FnOnce(&mut ProgramBuilder) {
@@ -310,7 +311,8 @@ mod tests {
 
     #[test]
     fn ulcp_free_replay_is_faster_for_read_heavy_contention() {
-        let (trace, tt) = pipeline(read_heavy(4, 10));
+        let (trace, plan) = pipeline(read_heavy(4, 10));
+        let tt = Transformer::default().transform_from_plan(&trace, &plan);
         let original = Replayer::default()
             .replay(&trace, ReplaySchedule::elsc())
             .unwrap();
@@ -327,7 +329,7 @@ mod tests {
 
     #[test]
     fn true_contention_is_preserved_by_the_transformation() {
-        let (trace, tt) = pipeline(|b| {
+        let (trace, plan) = pipeline(|b| {
             let lock = b.lock("m");
             let x = b.shared("x", 0);
             let site = b.site("tc.c", "writer", 1);
@@ -344,6 +346,7 @@ mod tests {
                 });
             }
         });
+        let tt = Transformer::default().transform_from_plan(&trace, &plan);
         let original = Replayer::default()
             .replay(&trace, ReplaySchedule::elsc())
             .unwrap();
@@ -358,7 +361,7 @@ mod tests {
 
     #[test]
     fn order_constraints_keep_causal_sections_in_original_order() {
-        let (_, tt) = pipeline(|b| {
+        let (trace, plan) = pipeline(|b| {
             let lock = b.lock("m");
             let x = b.shared("x", 0);
             let site = b.site("oc.c", "writer", 1);
@@ -374,6 +377,7 @@ mod tests {
                 });
             }
         });
+        let tt = Transformer::default().transform_from_plan(&trace, &plan);
         let free = UlcpFreeReplayer::default().replay(&tt).unwrap();
         for c in &tt.order_constraints {
             let before = &tt.sections[c.before.index()];
@@ -391,7 +395,7 @@ mod tests {
 
     #[test]
     fn dls_reduces_lockset_operations_and_overhead() {
-        let (_, tt) = pipeline(|b| {
+        let (trace, plan) = pipeline(|b| {
             // Writers with gaps between them: by the time a later section
             // starts, its causal sources have usually finished, so DLS can
             // skip their auxiliary locks.
@@ -410,6 +414,7 @@ mod tests {
                 });
             }
         });
+        let tt = Transformer::default().transform_from_plan(&trace, &plan);
         let with_dls = UlcpFreeReplayer::default().replay(&tt).unwrap();
         let without_dls = UlcpFreeReplayer::default()
             .with_dls(false)
@@ -422,7 +427,8 @@ mod tests {
 
     #[test]
     fn free_replay_is_deterministic() {
-        let (_, tt) = pipeline(read_heavy(3, 6));
+        let (trace, plan) = pipeline(read_heavy(3, 6));
+        let tt = Transformer::default().transform_from_plan(&trace, &plan);
         let r1 = UlcpFreeReplayer::default().replay(&tt).unwrap();
         let r2 = UlcpFreeReplayer::default().replay(&tt).unwrap();
         assert_eq!(r1, r2);
@@ -430,7 +436,7 @@ mod tests {
 
     #[test]
     fn null_lock_sections_cost_nothing_in_the_free_replay() {
-        let (trace, tt) = pipeline(|b| {
+        let (trace, plan) = pipeline(|b| {
             let lock = b.lock("m");
             let _x = b.shared("x", 0);
             let site = b.site("nl.c", "empty", 1);
@@ -443,6 +449,7 @@ mod tests {
                 });
             }
         });
+        let tt = Transformer::default().transform_from_plan(&trace, &plan);
         let original = Replayer::default()
             .replay(&trace, ReplaySchedule::elsc())
             .unwrap();
@@ -454,7 +461,7 @@ mod tests {
 
     #[test]
     fn condvar_traces_replay_without_sticking() {
-        let (_, tt) = pipeline(|b| {
+        let (trace, plan) = pipeline(|b| {
             let lock = b.lock("m");
             let cv = b.condvar("cv");
             let flag = b.shared("flag", 0);
@@ -474,6 +481,7 @@ mod tests {
                 });
             });
         });
+        let tt = Transformer::default().transform_from_plan(&trace, &plan);
         let free = UlcpFreeReplayer::default().replay(&tt).unwrap();
         assert!(free.per_thread[0].finish_time >= Time::from_micros(4));
     }

@@ -521,7 +521,7 @@ pub fn reference_replay_free(
 struct RefFree<'a> {
     config: ReplayConfig,
     use_dls: bool,
-    tt: &'a TransformedTrace,
+    tt: &'a TransformedTrace<'a>,
     deps: SyncDeps,
     /// Section delimited by each acquire / release event.
     by_acquire: BTreeMap<EventRef, SectionId>,
@@ -540,11 +540,11 @@ struct RefFree<'a> {
 }
 
 impl<'a> RefFree<'a> {
-    fn new(config: &ReplayConfig, use_dls: bool, tt: &'a TransformedTrace) -> Self {
-        let deps = build_sync_deps(&tt.original);
+    fn new(config: &ReplayConfig, use_dls: bool, tt: &'a TransformedTrace<'a>) -> Self {
+        let deps = build_sync_deps(tt.original);
         let mut by_acquire = BTreeMap::new();
         let mut by_release = BTreeMap::new();
-        for s in &tt.sections {
+        for s in tt.sections {
             by_acquire.insert((s.thread.index(), s.acquire_index), s.id);
             by_release.insert((s.thread.index(), s.release_index), s.id);
         }
@@ -597,7 +597,7 @@ impl<'a> RefFree<'a> {
             if steps > self.config.max_steps {
                 return Err(ReplayError::StepLimitExceeded {
                     limit: self.config.max_steps,
-                    cursors: cursors(&self.threads, &self.tt.original, false),
+                    cursors: cursors(&self.threads, self.tt.original, false),
                 });
             }
             let next = self
@@ -612,7 +612,7 @@ impl<'a> RefFree<'a> {
                     break;
                 }
                 return Err(ReplayError::Stuck {
-                    cursors: cursors(&self.threads, &self.tt.original, true),
+                    cursors: cursors(&self.threads, self.tt.original, true),
                 });
             };
             match self.try_event(ti) {
@@ -656,7 +656,7 @@ impl<'a> RefFree<'a> {
     }
 
     fn try_event(&mut self, ti: usize) -> Outcome {
-        let trace = &self.tt.original;
+        let trace = self.tt.original;
         let events = &trace.threads[ti].events;
         let idx = self.threads[ti].idx;
         if idx >= events.len() {

@@ -24,41 +24,6 @@ pub struct GroupedUlcp {
     pub gain_ns: u64,
 }
 
-impl GroupedUlcp {
-    fn can_fuse(&self, other: &GroupedUlcp) -> bool {
-        // Algorithm 2, lines 1 and 5: straight or crosswise region overlap.
-        (self.region_first.overlaps(&other.region_first)
-            && self.region_second.overlaps(&other.region_second))
-            || (self.region_first.overlaps(&other.region_second)
-                && self.region_second.overlaps(&other.region_first))
-    }
-
-    fn fuse(&self, other: &GroupedUlcp) -> GroupedUlcp {
-        let straight = self.region_first.overlaps(&other.region_first)
-            && self.region_second.overlaps(&other.region_second);
-        let (first, second) = if straight {
-            (
-                self.region_first.merge(&other.region_first),
-                self.region_second.merge(&other.region_second),
-            )
-        } else {
-            (
-                self.region_first.merge(&other.region_second),
-                self.region_second.merge(&other.region_first),
-            )
-        };
-        GroupedUlcp {
-            region_first: first,
-            region_second: second,
-            // Saturate both accumulators: on large fused traces the counts
-            // and gains can exceed the integer range, which would panic in
-            // debug / wrap in release.
-            dynamic_pairs: self.dynamic_pairs.saturating_add(other.dynamic_pairs),
-            gain_ns: self.gain_ns.saturating_add(other.gain_ns),
-        }
-    }
-}
-
 /// A ranked recommendation: a fused ULCP group together with its relative
 /// optimization opportunity `P` (Equation 2).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -76,21 +41,33 @@ pub struct Recommendation {
 /// unordered site pair and kind, so no pass over the dynamic pairs is
 /// needed. Clamping negative gains at zero matches the paper's use of the
 /// metric as an optimization opportunity.
+///
+/// One group is seeded per unordered site pair, oriented smaller site
+/// first: a row `(a, b)` folds into the `{min(a, b)} × {max(a, b)}` group,
+/// so a reversed row `(7, 3)` lands in the `(3, 7)` group. The per-kind
+/// rows of one pair collapse into its group, and saturating addition is
+/// associative and commutative, so the result does not depend on row
+/// order. The groups come out in ascending site-pair order.
+///
+/// These seeds already are Algorithm 2's fixpoint, so no fusion loop runs.
+/// Single-site regions overlap only when they name the same site. Two
+/// distinct seeds `(a, b)` and `(c, d)`, with `a <= b` and `c <= d`,
+/// would fuse straight only if `a = c` and `b = d`, and crosswise only if
+/// `a = d` and `b = c`, which with both orderings forces `a = b = c = d`.
+/// Either way the seeds would be one.
 pub fn fuse_aggregates(aggregates: &SiteAggregates) -> Vec<GroupedUlcp> {
     let mut seeds: std::collections::BTreeMap<(u32, u32), GroupedUlcp> =
         std::collections::BTreeMap::new();
     for row in &aggregates.ulcps {
-        // Rows are already site-normalized (`site_first <= site_second`);
-        // the per-kind rows of one site pair collapse into one seed, and
-        // saturating addition is associative, so the fold order is free.
-        let key = (row.site_first.raw(), row.site_second.raw());
+        let (a, b) = (row.site_first.raw(), row.site_second.raw());
+        let key = (a.min(b), a.max(b));
         let entry = seeds.entry(key).or_insert_with(|| seed_group(key));
         entry.dynamic_pairs = entry
             .dynamic_pairs
             .saturating_add(usize::try_from(row.dynamic_pairs).unwrap_or(usize::MAX));
         entry.gain_ns = entry.gain_ns.saturating_add(row.gain_ns);
     }
-    fixpoint_fuse(seeds.into_values().collect())
+    seeds.into_values().collect()
 }
 
 /// An empty seed group for one normalized site-pair key.
@@ -101,31 +78,6 @@ fn seed_group(key: (u32, u32)) -> GroupedUlcp {
         dynamic_pairs: 0,
         gain_ns: 0,
     }
-}
-
-/// Fixpoint fusion over seeded groups (Algorithm 2's outer loop). The seeds
-/// arrive in ascending site-pair key order, so the fused output does not
-/// depend on the order the rows were accumulated in.
-fn fixpoint_fuse(mut groups: Vec<GroupedUlcp>) -> Vec<GroupedUlcp> {
-    loop {
-        let mut fused_any = false;
-        let mut result: Vec<GroupedUlcp> = Vec::with_capacity(groups.len());
-        'outer: for group in groups.into_iter() {
-            for existing in &mut result {
-                if existing.can_fuse(&group) {
-                    *existing = existing.fuse(&group);
-                    fused_any = true;
-                    continue 'outer;
-                }
-            }
-            result.push(group);
-        }
-        groups = result;
-        if !fused_any {
-            break;
-        }
-    }
-    groups
 }
 
 /// Ranks fused groups by relative optimization opportunity (Equation 2),
@@ -160,11 +112,143 @@ pub fn rank_groups(groups: Vec<GroupedUlcp>) -> Vec<Recommendation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perfplay_detect::{Detector, GainSource, SectionCtx, SiteAggregator, Ulcp, UlcpBreakdown};
+    use std::collections::BTreeMap;
+
+    use perfplay_detect::{
+        Detector, GainSource, SectionCtx, SiteAggregate, SiteAggregator, Ulcp, UlcpBreakdown,
+        UlcpKind,
+    };
     use perfplay_program::ProgramBuilder;
     use perfplay_record::Recorder;
     use perfplay_sim::SimConfig;
     use perfplay_trace::CodeSiteId;
+    use proptest::prelude::*;
+
+    // Algorithm 2 as the paper states it, kept as the oracle
+    // `fuse_aggregates` is checked against.
+    impl GroupedUlcp {
+        fn can_fuse(&self, other: &GroupedUlcp) -> bool {
+            // Algorithm 2, lines 1 and 5: straight or crosswise region overlap.
+            (self.region_first.overlaps(&other.region_first)
+                && self.region_second.overlaps(&other.region_second))
+                || (self.region_first.overlaps(&other.region_second)
+                    && self.region_second.overlaps(&other.region_first))
+        }
+
+        fn fuse(&self, other: &GroupedUlcp) -> GroupedUlcp {
+            let straight = self.region_first.overlaps(&other.region_first)
+                && self.region_second.overlaps(&other.region_second);
+            let (first, second) = if straight {
+                (
+                    self.region_first.merge(&other.region_first),
+                    self.region_second.merge(&other.region_second),
+                )
+            } else {
+                (
+                    self.region_first.merge(&other.region_second),
+                    self.region_second.merge(&other.region_first),
+                )
+            };
+            GroupedUlcp {
+                region_first: first,
+                region_second: second,
+                dynamic_pairs: self.dynamic_pairs.saturating_add(other.dynamic_pairs),
+                gain_ns: self.gain_ns.saturating_add(other.gain_ns),
+            }
+        }
+    }
+
+    /// Fixpoint fusion over seeded groups (Algorithm 2's outer loop): fuse
+    /// each group into the first earlier one it overlaps, and repeat until
+    /// a pass fuses nothing.
+    fn fixpoint_fuse(mut groups: Vec<GroupedUlcp>) -> Vec<GroupedUlcp> {
+        loop {
+            let mut fused_any = false;
+            let mut result: Vec<GroupedUlcp> = Vec::with_capacity(groups.len());
+            'outer: for group in groups.into_iter() {
+                for existing in &mut result {
+                    if existing.can_fuse(&group) {
+                        *existing = existing.fuse(&group);
+                        fused_any = true;
+                        continue 'outer;
+                    }
+                }
+                result.push(group);
+            }
+            groups = result;
+            if !fused_any {
+                break;
+            }
+        }
+        groups
+    }
+
+    /// One seed per row key as stored, `(site_first, site_second)`, in
+    /// ascending key order: the seeds the fixpoint ran over.
+    fn row_seeds(aggregates: &SiteAggregates) -> Vec<GroupedUlcp> {
+        let mut seeds: BTreeMap<(u32, u32), GroupedUlcp> = BTreeMap::new();
+        for row in &aggregates.ulcps {
+            let key = (row.site_first.raw(), row.site_second.raw());
+            let entry = seeds.entry(key).or_insert_with(|| seed_group(key));
+            entry.dynamic_pairs = entry
+                .dynamic_pairs
+                .saturating_add(usize::try_from(row.dynamic_pairs).unwrap_or(usize::MAX));
+            entry.gain_ns = entry.gain_ns.saturating_add(row.gain_ns);
+        }
+        seeds.into_values().collect()
+    }
+
+    /// A table row between two sites.
+    fn row(first: u32, second: u32, kind: UlcpKind, pairs: u64, gain: u64) -> SiteAggregate {
+        SiteAggregate {
+            site_first: CodeSiteId::new(first),
+            site_second: CodeSiteId::new(second),
+            kind,
+            dynamic_pairs: pairs,
+            gain_ns: gain,
+        }
+    }
+
+    /// A seeded xorshift stream, so each case's table is reproducible from
+    /// the drawn seed.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        /// A count or gain: zero, small, or within 1,000 of `u64::MAX`.
+        fn amount(&mut self) -> u64 {
+            match self.next() % 3 {
+                0 => 0,
+                1 => self.next() % 1_000,
+                _ => u64::MAX - self.next() % 1_000,
+            }
+        }
+    }
+
+    /// A random site-normalized table of `rows` rows over `sites` sites:
+    /// small site counts repeat keys (same pair and kind), and the rows stay
+    /// in draw order, not key order.
+    fn random_table(seed: u64, rows: usize, sites: u32) -> SiteAggregates {
+        let mut rng = XorShift(seed);
+        let ulcps = (0..rows)
+            .map(|_| {
+                let a = (rng.next() % u64::from(sites)) as u32;
+                let b = (rng.next() % u64::from(sites)) as u32;
+                let kind = UlcpKind::ALL[(rng.next() % 4) as usize];
+                row(a.min(b), a.max(b), kind, rng.amount(), rng.amount())
+            })
+            .collect();
+        SiteAggregates {
+            ulcps,
+            edges: Vec::new(),
+        }
+    }
 
     fn group(first: u32, second: u32, gain: u64) -> GroupedUlcp {
         GroupedUlcp {
@@ -338,6 +422,49 @@ mod tests {
         // And the reversed input produces the identical ranking.
         let reversed = rank_groups(vec![group(1, 3, 10), group(1, 2, 10), group(1, 4, 10)]);
         assert_eq!(ranked, reversed);
+    }
+
+    #[test]
+    fn a_reversed_row_folds_into_the_normalized_group() {
+        let both = SiteAggregates {
+            ulcps: vec![
+                row(3, 7, UlcpKind::ReadRead, 2, 10),
+                row(7, 3, UlcpKind::NullLock, 1, 5),
+            ],
+            edges: Vec::new(),
+        };
+        let mut expected = group(3, 7, 15);
+        expected.dynamic_pairs = 3;
+        assert_eq!(fuse_aggregates(&both), vec![expected.clone()]);
+        // The fixpoint fuses the two orientations crosswise into the same
+        // group.
+        assert_eq!(fixpoint_fuse(row_seeds(&both)), vec![expected]);
+
+        // Alone, the reversed row still seeds the `(3, 7)` orientation.
+        let reversed = SiteAggregates {
+            ulcps: vec![row(7, 3, UlcpKind::NullLock, 1, 5)],
+            edges: Vec::new(),
+        };
+        assert_eq!(fuse_aggregates(&reversed), vec![group(3, 7, 5)]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// On every site-normalized table, seeding one group per site pair
+        /// is Algorithm 2's fixpoint over the same seeds, group for group
+        /// and in the same order.
+        #[test]
+        fn normalized_seeds_are_the_fusion_fixpoint(
+            seed in 1u64..u64::MAX,
+            rows in 0usize..48,
+            sites in 1u32..10,
+        ) {
+            let table = random_table(seed, rows, sites);
+            let fused = fuse_aggregates(&table);
+            prop_assert_eq!(&fused, &fixpoint_fuse(row_seeds(&table)));
+            prop_assert_eq!(rank_groups(fused), rank_groups(fixpoint_fuse(row_seeds(&table))));
+        }
     }
 
     #[test]

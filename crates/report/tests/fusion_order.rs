@@ -2,12 +2,11 @@
 //! per-pair gains arrive in.
 //!
 //! `SiteAggregator` folds each emitted pair into a per-site row with
-//! saturating addition, and `fuse_aggregates` seeds its groups from a map
-//! keyed by code-site pair, so both the group contents and the fixpoint
-//! fusion order must be invariant under any permutation of the pair stream
-//! and of the finished table's rows — including the straight-vs-crosswise
-//! preference taken inside `GroupedUlcp::fuse`, which was previously only
-//! exercised on hand-built cases.
+//! saturating addition, and `fuse_aggregates` seeds one group per
+//! normalized code-site pair in ascending key order, so both the group
+//! contents and their order must be invariant under any permutation of the
+//! pair stream and of the finished table's rows. (`fusion.rs`'s tests check
+//! those seeds against Algorithm 2's fixpoint.)
 
 use proptest::prelude::*;
 

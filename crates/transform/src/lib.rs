@@ -8,7 +8,8 @@
 //! The stages are:
 //!
 //! 1. [`Topology`] — the causal-order topology of RULE 1 (nodes are critical
-//!    sections, edges are TLCPs found by the detector's sequential search);
+//!    sections, edges are TLCPs found by the detector's sequential search),
+//!    in tables indexed by section id;
 //! 2. [`Transformer::transform_from_plan`] — applies RULE 2 (partial-order
 //!    preservation), RULE 3 (auxiliary-lock locksets) and RULE 4
 //!    (lockset-intersection mutual exclusion), strips null-locks and
@@ -23,7 +24,9 @@
 //! only individual pairs the rules read. No pair list is ever consulted.
 //!
 //! The output, [`TransformedTrace`], is what `perfplay-replay` replays to
-//! measure the performance the program would have had without ULCPs.
+//! measure the performance the program would have had without ULCPs. It
+//! borrows the recorded trace and the plan's section table, so the stage
+//! copies neither.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

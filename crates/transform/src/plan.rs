@@ -19,7 +19,7 @@
 //! refinement: a node may drop the auxiliary lock of any source node that has
 //! already finished, which [`NodeSync::sources`] makes possible.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use perfplay_detect::DetectionPlan;
 use perfplay_trace::{AuxLockId, CriticalSection, LockId, SectionId, Trace};
@@ -103,13 +103,18 @@ pub struct TransformStats {
 
 /// The ULCP-free trace: the original events plus the new synchronization
 /// plan that the replayer enforces instead of the original locks.
+///
+/// It borrows the recorded trace and the detection plan's section table
+/// rather than copying them, so it lives no longer than either; only the
+/// per-section plan and the RULE 2 and Theorem 1 lists are its own.
 #[derive(Debug, Clone)]
-pub struct TransformedTrace {
+pub struct TransformedTrace<'a> {
     /// The original recorded trace (events are not modified; the plan
     /// reinterprets its lock acquire/release events).
-    pub original: Trace,
-    /// Every dynamic critical section of the original trace.
-    pub sections: Vec<CriticalSection>,
+    pub original: &'a Trace,
+    /// Every dynamic critical section of the original trace: the detection
+    /// plan's section table.
+    pub sections: &'a [CriticalSection],
     /// Synchronization plan per section, indexed by [`SectionId::index`].
     pub plan: Vec<NodeSync>,
     /// RULE 2 ordering constraints.
@@ -120,7 +125,7 @@ pub struct TransformedTrace {
     pub num_aux_locks: usize,
 }
 
-impl TransformedTrace {
+impl TransformedTrace<'_> {
     /// Returns the plan entry for a section.
     pub fn node(&self, id: SectionId) -> &NodeSync {
         &self.plan[id.index()]
@@ -128,20 +133,25 @@ impl TransformedTrace {
 
     /// Computes summary statistics.
     pub fn stats(&self) -> TransformStats {
-        let kept: Vec<&NodeSync> = self.plan.iter().filter(|n| !n.strip_lock).collect();
-        let lockset_sizes: Vec<usize> = kept.iter().map(|n| n.static_lockset_size()).collect();
-        let mean_lockset = if lockset_sizes.is_empty() {
+        let (mut kept, mut lockset_total, mut max_lockset) = (0usize, 0usize, 0usize);
+        for node in self.plan.iter().filter(|n| !n.strip_lock) {
+            let size = node.static_lockset_size();
+            kept += 1;
+            lockset_total += size;
+            max_lockset = max_lockset.max(size);
+        }
+        let mean_lockset = if kept == 0 {
             0.0
         } else {
-            lockset_sizes.iter().sum::<usize>() as f64 / lockset_sizes.len() as f64
+            lockset_total as f64 / kept as f64
         };
         TransformStats {
             nodes: self.plan.len(),
             aux_locks: self.num_aux_locks,
-            stripped_sections: self.plan.iter().filter(|n| n.strip_lock).count(),
+            stripped_sections: self.plan.len() - kept,
             order_constraints: self.order_constraints.len(),
             race_warnings: self.race_warnings.len(),
-            max_lockset: lockset_sizes.iter().copied().max().unwrap_or(0),
+            max_lockset,
             mean_lockset,
         }
     }
@@ -179,7 +189,20 @@ impl Transformer {
     /// [`DetectionPlan`], the O(sections + edges + benign) detection output:
     /// RULE 1's topology from the plan's causal edges, RULES 2–4 over its
     /// section table, and one race warning per benign pair (Theorem 1).
-    pub fn transform_from_plan(&self, trace: &Trace, plan: &DetectionPlan) -> TransformedTrace {
+    ///
+    /// The result borrows `trace` and the plan's section table. Every table
+    /// is indexed by section id, so the work is linear in sections, edges
+    /// and benign pairs, plus one sort of the causal nodes for RULE 2.
+    ///
+    /// The plan must pass [`DetectionPlan::validate`], as every detection
+    /// engine's plan does: sections numbered by their position in the
+    /// table, and every edge and benign pair naming sections of it. An edge
+    /// outside the table panics.
+    pub fn transform_from_plan<'a>(
+        &self,
+        trace: &'a Trace,
+        plan: &'a DetectionPlan,
+    ) -> TransformedTrace<'a> {
         // Theorem 1: benign ULCPs become parallel although they touch the
         // same data; report them as potential races.
         let race_warnings = plan
@@ -191,47 +214,38 @@ impl Transformer {
                 lock: u.lock,
             })
             .collect();
-        let sections = plan.sections.clone();
-        let topology = Topology::from_parts(&sections, &plan.edges);
+        let sections = plan.sections.as_slice();
+        let topology = Topology::from_parts(sections, &plan.edges);
 
-        // RULE 3: assign auxiliary locks to nodes with outgoing causal edges.
-        let mut aux_locks: BTreeMap<SectionId, AuxLockId> = BTreeMap::new();
-        for &node in topology.nodes() {
+        // RULE 3: assign auxiliary locks to nodes with outgoing causal edges,
+        // numbered in section-table order.
+        let mut aux_locks: Vec<Option<AuxLockId>> = vec![None; sections.len()];
+        let mut num_aux_locks = 0;
+        for node in topology.nodes() {
             if topology.out_degree(node) > 0 {
-                let id = AuxLockId::new(aux_locks.len() as u32);
-                aux_locks.insert(node, id);
+                aux_locks[node.index()] = Some(AuxLockId::new(num_aux_locks as u32));
+                num_aux_locks += 1;
             }
         }
-
-        // Null-locks: sections with no shared access at all.
-        let null_sections: BTreeSet<SectionId> = sections
-            .iter()
-            .filter(|s| s.is_access_free())
-            .map(|s| s.id)
-            .collect();
-        let standalone: BTreeSet<SectionId> = topology.standalone_nodes().into_iter().collect();
 
         let syncs: Vec<NodeSync> = sections
             .iter()
             .map(|s| {
-                let own = aux_locks.get(&s.id).copied();
-                let sources: Vec<SectionId> = topology.sources_of(s.id).to_vec();
-                let mut lockset: BTreeSet<AuxLockId> = BTreeSet::new();
-                if let Some(l) = own {
-                    lockset.insert(l);
-                }
-                for src in &sources {
-                    if let Some(l) = aux_locks.get(src) {
-                        lockset.insert(*l);
-                    }
-                }
+                let own = aux_locks[s.id.index()];
+                let sources = topology.sources_of(s.id);
+                let lockset: BTreeSet<AuxLockId> = own
+                    .into_iter()
+                    .chain(sources.iter().filter_map(|src| aux_locks[src.index()]))
+                    .collect();
+                // Null-locks (no shared access at all) and standalone nodes
+                // lose their lock/unlock events.
                 let strip_lock = self.config.strip_unneeded_locks
-                    && (null_sections.contains(&s.id) || standalone.contains(&s.id));
+                    && (s.is_access_free() || topology.is_standalone(s.id));
                 NodeSync {
                     section: s.id,
                     aux_lock: own,
                     lockset,
-                    sources,
+                    sources: sources.to_vec(),
                     strip_lock,
                 }
             })
@@ -239,33 +253,31 @@ impl Transformer {
 
         // RULE 2: causal-edge nodes of the same original lock keep their
         // original partial order, expressed as consecutive constraints along
-        // the timing order.
-        let mut order_constraints = Vec::new();
-        let causal = topology.causal_nodes();
-        let mut per_lock: BTreeMap<LockId, Vec<&CriticalSection>> = BTreeMap::new();
-        for s in &sections {
-            if causal.contains(&s.id) {
-                per_lock.entry(s.lock).or_default().push(s);
-            }
-        }
-        for (lock, mut nodes) in per_lock {
-            nodes.sort_by_key(|s| (s.enter_time, s.id));
-            for pair in nodes.windows(2) {
-                order_constraints.push(OrderConstraint {
-                    before: pair[0].id,
-                    after: pair[1].id,
-                    lock,
-                });
-            }
-        }
+        // the timing order: one sort of the causal nodes by lock, then entry
+        // time, then id.
+        let mut causal: Vec<_> = sections
+            .iter()
+            .filter(|s| !topology.is_standalone(s.id))
+            .map(|s| (s.lock, s.enter_time, s.id))
+            .collect();
+        causal.sort_unstable();
+        let order_constraints = causal
+            .windows(2)
+            .filter(|pair| pair[0].0 == pair[1].0)
+            .map(|pair| OrderConstraint {
+                before: pair[0].2,
+                after: pair[1].2,
+                lock: pair[0].0,
+            })
+            .collect();
 
         TransformedTrace {
-            original: trace.clone(),
+            original: trace,
             sections,
             plan: syncs,
             order_constraints,
             race_warnings,
-            num_aux_locks: aux_locks.len(),
+            num_aux_locks,
         }
     }
 }
@@ -302,7 +314,9 @@ mod tests {
     use perfplay_record::Recorder;
     use perfplay_sim::SimConfig;
 
-    fn transformed(build: impl FnOnce(&mut ProgramBuilder)) -> (TransformedTrace, DetectionPlan) {
+    /// Records the program and detects its plan; tests transform it with
+    /// `Transformer::default()`.
+    fn planned(build: impl FnOnce(&mut ProgramBuilder)) -> (Trace, DetectionPlan) {
         let mut b = ProgramBuilder::new("plan-test");
         build(&mut b);
         let trace = Recorder::new(SimConfig::default())
@@ -310,8 +324,7 @@ mod tests {
             .unwrap()
             .trace;
         let plan = Detector::default().plan(&trace, NoGain);
-        let transformed = Transformer::default().transform_from_plan(&trace, &plan);
-        (transformed, plan)
+        (trace, plan)
     }
 
     fn figure7_workload(b: &mut ProgramBuilder) {
@@ -357,7 +370,8 @@ mod tests {
 
     #[test]
     fn rule3_assigns_aux_locks_to_out_degree_nodes() {
-        let (tt, plan) = transformed(figure7_workload);
+        let (trace, plan) = planned(figure7_workload);
+        let tt = Transformer::default().transform_from_plan(&trace, &plan);
         let topo = Topology::from_parts(&plan.sections, &plan.edges);
         for node in &tt.plan {
             if topo.out_degree(node.section) > 0 {
@@ -385,7 +399,8 @@ mod tests {
 
     #[test]
     fn rule4_mutual_exclusion_follows_lockset_intersection() {
-        let (tt, _) = transformed(figure7_workload);
+        let (trace, plan) = planned(figure7_workload);
+        let tt = Transformer::default().transform_from_plan(&trace, &plan);
         for e in tt
             .order_constraints
             .iter()
@@ -410,7 +425,8 @@ mod tests {
 
     #[test]
     fn rule2_orders_causal_nodes_by_original_timing() {
-        let (tt, _) = transformed(figure7_workload);
+        let (trace, plan) = planned(figure7_workload);
+        let tt = Transformer::default().transform_from_plan(&trace, &plan);
         for c in &tt.order_constraints {
             let before = &tt.sections[c.before.index()];
             let after = &tt.sections[c.after.index()];
@@ -421,7 +437,7 @@ mod tests {
 
     #[test]
     fn null_and_standalone_sections_are_stripped() {
-        let (tt, plan) = transformed(|b| {
+        let (trace, plan) = planned(|b| {
             let lock = b.lock("m");
             let x = b.shared("x", 0);
             let site_null = b.site("n.c", "null", 1);
@@ -437,6 +453,7 @@ mod tests {
                 });
             }
         });
+        let tt = Transformer::default().transform_from_plan(&trace, &plan);
         // No conflicts at all: every node is standalone, everything stripped.
         assert!(plan.edges.is_empty());
         assert!(tt.plan.iter().all(|n| n.strip_lock));
@@ -471,7 +488,7 @@ mod tests {
 
     #[test]
     fn benign_pairs_are_reported_as_race_warnings() {
-        let (tt, plan) = transformed(|b| {
+        let (trace, plan) = planned(|b| {
             let lock = b.lock("m");
             let flag = b.shared("done", 0);
             let site = b.site("bw.c", "set_done", 1);
@@ -483,6 +500,7 @@ mod tests {
                 });
             }
         });
+        let tt = Transformer::default().transform_from_plan(&trace, &plan);
         assert_eq!(plan.breakdown.benign, 1);
         assert_eq!(tt.race_warnings.len(), 1);
         assert_eq!(tt.stats().race_warnings, 1);
@@ -490,7 +508,8 @@ mod tests {
 
     #[test]
     fn dynamic_lockset_drops_finished_sources() {
-        let (tt, _) = transformed(figure7_workload);
+        let (trace, plan) = planned(figure7_workload);
+        let tt = Transformer::default().transform_from_plan(&trace, &plan);
         // Find a node with at least one source that owns an auxiliary lock.
         let Some(node) = tt.plan.iter().find(|n| {
             n.sources
@@ -565,7 +584,8 @@ mod tests {
 
     #[test]
     fn stats_summarize_the_plan() {
-        let (tt, _) = transformed(figure7_workload);
+        let (trace, plan) = planned(figure7_workload);
+        let tt = Transformer::default().transform_from_plan(&trace, &plan);
         let stats = tt.stats();
         assert_eq!(stats.nodes, tt.plan.len());
         assert_eq!(stats.aux_locks, tt.num_aux_locks);

@@ -5,91 +5,105 @@
 //! that is exactly what makes the transformed trace free of unnecessary
 //! serialization.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use perfplay_detect::CausalEdge;
-use perfplay_trace::SectionId;
+use perfplay_trace::{CriticalSection, SectionId};
 
 /// The ULCP-free causal-order topology built by RULE 1.
+///
+/// Every table is indexed by [`SectionId::index`], so a node is a position in
+/// the section table: per-node out-degree counts, and each node's causal
+/// sources in CSR form (one offset row, one flat source list) in edge order.
+/// Building it is one counting pass and one fill pass over the edges; it
+/// borrows the edge list instead of copying it.
 #[derive(Debug, Clone, Default)]
-pub struct Topology {
-    nodes: Vec<SectionId>,
-    edges: Vec<CausalEdge>,
-    outgoing: BTreeMap<SectionId, Vec<SectionId>>,
-    incoming: BTreeMap<SectionId, Vec<SectionId>>,
+pub struct Topology<'a> {
+    edges: &'a [CausalEdge],
+    /// Outgoing causal edges per node.
+    out_degree: Vec<u32>,
+    /// Causal sources of node `n`:
+    /// `sources[source_start[n]..source_start[n + 1]]`, in edge order.
+    source_start: Vec<usize>,
+    sources: Vec<SectionId>,
 }
 
-impl Topology {
+impl<'a> Topology<'a> {
     /// Builds the topology from a section table and an edge list: every
     /// critical section is a node, every TLCP found by the sequential search
     /// is a causal edge. Edge order is preserved (it determines the
     /// adjacency-list order downstream), so callers must pass edges in the
     /// canonical detection order for bit-identical output.
-    pub fn from_parts(sections: &[perfplay_trace::CriticalSection], edges: &[CausalEdge]) -> Self {
-        let nodes = sections.iter().map(|s| s.id).collect();
-        let mut outgoing: BTreeMap<SectionId, Vec<SectionId>> = BTreeMap::new();
-        let mut incoming: BTreeMap<SectionId, Vec<SectionId>> = BTreeMap::new();
+    ///
+    /// The section table must be numbered densely (`sections[i].id` has
+    /// index `i`) and every edge must name sections of the table, as
+    /// [`DetectionPlan::validate`](perfplay_detect::DetectionPlan::validate)
+    /// checks for a plan; an edge outside the table panics.
+    pub fn from_parts(sections: &[CriticalSection], edges: &'a [CausalEdge]) -> Self {
+        let n = sections.len();
+        let mut out_degree = vec![0u32; n];
+        let mut source_start = vec![0usize; n + 1];
         for e in edges {
-            outgoing.entry(e.from).or_default().push(e.to);
-            incoming.entry(e.to).or_default().push(e.from);
+            out_degree[e.from.index()] += 1;
+            source_start[e.to.index() + 1] += 1;
+        }
+        for i in 0..n {
+            source_start[i + 1] += source_start[i];
+        }
+        let mut next = source_start[..n].to_vec();
+        let mut sources = vec![SectionId::new(0); edges.len()];
+        for e in edges {
+            let slot = &mut next[e.to.index()];
+            sources[*slot] = e.from;
+            *slot += 1;
         }
         Topology {
-            nodes,
-            edges: edges.to_vec(),
-            outgoing,
-            incoming,
+            edges,
+            out_degree,
+            source_start,
+            sources,
         }
     }
 
     /// All nodes (critical sections) in id order.
-    pub fn nodes(&self) -> &[SectionId] {
-        &self.nodes
+    pub fn nodes(&self) -> impl ExactSizeIterator<Item = SectionId> {
+        (0..self.out_degree.len() as u32).map(SectionId::new)
     }
 
     /// All causal edges.
-    pub fn edges(&self) -> &[CausalEdge] {
-        &self.edges
+    pub fn edges(&self) -> &'a [CausalEdge] {
+        self.edges
     }
 
     /// Number of outgoing causal edges of a node.
     pub fn out_degree(&self, node: SectionId) -> usize {
-        self.outgoing.get(&node).map(Vec::len).unwrap_or(0)
+        self.out_degree[node.index()] as usize
     }
 
     /// Number of incoming causal edges of a node.
     pub fn in_degree(&self, node: SectionId) -> usize {
-        self.incoming.get(&node).map(Vec::len).unwrap_or(0)
+        self.sources_of(node).len()
     }
 
-    /// Causal predecessors (source nodes) of a node.
+    /// Causal predecessors (source nodes) of a node, in edge order.
     pub fn sources_of(&self, node: SectionId) -> &[SectionId] {
-        self.incoming.get(&node).map(Vec::as_slice).unwrap_or(&[])
+        &self.sources[self.source_start[node.index()]..self.source_start[node.index() + 1]]
     }
 
-    /// Causal successors of a node.
-    pub fn successors_of(&self, node: SectionId) -> &[SectionId] {
-        self.outgoing.get(&node).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Nodes with neither incoming nor outgoing causal edges. The paper's
-    /// RULE 3 step removes the lock/unlock events of these (and of
+    /// Whether a node has neither incoming nor outgoing causal edges. The
+    /// paper's RULE 3 step removes the lock/unlock events of these (and of
     /// null-locks) entirely.
-    pub fn standalone_nodes(&self) -> Vec<SectionId> {
-        self.nodes
-            .iter()
-            .copied()
-            .filter(|n| self.out_degree(*n) == 0 && self.in_degree(*n) == 0)
-            .collect()
+    pub fn is_standalone(&self, node: SectionId) -> bool {
+        self.out_degree(node) == 0 && self.in_degree(node) == 0
     }
 
-    /// Nodes that participate in at least one causal edge.
-    pub fn causal_nodes(&self) -> BTreeSet<SectionId> {
-        let mut set = BTreeSet::new();
-        for e in &self.edges {
-            set.insert(e.from);
-            set.insert(e.to);
-        }
-        set
+    /// Standalone nodes (see [`is_standalone`](Self::is_standalone)) in id
+    /// order.
+    pub fn standalone_nodes(&self) -> Vec<SectionId> {
+        self.nodes().filter(|&n| self.is_standalone(n)).collect()
+    }
+
+    /// Nodes that participate in at least one causal edge, in id order.
+    pub fn causal_nodes(&self) -> Vec<SectionId> {
+        self.nodes().filter(|&n| !self.is_standalone(n)).collect()
     }
 
     /// Checks that the causal edges are acyclic (they must be, because every
@@ -102,6 +116,8 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
     use perfplay_detect::{DetectionPlan, Detector, NoGain};
     use perfplay_program::ProgramBuilder;
     use perfplay_record::Recorder;
@@ -117,7 +133,7 @@ mod tests {
         Detector::default().plan(&trace, NoGain)
     }
 
-    fn topology(plan: &DetectionPlan) -> Topology {
+    fn topology(plan: &DetectionPlan) -> Topology<'_> {
         Topology::from_parts(&plan.sections, &plan.edges)
     }
 
@@ -163,7 +179,6 @@ mod tests {
             assert!(topo.out_degree(e.from) >= 1);
             assert!(topo.in_degree(e.to) >= 1);
             assert!(topo.sources_of(e.to).contains(&e.from));
-            assert!(topo.successors_of(e.from).contains(&e.to));
         }
     }
 
@@ -172,7 +187,7 @@ mod tests {
         let analysis = analyze(mixed_workload);
         let topo = topology(&analysis);
         let standalone: BTreeSet<_> = topo.standalone_nodes().into_iter().collect();
-        let causal = topo.causal_nodes();
+        let causal: BTreeSet<_> = topo.causal_nodes().into_iter().collect();
         assert!(standalone.is_disjoint(&causal));
         assert_eq!(standalone.len() + causal.len(), topo.nodes().len());
     }

@@ -26,9 +26,12 @@ fn record(seed: u64) -> Trace {
         .trace
 }
 
-fn transform(trace: &Trace) -> TransformedTrace {
-    let plan = Detector::new(DetectorConfig::default()).plan(trace, NoGain);
-    Transformer::new(TransformConfig::default()).transform_from_plan(trace, &plan)
+fn detect(trace: &Trace) -> DetectionPlan {
+    Detector::new(DetectorConfig::default()).plan(trace, NoGain)
+}
+
+fn transform<'a>(trace: &'a Trace, plan: &'a DetectionPlan) -> TransformedTrace<'a> {
+    Transformer::new(TransformConfig::default()).transform_from_plan(trace, plan)
 }
 
 fn replay(tt: &TransformedTrace) -> Result<ReplayResult, ReplayError> {
@@ -65,7 +68,8 @@ fn inversion_candidates(
 #[test]
 fn clean_schedule_passes_statically_and_dynamically() {
     let trace = record(3);
-    let tt = transform(&trace);
+    let plan = detect(&trace);
+    let tt = transform(&trace, &plan);
     let diagnostics = analyze_schedule(&tt);
     assert!(diagnostics.is_empty(), "{diagnostics:?}");
     replay(&tt).expect("clean schedule replays to completion");
@@ -74,7 +78,8 @@ fn clean_schedule_passes_statically_and_dynamically() {
 #[test]
 fn lock_order_cycle_is_caught_statically_and_reproduces_stuck() {
     let trace = record(3);
-    let mut tt = transform(&trace);
+    let plan = detect(&trace);
+    let mut tt = transform(&trace, &plan);
     let (x, y) = inversion_candidates(&tt);
 
     // The inverted constraint: X (which the thread reaches first) must wait
@@ -110,7 +115,8 @@ fn lock_order_cycle_is_caught_statically_and_reproduces_stuck() {
 #[test]
 fn constraint_on_stripped_section_is_ignored_by_both() {
     let trace = record(3);
-    let mut tt = transform(&trace);
+    let plan = detect(&trace);
+    let mut tt = transform(&trace, &plan);
     // The replayer completes stripped sections without consulting
     // constraints, so a backwards constraint whose `after` is stripped is
     // dead — the static analysis must agree and stay quiet.
@@ -163,7 +169,8 @@ fn verdicts_agree_across_seeds() {
     // several workloads.
     for seed in [5u64, 11, 23] {
         let trace = record(seed);
-        let mut tt = transform(&trace);
+        let plan = detect(&trace);
+        let mut tt = transform(&trace, &plan);
         assert!(
             analyze_schedule(&tt).is_empty(),
             "seed {seed}: transform output flagged"

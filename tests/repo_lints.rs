@@ -7,8 +7,11 @@
 //!   `unwrap()`/`expect()` and of the assert and panic macros outside test
 //!   code, so no corrupted input can reintroduce a panic path;
 //! * the replay engine and its two policies name no `BTreeMap` outside test
-//!   code: their per-event tables are indexed by dense ids, and an ordered
-//!   map keyed by one must not quietly return to the hot path;
+//!   code, and neither does the transform (`plan.rs`, `topology.rs`) that
+//!   builds what the ULCP-free policy replays: their per-section and
+//!   per-event tables are indexed by dense ids, and an ordered map keyed by
+//!   one must not quietly return (the public `NodeSync::lockset` stays a
+//!   `BTreeSet`);
 //! * neither does the detection kernel or the pair classifier, whose
 //!   reversed replay runs on stack arrays (or one heap buffer) per pair;
 //! * only the sink modules (`crates/detect/src/sink.rs` and `plan.rs`)
@@ -198,14 +201,22 @@ fn ingestion_paths_stay_panic_free() {
     );
 }
 
-/// The replay engine's per-event path. `reference.rs` is exempt: the
-/// reference loops keep their ordered maps as the oracle's specification.
-fn dense_replay_files() -> Vec<PathBuf> {
-    let src = workspace_root().join("crates/replay/src");
-    ["engine.rs", "original.rs", "free.rs"]
-        .iter()
-        .map(|f| src.join(f))
-        .collect()
+/// The replay engine's per-event path and the transformation it replays.
+/// The replay crate's `reference.rs` is exempt: the reference loops keep
+/// their ordered maps as the oracle's specification, as does the transform
+/// oracle in `tests/plan_equivalence.rs`.
+fn dense_id_files() -> Vec<PathBuf> {
+    let root = workspace_root();
+    [
+        "crates/replay/src/engine.rs",
+        "crates/replay/src/original.rs",
+        "crates/replay/src/free.rs",
+        "crates/transform/src/plan.rs",
+        "crates/transform/src/topology.rs",
+    ]
+    .iter()
+    .map(|f| root.join(f))
+    .collect()
 }
 
 /// Every non-test, non-comment line of `files` that names `BTreeMap`.
@@ -225,10 +236,11 @@ fn ordered_map_lines(files: &[PathBuf]) -> Vec<String> {
 
 #[test]
 fn replay_hot_path_names_no_ordered_map() {
-    let offenders = ordered_map_lines(&dense_replay_files());
+    let offenders = ordered_map_lines(&dense_id_files());
     assert!(
         offenders.is_empty(),
-        "BTreeMap on the replay engine's per-event path (index by the dense id instead):\n{}",
+        "BTreeMap on the replay engine's per-event path or in the transform (index by the \
+         dense id instead):\n{}",
         offenders.join("\n")
     );
 }
