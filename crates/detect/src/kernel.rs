@@ -21,12 +21,12 @@
 //!
 //! [`Footprint`]: perfplay_trace::Footprint
 
-use perfplay_trace::{CriticalSection, LockId, ObjectId, SectionId, ThreadId, Time};
+use perfplay_trace::{CriticalSection, LockId, SectionId, ThreadId};
 
 use crate::classify::classify_pair;
 use crate::kinds::{PairClass, UlcpKind};
 use crate::pairing::{CausalEdge, DetectorConfig, Ulcp, UlcpBreakdown};
-use crate::shadow::{LastWriteIndex, StartState};
+use crate::shadow::LastWriteIndex;
 use crate::sink::{SectionCtx, UlcpSink};
 
 /// The two [`Footprint::summary`](perfplay_trace::Footprint::summary) words
@@ -104,34 +104,10 @@ pub(crate) struct Search {
     pub(crate) done: bool,
 }
 
-/// A shadow-memory history answering "the value just before `at`", as
-/// [`LastWriteIndex::value_before`] defines it.
-pub(crate) trait ShadowHistory {
-    fn value_before(&self, obj: ObjectId, at: Time) -> Option<i64>;
-}
-
-impl ShadowHistory for LastWriteIndex {
-    fn value_before(&self, obj: ObjectId, at: Time) -> Option<i64> {
-        LastWriteIndex::value_before(self, obj, at)
-    }
-}
-
-/// Lazy [`StartState`] view over a history at one virtual time.
-struct Before<'a, H> {
-    history: &'a H,
-    at: Time,
-}
-
-impl<H: ShadowHistory> StartState for Before<'_, H> {
-    fn value(&self, obj: ObjectId) -> i64 {
-        self.history.value_before(obj, self.at).unwrap_or(0)
-    }
-}
-
 /// The classification context of one lock: borrows the section table, its
 /// packed rows, the history and the lock's sink once, so each pair costs one
 /// classification plus one emission.
-pub(crate) struct PairKernel<'a, S, H> {
+pub(crate) struct PairKernel<'a, S> {
     /// `max_scan_per_thread` with `None` hoisted to "unlimited", so the
     /// per-pair cap check is one integer compare.
     cap: u32,
@@ -141,18 +117,18 @@ pub(crate) struct PairKernel<'a, S, H> {
     /// lists index both.
     sections: &'a [CriticalSection],
     meta: &'a [SecMeta],
-    history: &'a H,
+    history: &'a LastWriteIndex,
     out: &'a mut S,
     breakdown: &'a mut UlcpBreakdown,
 }
 
-impl<'a, S: UlcpSink, H: ShadowHistory> PairKernel<'a, S, H> {
+impl<'a, S: UlcpSink> PairKernel<'a, S> {
     pub(crate) fn new(
         config: DetectorConfig,
         lock: LockId,
         sections: &'a [CriticalSection],
         meta: &'a [SecMeta],
-        history: &'a H,
+        history: &'a LastWriteIndex,
         out: &'a mut S,
         breakdown: &'a mut UlcpBreakdown,
     ) -> Self {
@@ -211,18 +187,12 @@ impl<'a, S: UlcpSink, H: ShadowHistory> PairKernel<'a, S, H> {
         let sm = self.meta[second];
         let class = match fast_classify(fm.key, sm.key) {
             Some(class) => class,
-            None => {
-                let state = Before {
-                    history: self.history,
-                    at: self.sections[first].enter_time,
-                };
-                classify_pair(
-                    &self.sections[first],
-                    &self.sections[second],
-                    &state,
-                    self.use_reversed_replay,
-                )
-            }
+            None => classify_pair(
+                &self.sections[first],
+                &self.sections[second],
+                &self.history.state_before(self.sections[first].enter_time),
+                self.use_reversed_replay,
+            ),
         };
         search.scanned += 1;
         if search.scanned >= self.cap {

@@ -9,13 +9,13 @@
 //!   EventSource ──> decoder (calling thread)
 //!                     │  checks the chunk contract, builds sections
 //!                     │  (one `SectionBuilder` per thread), assigns ids,
-//!                     │  slot-maps the shadow-memory log
+//!                     │  time-sorts the window's shadow-memory log
 //!                     ▼
 //!        bounded channel per worker (backpressure: peak state stays
 //!                     │            bounded by chunk size)
 //!                     ▼
 //!   N workers, each owning the locks with `lock.index() % N == worker`:
-//!     horizon-pruned history, pairing cursors, eager retirement —
+//!     a horizon-pruned `LastWriteIndex`, pairing cursors, eager retirement —
 //!     emitting into per-lock forked `UlcpSink` shards
 //!                     │
 //!                     ▼
@@ -48,7 +48,7 @@
 //! summary-AND proves disjoint writes — so the overwhelming majority of
 //! pairs never touch the section bodies.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 
@@ -57,9 +57,9 @@ use perfplay_trace::{
     SectionId, StreamError, StreamGap, StreamItem, ThreadId, Time, Trace, TraceChunk, TraceChunks,
 };
 
-use crate::idhash::IdBuildHasher;
-use crate::kernel::{PairKernel, PairKey, Search, SecMeta, ShadowHistory};
+use crate::kernel::{PairKernel, PairKey, Search, SecMeta};
 use crate::pairing::{DetectorConfig, UlcpAnalysis, UlcpBreakdown};
+use crate::shadow::LastWriteIndex;
 use crate::sink::{CollectPairs, UlcpSink};
 use crate::streaming::{StreamingAnalysis, StreamingSinkAnalysis, StreamingStats};
 
@@ -76,18 +76,18 @@ fn worker_died() -> StreamError {
 // Wire types: what the decoder hands each worker.
 // ---------------------------------------------------------------------------
 
-/// One shadow-memory log entry: `(completion time, object slot, value,
-/// is_write)`. Objects are slot-mapped by the decoder so workers replay the
-/// log with dense-vector indexing instead of map lookups.
-type MemEntry = (Time, u32, i64, bool);
+/// One shadow-memory log entry: `(completion time, object, value,
+/// is_write)`, what [`LastWriteIndex`] records.
+type MemEntry = (Time, ObjectId, i64, bool);
 
 /// One decoded chunk window, as seen by one worker: the shared (`Arc`ed)
 /// memory log plus the placeholders and closed sections routed to this
 /// worker's lock shard.
 struct Packet {
     window_end: Time,
+    /// The window's memory log in the order `LastWriteIndex::build` sorts
+    /// a trace's: time, then thread, then event index.
     mem: Arc<Vec<MemEntry>>,
-    new_objects: Arc<Vec<ObjectId>>,
     /// Threads that exited in this window (first transition only).
     exited: Vec<ThreadId>,
     /// Sections announced at id assignment: the builder's row so far, or
@@ -103,81 +103,6 @@ enum Msg {
     /// Clean end of stream. A channel disconnect *without* this message
     /// means the decoder aborted; the worker discards its state.
     Finish,
-}
-
-// ---------------------------------------------------------------------------
-// Worker-side history: the pruned shadow-memory log, slot-indexed.
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Default, Clone)]
-struct SlotLog {
-    /// `(completion time, resulting value)` of retained writes, time order.
-    writes: VecDeque<(Time, i64)>,
-    /// First read ever observed (initial-value anchor); never pruned.
-    first_read: Option<(Time, i64)>,
-}
-
-/// Pruned per-object shadow-memory history: semantically a
-/// [`LastWriteIndex`](crate::LastWriteIndex) whose write logs are truncated
-/// below the *horizon* — the earliest virtual time any live pairing search
-/// can still query — so answers are identical to the unpruned index. Slot
-/// indexed: the decoder maps every `ObjectId` to a dense `u32` once, so the
-/// replay and every prune walk are vector operations.
-#[derive(Debug, Default)]
-struct SlotHistory {
-    logs: Vec<SlotLog>,
-    slot_of: HashMap<ObjectId, u32, IdBuildHasher>,
-    entries: usize,
-}
-
-impl SlotHistory {
-    fn add_objects(&mut self, new_objects: &[ObjectId]) {
-        for &obj in new_objects {
-            let slot = self.logs.len() as u32;
-            self.slot_of.insert(obj, slot);
-            self.logs.push(SlotLog::default());
-        }
-    }
-
-    fn record(&mut self, entry: MemEntry) {
-        let (at, slot, value, is_write) = entry;
-        let log = &mut self.logs[slot as usize];
-        if is_write {
-            log.writes.push_back((at, value));
-            self.entries += 1;
-        } else if log.first_read.is_none() {
-            log.first_read = Some((at, value));
-        }
-    }
-
-    /// Drops every write that can no longer be an answer: a write is dead
-    /// once a *later* write also precedes the horizon.
-    fn prune(&mut self, horizon: Time) {
-        for log in &mut self.logs {
-            while log.writes.len() >= 2 && log.writes[1].0 < horizon {
-                log.writes.pop_front();
-                self.entries -= 1;
-            }
-        }
-    }
-}
-
-impl ShadowHistory for SlotHistory {
-    /// Same contract as `LastWriteIndex::value_before`: the last write
-    /// completing strictly before `at`, else the first read strictly before
-    /// `at`, else `None`.
-    fn value_before(&self, obj: ObjectId, at: Time) -> Option<i64> {
-        let &slot = self.slot_of.get(&obj)?;
-        let log = &self.logs[slot as usize];
-        let idx = log.writes.partition_point(|&(t, _)| t < at);
-        if idx > 0 {
-            return Some(log.writes[idx - 1].1);
-        }
-        match log.first_read {
-            Some((t, v)) if t < at => Some(v),
-            _ => None,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -261,7 +186,9 @@ struct Worker<S: UlcpSink> {
     /// longer) a current.
     pairing: Vec<Option<Box<CurrentV>>>,
     locks: BTreeMap<LockId, LockLane<S>>,
-    history: SlotHistory,
+    /// This worker's shadow-memory history, pruned at the horizon of its
+    /// own locks' live searches.
+    history: LastWriteIndex,
     exited: Vec<bool>,
     /// Fork factory for lazily created lock lanes.
     proto: S,
@@ -285,7 +212,7 @@ impl<S: UlcpSink> Worker<S> {
             closed: Vec::new(),
             pairing: Vec::new(),
             locks: BTreeMap::new(),
-            history: SlotHistory::default(),
+            history: LastWriteIndex::default(),
             exited: vec![false; num_threads],
             proto,
             breakdown: UlcpBreakdown::default(),
@@ -304,9 +231,8 @@ impl<S: UlcpSink> Worker<S> {
             self.exited[t.index()] = true;
         }
         if self.use_history {
-            self.history.add_objects(&packet.new_objects);
-            for &entry in packet.mem.iter() {
-                self.history.record(entry);
+            for &(at, obj, value, is_write) in packet.mem.iter() {
+                self.history.record(at, obj, value, is_write);
             }
         }
         for placeholder in packet.placeholders {
@@ -396,7 +322,7 @@ impl<S: UlcpSink> Worker<S> {
         let num_threads = *num_threads;
         let sections: &[CriticalSection] = sections;
         let meta: &[SecMeta] = meta;
-        let history: &SlotHistory = history;
+        let history: &LastWriteIndex = history;
         let lane = locks
             .get_mut(&lock)
             .expect("lane exists for a delivered section");
@@ -480,7 +406,7 @@ impl<S: UlcpSink> Worker<S> {
         let num_threads = *num_threads;
         let sections: &[CriticalSection] = sections;
         let meta: &[SecMeta] = meta;
-        let history: &SlotHistory = history;
+        let history: &LastWriteIndex = history;
         for (&lock, lane) in locks.iter_mut() {
             let LockLane {
                 sink,
@@ -606,7 +532,7 @@ impl<S: UlcpSink> Worker<S> {
 
     fn sample_peaks(&mut self) {
         self.peak_live = self.peak_live.max(self.live);
-        self.peak_history = self.peak_history.max(self.history.entries);
+        self.peak_history = self.peak_history.max(self.history.num_entries());
         let resident: usize = self.locks.values().map(|l| l.sink.resident_entries()).sum();
         self.peak_pairs = self.peak_pairs.max(resident);
     }
@@ -674,7 +600,7 @@ fn run_worker<S: UlcpSink>(
 
 /// The reader/decoder stage: checks each chunk against the chunk contract,
 /// extracts sections, assigns ids in the global
-/// `(enter_time, thread, acquire_index)` order, slot-maps the memory log,
+/// `(enter_time, thread, acquire_index)` order, time-sorts the memory log,
 /// and routes placeholders/closures to workers by `lock.index() % N`.
 struct Decoder {
     use_history: bool,
@@ -689,7 +615,6 @@ struct Decoder {
     routes: Vec<(u32, u32)>,
     /// Per worker, the rows routed to it so far.
     rows: Vec<u32>,
-    slot_of: HashMap<ObjectId, u32, IdBuildHasher>,
     lock_acquisitions: usize,
     stats: StreamingStats,
 }
@@ -707,7 +632,6 @@ impl Decoder {
             closed_global: Vec::new(),
             routes: Vec::new(),
             rows: vec![0; workers],
-            slot_of: HashMap::default(),
             lock_acquisitions: 0,
             stats: StreamingStats::default(),
         }
@@ -733,7 +657,7 @@ impl Decoder {
         // Phase A: per-thread extraction through each thread's section
         // builder. Memory events are collected in thread-major order so the
         // stable time sort below reproduces the global tie order.
-        let mut chunk_mem: Vec<(Time, ObjectId, i64, bool)> = Vec::new();
+        let mut mem: Vec<MemEntry> = Vec::new();
         // This chunk's acquires, by `(enter_time, thread, acquire_index)`,
         // announced once their ids are assigned.
         let mut announced: Vec<(Time, ThreadId, usize)> = Vec::new();
@@ -765,10 +689,10 @@ impl Decoder {
                         announced.push((te.at, span.thread, idx));
                     }
                     Event::Read { obj, value } if self.use_history => {
-                        chunk_mem.push((te.at, *obj, *value, false));
+                        mem.push((te.at, *obj, *value, false));
                     }
                     Event::Write { obj, value, .. } if self.use_history => {
-                        chunk_mem.push((te.at, *obj, *value, true));
+                        mem.push((te.at, *obj, *value, true));
                     }
                     Event::ThreadExit if !*exited => {
                         *exited = true;
@@ -779,32 +703,14 @@ impl Decoder {
             }
         }
 
-        // Phase B.1: slot-map the memory log. Sorting only within the chunk
-        // is sound because ties never straddle chunk boundaries; slots are
-        // assigned in this deterministic order, so every worker builds the
-        // identical slot table.
-        chunk_mem.sort_by_key(|&(at, ..)| at);
-        let mut mem: Vec<MemEntry> = Vec::with_capacity(chunk_mem.len());
-        let mut new_objects: Vec<ObjectId> = Vec::new();
-        for (at, obj, value, is_write) in chunk_mem {
-            let slot = match self.slot_of.get(&obj) {
-                Some(&slot) => slot,
-                None => {
-                    let next = self.slot_of.len() as u32;
-                    self.slot_of.insert(obj, next);
-                    new_objects.push(obj);
-                    next
-                }
-            };
-            mem.push((at, slot, value, is_write));
-        }
+        // Phase B.1: time-sort the memory log. Sorting only within the chunk
+        // is sound because ties never straddle chunk boundaries.
+        mem.sort_by_key(|&(at, ..)| at);
         let mem = Arc::new(mem);
-        let new_objects = Arc::new(new_objects);
         let mut packets: Vec<Packet> = (0..self.workers)
             .map(|_| Packet {
                 window_end: chunk.window_end,
                 mem: Arc::clone(&mem),
-                new_objects: Arc::clone(&new_objects),
                 exited: newly_exited.clone(),
                 placeholders: Vec::new(),
                 closed: Vec::new(),
@@ -1221,7 +1127,7 @@ mod tests {
     fn benign_pairs_survive_parallel_state_reconstruction() {
         // The benign check queries shadow memory at the first section's
         // enter time — long before the pair is classified — through each
-        // worker's replicated slot-indexed history.
+        // worker's own pruned history.
         let trace = record(|b| {
             let lock = b.lock("m");
             let flag = b.shared("done", 0);

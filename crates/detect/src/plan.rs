@@ -261,7 +261,7 @@ impl<G: GainSource + Clone> UlcpSink for PlanAggregator<G> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{BodyOverlapGain, CollectPairs, NoGain};
+    use crate::sink::{BodyOverlapGain, NoGain};
     use crate::{DetectorConfig, ParallelStreamingDetector};
     use perfplay_program::ProgramBuilder;
     use perfplay_record::Recorder;
@@ -299,7 +299,8 @@ mod tests {
             .trace
     }
 
-    fn assert_plan_matches_collected(config: DetectorConfig, trace: &Trace) {
+    /// Checks the plan against the collected analysis and returns it.
+    fn assert_plan_matches_collected(config: DetectorConfig, trace: &Trace) -> DetectionPlan {
         let analysis = Detector::new(config).analyze(trace);
         let expected_benign: Vec<Ulcp> = analysis
             .ulcps
@@ -322,12 +323,18 @@ mod tests {
             plan.resident_entries(),
             plan.aggregates.len() + plan.edges.len() + plan.benign.len()
         );
+        plan
     }
 
     #[test]
     fn plan_retains_edges_benign_and_aggregates_in_canonical_order() {
         let trace = mixed_trace();
-        assert_plan_matches_collected(DetectorConfig::default(), &trace);
+        let plan = assert_plan_matches_collected(DetectorConfig::default(), &trace);
+        assert!(
+            !plan.benign.is_empty(),
+            "workload must produce benign pairs"
+        );
+        assert!(!plan.edges.is_empty(), "workload must produce TLCP edges");
     }
 
     #[test]
@@ -364,31 +371,5 @@ mod tests {
                 assert!(stats.sections > 0);
             }
         }
-    }
-
-    #[test]
-    fn plan_and_collector_can_ride_side_by_side() {
-        // The tuple sink feeds both; the plan's retained lists are exactly
-        // the collector's filtered views.
-        let trace = mixed_trace();
-        let result = Detector::default().analyze_with(
-            &trace,
-            (CollectPairs::default(), PlanAggregator::new(NoGain)),
-        );
-        let (collected, plan_sink) = result.sink;
-        let plan = plan_sink.into_plan(result.sections, result.breakdown);
-        assert_eq!(plan.edges, collected.edges);
-        let benign: Vec<Ulcp> = collected
-            .ulcps
-            .iter()
-            .copied()
-            .filter(|u| u.kind == UlcpKind::Benign)
-            .collect();
-        assert_eq!(plan.benign, benign);
-        assert!(
-            !plan.benign.is_empty(),
-            "workload must produce benign pairs"
-        );
-        assert!(!plan.edges.is_empty(), "workload must produce TLCP edges");
     }
 }

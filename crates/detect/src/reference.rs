@@ -226,7 +226,7 @@ fn run_order_naive(
 /// Computes, for every critical section, the shared-memory snapshot just
 /// before its entry, cloning the running map once per section — the cost the
 /// optimized engine exists to avoid.
-fn per_section_snapshots(
+pub(crate) fn per_section_snapshots(
     trace: &Trace,
     sections: &[perfplay_trace::CriticalSection],
 ) -> Vec<MemorySnapshot> {

@@ -1,22 +1,23 @@
-//! Shadow memory: reconstructing shared-memory state from a recorded trace.
+//! Shadow memory: the value every shared object held at a point of the
+//! recorded execution.
 //!
 //! The paper uses shadow memory to keep per-critical-section read/write sets.
 //! Those sets live on [`CriticalSection`](perfplay_trace::CriticalSection)
-//! already; this module adds the piece the *reversed replay* benign check
-//! needs — the value every shared object held at an arbitrary point of the
-//! recorded execution, so a pair of critical sections can be re-executed in
-//! both orders from the correct starting state.
+//! already; this module answers the question the *reversed replay* benign
+//! check asks — what value did an object hold just before virtual time `t` —
+//! so a pair of critical sections can be re-executed in both orders from the
+//! correct starting state.
 //!
-//! The detector used to materialize one full [`MemorySnapshot`] clone per
-//! critical section (O(sections x objects) memory churn). The
-//! [`LastWriteIndex`] replaces that: one O(E log E) sweep builds, per object,
-//! the time-ordered log of its writes plus its first observed read. The logs
-//! sit in a hash table keyed by object id, so finding an object's log is one
-//! probe, and a "value just before virtual time `t`" query is then a binary
-//! search over that object's writes. [`StateBefore`] wraps the index as a
-//! lazy starting-state view, so the reversed-replay check fetches exactly the
-//! footprint values it touches and nothing else. [`MemorySnapshot`] keeps an
-//! ordered map: it is the eager state the reference detector clones.
+//! [`LastWriteIndex`] is the one history both detection engines read. Per
+//! object it keeps the time-ordered log of its writes plus its first
+//! observed read, in a hash table keyed by object id, so a query is one
+//! probe and a binary search over that object's writes. The batch engine
+//! builds it from the whole trace. Each streaming worker records the
+//! decoder's time-sorted memory log into its own index, chunk by chunk, and
+//! prunes the writes no live search can still reach. [`StateBefore`] is the
+//! lazy starting-state view the reversed replay reads, fetching exactly the
+//! footprint values it touches. [`MemorySnapshot`] keeps an ordered map: it
+//! is the eager state the reference detector clones.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -34,26 +35,23 @@ pub trait StartState {
     fn value(&self, obj: ObjectId) -> i64;
 }
 
-/// The recorded history of one shared object, in the stable global order
-/// (time, then thread, then event index) the eager snapshot sweep used — so
-/// equal-timestamp ties resolve identically to the historical
-/// implementation.
+/// The recorded history of one shared object, in the order a chronological
+/// replay applies it: time, then thread, then event index.
 #[derive(Debug, Clone, Default)]
 struct ObjectHistory {
-    /// `(completion time, resulting value)` of every write.
+    /// `(completion time, resulting value)` of every retained write.
     writes: Vec<(Time, i64)>,
-    /// The first read ever observed, which supplies the initial value for
-    /// objects read before any write.
+    /// The first read ever observed: the initial value for queries before
+    /// the first write. Never pruned.
     first_read: Option<(Time, i64)>,
-    /// The first observation of any kind, used as a last-resort fallback
-    /// when reconstructing full snapshots.
-    first_observation: (Time, i64),
 }
 
 /// Per-object history of one recorded execution, indexed for point lookups.
 #[derive(Debug, Clone, Default)]
 pub struct LastWriteIndex {
     objects: HashMap<ObjectId, ObjectHistory, IdBuildHasher>,
+    /// Retained writes plus first-read anchors, kept as entries come and go.
+    entries: usize,
 }
 
 impl LastWriteIndex {
@@ -72,23 +70,43 @@ impl LastWriteIndex {
 
         let mut index = LastWriteIndex::default();
         for (at, event) in mem_events {
-            let (obj, value, is_write) = match event {
-                Event::Write { obj, value, .. } => (*obj, *value, true),
-                Event::Read { obj, value } => (*obj, *value, false),
-                _ => continue,
-            };
-            let history = index.objects.entry(obj).or_insert_with(|| ObjectHistory {
-                writes: Vec::new(),
-                first_read: None,
-                first_observation: (at, value),
-            });
-            if is_write {
-                history.writes.push((at, value));
-            } else if history.first_read.is_none() {
-                history.first_read = Some((at, value));
+            match *event {
+                Event::Write { obj, value, .. } => index.record(at, obj, value, true),
+                Event::Read { obj, value } => index.record(at, obj, value, false),
+                _ => {}
             }
         }
         index
+    }
+
+    /// Appends one memory event. Events must arrive in the order
+    /// [`build`](Self::build) sorts them into: a write is appended to its
+    /// object's log, and a read only matters if it is the object's first.
+    pub(crate) fn record(&mut self, at: Time, obj: ObjectId, value: i64, is_write: bool) {
+        let history = self.objects.entry(obj).or_default();
+        if is_write {
+            history.writes.push((at, value));
+        } else if history.first_read.is_none() {
+            history.first_read = Some((at, value));
+        } else {
+            return;
+        }
+        self.entries += 1;
+    }
+
+    /// Drops every write no query at or after `horizon` can return: a write
+    /// is dead once a *later* write also precedes the horizon. Answers of
+    /// [`value_before`](Self::value_before) at `at >= horizon` do not change.
+    ///
+    /// The log is a plain `Vec`, so queries binary-search a slice; a prune
+    /// shifts the surviving writes to its front.
+    pub(crate) fn prune(&mut self, horizon: Time) {
+        for history in self.objects.values_mut() {
+            let before = history.writes.partition_point(|&(t, _)| t < horizon);
+            let dead = before.saturating_sub(1);
+            history.writes.drain(..dead);
+            self.entries -= dead;
+        }
     }
 
     /// The value `obj` held just before virtual time `at`, as a chronological
@@ -107,33 +125,11 @@ impl LastWriteIndex {
         }
     }
 
-    /// Number of retained history entries: one per recorded write plus one
-    /// per first-read anchor. The batch engines' counterpart of the
-    /// streaming detector's `peak_history_entries` accounting.
+    /// Number of retained history entries: one per retained write plus one
+    /// per first-read anchor. This is what the streaming detector's
+    /// `peak_history_entries` samples per worker.
     pub fn num_entries(&self) -> usize {
-        self.objects
-            .values()
-            .map(|h| h.writes.len() + usize::from(h.first_read.is_some()))
-            .sum()
-    }
-
-    /// Like [`value_before`](Self::value_before), but falling back to the
-    /// first value the object is *ever* observed with (even later than `at`)
-    /// — the best available guess for objects the trace has not touched yet.
-    pub fn value_before_or_observed(&self, obj: ObjectId, at: Time) -> Option<i64> {
-        self.value_before(obj, at)
-            .or_else(|| self.objects.get(&obj).map(|h| h.first_observation.1))
-    }
-
-    /// Materializes the full [`MemorySnapshot`] just before `at`, covering
-    /// every object the trace ever observes.
-    pub fn snapshot_before(&self, at: Time) -> MemorySnapshot {
-        let values = self
-            .objects
-            .keys()
-            .filter_map(|&obj| self.value_before_or_observed(obj, at).map(|v| (obj, v)))
-            .collect();
-        MemorySnapshot { values }
+        self.entries
     }
 
     /// A lazy starting-state view "just before `at`" over this index.
@@ -160,36 +156,18 @@ impl StartState for StateBefore<'_> {
 }
 
 /// A snapshot of shared-memory values at some virtual time of the original
-/// execution.
+/// execution: the eager state the reference detector clones per section.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemorySnapshot {
     values: BTreeMap<ObjectId, i64>,
 }
 
 impl MemorySnapshot {
-    /// Reconstructs the values all shared objects held just before virtual
-    /// time `at` in the recorded execution.
-    ///
-    /// Values come from the last write before `at`; objects not yet written
-    /// take the value observed by the first read before `at` (reads see the
-    /// initial value until the first write), falling back to the first value
-    /// the object is ever observed with, and finally to zero for objects the
-    /// trace never touches.
-    ///
-    /// This is a convenience wrapper building a throwaway [`LastWriteIndex`];
-    /// callers reconstructing state at many points should build the index
-    /// once and use [`LastWriteIndex::snapshot_before`] or
-    /// [`LastWriteIndex::state_before`] instead.
-    pub fn before(trace: &Trace, at: Time) -> Self {
-        LastWriteIndex::build(trace).snapshot_before(at)
-    }
-
     /// Creates a snapshot from explicit values (used in tests and by the
     /// benign check's re-execution).
     pub fn from_values(values: BTreeMap<ObjectId, i64>) -> Self {
         MemorySnapshot { values }
     }
-
     /// Returns the value of an object, defaulting to zero for untracked
     /// objects.
     pub fn get(&self, obj: ObjectId) -> i64 {
@@ -230,7 +208,13 @@ impl StartState for MemorySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perfplay_trace::{CodeSiteId, LockId, Time, TraceMeta, WriteOp};
+    use crate::reference::per_section_snapshots;
+    use perfplay_program::ProgramBuilder;
+    use perfplay_record::Recorder;
+    use perfplay_sim::SimConfig;
+    use perfplay_trace::{extract_critical_sections, CodeSiteId, LockId, Time, TraceMeta, WriteOp};
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng, SmallRng};
 
     fn trace_with_history() -> Trace {
         let mut trace = Trace::new(TraceMeta::default(), 1);
@@ -274,27 +258,16 @@ mod tests {
 
     #[test]
     fn snapshot_before_first_write_sees_initial_value() {
-        let trace = trace_with_history();
-        let snap = MemorySnapshot::before(&trace, Time::from_nanos(3));
-        assert_eq!(snap.get(ObjectId::new(0)), 5);
+        let index = LastWriteIndex::build(&trace_with_history());
+        let state = index.state_before(Time::from_nanos(3));
+        assert_eq!(state.value(ObjectId::new(0)), 5);
     }
 
     #[test]
     fn snapshot_after_write_sees_written_value() {
-        let trace = trace_with_history();
-        let snap = MemorySnapshot::before(&trace, Time::from_nanos(4));
-        assert_eq!(snap.get(ObjectId::new(0)), 9);
-    }
-
-    #[test]
-    fn never_written_object_falls_back_to_first_observation() {
-        let trace = trace_with_history();
-        // Before time 5 `other` has not been written; its first observation is
-        // the write at t=5 with value 12, which is the best available guess.
-        let snap = MemorySnapshot::before(&trace, Time::from_nanos(5));
-        assert_eq!(snap.get(ObjectId::new(1)), 12);
-        // Unknown objects default to zero.
-        assert_eq!(snap.get(ObjectId::new(42)), 0);
+        let index = LastWriteIndex::build(&trace_with_history());
+        let state = index.state_before(Time::from_nanos(4));
+        assert_eq!(state.value(ObjectId::new(0)), 9);
     }
 
     #[test]
@@ -312,19 +285,47 @@ mod tests {
         assert_eq!(projected[&ObjectId::new(9)], 0);
     }
 
+    /// The index answers every section's starting state as the reference
+    /// detector's eager per-section snapshots do, for every object the
+    /// trace touches and one it never does.
     #[test]
     fn index_point_lookups_match_eager_snapshots() {
-        let trace = trace_with_history();
+        let mut b = ProgramBuilder::new("shadow-test");
+        let lock = b.lock("m");
+        let objs: Vec<_> = (0..3).map(|i| b.shared(format!("o{i}"), i)).collect();
+        let site = b.site("shadow.c", "f", 1);
+        for t in 0..3usize {
+            let objs = objs.clone();
+            b.thread(format!("t{t}"), |tb| {
+                for k in 0..5usize {
+                    let obj = objs[(t + k) % objs.len()];
+                    tb.locked(lock, site, |cs| {
+                        if (t + k) % 2 == 0 {
+                            cs.read(obj);
+                        } else {
+                            cs.write_add(obj, 1);
+                        }
+                    });
+                    tb.compute_ns(10);
+                }
+            });
+        }
+        let trace = Recorder::new(SimConfig::default())
+            .record(&b.build())
+            .unwrap()
+            .trace;
+        let sections = extract_critical_sections(&trace);
+        let snapshots = per_section_snapshots(&trace, &sections);
         let index = LastWriteIndex::build(&trace);
-        for at_ns in 0..8 {
-            let at = Time::from_nanos(at_ns);
-            let eager = index.snapshot_before(at);
-            for raw in 0..3u64 {
-                let obj = ObjectId::new(raw);
+        let objects: Vec<ObjectId> = (0..4).map(ObjectId::new).collect();
+        for (section, eager) in sections.iter().zip(&snapshots) {
+            let state = index.state_before(section.enter_time);
+            for &obj in &objects {
                 assert_eq!(
-                    index.value_before_or_observed(obj, at).unwrap_or(0),
+                    state.value(obj),
                     eager.get(obj),
-                    "object {raw} before t={at_ns}"
+                    "{obj} before {}",
+                    section.id
                 );
             }
         }
@@ -337,8 +338,11 @@ mod tests {
         let state = index.state_before(Time::from_nanos(5));
         // obj0: last write before t=5 is 9.
         assert_eq!(state.value(ObjectId::new(0)), 9);
-        // obj1's only write is at t=5 (not strictly before): unknown -> 0.
+        // obj1's only write is at t=5 (not strictly before): unknown -> 0,
+        // not the value it is observed with later.
         assert_eq!(state.value(ObjectId::new(1)), 0);
+        // Objects the trace never touches are zero too.
+        assert_eq!(state.value(ObjectId::new(42)), 0);
     }
 
     #[test]
@@ -365,5 +369,100 @@ mod tests {
         // The stable sort keeps thread 1's write last among the t=4 ties.
         assert_eq!(index.value_before(obj, Time::from_nanos(5)), Some(2));
         assert_eq!(index.value_before(obj, Time::from_nanos(4)), None);
+    }
+
+    /// `(completion time, object, value, is_write)` of every memory event of
+    /// `trace`, in the order `build` records them.
+    fn memory_log(trace: &Trace) -> Vec<(Time, ObjectId, i64, bool)> {
+        let mut log: Vec<_> = trace
+            .iter_events()
+            .filter_map(|(_, _, te)| match te.event {
+                Event::Write { obj, value, .. } => Some((te.at, obj, value, true)),
+                Event::Read { obj, value } => Some((te.at, obj, value, false)),
+                _ => None,
+            })
+            .collect();
+        log.sort_by_key(|&(at, ..)| at);
+        log
+    }
+
+    /// Retained writes plus first-read anchors, counted afresh.
+    fn recount(index: &LastWriteIndex) -> usize {
+        index
+            .objects
+            .values()
+            .map(|h| h.writes.len() + usize::from(h.first_read.is_some()))
+            .sum()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Recording a memory log chunk by chunk and pruning at a
+        /// non-decreasing horizon, as a streaming worker does, keeps every
+        /// answer at or after the horizon equal to the unpruned index's, and
+        /// the running entry count exact.
+        #[test]
+        fn pruned_history_answers_like_the_unpruned_index(seed in 0u64..u64::MAX) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            // Two or three threads over three objects; time advances by 0–2
+            // ns per event, so equal timestamps occur within and across
+            // threads, and reads land before and after each first write.
+            let mut trace = Trace::new(TraceMeta::default(), rng.gen_range(2..4usize));
+            for thread in &mut trace.threads {
+                let mut at = 0u64;
+                for _ in 0..rng.gen_range(0..12usize) {
+                    at += rng.gen_range(0..3u64);
+                    let obj = ObjectId::new(rng.gen_range(0..3u64));
+                    let value = rng.gen_range(-3..4i64);
+                    let event = if rng.gen_bool(0.5) {
+                        Event::Write { obj, op: WriteOp::Set(value), value }
+                    } else {
+                        Event::Read { obj, value }
+                    };
+                    thread.push(Time::from_nanos(at), event);
+                }
+            }
+            let log = memory_log(&trace);
+            let end = log.last().map_or(0, |&(at, ..)| at.as_nanos()) + 2;
+            // Object 3 is never touched.
+            let objects: Vec<ObjectId> = (0..4).map(ObjectId::new).collect();
+
+            let mut pruned = LastWriteIndex::default();
+            let mut unpruned = LastWriteIndex::default();
+            let mut horizon = 0u64;
+            let mut rest = &log[..];
+            while !rest.is_empty() {
+                let (chunk, tail) = rest.split_at(rng.gen_range(1..5usize).min(rest.len()));
+                rest = tail;
+                for &(at, obj, value, is_write) in chunk {
+                    pruned.record(at, obj, value, is_write);
+                    unpruned.record(at, obj, value, is_write);
+                }
+                horizon += rng.gen_range(0..4u64);
+                pruned.prune(Time::from_nanos(horizon));
+                prop_assert_eq!(pruned.num_entries(), recount(&pruned));
+                for &obj in &objects {
+                    for t in horizon..=end.max(horizon) {
+                        let t = Time::from_nanos(t);
+                        let (got, want) = (pruned.value_before(obj, t), unpruned.value_before(obj, t));
+                        prop_assert!(
+                            got == want,
+                            "{obj} before {t:?} at horizon {horizon}: {got:?}, unpruned {want:?}"
+                        );
+                    }
+                }
+            }
+            // Chunk by chunk, unpruned, is exactly the index `build` makes.
+            let built = LastWriteIndex::build(&trace);
+            prop_assert_eq!(built.num_entries(), recount(&built));
+            prop_assert_eq!(unpruned.num_entries(), built.num_entries());
+            for &obj in &objects {
+                for t in 0..=end {
+                    let t = Time::from_nanos(t);
+                    prop_assert_eq!(unpruned.value_before(obj, t), built.value_before(obj, t));
+                }
+            }
+        }
     }
 }

@@ -101,42 +101,6 @@ pub trait UlcpSink {
     fn resident_entries(&self) -> usize;
 }
 
-/// Two sinks fed side by side — e.g. an aggregator plus an edge collector.
-impl<A: UlcpSink, B: UlcpSink> UlcpSink for (A, B) {
-    fn emit(&mut self, ulcp: Ulcp, ctx: &SectionCtx<'_>) {
-        self.0.emit(ulcp, ctx);
-        self.1.emit(ulcp, ctx);
-    }
-
-    fn emit_edge(&mut self, edge: CausalEdge, ctx: &SectionCtx<'_>) {
-        self.0.emit_edge(edge, ctx);
-        self.1.emit_edge(edge, ctx);
-    }
-
-    fn fork(&self) -> Self {
-        (self.0.fork(), self.1.fork())
-    }
-
-    fn absorb(&mut self, shard: Self) {
-        self.0.absorb(shard.0);
-        self.1.absorb(shard.1);
-    }
-
-    fn remap_sections(&mut self, remap: &[Option<SectionId>]) {
-        self.0.remap_sections(remap);
-        self.1.remap_sections(remap);
-    }
-
-    fn seal(&mut self, sections: &[CriticalSection]) {
-        self.0.seal(sections);
-        self.1.seal(sections);
-    }
-
-    fn resident_entries(&self) -> usize {
-        self.0.resident_entries() + self.1.resident_entries()
-    }
-}
-
 /// The materializing sink: collects every pair and edge, reproducing the
 /// historical `UlcpAnalysis` vectors bit-identically. Memory is O(pairs).
 #[derive(Debug, Clone, Default)]
@@ -795,36 +759,6 @@ mod tests {
         merged.absorb(shard_a);
         merged.absorb(shard_b);
         assert_eq!(single.finish(), merged.finish());
-    }
-
-    #[test]
-    fn tuple_sink_feeds_both_components() {
-        let a = section(0, 0, 1, 5);
-        let b = section(1, 1, 2, 5);
-        let ctx = SectionCtx {
-            first: &a,
-            second: &b,
-        };
-        let mut sink = (CollectPairs::default(), SiteAggregator::new(NoGain));
-        sink.emit(ulcp(0, 1, UlcpKind::ReadRead), &ctx);
-        sink.emit_edge(
-            CausalEdge {
-                from: a.id,
-                to: b.id,
-                lock: LockId::new(0),
-            },
-            &ctx,
-        );
-        assert_eq!(sink.0.ulcps.len(), 1);
-        assert_eq!(sink.0.edges.len(), 1);
-        assert_eq!(sink.resident_entries(), 2 + 2);
-        let sections = vec![a, b];
-        sink.seal(&sections);
-        let aggregates = sink.1.finish();
-        assert_eq!(aggregates.ulcps.len(), 1);
-        assert_eq!(aggregates.edges.len(), 1);
-        assert!(!aggregates.is_empty());
-        assert_eq!(aggregates.len(), 2);
     }
 
     #[test]

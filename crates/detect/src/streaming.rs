@@ -26,7 +26,9 @@ pub struct StreamingStats {
     /// Peak count of sections whose pairing state was live at once
     /// (open + awaiting delivery + searching).
     pub peak_live_sections: usize,
-    /// Peak number of retained write-log entries in the pruned history.
+    /// Peak number of retained writes plus first-read anchors of each
+    /// worker's [`LastWriteIndex`](crate::LastWriteIndex), worker peaks
+    /// summed.
     pub peak_history_entries: usize,
     /// Peak number of entries the output sink held resident — individual
     /// pairs for a collecting sink, aggregate-table rows for an aggregating

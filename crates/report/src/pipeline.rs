@@ -213,8 +213,8 @@ impl PipelineConfig {
 }
 
 /// Everything one single-pass pipeline run produced. The transformed trace
-/// (which clones the original event log) is dropped as soon as the report
-/// is assembled; its statistics live on in `report.transform_stats`.
+/// borrows the recorded trace and the plan's section table, so it cannot
+/// outlive the run; its statistics live on in `report.transform_stats`.
 #[derive(Debug, Clone)]
 pub struct PlanAnalysis {
     /// The compact detection output that drove transform, replay and report.

@@ -46,6 +46,11 @@
 //!   `rposition`, so batch extraction, the streaming decoder, the trace
 //!   statistics, validation and the linter pair acquires with releases by
 //!   one rule;
+//! * the shadow-memory history is kept in one place: outside test code and
+//!   comments, `fn value_before` is defined under `crates/` and `src/` only
+//!   in `crates/detect/src/shadow.rs`, so both detection engines read the
+//!   reversed replay's starting state from one `LastWriteIndex`, which the
+//!   batch engine builds and each streaming worker records into and prunes;
 //! * retired names stay retired: no source file, test, example, README, CI
 //!   workflow or verification note names the sequential streaming engine
 //!   (`ParallelStreamingDetector` at one worker replaced it), the second
@@ -584,6 +589,44 @@ fn sections_are_built_in_one_place() {
     assert!(
         built_in_builder,
         "{SECTION_BUILDER} no longer builds a MemAccess; update builds_a_section"
+    );
+}
+
+/// The one file that keeps a shadow-memory history.
+const SHADOW_HISTORY: &str = "crates/detect/src/shadow.rs";
+
+#[test]
+fn the_shadow_history_is_kept_in_one_place() {
+    // Library and binary sources; integration tests may define helpers.
+    let files: Vec<PathBuf> = rs_files_under(&["crates", "src"])
+        .into_iter()
+        .filter(|p| !relative(p).split('/').any(|part| part == "tests"))
+        .collect();
+    let mut offenders: Vec<String> = Vec::new();
+    let mut defined_in_shadow = false;
+    for path in &files {
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        for (line_no, line) in non_test_code(&text) {
+            if is_comment(line) || !line.contains("fn value_before(") {
+                continue;
+            }
+            if relative(path) == SHADOW_HISTORY {
+                defined_in_shadow = true;
+            } else {
+                offenders.push(format!("{}:{line_no}: {}", relative(path), line.trim()));
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "a shadow-memory history is kept outside {SHADOW_HISTORY} (record into and \
+         prune a perfplay_detect::LastWriteIndex instead):\n{}",
+        offenders.join("\n")
+    );
+    assert!(
+        defined_in_shadow,
+        "{SHADOW_HISTORY} no longer defines `fn value_before`; update this lint"
     );
 }
 
