@@ -26,6 +26,11 @@
 //! replay-derived gain into per-site rows ([`ReplayGains`]). No stage reads
 //! a pair list.
 //!
+//! The facade adds no analysis settings of its own: [`PerfPlayConfig`] is
+//! how to record plus the [`PipelineConfig`] that `analyze_plan` runs
+//! under, and [`PerfPlayError`] is a recording failure or `analyze_plan`'s
+//! [`PipelineError`].
+//!
 //! ```
 //! use perfplay::PerfPlay;
 //! use perfplay::workloads::{App, InputSize, WorkloadConfig};
@@ -40,17 +45,17 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use perfplay_detect::{DetectionPlan, Detector, DetectorConfig, SiteAggregator};
+use perfplay_detect::{DetectionPlan, Detector, SiteAggregator};
 use perfplay_program::Program;
 use perfplay_record::{RecordedExecution, Recorder, RecordingMode};
 use perfplay_replay::{
-    measure_fidelity, FidelityReport, ReplayConfig, ReplayError, ReplayResult, Replayer,
-    ScheduleKind,
+    measure_fidelity, FidelityReport, ReplayError, ReplayResult, Replayer, ScheduleKind,
 };
-use perfplay_report::{analyze_plan, PerfReport, PlanAnalysis, ReplayGains};
+use perfplay_report::{
+    analyze_plan, PerfReport, PipelineConfig, PipelineError, PlanAnalysis, ReplayGains,
+};
 use perfplay_sim::{ExecutionTiming, SimConfig, SimError};
 use perfplay_trace::Trace;
-use perfplay_transform::TransformConfig;
 
 /// Convenience re-exports of the building-block crates.
 pub mod prelude {
@@ -95,68 +100,39 @@ pub mod workloads {
     pub use perfplay_workloads::*;
 }
 
-/// Errors produced by the end-to-end pipeline — the root of the framework's
-/// error taxonomy. Every stage's typed error converts into exactly one
-/// variant, so callers can match on *where* a run failed without knowing the
-/// per-crate error types:
+/// Errors produced by the end-to-end pipeline: where a run failed.
 ///
 /// * [`Record`](Self::Record) — the deterministic simulator could not execute
 ///   the program ([`SimError`]);
-/// * [`Replay`](Self::Replay) — one of the two replays got stuck or ran away
-///   ([`ReplayError`]);
-/// * [`Stream`](Self::Stream) — chunked ingestion hit malformed input
-///   ([`perfplay_trace::StreamError`], possibly wrapped in a located
-///   `StreamError::At` with file, line and byte offset);
-/// * [`Trace`](Self::Trace) — a materialized trace failed structural
-///   validation ([`perfplay_trace::TraceError`]);
-/// * [`Plan`](Self::Plan) — a deserialized detection plan was internally
-///   inconsistent ([`perfplay_detect::PlanError`]);
-/// * [`Panic`](Self::Panic) — a pipeline stage panicked inside one of the
-///   batch drivers' `catch_unwind` isolation boundaries;
-/// * [`Preflight`](Self::Preflight) — the opt-in static lint
-///   ([`PerfPlayConfig::preflight`]) found error-severity problems before
-///   the pipeline ran ([`perfplay_lint::Diagnostic`]).
+/// * [`Pipeline`](Self::Pipeline) — the analysis ([`analyze_plan`]) failed
+///   ([`PipelineError`]): its opt-in preflight refused the trace or the
+///   transformed schedule, a replay got stuck or ran away, or streamed
+///   detection met a malformed chunk stream.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PerfPlayError {
     /// Recording (simulation) failed.
     Record(SimError),
-    /// One of the replays failed.
-    Replay(ReplayError),
-    /// Chunked (streaming) trace ingestion failed.
-    Stream(perfplay_trace::StreamError),
-    /// A materialized trace failed structural validation.
-    Trace(perfplay_trace::TraceError),
-    /// A detection plan failed consistency validation.
-    Plan(perfplay_detect::PlanError),
-    /// A pipeline stage panicked; the batch drivers isolate per-trace panics
-    /// and surface them as this variant.
-    Panic(String),
-    /// The static preflight lint refused the input or the transformed
-    /// schedule before any expensive stage ran.
-    Preflight(Vec<perfplay_lint::Diagnostic>),
+    /// The analysis pipeline failed.
+    Pipeline(PipelineError),
 }
 
 impl std::fmt::Display for PerfPlayError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PerfPlayError::Record(e) => write!(f, "recording failed: {e}"),
-            PerfPlayError::Replay(e) => write!(f, "replay failed: {e}"),
-            PerfPlayError::Stream(e) => write!(f, "stream ingestion failed: {e}"),
-            PerfPlayError::Trace(e) => write!(f, "trace validation failed: {e}"),
-            PerfPlayError::Plan(e) => write!(f, "plan validation failed: {e}"),
-            PerfPlayError::Panic(msg) => write!(f, "pipeline stage panicked: {msg}"),
-            PerfPlayError::Preflight(diagnostics) => {
-                write!(f, "preflight lint found {} error(s)", diagnostics.len())?;
-                if let Some(first) = diagnostics.first() {
-                    write!(f, "; first: {first}")?;
-                }
-                Ok(())
-            }
+            PerfPlayError::Pipeline(e) => write!(f, "analysis failed: {e}"),
         }
     }
 }
 
-impl std::error::Error for PerfPlayError {}
+impl std::error::Error for PerfPlayError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            PerfPlayError::Record(e) => Some(e),
+            PerfPlayError::Pipeline(e) => Some(e),
+        }
+    }
+}
 
 impl From<SimError> for PerfPlayError {
     fn from(e: SimError) -> Self {
@@ -164,100 +140,23 @@ impl From<SimError> for PerfPlayError {
     }
 }
 
-impl From<ReplayError> for PerfPlayError {
-    fn from(e: ReplayError) -> Self {
-        PerfPlayError::Replay(e)
+impl From<PipelineError> for PerfPlayError {
+    fn from(e: PipelineError) -> Self {
+        PerfPlayError::Pipeline(e)
     }
 }
 
-impl From<perfplay_trace::StreamError> for PerfPlayError {
-    fn from(e: perfplay_trace::StreamError) -> Self {
-        PerfPlayError::Stream(e)
-    }
-}
-
-impl From<perfplay_trace::TraceError> for PerfPlayError {
-    fn from(e: perfplay_trace::TraceError) -> Self {
-        PerfPlayError::Trace(e)
-    }
-}
-
-impl From<perfplay_detect::PlanError> for PerfPlayError {
-    fn from(e: perfplay_detect::PlanError) -> Self {
-        PerfPlayError::Plan(e)
-    }
-}
-
-impl From<perfplay_report::PipelineError> for PerfPlayError {
-    fn from(e: perfplay_report::PipelineError) -> Self {
-        match e {
-            perfplay_report::PipelineError::Replay(e) => PerfPlayError::Replay(e),
-            perfplay_report::PipelineError::Stream(e) => PerfPlayError::Stream(e),
-            perfplay_report::PipelineError::Panic(msg) => PerfPlayError::Panic(msg),
-            perfplay_report::PipelineError::Preflight(diagnostics) => {
-                PerfPlayError::Preflight(diagnostics)
-            }
-        }
-    }
-}
-
-/// Configuration of the end-to-end pipeline.
-#[derive(Debug, Clone, Copy)]
+/// Configuration of the end-to-end pipeline: how to record, and the
+/// configuration the analysis runs under.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PerfPlayConfig {
     /// Machine model used while recording.
     pub sim: SimConfig,
-    /// Cost model used while replaying.
-    pub replay: ReplayConfig,
     /// Complete or selective recording.
     pub recording_mode: RecordingMode,
-    /// ULCP detector options (reversed-replay refinement, scan caps).
-    pub detector: DetectorConfig,
-    /// Trace transformation options.
-    pub transform: TransformConfig,
-    /// Whether the ULCP-free replay uses the dynamic locking strategy.
-    pub use_dls: bool,
-    /// Schedule used for the original-trace replay (the paper uses ELSC).
-    pub original_schedule: ScheduleKind,
-    /// Opt-in static preflight: lint the input trace before detection and
-    /// the transformed schedule before the ULCP-free replay; error-severity
-    /// findings abort with [`PerfPlayError::Preflight`]. Honoured by
-    /// [`PerfPlay::analyze_trace`] and [`PerfPlay::analyze_program`], and by
-    /// every pipeline entry point given [`PerfPlayConfig::pipeline`].
-    pub preflight: bool,
-}
-
-impl Default for PerfPlayConfig {
-    fn default() -> Self {
-        PerfPlayConfig {
-            sim: SimConfig::default(),
-            replay: ReplayConfig::default(),
-            recording_mode: RecordingMode::Complete,
-            detector: DetectorConfig::default(),
-            transform: TransformConfig::default(),
-            use_dls: true,
-            original_schedule: ScheduleKind::ElscS,
-            preflight: false,
-        }
-    }
-}
-
-impl PerfPlayConfig {
-    /// The analysis-stage slice of this configuration, as consumed by the
-    /// single-pass pipeline ([`analyze_plan`]) and the multi-trace batch
-    /// driver, with batch (in-memory) detection. Set
-    /// [`chunk_events`](perfplay_report::PipelineConfig::chunk_events) on the
-    /// result to stream detection instead.
-    pub fn pipeline(&self) -> perfplay_report::PipelineConfig {
-        perfplay_report::PipelineConfig {
-            detector: self.detector,
-            replay: self.replay,
-            transform: self.transform,
-            use_dls: self.use_dls,
-            original_schedule: self.original_schedule,
-            chunk_events: None,
-            preflight: self.preflight,
-        }
-    }
+    /// The analysis stages' configuration, handed to [`analyze_plan`] as it
+    /// is. Its detector configuration also drives the exact-gain pass.
+    pub pipeline: PipelineConfig,
 }
 
 /// Everything PerfPlay learned about one execution.
@@ -325,10 +224,14 @@ impl PerfPlay {
     ///
     /// # Errors
     ///
-    /// Returns [`PerfPlayError::Preflight`] when
-    /// [`PerfPlayConfig::preflight`] is set and the trace or the transformed
-    /// schedule has error-severity lint findings, and
-    /// [`PerfPlayError::Replay`] if either replay fails.
+    /// Returns [`PerfPlayError::Pipeline`] with [`analyze_plan`]'s error:
+    /// [`PipelineError::Preflight`] when
+    /// [`preflight`](PipelineConfig::preflight) is set and the trace or the
+    /// transformed schedule has error-severity lint findings,
+    /// [`PipelineError::Replay`] if either replay fails, and
+    /// [`PipelineError::Stream`] when
+    /// [`chunk_events`](PipelineConfig::chunk_events) is set and streamed
+    /// detection refuses the trace (one whose time runs backwards, say).
     pub fn analyze_trace(&self, trace: &Trace) -> Result<Analysis, PerfPlayError> {
         self.analyze_owned(trace.clone())
     }
@@ -346,9 +249,9 @@ impl PerfPlay {
             ulcp_free_replay,
             report,
             ..
-        } = analyze_plan(&trace, &self.config.pipeline())?;
+        } = analyze_plan(&trace, &self.config.pipeline)?;
         let gains = ReplayGains::new(&trace, &original_replay, &ulcp_free_replay);
-        let exact = Detector::new(self.config.detector)
+        let exact = Detector::new(self.config.pipeline.detector)
             .analyze_with(&trace, SiteAggregator::new(gains))
             .sink
             .finish();
@@ -368,19 +271,19 @@ impl PerfPlay {
     ///
     /// # Errors
     ///
-    /// Returns [`PerfPlayError::Replay`] if any replay fails.
+    /// Returns the [`ReplayError`] of the first replay that fails.
     pub fn fidelity(
         &self,
         trace: &Trace,
         kind: ScheduleKind,
         replays: usize,
-    ) -> Result<FidelityReport, PerfPlayError> {
-        Ok(measure_fidelity(
-            &Replayer::new(self.config.replay),
+    ) -> Result<FidelityReport, ReplayError> {
+        measure_fidelity(
+            &Replayer::new(self.config.pipeline.replay),
             trace,
             kind,
             replays,
-        )?)
+        )
     }
 }
 
@@ -436,7 +339,7 @@ mod tests {
         // The facade's detection, transformation and replays are
         // `analyze_plan`'s; only the ranking differs (exact Equation 1
         // gains instead of the detection-time proxy).
-        let single = analyze_plan(&full.trace, &perfplay.config().pipeline()).unwrap();
+        let single = analyze_plan(&full.trace, &perfplay.config().pipeline).unwrap();
         assert_eq!(single.plan, full.plan);
         assert_eq!(single.original_replay, full.original_replay);
         assert_eq!(single.ulcp_free_replay, full.ulcp_free_replay);
@@ -460,11 +363,14 @@ mod tests {
     #[test]
     fn configuration_is_respected() {
         let config = PerfPlayConfig {
-            use_dls: false,
+            pipeline: PipelineConfig {
+                use_dls: false,
+                ..PipelineConfig::default()
+            },
             ..PerfPlayConfig::default()
         };
         let perfplay = PerfPlay::with_config(config);
-        assert!(!perfplay.config().use_dls);
+        assert!(!perfplay.config().pipeline.use_dls);
         let analysis = perfplay.analyze_program(&small_program()).unwrap();
         assert!(analysis.report.impact.original_time > perfplay_trace::Time::ZERO);
     }
@@ -492,11 +398,13 @@ mod tests {
 
     #[test]
     fn error_display() {
-        let e: PerfPlayError = ReplayError::StepLimitExceeded {
+        use std::error::Error;
+        let e: PerfPlayError = PipelineError::from(ReplayError::StepLimitExceeded {
             limit: 1,
             cursors: Vec::new(),
-        }
+        })
         .into();
         assert!(e.to_string().contains("replay failed"));
+        assert!(e.source().is_some());
     }
 }

@@ -27,10 +27,10 @@
 //! bit-identical to the sequential path.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use perfplay_trace::{
-    available_threads, extract_critical_sections, CriticalSection, LockId, SectionId, Trace,
+    available_threads, extract_critical_sections, map_work_queue, CriticalSection, LockId,
+    SectionId, Trace,
 };
 use serde::{Deserialize, Serialize};
 
@@ -327,59 +327,31 @@ impl Detector {
     }
 
     /// Fans the per-lock walks out over a shared work queue of lock
-    /// indices, on min(workers, locks) threads. Per-lock cost is wildly
-    /// skewed on real workloads (one guard mutex often dominates), so
-    /// workers pop the next lock instead of being handed a fixed chunk — a
-    /// hot lock occupies one worker while the rest drain the remainder.
-    /// Each index is processed exactly once, so sorting the collected
-    /// `(index, shard)` pairs restores the deterministic ascending-lock
-    /// order.
+    /// indices ([`map_work_queue`]), on min(workers, locks) threads.
+    /// Per-lock cost is wildly skewed on real workloads (one guard mutex
+    /// often dominates), so workers pop the next lock instead of being
+    /// handed a fixed chunk — a hot lock occupies one worker while the rest
+    /// drain the remainder. The shards come back in the deterministic
+    /// ascending-lock order.
     fn analyze_locks_parallel<S: UlcpSink + Send + Sync>(
         &self,
         locks: &[(LockId, Vec<u32>)],
         table: &SectionTable<'_>,
         sink: &S,
     ) -> Vec<(S, UlcpBreakdown)> {
-        let workers = self.workers.min(locks.len());
-        let next = AtomicUsize::new(0);
-        let config = self.config;
-        let mut collected: Vec<(usize, S, UlcpBreakdown)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some((lock, members)) = locks.get(i) else {
-                                break;
-                            };
-                            let mut shard = sink.fork();
-                            let mut shard_breakdown = UlcpBreakdown::default();
-                            table.analyze_lock_into(
-                                *lock,
-                                members,
-                                config,
-                                &mut shard,
-                                &mut shard_breakdown,
-                            );
-                            local.push((i, shard, shard_breakdown));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            // Re-raise a worker panic as itself, not as a join error: the
-            // real cause must surface.
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-        collected.sort_unstable_by_key(|entry| entry.0);
-        collected
-            .into_iter()
-            .map(|(_, shard, breakdown)| (shard, breakdown))
-            .collect()
+        map_work_queue(locks.len(), self.workers, |i| {
+            let (lock, members) = &locks[i];
+            let mut shard = sink.fork();
+            let mut shard_breakdown = UlcpBreakdown::default();
+            table.analyze_lock_into(
+                *lock,
+                members,
+                self.config,
+                &mut shard,
+                &mut shard_breakdown,
+            );
+            (shard, shard_breakdown)
+        })
     }
 }
 

@@ -562,6 +562,7 @@ fn open_failure_report(path_str: &str, error: &StreamError) -> LintReport {
 /// ([`RawChunkRecords::open`]) it gives the identical report.
 fn lint_records(path_str: String, records: RawChunkRecords, config: &LintConfig) -> LintReport {
     let mut linter: Option<StreamLinter> = None;
+    let mut header_seen = false;
     let mut pre_header: Vec<Diagnostic> = Vec::new();
     let mut trailer: Option<(ChunkFileTrailer, usize, u64)> = None;
     let mut bytes = 0u64;
@@ -595,6 +596,7 @@ fn lint_records(path_str: String, records: RawChunkRecords, config: &LintConfig)
         match record {
             ChunkFileRecord::Header(header) => match linter {
                 None => {
+                    header_seen = true;
                     let mut l = StreamLinter::new(
                         config.clone(),
                         Some(header.num_threads),
@@ -607,10 +609,18 @@ fn lint_records(path_str: String, records: RawChunkRecords, config: &LintConfig)
                     linter = Some(l);
                 }
                 Some(ref mut l) => {
+                    // A chunk opens the linter without a header, so a header
+                    // here is only a second one if a header came first.
+                    let message = if header_seen {
+                        "unexpected second header record"
+                    } else {
+                        "header record after chunk records"
+                    };
+                    header_seen = true;
                     l.emit(Diagnostic::new(
                         DiagnosticCode::RecordParse,
                         Location::file(&path_str, raw.line, raw.offset),
-                        "unexpected second header record".to_string(),
+                        message.to_string(),
                     ));
                 }
             },
@@ -1099,5 +1109,35 @@ mod tests {
             }
             std::fs::remove_file(&path).unwrap();
         }
+    }
+
+    /// A header that follows a chunk record is out of place, not a second
+    /// header: with the golden file's header and first chunk swapped, line 1
+    /// lacks its header and line 2 is the header after chunk records.
+    #[test]
+    fn a_late_header_is_not_called_a_second_header() {
+        let golden = include_str!("../../../tests/fixtures/golden-chunks.jsonl");
+        let mut lines: Vec<&str> = golden.lines().collect();
+        lines.swap(0, 1);
+        let path = std::env::temp_dir().join(format!(
+            "perfplay-lint-late-header-{}.jsonl",
+            std::process::id()
+        ));
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        let report = lint_chunk_file(&path, &LintConfig::default());
+        std::fs::remove_file(&path).unwrap();
+        let parse: Vec<(Option<usize>, &str)> = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == DiagnosticCode::RecordParse)
+            .map(|d| (d.location.line, d.message.as_str()))
+            .collect();
+        assert_eq!(
+            parse,
+            [
+                (Some(1), "chunk file does not start with a header record"),
+                (Some(2), "header record after chunk records"),
+            ]
+        );
     }
 }

@@ -69,11 +69,8 @@ pub(crate) struct SyncDeps {
     /// For the first lock re-acquisition after a `CondWait`: the signal event
     /// it must wait for.
     pub wake_deps: BTreeMap<EventRef, EventRef>,
-    /// Barrier groups: every `BarrierWait` event maps to the group of events
-    /// (including itself) that must all arrive before any of them completes.
-    pub barrier_groups: BTreeMap<EventRef, Vec<EventRef>>,
-    /// The same crossings once each, as member lists: the form the engine
-    /// indexes by group id.
+    /// Barrier crossings, each as the list of its `BarrierWait` events: all
+    /// of them must arrive before any of them completes.
     pub barrier_crossings: Vec<Vec<EventRef>>,
 }
 
@@ -124,12 +121,7 @@ pub(crate) fn build_sync_deps(trace: &Trace) -> SyncDeps {
         }
     }
 
-    for group in groups.into_values() {
-        for member in &group {
-            deps.barrier_groups.insert(*member, group.clone());
-        }
-        deps.barrier_crossings.push(group);
-    }
+    deps.barrier_crossings = groups.into_values().collect();
     deps
 }
 
@@ -237,7 +229,7 @@ mod tests {
             trace.threads[sti].events[sei].event,
             Event::CondSignal { .. }
         ));
-        assert!(deps.barrier_groups.is_empty());
+        assert!(deps.barrier_crossings.is_empty());
     }
 
     #[test]
@@ -255,10 +247,8 @@ mod tests {
             .unwrap()
             .trace;
         let deps = build_sync_deps(&trace);
-        assert_eq!(deps.barrier_groups.len(), 3);
-        for group in deps.barrier_groups.values() {
-            assert_eq!(group.len(), 3);
-        }
+        assert_eq!(deps.barrier_crossings.len(), 1);
+        assert_eq!(deps.barrier_crossings[0].len(), 3);
     }
 
     #[test]

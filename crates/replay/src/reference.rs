@@ -89,6 +89,7 @@ struct RefOriginal<'a> {
     schedule: ReplaySchedule,
     trace: &'a Trace,
     deps: SyncDeps,
+    barrier_groups: BarrierGroups,
     threads: Vec<ThreadState>,
     event_times: Vec<Vec<Time>>,
     // Lock state.
@@ -113,6 +114,18 @@ struct RefOriginal<'a> {
     // Barrier arrivals.
     barrier_arrivals: BTreeMap<EventRef, Time>,
     rng: ChaCha8Rng,
+}
+
+/// Every `BarrierWait` event mapped to the events of its crossing, itself
+/// included.
+type BarrierGroups = BTreeMap<EventRef, Vec<EventRef>>;
+
+/// The [`BarrierGroups`] of a trace's crossings.
+fn barrier_groups_of(deps: &SyncDeps) -> BarrierGroups {
+    deps.barrier_crossings
+        .iter()
+        .flat_map(|group| group.iter().map(move |member| (*member, group.clone())))
+        .collect()
 }
 
 /// ELSC: projects the recorded total grant order onto each lock.
@@ -178,6 +191,7 @@ impl<'a> RefOriginal<'a> {
             config: *config,
             schedule,
             trace,
+            barrier_groups: barrier_groups_of(&deps),
             deps,
             threads: trace
                 .threads
@@ -378,7 +392,7 @@ impl<'a> RefOriginal<'a> {
             }
             Event::BarrierWait { .. } => {
                 self.barrier_arrivals.entry((ti, idx)).or_insert(clock);
-                let Some(group) = self.deps.barrier_groups.get(&(ti, idx)) else {
+                let Some(group) = self.barrier_groups.get(&(ti, idx)) else {
                     self.complete(ti, idx, clock + self.config.barrier_release_cost);
                     return Outcome::Completed;
                 };
@@ -523,6 +537,7 @@ struct RefFree<'a> {
     use_dls: bool,
     tt: &'a TransformedTrace<'a>,
     deps: SyncDeps,
+    barrier_groups: BarrierGroups,
     /// Section delimited by each acquire / release event.
     by_acquire: BTreeMap<EventRef, SectionId>,
     by_release: BTreeMap<EventRef, SectionId>,
@@ -556,6 +571,7 @@ impl<'a> RefFree<'a> {
             config: *config,
             use_dls,
             tt,
+            barrier_groups: barrier_groups_of(&deps),
             deps,
             by_acquire,
             by_release,
@@ -692,7 +708,7 @@ impl<'a> RefFree<'a> {
             }
             Event::BarrierWait { .. } => {
                 self.barrier_arrivals.entry((ti, idx)).or_insert(clock);
-                let Some(group) = self.deps.barrier_groups.get(&(ti, idx)) else {
+                let Some(group) = self.barrier_groups.get(&(ti, idx)) else {
                     self.complete(ti, idx, clock + self.config.barrier_release_cost);
                     return Outcome::Completed;
                 };

@@ -22,8 +22,6 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use perfplay_detect::{
     BodyOverlapGain, DetectionPlan, Detector, DetectorConfig, ParallelStreamingDetector,
@@ -34,7 +32,9 @@ use perfplay_replay::{
     ReplayConfig, ReplayError, ReplayResult, ReplaySchedule, Replayer, ScheduleKind,
     UlcpFreeReplayer,
 };
-use perfplay_trace::{available_threads, PipelinedChunkReader, RecoveryPolicy, StreamError, Trace};
+use perfplay_trace::{
+    available_threads, map_work_queue, PipelinedChunkReader, RecoveryPolicy, StreamError, Trace,
+};
 use perfplay_transform::{TransformConfig, Transformer};
 
 use crate::fusion::{fuse_aggregates, rank_groups, Recommendation};
@@ -408,11 +408,11 @@ impl BatchAnalysis {
 }
 
 /// Analyzes N recorded traces and fuses their results into one ranked
-/// report, running the per-trace pipelines concurrently over a work queue
-/// (the same pop-the-next-unit discipline the detector's per-lock fan-out
-/// uses, lifted to whole traces). Results are re-ordered by input index and
-/// the aggregate merge is order-independent, so the output is bit-identical
-/// to analyzing the traces sequentially and merging in order — which
+/// report, running the per-trace pipelines concurrently over the work queue
+/// the detector's per-lock fan-out also uses ([`map_work_queue`]), with
+/// whole traces as its items. Results come back in input order and the
+/// aggregate merge is order-independent, so the output is bit-identical to
+/// analyzing the traces sequentially and merging in order — which
 /// [`analyze_batch_sequential`] does, as the executable spec.
 ///
 /// The thread budget n ([`PipelineConfig::stream_workers`]) is split once:
@@ -443,27 +443,10 @@ fn analyze_batch_on(traces: &[Trace], config: &PipelineConfig, threads: usize) -
     if workers == 1 {
         return analyze_in_order(traces, config, per_trace);
     }
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<Result<PlanAnalysis, PipelineError>>>> =
-        Mutex::new((0..traces.len()).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(trace) = traces.get(i) else {
-                    break;
-                };
-                let result = analyze_plan_caught(trace, config, per_trace);
-                slots.lock().expect("batch slots lock")[i] = Some(result);
-            });
-        }
+    let results = map_work_queue(traces.len(), workers, |i| {
+        analyze_plan_caught(&traces[i], config, per_trace)
     });
-    let results = slots
-        .into_inner()
-        .expect("batch slots lock")
-        .into_iter()
-        .map(|slot| slot.expect("every trace index was processed"));
-    fuse_batch(results)
+    fuse_batch(results.into_iter())
 }
 
 /// The sequential executable spec of [`analyze_batch`]: per-trace analysis
@@ -870,7 +853,7 @@ mod tests {
     /// traces don't spray backtraces into test output. Serialized because
     /// the hook is process-global.
     fn with_quiet_panics<T>(f: impl FnOnce() -> T) -> T {
-        static HOOK: Mutex<()> = Mutex::new(());
+        static HOOK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         let _guard = HOOK.lock().expect("panic hook lock");
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));

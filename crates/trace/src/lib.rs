@@ -78,10 +78,51 @@ pub use stream::{
 pub use time::Time;
 pub use trace::{ThreadTrace, Trace, TraceError, TraceMeta};
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 /// How many threads this machine runs at once, or 1 where that is unknown.
 /// It is the library's one reading of the core count
 /// ([`std::thread::available_parallelism`]): every thread budget in the
 /// pipeline starts here.
 pub fn available_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Runs `work(i)` for every index `i < items` on min(`threads`, `items`)
+/// scoped threads (at least one) and returns the results in index order.
+///
+/// The threads share one work queue: each pops the next index from a shared
+/// counter, so a costly item occupies one thread while the others drain the
+/// rest. A panic in `work` reaches the caller with its own payload, once
+/// every thread has stopped.
+pub fn map_work_queue<T: Send>(
+    items: usize,
+    threads: usize,
+    work: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    // The counter only hands out indices; the results travel through the
+    // joins.
+    let next = AtomicUsize::new(0);
+    let mut collected: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads.max(1).min(items))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut local = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= items {
+                            break local;
+                        }
+                        local.push((i, work(i)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    collected.sort_unstable_by_key(|&(i, _)| i);
+    collected.into_iter().map(|(_, result)| result).collect()
 }

@@ -7,13 +7,15 @@
 //! facade still assembled its report from a materialized pair list, so the
 //! plan-routed facade, which re-ranks by an aggregating exact-gain pass, must
 //! reproduce each one: same breakdown, impact, ranking, transform statistics
-//! and JSON form.
+//! and JSON form. It must do so with batch detection (the default) and with
+//! detection streamed in 64-event chunks, which the facade runs when its
+//! pipeline configuration sets `chunk_events`.
 
 use std::path::PathBuf;
 
-use perfplay::prelude::Program;
+use perfplay::prelude::{PipelineConfig, Program};
 use perfplay::workloads::{cases, App, InputSize, WorkloadConfig};
-use perfplay::PerfPlay;
+use perfplay::{PerfPlay, PerfPlayConfig};
 
 /// 64-bit FNV-1a over bytes.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -50,9 +52,9 @@ fn inputs() -> Vec<(String, Program)> {
     inputs
 }
 
-/// One `<name>\t<digest>` line per input, in `inputs` order.
-fn facade_lines() -> Vec<String> {
-    let perfplay = PerfPlay::new();
+/// One `<name>\t<digest>` line per input, in `inputs` order, from
+/// `perfplay`'s reports.
+fn facade_lines(perfplay: &PerfPlay) -> Vec<String> {
     inputs()
         .into_iter()
         .map(|(name, program)| {
@@ -71,10 +73,19 @@ fn facade_reproduces_the_golden_reports() {
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
     let golden: Vec<&str> = text.lines().filter(|l| !l.starts_with('#')).collect();
-    let actual = facade_lines();
     assert_eq!(golden.len(), App::ALL.len() + 5);
-    assert_eq!(actual.len(), golden.len());
-    for (line, expected) in actual.iter().zip(&golden) {
-        assert_eq!(line, expected);
+    let streamed = PerfPlay::with_config(PerfPlayConfig {
+        pipeline: PipelineConfig {
+            chunk_events: Some(64),
+            ..PipelineConfig::default()
+        },
+        ..PerfPlayConfig::default()
+    });
+    for (detection, perfplay) in [("batch", PerfPlay::new()), ("streamed", streamed)] {
+        let actual = facade_lines(&perfplay);
+        assert_eq!(actual.len(), golden.len());
+        for (line, expected) in actual.iter().zip(&golden) {
+            assert_eq!(line, expected, "{detection} detection");
+        }
     }
 }

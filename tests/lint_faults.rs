@@ -324,7 +324,7 @@ fn preflight_passes_clean_traces_and_rejects_poisoned_ones() {
     analyze_plan(&trace, &config).expect("clean trace passes preflight");
     // The facade runs the same pipeline and honours the same flag.
     let facade = PerfPlay::with_config(PerfPlayConfig {
-        preflight: true,
+        pipeline: config,
         ..PerfPlayConfig::default()
     });
     facade
@@ -349,7 +349,7 @@ fn preflight_passes_clean_traces_and_rejects_poisoned_ones() {
             }
         }
         match facade.analyze_trace(&poisoned) {
-            Err(PerfPlayError::Preflight(diagnostics)) => {
+            Err(PerfPlayError::Pipeline(PipelineError::Preflight(diagnostics))) => {
                 assert!(diagnostics
                     .iter()
                     .any(|d| d.code == DiagnosticCode::NonMonotonicTime));

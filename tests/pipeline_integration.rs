@@ -113,7 +113,10 @@ fn fidelity_shapes_match_figure_13() {
 fn dls_ablation_never_increases_lockset_work() {
     let perfplay_with = PerfPlay::new();
     let perfplay_without = PerfPlay::with_config(PerfPlayConfig {
-        use_dls: false,
+        pipeline: PipelineConfig {
+            use_dls: false,
+            ..PipelineConfig::default()
+        },
         ..PerfPlayConfig::default()
     });
     for app in [App::Facesim, App::X264] {

@@ -51,14 +51,19 @@
 //!   in `crates/detect/src/shadow.rs`, so both detection engines read the
 //!   reversed replay's starting state from one `LastWriteIndex`, which the
 //!   batch engine builds and each streaming worker records into and prunes;
+//! * the facade keeps one run configuration: no struct in
+//!   `crates/core/src/lib.rs` declares a field named after a field of
+//!   `PipelineConfig`, which `PerfPlayConfig` nests instead of copying;
 //! * retired names stay retired: no source file, test, example, README, CI
 //!   workflow or verification note names the sequential streaming engine
 //!   (`ParallelStreamingDetector` at one worker replaced it), the second
 //!   measurement mechanism (perfbench and the `perfplay` CLI replaced it),
 //!   the pair-list report path (the plan and its per-site rows replaced it),
 //!   the pipelined twins of the chunk-file entry points (the plain entry
-//!   points read through the pipelined scanner) or the incremental chunk
-//!   writer (the one-pass spill replaced it).
+//!   points read through the pipelined scanner), the incremental chunk
+//!   writer (the one-pass spill replaced it) or the facade's copies of the
+//!   pipeline's configuration and errors (`PerfPlayConfig` nests
+//!   `PipelineConfig`, and `PerfPlayError` wraps `PipelineError`).
 
 use std::path::{Path, PathBuf};
 
@@ -630,6 +635,80 @@ fn the_shadow_history_is_kept_in_one_place() {
     );
 }
 
+const FACADE: &str = "crates/core/src/lib.rs";
+const PIPELINE_CONFIG: &str = "crates/report/src/pipeline.rs";
+
+/// The named fields of the braced structs `text` declares outside comments,
+/// as `(struct, field, line)`: a field is a line inside the struct's braces
+/// that reads `[pub ]name: Type`.
+fn struct_fields(text: &str) -> Vec<(String, String, usize)> {
+    let mut fields = Vec::new();
+    let mut open: Option<String> = None;
+    for (i, line) in text.lines().enumerate() {
+        let code = line.trim();
+        if is_comment(code) {
+            continue;
+        }
+        let Some(owner) = &open else {
+            if let Some((_, rest)) = code.split_once("struct ") {
+                if code.ends_with('{') {
+                    open = Some(rest.chars().take_while(|&c| is_word_char(c)).collect());
+                }
+            }
+            continue;
+        };
+        if code.starts_with('}') {
+            open = None;
+            continue;
+        }
+        let decl = code
+            .strip_prefix("pub(crate) ")
+            .or_else(|| code.strip_prefix("pub "))
+            .unwrap_or(code);
+        if let Some((field, _)) = decl.split_once(':') {
+            if !field.is_empty() && field.chars().all(is_word_char) {
+                fields.push((owner.clone(), field.to_string(), i + 1));
+            }
+        }
+    }
+    fields
+}
+
+#[test]
+fn the_facade_copies_no_pipeline_field() {
+    let read = |path: &str| {
+        std::fs::read_to_string(workspace_root().join(path))
+            .unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
+    };
+    let pipeline_fields: Vec<String> = struct_fields(&read(PIPELINE_CONFIG))
+        .into_iter()
+        .filter(|(owner, _, _)| owner == "PipelineConfig")
+        .map(|(_, field, _)| field)
+        .collect();
+    assert!(
+        pipeline_fields.iter().any(|field| field == "chunk_events"),
+        "{PIPELINE_CONFIG} no longer declares `PipelineConfig` where this lint looks; update it"
+    );
+    let facade_fields = struct_fields(&read(FACADE));
+    assert!(
+        facade_fields
+            .iter()
+            .any(|(owner, field, _)| owner == "PerfPlayConfig" && field == "pipeline"),
+        "{FACADE} no longer declares `PerfPlayConfig::pipeline` where this lint looks; update it"
+    );
+    let offenders: Vec<String> = facade_fields
+        .iter()
+        .filter(|(_, field, _)| pipeline_fields.contains(field))
+        .map(|(owner, field, line)| format!("{FACADE}:{line}: `{owner}::{field}`"))
+        .collect();
+    assert!(
+        offenders.is_empty(),
+        "the facade declares a field of `PipelineConfig` (set it through \
+         `PerfPlayConfig::pipeline` instead):\n{}",
+        offenders.join("\n")
+    );
+}
+
 /// A name the repository retired. Each is assembled with `concat!`, so that
 /// this file does not name it either.
 struct Retired {
@@ -768,6 +847,52 @@ const RETIRED_CHUNKED_WRITER: &[Retired] = &[Retired {
     replaced_by: "spill_trace_with_format",
 }];
 
+/// The facade's copies of the pipeline's configuration and errors:
+/// `PerfPlayConfig` nests `PipelineConfig`, and `PerfPlayError` wraps
+/// `PipelineError` in one variant.
+const RETIRED_FACADE_COPIES: &[Retired] = &[
+    Retired {
+        name: concat!("PerfPlayConfig::", "pipeline()"),
+        counts: Counts::Anywhere,
+        replaced_by: "the `PerfPlayConfig::pipeline` field",
+    },
+    Retired {
+        name: concat!(".pipeline", "()"),
+        counts: Counts::Anywhere,
+        replaced_by: "the `PerfPlayConfig::pipeline` field",
+    },
+    Retired {
+        name: concat!("PerfPlayError::", "Replay"),
+        counts: Counts::WholeWord,
+        replaced_by: "PerfPlayError::Pipeline(PipelineError::Replay(..))",
+    },
+    Retired {
+        name: concat!("PerfPlayError::", "Stream"),
+        counts: Counts::WholeWord,
+        replaced_by: "PerfPlayError::Pipeline(PipelineError::Stream(..))",
+    },
+    Retired {
+        name: concat!("PerfPlayError::", "Panic"),
+        counts: Counts::WholeWord,
+        replaced_by: "PerfPlayError::Pipeline(PipelineError::Panic(..))",
+    },
+    Retired {
+        name: concat!("PerfPlayError::", "Preflight"),
+        counts: Counts::WholeWord,
+        replaced_by: "PerfPlayError::Pipeline(PipelineError::Preflight(..))",
+    },
+    Retired {
+        name: concat!("PerfPlayError::", "Trace"),
+        counts: Counts::WholeWord,
+        replaced_by: "nothing: the facade never returned it",
+    },
+    Retired {
+        name: concat!("PerfPlayError::", "Plan"),
+        counts: Counts::WholeWord,
+        replaced_by: "nothing: the facade never returned it",
+    },
+];
+
 fn is_word_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
@@ -879,6 +1004,16 @@ fn retired_chunked_writer_is_named_nowhere() {
     assert!(
         offenders.is_empty(),
         "the retired incremental chunk writer is named:\n{}",
+        offenders.join("\n")
+    );
+}
+
+#[test]
+fn retired_facade_copies_are_named_nowhere() {
+    let offenders = retired_name_lines(RETIRED_FACADE_COPIES);
+    assert!(
+        offenders.is_empty(),
+        "a retired copy of the pipeline's configuration or errors is named:\n{}",
         offenders.join("\n")
     );
 }

@@ -410,6 +410,7 @@ fn assert_facade_matches_oracle(
 ) -> Result<(), TestCaseError> {
     let facade = PerfPlay::with_config(config).analyze_trace(trace).unwrap();
 
+    let config = config.pipeline;
     let pairs = Detector::new(config.detector).analyze(trace);
     let materialized = DetectionPlan {
         sections: pairs.sections.clone(),
@@ -467,12 +468,15 @@ proptest! {
     ) {
         let trace = record(seed, &gen);
         let config = PerfPlayConfig {
-            detector: DetectorConfig {
-                use_reversed_replay: reversed == 1,
-                max_scan_per_thread: (cap > 0).then_some(cap),
-                parallel: parallel == 1,
+            pipeline: PipelineConfig {
+                detector: DetectorConfig {
+                    use_reversed_replay: reversed == 1,
+                    max_scan_per_thread: (cap > 0).then_some(cap),
+                    parallel: parallel == 1,
+                },
+                use_dls: dls == 1,
+                ..PipelineConfig::default()
             },
-            use_dls: dls == 1,
             ..PerfPlayConfig::default()
         };
         assert_facade_matches_oracle(&trace, config)?;
