@@ -106,8 +106,7 @@ pub mod workloads {
 ///   the program ([`SimError`]);
 /// * [`Pipeline`](Self::Pipeline) — the analysis ([`analyze_plan`]) failed
 ///   ([`PipelineError`]): its opt-in preflight refused the trace or the
-///   transformed schedule, a replay got stuck or ran away, or streamed
-///   detection met a malformed chunk stream.
+///   transformed schedule, or a replay got stuck or ran away.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PerfPlayError {
     /// Recording (simulation) failed.
@@ -227,11 +226,8 @@ impl PerfPlay {
     /// Returns [`PerfPlayError::Pipeline`] with [`analyze_plan`]'s error:
     /// [`PipelineError::Preflight`] when
     /// [`preflight`](PipelineConfig::preflight) is set and the trace or the
-    /// transformed schedule has error-severity lint findings,
-    /// [`PipelineError::Replay`] if either replay fails, and
-    /// [`PipelineError::Stream`] when
-    /// [`chunk_events`](PipelineConfig::chunk_events) is set and streamed
-    /// detection refuses the trace (one whose time runs backwards, say).
+    /// transformed schedule has error-severity lint findings, and
+    /// [`PipelineError::Replay`] if either replay fails.
     pub fn analyze_trace(&self, trace: &Trace) -> Result<Analysis, PerfPlayError> {
         self.analyze_owned(trace.clone())
     }

@@ -175,46 +175,26 @@ impl<R: EventSource> EventSource for FaultInjector<R> {
         self.inner.num_threads()
     }
 
-    fn next_chunk(&mut self) -> Result<Option<TraceChunk>, StreamError> {
+    fn next_item(&mut self) -> Result<Option<StreamItem>, StreamError> {
         if self.done {
             return Ok(None);
         }
         if let Some(dup) = self.replay.take() {
-            return Ok(Some(dup));
+            return Ok(Some(StreamItem::Chunk(dup)));
         }
-        loop {
-            let Some(chunk) = self.inner.next_chunk()? else {
-                return Ok(None);
+        // Faults apply to the chunk stream; gaps from a recovering inner
+        // source are forwarded untouched.
+        while let Some(item) = self.inner.next_item()? {
+            let StreamItem::Chunk(chunk) = item else {
+                return Ok(Some(item));
             };
             match self.apply(chunk)? {
-                Some(chunk) => return Ok(Some(chunk)),
+                Some(chunk) => return Ok(Some(StreamItem::Chunk(chunk))),
                 None if self.done => return Ok(None),
                 None => continue, // chunk dropped; pull the next one
             }
         }
-    }
-
-    fn next_item(&mut self) -> Result<Option<StreamItem>, StreamError> {
-        // Faults apply to the chunk stream; gaps from a recovering inner
-        // source are forwarded untouched.
-        if self.done {
-            return Ok(None);
-        }
-        if self.replay.is_some() {
-            return Ok(self.next_chunk()?.map(StreamItem::Chunk));
-        }
-        match self.inner.next_item()? {
-            Some(StreamItem::Gap(gap)) => Ok(Some(StreamItem::Gap(gap))),
-            Some(StreamItem::Chunk(chunk)) => {
-                // Re-enter the fault logic with the chunk already pulled.
-                let item = self.apply(chunk)?;
-                match item {
-                    Some(chunk) => Ok(Some(StreamItem::Chunk(chunk))),
-                    None => self.next_item(),
-                }
-            }
-            None => Ok(None),
-        }
+        Ok(None)
     }
 }
 

@@ -436,7 +436,7 @@ mod tests {
     use perfplay_program::ProgramBuilder;
     use perfplay_record::Recorder;
     use perfplay_sim::SimConfig;
-    use perfplay_trace::{CodeSiteId, Event, ObjectId, Time, TraceMeta, WriteOp};
+    use perfplay_trace::{CodeSiteId, Event, ObjectId, Time, TraceChunks, TraceMeta, WriteOp};
 
     fn record(build: impl FnOnce(&mut ProgramBuilder)) -> Trace {
         let mut b = ProgramBuilder::new("detect-test");
@@ -937,7 +937,7 @@ mod tests {
             }
             for (workers, chunk_events) in [(1, 1), (2, 5), (1, 1000)] {
                 let streamed = ParallelStreamingDetector::with_workers(config, workers)
-                    .analyze_trace(&trace, chunk_events)
+                    .analyze(&mut TraceChunks::new(&trace, chunk_events))
                     .unwrap()
                     .analysis;
                 assert_eq!(streamed, reference, "cap {cap:?}, workers {workers}");
@@ -1013,7 +1013,7 @@ mod tests {
         for workers in [1, 2] {
             let payload = panic_payload(|| {
                 let _ = ParallelStreamingDetector::with_workers(DetectorConfig::default(), workers)
-                    .analyze_trace_with(&trace, 4, PanickingSink);
+                    .analyze_with(&mut TraceChunks::new(&trace, 4), PanickingSink);
             });
             assert_eq!(payload, SINK_PANIC, "streaming, {workers} worker(s)");
         }

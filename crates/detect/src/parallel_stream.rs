@@ -54,7 +54,7 @@ use std::sync::Arc;
 
 use perfplay_trace::{
     ChunkContract, CriticalSection, Event, EventSource, LockId, ObjectId, SectionBuilder,
-    SectionId, StreamError, StreamGap, StreamItem, ThreadId, Time, Trace, TraceChunk, TraceChunks,
+    SectionId, StreamError, StreamGap, StreamItem, ThreadId, Time, TraceChunk,
 };
 
 use crate::kernel::{PairKernel, PairKey, Search, SecMeta};
@@ -643,7 +643,8 @@ impl Decoder {
     /// detection over the trace with the lost events removed.
     fn note_gap(&mut self, gap: &StreamGap) {
         self.stats.gaps += 1;
-        self.stats.events_lost += gap.events_lost;
+        // A trailer's event count is file input, so the sum may overflow.
+        self.stats.events_lost = self.stats.events_lost.saturating_add(gap.events_lost);
         self.contract.note_gap();
     }
 
@@ -964,35 +965,6 @@ impl ParallelStreamingDetector {
             stats,
         })
     }
-
-    /// Convenience wrapper: streams an in-memory trace through a
-    /// [`TraceChunks`] adapter with the given chunk size.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`analyze`](Self::analyze).
-    pub fn analyze_trace(
-        &self,
-        trace: &Trace,
-        chunk_events: usize,
-    ) -> Result<StreamingAnalysis, StreamError> {
-        self.analyze(&mut TraceChunks::new(trace, chunk_events))
-    }
-
-    /// Convenience wrapper: [`analyze_with`](Self::analyze_with) over a
-    /// [`TraceChunks`] adapter with the given chunk size.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`analyze`](Self::analyze).
-    pub fn analyze_trace_with<S: UlcpSink + Send>(
-        &self,
-        trace: &Trace,
-        chunk_events: usize,
-        sink: S,
-    ) -> Result<StreamingSinkAnalysis<S>, StreamError> {
-        self.analyze_with(&mut TraceChunks::new(trace, chunk_events), sink)
-    }
 }
 
 #[cfg(test)]
@@ -1005,8 +977,8 @@ mod tests {
     use perfplay_record::Recorder;
     use perfplay_sim::SimConfig;
     use perfplay_trace::{
-        extract_critical_sections, CodeSiteId, Footprint, MemAccess, TraceError, TraceMeta,
-        TraceStats,
+        extract_critical_sections, CodeSiteId, Footprint, MemAccess, Trace, TraceChunks,
+        TraceError, TraceMeta, TraceStats,
     };
 
     fn record(build: impl FnOnce(&mut ProgramBuilder)) -> Trace {
@@ -1026,7 +998,7 @@ mod tests {
     ) {
         let batch = Detector::new(config).analyze(trace);
         let parallel = ParallelStreamingDetector::with_workers(config, workers)
-            .analyze_trace(trace, chunk_events)
+            .analyze(&mut TraceChunks::new(trace, chunk_events))
             .unwrap();
         let label = format!("chunk={chunk_events} workers={workers}");
         assert_eq!(batch.sections, parallel.analysis.sections, "{label}");
@@ -1146,7 +1118,7 @@ mod tests {
             assert_identical(&trace, DetectorConfig::default(), chunk_events, 2);
         }
         let parallel = ParallelStreamingDetector::with_workers(DetectorConfig::default(), 2)
-            .analyze_trace(&trace, 2)
+            .analyze(&mut TraceChunks::new(&trace, 2))
             .unwrap();
         assert_eq!(parallel.analysis.breakdown.benign, 1);
     }
@@ -1162,7 +1134,10 @@ mod tests {
         let table = batch.sink.finish();
         for workers in [1, 3] {
             let parallel = ParallelStreamingDetector::with_workers(config, workers)
-                .analyze_trace_with(&trace, 16, SiteAggregator::new(BodyOverlapGain))
+                .analyze_with(
+                    &mut TraceChunks::new(&trace, 16),
+                    SiteAggregator::new(BodyOverlapGain),
+                )
                 .unwrap();
             assert_eq!(table, parallel.sink.finish());
             assert_eq!(batch.breakdown, parallel.breakdown);
@@ -1193,7 +1168,7 @@ mod tests {
             ..DetectorConfig::default()
         };
         let parallel = ParallelStreamingDetector::with_workers(config, 2)
-            .analyze_trace(&trace, 16)
+            .analyze(&mut TraceChunks::new(&trace, 16))
             .unwrap();
         let total = parallel.analysis.sections.len();
         assert_eq!(total, 120);
@@ -1225,7 +1200,7 @@ mod tests {
         });
         assert_identical(&trace, DetectorConfig::default(), 8, 3);
         let parallel = ParallelStreamingDetector::with_workers(DetectorConfig::default(), 3)
-            .analyze_trace(&trace, 8)
+            .analyze(&mut TraceChunks::new(&trace, 8))
             .unwrap();
         assert!(parallel.analysis.ulcps.is_empty());
         assert_eq!(parallel.analysis.sections.len(), 50);
@@ -1266,19 +1241,19 @@ mod tests {
             self.inner.num_threads()
         }
 
-        fn next_chunk(&mut self) -> Result<Option<TraceChunk>, StreamError> {
+        fn next_item(&mut self) -> Result<Option<StreamItem>, StreamError> {
             match self.state {
                 0 => {
                     let first = self.inner.next_chunk()?;
                     self.dup.clone_from(&first);
                     self.state = 1;
-                    Ok(first)
+                    Ok(first.map(StreamItem::Chunk))
                 }
                 1 => {
                     self.state = 2;
-                    Ok(self.dup.take())
+                    Ok(self.dup.take().map(StreamItem::Chunk))
                 }
-                _ => self.inner.next_chunk(),
+                _ => self.inner.next_item(),
             }
         }
     }
@@ -1311,7 +1286,7 @@ mod tests {
             for workers in [1, 2] {
                 let err =
                     ParallelStreamingDetector::with_workers(DetectorConfig::default(), workers)
-                        .analyze_trace(trace, *chunk_events)
+                        .analyze(&mut TraceChunks::new(trace, *chunk_events))
                         .unwrap_err();
                 match err {
                     StreamError::Trace(TraceError::NonMonotonicTime { thread: t, .. }) => {
@@ -1456,7 +1431,7 @@ mod tests {
             for workers in [1, 2] {
                 let streamed =
                     ParallelStreamingDetector::with_workers(DetectorConfig::default(), workers)
-                        .analyze_trace(&trace, chunk_events)
+                        .analyze(&mut TraceChunks::new(&trace, chunk_events))
                         .unwrap();
                 let streamed: Vec<String> =
                     streamed.analysis.sections.iter().map(section_row).collect();

@@ -266,6 +266,7 @@ mod tests {
     use perfplay_program::ProgramBuilder;
     use perfplay_record::Recorder;
     use perfplay_sim::SimConfig;
+    use perfplay_trace::TraceChunks;
 
     fn mixed_trace() -> Trace {
         let mut b = ProgramBuilder::new("plan-sink-test");
@@ -361,7 +362,10 @@ mod tests {
         for chunk_events in [1usize, 7, 1024] {
             for workers in [1, 2] {
                 let streamed = ParallelStreamingDetector::with_workers(config, workers)
-                    .analyze_trace_with(&trace, chunk_events, PlanAggregator::new(BodyOverlapGain))
+                    .analyze_with(
+                        &mut TraceChunks::new(&trace, chunk_events),
+                        PlanAggregator::new(BodyOverlapGain),
+                    )
                     .unwrap();
                 let (plan, stats) = DetectionPlan::from_streaming(streamed);
                 assert_eq!(

@@ -24,8 +24,8 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
 
 use perfplay_detect::{
-    BodyOverlapGain, DetectionPlan, Detector, DetectorConfig, ParallelStreamingDetector,
-    PlanAggregator, SiteAggregates, StreamingStats, UlcpBreakdown,
+    BodyOverlapGain, DetectionPlan, Detector, DetectorConfig, PlanAggregator, SiteAggregates,
+    StreamingStats, UlcpBreakdown,
 };
 use perfplay_lint::{analyze_schedule, lint_chunk_file, lint_trace, Diagnostic, LintConfig};
 use perfplay_replay::{
@@ -45,7 +45,8 @@ use crate::report::{PerfReport, ReportParts};
 pub enum PipelineError {
     /// One of the two replays failed.
     Replay(ReplayError),
-    /// Chunked (streaming) detection failed.
+    /// A chunk file could not be read, or its stream was malformed
+    /// ([`analyze_chunk_files`]).
     Stream(StreamError),
     /// A pipeline stage panicked; the payload message is preserved. Only
     /// produced by the batch drivers, which isolate each trace with
@@ -143,11 +144,6 @@ pub struct PipelineConfig {
     pub use_dls: bool,
     /// Schedule of the original-trace replay (the paper uses ELSC).
     pub original_schedule: ScheduleKind,
-    /// When set, detection streams the trace chunk-by-chunk with this chunk
-    /// size (bounded pairing state) through [`ParallelStreamingDetector`],
-    /// sized by [`stream_workers`](Self::stream_workers); when `None`, the
-    /// batch engine runs, fanning out per lock on the same budget.
-    pub chunk_events: Option<usize>,
     /// Opt-in static preflight: lint the input trace (or chunk file) before
     /// detection and the transformed schedule before the ULCP-free replay.
     /// Error-severity findings abort the run with
@@ -164,14 +160,12 @@ impl Default for PipelineConfig {
             transform: TransformConfig::default(),
             use_dls: true,
             original_schedule: ScheduleKind::ElscS,
-            chunk_events: None,
             preflight: false,
         }
     }
 }
 
-/// Fallback chunk size for the trace preflight when the pipeline itself
-/// runs batch (non-streaming) detection and has no `chunk_events` to borrow.
+/// The chunk size the trace preflight lints an in-memory trace at.
 const PREFLIGHT_CHUNK_EVENTS: usize = 4096;
 
 /// Returns the error-severity findings of `report`, or `None` when it has
@@ -195,12 +189,12 @@ impl PipelineConfig {
     /// ([`available_threads`]); otherwise `None`, which means one thread.
     ///
     /// Each entry point reads it once per call. [`analyze_plan`] spends it
-    /// on the per-lock fan-out (or the streaming workers) and on its two
-    /// lanes after detection; [`analyze_batch`] splits it between its trace
-    /// queue and each trace; [`analyze_chunk_files`] gives it to the
-    /// streaming engine. Output is bit-identical whatever it says. It sizes
-    /// detection only: chunk files are read through the pipelined scanner,
-    /// whose decode pool is sized apart, whatever it says.
+    /// on the per-lock fan-out and on its two lanes after detection;
+    /// [`analyze_batch`] splits it between its trace queue and each trace;
+    /// [`analyze_chunk_files`] gives it to the streaming engine. Output is
+    /// bit-identical whatever it says. It sizes detection only: chunk files
+    /// are read through the pipelined scanner, whose decode pool is sized
+    /// apart, whatever it says.
     pub fn stream_workers(&self) -> Option<usize> {
         self.detector.parallel.then(available_threads)
     }
@@ -225,8 +219,11 @@ pub struct PlanAnalysis {
     pub ulcp_free_replay: ReplayResult,
     /// The programmer-facing report, seeded from the plan's aggregate rows.
     pub report: PerfReport,
-    /// Resident-state statistics of the detection pass when it streamed
-    /// (`chunk_events` set); `None` for batch detection.
+    /// Resident-state statistics of streamed detection. The library's
+    /// in-memory entry points ([`analyze_plan`], [`analyze_batch`]) detect
+    /// with the batch engine and leave it `None`; a caller that streams a
+    /// trace through the streaming engine itself may record its statistics
+    /// here.
     pub streaming: Option<StreamingStats>,
 }
 
@@ -238,18 +235,16 @@ pub struct PlanAnalysis {
 /// # Threads
 ///
 /// The run spends the budget [`PipelineConfig::stream_workers`] resolves,
-/// n threads, twice. Detection fans out per lock on min(n, locks) threads
-/// (batch, when the trace has more than one lock) or runs n streaming
-/// workers (`chunk_events` set). After detection, two lanes run side by
-/// side when n > 1:
+/// n threads, twice. Detection runs the batch engine, which fans out per
+/// lock on min(n, locks) threads when the trace has more than one lock.
+/// After detection, two lanes run side by side when n > 1:
 ///
 /// 1. on the calling thread: the transformation, the schedule preflight
 ///    when [`PipelineConfig::preflight`] is set, and the ULCP-free replay;
 /// 2. on one scoped thread: the original replay, Algorithm 2 fusion and
 ///    Equation 2 ranking of the plan's rows, and the trace statistics.
 ///
-/// With n = 1 (`parallel: false`) every stage runs on the calling thread,
-/// except that streaming detection keeps its one worker thread.
+/// With n = 1 (`parallel: false`) every stage runs on the calling thread.
 /// The outcome does not depend on n: it is the first failure in the
 /// sequential order — trace preflight, detection, transformation, schedule
 /// preflight, original replay, ULCP-free replay, report — and a panic in
@@ -259,8 +254,7 @@ pub struct PlanAnalysis {
 ///
 /// Returns [`PipelineError::Preflight`] when [`PipelineConfig::preflight`]
 /// is set and the trace or the transformed schedule has error-severity
-/// findings, [`PipelineError::Replay`] if a replay fails, and
-/// [`PipelineError::Stream`] if the chunked stream is malformed.
+/// findings, and [`PipelineError::Replay`] if a replay fails.
 pub fn analyze_plan(trace: &Trace, config: &PipelineConfig) -> Result<PlanAnalysis, PipelineError> {
     analyze_plan_on(trace, config, config.threads())
 }
@@ -272,34 +266,19 @@ fn analyze_plan_on(
     threads: usize,
 ) -> Result<PlanAnalysis, PipelineError> {
     if config.preflight {
-        let chunk_events = config.chunk_events.unwrap_or(PREFLIGHT_CHUNK_EVENTS);
-        if let Some(errors) = preflight_errors(lint_trace(trace, chunk_events)) {
+        if let Some(errors) = preflight_errors(lint_trace(trace, PREFLIGHT_CHUNK_EVENTS)) {
             return Err(PipelineError::Preflight(errors));
         }
     }
-    let (plan, streaming) = match config.chunk_events {
-        Some(chunk_events) => {
-            let streamed = ParallelStreamingDetector::with_workers(config.detector, threads)
-                .analyze_trace_with(trace, chunk_events, PlanAggregator::new(BodyOverlapGain))?;
-            let (plan, stats) = DetectionPlan::from_streaming(streamed);
-            (plan, Some(stats))
-        }
-        None => (
-            Detector::with_workers(config.detector, threads).plan(trace, BodyOverlapGain),
-            None,
-        ),
-    };
-    let (original_replay, ulcp_free_replay, mut report) =
+    let plan = Detector::with_workers(config.detector, threads).plan(trace, BodyOverlapGain);
+    let (original_replay, ulcp_free_replay, report) =
         replay_and_report(trace, config, &plan, threads)?;
-    if let Some(stats) = &streaming {
-        report = report.with_stream_gaps(stats.gaps, stats.events_lost);
-    }
     Ok(PlanAnalysis {
         plan,
         original_replay,
         ulcp_free_replay,
         report,
-        streaming,
+        streaming: None,
     })
 }
 
@@ -420,7 +399,7 @@ impl BatchAnalysis {
 /// [`analyze_plan`]. So no more than n threads ever analyze at once, and
 /// pools never nest. With w = 1 the traces run on the calling thread.
 ///
-/// A failing trace — replay error, malformed stream, or a panic anywhere in
+/// A failing trace — preflight refusal, replay error, or a panic anywhere in
 /// its pipeline (isolated with `catch_unwind`) — becomes one
 /// [`BatchItemError`] in [`BatchAnalysis::failures`] while the other N-1
 /// traces complete and fuse normally.
@@ -559,17 +538,19 @@ impl ChunkBatchAnalysis {
 /// traces that were spilled at record time and never loaded back into
 /// memory. Each file is read through [`PipelinedChunkReader`] (the preflight
 /// lint too) under the given [`RecoveryPolicy`] and streams through
-/// [`ParallelStreamingDetector`], sized by
-/// [`PipelineConfig::stream_workers`] (resolved once per call); `parallel`
-/// sizes detection only and never picks the reader, whose decode pool is
-/// [`default_decode_workers`](perfplay_trace::default_decode_workers). A
-/// file that still fails (or panics a detector stage) becomes one
+/// [`ParallelStreamingDetector`](perfplay_detect::ParallelStreamingDetector),
+/// sized by [`PipelineConfig::stream_workers`] (resolved once per call);
+/// `parallel` sizes detection only and never picks the reader, whose decode
+/// pool is [`default_decode_workers`](perfplay_trace::default_decode_workers).
+/// A file that still fails (or panics a detector stage) becomes one
 /// [`BatchItemError`] while the other files complete and fuse.
 pub fn analyze_chunk_files<P: AsRef<Path>>(
     paths: &[P],
     config: &PipelineConfig,
     policy: RecoveryPolicy,
 ) -> ChunkBatchAnalysis {
+    use perfplay_detect::ParallelStreamingDetector;
+
     let workers = config.threads();
     let mut per_stream = Vec::new();
     let mut failures = Vec::new();
@@ -666,24 +647,6 @@ mod tests {
         assert_eq!(single.ulcp_free_replay, free);
     }
 
-    #[test]
-    fn streaming_pipeline_matches_batch_pipeline() {
-        let trace = record(5);
-        let batch = analyze_plan(&trace, &PipelineConfig::default()).unwrap();
-        let streamed = analyze_plan(
-            &trace,
-            &PipelineConfig {
-                chunk_events: Some(13),
-                ..PipelineConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(streamed.plan, batch.plan);
-        assert_eq!(streamed.report, batch.report);
-        assert!(streamed.streaming.is_some());
-        assert!(batch.streaming.is_none());
-    }
-
     /// The default config with `parallel: false`: one thread for the run.
     fn one_thread() -> PipelineConfig {
         PipelineConfig {
@@ -696,34 +659,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_streaming_pipeline_matches_one_worker_and_batch() {
-        let trace = record(7);
-        let batch = analyze_plan(&trace, &PipelineConfig::default()).unwrap();
-        let one_worker_config = PipelineConfig {
-            chunk_events: Some(17),
-            ..one_thread()
-        };
-        assert_eq!(one_worker_config.stream_workers(), None);
-        let one_worker = analyze_plan(&trace, &one_worker_config).unwrap();
-        assert_eq!(one_worker.plan, batch.plan);
-        // `detector.parallel` resolves to one worker per core, same output.
-        let config = PipelineConfig {
-            chunk_events: Some(17),
-            detector: DetectorConfig {
-                parallel: true,
-                ..DetectorConfig::default()
-            },
-            ..PipelineConfig::default()
-        };
-        assert!(config.stream_workers().is_some());
-        let parallel = analyze_plan(&trace, &config).unwrap();
-        assert_eq!(parallel.plan, batch.plan);
-        assert_eq!(parallel.report, one_worker.report);
-        let stats = parallel.streaming.unwrap();
-        let one_stats = one_worker.streaming.unwrap();
-        assert_eq!(stats.chunks, one_stats.chunks);
-        assert_eq!(stats.events, one_stats.events);
-        assert_eq!(stats.sections, one_stats.sections);
+    fn stream_workers_resolves_the_thread_budget() {
         assert_eq!(one_thread().stream_workers(), None);
         assert_eq!(
             PipelineConfig::default().stream_workers(),
@@ -968,10 +904,7 @@ mod tests {
             .trace
     }
 
-    /// Asserts that two analyses agree field for field. Of the streaming
-    /// statistics, the live-section and history peaks are left out: the
-    /// streaming engine sums them over its workers, so they bound the true
-    /// peak from above by a margin that depends on the worker count.
+    /// Asserts that two analyses agree field for field.
     fn assert_same_analysis(a: &PlanAnalysis, b: &PlanAnalysis, label: &str) {
         assert_eq!(a.plan, b.plan, "{label}: plan");
         assert_eq!(
@@ -983,17 +916,9 @@ mod tests {
             "{label}: ULCP-free replay"
         );
         assert_eq!(a.report, b.report, "{label}: report");
-        let counts = |stats: Option<StreamingStats>| {
-            stats.map(|s| StreamingStats {
-                peak_live_sections: 0,
-                peak_history_entries: 0,
-                ..s
-            })
-        };
-        assert_eq!(
-            counts(a.streaming),
-            counts(b.streaming),
-            "{label}: streaming stats"
+        assert!(
+            a.streaming.is_none() && b.streaming.is_none(),
+            "{label}: in-memory analysis streamed"
         );
     }
 
@@ -1005,23 +930,19 @@ mod tests {
         ];
         for (shape, trace) in &traces {
             for cap in [None, Some(2)] {
-                for chunk_events in [None, Some(13)] {
-                    let config = PipelineConfig {
-                        detector: DetectorConfig {
-                            max_scan_per_thread: cap,
-                            ..DetectorConfig::default()
-                        },
-                        chunk_events,
-                        ..PipelineConfig::default()
-                    };
-                    let one = analyze_plan_on(trace, &config, 1).unwrap();
-                    assert!(one.report.breakdown.total_ulcps() > 0, "{shape}");
-                    for threads in [2, 3, 8] {
-                        let label =
-                            format!("{shape}, cap {cap:?}, chunks {chunk_events:?}, n = {threads}");
-                        let many = analyze_plan_on(trace, &config, threads).unwrap();
-                        assert_same_analysis(&many, &one, &label);
-                    }
+                let config = PipelineConfig {
+                    detector: DetectorConfig {
+                        max_scan_per_thread: cap,
+                        ..DetectorConfig::default()
+                    },
+                    ..PipelineConfig::default()
+                };
+                let one = analyze_plan_on(trace, &config, 1).unwrap();
+                assert!(one.report.breakdown.total_ulcps() > 0, "{shape}");
+                for threads in [2, 3, 8] {
+                    let label = format!("{shape}, cap {cap:?}, n = {threads}");
+                    let many = analyze_plan_on(trace, &config, threads).unwrap();
+                    assert_same_analysis(&many, &one, &label);
                 }
             }
         }

@@ -35,7 +35,8 @@ pub struct PerfReport {
     /// replay (with whatever DLS setting was used).
     pub lockset_overhead_fraction: f64,
     /// Number of stream gaps the ingestion layer recovered from (corrupt or
-    /// skipped chunks). Zero for in-memory traces and clean streams; when
+    /// skipped chunks), as [`with_stream_gaps`](Self::with_stream_gaps)
+    /// records them. Zero for in-memory traces and clean streams; when
     /// non-zero the report is sound for the events that survived, not the
     /// full execution.
     pub stream_gaps: usize,
@@ -150,7 +151,9 @@ impl PerfReport {
     /// Annotates the report with the stream gaps the ingestion layer
     /// recovered from. Returns `self` for builder-style chaining after
     /// [`from_plan`](Self::from_plan) when detection streamed from a file
-    /// under a recovery policy.
+    /// under a recovery policy. The library's in-memory entry points
+    /// ([`analyze_plan`](crate::analyze_plan), [`analyze_batch`](crate::analyze_batch))
+    /// detect with the batch engine and leave both counts zero.
     pub fn with_stream_gaps(mut self, gaps: usize, events_lost: u64) -> Self {
         self.stream_gaps = gaps;
         self.stream_events_lost = events_lost;

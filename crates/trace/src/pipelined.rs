@@ -32,7 +32,7 @@ use crate::pbin::ChunkFormat;
 use crate::site::SiteTable;
 use crate::stream::{
     ChunkFileReader, ChunkFileTrailer, EventSource, RawRecord, RecoveryPolicy, StreamError,
-    StreamGap, StreamItem, TraceChunk,
+    StreamGap, StreamItem,
 };
 use crate::trace::TraceMeta;
 
@@ -323,10 +323,6 @@ impl EventSource for PipelinedChunkReader {
 
     fn num_threads(&self) -> usize {
         self.inner.num_threads()
-    }
-
-    fn next_chunk(&mut self) -> Result<Option<TraceChunk>, StreamError> {
-        self.inner.next_chunk()
     }
 
     fn next_item(&mut self) -> Result<Option<StreamItem>, StreamError> {

@@ -236,26 +236,29 @@ pub trait EventSource {
     /// Number of threads in the recorded execution (dense ids `0..n`).
     fn num_threads(&self) -> usize;
 
-    /// Pulls the next chunk, or `Ok(None)` at end of stream.
+    /// Pulls the next stream item — a chunk, or a [`StreamGap`] where a
+    /// recovering source skipped unreadable input — or `Ok(None)` at end of
+    /// stream. Gap-aware consumers pull items, so losses reach them instead
+    /// of being skipped silently.
     ///
     /// # Errors
     ///
     /// Sources backed by files report I/O and parse failures.
-    fn next_chunk(&mut self) -> Result<Option<TraceChunk>, StreamError>;
+    fn next_item(&mut self) -> Result<Option<StreamItem>, StreamError>;
 
-    /// Pulls the next stream item — a chunk, or a [`StreamGap`] where a
-    /// recovering source skipped unreadable input.
-    ///
-    /// The default forwards to [`next_chunk`](Self::next_chunk) and never
-    /// produces gaps; recovering sources override it. Gap-aware consumers
-    /// should prefer this over `next_chunk` so losses reach them instead of
-    /// being skipped silently.
+    /// Pulls the next chunk, skipping gaps, or `Ok(None)` at end of stream.
+    /// A recovering source still records what the skipped gaps lost.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`next_chunk`](Self::next_chunk).
-    fn next_item(&mut self) -> Result<Option<StreamItem>, StreamError> {
-        Ok(self.next_chunk()?.map(StreamItem::Chunk))
+    /// Same conditions as [`next_item`](Self::next_item).
+    fn next_chunk(&mut self) -> Result<Option<TraceChunk>, StreamError> {
+        while let Some(item) = self.next_item()? {
+            if let StreamItem::Chunk(chunk) = item {
+                return Ok(Some(chunk));
+            }
+        }
+        Ok(None)
     }
 }
 
@@ -501,7 +504,7 @@ impl EventSource for TraceChunks<'_> {
         self.trace.threads.len()
     }
 
-    fn next_chunk(&mut self) -> Result<Option<TraceChunk>, StreamError> {
+    fn next_item(&mut self) -> Result<Option<StreamItem>, StreamError> {
         self.order.clone()?;
         // The budget fills at the `chunk_events`-th unwritten visit, or at
         // the next visit if enough are visited already.
@@ -516,7 +519,7 @@ impl EventSource for TraceChunks<'_> {
             };
             let window_end = self.close_at(close);
             if let Some(chunk) = self.cut(window_end) {
-                return Ok(Some(chunk));
+                return Ok(Some(StreamItem::Chunk(chunk)));
             }
         }
         let last_event = self
@@ -534,7 +537,7 @@ impl EventSource for TraceChunks<'_> {
         let window_end = last_event
             .unwrap_or(Time::MAX)
             .max(last_grant.unwrap_or(Time::ZERO));
-        Ok(self.cut(window_end))
+        Ok(self.cut(window_end).map(StreamItem::Chunk))
     }
 }
 
@@ -756,9 +759,13 @@ impl ChunkFileReader {
         &self.gaps
     }
 
-    /// Total events known lost across all recorded gaps.
+    /// Total events known lost across all recorded gaps, saturating at
+    /// `u64::MAX`: a trailer's event count is file input.
     pub fn events_lost(&self) -> u64 {
-        self.gaps.iter().map(|g| g.events_lost).sum()
+        self.gaps
+            .iter()
+            .map(|g| g.events_lost)
+            .fold(0, u64::saturating_add)
     }
 
     /// Wraps an error with this file's path and the given location.
@@ -916,18 +923,6 @@ impl EventSource for ChunkFileReader {
 
     fn num_threads(&self) -> usize {
         self.header.num_threads
-    }
-
-    fn next_chunk(&mut self) -> Result<Option<TraceChunk>, StreamError> {
-        // Gap-unaware consumers skip over gaps; the losses stay queryable
-        // through [`gaps`](Self::gaps).
-        loop {
-            match self.read_item()? {
-                Some(StreamItem::Chunk(chunk)) => return Ok(Some(chunk)),
-                Some(StreamItem::Gap(_)) => continue,
-                None => return Ok(None),
-            }
-        }
     }
 
     fn next_item(&mut self) -> Result<Option<StreamItem>, StreamError> {

@@ -1,6 +1,7 @@
 //! The 12M-event acceptance contract, in one runnable place. Ignored by
-//! default: in release it took 20 to 35 s on a 2-vCPU VM and peaks near
-//! 3 GB. Run it with
+//! default: in release it took 17 to 35 s on a 2-vCPU VM. Each run prints
+//! its time and, where `/proc/self/status` exists, the process's peak
+//! resident set (`VmHWM`) so far. Run it with
 //!
 //! ```sh
 //! cargo test --release --test acceptance -- --ignored --nocapture
@@ -8,10 +9,12 @@
 //!
 //! It records the seeded 16-thread, 16-lock, 2048-object random workload
 //! shaped for 12M events, then runs the single-pass pipeline (`analyze_plan`,
-//! scan cap 4) on it twice: with batch detection, and streamed at 262,144
-//! events per chunk through one detection worker per core. Both runs must
-//! rank the same report, whose FNV-1a digest is pinned below, from the same
-//! breakdown.
+//! scan cap 4) on it, whose ranked report's FNV-1a digest is pinned below.
+//! It then streams the same trace through the streaming engine
+//! (`ParallelStreamingDetector`, 262,144 events per chunk, one worker per
+//! core) and checks that the streamed detection plan equals the pipeline's.
+//! The report is a function of the trace and the plan, so equal plans give
+//! the pinned report.
 
 use std::time::Instant;
 
@@ -60,8 +63,19 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (value, start.elapsed().as_secs_f64())
 }
 
+/// Prints the process's peak resident set so far (`VmHWM` in
+/// `/proc/self/status`), where that file exists.
+fn print_peak_rss(stage: &str) {
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return;
+    };
+    if let Some(peak) = status.lines().find_map(|line| line.strip_prefix("VmHWM:")) {
+        println!("{stage}: VmHWM {}", peak.trim());
+    }
+}
+
 #[test]
-#[ignore = "12M events: 20 to 35 s in release, about 3 GB"]
+#[ignore = "12M events: 17 to 35 s in release"]
 fn twelve_million_events_keep_the_pinned_report_digest() {
     let config = GeneratorConfig::for_event_target(16, 16, 2048, 12_000_000);
     let (trace, record_s) = timed(|| {
@@ -72,52 +86,57 @@ fn twelve_million_events_keep_the_pinned_report_digest() {
     });
     let events = trace.num_events();
     println!("record: {events} events in {record_s:.1} s");
+    print_peak_rss("record");
     assert!(events >= 10_000_000, "only {events} events recorded");
 
-    let batch_config = PipelineConfig {
+    let pipeline = PipelineConfig {
         detector: DetectorConfig {
             max_scan_per_thread: Some(4),
             ..DetectorConfig::default()
         },
         ..PipelineConfig::default()
     };
-    let streamed_config = PipelineConfig {
-        detector: DetectorConfig {
-            parallel: true,
-            ..batch_config.detector
-        },
-        chunk_events: Some(262_144),
-        ..batch_config
-    };
-
-    let mut breakdowns = Vec::new();
-    for (name, config) in [("batch", &batch_config), ("streamed", &streamed_config)] {
-        let (run, seconds) = timed(|| analyze_plan(&trace, config).expect("analysis succeeds"));
+    // Only the plan outlives the batch run.
+    let batch_plan = {
+        let (run, seconds) = timed(|| analyze_plan(&trace, &pipeline).expect("analysis succeeds"));
         let digest = report_digest(&run.report.recommendations);
         println!(
-            "{name}: {seconds:.1} s, digest {digest:016x}, {} sections, {} ULCPs, {} TLCP edges, \
+            "batch: {seconds:.1} s, digest {digest:016x}, {} sections, {} ULCPs, {} TLCP edges, \
              {} aggregate rows",
             run.plan.sections.len(),
             run.plan.breakdown.total_ulcps(),
             run.plan.breakdown.tlcp_edges,
             run.plan.aggregates.len()
         );
-        if let Some(stats) = &run.streaming {
-            println!(
-                "{name}: peak_live_sections {} ({:.1}% of sections), peak_history_entries {}",
-                stats.peak_live_sections,
-                100.0 * stats.peak_live_sections as f64 / stats.sections as f64,
-                stats.peak_history_entries
-            );
-        }
+        print_peak_rss("batch");
         assert_eq!(
             digest, REPORT_DIGEST,
-            "{name}: report digest {digest:016x}, pinned {REPORT_DIGEST:016x}"
+            "report digest {digest:016x}, pinned {REPORT_DIGEST:016x}"
         );
-        breakdowns.push(run.plan.breakdown);
-    }
-    assert_eq!(
-        breakdowns[0], breakdowns[1],
-        "batch and streamed breakdowns differ"
+        run.plan
+    };
+
+    let workers = pipeline.stream_workers().unwrap_or(1);
+    let (streamed, seconds) = timed(|| {
+        ParallelStreamingDetector::with_workers(pipeline.detector, workers)
+            .analyze_with(
+                &mut TraceChunks::new(&trace, 262_144),
+                PlanAggregator::new(BodyOverlapGain),
+            )
+            .expect("streamed detection succeeds")
+    });
+    let (streamed_plan, stats) = DetectionPlan::from_streaming(streamed);
+    println!(
+        "streamed: {seconds:.1} s on {workers} worker(s), peak_live_sections {} ({:.1}% of \
+         sections), peak_history_entries {}",
+        stats.peak_live_sections,
+        100.0 * stats.peak_live_sections as f64 / stats.sections as f64,
+        stats.peak_history_entries
+    );
+    print_peak_rss("streamed");
+    // Not `assert_eq!`, which would print both plans' 2.55M sections.
+    assert!(
+        streamed_plan == batch_plan,
+        "the streamed detection plan differs from the batch plan"
     );
 }

@@ -7,15 +7,13 @@
 //! facade still assembled its report from a materialized pair list, so the
 //! plan-routed facade, which re-ranks by an aggregating exact-gain pass, must
 //! reproduce each one: same breakdown, impact, ranking, transform statistics
-//! and JSON form. It must do so with batch detection (the default) and with
-//! detection streamed in 64-event chunks, which the facade runs when its
-//! pipeline configuration sets `chunk_events`.
+//! and JSON form.
 
 use std::path::PathBuf;
 
-use perfplay::prelude::{PipelineConfig, Program};
+use perfplay::prelude::Program;
 use perfplay::workloads::{cases, App, InputSize, WorkloadConfig};
-use perfplay::{PerfPlay, PerfPlayConfig};
+use perfplay::PerfPlay;
 
 /// 64-bit FNV-1a over bytes.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -52,9 +50,10 @@ fn inputs() -> Vec<(String, Program)> {
     inputs
 }
 
-/// One `<name>\t<digest>` line per input, in `inputs` order, from
-/// `perfplay`'s reports.
-fn facade_lines(perfplay: &PerfPlay) -> Vec<String> {
+/// One `<name>\t<digest>` line per input, in `inputs` order, from the
+/// default facade's reports.
+fn facade_lines() -> Vec<String> {
+    let perfplay = PerfPlay::new();
     inputs()
         .into_iter()
         .map(|(name, program)| {
@@ -74,18 +73,9 @@ fn facade_reproduces_the_golden_reports() {
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
     let golden: Vec<&str> = text.lines().filter(|l| !l.starts_with('#')).collect();
     assert_eq!(golden.len(), App::ALL.len() + 5);
-    let streamed = PerfPlay::with_config(PerfPlayConfig {
-        pipeline: PipelineConfig {
-            chunk_events: Some(64),
-            ..PipelineConfig::default()
-        },
-        ..PerfPlayConfig::default()
-    });
-    for (detection, perfplay) in [("batch", PerfPlay::new()), ("streamed", streamed)] {
-        let actual = facade_lines(&perfplay);
-        assert_eq!(actual.len(), golden.len());
-        for (line, expected) in actual.iter().zip(&golden) {
-            assert_eq!(line, expected, "{detection} detection");
-        }
+    let actual = facade_lines();
+    assert_eq!(actual.len(), golden.len());
+    for (line, expected) in actual.iter().zip(&golden) {
+        assert_eq!(line, expected);
     }
 }

@@ -935,6 +935,69 @@ fn a_record_after_the_trailer_is_refused() {
     }
 }
 
+/// Losses add up past `u64::MAX` when a trailer claims that many events
+/// (the count is file input) and records follow it: the golden file with
+/// its trailer claiming `u64::MAX` events, then its four chunks and its
+/// first chunk again, loses `u64::MAX - 42` events at the trailer and 56
+/// after it. Both readers, the streaming detector at every worker count and
+/// the chunk-file sweep report `u64::MAX` events lost, and no failure.
+#[test]
+fn an_event_loss_past_u64_max_saturates() {
+    let golden =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden-chunks.jsonl");
+    let mut lines: Vec<String> = std::fs::read_to_string(&golden)
+        .unwrap()
+        .lines()
+        .map(str::to_string)
+        .collect();
+    assert_eq!(lines.len(), 6, "a header, four chunks and a trailer");
+    edit_once(
+        &mut lines[5],
+        "\"events\":42",
+        &format!("\"events\":{}", u64::MAX),
+    );
+    let after_trailer: Vec<String> = lines[1..5].iter().chain(&lines[1..2]).cloned().collect();
+    lines.extend(after_trailer);
+    let path = std::env::temp_dir().join(format!(
+        "perfplay-loss-overflow-{}.jsonl",
+        std::process::id()
+    ));
+    std::fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
+
+    let policy = RecoveryPolicy::SkipChunk;
+    let mut inline = ChunkFileReader::with_policy(&path, policy).unwrap();
+    let items = drain(&mut inline).unwrap();
+    assert_eq!(inline.events_lost(), u64::MAX);
+    let clean = ParallelStreamingDetector::with_workers(config(), 1)
+        .analyze(&mut ChunkFileReader::open(&golden).unwrap())
+        .unwrap();
+    for workers in [1, 2] {
+        let mut reader = PipelinedChunkReader::with_options(&path, policy, None, workers).unwrap();
+        assert_eq!(
+            drain(&mut reader).unwrap(),
+            items,
+            "{workers} decode workers"
+        );
+        assert_eq!(reader.events_lost(), u64::MAX, "{workers} decode workers");
+
+        let streamed = ParallelStreamingDetector::with_workers(config(), workers)
+            .analyze(&mut ChunkFileReader::with_policy(&path, policy).unwrap())
+            .unwrap();
+        assert_eq!(
+            (streamed.stats.gaps, streamed.stats.events_lost),
+            (6, u64::MAX),
+            "{workers} workers"
+        );
+        assert_eq!(streamed.analysis.ulcps, clean.analysis.ulcps);
+        assert_eq!(streamed.analysis.breakdown, clean.analysis.breakdown);
+    }
+    let sweep = analyze_chunk_files(&[&path], &PipelineConfig::default(), policy);
+    assert!(sweep.failures.is_empty(), "{:?}", sweep.failures);
+    assert_eq!(sweep.per_stream[0].stats.events_lost, u64::MAX);
+    assert_eq!(sweep.total_events_lost(), u64::MAX);
+    std::fs::remove_file(&path).ok();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

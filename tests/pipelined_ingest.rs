@@ -141,7 +141,7 @@ fn run_pipelined(
 fn pipelined_equals_sequential_equals_in_memory_on_clean_corpus() {
     let corpus = corpus();
     let in_memory = ParallelStreamingDetector::with_workers(config(), 2)
-        .analyze_trace(&corpus.trace, CORPUS_CHUNK)
+        .analyze(&mut TraceChunks::new(&corpus.trace, CORPUS_CHUNK))
         .unwrap();
     let in_memory_analysis = format!("{:?}", in_memory.analysis);
     for (ext, path) in corpus.files() {
@@ -384,7 +384,7 @@ proptest! {
         spill_trace(&trace, &path, chunk_events).unwrap();
 
         let in_memory = ParallelStreamingDetector::with_workers(config(), 2)
-            .analyze_trace(&trace, chunk_events)
+            .analyze(&mut TraceChunks::new(&trace, chunk_events))
             .unwrap();
         let sequential = run_sequential(&path, RecoveryPolicy::Fail);
         let pipelined = run_pipelined(&path, RecoveryPolicy::Fail, decode_workers, 2);

@@ -300,7 +300,10 @@ proptest! {
         // at two, produces the identical plan.
         for workers in [1, 2] {
             let streamed = ParallelStreamingDetector::with_workers(config, workers)
-                .analyze_trace_with(&trace, chunk_events, PlanAggregator::new(BodyOverlapGain))
+                .analyze_with(
+                    &mut TraceChunks::new(&trace, chunk_events),
+                    PlanAggregator::new(BodyOverlapGain),
+                )
                 .unwrap();
             let (stream_plan, _) = DetectionPlan::from_streaming(streamed);
             prop_assert_eq!(&stream_plan, &plan);

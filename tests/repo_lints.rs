@@ -54,6 +54,13 @@
 //! * the facade keeps one run configuration: no struct in
 //!   `crates/core/src/lib.rs` declares a field named after a field of
 //!   `PipelineConfig`, which `PerfPlayConfig` nests instead of copying;
+//! * in-memory analysis detects with the batch engine: `PipelineConfig`
+//!   declares no `chunk_events`, outside test code and comments
+//!   `crates/report/src/pipeline.rs` names `ParallelStreamingDetector` only
+//!   inside `analyze_chunk_files`, and `crates/detect/src/parallel_stream.rs`
+//!   declares no `fn analyze_trace`, so the streaming engine reads only
+//!   `EventSource`s such as chunk files and no second in-memory detection
+//!   path returns;
 //! * retired names stay retired: no source file, test, example, README, CI
 //!   workflow or verification note names the sequential streaming engine
 //!   (`ParallelStreamingDetector` at one worker replaced it), the second
@@ -674,22 +681,30 @@ fn struct_fields(text: &str) -> Vec<(String, String, usize)> {
     fields
 }
 
-#[test]
-fn the_facade_copies_no_pipeline_field() {
-    let read = |path: &str| {
-        std::fs::read_to_string(workspace_root().join(path))
-            .unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
-    };
-    let pipeline_fields: Vec<String> = struct_fields(&read(PIPELINE_CONFIG))
+fn read_workspace_file(path: &str) -> String {
+    std::fs::read_to_string(workspace_root().join(path))
+        .unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
+}
+
+/// The fields `PipelineConfig` declares, checked to include `preflight`, so
+/// a lint reading them looks where the struct is.
+fn pipeline_config_fields() -> Vec<String> {
+    let fields: Vec<String> = struct_fields(&read_workspace_file(PIPELINE_CONFIG))
         .into_iter()
         .filter(|(owner, _, _)| owner == "PipelineConfig")
         .map(|(_, field, _)| field)
         .collect();
     assert!(
-        pipeline_fields.iter().any(|field| field == "chunk_events"),
+        fields.iter().any(|field| field == "preflight"),
         "{PIPELINE_CONFIG} no longer declares `PipelineConfig` where this lint looks; update it"
     );
-    let facade_fields = struct_fields(&read(FACADE));
+    fields
+}
+
+#[test]
+fn the_facade_copies_no_pipeline_field() {
+    let pipeline_fields = pipeline_config_fields();
+    let facade_fields = struct_fields(&read_workspace_file(FACADE));
     assert!(
         facade_fields
             .iter()
@@ -706,6 +721,72 @@ fn the_facade_copies_no_pipeline_field() {
         "the facade declares a field of `PipelineConfig` (set it through \
          `PerfPlayConfig::pipeline` instead):\n{}",
         offenders.join("\n")
+    );
+}
+
+const STREAMING_ENGINE: &str = "crates/detect/src/parallel_stream.rs";
+/// The one function of `PIPELINE_CONFIG` that runs the streaming engine.
+const CHUNK_FILE_DRIVER: &str = "fn analyze_chunk_files";
+
+#[test]
+fn in_memory_analysis_detects_with_the_batch_engine() {
+    assert!(
+        !pipeline_config_fields()
+            .iter()
+            .any(|field| field == "chunk_events"),
+        "`PipelineConfig` declares `chunk_events` again: in-memory analysis detects with the \
+         batch engine, and the streaming engine reads chunk files"
+    );
+
+    // The driver's body runs from its signature to the first closing brace
+    // at column zero.
+    let pipeline = read_workspace_file(PIPELINE_CONFIG);
+    let mut in_driver = false;
+    let mut named_in_driver = false;
+    let mut offenders: Vec<String> = Vec::new();
+    for (line_no, line) in non_test_code(&pipeline) {
+        if line.contains(CHUNK_FILE_DRIVER) {
+            in_driver = true;
+        }
+        if !is_comment(line) && line.contains("ParallelStreamingDetector") {
+            if in_driver {
+                named_in_driver = true;
+            } else {
+                offenders.push(format!("{PIPELINE_CONFIG}:{line_no}: {}", line.trim()));
+            }
+        }
+        if in_driver && line.starts_with('}') {
+            in_driver = false;
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "the pipeline runs the streaming engine outside `analyze_chunk_files` (detect an \
+         in-memory trace with `Detector::with_workers`):\n{}",
+        offenders.join("\n")
+    );
+    assert!(
+        named_in_driver,
+        "`{CHUNK_FILE_DRIVER}` in {PIPELINE_CONFIG} no longer names \
+         `ParallelStreamingDetector`; update this lint"
+    );
+
+    let engine = read_workspace_file(STREAMING_ENGINE);
+    assert!(
+        engine.contains("fn analyze_with"),
+        "{STREAMING_ENGINE} no longer declares the streaming engine; update this lint"
+    );
+    let wrappers: Vec<String> = engine
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| !is_comment(line) && line.contains("fn analyze_trace"))
+        .map(|(i, line)| format!("{STREAMING_ENGINE}:{}: {}", i + 1, line.trim()))
+        .collect();
+    assert!(
+        wrappers.is_empty(),
+        "the streaming engine has an in-memory wrapper again (stream a trace with \
+         `analyze(&mut TraceChunks::new(&trace, n))`):\n{}",
+        wrappers.join("\n")
     );
 }
 

@@ -45,7 +45,7 @@ fn assert_all_engines_agree(
     let reference = reference_analyze(trace, config);
     let streamed = |workers| {
         ParallelStreamingDetector::with_workers(config, workers)
-            .analyze_trace(trace, chunk_events)
+            .analyze(&mut TraceChunks::new(trace, chunk_events))
             .unwrap()
             .analysis
     };
@@ -73,7 +73,10 @@ fn assert_all_engines_agree(
     prop_assert_eq!(&batch_agg, &parallel_agg);
     for workers in [1, 2] {
         let streamed_agg = ParallelStreamingDetector::with_workers(config, workers)
-            .analyze_trace_with(trace, chunk_events, SiteAggregator::new(gain))
+            .analyze_with(
+                &mut TraceChunks::new(trace, chunk_events),
+                SiteAggregator::new(gain),
+            )
             .unwrap()
             .sink
             .finish();
@@ -181,11 +184,16 @@ fn scan_cap_truncation_is_exact_at_every_chunk_boundary() {
             for workers in [1, 2] {
                 let label = format!("cap {cap}, chunk {chunk_events}, workers {workers}");
                 let detector = ParallelStreamingDetector::with_workers(config, workers);
-                let streamed = detector.analyze_trace(&trace, chunk_events).unwrap();
+                let streamed = detector
+                    .analyze(&mut TraceChunks::new(&trace, chunk_events))
+                    .unwrap();
                 assert_eq!(batch.ulcps, streamed.analysis.ulcps, "{label}");
                 assert_eq!(batch.edges, streamed.analysis.edges, "{label}");
                 let agg = detector
-                    .analyze_trace_with(&trace, chunk_events, SiteAggregator::new(NoGain))
+                    .analyze_with(
+                        &mut TraceChunks::new(&trace, chunk_events),
+                        SiteAggregator::new(NoGain),
+                    )
                     .unwrap()
                     .sink
                     .finish();
@@ -280,7 +288,7 @@ fn assert_aggregator_matches_oracle<G: GainSource + Clone + Send + Sync>(
     };
     let pstream = |workers| {
         ParallelStreamingDetector::with_workers(config, workers)
-            .analyze_trace_with(trace, chunk_events, sink())
+            .analyze_with(&mut TraceChunks::new(trace, chunk_events), sink())
             .unwrap()
             .sink
     };
@@ -507,13 +515,16 @@ fn plan_peak_live_pairs_is_pinned() {
     let sink = || PlanAggregator::new(BodyOverlapGain);
     let pstream = |workers| {
         ParallelStreamingDetector::with_workers(config, workers)
-            .analyze_trace_with(&trace, 64, sink())
+            .analyze_with(&mut TraceChunks::new(&trace, 64), sink())
             .unwrap()
             .stats
             .peak_live_pairs
     };
     let aggregator_only = ParallelStreamingDetector::with_workers(config, 1)
-        .analyze_trace_with(&trace, 64, SiteAggregator::new(NoGain))
+        .analyze_with(
+            &mut TraceChunks::new(&trace, 64),
+            SiteAggregator::new(NoGain),
+        )
         .unwrap()
         .stats
         .peak_live_pairs;

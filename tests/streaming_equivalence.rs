@@ -91,7 +91,10 @@ fn report_pipeline_accepts_streaming_output_unchanged() {
     let batch = Detector::default().plan(&trace, BodyOverlapGain);
     let streamed = |workers| {
         let run = ParallelStreamingDetector::with_workers(DetectorConfig::default(), workers)
-            .analyze_trace_with(&trace, 64, PlanAggregator::new(BodyOverlapGain))
+            .analyze_with(
+                &mut TraceChunks::new(&trace, 64),
+                PlanAggregator::new(BodyOverlapGain),
+            )
             .unwrap();
         DetectionPlan::from_streaming(run).0
     };
@@ -128,7 +131,7 @@ proptest! {
         assert_analyses_equal("naive vs batch", &naive, &batch)?;
 
         let streamed = ParallelStreamingDetector::with_workers(config, 1)
-            .analyze_trace(&trace, chunk_events)
+            .analyze(&mut TraceChunks::new(&trace, chunk_events))
             .unwrap();
         assert_analyses_equal("one worker vs batch", &streamed.analysis, &batch)?;
 
@@ -140,7 +143,7 @@ proptest! {
         // The sharded fan-out agrees with everything above, at a shard count
         // below, at and beyond #locks.
         let parallel = ParallelStreamingDetector::with_workers(config, workers)
-            .analyze_trace(&trace, chunk_events)
+            .analyze(&mut TraceChunks::new(&trace, chunk_events))
             .unwrap();
         assert_analyses_equal("parallel vs batch", &parallel.analysis, &batch)?;
         prop_assert_eq!(parallel.stats.chunks, streamed.stats.chunks);
