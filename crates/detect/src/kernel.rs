@@ -1,15 +1,12 @@
-//! The pairing kernel both detection engines share: the packed per-section
-//! rows, the summary-word fast path, and the classify-and-emit step of one
-//! sequential search.
+//! The pairing kernel of the batch engine: the packed per-section rows, the
+//! summary-word fast path, and the classify-and-emit step of one sequential
+//! search.
 //!
 //! Section 3.1's sequential search compares each critical section, per
 //! other thread, against that thread's later sections on the same lock, and
-//! stops at the first true contention (TLCP) or at the scan cap. The two
-//! engines differ only in how candidates arrive. The batch
-//! [`Detector`](crate::Detector) holds every section up front and walks each
-//! lock with forward-only per-thread cursors. The
-//! [`ParallelStreamingDetector`](crate::ParallelStreamingDetector) is handed
-//! candidates as chunks deliver them. Both pass each run of candidates to
+//! stops at the first true contention (TLCP) or at the scan cap. The
+//! [`Detector`](crate::Detector) walks each lock with forward-only
+//! per-thread cursors and hands each run of candidates to
 //! [`PairKernel::scan`], the one place that classifies a pair, applies the
 //! cap, counts the breakdown and emits.
 //!
@@ -50,9 +47,9 @@ impl PairKey {
     }
 }
 
-/// Dense per-section hot-path row, parallel to an engine's section table:
-/// the summary words plus the global id and thread, which is everything
-/// classification and emission need in 24 bytes. Both engines classify
+/// Dense per-section hot-path row, parallel to the section table: the
+/// summary words plus the global id and thread, which is everything
+/// classification and emission need in 24 bytes. Detection classifies
 /// hundreds of millions of pairs; reading these packed rows instead of the
 /// ~200-byte [`CriticalSection`] rows keeps the per-pair path out of DRAM.
 #[derive(Debug, Clone, Copy)]
@@ -95,22 +92,13 @@ pub(crate) fn fast_classify(a: PairKey, b: PairKey) -> Option<PairClass> {
     }
 }
 
-/// The state of one `(section, other-thread)` sequential search.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct Search {
-    /// Classifications performed so far (the unit the scan cap counts).
-    pub(crate) scanned: u32,
-    /// True once a TLCP ended the search or the cap was reached.
-    pub(crate) done: bool,
-}
-
 /// The classification context of one lock: borrows the section table, its
 /// packed rows, the history and the lock's sink once, so each pair costs one
 /// classification plus one emission.
 pub(crate) struct PairKernel<'a, S> {
-    /// `max_scan_per_thread` with `None` hoisted to "unlimited", so the
-    /// per-pair cap check is one integer compare.
-    cap: u32,
+    /// `max_scan_per_thread` with `None` hoisted to "unlimited", so the cap
+    /// bounds each candidate run up front.
+    cap: usize,
     use_reversed_replay: bool,
     lock: LockId,
     /// `sections[i]` and `meta[i]` describe the same section; candidate
@@ -133,9 +121,7 @@ impl<'a, S: UlcpSink> PairKernel<'a, S> {
         breakdown: &'a mut UlcpBreakdown,
     ) -> Self {
         PairKernel {
-            cap: config
-                .max_scan_per_thread
-                .map_or(u32::MAX, |c| u32::try_from(c).unwrap_or(u32::MAX)),
+            cap: config.max_scan_per_thread.unwrap_or(usize::MAX),
             use_reversed_replay: config.use_reversed_replay,
             lock,
             sections,
@@ -146,44 +132,29 @@ impl<'a, S: UlcpSink> PairKernel<'a, S> {
         }
     }
 
-    /// Continues the search of `first` over the next run of one other
-    /// thread's candidates, in order, until a TLCP or the cap ends it.
-    /// Returns how many candidates the search consumed.
+    /// Runs the search of `first` over one other thread's later
+    /// candidates, in order, until a TLCP or the cap ends it.
     ///
     /// The cap counts classifications performed: a TLCP found by the
     /// cap-th classification is still recorded, and only candidates beyond
-    /// the cap go unseen. A zero cap consumes its first candidate
-    /// unclassified and ends the search.
-    pub(crate) fn scan(&mut self, first: usize, candidates: &[u32], search: &mut Search) -> usize {
-        if search.done || candidates.is_empty() {
-            return 0;
-        }
-        let room = self.cap.saturating_sub(search.scanned) as usize;
-        if room == 0 {
-            search.done = true;
-            return 1;
-        }
+    /// the cap go unseen. A zero cap classifies nothing.
+    pub(crate) fn scan(&mut self, first: usize, candidates: &[u32]) {
         // The cap bounds the visit up front, so the hot loop walks a
-        // borrowed slice with no per-candidate cap bookkeeping; `classify`
-        // still sets `done` at the cap or on a TLCP.
+        // borrowed slice with no per-candidate cap bookkeeping.
         let fm = self.meta[first];
-        let mut taken = 0;
-        for &second in &candidates[..room.min(candidates.len())] {
-            taken += 1;
-            self.classify(first, fm, second as usize, search);
-            if search.done {
+        for &second in &candidates[..self.cap.min(candidates.len())] {
+            if matches!(self.classify(first, fm, second as usize), PairClass::Tlcp) {
                 break;
             }
         }
-        taken
     }
 
     /// Classifies one pair exactly as [`classify_pair`] does, through the
-    /// summary-word fast path when it is decisive, then emits the outcome
-    /// and updates the search. `fm` is `self.meta[first]`, hoisted by the
-    /// caller across a whole candidate run.
+    /// summary-word fast path when it is decisive, emits the outcome and
+    /// returns it. `fm` is `self.meta[first]`, hoisted by the caller across
+    /// a whole candidate run.
     #[inline]
-    fn classify(&mut self, first: usize, fm: SecMeta, second: usize, search: &mut Search) {
+    fn classify(&mut self, first: usize, fm: SecMeta, second: usize) -> PairClass {
         let sm = self.meta[second];
         let class = match fast_classify(fm.key, sm.key) {
             Some(class) => class,
@@ -194,10 +165,6 @@ impl<'a, S: UlcpSink> PairKernel<'a, S> {
                 self.use_reversed_replay,
             ),
         };
-        search.scanned += 1;
-        if search.scanned >= self.cap {
-            search.done = true;
-        }
         // Constructing the refs is free; a sink that ignores the context
         // (`CollectPairs`) never dereferences them.
         let ctx = SectionCtx {
@@ -206,7 +173,6 @@ impl<'a, S: UlcpSink> PairKernel<'a, S> {
         };
         match class {
             PairClass::Tlcp => {
-                search.done = true;
                 self.out.emit_edge(
                     CausalEdge {
                         from: fm.id,
@@ -230,5 +196,67 @@ impl<'a, S: UlcpSink> PairKernel<'a, S> {
                 );
             }
         }
+        class
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Detector;
+    use perfplay_program::ProgramBuilder;
+    use perfplay_record::Recorder;
+    use perfplay_sim::SimConfig;
+
+    #[test]
+    fn summary_fast_path_agrees_with_classify_by_sets() {
+        // Pairs drawn from a trace with overlapping and disjoint footprints:
+        // whenever the fast path answers, the full classifier must agree.
+        let mut b = ProgramBuilder::new("kernel-test");
+        let locks: Vec<_> = (0..3).map(|i| b.lock(format!("l{i}"))).collect();
+        let objs: Vec<_> = (0..5)
+            .map(|i| b.shared(format!("o{i}"), i as i64))
+            .collect();
+        let site = b.site("s.c", "f", 1);
+        for t in 0..3 {
+            let locks = locks.clone();
+            let objs = objs.clone();
+            b.thread(format!("t{t}"), |tb| {
+                for k in 0..6usize {
+                    let lock = locks[k % locks.len()];
+                    let obj = objs[(t + k) % objs.len()];
+                    tb.locked(lock, site, |cs| match k % 4 {
+                        0 => {
+                            cs.read(obj);
+                        }
+                        1 => {
+                            cs.write_set(obj, 1);
+                        }
+                        2 => {
+                            cs.write_add(obj, 1);
+                        }
+                        _ => {
+                            cs.compute_ns(10);
+                        }
+                    });
+                    tb.compute_ns(25);
+                }
+            });
+        }
+        let trace = Recorder::new(SimConfig::default())
+            .record(&b.build())
+            .unwrap()
+            .trace;
+        let analysis = Detector::default().analyze(&trace);
+        let mut checked = 0usize;
+        for (i, a) in analysis.sections.iter().enumerate() {
+            for b in analysis.sections.iter().skip(i + 1) {
+                if let Some(fast) = fast_classify(PairKey::of(a), PairKey::of(b)) {
+                    assert_eq!(fast, crate::classify::classify_by_sets(a, b));
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 0, "fast path never applied");
     }
 }

@@ -20,12 +20,12 @@
 //!    lock and produces the [`UlcpAnalysis`] (pairs, causal edges, and the
 //!    per-category [`UlcpBreakdown`] that reproduces a row of Table 1).
 //!
-//! For traces too large to hold in memory, [`ParallelStreamingDetector`]
-//! consumes a chunked event stream (`perfplay_trace::EventSource`) on sharded
-//! per-lock workers — one worker or many — and produces the same
-//! [`UlcpAnalysis`] bit-for-bit while keeping only bounded incremental state
-//! resident. Both engines classify and emit every pair through one shared
-//! pairing kernel; they differ only in how candidates reach it.
+//! For a chunked event stream (`perfplay_trace::EventSource`), such as a
+//! chunk file, [`ParallelStreamingDetector`] loads the stream with
+//! `perfplay_trace::load_trace` and runs [`Detector::with_workers`] on the
+//! loaded trace, so it produces the same [`UlcpAnalysis`] bit for bit. One
+//! engine classifies every pair, through one pairing kernel;
+//! [`reference_analyze`] stays as the test oracle.
 //!
 //! Every engine emits its classified pairs through a [`UlcpSink`]. The
 //! default [`CollectPairs`] sink materializes the historical pair list;

@@ -12,9 +12,8 @@
 //! sections by thread. Because a lock's sections are visited in ascending
 //! id, each thread's later candidates start at a forward-only cursor: the
 //! cursor of a thread moves by one each time one of its own sections has
-//! been searched from. Each run of candidates goes to the pairing kernel
-//! shared with the streaming engine, which reads the full section rows only
-//! when two summary words collide.
+//! been searched from. Each run of candidates goes to the pairing kernel,
+//! which reads the full section rows only when two summary words collide.
 //!
 //! The engine is *snapshot-free*: instead of cloning a full shadow-memory
 //! snapshot per critical section (O(sections x objects) memory), one
@@ -34,7 +33,7 @@ use perfplay_trace::{
 };
 use serde::{Deserialize, Serialize};
 
-use crate::kernel::{PairKernel, Search, SecMeta};
+use crate::kernel::{PairKernel, SecMeta};
 use crate::kinds::UlcpKind;
 use crate::shadow::LastWriteIndex;
 use crate::sink::{CollectPairs, SinkAnalysis, UlcpSink};
@@ -146,16 +145,16 @@ pub struct DetectorConfig {
     /// fan the independent per-lock searches out across OS threads. Results
     /// are merged deterministically (ascending lock order, original search
     /// order within each lock), so output is bit-identical to the
-    /// sequential path. On by default; `false` keeps every stage on the
-    /// calling thread, apart from the streaming engine's one worker.
+    /// sequential path. On by default; `false` keeps detection on the
+    /// calling thread.
     ///
-    /// How each engine composes with this flag:
+    /// How each entry point composes with this flag:
     ///
     /// | entry point | `parallel: false` | `parallel: true` (default) |
     /// |---|---|---|
     /// | [`Detector::new`], then `analyze` / `analyze_with` / `plan` | sequential per-lock loop | per-lock work-queue fan-out, one worker per core |
     /// | [`Detector::with_workers`] | ignored — fan-out width from the constructor | ignored |
-    /// | [`ParallelStreamingDetector`](crate::ParallelStreamingDetector) | ignored — worker count from the constructor | ignored |
+    /// | [`ParallelStreamingDetector`](crate::ParallelStreamingDetector) (loads the stream, then [`Detector::with_workers`]) | ignored — fan-out width from the constructor | ignored |
     ///
     /// The pipeline drivers in `perfplay-report` read it as the thread
     /// budget of a whole run: one thread when `false`, one per core when
@@ -233,10 +232,10 @@ impl Detector {
 
     /// Creates a detector whose per-lock fan-out uses at most `workers`
     /// threads (clamped to at least 1), whatever `config.parallel` says.
-    /// The batch counterpart of
-    /// [`ParallelStreamingDetector::with_workers`](crate::ParallelStreamingDetector::with_workers);
-    /// the pipeline drivers use it to hand detection its share of a thread
-    /// budget.
+    /// The pipeline drivers use it to hand detection its share of a thread
+    /// budget, and
+    /// [`ParallelStreamingDetector`](crate::ParallelStreamingDetector) to
+    /// detect the trace it loads.
     pub fn with_workers(config: DetectorConfig, workers: usize) -> Self {
         Detector {
             config,
@@ -273,8 +272,19 @@ impl Detector {
     pub fn analyze_with<S: UlcpSink + Send + Sync>(
         &self,
         trace: &Trace,
-        mut sink: S,
+        sink: S,
     ) -> SinkAnalysis<S> {
+        self.analyze_indexed(trace, sink).0
+    }
+
+    /// [`analyze_with`](Self::analyze_with), also returning the
+    /// [`num_entries`](LastWriteIndex::num_entries) of the last-write index
+    /// the run built (0 when the reversed replay is off).
+    pub(crate) fn analyze_indexed<S: UlcpSink + Send + Sync>(
+        &self,
+        trace: &Trace,
+        mut sink: S,
+    ) -> (SinkAnalysis<S>, usize) {
         let sections = extract_critical_sections(trace);
         // The index only feeds the reversed-replay benign check; in the
         // ablation mode (`use_reversed_replay: false`) no state is ever
@@ -319,11 +329,12 @@ impl Detector {
         }
         sink.seal(&sections);
 
-        SinkAnalysis {
+        let analysis = SinkAnalysis {
             sections,
             breakdown,
             sink,
-        }
+        };
+        (analysis, index.num_entries())
     }
 
     /// Fans the per-lock walks out over a shared work queue of lock
@@ -418,7 +429,7 @@ impl SectionTable<'_> {
             for &u in &threads {
                 if u != ti {
                     let candidates = &order[next[u] as usize..end[u] as usize];
-                    kernel.scan(first as usize, candidates, &mut Search::default());
+                    kernel.scan(first as usize, candidates);
                 }
             }
             // `first` heads its thread's run, and every later section of
@@ -963,10 +974,6 @@ mod tests {
         }
 
         fn absorb(&mut self, _: Self) {}
-
-        fn resident_entries(&self) -> usize {
-            0
-        }
     }
 
     /// The payload of the panic `run` raises.

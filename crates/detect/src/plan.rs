@@ -86,8 +86,9 @@ impl DetectionPlan {
         sink.into_plan(sections, breakdown)
     }
 
-    /// Assembles a plan from a streaming-engine run into a
-    /// [`PlanAggregator`], returning the run's resident-state statistics
+    /// Assembles a plan from a
+    /// [`ParallelStreamingDetector`](crate::ParallelStreamingDetector) run
+    /// into a [`PlanAggregator`], returning the run's stream statistics
     /// alongside.
     pub fn from_streaming<G: GainSource>(
         analysis: StreamingSinkAnalysis<PlanAggregator<G>>,
@@ -227,18 +228,6 @@ impl<G: GainSource + Clone> UlcpSink for PlanAggregator<G> {
         self.benign.extend(shard.benign);
     }
 
-    fn remap_sections(&mut self, remap: &[Option<SectionId>]) {
-        let map = |id: SectionId| remap[id.index()].expect("paired section survives compaction");
-        for e in &mut self.edges {
-            e.from = map(e.from);
-            e.to = map(e.to);
-        }
-        for u in &mut self.benign {
-            u.first = map(u.first);
-            u.second = map(u.second);
-        }
-    }
-
     /// Restores the canonical `(lock, first, second-thread, second)` order of
     /// the retained edge and benign lists — the same order [`seal`] gives the
     /// full lists of a collecting sink, so a plan-driven transformation sees
@@ -251,10 +240,6 @@ impl<G: GainSource + Clone> UlcpSink for PlanAggregator<G> {
         self.benign.sort_unstable_by_key(|u| {
             (u.lock, u.first, sections[u.second.index()].thread, u.second)
         });
-    }
-
-    fn resident_entries(&self) -> usize {
-        self.aggregator.resident_entries() + self.edges.len() + self.benign.len()
     }
 }
 

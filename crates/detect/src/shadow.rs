@@ -8,16 +8,14 @@
 //! so a pair of critical sections can be re-executed in both orders from the
 //! correct starting state.
 //!
-//! [`LastWriteIndex`] is the one history both detection engines read. Per
-//! object it keeps the time-ordered log of its writes plus its first
-//! observed read, in a hash table keyed by object id, so a query is one
-//! probe and a binary search over that object's writes. The batch engine
-//! builds it from the whole trace. Each streaming worker records the
-//! decoder's time-sorted memory log into its own index, chunk by chunk, and
-//! prunes the writes no live search can still reach. [`StateBefore`] is the
-//! lazy starting-state view the reversed replay reads, fetching exactly the
-//! footprint values it touches. [`MemorySnapshot`] keeps an ordered map: it
-//! is the eager state the reference detector clones.
+//! [`LastWriteIndex`] is the one history detection reads. Per object it
+//! keeps the time-ordered log of its writes plus its first observed read,
+//! in a hash table keyed by object id, so a query is one probe and a binary
+//! search over that object's writes. The detector builds it from the whole
+//! trace. [`StateBefore`] is the lazy starting-state view the reversed
+//! replay reads, fetching exactly the footprint values it touches.
+//! [`MemorySnapshot`] keeps an ordered map: it is the eager state the
+//! reference detector clones.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -39,10 +37,10 @@ pub trait StartState {
 /// replay applies it: time, then thread, then event index.
 #[derive(Debug, Clone, Default)]
 struct ObjectHistory {
-    /// `(completion time, resulting value)` of every retained write.
+    /// `(completion time, resulting value)` of every write.
     writes: Vec<(Time, i64)>,
     /// The first read ever observed: the initial value for queries before
-    /// the first write. Never pruned.
+    /// the first write.
     first_read: Option<(Time, i64)>,
 }
 
@@ -50,7 +48,7 @@ struct ObjectHistory {
 #[derive(Debug, Clone, Default)]
 pub struct LastWriteIndex {
     objects: HashMap<ObjectId, ObjectHistory, IdBuildHasher>,
-    /// Retained writes plus first-read anchors, kept as entries come and go.
+    /// Writes plus first-read anchors.
     entries: usize,
 }
 
@@ -82,7 +80,7 @@ impl LastWriteIndex {
     /// Appends one memory event. Events must arrive in the order
     /// [`build`](Self::build) sorts them into: a write is appended to its
     /// object's log, and a read only matters if it is the object's first.
-    pub(crate) fn record(&mut self, at: Time, obj: ObjectId, value: i64, is_write: bool) {
+    fn record(&mut self, at: Time, obj: ObjectId, value: i64, is_write: bool) {
         let history = self.objects.entry(obj).or_default();
         if is_write {
             history.writes.push((at, value));
@@ -92,21 +90,6 @@ impl LastWriteIndex {
             return;
         }
         self.entries += 1;
-    }
-
-    /// Drops every write no query at or after `horizon` can return: a write
-    /// is dead once a *later* write also precedes the horizon. Answers of
-    /// [`value_before`](Self::value_before) at `at >= horizon` do not change.
-    ///
-    /// The log is a plain `Vec`, so queries binary-search a slice; a prune
-    /// shifts the surviving writes to its front.
-    pub(crate) fn prune(&mut self, horizon: Time) {
-        for history in self.objects.values_mut() {
-            let before = history.writes.partition_point(|&(t, _)| t < horizon);
-            let dead = before.saturating_sub(1);
-            history.writes.drain(..dead);
-            self.entries -= dead;
-        }
     }
 
     /// The value `obj` held just before virtual time `at`, as a chronological
@@ -125,9 +108,8 @@ impl LastWriteIndex {
         }
     }
 
-    /// Number of retained history entries: one per retained write plus one
-    /// per first-read anchor. This is what the streaming detector's
-    /// `peak_history_entries` samples per worker.
+    /// Number of history entries: one per write plus one per first-read
+    /// anchor. Streamed detection reports it as `peak_history_entries`.
     pub fn num_entries(&self) -> usize {
         self.entries
     }
@@ -213,8 +195,6 @@ mod tests {
     use perfplay_record::Recorder;
     use perfplay_sim::SimConfig;
     use perfplay_trace::{extract_critical_sections, CodeSiteId, LockId, Time, TraceMeta, WriteOp};
-    use proptest::prelude::*;
-    use rand::{Rng, SeedableRng, SmallRng};
 
     fn trace_with_history() -> Trace {
         let mut trace = Trace::new(TraceMeta::default(), 1);
@@ -369,100 +349,5 @@ mod tests {
         // The stable sort keeps thread 1's write last among the t=4 ties.
         assert_eq!(index.value_before(obj, Time::from_nanos(5)), Some(2));
         assert_eq!(index.value_before(obj, Time::from_nanos(4)), None);
-    }
-
-    /// `(completion time, object, value, is_write)` of every memory event of
-    /// `trace`, in the order `build` records them.
-    fn memory_log(trace: &Trace) -> Vec<(Time, ObjectId, i64, bool)> {
-        let mut log: Vec<_> = trace
-            .iter_events()
-            .filter_map(|(_, _, te)| match te.event {
-                Event::Write { obj, value, .. } => Some((te.at, obj, value, true)),
-                Event::Read { obj, value } => Some((te.at, obj, value, false)),
-                _ => None,
-            })
-            .collect();
-        log.sort_by_key(|&(at, ..)| at);
-        log
-    }
-
-    /// Retained writes plus first-read anchors, counted afresh.
-    fn recount(index: &LastWriteIndex) -> usize {
-        index
-            .objects
-            .values()
-            .map(|h| h.writes.len() + usize::from(h.first_read.is_some()))
-            .sum()
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// Recording a memory log chunk by chunk and pruning at a
-        /// non-decreasing horizon, as a streaming worker does, keeps every
-        /// answer at or after the horizon equal to the unpruned index's, and
-        /// the running entry count exact.
-        #[test]
-        fn pruned_history_answers_like_the_unpruned_index(seed in 0u64..u64::MAX) {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            // Two or three threads over three objects; time advances by 0–2
-            // ns per event, so equal timestamps occur within and across
-            // threads, and reads land before and after each first write.
-            let mut trace = Trace::new(TraceMeta::default(), rng.gen_range(2..4usize));
-            for thread in &mut trace.threads {
-                let mut at = 0u64;
-                for _ in 0..rng.gen_range(0..12usize) {
-                    at += rng.gen_range(0..3u64);
-                    let obj = ObjectId::new(rng.gen_range(0..3u64));
-                    let value = rng.gen_range(-3..4i64);
-                    let event = if rng.gen_bool(0.5) {
-                        Event::Write { obj, op: WriteOp::Set(value), value }
-                    } else {
-                        Event::Read { obj, value }
-                    };
-                    thread.push(Time::from_nanos(at), event);
-                }
-            }
-            let log = memory_log(&trace);
-            let end = log.last().map_or(0, |&(at, ..)| at.as_nanos()) + 2;
-            // Object 3 is never touched.
-            let objects: Vec<ObjectId> = (0..4).map(ObjectId::new).collect();
-
-            let mut pruned = LastWriteIndex::default();
-            let mut unpruned = LastWriteIndex::default();
-            let mut horizon = 0u64;
-            let mut rest = &log[..];
-            while !rest.is_empty() {
-                let (chunk, tail) = rest.split_at(rng.gen_range(1..5usize).min(rest.len()));
-                rest = tail;
-                for &(at, obj, value, is_write) in chunk {
-                    pruned.record(at, obj, value, is_write);
-                    unpruned.record(at, obj, value, is_write);
-                }
-                horizon += rng.gen_range(0..4u64);
-                pruned.prune(Time::from_nanos(horizon));
-                prop_assert_eq!(pruned.num_entries(), recount(&pruned));
-                for &obj in &objects {
-                    for t in horizon..=end.max(horizon) {
-                        let t = Time::from_nanos(t);
-                        let (got, want) = (pruned.value_before(obj, t), unpruned.value_before(obj, t));
-                        prop_assert!(
-                            got == want,
-                            "{obj} before {t:?} at horizon {horizon}: {got:?}, unpruned {want:?}"
-                        );
-                    }
-                }
-            }
-            // Chunk by chunk, unpruned, is exactly the index `build` makes.
-            let built = LastWriteIndex::build(&trace);
-            prop_assert_eq!(built.num_entries(), recount(&built));
-            prop_assert_eq!(unpruned.num_entries(), built.num_entries());
-            for &obj in &objects {
-                for t in 0..=end {
-                    let t = Time::from_nanos(t);
-                    prop_assert_eq!(unpruned.value_before(obj, t), built.value_before(obj, t));
-                }
-            }
-        }
     }
 }

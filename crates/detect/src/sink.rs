@@ -1,9 +1,10 @@
 //! Sink-based pair emission: where detection output goes.
 //!
-//! Every detection engine in this crate — the batch [`Detector`] (sequential
-//! and `DetectorConfig::parallel`), the [`ParallelStreamingDetector`] and the
-//! naive [`reference_analyze`] — emits each classified pair through a [`UlcpSink`]
-//! instead of pushing into a hard-wired `Vec`. The sink decides what to keep:
+//! Both detection engines in this crate — the batch [`Detector`]
+//! (sequential and `DetectorConfig::parallel`, also behind the
+//! [`ParallelStreamingDetector`]) and the naive [`reference_analyze`] — emit
+//! each classified pair through a [`UlcpSink`] instead of pushing into a
+//! hard-wired `Vec`. The sink decides what to keep:
 //!
 //! * [`CollectPairs`] materializes every [`Ulcp`] and [`CausalEdge`],
 //!   reproducing the historical [`UlcpAnalysis`] bit-for-bit. Memory is
@@ -16,11 +17,11 @@
 //!   classifies. One pair costs one probe of a hash table keyed by the
 //!   packed site pair; the finished table is sorted once.
 //!
-//! Emission order is engine-specific (the streaming engine emits in delivery
-//! order, the batch engines in canonical order); [`UlcpSink::seal`] runs once
-//! at the end of every analysis so order-sensitive sinks can restore the
-//! canonical `(lock, first, second-thread, second)` order. Order-insensitive
-//! sinks (saturating-add folds are commutative and associative) ignore it.
+//! [`UlcpSink::seal`] runs once at the end of every analysis so
+//! order-sensitive sinks can restore the canonical `(lock, first,
+//! second-thread, second)` order whatever order the pairs were emitted in.
+//! Order-insensitive sinks (saturating-add folds are commutative and
+//! associative) ignore it.
 //!
 //! [`Detector`]: crate::Detector
 //! [`ParallelStreamingDetector`]: crate::ParallelStreamingDetector
@@ -29,7 +30,7 @@
 
 use std::collections::HashMap;
 
-use perfplay_trace::{CodeSiteId, CriticalSection, SectionId, Time};
+use perfplay_trace::{CodeSiteId, CriticalSection, Time};
 use serde::{Deserialize, Serialize};
 
 use crate::idhash::IdBuildHasher;
@@ -76,29 +77,12 @@ pub trait UlcpSink {
     where
         Self: Sized;
 
-    /// Renumbers recorded section ids after the streaming engine compacts
-    /// never-closed placeholder sections away. `remap[old.index()]` is the
-    /// new id, or `None` for a dropped section (dropped sections are never
-    /// part of an emitted pair). The default is a no-op for sinks that do not
-    /// retain section ids.
-    fn remap_sections(&mut self, remap: &[Option<SectionId>]) {
-        let _ = remap;
-    }
-
     /// Called exactly once when the scan is complete, with the final section
     /// table. Sinks that guarantee the canonical output order restore it
     /// here; the default is a no-op.
     fn seal(&mut self, sections: &[CriticalSection]) {
         let _ = sections;
     }
-
-    /// Number of entries the sink currently holds resident — pairs for a
-    /// collecting sink, table rows for an aggregating one. The streaming
-    /// engine samples this once per chunk and lock lane for its peak-memory
-    /// accounting, so it should be O(1): the
-    /// aggregating sink keeps a running count of the rows it would emit
-    /// instead of walking its table.
-    fn resident_entries(&self) -> usize;
 }
 
 /// The materializing sink: collects every pair and edge, reproducing the
@@ -130,33 +114,17 @@ impl UlcpSink for CollectPairs {
         self.edges.extend(shard.edges);
     }
 
-    fn remap_sections(&mut self, remap: &[Option<SectionId>]) {
-        let map = |id: SectionId| remap[id.index()].expect("paired section survives compaction");
-        for u in &mut self.ulcps {
-            u.first = map(u.first);
-            u.second = map(u.second);
-        }
-        for e in &mut self.edges {
-            e.from = map(e.from);
-            e.to = map(e.to);
-        }
-    }
-
     /// Restores the canonical order: ascending lock, then the first section's
     /// timing index, then the candidate's thread, then the candidate's timing
-    /// index. The batch engines already emit in exactly this order, so for
-    /// them the sort is a detected-sorted-run no-op; the streaming engine
-    /// emits in delivery order and relies on it.
+    /// index. Both engines already emit in exactly this order, so the sort
+    /// is a detected-sorted-run no-op; a sink fed out of order relies on
+    /// it.
     fn seal(&mut self, sections: &[CriticalSection]) {
         self.ulcps.sort_unstable_by_key(|u| {
             (u.lock, u.first, sections[u.second.index()].thread, u.second)
         });
         self.edges
             .sort_unstable_by_key(|e| (e.lock, e.from, sections[e.to.index()].thread, e.to));
-    }
-
-    fn resident_entries(&self) -> usize {
-        self.ulcps.len() + self.edges.len()
     }
 }
 
@@ -334,27 +302,19 @@ fn unpack_sites(key: u64) -> (CodeSiteId, CodeSiteId) {
 struct SiteTable {
     pairs: HashMap<u64, SiteRow, IdBuildHasher>,
     edges: HashMap<u64, u64, IdBuildHasher>,
-    /// Present kind cells in `pairs` plus rows in `edges`: exactly the
-    /// number of rows [`finish`](Self::finish) will emit.
-    rows: usize,
 }
 
 impl SiteTable {
     fn add_pairs(&mut self, key: u64, kind: UlcpKind, pairs: u64, gain_ns: u64) {
         let row = self.pairs.entry(key).or_default();
-        let bit = SiteRow::bit(kind);
-        self.rows += usize::from(row.present & bit == 0);
-        row.present |= bit;
+        row.present |= SiteRow::bit(kind);
         let cell = &mut row.cells[kind as usize];
         cell.pairs = cell.pairs.saturating_add(pairs);
         cell.gain_ns = cell.gain_ns.saturating_add(gain_ns);
     }
 
     fn add_edges(&mut self, key: u64, edges: u64) {
-        let count = self.edges.entry(key).or_insert_with(|| {
-            self.rows += 1;
-            0
-        });
+        let count = self.edges.entry(key).or_insert(0);
         *count = count.saturating_add(edges);
     }
 
@@ -416,8 +376,9 @@ impl SiteTable {
 ///
 /// Counts and gains accumulate with saturating addition, which is commutative
 /// and associative (the result is `min(true sum, u64::MAX)`), so the
-/// aggregate is independent of emission order — the batch, parallel and
-/// streaming engines all produce the identical table.
+/// aggregate is independent of emission order — the sequential and
+/// parallel batch engine and the reference engine all produce the
+/// identical table.
 #[derive(Debug, Clone, Default)]
 pub struct SiteAggregator<G: GainSource = NoGain> {
     gain: G,
@@ -468,13 +429,6 @@ impl<G: GainSource + Clone> UlcpSink for SiteAggregator<G> {
     fn absorb(&mut self, shard: Self) {
         self.table.absorb(shard.table);
     }
-
-    /// The number of rows [`finish`](SiteAggregator::finish) would emit:
-    /// non-empty `(site, site, kind)` cells plus edge rows, kept as a running
-    /// count.
-    fn resident_entries(&self) -> usize {
-        self.table.rows
-    }
 }
 
 /// The result of running a detection engine into a caller-supplied sink: the
@@ -493,8 +447,7 @@ pub struct SinkAnalysis<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perfplay_trace::{Footprint, LockId, ThreadId};
-    use std::collections::BTreeSet;
+    use perfplay_trace::{Footprint, LockId, SectionId, ThreadId};
 
     fn section(id: u32, thread: u32, site: u32, body_ns: u64) -> CriticalSection {
         CriticalSection {
@@ -621,58 +574,13 @@ mod tests {
     #[test]
     fn empty_aggregator_finishes_empty() {
         let mut agg = SiteAggregator::new(BodyOverlapGain);
-        assert_eq!(agg.resident_entries(), 0);
         agg.absorb(agg.fork());
-        assert_eq!(agg.resident_entries(), 0);
         let out = agg.finish();
         assert!(out.is_empty());
         assert_eq!(out, SiteAggregates::default());
         let mut merged = SiteAggregates::default();
         merged.merge(&out);
         assert!(merged.is_empty());
-    }
-
-    #[test]
-    fn resident_entries_counts_cells_and_edge_rows_at_every_step() {
-        // Two shards fed alternately; after every emission each shard's
-        // count, and the count of the two absorbed together, must equal the
-        // number of distinct (site, site, kind-or-edge) keys fed so far.
-        let secs: Vec<_> = (0..5).map(|i| section(i, i % 2, i % 3, 1)).collect();
-        let mut shards = [SiteAggregator::new(NoGain), SiteAggregator::new(NoGain)];
-        let mut keys = [BTreeSet::new(), BTreeSet::new()];
-        let pairs = (0..5usize).flat_map(|i| (0..5usize).map(move |j| (i, j)));
-        for (step, (i, j)) in pairs.enumerate() {
-            let ctx = SectionCtx {
-                first: &secs[i],
-                second: &secs[j],
-            };
-            let sites = (
-                secs[i].site.min(secs[j].site),
-                secs[i].site.max(secs[j].site),
-            );
-            let side = step % 2;
-            if step % 3 == 0 {
-                let edge = CausalEdge {
-                    from: secs[i].id,
-                    to: secs[j].id,
-                    lock: LockId::new(0),
-                };
-                shards[side].emit_edge(edge, &ctx);
-                keys[side].insert((sites, None));
-            } else {
-                let kind = UlcpKind::ALL[step % 4];
-                shards[side].emit(ulcp(i as u32, j as u32, kind), &ctx);
-                keys[side].insert((sites, Some(kind)));
-            }
-            for side in 0..2 {
-                assert_eq!(shards[side].resident_entries(), keys[side].len());
-            }
-            let union: BTreeSet<_> = keys[0].union(&keys[1]).collect();
-            let mut both = shards[0].clone();
-            both.absorb(shards[1].clone());
-            assert_eq!(both.resident_entries(), union.len(), "step {step}");
-            assert_eq!(both.finish().len(), union.len(), "step {step}");
-        }
     }
 
     #[test]
@@ -763,7 +671,7 @@ mod tests {
 
     #[test]
     fn collect_pairs_seal_restores_canonical_order() {
-        // Emit out of order (as the streaming engine may) and seal.
+        // Emit out of order and seal.
         let secs = vec![
             section(0, 0, 1, 5),
             section(1, 1, 2, 5),

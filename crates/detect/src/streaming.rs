@@ -1,18 +1,18 @@
-//! Result types of streaming detection.
+//! Result types of streamed detection.
 //!
-//! [`ParallelStreamingDetector`](crate::ParallelStreamingDetector) consumes
-//! an `EventSource` chunk by chunk and returns a [`StreamingAnalysis`] (or,
-//! with a caller-supplied sink, a [`StreamingSinkAnalysis`]). Both carry
-//! [`StreamingStats`]: what the stream delivered, what a recovering source
-//! lost, and the peak resident state that shows memory stayed bounded by the
-//! chunk size instead of growing with the event count.
+//! [`ParallelStreamingDetector`](crate::ParallelStreamingDetector) loads an
+//! `EventSource` into memory and detects it with the batch engine, returning
+//! a [`StreamingAnalysis`] (or, with a caller-supplied sink, a
+//! [`StreamingSinkAnalysis`]). Both carry [`StreamingStats`]: what the stream
+//! delivered, what a recovering source lost, and how large the section
+//! table and the last-write index of the loaded trace were.
 
 use perfplay_trace::CriticalSection;
 
 use crate::pairing::{UlcpAnalysis, UlcpBreakdown};
 
-/// Peak-resident-state accounting of one streaming run: the evidence that
-/// memory stayed bounded instead of growing with the event count.
+/// What one streamed detection run read and held: the stream's chunks,
+/// events and gaps, and the sizes of what detection built.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct StreamingStats {
     /// Chunks consumed.
@@ -21,21 +21,15 @@ pub struct StreamingStats {
     pub events: usize,
     /// Critical sections extracted.
     pub sections: usize,
-    /// Largest single chunk (events) held resident.
+    /// Events of the largest single chunk.
     pub peak_chunk_events: usize,
-    /// Peak count of sections whose pairing state was live at once
-    /// (open + awaiting delivery + searching).
+    /// Sections detection held at once: the whole section table of the
+    /// loaded trace, so equal to `sections`.
     pub peak_live_sections: usize,
-    /// Peak number of retained writes plus first-read anchors of each
-    /// worker's [`LastWriteIndex`](crate::LastWriteIndex), worker peaks
-    /// summed.
+    /// Writes plus first-read anchors of the
+    /// [`LastWriteIndex`](crate::LastWriteIndex) detection built over the
+    /// loaded trace (0 when the reversed replay is off).
     pub peak_history_entries: usize,
-    /// Peak number of entries the output sink held resident — individual
-    /// pairs for a collecting sink, aggregate-table rows for an aggregating
-    /// one.
-    pub peak_live_pairs: usize,
-    /// Sections whose pairing state was retired before the stream ended.
-    pub retired_before_end: usize,
     /// Stream gaps a recovering source reported (0 on a clean stream).
     pub gaps: usize,
     /// Events known lost across those gaps.
@@ -51,17 +45,17 @@ impl StreamingStats {
 }
 
 /// The output of a streaming run: the analysis (bit-identical to the batch
-/// engines) plus the resident-state accounting.
+/// engine's over the surviving events) plus the stream accounting.
 #[derive(Debug, Clone)]
 pub struct StreamingAnalysis {
     /// The ULCP analysis.
     pub analysis: UlcpAnalysis,
-    /// Resident-state statistics of the run.
+    /// Stream statistics of the run.
     pub stats: StreamingStats,
 }
 
 /// The output of a streaming run into a caller-supplied sink: sections and
-/// breakdown (maintained by the engine), the sink, and the resident-state
+/// breakdown (maintained by the engine), the sink, and the stream
 /// accounting.
 #[derive(Debug, Clone)]
 pub struct StreamingSinkAnalysis<S> {
@@ -71,6 +65,6 @@ pub struct StreamingSinkAnalysis<S> {
     pub breakdown: UlcpBreakdown,
     /// The sink, sealed in the canonical batch-engine order.
     pub sink: S,
-    /// Resident-state statistics of the run.
+    /// Stream statistics of the run.
     pub stats: StreamingStats,
 }

@@ -134,7 +134,7 @@ fn analyze_plan_caught(
 /// Configuration of the single-pass pipeline.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
-    /// ULCP detector options (shared by the batch and streaming engines).
+    /// ULCP detector options (in-memory traces and chunk files alike).
     pub detector: DetectorConfig,
     /// Cost model of both replays.
     pub replay: ReplayConfig,
@@ -191,10 +191,12 @@ impl PipelineConfig {
     /// Each entry point reads it once per call. [`analyze_plan`] spends it
     /// on the per-lock fan-out and on its two lanes after detection;
     /// [`analyze_batch`] splits it between its trace queue and each trace;
-    /// [`analyze_chunk_files`] gives it to the streaming engine. Output is
-    /// bit-identical whatever it says. It sizes detection only: chunk files
-    /// are read through the pipelined scanner, whose decode pool is sized
-    /// apart, whatever it says.
+    /// [`analyze_chunk_files`] gives it to the per-lock fan-out that detects
+    /// each loaded file. Output is bit-identical whatever it says. It sizes
+    /// detection only: chunk files are read through the pipelined scanner,
+    /// whose decode pool is sized apart, whatever it says. A file is loaded
+    /// before it is detected, so the decode pool and the fan-out never run
+    /// at once.
     pub fn stream_workers(&self) -> Option<usize> {
         self.detector.parallel.then(available_threads)
     }
@@ -219,11 +221,12 @@ pub struct PlanAnalysis {
     pub ulcp_free_replay: ReplayResult,
     /// The programmer-facing report, seeded from the plan's aggregate rows.
     pub report: PerfReport,
-    /// Resident-state statistics of streamed detection. The library's
-    /// in-memory entry points ([`analyze_plan`], [`analyze_batch`]) detect
-    /// with the batch engine and leave it `None`; a caller that streams a
-    /// trace through the streaming engine itself may record its statistics
-    /// here.
+    /// Stream statistics of streamed detection. The library's in-memory
+    /// entry points ([`analyze_plan`], [`analyze_batch`]) detect with the
+    /// batch engine directly and leave it `None`; a caller that streams a
+    /// trace through
+    /// [`ParallelStreamingDetector`](perfplay_detect::ParallelStreamingDetector)
+    /// itself may record its statistics here.
     pub streaming: Option<StreamingStats>,
 }
 
@@ -486,8 +489,9 @@ fn fuse_plans<'a>(
 
 /// The detection-only analysis of one on-disk chunk stream: the plan's
 /// aggregate rows and breakdown plus the streaming statistics (including gap
-/// counts under a recovery policy). No trace is ever materialized and no
-/// replay runs, so this scales to spill files far larger than memory.
+/// counts under a recovery policy). The file's surviving events are loaded
+/// into memory for detection, so the file must fit in memory; no replay
+/// runs.
 #[derive(Debug, Clone)]
 pub struct ChunkStreamAnalysis {
     /// Path of the chunk file this analysis came from, for display: bytes
@@ -496,8 +500,8 @@ pub struct ChunkStreamAnalysis {
     pub path: String,
     /// The compact detection output (aggregate rows, edges, breakdown).
     pub plan: DetectionPlan,
-    /// Resident-state statistics, including `gaps` / `events_lost` recorded
-    /// while recovering from corrupt chunks.
+    /// Stream statistics, including `gaps` / `events_lost` recorded while
+    /// recovering from corrupt chunks.
     pub stats: StreamingStats,
 }
 
@@ -535,15 +539,22 @@ impl ChunkBatchAnalysis {
 
 /// Runs detection-only analysis over on-disk chunk files and fuses the
 /// per-file aggregate tables into one ranked report — the batch sweep for
-/// traces that were spilled at record time and never loaded back into
-/// memory. Each file is read through [`PipelinedChunkReader`] (the preflight
-/// lint too) under the given [`RecoveryPolicy`] and streams through
+/// traces that were spilled at record time. Each file is read through
+/// [`PipelinedChunkReader`] (the preflight lint too) under the given
+/// [`RecoveryPolicy`] by
 /// [`ParallelStreamingDetector`](perfplay_detect::ParallelStreamingDetector),
-/// sized by [`PipelineConfig::stream_workers`] (resolved once per call);
-/// `parallel` sizes detection only and never picks the reader, whose decode
-/// pool is [`default_decode_workers`](perfplay_trace::default_decode_workers).
-/// A file that still fails (or panics a detector stage) becomes one
-/// [`BatchItemError`] while the other files complete and fuse.
+/// which loads its surviving events into memory
+/// ([`load_trace`](perfplay_trace::load_trace)) and then detects them with
+/// the batch engine's per-lock fan-out, sized by
+/// [`PipelineConfig::stream_workers`] (resolved once per call).
+///
+/// Loading and detection run one after the other: the reader's framing
+/// thread and decode pool
+/// ([`default_decode_workers`](perfplay_trace::default_decode_workers),
+/// sized apart, whatever `parallel` says) run while the file loads, and the
+/// fan-out only once it has. A file that still fails (or panics a detector
+/// stage) becomes one [`BatchItemError`] while the other files complete and
+/// fuse.
 pub fn analyze_chunk_files<P: AsRef<Path>>(
     paths: &[P],
     config: &PipelineConfig,
@@ -567,8 +578,7 @@ pub fn analyze_chunk_files<P: AsRef<Path>>(
             }
         }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            // Framing and decoding overlap with detection whatever the
-            // worker count; `parallel` only sizes the detector.
+            // `parallel` sizes the detector alone, never the reader.
             let mut reader = PipelinedChunkReader::with_policy(path, policy)?;
             let streamed = ParallelStreamingDetector::with_workers(config.detector, workers)
                 .analyze_with(&mut reader, PlanAggregator::new(BodyOverlapGain))?;

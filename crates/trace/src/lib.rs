@@ -71,9 +71,9 @@ pub use section::{
 pub use site::{CodeRegion, CodeSite, SiteTable};
 pub use stats::TraceStats;
 pub use stream::{
-    read_chunked_trace, ChunkFileHeader, ChunkFileReader, ChunkFileRecord, ChunkFileTrailer,
-    EventSource, RawChunkRecords, RawRecord, RecoveryPolicy, StreamError, StreamGap, StreamItem,
-    ThreadSpan, TraceChunk, TraceChunks,
+    load_trace, read_chunked_trace, ChunkFileHeader, ChunkFileReader, ChunkFileRecord,
+    ChunkFileTrailer, EventSource, LoadedTrace, RawChunkRecords, RawRecord, RecoveryPolicy,
+    StreamError, StreamGap, StreamItem, ThreadSpan, TraceChunk, TraceChunks,
 };
 pub use time::Time;
 pub use trace::{ThreadTrace, Trace, TraceError, TraceMeta};

@@ -5,9 +5,9 @@
 //! paper's shadow-memory state `C.Srd` / `C.Swr`), the code site that produced
 //! them, and their position in the recorded timing order. Which acquire a
 //! release closes, and what a section collects, is decided here alone:
-//! batch extraction and the streaming decoder build through
-//! [`SectionBuilder`], and the trace statistics, validation and the linter
-//! pair releases through its lock-only core, [`OpenLocks`].
+//! extraction builds through [`SectionBuilder`], and the trace statistics,
+//! validation and the linter pair releases through its lock-only core,
+//! [`OpenLocks`].
 
 use std::collections::BTreeMap;
 
@@ -152,26 +152,24 @@ impl<T> OpenLocks<T> {
 /// A section [`SectionBuilder`] has open: the row so far, and the objects
 /// read and written (raw, interned into `Footprint`s when it closes).
 #[derive(Debug, Clone)]
-struct OpenSection<T> {
+struct OpenSection {
     section: CriticalSection,
     reads: Vec<ObjectId>,
     writes: Vec<ObjectId>,
-    tag: T,
 }
 
 /// Builds one thread's critical sections from its events in program order.
 /// An acquire opens a section at the current depth, a release closes one
 /// by [`OpenLocks`]' rule, and reads, writes, compute and skipped regions
 /// accrue to *every* open section (the paper's shadow memory records "all
-/// shared reads/writes in the critical section"). Each open section
-/// carries a tag of the caller's, `T::default()` at the acquire.
+/// shared reads/writes in the critical section").
 #[derive(Debug, Clone)]
-pub struct SectionBuilder<T = ()> {
+pub struct SectionBuilder {
     thread: ThreadId,
-    open: OpenLocks<OpenSection<T>>,
+    open: OpenLocks<OpenSection>,
 }
 
-impl<T: Default> SectionBuilder<T> {
+impl SectionBuilder {
     /// A builder for `thread`'s sections, none open.
     pub fn new(thread: ThreadId) -> Self {
         SectionBuilder {
@@ -186,10 +184,10 @@ impl<T: Default> SectionBuilder<T> {
     }
 
     /// Feeds the thread's event at `index` (its position in the thread's
-    /// whole stream). A release that closes a section returns it with its
-    /// tag; the section's `id` is left at 0 for the caller to assign.
+    /// whole stream). A release that closes a section returns it; the
+    /// section's `id` is left at 0 for the caller to assign.
     #[inline]
-    pub fn step(&mut self, index: usize, event: &TimedEvent) -> Option<(CriticalSection, T)> {
+    pub fn step(&mut self, index: usize, event: &TimedEvent) -> Option<CriticalSection> {
         let open = self.open.held.iter_mut().map(|(_, o)| o);
         match &event.event {
             Event::LockAcquire { lock, site } => {
@@ -212,7 +210,6 @@ impl<T: Default> SectionBuilder<T> {
                     section,
                     reads: Vec::new(),
                     writes: Vec::new(),
-                    tag: T::default(),
                 };
                 self.open.acquire(*lock, opened);
             }
@@ -242,21 +239,13 @@ impl<T: Default> SectionBuilder<T> {
         None
     }
 
-    /// The open section acquired at `acquire_index`, if it is still open:
-    /// its row so far, and its tag.
-    pub fn open_mut(&mut self, acquire_index: usize) -> Option<(&CriticalSection, &mut T)> {
-        let mut open = self.open.held.iter_mut().map(|(_, o)| o);
-        let o = open.find(|o| o.section.acquire_index == acquire_index)?;
-        Some((&o.section, &mut o.tag))
-    }
-
-    fn close(&mut self, lock: LockId, index: usize, at: Time) -> Option<(CriticalSection, T)> {
+    fn close(&mut self, lock: LockId, index: usize, at: Time) -> Option<CriticalSection> {
         let (_, mut o) = self.open.release(lock)?;
         o.section.release_index = index;
         o.section.exit_time = at;
         o.section.reads = Footprint::from_unsorted(o.reads);
         o.section.writes = Footprint::from_unsorted(o.writes);
-        Some((o.section, o.tag))
+        Some(o.section)
     }
 }
 
@@ -268,9 +257,9 @@ impl<T: Default> SectionBuilder<T> {
 pub fn extract_critical_sections(trace: &Trace) -> Vec<CriticalSection> {
     let mut sections = Vec::new();
     for tt in &trace.threads {
-        let mut builder = SectionBuilder::<()>::new(tt.thread);
+        let mut builder = SectionBuilder::new(tt.thread);
         for (idx, te) in tt.events.iter().enumerate() {
-            if let Some((section, ())) = builder.step(idx, te) {
+            if let Some(section) = builder.step(idx, te) {
                 sections.push(section);
             }
         }

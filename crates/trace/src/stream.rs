@@ -22,9 +22,9 @@
 //!    order;
 //! 4. each thread's timestamps never decrease, across chunks too.
 //!
-//! One checker, [`ChunkContract`], serves the chunk-file readers, the
-//! streaming detector and `perfplay-lint`, so every chunk a reader admits,
-//! the detector accepts.
+//! One checker, [`ChunkContract`], serves the chunk-file readers,
+//! [`load_trace`] and `perfplay-lint`, so every chunk a reader admits, the
+//! loader accepts.
 //!
 //! The contract is only satisfiable because [`ThreadTrace`] timestamps are
 //! non-decreasing. [`ThreadTrace::push`] only debug-asserts that; in every
@@ -36,11 +36,12 @@
 //! [`Trace`] (the executable spec and the bridge for already-recorded
 //! traces) and is the one place windows are cut, and [`ChunkFileReader`],
 //! which streams a chunked trace file written by `perfplay-record`'s
-//! `spill_trace` (the chunks of [`TraceChunks`], framed), so detection
-//! never needs the full log in memory at all. `ChunkFileReader` scans on
-//! the caller's thread and is the zero-thread reference for
+//! `spill_trace` (the chunks of [`TraceChunks`], framed). `ChunkFileReader`
+//! scans on the caller's thread and is the zero-thread reference for
 //! [`PipelinedChunkReader`](crate::PipelinedChunkReader), through which every
-//! library entry point reads.
+//! library entry point reads. [`load_trace`] is the one place a source
+//! becomes a [`Trace`] again: detection runs on the loaded trace, while the
+//! linter and the converter hold one chunk at a time.
 //!
 //! Chunk files come in two on-disk formats carrying the identical record
 //! stream — JSON-lines (one [`ChunkFileRecord`] per line) and the compact
@@ -1088,11 +1089,84 @@ impl Iterator for RawChunkRecords {
     }
 }
 
-/// Reads a chunked trace file back into a full in-memory [`Trace`].
+/// What [`load_trace`] read from an [`EventSource`]: the surviving events
+/// and grants as one [`Trace`], and what the stream delivered and lost.
+#[derive(Debug, Clone)]
+pub struct LoadedTrace {
+    /// The source's metadata and threads, each thread's admitted events in
+    /// stream order (its finish time the last of them), and the admitted
+    /// lock grants. The source carries no code-site table or makespan, so
+    /// `sites` is empty and `total_time` is the latest finish time.
+    pub trace: Trace,
+    /// Chunks admitted.
+    pub chunks: usize,
+    /// Events of the largest chunk admitted.
+    pub peak_chunk_events: usize,
+    /// Gaps the source reported (0 on a clean stream).
+    pub gaps: usize,
+    /// Events known lost across those gaps, saturating at `u64::MAX`: a
+    /// trailer's event count is file input.
+    pub events_lost: u64,
+}
+
+/// Loads an event stream into memory: the one place an [`EventSource`]
+/// becomes a [`Trace`].
 ///
-/// This is the inverse of `perfplay-record`'s `spill_trace`: useful for
-/// tests and for feeding spilled traces to consumers that have not been
-/// converted to streaming yet.
+/// Each chunk is checked with a [`ChunkContract`] before its events and
+/// grants are appended. A [`StreamGap`] only lets the contract accept a
+/// forward jump in each thread's next span, so the trace holds exactly the
+/// surviving events, renumbered densely: after a gap, an event's index
+/// points into the loaded trace, not into the recorded one.
+///
+/// # Errors
+///
+/// Propagates source errors and rejects the first chunk that breaks the
+/// chunk contract, with the [`StreamError`] the chunk-file readers report
+/// for it.
+pub fn load_trace(source: &mut impl EventSource) -> Result<LoadedTrace, StreamError> {
+    let num_threads = source.num_threads();
+    let mut contract = ChunkContract::new(Some(num_threads));
+    let mut loaded = LoadedTrace {
+        trace: Trace::new(source.meta().clone(), num_threads),
+        chunks: 0,
+        peak_chunk_events: 0,
+        gaps: 0,
+        events_lost: 0,
+    };
+    while let Some(item) = source.next_item()? {
+        match item {
+            StreamItem::Chunk(chunk) => {
+                contract.check(&chunk)?;
+                contract.admit(&chunk);
+                loaded.chunks += 1;
+                loaded.peak_chunk_events = loaded.peak_chunk_events.max(chunk.num_events());
+                // Admitted: each span continues its thread, in time order.
+                for span in chunk.spans {
+                    let thread = &mut loaded.trace.threads[span.thread.index()];
+                    if let Some(last) = span.events.last() {
+                        thread.finish_time = last.at;
+                    }
+                    thread.events.extend(span.events);
+                }
+                loaded.trace.lock_schedule.extend(chunk.grants);
+            }
+            StreamItem::Gap(gap) => {
+                loaded.gaps += 1;
+                loaded.events_lost = loaded.events_lost.saturating_add(gap.events_lost);
+                contract.note_gap();
+            }
+        }
+    }
+    let finish_times = loaded.trace.threads.iter().map(|t| t.finish_time);
+    loaded.trace.total_time = finish_times.max().unwrap_or(Time::ZERO);
+    Ok(loaded)
+}
+
+/// Reads a chunked trace file back into a full in-memory [`Trace`]: the
+/// file's events and grants through [`load_trace`], then its code sites
+/// and the trailer's makespan and finish times.
+///
+/// This is the inverse of `perfplay-record`'s `spill_trace`.
 ///
 /// # Errors
 ///
@@ -1100,19 +1174,8 @@ impl Iterator for RawChunkRecords {
 /// ([`ChunkContract`]) included, located at its record.
 pub fn read_chunked_trace(path: impl AsRef<Path>) -> Result<Trace, StreamError> {
     let mut reader = ChunkFileReader::open(path)?;
-    let mut trace = Trace::new(reader.meta().clone(), reader.num_threads());
+    let mut trace = load_trace(&mut reader)?.trace;
     trace.sites = reader.sites().clone();
-    while let Some(chunk) = reader.next_chunk()? {
-        // The reader admits only chunks that meet the contract: each span
-        // continues a thread of the trace, in time order.
-        for span in chunk.spans {
-            let tt = &mut trace.threads[span.thread.index()];
-            for te in span.events {
-                tt.push(te.at, te.event);
-            }
-        }
-        trace.lock_schedule.extend(chunk.grants);
-    }
     let trailer = reader
         .trailer()
         .ok_or_else(|| StreamError::Format("missing trailer".into()))?;
@@ -1273,6 +1336,80 @@ mod tests {
         let json = serde_json::to_string(&ChunkFileRecord::Chunk(chunk.clone())).unwrap();
         let back: ChunkFileRecord = serde_json::from_str(&json).unwrap();
         assert_eq!(back, ChunkFileRecord::Chunk(chunk));
+    }
+
+    /// A source that yields a fixed list of chunks.
+    struct Chunks {
+        meta: TraceMeta,
+        num_threads: usize,
+        chunks: std::vec::IntoIter<TraceChunk>,
+    }
+
+    impl Chunks {
+        fn new(trace: &Trace, chunks: Vec<TraceChunk>) -> Self {
+            Chunks {
+                meta: trace.meta.clone(),
+                num_threads: trace.num_threads(),
+                chunks: chunks.into_iter(),
+            }
+        }
+    }
+
+    impl EventSource for Chunks {
+        fn meta(&self) -> &TraceMeta {
+            &self.meta
+        }
+
+        fn num_threads(&self) -> usize {
+            self.num_threads
+        }
+
+        fn next_item(&mut self) -> Result<Option<StreamItem>, StreamError> {
+            Ok(self.chunks.next().map(StreamItem::Chunk))
+        }
+    }
+
+    /// The first chunk twice: base indices no longer line up, and the
+    /// window does not advance.
+    #[test]
+    fn malformed_stream_is_rejected() {
+        let trace = two_thread_trace();
+        let mut chunks = collect_chunks(&mut TraceChunks::new(&trace, 3));
+        chunks.insert(1, chunks[0].clone());
+        let err = load_trace(&mut Chunks::new(&trace, chunks)).unwrap_err();
+        assert!(matches!(err, StreamError::Format(_)), "{err}");
+        assert!(err.to_string().contains("does not advance"), "{err}");
+    }
+
+    #[test]
+    fn non_monotonic_thread_times_are_reported() {
+        let trace = two_thread_trace();
+        // T1's second-to-last timestamp regressed, and T0's last zeroed:
+        // `TraceChunks` refuses the trace, and a source that streams such a
+        // chunk anyway is refused by the contract check.
+        let zeroed = |thread: usize, from_end: usize| {
+            let mut trace = trace.clone();
+            let n = trace.threads[thread].events.len();
+            trace.threads[thread].events[n - from_end].at = Time::ZERO;
+            (trace, ThreadId::new(thread as u32), n - from_end)
+        };
+        for (bad, thread, index) in [zeroed(1, 2), zeroed(0, 1)] {
+            let expected = StreamError::Trace(TraceError::NonMonotonicTime {
+                thread,
+                event_index: index,
+            });
+            for chunk_events in [1, 64] {
+                let err = load_trace(&mut TraceChunks::new(&bad, chunk_events)).unwrap_err();
+                assert_eq!(err, expected, "chunk_events={chunk_events}");
+            }
+            // The clean trace in one chunk, then the regression written
+            // into it.
+            let mut chunks = collect_chunks(&mut TraceChunks::new(&trace, 100));
+            let span = &mut chunks[0].spans[thread.index()];
+            span.events[index].at = Time::ZERO;
+            let err = load_trace(&mut Chunks::new(&trace, chunks)).unwrap_err();
+            assert_eq!(err, expected);
+        }
     }
 
     #[test]

@@ -37,8 +37,8 @@ impl GeneratorConfig {
     pub const EVENTS_PER_SECTION: f64 = 4.7;
 
     /// Shapes a workload so recording it produces roughly `target_events`
-    /// events (within ~15%): the streaming-scale knob, used to build the
-    /// >=10M-event traces the streaming detector is benchmarked on.
+    /// events (within ~15%): the scale knob, used to build the
+    /// >=10M-event trace of the acceptance test.
     pub fn for_event_target(
         threads: usize,
         locks: usize,

@@ -177,8 +177,8 @@ fn lint(files: &[PathBuf], json: bool) -> Result<(), Stop> {
     }
 }
 
-/// Detection only, fused over every file: the sweep streams each file
-/// through the sharded detector, one worker per core (the default
+/// Detection only, fused over every file: the sweep loads each file and
+/// detects it with the per-lock fan-out, one thread per core (the default
 /// `parallel`), under the library's default recovery policy.
 fn analyze(files: &[PathBuf]) -> Result<(), Stop> {
     let sweep = analyze_chunk_files(files, &PipelineConfig::default(), RecoveryPolicy::default());

@@ -1,5 +1,5 @@
 //! The 12M-event acceptance contract, in one runnable place. Ignored by
-//! default: in release it took 17 to 35 s on a 2-vCPU VM. Each run prints
+//! default: in release it took 17 to 35 s on a 2-vCPU VM. Each step prints
 //! its time and, where `/proc/self/status` exists, the process's peak
 //! resident set (`VmHWM`) so far. Run it with
 //!
@@ -10,16 +10,17 @@
 //! It records the seeded 16-thread, 16-lock, 2048-object random workload
 //! shaped for 12M events, then runs the single-pass pipeline (`analyze_plan`,
 //! scan cap 4) on it, whose ranked report's FNV-1a digest is pinned below.
-//! It then streams the same trace through the streaming engine
-//! (`ParallelStreamingDetector`, 262,144 events per chunk, one worker per
-//! core) and checks that the streamed detection plan equals the pipeline's.
-//! The report is a function of the trace and the plan, so equal plans give
-//! the pinned report.
+//! It then spills the same trace to a PBIN chunk file (262,144 events per
+//! chunk), checks that `load_trace` over the pipelined reader returns the
+//! recorded trace, and checks that the detection plan `analyze_chunk_files`
+//! makes of the file equals the pipeline's. The report is a function of the
+//! trace and the plan, so equal plans give the pinned report.
 
 use std::time::Instant;
 
 use perfplay::prelude::*;
 use perfplay::workloads::{random_workload, GeneratorConfig};
+use perfplay_trace::load_trace;
 
 /// The ranked report digest of the 12M-event workload.
 const REPORT_DIGEST: u64 = 0x3240_fbc8_e319_e90a;
@@ -116,27 +117,50 @@ fn twelve_million_events_keep_the_pinned_report_digest() {
         run.plan
     };
 
-    let workers = pipeline.stream_workers().unwrap_or(1);
-    let (streamed, seconds) = timed(|| {
-        ParallelStreamingDetector::with_workers(pipeline.detector, workers)
-            .analyze_with(
-                &mut TraceChunks::new(&trace, 262_144),
-                PlanAggregator::new(BodyOverlapGain),
-            )
-            .expect("streamed detection succeeds")
+    let dir = std::env::temp_dir().join(format!("perfplay-acceptance-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("the temp dir is writable");
+    let path = dir.join("twelve-million.pbin");
+    let (spilled, seconds) = timed(|| {
+        spill_trace_with_format(&trace, &path, 262_144, ChunkFormat::Pbin)
+            .expect("the trace spills")
     });
-    let (streamed_plan, stats) = DetectionPlan::from_streaming(streamed);
     println!(
-        "streamed: {seconds:.1} s on {workers} worker(s), peak_live_sections {} ({:.1}% of \
-         sections), peak_history_entries {}",
-        stats.peak_live_sections,
-        100.0 * stats.peak_live_sections as f64 / stats.sections as f64,
-        stats.peak_history_entries
+        "spill: {seconds:.1} s, {} chunks, {} bytes",
+        spilled.chunks, spilled.bytes
     );
-    print_peak_rss("streamed");
+    print_peak_rss("spill");
+
+    let (loaded, seconds) = timed(|| {
+        let mut reader = PipelinedChunkReader::open(&path).expect("the spill opens");
+        let loaded = load_trace(&mut reader).expect("the spill loads");
+        Trace {
+            sites: reader.sites().clone(),
+            ..loaded.trace
+        }
+    });
+    println!("load: {seconds:.1} s, {} events", loaded.num_events());
+    print_peak_rss("load");
+    // Not `assert_eq!`, which would print both traces' 12M events.
+    assert!(
+        loaded == trace,
+        "the loaded trace differs from the recorded one"
+    );
+    drop(loaded);
+
+    let workers = pipeline.stream_workers().unwrap_or(1);
+    let (sweep, seconds) =
+        timed(|| analyze_chunk_files(&[&path], &pipeline, RecoveryPolicy::default()));
+    assert!(sweep.failures.is_empty(), "{:?}", sweep.failures);
+    let stream = &sweep.per_stream[0];
+    println!(
+        "file: {seconds:.1} s on {workers} thread(s), {} sections, peak_history_entries {}",
+        stream.stats.sections, stream.stats.peak_history_entries
+    );
+    print_peak_rss("file");
     // Not `assert_eq!`, which would print both plans' 2.55M sections.
     assert!(
-        streamed_plan == batch_plan,
-        "the streamed detection plan differs from the batch plan"
+        stream.plan == batch_plan,
+        "the chunk file's detection plan differs from the batch plan"
     );
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -236,32 +236,23 @@ fn in_flight_faults_never_panic_and_are_deterministic() {
 }
 
 /// The worker counts the recovery-soundness tests run the streaming
-/// detector at. The dropped chunk leaves sections that never close, so at
-/// every count the engine compacts the section table and renumbers the
-/// collected pairs (`remap_sections`).
+/// detector at.
 const RECOVERY_WORKERS: [usize; 3] = [1, 2, 4];
 
-/// Recovery soundness: `SkipChunk` detection over a stream with one
-/// corrupted chunk record equals batch detection over the same trace with
-/// that chunk's events removed, and the gap annotation accounts for exactly
-/// the lost events, at every worker count.
-#[test]
-fn skip_chunk_recovery_matches_detection_with_the_chunk_removed() {
+/// Asserts that `SkipChunk` recovery from the corrupted file at `path`,
+/// whose record of `corpus.chunks[victim]` cannot be read, is detection
+/// over the corpus trace with that chunk's events spliced out: the
+/// streaming detector's whole analysis at every worker count, and
+/// `analyze_chunk_files`' whole `DetectionPlan` — sections with their event
+/// indices, edges, benign pairs and aggregate rows — at one thread and at
+/// one per core. The gap annotation counts one gap for the unreadable
+/// record (size unknown at that point) plus the trailer reconciliation gap
+/// carrying the residual: exactly the victim's events.
+fn assert_recovery_is_detection_of_the_spliced_trace(path: &Path, victim: usize) {
     let corpus = corpus();
-    let victim = corpus.chunks.len() / 2;
     let victim_chunk = &corpus.chunks[victim];
     let victim_events = victim_chunk.num_events();
     assert!(victim_events > 0, "victim chunk must lose something");
-
-    // Corrupt the victim's record line beyond parsing (line 0 is the header).
-    let mut lines = corpus.lines.clone();
-    let cut = lines[victim + 1].len() / 2;
-    lines[victim + 1].truncate(cut);
-    let path = std::env::temp_dir().join(format!(
-        "perfplay-recovery-soundness-{}.jsonl",
-        std::process::id()
-    ));
-    std::fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
 
     // The executable spec: the same trace with the victim chunk's events
     // spliced out, analyzed by the in-memory batch engine.
@@ -272,63 +263,77 @@ fn skip_chunk_recovery_matches_detection_with_the_chunk_removed() {
             .drain(span.base_index..span.base_index + span.events.len());
     }
     let batch = Detector::new(config()).analyze(&expected);
+    let batch_plan = Detector::new(config()).plan(&expected, BodyOverlapGain);
+    let events = corpus.trace.num_events() - victim_events;
 
     for workers in RECOVERY_WORKERS {
-        let mut reader = ChunkFileReader::with_policy(&path, RecoveryPolicy::SkipChunk).unwrap();
+        let mut reader = ChunkFileReader::with_policy(path, RecoveryPolicy::SkipChunk).unwrap();
         let streamed = ParallelStreamingDetector::with_workers(config(), workers)
             .analyze(&mut reader)
             .unwrap();
-
-        // The gap annotation counts the loss: one unparseable-record gap
-        // (size unknown at that point) plus the trailer reconciliation gap
-        // carrying the residual — exactly the victim's events.
+        let stats = &streamed.stats;
         assert_eq!(
-            streamed.stats.gaps, 2,
-            "parse gap + trailer reconciliation, workers={workers}"
-        );
-        assert_eq!(
-            streamed.stats.events_lost, victim_events as u64,
+            (stats.gaps, stats.events_lost, stats.events),
+            (2, victim_events as u64, events),
             "workers={workers}"
         );
-        assert_eq!(
-            streamed.stats.events,
-            corpus.trace.num_events() - victim_events,
-            "workers={workers}"
-        );
-
-        assert_eq!(
-            streamed.analysis.breakdown, batch.breakdown,
-            "workers={workers}"
-        );
-        assert_eq!(streamed.analysis.ulcps, batch.ulcps, "workers={workers}");
-        assert_eq!(streamed.analysis.edges, batch.edges, "workers={workers}");
-        // Sections match in everything but the per-thread event indexes (the
-        // gapped stream keeps the original numbering; the spliced trace
-        // renumbers).
-        assert_eq!(
-            streamed.analysis.sections.len(),
-            batch.sections.len(),
-            "workers={workers}"
-        );
-        for (s, b) in streamed.analysis.sections.iter().zip(&batch.sections) {
-            assert_eq!(s.id, b.id, "workers={workers}");
-            assert_eq!(s.thread, b.thread, "workers={workers}");
-            assert_eq!(s.lock, b.lock, "workers={workers}");
-            assert_eq!(s.site, b.site, "workers={workers}");
-            assert_eq!(s.enter_time, b.enter_time, "workers={workers}");
-            assert_eq!(s.exit_time, b.exit_time, "workers={workers}");
-            assert_eq!(s.reads, b.reads, "workers={workers}");
-            assert_eq!(s.writes, b.writes, "workers={workers}");
-            assert_eq!(s.body_cost, b.body_cost, "workers={workers}");
-        }
+        assert_eq!(streamed.analysis, batch, "workers={workers}");
     }
+    for parallel in [false, true] {
+        let pipeline = PipelineConfig {
+            detector: DetectorConfig {
+                parallel,
+                ..config()
+            },
+            ..PipelineConfig::default()
+        };
+        let sweep = analyze_chunk_files(&[path], &pipeline, RecoveryPolicy::SkipChunk);
+        assert!(sweep.failures.is_empty(), "{:?}", sweep.failures);
+        let [stream] = &sweep.per_stream[..] else {
+            panic!("parallel {parallel}: {} streams", sweep.per_stream.len());
+        };
+        let stats = &stream.stats;
+        assert_eq!(
+            (stats.gaps, stats.events_lost, stats.events),
+            (2, victim_events as u64, events),
+            "parallel {parallel}"
+        );
+        // Not `assert_eq!`, which would print both plans whole; the
+        // sections come first, so a difference there names its row.
+        for (got, want) in stream.plan.sections.iter().zip(&batch_plan.sections) {
+            assert_eq!(got, want, "parallel {parallel}");
+        }
+        assert!(
+            stream.plan == batch_plan,
+            "parallel {parallel}: the recovered plan differs from the spliced trace's"
+        );
+    }
+}
+
+/// Recovery soundness: `SkipChunk` detection over a stream with one
+/// truncated (unparseable) chunk record is detection over the same trace
+/// with that chunk's events removed.
+#[test]
+fn skip_chunk_recovery_matches_detection_with_the_chunk_removed() {
+    let corpus = corpus();
+    let victim = corpus.chunks.len() / 2;
+
+    // Corrupt the victim's record line beyond parsing (line 0 is the header).
+    let mut lines = corpus.lines.clone();
+    let cut = lines[victim + 1].len() / 2;
+    lines[victim + 1].truncate(cut);
+    let path = std::env::temp_dir().join(format!(
+        "perfplay-recovery-soundness-{}.jsonl",
+        std::process::id()
+    ));
+    std::fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
+    assert_recovery_is_detection_of_the_spliced_trace(&path, victim);
     std::fs::remove_file(&path).ok();
 }
 
 /// The binary twin of the recovery-soundness test: a payload byte flipped
 /// deep inside one chunk frame is rejected by the frame CRC, and `SkipChunk`
-/// accounts for exactly that chunk — same gap count, same residual loss,
-/// same analysis as the spliced batch run, at every worker count.
+/// recovers exactly the trace without that chunk.
 #[test]
 fn pbin_skip_chunk_recovery_accounts_for_the_exact_loss() {
     let corpus = corpus();
@@ -342,10 +347,6 @@ fn pbin_skip_chunk_recovery_accounts_for_the_exact_loss() {
     assert_eq!(extents.len(), corpus.chunks.len() + 2);
 
     let victim = corpus.chunks.len() / 2;
-    let victim_chunk = &corpus.chunks[victim];
-    let victim_events = victim_chunk.num_events();
-    assert!(victim_events > 0, "victim chunk must lose something");
-
     let (start, len) = extents[victim + 1];
     let mut bytes = std::fs::read(&corpus.pbin_path).unwrap();
     bytes[start + len / 2] ^= 0x40;
@@ -354,41 +355,7 @@ fn pbin_skip_chunk_recovery_accounts_for_the_exact_loss() {
         std::process::id()
     ));
     std::fs::write(&path, &bytes).unwrap();
-
-    let mut expected = corpus.trace.clone();
-    for span in &victim_chunk.spans {
-        expected.threads[span.thread.index()]
-            .events
-            .drain(span.base_index..span.base_index + span.events.len());
-    }
-    let batch = Detector::new(config()).analyze(&expected);
-
-    for workers in RECOVERY_WORKERS {
-        let mut reader = ChunkFileReader::with_policy(&path, RecoveryPolicy::SkipChunk).unwrap();
-        let streamed = ParallelStreamingDetector::with_workers(config(), workers)
-            .analyze(&mut reader)
-            .unwrap();
-
-        assert_eq!(
-            streamed.stats.gaps, 2,
-            "CRC gap + trailer reconciliation, workers={workers}"
-        );
-        assert_eq!(
-            streamed.stats.events_lost, victim_events as u64,
-            "workers={workers}"
-        );
-        assert_eq!(
-            streamed.stats.events,
-            corpus.trace.num_events() - victim_events,
-            "workers={workers}"
-        );
-        assert_eq!(
-            streamed.analysis.breakdown, batch.breakdown,
-            "workers={workers}"
-        );
-        assert_eq!(streamed.analysis.ulcps, batch.ulcps, "workers={workers}");
-        assert_eq!(streamed.analysis.edges, batch.edges, "workers={workers}");
-    }
+    assert_recovery_is_detection_of_the_spliced_trace(&path, victim);
     std::fs::remove_file(&path).ok();
 }
 

@@ -33,7 +33,7 @@
 //! * the chunk contract is checked in one place: outside test code and
 //!   comments, the texts of its violations appear under `crates/` and
 //!   `src/` only in its checker, `crates/trace/src/contract.rs`, so the
-//!   readers, the streaming detector and the linter cannot drift apart;
+//!   readers, `load_trace` and the linter cannot drift apart;
 //! * chunk windows are cut in one place: outside test code and comments, a
 //!   `TraceChunk` struct literal appears under `crates/` and `src/` only in
 //!   `crates/trace/src/stream.rs`, where `TraceChunks` cuts every window the
@@ -43,24 +43,31 @@
 //!   line of the trace, detect, lint or report crate but
 //!   `crates/trace/src/section.rs`, home of `SectionBuilder` and
 //!   `OpenLocks`, builds a `MemAccess` or searches a lock stack with
-//!   `rposition`, so batch extraction, the streaming decoder, the trace
-//!   statistics, validation and the linter pair acquires with releases by
-//!   one rule;
+//!   `rposition`, so extraction, the trace statistics, validation and the
+//!   linter pair acquires with releases by one rule;
 //! * the shadow-memory history is kept in one place: outside test code and
 //!   comments, `fn value_before` is defined under `crates/` and `src/` only
-//!   in `crates/detect/src/shadow.rs`, so both detection engines read the
-//!   reversed replay's starting state from one `LastWriteIndex`, which the
-//!   batch engine builds and each streaming worker records into and prunes;
+//!   in `crates/detect/src/shadow.rs`, so detection and the reference
+//!   engine read the reversed replay's starting state from one
+//!   `LastWriteIndex`, which the batch engine builds from the whole trace;
+//! * detection runs one engine: outside test code and comments,
+//!   `PairKernel::new` is called under `crates/` and `src/` only in
+//!   `crates/detect/src/pairing.rs`, and outside test code no line under
+//!   `crates/detect/src/` names `std::thread`, `mpsc` or `sync_channel`,
+//!   because the per-lock fan-out goes through
+//!   `perfplay_trace::map_work_queue`; so no second, threaded pairing
+//!   engine returns;
 //! * the facade keeps one run configuration: no struct in
 //!   `crates/core/src/lib.rs` declares a field named after a field of
 //!   `PipelineConfig`, which `PerfPlayConfig` nests instead of copying;
-//! * in-memory analysis detects with the batch engine: `PipelineConfig`
-//!   declares no `chunk_events`, outside test code and comments
-//!   `crates/report/src/pipeline.rs` names `ParallelStreamingDetector` only
-//!   inside `analyze_chunk_files`, and `crates/detect/src/parallel_stream.rs`
-//!   declares no `fn analyze_trace`, so the streaming engine reads only
-//!   `EventSource`s such as chunk files and no second in-memory detection
-//!   path returns;
+//! * in-memory analysis detects with the batch engine directly:
+//!   `PipelineConfig` declares no `chunk_events`, outside test code and
+//!   comments `crates/report/src/pipeline.rs` names
+//!   `ParallelStreamingDetector` only inside `analyze_chunk_files`, and
+//!   `crates/detect/src/parallel_stream.rs` declares no `fn analyze_trace`,
+//!   so `ParallelStreamingDetector`, which loads an `EventSource` and
+//!   detects it with the batch engine, reads only chunk files and no
+//!   in-memory trace takes a detour through a stream;
 //! * retired names stay retired: no source file, test, example, README, CI
 //!   workflow or verification note names the sequential streaming engine
 //!   (`ParallelStreamingDetector` at one worker replaced it), the second
@@ -68,9 +75,11 @@
 //!   the pair-list report path (the plan and its per-site rows replaced it),
 //!   the pipelined twins of the chunk-file entry points (the plain entry
 //!   points read through the pipelined scanner), the incremental chunk
-//!   writer (the one-pass spill replaced it) or the facade's copies of the
+//!   writer (the one-pass spill replaced it), the facade's copies of the
 //!   pipeline's configuration and errors (`PerfPlayConfig` nests
-//!   `PipelineConfig`, and `PerfPlayError` wraps `PipelineError`).
+//!   `PipelineConfig`, and `PerfPlayError` wraps `PipelineError`) or the
+//!   sharded streaming engine's resident-state machinery (`load_trace` and
+//!   the batch engine replaced it).
 
 use std::path::{Path, PathBuf};
 
@@ -262,7 +271,7 @@ fn replay_hot_path_names_no_ordered_map() {
     );
 }
 
-/// The per-pair path both detection engines share. `reference.rs` and
+/// The detection engine's per-pair path. `reference.rs` and
 /// `shadow.rs`'s `MemorySnapshot` are exempt: the oracle keeps its ordered
 /// maps.
 fn detect_hot_path_files() -> Vec<PathBuf> {
@@ -278,7 +287,7 @@ fn detect_hot_path_names_no_ordered_map() {
     let offenders = ordered_map_lines(&detect_hot_path_files());
     assert!(
         offenders.is_empty(),
-        "BTreeMap on the detection engines' per-pair path (use the packed rows or \
+        "BTreeMap on the detection engine's per-pair path (use the packed rows or \
          stack arrays instead):\n{}",
         offenders.join("\n")
     );
@@ -632,13 +641,67 @@ fn the_shadow_history_is_kept_in_one_place() {
     }
     assert!(
         offenders.is_empty(),
-        "a shadow-memory history is kept outside {SHADOW_HISTORY} (record into and \
-         prune a perfplay_detect::LastWriteIndex instead):\n{}",
+        "a shadow-memory history is kept outside {SHADOW_HISTORY} (build a \
+         perfplay_detect::LastWriteIndex instead):\n{}",
         offenders.join("\n")
     );
     assert!(
         defined_in_shadow,
         "{SHADOW_HISTORY} no longer defines `fn value_before`; update this lint"
+    );
+}
+
+/// The one file that runs the pairing kernel: the batch engine.
+const PAIRING_ENGINE: &str = "crates/detect/src/pairing.rs";
+/// The detection crate's sources, which start no thread of their own.
+const DETECT_SOURCES: &str = "crates/detect/src/";
+/// What starts a thread or passes messages between threads.
+const THREAD_PRIMITIVES: [&str; 3] = ["std::thread", "mpsc", "sync_channel"];
+
+#[test]
+fn detection_runs_one_engine() {
+    // Library and binary sources; integration tests may drive anything.
+    let files: Vec<PathBuf> = rs_files_under(&["crates", "src"])
+        .into_iter()
+        .filter(|p| !relative(p).split('/').any(|part| part == "tests"))
+        .collect();
+    let mut second_kernels: Vec<String> = Vec::new();
+    let mut threaded: Vec<String> = Vec::new();
+    let mut kernel_in_engine = false;
+    for path in &files {
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        let file = relative(path);
+        for (line_no, line) in non_test_code(&text) {
+            if !is_comment(line) && line.contains("PairKernel::new(") {
+                if file == PAIRING_ENGINE {
+                    kernel_in_engine = true;
+                } else {
+                    second_kernels.push(format!("{file}:{line_no}: {}", line.trim()));
+                }
+            }
+            if file.starts_with(DETECT_SOURCES)
+                && THREAD_PRIMITIVES.iter().any(|p| line.contains(p))
+            {
+                threaded.push(format!("{file}:{line_no}: {}", line.trim()));
+            }
+        }
+    }
+    assert!(
+        second_kernels.is_empty(),
+        "the pairing kernel runs outside {PAIRING_ENGINE} (detect through \
+         perfplay_detect::Detector instead):\n{}",
+        second_kernels.join("\n")
+    );
+    assert!(
+        kernel_in_engine,
+        "{PAIRING_ENGINE} no longer calls `PairKernel::new`; update this lint"
+    );
+    assert!(
+        threaded.is_empty(),
+        "{DETECT_SOURCES} starts or feeds threads of its own (fan out through \
+         perfplay_trace::map_work_queue instead):\n{}",
+        threaded.join("\n")
     );
 }
 
@@ -931,6 +994,27 @@ const RETIRED_CHUNKED_WRITER: &[Retired] = &[Retired {
 /// The facade's copies of the pipeline's configuration and errors:
 /// `PerfPlayConfig` nests `PipelineConfig`, and `PerfPlayError` wraps
 /// `PipelineError` in one variant.
+/// The sharded streaming engine's resident-state machinery: the section
+/// renumbering after compaction, and the peaks of pairs held and of
+/// searches retired mid-stream. The stream is loaded and detected whole.
+const RETIRED_SHARDED_ENGINE: &[Retired] = &[
+    Retired {
+        name: concat!("remap", "_sections"),
+        counts: Counts::WholeWord,
+        replaced_by: "load_trace, whose sections are numbered densely from the start",
+    },
+    Retired {
+        name: concat!("peak_live", "_pairs"),
+        counts: Counts::WholeWord,
+        replaced_by: "DetectionPlan::resident_entries, the plan's size after detection",
+    },
+    Retired {
+        name: concat!("retired", "_before_end"),
+        counts: Counts::WholeWord,
+        replaced_by: "nothing: the batch engine searches from every section of a loaded trace",
+    },
+];
+
 const RETIRED_FACADE_COPIES: &[Retired] = &[
     Retired {
         name: concat!("PerfPlayConfig::", "pipeline()"),
@@ -1085,6 +1169,16 @@ fn retired_chunked_writer_is_named_nowhere() {
     assert!(
         offenders.is_empty(),
         "the retired incremental chunk writer is named:\n{}",
+        offenders.join("\n")
+    );
+}
+
+#[test]
+fn retired_sharded_engine_state_is_named_nowhere() {
+    let offenders = retired_name_lines(RETIRED_SHARDED_ENGINE);
+    assert!(
+        offenders.is_empty(),
+        "the retired sharded streaming engine's state is named:\n{}",
         offenders.join("\n")
     );
 }

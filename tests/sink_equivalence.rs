@@ -490,43 +490,3 @@ proptest! {
         assert_facade_matches_oracle(&trace, config)?;
     }
 }
-
-/// `StreamingStats::peak_live_pairs` of a plan run counts aggregate cells,
-/// edge rows and the retained edge and benign pairs at every per-chunk (and
-/// per-worker-lane) sample; a bare aggregator run counts cells and edge rows
-/// only. The plan values are pinned from the ordered-map implementation of
-/// the aggregator, so a resident count that drifts from "one per non-empty
-/// `(site, site, kind)` cell plus one per edge row" fails here.
-#[test]
-fn plan_peak_live_pairs_is_pinned() {
-    let trace = record(
-        11,
-        &GeneratorConfig {
-            threads: 6,
-            locks: 3,
-            objects: 12,
-            sections_per_thread: 40,
-        },
-    );
-    let config = DetectorConfig {
-        max_scan_per_thread: Some(6),
-        ..DetectorConfig::default()
-    };
-    let sink = || PlanAggregator::new(BodyOverlapGain);
-    let pstream = |workers| {
-        ParallelStreamingDetector::with_workers(config, workers)
-            .analyze_with(&mut TraceChunks::new(&trace, 64), sink())
-            .unwrap()
-            .stats
-            .peak_live_pairs
-    };
-    let aggregator_only = ParallelStreamingDetector::with_workers(config, 1)
-        .analyze_with(
-            &mut TraceChunks::new(&trace, 64),
-            SiteAggregator::new(NoGain),
-        )
-        .unwrap()
-        .stats
-        .peak_live_pairs;
-    assert_eq!((pstream(1), pstream(2), aggregator_only), (738, 738, 492));
-}

@@ -1,7 +1,9 @@
-//! Property tests: the streaming detector — at one worker and sharded across
-//! several — is bit-identical to both in-memory engines on arbitrary
-//! generated workloads, across arbitrary chunk sizes and worker counts, and
-//! through the chunked-file spill/re-ingest roundtrip, gaps included.
+//! Property tests: `load_trace` returns the trace a stream carries, and the
+//! streaming detector — the loaded stream detected by the batch engine, at
+//! one worker and fanned out across several — is bit-identical to both
+//! in-memory engines on arbitrary generated workloads, across arbitrary
+//! chunk sizes and worker counts, and through the chunked-file
+//! spill/re-ingest roundtrip, gaps included.
 
 use proptest::prelude::*;
 
@@ -9,7 +11,7 @@ use perfplay::prelude::*;
 use perfplay::workloads::{random_workload, GeneratorConfig};
 use perfplay_detect::reference_analyze;
 use perfplay_trace::{
-    read_chunked_trace, ChunkFileReader, ChunkFileRecord, EventSource, RawChunkRecords,
+    load_trace, read_chunked_trace, ChunkFileReader, ChunkFileRecord, EventSource, RawChunkRecords,
     RecoveryPolicy, StreamError, Trace, TraceChunk, TraceChunks,
 };
 
@@ -105,7 +107,7 @@ fn report_pipeline_accepts_streaming_output_unchanged() {
     assert_eq!(from_batch.recommendations, from_stream.recommendations);
     assert_eq!(from_batch.impact, from_stream.impact);
     assert_eq!(from_batch.render(&trace), from_stream.render(&trace));
-    // PerfReport parity extends through the sharded fan-out: same pairs in,
+    // PerfReport parity extends through the per-lock fan-out: same pairs in,
     // same report out.
     let from_parallel = plan_report(&trace, &streamed(3));
     assert_eq!(from_batch, from_parallel);
@@ -114,7 +116,7 @@ fn report_pipeline_accepts_streaming_output_unchanged() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// The streaming detector — at one worker and sharded across several —
+    /// The streaming detector — at one worker and fanned out across several —
     /// reproduces the in-memory engine and the naive snapshot-cloning
     /// reference bit-for-bit regardless of chunking.
     #[test]
@@ -135,12 +137,12 @@ proptest! {
             .unwrap();
         assert_analyses_equal("one worker vs batch", &streamed.analysis, &batch)?;
 
-        // The resident-state accounting covers the whole stream.
+        // The stream accounting covers the whole stream.
         prop_assert_eq!(streamed.stats.events, trace.num_events());
         prop_assert_eq!(streamed.stats.sections, batch.sections.len());
         prop_assert!(streamed.stats.peak_chunk_events <= trace.num_events());
 
-        // The sharded fan-out agrees with everything above, at a shard count
+        // The per-lock fan-out agrees with everything above, at a width
         // below, at and beyond #locks.
         let parallel = ParallelStreamingDetector::with_workers(config, workers)
             .analyze(&mut TraceChunks::new(&trace, chunk_events))
@@ -153,6 +155,24 @@ proptest! {
             parallel.stats.peak_chunk_events,
             streamed.stats.peak_chunk_events
         );
+    }
+
+    /// `load_trace` over the in-memory stream returns the trace it streams:
+    /// every thread's events and finish time, every grant, the metadata and
+    /// the makespan, at any chunk size.
+    #[test]
+    fn load_trace_returns_the_threads_and_grants_it_streams(
+        seed in 0u64..5_000,
+        gen in generator_config(),
+        chunk_events in 1usize..400,
+    ) {
+        let trace = record(seed, &gen);
+        let loaded = load_trace(&mut TraceChunks::new(&trace, chunk_events)).unwrap();
+        prop_assert_eq!(&loaded.trace.threads, &trace.threads);
+        prop_assert_eq!(&loaded.trace.lock_schedule, &trace.lock_schedule);
+        prop_assert_eq!(&loaded.trace.meta, &trace.meta);
+        prop_assert_eq!(loaded.trace.total_time, trace.total_time);
+        prop_assert_eq!((loaded.gaps, loaded.events_lost), (0, 0));
     }
 
     /// Spilling to a chunked trace file and re-ingesting it — either
@@ -268,7 +288,7 @@ proptest! {
 }
 
 /// Gap equivalence: over the *same* corrupted chunk file recovered under
-/// `SkipChunk`, the sharded fan-out reproduces the sequential (one-worker)
+/// `SkipChunk`, the per-lock fan-out reproduces the sequential (one-worker)
 /// run bit-for-bit — analysis content, gap count and loss accounting all
 /// agree, per fault kind and worker count.
 #[test]
