@@ -22,9 +22,9 @@
 //! [`PerfPlay::analyze_trace`] runs stages 2–5 as
 //! [`perfplay_report::analyze_plan`], the single-pass pipeline whose
 //! detection output is a compact per-site plan, then re-ranks that report by
-//! exact Equation 1 gains: one more detection pass folds each pair's
-//! replay-derived gain into per-site rows ([`ReplayGains`]). No stage reads
-//! a pair list.
+//! exact Equation 1 gains: one more plan pass ([`Detector::plan`]) folds
+//! each pair's replay-derived gain ([`ReplayGains`]) into per-site rows. No
+//! stage reads a pair list.
 //!
 //! The facade adds no analysis settings of its own: [`PerfPlayConfig`] is
 //! how to record plus the [`PipelineConfig`] that `analyze_plan` runs
@@ -45,7 +45,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use perfplay_detect::{DetectionPlan, Detector, SiteAggregator};
+use perfplay_detect::{DetectionPlan, Detector};
 use perfplay_program::Program;
 use perfplay_record::{RecordedExecution, Recorder, RecordingMode};
 use perfplay_replay::{
@@ -62,9 +62,8 @@ pub mod prelude {
     pub use perfplay_detect::{
         corrupt_chunk_file, BodyOverlapGain, CollectPairs, DetectionPlan, Detector, DetectorConfig,
         FaultInjector, FaultKind, FaultPlan, GainSource, NoGain, ParallelStreamingDetector,
-        PlanAggregator, PlanError, SectionCtx, SinkAnalysis, SiteAggregates, SiteAggregator,
-        StreamingAnalysis, StreamingSinkAnalysis, StreamingStats, Ulcp, UlcpAnalysis,
-        UlcpBreakdown, UlcpKind, UlcpSink,
+        PlanAggregator, PlanError, SectionCtx, SinkAnalysis, SiteAggregates, StreamingStats, Ulcp,
+        UlcpAnalysis, UlcpBreakdown, UlcpKind, UlcpSink,
     };
     pub use perfplay_lint::{
         analyze_schedule, codes_for_fault, lint_chunk_file, lint_source, lint_trace, Diagnostic,
@@ -235,9 +234,10 @@ impl PerfPlay {
     /// [`analyze_trace`](Self::analyze_trace) on a trace the analysis keeps.
     ///
     /// The plan's rows rank by a detection-time proxy, because Equation 1
-    /// needs both replays. One more detection pass with the same detector
-    /// configuration therefore folds each pair's exact gain into per-site
-    /// rows, and the report is re-ranked by them.
+    /// needs both replays. One more plan pass ([`Detector::plan`]) with the
+    /// same detector configuration therefore folds each pair's exact gain
+    /// into per-site rows, and the report is re-ranked by that plan's
+    /// `aggregates`.
     fn analyze_owned(&self, trace: Trace) -> Result<Analysis, PerfPlayError> {
         let PlanAnalysis {
             plan,
@@ -248,9 +248,8 @@ impl PerfPlay {
         } = analyze_plan(&trace, &self.config.pipeline)?;
         let gains = ReplayGains::new(&trace, &original_replay, &ulcp_free_replay);
         let exact = Detector::new(self.config.pipeline.detector)
-            .analyze_with(&trace, SiteAggregator::new(gains))
-            .sink
-            .finish();
+            .plan(&trace, gains)
+            .aggregates;
         let report = report.with_gains(&exact, &original_replay, &ulcp_free_replay);
         Ok(Analysis {
             trace,

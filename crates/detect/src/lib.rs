@@ -23,19 +23,21 @@
 //! For a chunked event stream (`perfplay_trace::EventSource`), such as a
 //! chunk file, [`ParallelStreamingDetector`] loads the stream with
 //! `perfplay_trace::load_trace` and runs [`Detector::with_workers`] on the
-//! loaded trace, so it produces the same [`UlcpAnalysis`] bit for bit. One
-//! engine classifies every pair, through one pairing kernel;
-//! [`reference_analyze`] stays as the test oracle.
+//! loaded trace, so it returns the batch engine's [`SinkAnalysis`] bit for
+//! bit, beside the stream's [`StreamingStats`]. One engine classifies every
+//! pair, through one pairing kernel; [`reference_analyze`] stays as the test
+//! oracle.
 //!
-//! Every engine emits its classified pairs through a [`UlcpSink`]. The
-//! default [`CollectPairs`] sink materializes the historical pair list;
-//! [`SiteAggregator`] instead folds each pair into a per-(code-site,
-//! code-site, kind) aggregate at emission time, so dense traces (tens of
-//! millions of pairs) can be analyzed with output memory proportional to the
-//! number of *code sites*, which is what the report layer groups by anyway.
-//! [`PlanAggregator`] extends the aggregate with the causal edges and benign
-//! pairs — the only individual pairs any later pipeline stage needs — so one
-//! pass produces a [`DetectionPlan`] that drives transformation, replay and
+//! Every engine emits its classified pairs through a [`UlcpSink`], in the
+//! canonical `(lock, first, second-thread, second)` order. The
+//! [`CollectPairs`] sink materializes the pair list, and its run converts
+//! into the [`UlcpAnalysis`]. [`PlanAggregator`] instead folds each pair into
+//! a per-(code-site, code-site, kind) aggregate at emission time, so dense
+//! traces (tens of millions of pairs) can be analyzed with output memory
+//! proportional to the number of *code sites*, which is what the report
+//! layer groups by anyway. It keeps only the causal edges and benign pairs —
+//! the only individual pairs any later pipeline stage needs — so one pass
+//! produces a [`DetectionPlan`] that drives transformation, replay and
 //! reporting without a pair list ever existing.
 
 #![warn(missing_docs)]
@@ -52,18 +54,16 @@ mod plan;
 mod reference;
 mod shadow;
 mod sink;
-mod streaming;
 
 pub use classify::{classify_by_sets, classify_pair, refine_conflicting_pair};
 pub use inject::{corrupt_chunk_file, FaultInjector, FaultKind, FaultPlan};
 pub use kinds::{PairClass, UlcpKind};
 pub use pairing::{CausalEdge, Detector, DetectorConfig, Ulcp, UlcpAnalysis, UlcpBreakdown};
-pub use parallel_stream::ParallelStreamingDetector;
+pub use parallel_stream::{ParallelStreamingDetector, StreamingStats};
 pub use plan::{DetectionPlan, PlanAggregator, PlanError};
 pub use reference::{reference_analyze, reference_analyze_with};
 pub use shadow::{LastWriteIndex, MemorySnapshot, StartState, StateBefore};
 pub use sink::{
     BodyOverlapGain, CollectPairs, EdgeAggregate, GainSource, NoGain, SectionCtx, SinkAnalysis,
-    SiteAggregate, SiteAggregates, SiteAggregator, UlcpSink,
+    SiteAggregate, SiteAggregates, UlcpSink,
 };
-pub use streaming::{StreamingAnalysis, StreamingSinkAnalysis, StreamingStats};

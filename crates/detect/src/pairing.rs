@@ -244,25 +244,15 @@ impl Detector {
     }
 
     /// Identifies all ULCPs and causal edges in a recorded trace,
-    /// materializing every pair. Equivalent to
-    /// [`analyze_with`](Self::analyze_with) into a
+    /// materializing every pair: [`analyze_with`](Self::analyze_with) into a
     /// [`CollectPairs`](crate::CollectPairs) sink.
     pub fn analyze(&self, trace: &Trace) -> UlcpAnalysis {
-        let SinkAnalysis {
-            sections,
-            breakdown,
-            sink,
-        } = self.analyze_with(trace, CollectPairs::default());
-        UlcpAnalysis {
-            sections,
-            ulcps: sink.ulcps,
-            edges: sink.edges,
-            breakdown,
-        }
+        self.analyze_with(trace, CollectPairs::default()).into()
     }
 
     /// Identifies all ULCPs and causal edges in a recorded trace, emitting
-    /// every pair through the caller's sink.
+    /// every pair through the caller's sink in the canonical
+    /// `(lock, first, second-thread, second)` order.
     ///
     /// The sink must be `Send + Sync` because the per-lock fan-out forks
     /// one shard per lock across worker threads; shards are absorbed
@@ -327,7 +317,6 @@ impl Detector {
                 table.analyze_lock_into(*lock, members, self.config, &mut sink, &mut breakdown);
             }
         }
-        sink.seal(&sections);
 
         let analysis = SinkAnalysis {
             sections,
@@ -380,7 +369,9 @@ struct SectionTable<'a> {
 impl SectionTable<'_> {
     /// Runs the sequential search from every section of one lock, emitting
     /// every classified pair into the sink. `members` holds the lock's
-    /// section indices in ascending id order.
+    /// section indices in ascending id order; each is searched against the
+    /// other threads in ascending thread order, each thread's candidates in
+    /// ascending id, which is the canonical emission order.
     fn analyze_lock_into<S: UlcpSink>(
         &self,
         lock: LockId,
@@ -947,11 +938,17 @@ mod tests {
                 assert_eq!(batch, reference, "cap {cap:?}, parallel {parallel}");
             }
             for (workers, chunk_events) in [(1, 1), (2, 5), (1, 1000)] {
-                let streamed = ParallelStreamingDetector::with_workers(config, workers)
-                    .analyze(&mut TraceChunks::new(&trace, chunk_events))
-                    .unwrap()
-                    .analysis;
-                assert_eq!(streamed, reference, "cap {cap:?}, workers {workers}");
+                let (streamed, _) = ParallelStreamingDetector::with_workers(config, workers)
+                    .analyze_with(
+                        &mut TraceChunks::new(&trace, chunk_events),
+                        CollectPairs::default(),
+                    )
+                    .unwrap();
+                assert_eq!(
+                    UlcpAnalysis::from(streamed),
+                    reference,
+                    "cap {cap:?}, workers {workers}"
+                );
             }
         }
     }

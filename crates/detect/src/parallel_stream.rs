@@ -5,23 +5,56 @@
 //! chunk files `perfplay_report::analyze_chunk_files` opens — with
 //! [`load_trace`], which checks every chunk against the chunk contract and
 //! splices the events a recovering source lost out of the trace, and then
-//! runs [`Detector::with_workers`] on the loaded trace. Its output is
-//! therefore the batch engine's over the surviving events, bit for bit, and
-//! its [`StreamingStats`] add what the stream delivered and lost.
+//! runs [`Detector::with_workers`] on the loaded trace. It returns the batch
+//! engine's [`SinkAnalysis`] over the surviving events, bit for bit, beside
+//! [`StreamingStats`]: what the stream delivered and lost, and how large the
+//! section table and the last-write index of the loaded trace were.
 
 use perfplay_trace::{load_trace, EventSource, StreamError};
 
-use crate::pairing::{Detector, DetectorConfig, UlcpAnalysis};
-use crate::sink::{CollectPairs, UlcpSink};
-use crate::streaming::{StreamingAnalysis, StreamingSinkAnalysis, StreamingStats};
+use crate::pairing::{Detector, DetectorConfig};
+use crate::sink::{SinkAnalysis, UlcpSink};
+
+/// What one streamed detection run read and held: the stream's chunks,
+/// events and gaps, and the sizes of what detection built.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub struct StreamingStats {
+    /// Chunks consumed.
+    pub chunks: usize,
+    /// Total events consumed.
+    pub events: usize,
+    /// Critical sections extracted.
+    pub sections: usize,
+    /// Events of the largest single chunk.
+    pub peak_chunk_events: usize,
+    /// Sections detection held at once: the whole section table of the
+    /// loaded trace, so equal to `sections`.
+    pub peak_live_sections: usize,
+    /// Writes plus first-read anchors of the
+    /// [`LastWriteIndex`](crate::LastWriteIndex) detection built over the
+    /// loaded trace (0 when the reversed replay is off).
+    pub peak_history_entries: usize,
+    /// Stream gaps a recovering source reported (0 on a clean stream).
+    pub gaps: usize,
+    /// Events known lost across those gaps.
+    pub events_lost: u64,
+}
+
+impl StreamingStats {
+    /// True if the source reported any gaps: the analysis is sound on what
+    /// was seen, but not complete.
+    pub fn is_gapped(&self) -> bool {
+        self.gaps > 0
+    }
+}
 
 /// PerfPlay's ULCP identification stage over a chunked event stream: the
 /// stream loaded with [`load_trace`], then detected by the batch engine
 /// fanned out per lock on up to `workers` threads.
 ///
-/// Output is **bit-identical** to [`Detector::analyze`] over the surviving
-/// events for every worker count: ids, pair order, breakdown and section
-/// table all match exactly.
+/// Output is **bit-identical** to [`Detector::analyze_with`] over the
+/// surviving events for every worker count: ids, pair order, breakdown and
+/// section table all match exactly.
 #[derive(Debug, Clone)]
 pub struct ParallelStreamingDetector {
     config: DetectorConfig,
@@ -45,43 +78,23 @@ impl ParallelStreamingDetector {
         self.workers
     }
 
-    /// Consumes the source to exhaustion and returns the analysis,
-    /// bit-identical to [`Detector::analyze`] over the same events. The
-    /// pairs are collected through [`CollectPairs`].
+    /// Consumes the source to exhaustion, then emits every classified pair
+    /// of the loaded trace through the caller's sink, as
+    /// [`Detector::analyze_with`] does: the sink must be `Send + Sync`
+    /// because the per-lock fan-out forks one shard per lock. A
+    /// [`CollectPairs`](crate::CollectPairs) run converts into the
+    /// [`UlcpAnalysis`](crate::UlcpAnalysis) of
+    /// [`Detector::analyze`] with `into`.
     ///
     /// # Errors
     ///
     /// Propagates source errors and rejects streams that violate the chunk
     /// contract or per-thread timestamp monotonicity ([`load_trace`]).
-    pub fn analyze<Src: EventSource>(
-        &self,
-        source: &mut Src,
-    ) -> Result<StreamingAnalysis, StreamError> {
-        let result = self.analyze_with(source, CollectPairs::default())?;
-        Ok(StreamingAnalysis {
-            analysis: UlcpAnalysis {
-                sections: result.sections,
-                ulcps: result.sink.ulcps,
-                edges: result.sink.edges,
-                breakdown: result.breakdown,
-            },
-            stats: result.stats,
-        })
-    }
-
-    /// Consumes the source to exhaustion, then emits every classified pair
-    /// of the loaded trace through the caller's sink, as
-    /// [`Detector::analyze_with`] does: the sink must be `Send + Sync`
-    /// because the per-lock fan-out forks one shard per lock.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`analyze`](Self::analyze).
     pub fn analyze_with<Src: EventSource, S: UlcpSink + Send + Sync>(
         &self,
         source: &mut Src,
         sink: S,
-    ) -> Result<StreamingSinkAnalysis<S>, StreamError> {
+    ) -> Result<(SinkAnalysis<S>, StreamingStats), StreamError> {
         let loaded = load_trace(source)?;
         let (result, history_entries) =
             Detector::with_workers(self.config, self.workers).analyze_indexed(&loaded.trace, sink);
@@ -95,19 +108,16 @@ impl ParallelStreamingDetector {
             gaps: loaded.gaps,
             events_lost: loaded.events_lost,
         };
-        Ok(StreamingSinkAnalysis {
-            sections: result.sections,
-            breakdown: result.breakdown,
-            sink: result.sink,
-            stats,
-        })
+        Ok((result, stats))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{BodyOverlapGain, SiteAggregator};
+    use crate::pairing::UlcpAnalysis;
+    use crate::plan::{DetectionPlan, PlanAggregator};
+    use crate::sink::{BodyOverlapGain, CollectPairs};
     use perfplay_program::ProgramBuilder;
     use perfplay_record::Recorder;
     use perfplay_sim::SimConfig;
@@ -125,6 +135,22 @@ mod tests {
             .trace
     }
 
+    /// Streams `trace` in chunks of `chunk_events` into a collecting sink.
+    fn stream(
+        trace: &Trace,
+        config: DetectorConfig,
+        chunk_events: usize,
+        workers: usize,
+    ) -> (UlcpAnalysis, StreamingStats) {
+        let (run, stats) = ParallelStreamingDetector::with_workers(config, workers)
+            .analyze_with(
+                &mut TraceChunks::new(trace, chunk_events),
+                CollectPairs::default(),
+            )
+            .unwrap();
+        (run.into(), stats)
+    }
+
     fn assert_identical(
         trace: &Trace,
         config: DetectorConfig,
@@ -132,14 +158,12 @@ mod tests {
         workers: usize,
     ) {
         let batch = Detector::new(config).analyze(trace);
-        let parallel = ParallelStreamingDetector::with_workers(config, workers)
-            .analyze(&mut TraceChunks::new(trace, chunk_events))
-            .unwrap();
+        let (parallel, stats) = stream(trace, config, chunk_events, workers);
         let label = format!("chunk={chunk_events} workers={workers}");
-        assert_eq!(batch.sections, parallel.analysis.sections, "{label}");
-        assert_eq!(batch.ulcps, parallel.analysis.ulcps, "{label}");
-        assert_eq!(batch.edges, parallel.analysis.edges, "{label}");
-        assert_eq!(batch.breakdown, parallel.analysis.breakdown, "{label}");
+        assert_eq!(batch.sections, parallel.sections, "{label}");
+        assert_eq!(batch.ulcps, parallel.ulcps, "{label}");
+        assert_eq!(batch.edges, parallel.edges, "{label}");
+        assert_eq!(batch.breakdown, parallel.breakdown, "{label}");
         // The stream-level accounting is the loader's, so it does not
         // depend on the worker count.
         let mut source = TraceChunks::new(trace, chunk_events);
@@ -148,14 +172,11 @@ mod tests {
             chunks += 1;
             peak_chunk_events = peak_chunk_events.max(chunk.num_events());
         }
-        assert_eq!(parallel.stats.chunks, chunks, "{label}");
-        assert_eq!(
-            parallel.stats.peak_chunk_events, peak_chunk_events,
-            "{label}"
-        );
-        assert_eq!(parallel.stats.events, trace.num_events(), "{label}");
-        assert_eq!(parallel.stats.sections, batch.sections.len(), "{label}");
-        assert_eq!(parallel.stats.gaps, 0, "{label}");
+        assert_eq!(stats.chunks, chunks, "{label}");
+        assert_eq!(stats.peak_chunk_events, peak_chunk_events, "{label}");
+        assert_eq!(stats.events, trace.num_events(), "{label}");
+        assert_eq!(stats.sections, batch.sections.len(), "{label}");
+        assert_eq!(stats.gaps, 0, "{label}");
     }
 
     fn mixed_trace() -> Trace {
@@ -232,8 +253,8 @@ mod tests {
     #[test]
     fn benign_pairs_survive_parallel_state_reconstruction() {
         // The benign check queries shadow memory at the first section's
-        // enter time — long before the pair is classified — through each
-        // worker's own pruned history.
+        // enter time — long before the pair is classified — through the
+        // last-write index of the loaded trace.
         let trace = record(|b| {
             let lock = b.lock("m");
             let flag = b.shared("done", 0);
@@ -251,10 +272,8 @@ mod tests {
         for chunk_events in [1, 2, 8] {
             assert_identical(&trace, DetectorConfig::default(), chunk_events, 2);
         }
-        let parallel = ParallelStreamingDetector::with_workers(DetectorConfig::default(), 2)
-            .analyze(&mut TraceChunks::new(&trace, 2))
-            .unwrap();
-        assert_eq!(parallel.analysis.breakdown.benign, 1);
+        let (parallel, _) = stream(&trace, DetectorConfig::default(), 2, 2);
+        assert_eq!(parallel.breakdown.benign, 1);
     }
 
     #[test]
@@ -263,19 +282,15 @@ mod tests {
         // ascending lock order.
         let trace = mixed_trace();
         let config = DetectorConfig::default();
-        let batch =
-            Detector::new(config).analyze_with(&trace, SiteAggregator::new(BodyOverlapGain));
-        let table = batch.sink.finish();
+        let batch = Detector::new(config).plan(&trace, BodyOverlapGain);
         for workers in [1, 3] {
-            let parallel = ParallelStreamingDetector::with_workers(config, workers)
+            let (parallel, _) = ParallelStreamingDetector::with_workers(config, workers)
                 .analyze_with(
                     &mut TraceChunks::new(&trace, 16),
-                    SiteAggregator::new(BodyOverlapGain),
+                    PlanAggregator::new(BodyOverlapGain),
                 )
                 .unwrap();
-            assert_eq!(table, parallel.sink.finish());
-            assert_eq!(batch.breakdown, parallel.breakdown);
-            assert_eq!(batch.sections, parallel.sections);
+            assert_eq!(batch, DetectionPlan::from_batch(parallel));
         }
     }
 
@@ -295,11 +310,9 @@ mod tests {
             });
         });
         assert_identical(&trace, DetectorConfig::default(), 8, 3);
-        let parallel = ParallelStreamingDetector::with_workers(DetectorConfig::default(), 3)
-            .analyze(&mut TraceChunks::new(&trace, 8))
-            .unwrap();
-        assert!(parallel.analysis.ulcps.is_empty());
-        assert_eq!(parallel.analysis.sections.len(), 50);
+        let (parallel, _) = stream(&trace, DetectorConfig::default(), 8, 3);
+        assert!(parallel.ulcps.is_empty());
+        assert_eq!(parallel.sections.len(), 50);
     }
 
     /// Hand-built threads that exercise every branch of the section rule:
@@ -433,12 +446,9 @@ mod tests {
         assert_eq!(rows, expected);
         for chunk_events in [1, 3] {
             for workers in [1, 2] {
-                let streamed =
-                    ParallelStreamingDetector::with_workers(DetectorConfig::default(), workers)
-                        .analyze(&mut TraceChunks::new(&trace, chunk_events))
-                        .unwrap();
-                let streamed: Vec<String> =
-                    streamed.analysis.sections.iter().map(section_row).collect();
+                let (streamed, _) =
+                    stream(&trace, DetectorConfig::default(), chunk_events, workers);
+                let streamed: Vec<String> = streamed.sections.iter().map(section_row).collect();
                 assert_eq!(streamed, expected, "chunk={chunk_events} workers={workers}");
             }
         }

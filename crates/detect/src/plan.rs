@@ -9,15 +9,19 @@
 //! aggregate table ~6k rows, against 153M classified pairs. A
 //! [`PlanAggregator`] sink collects exactly this set during the scan, so one
 //! detection pass feeds transform, replay admission *and* the ranked report —
-//! the [`DetectionPlan`] — with no materialized pair vector anywhere.
+//! the [`DetectionPlan`] — with no materialized pair vector anywhere. The
+//! engines emit in the canonical order, so the retained lists come out in
+//! it as they are pushed.
 
 use perfplay_trace::{CriticalSection, SectionId, Trace};
 use serde::{Deserialize, Serialize};
 
 use crate::kinds::UlcpKind;
 use crate::pairing::{CausalEdge, Detector, Ulcp, UlcpBreakdown};
-use crate::sink::{GainSource, SectionCtx, SinkAnalysis, SiteAggregates, SiteAggregator, UlcpSink};
-use crate::streaming::StreamingSinkAnalysis;
+use crate::parallel_stream::StreamingStats;
+use crate::sink::{
+    site_key, GainSource, SectionCtx, SinkAnalysis, SiteAggregates, SiteTable, UlcpSink,
+};
 
 /// The compact output of one detection pass: the section table, the
 /// per-category breakdown, the causal edges and benign pairs (the only
@@ -77,29 +81,18 @@ impl std::error::Error for PlanError {}
 
 impl DetectionPlan {
     /// Assembles a plan from a batch-engine run into a [`PlanAggregator`].
-    pub fn from_batch<G: GainSource>(analysis: SinkAnalysis<PlanAggregator<G>>) -> Self {
-        let SinkAnalysis {
-            sections,
-            breakdown,
-            sink,
-        } = analysis;
-        sink.into_plan(sections, breakdown)
+    pub fn from_batch<G: GainSource>(run: SinkAnalysis<PlanAggregator<G>>) -> Self {
+        run.sink.into_plan(run.sections, run.breakdown)
     }
 
     /// Assembles a plan from a
     /// [`ParallelStreamingDetector`](crate::ParallelStreamingDetector) run
-    /// into a [`PlanAggregator`], returning the run's stream statistics
+    /// into a [`PlanAggregator`], keeping the run's stream statistics
     /// alongside.
     pub fn from_streaming<G: GainSource>(
-        analysis: StreamingSinkAnalysis<PlanAggregator<G>>,
-    ) -> (Self, crate::StreamingStats) {
-        let StreamingSinkAnalysis {
-            sections,
-            breakdown,
-            sink,
-            stats,
-        } = analysis;
-        (sink.into_plan(sections, breakdown), stats)
+        (analysis, stats): (SinkAnalysis<PlanAggregator<G>>, StreamingStats),
+    ) -> (Self, StreamingStats) {
+        (Self::from_batch(analysis), stats)
     }
 
     /// Returns the critical section for an id.
@@ -162,14 +155,23 @@ impl Detector {
     }
 }
 
-/// The single-pass pipeline sink: a [`SiteAggregator`] that additionally
+/// The aggregating sink, and the single-pass pipeline's: folds each emitted
+/// pair into a per-(first-site, second-site, kind) row at emission time, and
 /// retains the causal edges and benign pairs — the only individual pairs the
-/// transformation needs — restoring the canonical order at
-/// [`seal`](UlcpSink::seal) exactly as [`CollectPairs`](crate::CollectPairs)
-/// does for the full lists.
+/// transformation needs — in the canonical order the engines emit them in.
+///
+/// A pair costs one probe of a hash table keyed by the site pair packed into
+/// one `u64`, each entry holding one cell per [`UlcpKind`];
+/// [`into_plan`](Self::into_plan) sorts the keys once, so the rows come out
+/// in ascending `(site_first, site_second, kind)` order. Counts and gains
+/// add with saturation, which is commutative and associative (the result is
+/// `min(true sum, u64::MAX)`), so the rows do not depend on emission order:
+/// the sequential and parallel batch engine and the reference engine all
+/// produce the identical table.
 #[derive(Debug, Clone, Default)]
 pub struct PlanAggregator<G: GainSource> {
-    aggregator: SiteAggregator<G>,
+    gain: G,
+    table: SiteTable,
     edges: Vec<CausalEdge>,
     benign: Vec<Ulcp>,
 }
@@ -178,7 +180,8 @@ impl<G: GainSource> PlanAggregator<G> {
     /// Creates a plan sink accumulating gains from the given source.
     pub fn new(gain: G) -> Self {
         PlanAggregator {
-            aggregator: SiteAggregator::new(gain),
+            gain,
+            table: SiteTable::default(),
             edges: Vec::new(),
             benign: Vec::new(),
         }
@@ -196,50 +199,33 @@ impl<G: GainSource> PlanAggregator<G> {
             breakdown,
             edges: self.edges,
             benign: self.benign,
-            aggregates: self.aggregator.finish(),
+            aggregates: self.table.finish(),
         }
     }
 }
 
 impl<G: GainSource + Clone> UlcpSink for PlanAggregator<G> {
     fn emit(&mut self, ulcp: Ulcp, ctx: &SectionCtx<'_>) {
-        self.aggregator.emit(ulcp, ctx);
+        let gain = self.gain.pair_gain_ns(&ulcp, ctx).max(0) as u64;
+        self.table.add_pairs(site_key(ctx), ulcp.kind, 1, gain);
         if ulcp.kind == UlcpKind::Benign {
             self.benign.push(ulcp);
         }
     }
 
     fn emit_edge(&mut self, edge: CausalEdge, ctx: &SectionCtx<'_>) {
-        self.aggregator.emit_edge(edge, ctx);
+        self.table.add_edges(site_key(ctx), 1);
         self.edges.push(edge);
     }
 
     fn fork(&self) -> Self {
-        PlanAggregator {
-            aggregator: self.aggregator.fork(),
-            edges: Vec::new(),
-            benign: Vec::new(),
-        }
+        PlanAggregator::new(self.gain.clone())
     }
 
     fn absorb(&mut self, shard: Self) {
-        self.aggregator.absorb(shard.aggregator);
+        self.table.absorb(shard.table);
         self.edges.extend(shard.edges);
         self.benign.extend(shard.benign);
-    }
-
-    /// Restores the canonical `(lock, first, second-thread, second)` order of
-    /// the retained edge and benign lists — the same order [`seal`] gives the
-    /// full lists of a collecting sink, so a plan-driven transformation sees
-    /// its inputs exactly as the materializing one does.
-    ///
-    /// [`seal`]: UlcpSink::seal
-    fn seal(&mut self, sections: &[CriticalSection]) {
-        self.edges
-            .sort_unstable_by_key(|e| (e.lock, e.from, sections[e.to.index()].thread, e.to));
-        self.benign.sort_unstable_by_key(|u| {
-            (u.lock, u.first, sections[u.second.index()].thread, u.second)
-        });
     }
 }
 
@@ -285,26 +271,34 @@ mod tests {
             .trace
     }
 
-    /// Checks the plan against the collected analysis and returns it.
+    /// Checks the plan against the collected analysis folded through a plan
+    /// sink by hand, and returns it.
     fn assert_plan_matches_collected(config: DetectorConfig, trace: &Trace) -> DetectionPlan {
         let analysis = Detector::new(config).analyze(trace);
-        let expected_benign: Vec<Ulcp> = analysis
-            .ulcps
-            .iter()
-            .copied()
-            .filter(|u| u.kind == UlcpKind::Benign)
-            .collect();
-        let expected_aggregates = Detector::new(config)
-            .analyze_with(trace, SiteAggregator::new(BodyOverlapGain))
-            .sink
-            .finish();
+        let ctx = |first: SectionId, second: SectionId| SectionCtx {
+            first: analysis.section(first),
+            second: analysis.section(second),
+        };
+        let mut folded = PlanAggregator::new(BodyOverlapGain);
+        for &u in &analysis.ulcps {
+            folded.emit(u, &ctx(u.first, u.second));
+        }
+        for &e in &analysis.edges {
+            folded.emit_edge(e, &ctx(e.from, e.to));
+        }
+        let expected = folded.into_plan(analysis.sections.clone(), analysis.breakdown);
 
         let plan = Detector::new(config).plan(trace, BodyOverlapGain);
-        assert_eq!(plan.sections, analysis.sections);
-        assert_eq!(plan.breakdown, analysis.breakdown);
-        assert_eq!(plan.edges, analysis.edges);
-        assert_eq!(plan.benign, expected_benign);
-        assert_eq!(plan.aggregates, expected_aggregates);
+        assert_eq!(plan, expected);
+        assert_eq!(
+            plan.benign,
+            analysis
+                .ulcps
+                .iter()
+                .copied()
+                .filter(|u| u.kind == UlcpKind::Benign)
+                .collect::<Vec<_>>()
+        );
         assert_eq!(
             plan.resident_entries(),
             plan.aggregates.len() + plan.edges.len() + plan.benign.len()

@@ -25,22 +25,14 @@ use crate::sink::{CollectPairs, SectionCtx, SinkAnalysis, UlcpSink};
 /// Honors `use_reversed_replay` and `max_scan_per_thread` from the config;
 /// the `parallel` flag is ignored (the reference is always sequential).
 pub fn reference_analyze(trace: &Trace, config: DetectorConfig) -> UlcpAnalysis {
-    let SinkAnalysis {
-        sections,
-        breakdown,
-        sink,
-    } = reference_analyze_with(trace, config, CollectPairs::default());
-    UlcpAnalysis {
-        sections,
-        ulcps: sink.ulcps,
-        edges: sink.edges,
-        breakdown,
-    }
+    reference_analyze_with(trace, config, CollectPairs::default()).into()
 }
 
 /// [`reference_analyze`] emitting through a caller-supplied sink — the
 /// executable specification of the sink emission contract the optimized
-/// engines must reproduce.
+/// engines must reproduce: locks ascending, each lock's sections ascending,
+/// then the other threads ascending, each thread's later sections
+/// ascending.
 pub fn reference_analyze_with<S: UlcpSink>(
     trace: &Trace,
     config: DetectorConfig,
@@ -113,7 +105,6 @@ pub fn reference_analyze_with<S: UlcpSink>(
             }
         }
     }
-    sink.seal(&sections);
 
     SinkAnalysis {
         sections,

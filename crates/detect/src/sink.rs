@@ -6,27 +6,26 @@
 //! each classified pair through a [`UlcpSink`] instead of pushing into a
 //! hard-wired `Vec`. The sink decides what to keep:
 //!
-//! * [`CollectPairs`] materializes every [`Ulcp`] and [`CausalEdge`],
-//!   reproducing the historical [`UlcpAnalysis`] bit-for-bit. Memory is
-//!   O(pairs) — on dense traces the pair list dwarfs every other term
-//!   (153M pairs on the 12M-event acceptance workload).
-//! * [`SiteAggregator`] folds each pair at emission time into a
+//! * [`CollectPairs`] materializes every [`Ulcp`] and [`CausalEdge`]; its
+//!   run converts into the [`UlcpAnalysis`]. Memory is O(pairs) — on dense
+//!   traces the pair list dwarfs every other term (153M pairs on the
+//!   12M-event acceptance workload).
+//! * [`PlanAggregator`] folds each pair at emission time into a
 //!   per-(first-site, second-site, kind) aggregate with saturating counts and
-//!   gains — the seeds of the report layer's Algorithm 2 fusion — keeping
-//!   memory O(code sites) regardless of how many dynamic pairs the scan
-//!   classifies. One pair costs one probe of a hash table keyed by the
-//!   packed site pair; the finished table is sorted once.
+//!   gains — the seeds of the report layer's Algorithm 2 fusion — and keeps
+//!   only the causal edges and benign pairs, so its memory is O(code sites)
+//!   plus those two lists, however many dynamic pairs the scan classifies.
 //!
-//! [`UlcpSink::seal`] runs once at the end of every analysis so
-//! order-sensitive sinks can restore the canonical `(lock, first,
-//! second-thread, second)` order whatever order the pairs were emitted in.
-//! Order-insensitive sinks (saturating-add folds are commutative and
-//! associative) ignore it.
+//! Both engines emit in the canonical `(lock, first, second-thread, second)`
+//! order: ascending lock, then each of the lock's sections, then each other
+//! thread, then that thread's later sections, all ascending. The parallel
+//! batch engine absorbs its per-lock shards in ascending lock order, so the
+//! order holds at every worker count and no sink re-sorts.
 //!
 //! [`Detector`]: crate::Detector
 //! [`ParallelStreamingDetector`]: crate::ParallelStreamingDetector
+//! [`PlanAggregator`]: crate::PlanAggregator
 //! [`reference_analyze`]: crate::reference_analyze
-//! [`UlcpAnalysis`]: crate::UlcpAnalysis
 
 use std::collections::HashMap;
 
@@ -35,7 +34,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::idhash::IdBuildHasher;
 use crate::kinds::UlcpKind;
-use crate::pairing::{CausalEdge, Ulcp, UlcpBreakdown};
+use crate::pairing::{CausalEdge, Ulcp, UlcpAnalysis, UlcpBreakdown};
 
 /// The classification context of one emitted pair: borrowed views of the two
 /// critical sections, so sinks can attribute the pair (code sites, costs,
@@ -51,11 +50,11 @@ pub struct SectionCtx<'a> {
 /// Consumer of the detection engines' pair stream.
 ///
 /// Engines call [`emit`](Self::emit) for every ULCP and
-/// [`emit_edge`](Self::emit_edge) for every causal edge (TLCP), then
-/// [`seal`](Self::seal) exactly once when the scan is complete. The parallel
+/// [`emit_edge`](Self::emit_edge) for every causal edge (TLCP), in the
+/// canonical `(lock, first, second-thread, second)` order. The parallel
 /// batch engine additionally builds one shard per lock with
 /// [`fork`](Self::fork) and merges them back — in ascending lock order, so
-/// the merged output is deterministic — with [`absorb`](Self::absorb).
+/// the merged output keeps that order — with [`absorb`](Self::absorb).
 pub trait UlcpSink {
     /// Receives one unnecessary lock contention pair.
     fn emit(&mut self, ulcp: Ulcp, ctx: &SectionCtx<'_>);
@@ -76,23 +75,15 @@ pub trait UlcpSink {
     fn absorb(&mut self, shard: Self)
     where
         Self: Sized;
-
-    /// Called exactly once when the scan is complete, with the final section
-    /// table. Sinks that guarantee the canonical output order restore it
-    /// here; the default is a no-op.
-    fn seal(&mut self, sections: &[CriticalSection]) {
-        let _ = sections;
-    }
 }
 
-/// The materializing sink: collects every pair and edge, reproducing the
-/// historical `UlcpAnalysis` vectors bit-identically. Memory is O(pairs).
+/// The materializing sink: collects every pair and edge in emission order,
+/// which is the canonical order. Memory is O(pairs).
 #[derive(Debug, Clone, Default)]
 pub struct CollectPairs {
-    /// All unnecessary lock contention pairs, in canonical order after
-    /// [`seal`](UlcpSink::seal).
+    /// All unnecessary lock contention pairs, in canonical order.
     pub ulcps: Vec<Ulcp>,
-    /// All causal edges, in canonical order after [`seal`](UlcpSink::seal).
+    /// All causal edges, in canonical order.
     pub edges: Vec<CausalEdge>,
 }
 
@@ -113,24 +104,12 @@ impl UlcpSink for CollectPairs {
         self.ulcps.extend(shard.ulcps);
         self.edges.extend(shard.edges);
     }
-
-    /// Restores the canonical order: ascending lock, then the first section's
-    /// timing index, then the candidate's thread, then the candidate's timing
-    /// index. Both engines already emit in exactly this order, so the sort
-    /// is a detected-sorted-run no-op; a sink fed out of order relies on
-    /// it.
-    fn seal(&mut self, sections: &[CriticalSection]) {
-        self.ulcps.sort_unstable_by_key(|u| {
-            (u.lock, u.first, sections[u.second.index()].thread, u.second)
-        });
-        self.edges
-            .sort_unstable_by_key(|e| (e.lock, e.from, sections[e.to.index()].thread, e.to));
-    }
 }
 
-/// A per-pair performance-gain evaluator, consulted by [`SiteAggregator`] at
-/// emission time. Must be a pure function of the pair and its sections, so
-/// aggregation stays order-independent.
+/// A per-pair performance-gain evaluator, consulted by
+/// [`PlanAggregator`](crate::PlanAggregator) at emission time. Must be a
+/// pure function of the pair and its sections, so aggregation stays
+/// order-independent.
 pub trait GainSource {
     /// The gain attributed to one pair, in nanoseconds. Negative gains are
     /// clamped at zero before accumulation, mirroring the report layer's
@@ -193,8 +172,8 @@ pub struct EdgeAggregate {
     pub edges: u64,
 }
 
-/// The finished output of a [`SiteAggregator`] run: the per-site ULCP and
-/// edge tables in ascending key order.
+/// The per-site rows of a [`PlanAggregator`](crate::PlanAggregator) run:
+/// the ULCP and edge tables in ascending key order.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SiteAggregates {
     /// Per-(site, site, kind) ULCP aggregates, ascending key order.
@@ -295,17 +274,18 @@ fn unpack_sites(key: u64) -> (CodeSiteId, CodeSiteId) {
     )
 }
 
-/// The accumulator behind [`SiteAggregator`] and [`SiteAggregates::merge`]:
-/// hash tables keyed by the packed site pair, so adding one pair is one hash
-/// probe. Iteration order never leaks — [`finish`](Self::finish) sorts.
+/// The accumulator behind [`PlanAggregator`](crate::PlanAggregator) and
+/// [`SiteAggregates::merge`]: hash tables keyed by the packed site pair, so
+/// adding one pair is one hash probe. Iteration order never leaks —
+/// [`finish`](Self::finish) sorts.
 #[derive(Debug, Clone, Default)]
-struct SiteTable {
+pub(crate) struct SiteTable {
     pairs: HashMap<u64, SiteRow, IdBuildHasher>,
     edges: HashMap<u64, u64, IdBuildHasher>,
 }
 
 impl SiteTable {
-    fn add_pairs(&mut self, key: u64, kind: UlcpKind, pairs: u64, gain_ns: u64) {
+    pub(crate) fn add_pairs(&mut self, key: u64, kind: UlcpKind, pairs: u64, gain_ns: u64) {
         let row = self.pairs.entry(key).or_default();
         row.present |= SiteRow::bit(kind);
         let cell = &mut row.cells[kind as usize];
@@ -313,12 +293,12 @@ impl SiteTable {
         cell.gain_ns = cell.gain_ns.saturating_add(gain_ns);
     }
 
-    fn add_edges(&mut self, key: u64, edges: u64) {
+    pub(crate) fn add_edges(&mut self, key: u64, edges: u64) {
         let count = self.edges.entry(key).or_insert(0);
         *count = count.saturating_add(edges);
     }
 
-    fn absorb(&mut self, other: SiteTable) {
+    pub(crate) fn absorb(&mut self, other: SiteTable) {
         for (key, row) in other.pairs {
             for (kind, cell) in row.present_cells() {
                 self.add_pairs(key, kind, cell.pairs, cell.gain_ns);
@@ -331,7 +311,7 @@ impl SiteTable {
 
     /// Sorts the keys once and emits the present cells in ascending
     /// `(site_first, site_second, kind)` order.
-    fn finish(self) -> SiteAggregates {
+    pub(crate) fn finish(self) -> SiteAggregates {
         let mut pairs: Vec<(u64, SiteRow)> = self.pairs.into_iter().collect();
         pairs.sort_unstable_by_key(|&(key, _)| key);
         let mut edges: Vec<(u64, u64)> = self.edges.into_iter().collect();
@@ -365,69 +345,14 @@ impl SiteTable {
     }
 }
 
-/// The aggregating sink: folds each emitted pair into a per-(first-site,
-/// second-site, kind) row at emission time, keeping memory O(code sites)
-/// instead of O(pairs).
-///
-/// The rows live in a hash table keyed by the site pair packed into one
-/// `u64`, each entry holding one cell per [`UlcpKind`], so a pair costs one
-/// hash probe. [`finish`](Self::finish) sorts the keys once, so the output
-/// is in ascending `(site_first, site_second, kind)` order.
-///
-/// Counts and gains accumulate with saturating addition, which is commutative
-/// and associative (the result is `min(true sum, u64::MAX)`), so the
-/// aggregate is independent of emission order — the sequential and
-/// parallel batch engine and the reference engine all produce the
-/// identical table.
-#[derive(Debug, Clone, Default)]
-pub struct SiteAggregator<G: GainSource = NoGain> {
-    gain: G,
-    table: SiteTable,
-}
-
 /// Unordered site-pair key, normalized exactly as the report layer's fusion
 /// seeds are, then packed.
-fn site_key(ctx: &SectionCtx<'_>) -> u64 {
+pub(crate) fn site_key(ctx: &SectionCtx<'_>) -> u64 {
     let (a, b) = (ctx.first.site, ctx.second.site);
     if a.raw() <= b.raw() {
         pack_sites(a, b)
     } else {
         pack_sites(b, a)
-    }
-}
-
-impl<G: GainSource> SiteAggregator<G> {
-    /// Creates an aggregator using the given gain source.
-    pub fn new(gain: G) -> Self {
-        SiteAggregator {
-            gain,
-            table: SiteTable::default(),
-        }
-    }
-
-    /// Consumes the aggregator into its finished tables, in ascending key
-    /// order.
-    pub fn finish(self) -> SiteAggregates {
-        self.table.finish()
-    }
-}
-
-impl<G: GainSource + Clone> UlcpSink for SiteAggregator<G> {
-    fn emit(&mut self, ulcp: Ulcp, ctx: &SectionCtx<'_>) {
-        let gain = self.gain.pair_gain_ns(&ulcp, ctx).max(0) as u64;
-        self.table.add_pairs(site_key(ctx), ulcp.kind, 1, gain);
-    }
-
-    fn emit_edge(&mut self, _edge: CausalEdge, ctx: &SectionCtx<'_>) {
-        self.table.add_edges(site_key(ctx), 1);
-    }
-
-    fn fork(&self) -> Self {
-        SiteAggregator::new(self.gain.clone())
-    }
-
-    fn absorb(&mut self, shard: Self) {
-        self.table.absorb(shard.table);
     }
 }
 
@@ -444,9 +369,23 @@ pub struct SinkAnalysis<S> {
     pub sink: S,
 }
 
+impl From<SinkAnalysis<CollectPairs>> for UlcpAnalysis {
+    /// The materialized analysis of a [`CollectPairs`] run: its sections,
+    /// pairs, edges and breakdown, as they came out.
+    fn from(run: SinkAnalysis<CollectPairs>) -> Self {
+        UlcpAnalysis {
+            sections: run.sections,
+            ulcps: run.sink.ulcps,
+            edges: run.sink.edges,
+            breakdown: run.breakdown,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PlanAggregator;
     use perfplay_trace::{Footprint, LockId, SectionId, ThreadId};
 
     fn section(id: u32, thread: u32, site: u32, body_ns: u64) -> CriticalSection {
@@ -476,11 +415,17 @@ mod tests {
         }
     }
 
+    /// The per-site rows an aggregating sink folded.
+    fn rows<G: GainSource>(sink: PlanAggregator<G>) -> SiteAggregates {
+        sink.into_plan(Vec::new(), UlcpBreakdown::default())
+            .aggregates
+    }
+
     #[test]
     fn aggregator_normalizes_site_pairs_and_saturates() {
         let a = section(0, 0, 7, 100);
         let b = section(1, 1, 3, 40);
-        let mut agg = SiteAggregator::new(BodyOverlapGain);
+        let mut agg = PlanAggregator::new(BodyOverlapGain);
         // Emit the same site pair in both orientations; they must land in
         // one row keyed (3, 7).
         agg.emit(
@@ -497,7 +442,7 @@ mod tests {
                 second: &a,
             },
         );
-        let out = agg.finish();
+        let out = rows(agg);
         assert_eq!(out.ulcps.len(), 1);
         let row = &out.ulcps[0];
         assert_eq!(row.site_first, CodeSiteId::new(3));
@@ -527,12 +472,12 @@ mod tests {
             first: &a,
             second: &b,
         };
-        let mut agg = SiteAggregator::new(Huge);
+        let mut agg = PlanAggregator::new(Huge);
         for _ in 0..3 {
             agg.emit(ulcp(0, 1, UlcpKind::Benign), &ctx);
             agg.emit(ulcp(0, 1, UlcpKind::NullLock), &ctx);
         }
-        let out = agg.finish();
+        let out = rows(agg);
         // Each kind cell of the one site-pair row saturates on its own.
         assert_eq!(out.ulcps.len(), 2);
         for (row, kind) in out.ulcps.iter().zip([UlcpKind::NullLock, UlcpKind::Benign]) {
@@ -548,15 +493,14 @@ mod tests {
         let max = section(0, 0, u32::MAX, 1);
         let below = section(1, 1, u32::MAX - 1, 1);
         let zero = section(2, 0, 0, 1);
-        let mut agg = SiteAggregator::new(NoGain);
+        let mut agg = PlanAggregator::new(NoGain);
         for (first, second) in [(&max, &max), (&max, &below), (&zero, &max)] {
             agg.emit(
                 ulcp(0, 1, UlcpKind::ReadRead),
                 &SectionCtx { first, second },
             );
         }
-        let keys: Vec<_> = agg
-            .finish()
+        let keys: Vec<_> = rows(agg)
             .ulcps
             .iter()
             .map(|r| (r.site_first.raw(), r.site_second.raw()))
@@ -573,9 +517,9 @@ mod tests {
 
     #[test]
     fn empty_aggregator_finishes_empty() {
-        let mut agg = SiteAggregator::new(BodyOverlapGain);
+        let mut agg = PlanAggregator::new(BodyOverlapGain);
         agg.absorb(agg.fork());
-        let out = agg.finish();
+        let out = rows(agg);
         assert!(out.is_empty());
         assert_eq!(out, SiteAggregates::default());
         let mut merged = SiteAggregates::default();
@@ -635,7 +579,7 @@ mod tests {
         let secs: Vec<_> = (0..4)
             .map(|i| section(i, i % 2, i % 3, 10 * u64::from(i + 1)))
             .collect();
-        let emit_all = |sink: &mut SiteAggregator<BodyOverlapGain>, lo: usize, hi: usize| {
+        let emit_all = |sink: &mut PlanAggregator<BodyOverlapGain>, lo: usize, hi: usize| {
             for i in lo..hi {
                 for j in (i + 1)..hi {
                     let ctx = SectionCtx {
@@ -654,10 +598,10 @@ mod tests {
                 }
             }
         };
-        let mut single = SiteAggregator::new(BodyOverlapGain);
+        let mut single = PlanAggregator::new(BodyOverlapGain);
         emit_all(&mut single, 0, 4);
 
-        let mut merged = SiteAggregator::new(BodyOverlapGain);
+        let mut merged = PlanAggregator::new(BodyOverlapGain);
         let mut shard_a = merged.fork();
         let mut shard_b = merged.fork();
         emit_all(&mut shard_a, 0, 4);
@@ -666,30 +610,8 @@ mod tests {
         emit_all(&mut shard_b, 0, 0);
         merged.absorb(shard_a);
         merged.absorb(shard_b);
-        assert_eq!(single.finish(), merged.finish());
-    }
-
-    #[test]
-    fn collect_pairs_seal_restores_canonical_order() {
-        // Emit out of order and seal.
-        let secs = vec![
-            section(0, 0, 1, 5),
-            section(1, 1, 2, 5),
-            section(2, 1, 2, 5),
-        ];
-        let mut sink = CollectPairs::default();
-        let ctx02 = SectionCtx {
-            first: &secs[0],
-            second: &secs[2],
-        };
-        let ctx01 = SectionCtx {
-            first: &secs[0],
-            second: &secs[1],
-        };
-        sink.emit(ulcp(0, 2, UlcpKind::ReadRead), &ctx02);
-        sink.emit(ulcp(0, 1, UlcpKind::ReadRead), &ctx01);
-        sink.seal(&secs);
-        assert_eq!(sink.ulcps[0].second, SectionId::new(1));
-        assert_eq!(sink.ulcps[1].second, SectionId::new(2));
+        // Rows, edges and benign pairs all merge back.
+        let plan = |sink: PlanAggregator<_>| sink.into_plan(Vec::new(), UlcpBreakdown::default());
+        assert_eq!(plan(single), plan(merged));
     }
 }

@@ -115,8 +115,7 @@ mod tests {
     use std::collections::BTreeMap;
 
     use perfplay_detect::{
-        Detector, GainSource, SectionCtx, SiteAggregate, SiteAggregator, Ulcp, UlcpBreakdown,
-        UlcpKind,
+        Detector, GainSource, SectionCtx, SiteAggregate, Ulcp, UlcpBreakdown, UlcpKind,
     };
     use perfplay_program::ProgramBuilder;
     use perfplay_record::Recorder;
@@ -276,8 +275,8 @@ mod tests {
             .record(&b.build())
             .unwrap()
             .trace;
-        let run = Detector::default().analyze_with(&trace, SiteAggregator::new(Fixed(gain)));
-        (run.breakdown, run.sink.finish())
+        let plan = Detector::default().plan(&trace, Fixed(gain));
+        (plan.breakdown, plan.aggregates)
     }
 
     /// Two threads running one read-only section on one lock `iters` times.

@@ -8,8 +8,9 @@
 //! * [`pair_gain_ns`] evaluates **Equation 1** (`ΔT_ULCP = ΔMAX{Time2, Time3} −
 //!   ΔTime1`) for one pair of critical sections, using the per-event
 //!   completion times both replays expose. [`ReplayGains`] is the
-//!   [`GainSource`](perfplay_detect::GainSource) that lets an aggregating
-//!   detection pass fold those gains per code-site pair.
+//!   [`GainSource`](perfplay_detect::GainSource) that lets a plan pass
+//!   ([`Detector::plan`](perfplay_detect::Detector::plan)) fold those gains
+//!   per code-site pair into the plan's aggregate rows.
 //! * [`fuse_aggregates`] implements **Algorithm 2** (ULCP fusion and
 //!   performance accumulation per code region), seeded from a per-site
 //!   [`SiteAggregates`](perfplay_detect::SiteAggregates) table, and
@@ -20,7 +21,8 @@
 //!   Figure 14.
 //! * [`PerfReport`] bundles everything, renders a human-readable summary and
 //!   serializes to JSON. [`PerfReport::from_plan`] ranks by a plan's own
-//!   aggregate rows; [`PerfReport::with_gains`] re-ranks by another table.
+//!   aggregate rows; [`PerfReport::with_gains`] re-ranks by another plan's
+//!   rows, such as the exact table a [`ReplayGains`] plan pass folds.
 //! * [`analyze_plan`] runs the whole pipeline — one detection pass whose
 //!   compact [`DetectionPlan`](perfplay_detect::DetectionPlan) output drives
 //!   transform, both replays and the report — and [`analyze_batch`] lifts it

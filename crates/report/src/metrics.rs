@@ -97,10 +97,12 @@ pub fn pair_gain_ns(
 }
 
 /// A [`GainSource`] evaluating Equation 1 at pair-emission time from the two
-/// replays, so an aggregating detection pass (a
-/// [`SiteAggregator`](perfplay_detect::SiteAggregator) sink) folds the exact
-/// per-pair gains into per-site rows without a pair list ever existing. The
-/// `PerfPlay` facade re-ranks its report by one such pass after both replays.
+/// replays, so a plan pass
+/// ([`Detector::plan`](perfplay_detect::Detector::plan), whose
+/// [`PlanAggregator`](perfplay_detect::PlanAggregator) sink aggregates)
+/// folds the exact per-pair gains into the plan's per-site rows without a
+/// pair list ever existing. The `PerfPlay` facade re-ranks its report by that
+/// plan's `aggregates`, from one such pass after both replays.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplayGains<'a> {
     trace: &'a Trace,
@@ -198,7 +200,7 @@ impl ImpactSplit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perfplay_detect::{DetectionPlan, Detector, NoGain, SiteAggregates, SiteAggregator};
+    use perfplay_detect::{DetectionPlan, Detector, NoGain, SiteAggregates};
     use perfplay_program::ProgramBuilder;
     use perfplay_record::Recorder;
     use perfplay_replay::{ReplaySchedule, Replayer, UlcpFreeReplayer};
@@ -213,12 +215,9 @@ mod tests {
     }
 
     impl Fixture {
-        /// One aggregating detection pass folding `gain` into site rows.
+        /// One plan pass folding `gain` into site rows.
         fn fold<G: GainSource + Clone + Send + Sync>(&self, gain: G) -> SiteAggregates {
-            Detector::default()
-                .analyze_with(&self.trace, SiteAggregator::new(gain))
-                .sink
-                .finish()
+            Detector::default().plan(&self.trace, gain).aggregates
         }
 
         /// The exact Equation 1 table of the fixture's two replays.

@@ -630,7 +630,7 @@ mod tests {
 
     #[test]
     fn single_pass_report_matches_two_pass_aggregate_report() {
-        use perfplay_detect::{NoGain, SiteAggregator};
+        use perfplay_detect::NoGain;
         let trace = record(11);
         let config = PipelineConfig::default();
         let single = analyze_plan(&trace, &config).unwrap();
@@ -647,10 +647,9 @@ mod tests {
             .with_dls(config.use_dls)
             .replay(&transformed)
             .unwrap();
-        let aggregated = Detector::new(config.detector)
-            .analyze_with(&trace, SiteAggregator::new(BodyOverlapGain));
+        let aggregated = Detector::new(config.detector).plan(&trace, BodyOverlapGain);
         let two_pass = PerfReport::from_plan(&trace, &plan, &transformed, &original, &free)
-            .with_gains(&aggregated.sink.finish(), &original, &free);
+            .with_gains(&aggregated.aggregates, &original, &free);
 
         assert_eq!(single.report, two_pass);
         assert_eq!(single.original_replay, original);

@@ -128,9 +128,10 @@ impl PerfReport {
     /// table's total gain. Every other field is kept.
     ///
     /// [`from_plan`](Self::from_plan) ranks by the plan's own rows; the
-    /// `PerfPlay` facade re-ranks by the exact Equation 1 table that a
-    /// [`ReplayGains`](crate::ReplayGains) pass over the same detection
-    /// folds after both replays.
+    /// `PerfPlay` facade re-ranks by the `aggregates` of a second plan of
+    /// the same trace: the exact Equation 1 table that
+    /// [`Detector::plan`](perfplay_detect::Detector::plan) with
+    /// [`ReplayGains`](crate::ReplayGains) folds after both replays.
     pub fn with_gains(
         self,
         aggregates: &SiteAggregates,
@@ -270,7 +271,7 @@ impl PerfReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perfplay_detect::{Detector, NoGain, SiteAggregator};
+    use perfplay_detect::{Detector, NoGain};
     use perfplay_program::ProgramBuilder;
     use perfplay_record::Recorder;
     use perfplay_replay::{ReplaySchedule, Replayer, UlcpFreeReplayer};
@@ -315,14 +316,10 @@ mod tests {
             .unwrap();
         let free = UlcpFreeReplayer::default().replay(&transformed).unwrap();
         let unranked = PerfReport::from_plan(&trace, &plan, &transformed, &original, &free);
-        let exact = Detector::default()
-            .analyze_with(
-                &trace,
-                SiteAggregator::new(ReplayGains::new(&trace, &original, &free)),
-            )
-            .sink
-            .finish();
-        let report = unranked.clone().with_gains(&exact, &original, &free);
+        let exact = Detector::default().plan(&trace, ReplayGains::new(&trace, &original, &free));
+        let report = unranked
+            .clone()
+            .with_gains(&exact.aggregates, &original, &free);
         (trace, unranked, report)
     }
 

@@ -1,7 +1,7 @@
 //! Property test: ULCP fusion (Algorithm 2) is independent of the order the
 //! per-pair gains arrive in.
 //!
-//! `SiteAggregator` folds each emitted pair into a per-site row with
+//! `PlanAggregator` folds each emitted pair into a per-site row with
 //! saturating addition, and `fuse_aggregates` seeds one group per
 //! normalized code-site pair in ascending key order, so both the group
 //! contents and their order must be invariant under any permutation of the
@@ -11,7 +11,8 @@
 use proptest::prelude::*;
 
 use perfplay_detect::{
-    Detector, GainSource, SectionCtx, SiteAggregates, SiteAggregator, Ulcp, UlcpAnalysis, UlcpSink,
+    Detector, GainSource, PlanAggregator, SectionCtx, SiteAggregates, Ulcp, UlcpAnalysis,
+    UlcpBreakdown, UlcpSink,
 };
 use perfplay_record::Recorder;
 use perfplay_report::{fuse_aggregates, rank_groups};
@@ -58,7 +59,7 @@ impl GainSource for SyntheticGain {
 
 /// Emits `pairs` into a fresh aggregator in the given order.
 fn fold(analysis: &UlcpAnalysis, pairs: &[Ulcp], gain: SyntheticGain) -> SiteAggregates {
-    let mut sink = SiteAggregator::new(gain);
+    let mut sink = PlanAggregator::new(gain);
     for u in pairs {
         let ctx = SectionCtx {
             first: analysis.section(u.first),
@@ -66,7 +67,8 @@ fn fold(analysis: &UlcpAnalysis, pairs: &[Ulcp], gain: SyntheticGain) -> SiteAgg
         };
         sink.emit(*u, &ctx);
     }
-    sink.finish()
+    sink.into_plan(Vec::new(), UlcpBreakdown::default())
+        .aggregates
 }
 
 proptest! {

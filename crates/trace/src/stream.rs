@@ -1163,17 +1163,19 @@ pub fn load_trace(source: &mut impl EventSource) -> Result<LoadedTrace, StreamEr
 }
 
 /// Reads a chunked trace file back into a full in-memory [`Trace`]: the
-/// file's events and grants through [`load_trace`], then its code sites
-/// and the trailer's makespan and finish times.
+/// file's events and grants through [`load_trace`] over a
+/// [`PipelinedChunkReader`](crate::PipelinedChunkReader), then its code
+/// sites and the trailer's makespan and finish times.
 ///
 /// This is the inverse of `perfplay-record`'s `spill_trace`.
 ///
 /// # Errors
 ///
 /// Propagates reader errors, the first chunk that breaks the chunk contract
-/// ([`ChunkContract`]) included, located at its record.
+/// ([`ChunkContract`]) included, located at its record, and the reader's
+/// thread-spawn failures.
 pub fn read_chunked_trace(path: impl AsRef<Path>) -> Result<Trace, StreamError> {
-    let mut reader = ChunkFileReader::open(path)?;
+    let mut reader = crate::PipelinedChunkReader::open(path)?;
     let mut trace = load_trace(&mut reader)?.trace;
     trace.sites = reader.sites().clone();
     let trailer = reader

@@ -137,14 +137,14 @@ fn converted_golden_fixture_is_event_identical() {
     let analyze = |path: &std::path::Path| {
         let mut reader = ChunkFileReader::open(path).expect("open for analysis");
         ParallelStreamingDetector::with_workers(DetectorConfig::default(), 1)
-            .analyze(&mut reader)
+            .analyze_with(&mut reader, CollectPairs::default())
             .expect("clean artifact streams")
     };
-    let from_golden = analyze(&golden);
-    let from_pbin = analyze(&pbin);
-    assert_eq!(from_golden.stats.events, from_pbin.stats.events);
+    let (from_golden, golden_stats) = analyze(&golden);
+    let (from_pbin, pbin_stats) = analyze(&pbin);
+    assert_eq!(golden_stats.events, pbin_stats.events);
     assert_eq!(
-        from_golden.analysis.breakdown, from_pbin.analysis.breakdown,
+        from_golden.breakdown, from_pbin.breakdown,
         "detection diverged between formats"
     );
     std::fs::remove_file(&pbin).ok();

@@ -16,8 +16,8 @@ use proptest::prelude::*;
 use perfplay::prelude::*;
 use perfplay::workloads::{random_workload, GeneratorConfig};
 use perfplay_trace::{
-    read_chunked_trace, ChunkFileReader, ChunkFileRecord, ChunkFormat, RawChunkRecords,
-    RecoveryPolicy, StreamError, Trace, TraceChunk,
+    read_chunked_trace, ChunkFileReader, ChunkFileRecord, ChunkFormat, EventSource,
+    RawChunkRecords, RecoveryPolicy, StreamError, Trace, TraceChunk,
 };
 
 const POLICIES: [RecoveryPolicy; 3] = [
@@ -39,6 +39,30 @@ fn record(seed: u64, gen: &GeneratorConfig) -> Trace {
         .record(&program)
         .unwrap()
         .trace
+}
+
+/// Streams `source` through the streaming detector at `workers` into a
+/// collecting sink.
+fn stream(
+    workers: usize,
+    source: &mut impl EventSource,
+) -> Result<(UlcpAnalysis, StreamingStats), StreamError> {
+    let (run, stats) = ParallelStreamingDetector::with_workers(config(), workers)
+        .analyze_with(source, CollectPairs::default())?;
+    Ok((run.into(), stats))
+}
+
+/// Spills the corpus trace in the format `ext` names under one fixed temp
+/// path: through a file suffixed with this process's id, renamed into
+/// place, so a rerun overwrites the corpus instead of adding one and a
+/// concurrent test process never reads a half-written file.
+fn spill_corpus(trace: &Trace, ext: &str) -> PathBuf {
+    let dir = std::env::temp_dir();
+    let path = dir.join(format!("perfplay-chaos-clean.{ext}"));
+    let partial = dir.join(format!("perfplay-chaos-clean-{}.{ext}", std::process::id()));
+    spill_trace(trace, &partial, 24).unwrap();
+    std::fs::rename(&partial, &path).unwrap();
+    path
 }
 
 /// The shared clean corpus: one recorded trace spilled to a chunk file in
@@ -64,9 +88,7 @@ fn corpus() -> &'static Corpus {
                 sections_per_thread: 9,
             },
         );
-        let path =
-            std::env::temp_dir().join(format!("perfplay-chaos-clean-{}.jsonl", std::process::id()));
-        spill_trace(&trace, &path, 24).unwrap();
+        let path = spill_corpus(&trace, "jsonl");
         let lines: Vec<String> = std::fs::read_to_string(&path)
             .unwrap()
             .lines()
@@ -86,9 +108,7 @@ fn corpus() -> &'static Corpus {
         );
         assert!(chunks.len() >= 4, "corpus needs several chunks");
         // The binary twin: the same trace, the same chunking, PBIN framing.
-        let pbin_path =
-            std::env::temp_dir().join(format!("perfplay-chaos-clean-{}.pbin", std::process::id()));
-        spill_trace(&trace, &pbin_path, 24).unwrap();
+        let pbin_path = spill_corpus(&trace, "pbin");
         let mut source = ChunkFileReader::open(&pbin_path).unwrap();
         assert_eq!(source.format(), ChunkFormat::Pbin, "magic autodetection");
         let mut pbin_chunks = Vec::new();
@@ -116,16 +136,15 @@ fn corpus() -> &'static Corpus {
 fn run_file(path: &Path, policy: RecoveryPolicy, workers: usize) -> String {
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<_, StreamError> {
         let mut reader = ChunkFileReader::with_policy(path, policy)?;
-        let streamed =
-            ParallelStreamingDetector::with_workers(config(), workers).analyze(&mut reader)?;
+        let (analysis, stats) = stream(workers, &mut reader)?;
         Ok(format!(
             "events={} gaps={} lost={} ulcps={} edges={} {:?}",
-            streamed.stats.events,
-            streamed.stats.gaps,
-            streamed.stats.events_lost,
-            streamed.analysis.ulcps.len(),
-            streamed.analysis.edges.len(),
-            streamed.analysis.breakdown,
+            stats.events,
+            stats.gaps,
+            stats.events_lost,
+            analysis.ulcps.len(),
+            analysis.edges.len(),
+            analysis.breakdown,
         ))
     }));
     match outcome {
@@ -214,9 +233,8 @@ fn in_flight_faults_never_panic_and_are_deterministic() {
                     std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<_, StreamError> {
                         let reader = ChunkFileReader::open(&corpus.path)?;
                         let mut source = FaultInjector::new(reader, plan);
-                        let streamed = ParallelStreamingDetector::with_workers(config(), 1)
-                            .analyze(&mut source)?;
-                        Ok((streamed.analysis.breakdown, streamed.stats.events))
+                        let (analysis, stats) = stream(1, &mut source)?;
+                        Ok((analysis.breakdown, stats.events))
                     }));
                 match outcome {
                     Err(_) => "panic".to_string(),
@@ -268,16 +286,13 @@ fn assert_recovery_is_detection_of_the_spliced_trace(path: &Path, victim: usize)
 
     for workers in RECOVERY_WORKERS {
         let mut reader = ChunkFileReader::with_policy(path, RecoveryPolicy::SkipChunk).unwrap();
-        let streamed = ParallelStreamingDetector::with_workers(config(), workers)
-            .analyze(&mut reader)
-            .unwrap();
-        let stats = &streamed.stats;
+        let (analysis, stats) = stream(workers, &mut reader).unwrap();
         assert_eq!(
             (stats.gaps, stats.events_lost, stats.events),
             (2, victim_events as u64, events),
             "workers={workers}"
         );
-        assert_eq!(streamed.analysis, batch, "workers={workers}");
+        assert_eq!(analysis, batch, "workers={workers}");
     }
     for parallel in [false, true] {
         let pipeline = PipelineConfig {
@@ -733,11 +748,9 @@ fn assert_refused_at_its_record(probe: &ContractProbe) {
     for workers in [1, 2] {
         let mut reader =
             PipelinedChunkReader::with_policy(&probe.path, RecoveryPolicy::SkipChunk).unwrap();
-        let streamed = ParallelStreamingDetector::with_workers(config(), workers)
-            .analyze(&mut reader)
-            .unwrap();
+        let (_, stats) = stream(workers, &mut reader).unwrap();
         assert_eq!(
-            (streamed.stats.gaps, streamed.stats.events_lost),
+            (stats.gaps, stats.events_lost),
             (1, probe.events),
             "{workers} workers"
         );
@@ -887,16 +900,14 @@ fn a_record_after_the_trailer_is_refused() {
         for workers in [1, 2] {
             let mut reader =
                 ChunkFileReader::with_policy(&path, RecoveryPolicy::SkipChunk).unwrap();
-            let streamed = ParallelStreamingDetector::with_workers(config(), workers)
-                .analyze(&mut reader)
-                .unwrap();
+            let (analysis, stats) = stream(workers, &mut reader).unwrap();
             assert_eq!(
-                (streamed.stats.gaps, streamed.stats.events_lost),
+                (stats.gaps, stats.events_lost),
                 (1, events),
                 "{ext}, {workers} workers"
             );
-            assert_eq!(streamed.analysis.ulcps, clean.ulcps, "{ext}");
-            assert_eq!(streamed.analysis.breakdown, clean.breakdown, "{ext}");
+            assert_eq!(analysis.ulcps, clean.ulcps, "{ext}");
+            assert_eq!(analysis.breakdown, clean.breakdown, "{ext}");
         }
         std::fs::remove_file(&path).ok();
     }
@@ -935,9 +946,7 @@ fn an_event_loss_past_u64_max_saturates() {
     let mut inline = ChunkFileReader::with_policy(&path, policy).unwrap();
     let items = drain(&mut inline).unwrap();
     assert_eq!(inline.events_lost(), u64::MAX);
-    let clean = ParallelStreamingDetector::with_workers(config(), 1)
-        .analyze(&mut ChunkFileReader::open(&golden).unwrap())
-        .unwrap();
+    let (clean, _) = stream(1, &mut ChunkFileReader::open(&golden).unwrap()).unwrap();
     for workers in [1, 2] {
         let mut reader = PipelinedChunkReader::with_options(&path, policy, None, workers).unwrap();
         assert_eq!(
@@ -947,16 +956,18 @@ fn an_event_loss_past_u64_max_saturates() {
         );
         assert_eq!(reader.events_lost(), u64::MAX, "{workers} decode workers");
 
-        let streamed = ParallelStreamingDetector::with_workers(config(), workers)
-            .analyze(&mut ChunkFileReader::with_policy(&path, policy).unwrap())
-            .unwrap();
+        let (analysis, stats) = stream(
+            workers,
+            &mut ChunkFileReader::with_policy(&path, policy).unwrap(),
+        )
+        .unwrap();
         assert_eq!(
-            (streamed.stats.gaps, streamed.stats.events_lost),
+            (stats.gaps, stats.events_lost),
             (6, u64::MAX),
             "{workers} workers"
         );
-        assert_eq!(streamed.analysis.ulcps, clean.analysis.ulcps);
-        assert_eq!(streamed.analysis.breakdown, clean.analysis.breakdown);
+        assert_eq!(analysis.ulcps, clean.ulcps);
+        assert_eq!(analysis.breakdown, clean.breakdown);
     }
     let sweep = analyze_chunk_files(&[&path], &PipelineConfig::default(), policy);
     assert!(sweep.failures.is_empty(), "{:?}", sweep.failures);

@@ -12,6 +12,7 @@ use proptest::prelude::*;
 use perfplay::prelude::*;
 use perfplay::workloads::{random_workload, GeneratorConfig};
 use perfplay::{PerfPlay, PerfPlayConfig, PerfPlayError};
+use perfplay_record::ChunkedWriteSummary;
 use perfplay_trace::Trace;
 
 fn record(seed: u64, gen: &GeneratorConfig) -> Trace {
@@ -20,6 +21,19 @@ fn record(seed: u64, gen: &GeneratorConfig) -> Trace {
         .record(&program)
         .unwrap()
         .trace
+}
+
+/// Spills `trace` in the format `ext` names under one fixed temp path:
+/// through a file suffixed with this process's id, renamed into place, so a
+/// rerun overwrites the corpus instead of adding one and a concurrent test
+/// process never reads a half-written file.
+fn spill_corpus(trace: &Trace, ext: &str) -> (PathBuf, ChunkedWriteSummary) {
+    let dir = std::env::temp_dir();
+    let path = dir.join(format!("perfplay-lint-clean.{ext}"));
+    let partial = dir.join(format!("perfplay-lint-clean-{}.{ext}", std::process::id()));
+    let summary = spill_trace(trace, &partial, 24).unwrap();
+    std::fs::rename(&partial, &path).unwrap();
+    (path, summary)
 }
 
 /// Shared clean corpus: one recorded trace spilled to a chunk file in each
@@ -47,13 +61,10 @@ fn corpus() -> &'static Corpus {
                 sections_per_thread: 9,
             },
         );
-        let path =
-            std::env::temp_dir().join(format!("perfplay-lint-clean-{}.jsonl", std::process::id()));
-        let summary = spill_trace(&trace, &path, 24).unwrap();
+        let (path, summary) = spill_corpus(&trace, "jsonl");
         let lines = std::fs::read_to_string(&path).unwrap().lines().count();
         assert!(summary.chunks >= 4, "corpus needs several chunks");
-        let pbin = path.with_extension("pbin");
-        spill_trace(&trace, &pbin, 24).unwrap();
+        let (pbin, _) = spill_corpus(&trace, "pbin");
         assert_eq!(ChunkFormat::detect(&pbin), Ok(ChunkFormat::Pbin));
         Corpus {
             trace,

@@ -17,7 +17,8 @@ use proptest::prelude::*;
 use perfplay::prelude::*;
 use perfplay::workloads::{random_workload, GeneratorConfig};
 use perfplay_trace::{
-    ChunkFileReader, PipelinedChunkReader, RawChunkRecords, RecoveryPolicy, StreamError, Trace,
+    ChunkFileReader, EventSource, PipelinedChunkReader, RawChunkRecords, RecoveryPolicy,
+    StreamError, Trace,
 };
 
 const POLICIES: [RecoveryPolicy; 3] = [
@@ -51,6 +52,17 @@ fn temp_path(tag: &str, ext: &str) -> PathBuf {
     ))
 }
 
+/// Streams `source` through the streaming detector at `workers` into a
+/// collecting sink.
+fn stream(
+    workers: usize,
+    source: &mut impl EventSource,
+) -> Result<(UlcpAnalysis, StreamingStats), StreamError> {
+    let (run, stats) = ParallelStreamingDetector::with_workers(config(), workers)
+        .analyze_with(source, CollectPairs::default())?;
+    Ok((run.into(), stats))
+}
+
 /// The shared clean corpus: one recorded trace spilled in both formats.
 struct Corpus {
     trace: Trace,
@@ -78,21 +90,35 @@ fn corpus() -> &'static Corpus {
                 sections_per_thread: 8,
             },
         );
-        let jsonl = temp_path("corpus", "jsonl");
-        let pbin = temp_path("corpus", "pbin");
-        spill_trace(&trace, &jsonl, CORPUS_CHUNK).unwrap();
-        spill_trace(&trace, &pbin, CORPUS_CHUNK).unwrap();
+        let jsonl = spill_corpus(&trace, "jsonl");
+        let pbin = spill_corpus(&trace, "pbin");
         Corpus { trace, jsonl, pbin }
     })
+}
+
+/// Spills the corpus trace in the format `ext` names under one fixed temp
+/// path: through a file suffixed with this process's id, renamed into
+/// place, so a rerun overwrites the corpus instead of adding one and a
+/// concurrent test process never reads a half-written file.
+fn spill_corpus(trace: &Trace, ext: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!("perfplay-pingest-corpus.{ext}"));
+    let partial = temp_path("corpus", ext);
+    spill_trace(trace, &partial, CORPUS_CHUNK).unwrap();
+    std::fs::rename(&partial, &path).unwrap();
+    path
 }
 
 /// Full-content description of one finished streaming run: stats, the exact
 /// gap list, lost-event total and the complete analysis. Equal strings mean
 /// the two runs are observationally identical.
-fn describe(streamed: &StreamingAnalysis, gaps: &[perfplay_trace::StreamGap], lost: u64) -> String {
+fn describe(
+    (analysis, stats): &(UlcpAnalysis, StreamingStats),
+    gaps: &[perfplay_trace::StreamGap],
+    lost: u64,
+) -> String {
     format!(
-        "events={} gaps={gaps:?} lost={lost} analysis={:?}",
-        streamed.stats.events, streamed.analysis,
+        "events={} gaps={gaps:?} lost={lost} analysis={analysis:?}",
+        stats.events
     )
 }
 
@@ -101,7 +127,7 @@ fn describe(streamed: &StreamingAnalysis, gaps: &[perfplay_trace::StreamGap], lo
 fn run_sequential(path: &Path, policy: RecoveryPolicy) -> String {
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<_, StreamError> {
         let mut reader = ChunkFileReader::with_policy(path, policy)?;
-        let streamed = ParallelStreamingDetector::with_workers(config(), 1).analyze(&mut reader)?;
+        let streamed = stream(1, &mut reader)?;
         Ok(describe(&streamed, reader.gaps(), reader.events_lost()))
     }));
     match outcome {
@@ -122,8 +148,7 @@ fn run_pipelined(
 ) -> String {
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<_, StreamError> {
         let mut reader = PipelinedChunkReader::with_options(path, policy, None, decode_workers)?;
-        let streamed = ParallelStreamingDetector::with_workers(config(), detect_workers)
-            .analyze(&mut reader)?;
+        let streamed = stream(detect_workers, &mut reader)?;
         Ok(describe(&streamed, reader.gaps(), reader.events_lost()))
     }));
     match outcome {
@@ -140,10 +165,8 @@ fn run_pipelined(
 #[test]
 fn pipelined_equals_sequential_equals_in_memory_on_clean_corpus() {
     let corpus = corpus();
-    let in_memory = ParallelStreamingDetector::with_workers(config(), 2)
-        .analyze(&mut TraceChunks::new(&corpus.trace, CORPUS_CHUNK))
-        .unwrap();
-    let in_memory_analysis = format!("{:?}", in_memory.analysis);
+    let (in_memory, _) = stream(2, &mut TraceChunks::new(&corpus.trace, CORPUS_CHUNK)).unwrap();
+    let in_memory_analysis = format!("{in_memory:?}");
     for (ext, path) in corpus.files() {
         let sequential = run_sequential(path, RecoveryPolicy::Fail);
         assert!(
@@ -221,13 +244,12 @@ fn gap_accounting_is_identical_between_readers() {
             let dst = temp_path(&format!("gaps-{frac}"), ext);
             std::fs::write(&dst, &bad).unwrap();
 
-            let detector = ParallelStreamingDetector::with_workers(config(), 1);
             let mut seq = ChunkFileReader::with_policy(&dst, RecoveryPolicy::SkipChunk).unwrap();
-            let seq_run = detector.analyze(&mut seq);
+            let seq_run = stream(1, &mut seq);
             let mut pip =
                 PipelinedChunkReader::with_options(&dst, RecoveryPolicy::SkipChunk, None, 2)
                     .unwrap();
-            let pip_run = detector.analyze(&mut pip);
+            let pip_run = stream(1, &mut pip);
 
             assert_eq!(
                 seq_run.is_ok(),
@@ -244,10 +266,10 @@ fn gap_accounting_is_identical_between_readers() {
                 pip.events_lost(),
                 "{ext} flip at {at}: lost-event totals diverged"
             );
-            if let (Ok(s), Ok(p)) = (&seq_run, &pip_run) {
+            if let (Ok((s, _)), Ok((p, _))) = (&seq_run, &pip_run) {
                 assert_eq!(
-                    format!("{:?}", s.analysis),
-                    format!("{:?}", p.analysis),
+                    format!("{s:?}"),
+                    format!("{p:?}"),
                     "{ext} flip at {at}: analyses diverged"
                 );
             }
@@ -383,16 +405,14 @@ proptest! {
         let path = temp_path(&format!("prop-{seed}-{chunk_events}-{decode_workers}"), ext);
         spill_trace(&trace, &path, chunk_events).unwrap();
 
-        let in_memory = ParallelStreamingDetector::with_workers(config(), 2)
-            .analyze(&mut TraceChunks::new(&trace, chunk_events))
-            .unwrap();
+        let (in_memory, _) = stream(2, &mut TraceChunks::new(&trace, chunk_events)).unwrap();
         let sequential = run_sequential(&path, RecoveryPolicy::Fail);
         let pipelined = run_pipelined(&path, RecoveryPolicy::Fail, decode_workers, 2);
         std::fs::remove_file(&path).ok();
 
         prop_assert!(sequential.starts_with("ok "), "sequential failed: {sequential}");
         prop_assert_eq!(&sequential, &pipelined);
-        let in_memory_analysis = format!("analysis={:?}", in_memory.analysis);
+        let in_memory_analysis = format!("analysis={in_memory:?}");
         prop_assert!(
             sequential.ends_with(&in_memory_analysis),
             "file analysis diverged from in-memory (seed {}, chunk {})",

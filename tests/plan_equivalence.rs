@@ -340,10 +340,9 @@ proptest! {
         let transformed = Transformer::default().transform_from_plan(&trace, &plan);
         let original = Replayer::default().replay(&trace, ReplaySchedule::elsc()).unwrap();
         let free = UlcpFreeReplayer::default().replay(&transformed).unwrap();
-        let aggregated = Detector::new(config)
-            .analyze_with(&trace, SiteAggregator::new(BodyOverlapGain));
+        let aggregated = Detector::new(config).plan(&trace, BodyOverlapGain);
         let two_pass = PerfReport::from_plan(&trace, &plan, &transformed, &original, &free)
-            .with_gains(&aggregated.sink.finish(), &original, &free);
+            .with_gains(&aggregated.aggregates, &original, &free);
         prop_assert_eq!(&single.report, &two_pass);
         prop_assert_eq!(&single.original_replay, &original);
         prop_assert_eq!(&single.ulcp_free_replay, &free);

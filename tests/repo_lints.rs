@@ -15,17 +15,19 @@
 //! * neither does the detection kernel or the pair classifier, whose
 //!   reversed replay runs on stack arrays (or one heap buffer) per pair;
 //! * only the sink modules (`crates/detect/src/sink.rs` and `plan.rs`)
-//!   implement `UlcpSink` outside test code, so every engine collects and
-//!   aggregates through the same sinks and the canonical pair order is
-//!   restored in their `seal`s alone;
+//!   implement `UlcpSink` outside test code, so every engine collects
+//!   through `CollectPairs` and aggregates through `PlanAggregator`, in the
+//!   canonical pair order the engines emit (no sink re-sorts);
 //! * no stage after detection reads a pair list: outside test code, no line
 //!   of the transform crate, the report crate or the root package names the
 //!   materialized pair list (`UlcpAnalysis`) or its sink (`CollectPairs`),
 //!   and the facade crate names them only in its `prelude` re-export;
 //! * library entry points read chunk files through the pipelined scanner:
-//!   outside test code, no line of the report, lint or record crate or of
-//!   the root package calls an inline-scanner constructor, which stays the
-//!   zero-thread reference for tests;
+//!   outside test code, no line of the trace, report, lint or record crate
+//!   or of the root package calls an inline-scanner constructor, which stays
+//!   the zero-thread reference for tests. The one exception is the fault
+//!   injector's `corrupt_chunk_file` (`crates/detect/src/inject.rs`), which
+//!   the lint does not scan;
 //! * the core count is read in one place: outside test code, exactly one
 //!   line under `crates/` and `src/` calls `available_parallelism`, in
 //!   `perfplay_trace::available_threads`, so every thread budget starts
@@ -77,9 +79,12 @@
 //!   points read through the pipelined scanner), the incremental chunk
 //!   writer (the one-pass spill replaced it), the facade's copies of the
 //!   pipeline's configuration and errors (`PerfPlayConfig` nests
-//!   `PipelineConfig`, and `PerfPlayError` wraps `PipelineError`) or the
+//!   `PipelineConfig`, and `PerfPlayError` wraps `PipelineError`), the
 //!   sharded streaming engine's resident-state machinery (`load_trace` and
-//!   the batch engine replaced it).
+//!   the batch engine replaced it), or the detection outputs only that
+//!   engine needed: the second aggregating sink, the re-sorting hook and the
+//!   streamed result wrappers (`PlanAggregator`, the engines' own emission
+//!   order and `SinkAnalysis` beside `StreamingStats` replaced them).
 
 use std::path::{Path, PathBuf};
 
@@ -317,7 +322,7 @@ fn sinks_live_in_the_sink_modules() {
     assert!(
         offenders.is_empty(),
         "UlcpSink implemented outside {SINK_MODULES:?} (collect through CollectPairs or \
-         aggregate through SiteAggregator/PlanAggregator instead):\n{}",
+         aggregate through PlanAggregator instead):\n{}",
         offenders.join("\n")
     );
 }
@@ -392,33 +397,46 @@ fn stages_after_detection_name_no_pair_list() {
 }
 
 /// Constructors of the inline chunk-file scanner, the zero-thread reference
-/// the equivalence tests compare the pipelined scanner against.
-const INLINE_SCANNER_CONSTRUCTORS: [&str; 3] = [
+/// the equivalence tests compare the pipelined scanner against. A line names
+/// one only as a whole word, so the pipelined constructors
+/// (`ChunkFileReader::open_pipelined`, `RawChunkRecords::open_pipelined`) do
+/// not count.
+const INLINE_SCANNER_CONSTRUCTORS: [&str; 5] = [
     "ChunkFileReader::open",
     "ChunkFileReader::with_policy",
-    "RawChunkRecords::open(",
+    "ChunkFileReader::with_policy_and_format",
+    "RawChunkRecords::open",
+    "RawChunkRecords::open_with_format",
 ];
 
 #[test]
 fn entry_points_read_through_the_pipelined_scanner() {
-    // The code that reads chunk files for a user: the report, lint and
-    // record crates, and the root package's library and CLI.
+    // The code that reads chunk files for a user: the trace crate's
+    // `read_chunked_trace`, the report, lint and record crates, and the root
+    // package's library and CLI. The scanners' own definitions in the trace
+    // crate construct through `Self::` or the pipelined constructors, so
+    // they do not count. The one library caller of the inline scanner is the
+    // fault injector's `corrupt_chunk_file` in the detect crate, which this
+    // lint does not scan.
     let files = rs_files_under(&[
+        "crates/trace/src",
         "crates/report/src",
         "crates/lint/src",
         "crates/record/src",
         "src",
     ]);
     assert!(
-        files.len() >= 15,
-        "expected the report, lint, record and root sources, got {files:?}"
+        files.len() >= 28,
+        "expected the trace, report, lint, record and root sources, got {files:?}"
     );
     let mut offenders: Vec<String> = Vec::new();
     for path in &files {
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
         for (line_no, line) in non_test_code(&text) {
-            let calls = INLINE_SCANNER_CONSTRUCTORS.iter().any(|c| line.contains(c));
+            let calls = INLINE_SCANNER_CONSTRUCTORS
+                .iter()
+                .any(|c| names_word(line, c));
             if !is_comment(line) && calls {
                 offenders.push(format!("{}:{line_no}: {}", relative(path), line.trim()));
             }
@@ -848,7 +866,7 @@ fn in_memory_analysis_detects_with_the_batch_engine() {
     assert!(
         wrappers.is_empty(),
         "the streaming engine has an in-memory wrapper again (stream a trace with \
-         `analyze(&mut TraceChunks::new(&trace, n))`):\n{}",
+         `analyze_with(&mut TraceChunks::new(&trace, n), sink)`):\n{}",
         wrappers.join("\n")
     );
 }
@@ -924,17 +942,17 @@ const RETIRED_PAIR_LIST_REPORT: &[Retired] = &[
     Retired {
         name: concat!("fuse_", "ulcps"),
         counts: Counts::WholeWord,
-        replaced_by: "fuse_aggregates over a SiteAggregator table",
+        replaced_by: "fuse_aggregates over a plan's aggregate table",
     },
     Retired {
         name: concat!("fuse_ulcp", "_gains"),
         counts: Counts::WholeWord,
-        replaced_by: "fuse_aggregates over a SiteAggregator table",
+        replaced_by: "fuse_aggregates over a plan's aggregate table",
     },
     Retired {
         name: concat!("ulcp_", "gains"),
         counts: Counts::WholeWord,
-        replaced_by: "ReplayGains folded per site by a SiteAggregator pass",
+        replaced_by: "ReplayGains folded per site by a Detector::plan pass",
     },
     Retired {
         name: concat!("Ulcp", "Gain"),
@@ -991,9 +1009,6 @@ const RETIRED_CHUNKED_WRITER: &[Retired] = &[Retired {
     replaced_by: "spill_trace_with_format",
 }];
 
-/// The facade's copies of the pipeline's configuration and errors:
-/// `PerfPlayConfig` nests `PipelineConfig`, and `PerfPlayError` wraps
-/// `PipelineError` in one variant.
 /// The sharded streaming engine's resident-state machinery: the section
 /// renumbering after compaction, and the peaks of pairs held and of
 /// searches retired mid-stream. The stream is loaded and detected whole.
@@ -1015,6 +1030,40 @@ const RETIRED_SHARDED_ENGINE: &[Retired] = &[
     },
 ];
 
+/// The detection outputs only the sharded streaming engine needed: the
+/// second aggregating sink that `PlanAggregator` wrapped, the hook that
+/// re-sorted the retained lists after the scan, and the streamed result
+/// wrappers that repeated `UlcpAnalysis` and `SinkAnalysis` with the stream
+/// statistics added.
+const RETIRED_DETECTION_OUTPUTS: &[Retired] = &[
+    Retired {
+        name: concat!("Site", "Aggregator"),
+        counts: Counts::WholeWord,
+        replaced_by: "PlanAggregator, the one aggregating sink (`Detector::plan`)",
+    },
+    Retired {
+        name: concat!("se", "al"),
+        counts: Counts::WholeWord,
+        replaced_by: "nothing: the engines emit in the canonical order",
+    },
+    Retired {
+        name: concat!("Streaming", "Analysis"),
+        counts: Counts::WholeWord,
+        replaced_by: "`ParallelStreamingDetector::analyze_with`'s \
+                      `(SinkAnalysis<S>, StreamingStats)`; a `CollectPairs` run converts \
+                      into `UlcpAnalysis`",
+    },
+    Retired {
+        name: concat!("StreamingSink", "Analysis"),
+        counts: Counts::WholeWord,
+        replaced_by: "`ParallelStreamingDetector::analyze_with`'s \
+                      `(SinkAnalysis<S>, StreamingStats)`",
+    },
+];
+
+/// The facade's copies of the pipeline's configuration and errors:
+/// `PerfPlayConfig` nests `PipelineConfig`, and `PerfPlayError` wraps
+/// `PipelineError` in one variant.
 const RETIRED_FACADE_COPIES: &[Retired] = &[
     Retired {
         name: concat!("PerfPlayConfig::", "pipeline()"),
@@ -1064,18 +1113,24 @@ fn is_word_char(c: char) -> bool {
 
 impl Retired {
     fn named_in(&self, line: &str) -> bool {
-        line.match_indices(self.name).any(|(at, _)| {
-            let (before, after) = (&line[..at], &line[at + self.name.len()..]);
-            match self.counts {
-                Counts::Anywhere => true,
-                Counts::WholeWord => {
-                    !before.chars().next_back().is_some_and(is_word_char)
-                        && !after.chars().next().is_some_and(is_word_char)
-                }
-                Counts::ExceptAfter(prefix) => !before.ends_with(prefix),
-            }
-        })
+        match self.counts {
+            Counts::Anywhere => line.contains(self.name),
+            Counts::WholeWord => names_word(line, self.name),
+            Counts::ExceptAfter(prefix) => line
+                .match_indices(self.name)
+                .any(|(at, _)| !line[..at].ends_with(prefix)),
+        }
     }
+}
+
+/// True if `line` names `word` with no letter, digit or `_` touching either
+/// end.
+fn names_word(line: &str, word: &str) -> bool {
+    line.match_indices(word).any(|(at, _)| {
+        let (before, after) = (&line[..at], &line[at + word.len()..]);
+        !before.chars().next_back().is_some_and(is_word_char)
+            && !after.chars().next().is_some_and(is_word_char)
+    })
 }
 
 fn files_under(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -1179,6 +1234,16 @@ fn retired_sharded_engine_state_is_named_nowhere() {
     assert!(
         offenders.is_empty(),
         "the retired sharded streaming engine's state is named:\n{}",
+        offenders.join("\n")
+    );
+}
+
+#[test]
+fn retired_detection_outputs_are_named_nowhere() {
+    let offenders = retired_name_lines(RETIRED_DETECTION_OUTPUTS);
+    assert!(
+        offenders.is_empty(),
+        "a retired detection output is named:\n{}",
         offenders.join("\n")
     );
 }

@@ -1,10 +1,10 @@
-//! Property tests: all detection engines agree through both sinks when the
-//! `max_scan_per_thread` cap truncates sequential searches — including
-//! truncations landing exactly on a chunk boundary of the streaming engine at
-//! one worker and at two — the aggregating sink's table equals an
-//! independent ordered-map fold of the materialized pairs under every gain
-//! source, and the `PerfPlay` facade's exact report equals the report of
-//! that pair-list oracle.
+//! Property tests: every engine emits in the canonical order, all detection
+//! engines agree through both sinks when the `max_scan_per_thread` cap
+//! truncates sequential searches — including truncations landing exactly on
+//! a chunk boundary of the streaming engine at one worker and at two — the
+//! aggregating sink's table equals an independent ordered-map fold of the
+//! materialized pairs under every gain source, and the `PerfPlay` facade's
+//! exact report equals the report of that pair-list oracle.
 //!
 //! `oracle_aggregates` is the repository's one materializing report path: it
 //! lives here, in test code, and no library stage reads a pair list.
@@ -16,8 +16,8 @@ use proptest::prelude::*;
 use perfplay::prelude::*;
 use perfplay::workloads::{random_workload, GeneratorConfig};
 use perfplay::{PerfPlay, PerfPlayConfig};
-use perfplay_detect::{reference_analyze, EdgeAggregate, SiteAggregate};
-use perfplay_trace::{CodeSiteId, SectionId, Trace};
+use perfplay_detect::{reference_analyze, CausalEdge, EdgeAggregate, SiteAggregate};
+use perfplay_trace::{CodeSiteId, CriticalSection, LockId, SectionId, ThreadId, Trace};
 
 fn record(seed: u64, config: &GeneratorConfig) -> Trace {
     let program = random_workload(seed, config);
@@ -27,10 +27,46 @@ fn record(seed: u64, config: &GeneratorConfig) -> Trace {
         .trace
 }
 
-/// Runs every engine with a `CollectPairs` and a `SiteAggregator` sink and
+/// Streams `trace` in chunks of `chunk_events` through the streaming
+/// detector at `workers` into a collecting sink.
+fn stream(
+    trace: &Trace,
+    config: DetectorConfig,
+    chunk_events: usize,
+    workers: usize,
+) -> UlcpAnalysis {
+    ParallelStreamingDetector::with_workers(config, workers)
+        .analyze_with(
+            &mut TraceChunks::new(trace, chunk_events),
+            CollectPairs::default(),
+        )
+        .unwrap()
+        .0
+        .into()
+}
+
+/// Streams `trace` in chunks of `chunk_events` through the streaming
+/// detector at `workers` into a plan sink folding `gain`.
+fn stream_plan<G: GainSource + Clone + Send + Sync>(
+    trace: &Trace,
+    config: DetectorConfig,
+    chunk_events: usize,
+    workers: usize,
+    gain: G,
+) -> DetectionPlan {
+    let run = ParallelStreamingDetector::with_workers(config, workers)
+        .analyze_with(
+            &mut TraceChunks::new(trace, chunk_events),
+            PlanAggregator::new(gain),
+        )
+        .unwrap();
+    DetectionPlan::from_streaming(run).0
+}
+
+/// Runs every engine with a `CollectPairs` and a `PlanAggregator` sink and
 /// asserts full agreement: identical pair lists across the batch
 /// (sequential and parallel), reference and streaming (one and two workers)
-/// engines, and one identical aggregate table from all of them.
+/// engines, and one identical plan from all of them.
 fn assert_all_engines_agree(
     trace: &Trace,
     config: DetectorConfig,
@@ -43,13 +79,10 @@ fn assert_all_engines_agree(
     })
     .analyze(trace);
     let reference = reference_analyze(trace, config);
-    let streamed = |workers| {
-        ParallelStreamingDetector::with_workers(config, workers)
-            .analyze(&mut TraceChunks::new(trace, chunk_events))
-            .unwrap()
-            .analysis
-    };
-    let (one, two) = (streamed(1), streamed(2));
+    let (one, two) = (
+        stream(trace, config, chunk_events, 1),
+        stream(trace, config, chunk_events, 2),
+    );
 
     for other in [&parallel, &reference, &one, &two] {
         prop_assert_eq!(&sequential.ulcps, &other.ulcps);
@@ -59,30 +92,21 @@ fn assert_all_engines_agree(
     }
 
     let gain = BodyOverlapGain;
-    let batch_agg = Detector::new(config)
-        .analyze_with(trace, SiteAggregator::new(gain))
-        .sink
-        .finish();
-    let parallel_agg = Detector::new(DetectorConfig {
+    let batch_plan = Detector::new(config).plan(trace, gain);
+    let parallel_plan = Detector::new(DetectorConfig {
         parallel: true,
         ..config
     })
-    .analyze_with(trace, SiteAggregator::new(gain))
-    .sink
-    .finish();
-    prop_assert_eq!(&batch_agg, &parallel_agg);
+    .plan(trace, gain);
+    prop_assert_eq!(&batch_plan, &parallel_plan);
     for workers in [1, 2] {
-        let streamed_agg = ParallelStreamingDetector::with_workers(config, workers)
-            .analyze_with(
-                &mut TraceChunks::new(trace, chunk_events),
-                SiteAggregator::new(gain),
-            )
-            .unwrap()
-            .sink
-            .finish();
-        prop_assert_eq!(&batch_agg, &streamed_agg);
+        let streamed_plan = stream_plan(trace, config, chunk_events, workers, gain);
+        prop_assert_eq!(&batch_plan, &streamed_plan);
     }
-    prop_assert_eq!(batch_agg.total_pairs() as usize, sequential.ulcps.len());
+    prop_assert_eq!(
+        batch_plan.aggregates.total_pairs() as usize,
+        sequential.ulcps.len()
+    );
     Ok(())
 }
 
@@ -183,27 +207,18 @@ fn scan_cap_truncation_is_exact_at_every_chunk_boundary() {
         for chunk_events in 1..=trace.num_events() {
             for workers in [1, 2] {
                 let label = format!("cap {cap}, chunk {chunk_events}, workers {workers}");
-                let detector = ParallelStreamingDetector::with_workers(config, workers);
-                let streamed = detector
-                    .analyze(&mut TraceChunks::new(&trace, chunk_events))
-                    .unwrap();
-                assert_eq!(batch.ulcps, streamed.analysis.ulcps, "{label}");
-                assert_eq!(batch.edges, streamed.analysis.edges, "{label}");
-                let agg = detector
-                    .analyze_with(
-                        &mut TraceChunks::new(&trace, chunk_events),
-                        SiteAggregator::new(NoGain),
-                    )
-                    .unwrap()
-                    .sink
-                    .finish();
-                assert_eq!(agg.total_pairs() as usize, batch.ulcps.len(), "{label}");
+                let streamed = stream(&trace, config, chunk_events, workers);
+                assert_eq!(batch.ulcps, streamed.ulcps, "{label}");
+                assert_eq!(batch.edges, streamed.edges, "{label}");
+                let plan = stream_plan(&trace, config, chunk_events, workers, NoGain);
+                let pairs = plan.aggregates.total_pairs() as usize;
+                assert_eq!(pairs, batch.ulcps.len(), "{label}");
             }
         }
     }
 }
 
-/// The aggregate table `SiteAggregator<G>` must produce for a materialized
+/// The aggregate table `PlanAggregator<G>` must produce for a materialized
 /// analysis, computed the obvious way: one ordered-map entry per
 /// `(site, site, kind)` and per `(site, site)`, bumped once per pair and
 /// edge, with each pair's gain clamped at zero. Kept here, independent of the
@@ -259,7 +274,7 @@ fn oracle_aggregates<G: GainSource>(analysis: &UlcpAnalysis, gain: &G) -> SiteAg
     }
 }
 
-/// Runs every engine into a `SiteAggregator` and checks each finished table
+/// Runs every engine into a `PlanAggregator` and checks each plan's table
 /// against the oracle folded from the materialized pair list.
 fn assert_aggregator_matches_oracle<G: GainSource + Clone + Send + Sync>(
     trace: &Trace,
@@ -281,31 +296,25 @@ fn assert_aggregator_matches_oracle<G: GainSource + Clone + Send + Sync>(
     }
     let edge_total: u64 = expected.edges.iter().map(|row| row.edges).sum();
     prop_assert_eq!(edge_total as usize, analysis.breakdown.tlcp_edges);
-    let sink = || SiteAggregator::new(gain.clone());
     let parallel = DetectorConfig {
         parallel: true,
         ..config
     };
-    let pstream = |workers| {
-        ParallelStreamingDetector::with_workers(config, workers)
-            .analyze_with(&mut TraceChunks::new(trace, chunk_events), sink())
-            .unwrap()
-            .sink
-    };
-    let runs = [
+    let pstream = |workers| stream_plan(trace, config, chunk_events, workers, gain.clone());
+    let plans = [
         (
             "sequential",
-            Detector::new(config).analyze_with(trace, sink()).sink,
+            Detector::new(config).plan(trace, gain.clone()),
         ),
         (
             "parallel",
-            Detector::new(parallel).analyze_with(trace, sink()).sink,
+            Detector::new(parallel).plan(trace, gain.clone()),
         ),
         ("pstream w=1", pstream(1)),
         ("pstream w=2", pstream(2)),
     ];
-    for (engine, aggregator) in runs {
-        let actual = aggregator.finish();
+    for (engine, plan) in plans {
+        let actual = plan.aggregates;
         prop_assert!(
             actual == expected,
             "engine {engine}: {actual:?} != {expected:?}"
@@ -343,7 +352,7 @@ proptest! {
         assert_aggregator_matches_oracle(&trace, config, chunk_events, BodyOverlapGain)?;
     }
 
-    /// `SiteAggregator` output equals the oracle's ordered-map fold of the
+    /// `PlanAggregator` output equals the oracle's ordered-map fold of the
     /// collected pair list — rows, counts, kinds and saturated gains, and
     /// so every fused group — for every engine, workload, detector config
     /// and gain source.
@@ -360,6 +369,82 @@ proptest! {
             1 => assert_aggregator_matches_oracle(&trace, config, 7, BodyOverlapGain)?,
             2 => assert_aggregator_matches_oracle(&trace, config, 7, HugeGain)?,
             _ => assert_aggregator_matches_oracle(&trace, config, 7, PairHashGain)?,
+        }
+    }
+}
+
+/// The canonical emission order of a pair or edge on `lock` from `first` to
+/// `second`: the lock, the first section, the second section's thread, the
+/// second section.
+fn canonical_key(
+    sections: &[CriticalSection],
+    lock: LockId,
+    first: SectionId,
+    second: SectionId,
+) -> (LockId, SectionId, ThreadId, SectionId) {
+    (lock, first, sections[second.index()].thread, second)
+}
+
+/// Asserts that `pairs` and `edges` each strictly increase in the canonical
+/// order.
+fn assert_canonical(
+    label: &str,
+    sections: &[CriticalSection],
+    pairs: &[Ulcp],
+    edges: &[CausalEdge],
+) -> Result<(), TestCaseError> {
+    let pair_keys = pairs
+        .iter()
+        .map(|u| canonical_key(sections, u.lock, u.first, u.second));
+    let edge_keys = edges
+        .iter()
+        .map(|e| canonical_key(sections, e.lock, e.from, e.to));
+    for (list, keys) in [
+        ("pairs", pair_keys.collect::<Vec<_>>()),
+        ("edges", edge_keys.collect()),
+    ] {
+        if let Some(w) = keys.windows(2).find(|w| w[0] >= w[1]) {
+            prop_assert!(
+                false,
+                "{label} {list}: {:?} does not precede {:?}",
+                w[0],
+                w[1]
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The engines emit in the canonical `(lock, first, second-thread,
+    /// second)` order themselves, and no sink re-sorts: the reference's
+    /// pairs and edges, `Detector::analyze`'s pairs and edges and
+    /// `Detector::plan`'s benign pairs and edges each strictly increase in
+    /// it, capped and uncapped, on one worker and fanned out.
+    #[test]
+    fn engines_emit_in_canonical_order(
+        seed in 0u64..5_000,
+        gen in generator_config(),
+        cap in 0usize..4,
+        workers in 2usize..5,
+    ) {
+        let trace = record(seed, &gen);
+        let config = DetectorConfig {
+            max_scan_per_thread: (cap > 0).then_some(cap),
+            ..DetectorConfig::default()
+        };
+        let reference = reference_analyze(&trace, config);
+        assert_canonical("reference", &reference.sections, &reference.ulcps, &reference.edges)?;
+        for workers in [1, workers] {
+            let detector = Detector::with_workers(config, workers);
+            let analysis = detector.analyze(&trace);
+            let label = format!("analyze, {workers} worker(s)");
+            assert_canonical(&label, &analysis.sections, &analysis.ulcps, &analysis.edges)?;
+            let plan = detector.plan(&trace, NoGain);
+            let label = format!("plan, {workers} worker(s)");
+            assert_canonical(&label, &plan.sections, &plan.benign, &plan.edges)?;
         }
     }
 }

@@ -42,6 +42,19 @@ fn record(seed: u64, config: &GeneratorConfig) -> Trace {
         .trace
 }
 
+/// Streams `source` through the streaming detector at `workers` into a
+/// collecting sink.
+fn stream(
+    config: DetectorConfig,
+    workers: usize,
+    source: &mut impl EventSource,
+) -> (UlcpAnalysis, StreamingStats) {
+    let (run, stats) = ParallelStreamingDetector::with_workers(config, workers)
+        .analyze_with(source, CollectPairs::default())
+        .unwrap();
+    (run.into(), stats)
+}
+
 /// The chunk records of a spilled file, read without the contract check.
 fn spilled_chunks(path: &std::path::Path) -> Vec<TraceChunk> {
     RawChunkRecords::open(path)
@@ -132,29 +145,21 @@ proptest! {
         let naive = reference_analyze(&trace, config);
         assert_analyses_equal("naive vs batch", &naive, &batch)?;
 
-        let streamed = ParallelStreamingDetector::with_workers(config, 1)
-            .analyze(&mut TraceChunks::new(&trace, chunk_events))
-            .unwrap();
-        assert_analyses_equal("one worker vs batch", &streamed.analysis, &batch)?;
+        let (streamed, stats) = stream(config, 1, &mut TraceChunks::new(&trace, chunk_events));
+        assert_analyses_equal("one worker vs batch", &streamed, &batch)?;
 
         // The stream accounting covers the whole stream.
-        prop_assert_eq!(streamed.stats.events, trace.num_events());
-        prop_assert_eq!(streamed.stats.sections, batch.sections.len());
-        prop_assert!(streamed.stats.peak_chunk_events <= trace.num_events());
+        prop_assert_eq!(stats.events, trace.num_events());
+        prop_assert_eq!(stats.sections, batch.sections.len());
+        prop_assert!(stats.peak_chunk_events <= trace.num_events());
 
         // The per-lock fan-out agrees with everything above, at a width
-        // below, at and beyond #locks.
-        let parallel = ParallelStreamingDetector::with_workers(config, workers)
-            .analyze(&mut TraceChunks::new(&trace, chunk_events))
-            .unwrap();
-        assert_analyses_equal("parallel vs batch", &parallel.analysis, &batch)?;
-        prop_assert_eq!(parallel.stats.chunks, streamed.stats.chunks);
-        prop_assert_eq!(parallel.stats.events, streamed.stats.events);
-        prop_assert_eq!(parallel.stats.sections, streamed.stats.sections);
-        prop_assert_eq!(
-            parallel.stats.peak_chunk_events,
-            streamed.stats.peak_chunk_events
-        );
+        // below, at and beyond #locks; its stream accounting is the same
+        // loader's.
+        let (parallel, parallel_stats) =
+            stream(config, workers, &mut TraceChunks::new(&trace, chunk_events));
+        assert_analyses_equal("parallel vs batch", &parallel, &batch)?;
+        prop_assert_eq!(parallel_stats, stats);
     }
 
     /// `load_trace` over the in-memory stream returns the trace it streams:
@@ -204,12 +209,9 @@ proptest! {
             ..DetectorConfig::default()
         };
         let batch = Detector::new(config).analyze(&trace);
-        let mut reader = ChunkFileReader::open(&path).unwrap();
-        let streamed = ParallelStreamingDetector::with_workers(config, 1)
-            .analyze(&mut reader)
-            .unwrap();
+        let (streamed, _) = stream(config, 1, &mut ChunkFileReader::open(&path).unwrap());
         std::fs::remove_file(&path).ok();
-        assert_analyses_equal("file stream vs batch", &streamed.analysis, &batch)?;
+        assert_analyses_equal("file stream vs batch", &streamed, &batch)?;
     }
 }
 
@@ -242,10 +244,10 @@ proptest! {
 
         // Both files carry exactly the in-memory stream's chunks.
         let mut source = TraceChunks::new(&trace, chunk_events);
-        let stream: Vec<TraceChunk> =
+        let chunks: Vec<TraceChunk> =
             std::iter::from_fn(|| source.next_chunk().unwrap()).collect();
-        prop_assert_eq!(&spilled_chunks(&pbin), &stream);
-        prop_assert_eq!(&spilled_chunks(&json), &stream);
+        prop_assert_eq!(&spilled_chunks(&pbin), &chunks);
+        prop_assert_eq!(&spilled_chunks(&json), &chunks);
 
         // Reassembly is exact.
         let back = read_chunked_trace(&pbin).unwrap();
@@ -258,27 +260,21 @@ proptest! {
         let batch = Detector::new(config).analyze(&trace);
         let mut reader = ChunkFileReader::open(&pbin).unwrap();
         prop_assert_eq!(reader.format(), ChunkFormat::Pbin);
-        let detector = ParallelStreamingDetector::with_workers(config, 1);
-        let streamed = detector.analyze(&mut reader).unwrap();
-        assert_analyses_equal("pbin stream vs batch", &streamed.analysis, &batch)?;
+        let (streamed, _) = stream(config, 1, &mut reader);
+        assert_analyses_equal("pbin stream vs batch", &streamed, &batch)?;
 
         // The JSON twin of the same trace streams to the identical analysis.
-        let mut reader = ChunkFileReader::open(&json).unwrap();
-        let json_streamed = detector.analyze(&mut reader).unwrap();
+        let (json_streamed, _) = stream(config, 1, &mut ChunkFileReader::open(&json).unwrap());
         // And the PBIN file streams into the batch engine's plan.
         let mut reader = ChunkFileReader::open(&pbin).unwrap();
         let (stream_plan, _) = DetectionPlan::from_streaming(
-            detector
+            ParallelStreamingDetector::with_workers(config, 1)
                 .analyze_with(&mut reader, PlanAggregator::new(BodyOverlapGain))
                 .unwrap(),
         );
         std::fs::remove_file(&pbin).ok();
         std::fs::remove_file(&json).ok();
-        assert_analyses_equal(
-            "pbin vs json stream",
-            &streamed.analysis,
-            &json_streamed.analysis,
-        )?;
+        assert_analyses_equal("pbin vs json stream", &streamed, &json_streamed)?;
 
         // Report parity end-to-end.
         let batch_plan = Detector::new(config).plan(&trace, BodyOverlapGain);
@@ -321,28 +317,22 @@ fn parallel_streaming_matches_sequential_over_gapped_streams() {
             ));
             corrupt_chunk_file(&clean, &dst, kind, seed).unwrap();
 
-            let mut reader = ChunkFileReader::with_policy(&dst, RecoveryPolicy::SkipChunk).unwrap();
-            let sequential = ParallelStreamingDetector::with_workers(config, 1)
-                .analyze(&mut reader)
-                .unwrap();
+            let reader = || ChunkFileReader::with_policy(&dst, RecoveryPolicy::SkipChunk).unwrap();
+            let (sequential, sequential_stats) = stream(config, 1, &mut reader());
             assert!(
-                sequential.stats.is_gapped(),
+                sequential_stats.is_gapped(),
                 "{kind} seed {seed} must actually lose events"
             );
 
             for workers in [2usize, 3, 4] {
-                let mut reader =
-                    ChunkFileReader::with_policy(&dst, RecoveryPolicy::SkipChunk).unwrap();
-                let parallel = ParallelStreamingDetector::with_workers(config, workers)
-                    .analyze(&mut reader)
-                    .unwrap();
+                let (parallel, stats) = stream(config, workers, &mut reader());
                 assert_eq!(
-                    parallel.analysis, sequential.analysis,
+                    parallel, sequential,
                     "{kind} seed {seed} workers {workers}: analysis diverged"
                 );
-                assert_eq!(parallel.stats.gaps, sequential.stats.gaps);
-                assert_eq!(parallel.stats.events_lost, sequential.stats.events_lost);
-                assert_eq!(parallel.stats.events, sequential.stats.events);
+                assert_eq!(stats.gaps, sequential_stats.gaps);
+                assert_eq!(stats.events_lost, sequential_stats.events_lost);
+                assert_eq!(stats.events, sequential_stats.events);
             }
             std::fs::remove_file(&dst).ok();
         }
